@@ -286,36 +286,29 @@ def window_coords(f: TrigPoly, m: int) -> list[Fraction]:
 
 def derivative_matrix(m: int) -> RationalMatrix:
     """d/dt on V_m."""
-    out = RationalMatrix(window_dim(m), window_dim(m))
+    pairs = []
     for k in range(1, m + 1):
-        out._e[2 * k][2 * k - 1] = Fraction(-k)  # cos kt -> -k sin kt
-        out._e[2 * k - 1][2 * k] = Fraction(k)   # sin kt ->  k cos kt
-    return out
+        pairs.append(((2 * k, 2 * k - 1), -k))  # cos kt -> -k sin kt
+        pairs.append(((2 * k - 1, 2 * k), k))   # sin kt ->  k cos kt
+    return RationalMatrix.from_entries(window_dim(m), window_dim(m), pairs)
 
 
 def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
     """Multiplication by f as a map V_src -> V_tgt; needs tgt >= src + deg f."""
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
-    cols = []
-    for b in window_basis(src_m):
-        cols.append(window_coords(trig_mul(f, b), tgt_m))
-    out = RationalMatrix(window_dim(tgt_m), window_dim(src_m))
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x:
-                out._e[i][j] = x
-    return out
+    pairs = [((i, j), x)
+             for j, b in enumerate(window_basis(src_m))
+             for i, x in enumerate(window_coords(trig_mul(f, b), tgt_m)) if x]
+    return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m), pairs)
 
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
     """V_src -> V_tgt as the identity on shared basis functions."""
     if tgt_m < src_m:
         raise ValueError("inclusion needs a larger target window")
-    out = RationalMatrix(window_dim(tgt_m), window_dim(src_m))
-    for i in range(window_dim(src_m)):
-        out._e[i][i] = _ONE
-    return out
+    return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m),
+                                       (((i, i), _ONE) for i in range(window_dim(src_m))))
 
 
 # -- algebroids --------------------------------------------------------------
@@ -434,20 +427,17 @@ class SweepResult:
     stabilized: bool
 
 
-def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True,
-                          mapper=map) -> SweepResult:
+def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> SweepResult:
     """Sweep windows N = n_min..n_max and demand three equal Betti vectors.
 
     With strict=True a failed sweep raises NotStabilizedError carrying the
     per-N table; with strict=False the result is returned with the flag off
-    and the Betti numbers of the widest window.  `mapper` lets a caller swap
-    in Executor.map; results keep window order either way.
+    and the Betti numbers of the widest window.
     """
     if n_max < n_min + 2:
         raise ValueError("need at least three windows: n_max >= n_min + 2")
     windows = range(n_min, n_max + 1)
-    reports = list(mapper(
-        lambda n: complex_cohomology(a._truncated_complex(n).complex), windows))
+    reports = [complex_cohomology(a._truncated_complex(n).complex) for n in windows]
     per_n = [(n, rep.betti) for n, rep in zip(windows, reports)]
     tail = [b for _, b in per_n[-3:]]
     stable = tail[0] == tail[1] == tail[2]

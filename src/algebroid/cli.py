@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog, io
 from .circle import Rank1Anchor, SweepResult, is_transitive, stabilized_cohomology
@@ -74,17 +73,21 @@ def _load_algebroid(arg: str):
     raise ParseError("no such file or catalog algebroid", arg)
 
 
-def _classify_factor(arg: str) -> str:
-    """'algebra' or 'algebroid', judged by file shape or catalog shelf."""
+def _classify_factor(arg: str):
+    """('algebra' or 'algebroid', load), judged by file shape or catalog shelf.
+
+    `load()` parses the factor from the JSON already read, so a file is read
+    once; parsing waits until the caller knows the pair is supported.
+    """
     if os.path.exists(arg):
         d = io.load_json(arg)
         if isinstance(d, dict) and "kind" in d:
-            return "algebroid"
-        return "algebra"
+            return "algebroid", lambda: io.algebroid_from_dict(d, where=arg)
+        return "algebra", lambda: io.algebra_from_dict(d, where=arg)
     if arg in catalog.ALGEBROID_NAMES:
-        return "algebroid"
+        return "algebroid", lambda: catalog.algebroid(arg)
     if arg == "zero" or arg in catalog.ALGEBRA_NAMES:
-        return "algebra"
+        return "algebra", lambda: catalog.algebra(arg)
     raise ParseError("no such file or catalog entry", arg)
 
 
@@ -102,19 +105,10 @@ def _algebra_label(arg: str, g: LieAlgebra) -> str:
 
 
 def _sweep(a, n_min: int, n_max: int) -> SweepResult:
-    raw = os.environ.get("ALGEBROID_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ParseError("must be a positive integer", "ALGEBROID_THREADS")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    workers = max(1, min(cap, n_max - n_min + 1))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return stabilized_cohomology(a, n_min, n_max, strict=False, mapper=ex.map)
+    # The one range check for every command that sweeps windows.
+    if n_min < 0 or n_max < n_min + 2:
+        raise ValidationError("need 0 <= n_min and n_max >= n_min + 2")
+    return stabilized_cohomology(a, n_min, n_max, strict=False)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -150,8 +144,6 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
     a, (file_min, file_max) = _load_algebroid(args.algebroid)
     n_min = file_min if args.n_min is None else args.n_min
     n_max = file_max if args.n_max is None else args.n_max
-    if n_min < 0 or n_max < n_min + 2:
-        raise ValidationError("need 0 <= n_min and n_max >= n_min + 2")
     if isinstance(a, Rank1Anchor):
         kind = "rank1"
         head = f"algebroid: {args.algebroid} (kind rank1, anchor degree {a.anchor_degree()})"
@@ -159,8 +151,8 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
         kind = "action"
         head = (f"algebroid: {args.algebroid} (kind action, algebra dim "
                 f"{a.algebra.dim}, anchor degree {a.anchor_degree()})")
-    transitive = is_transitive(a)
     sweep = _sweep(a, n_min, n_max)
+    transitive = is_transitive(a)
     lines = [head, f"transitive anchor: {'yes' if transitive else 'no'}"]
     lines += _table(["N", "betti"], [[n, list(b)] for n, b in sweep.per_n])
     payload = {
@@ -186,10 +178,12 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
-    kinds = (_classify_factor(args.left), _classify_factor(args.right))
+    (left_kind, load_left), (right_kind, load_right) = (_classify_factor(args.left),
+                                                        _classify_factor(args.right))
+    kinds = (left_kind, right_kind)
     if kinds == ("algebra", "algebra"):
-        g = _load_algebra(args.left)
-        h = _load_algebra(args.right)
+        g = load_left()
+        h = load_right()
         left_report = lie_cohomology(trivial_representation(g))
         right_report = lie_cohomology(trivial_representation(h))
         total = lie_cohomology(trivial_representation(direct_sum(g, h)))
@@ -200,10 +194,11 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
         ]
         mode = "direct_sum"
     elif "algebroid" in kinds and "algebra" in kinds:
-        roid_arg, alg_arg = ((args.left, args.right) if kinds[0] == "algebroid"
-                             else (args.right, args.left))
-        a, (n_min, n_max) = _load_algebroid(roid_arg)
-        g = _load_algebra(alg_arg)
+        roid_arg, load_roid, alg_arg, load_alg = (
+            (args.left, load_left, args.right, load_right) if left_kind == "algebroid"
+            else (args.right, load_right, args.left, load_left))
+        a, (n_min, n_max) = load_roid()
+        g = load_alg()
         factor_sweep = _sweep(a, n_min, n_max)
         product_sweep = _sweep(product_with_lie_algebra(a, g), n_min, n_max)
         if not (factor_sweep.stabilized and product_sweep.stabilized):

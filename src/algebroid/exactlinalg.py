@@ -1,18 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Matrices carry `fractions.Fraction` entries; nothing in this module (or in
-the rest of the package) touches floating point.  Ranks are computed by
-fraction-free (Bareiss) elimination on denominator-cleared integer rows.
-The pivot at each step is the nonzero candidate of smallest bit size in
-the current column, ties broken by lowest row index, which keeps results
-deterministic and intermediate entries small.  Kernel bases come from a
-reduced row echelon form over Fraction, so the two elimination routes
-cross-check each other in the test suite.
+the rest of the package) touches floating point.  How a matrix is stored is
+private to this module: callers build matrices through the constructors
+(`from_entries` for scattered entries) and read them through indexing,
+`to_rows` and `column`.  Ranks are computed by fraction-free (Bareiss)
+elimination on denominator-cleared sparse integer rows.  The pivot at each
+step is the nonzero candidate of smallest bit size in the current column,
+ties broken by lowest row index, which keeps results deterministic and
+intermediate entries small.  Kernel bases and inverses come from a reduced
+row echelon form over Fraction, so the two elimination routes cross-check
+each other in the test suite.
 
-`rank_modular` is an optional fast path: it reduces the cleared integer
-matrix modulo a fixed list of large primes and takes the largest modular
-rank.  The result is a lower bound that equals the exact rank unless every
-prime is unlucky; the test suite certifies it against the exact path.
+`rank_modular` is not a fast path: it is slower than the exact `rank` on
+the package's matrices.  It is kept as an independent certificate, which
+the acceptance tests compare against the exact rank.  It reduces the
+cleared integer matrix modulo a fixed list of large primes and takes the
+largest modular rank, a lower bound that equals the exact rank unless every
+prime is unlucky.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -48,7 +53,12 @@ def as_fraction(x) -> Fraction:
 
 
 class RationalMatrix:
-    """Dense matrix over Q.  Instances are treated as immutable once built."""
+    """Sparse matrix over Q.  Instances are treated as immutable once built.
+
+    Row i is stored as a dict {column: nonzero Fraction}; zeros are never
+    stored, so equal matrices have equal rows and every operation costs
+    time in proportion to the nonzeros it touches.
+    """
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -58,7 +68,7 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self._e = [[_ZERO] * cols for _ in range(rows)]
+            self._e = [{} for _ in range(rows)]
         else:
             if len(entries) != rows:
                 raise ValueError("row count mismatch")
@@ -66,8 +76,15 @@ class RationalMatrix:
             for row in entries:
                 if len(row) != cols:
                     raise ValueError("column count mismatch")
-                e.append([as_fraction(x) for x in row])
+                e.append({j: x for j, x in enumerate(map(as_fraction, row)) if x})
             self._e = e
+
+    @classmethod
+    def _wrap(cls, rows: int, cols: int, e: list[dict[int, Fraction]]) -> "RationalMatrix":
+        # Takes ownership of rows that already hold no zeros.
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._e = rows, cols, e
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
@@ -76,31 +93,47 @@ class RationalMatrix:
         return cls(rows, cols, data)
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int,
+                     pairs: Iterable[tuple[tuple[int, int], object]]) -> "RationalMatrix":
+        """Build from ((i, j), value) pairs: repeated positions are summed,
+        zeros (given or cancelled) are dropped, and a position outside the
+        shape raises IndexError."""
+        m = cls(rows, cols)
+        e = m._e
+        for (i, j), x in pairs:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            x = as_fraction(x)
+            row = e[i]
+            row[j] = row[j] + x if j in row else x
+        m._e = [{j: x for j, x in row.items() if x} for row in e]
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._e[i][i] = _ONE
-        return m
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._e[i][j]
+        return cls._wrap(n, n, [{i: _ONE} for i in range(n)])
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._e[i][j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        return self._e[i].get(j, _ZERO)
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [row[:] for row in self._e]
+        return [self.row(i) for i in range(self.rows)]
 
     def row(self, i: int) -> list[Fraction]:
-        return self._e[i][:]
+        out = [_ZERO] * self.cols
+        for j, x in self._e[i].items():
+            out[j] = x
+        return out
 
     def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self._e]
+        return [row.get(j, _ZERO) for row in self._e]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -111,92 +144,88 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._e for x in row)
+        return not any(self._e)
 
     def transpose(self) -> "RationalMatrix":
-        t = RationalMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                t._e[j][i] = self._e[i][j]
-        return t
+        t = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._e):
+            for j, x in row.items():
+                t[j][i] = x
+        return RationalMatrix._wrap(self.cols, self.rows, t)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
-        return out
+        return RationalMatrix._wrap(self.rows, self.cols,
+                                    [_row_sum(a, b) for a, b in zip(self._e, other._e)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._e, other._e)]
-        return out
+        return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [[-x for x in row] for row in self._e]
-        return out
+        return RationalMatrix._wrap(self.rows, self.cols,
+                                    [{j: -x for j, x in row.items()} for row in self._e])
 
     def scaled(self, c) -> "RationalMatrix":
         c = as_fraction(c)
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [[c * x for x in row] for row in self._e]
-        return out
+        if not c:
+            return RationalMatrix(self.rows, self.cols)
+        return RationalMatrix._wrap(self.rows, self.cols,
+                                    [{j: c * x for j, x in row.items()} for row in self._e])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = RationalMatrix(self.rows, other.cols)
-        oe = out._e
-        for i in range(self.rows):
-            srow = self._e[i]
-            orow = oe[i]
-            for k in range(self.cols):
-                s = srow[k]
-                if not s:
-                    continue
-                brow = other._e[k]
-                for j in range(other.cols):
-                    if brow[j]:
-                        orow[j] += s * brow[j]
-        return out
+        out = []
+        for srow in self._e:
+            acc: dict[int, Fraction] = {}
+            for k, s in srow.items():
+                for j, x in other._e[k].items():
+                    acc[j] = acc.get(j, _ZERO) + s * x
+            out.append({j: x for j, x in acc.items() if x})
+        return RationalMatrix._wrap(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         v = [as_fraction(x) for x in vec]
-        return [sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in self._e]
+        return [sum((x * v[j] for j, x in row.items() if v[j]), _ZERO) for row in self._e]
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         """Kronecker product; the left factor indexes the major blocks."""
-        out = RationalMatrix(self.rows * other.rows, self.cols * other.cols)
-        for ia in range(self.rows):
-            for ja in range(self.cols):
-                a = self._e[ia][ja]
-                if not a:
-                    continue
-                for ib in range(other.rows):
-                    orow = out._e[ia * other.rows + ib]
-                    brow = other._e[ib]
-                    base = ja * other.cols
-                    for jb in range(other.cols):
-                        if brow[jb]:
-                            orow[base + jb] = a * brow[jb]
-        return out
+        oc = other.cols
+        out = [{ja * oc + jb: a * b for ja, a in arow.items() for jb, b in brow.items()}
+               for arow in self._e for brow in other._e]
+        return RationalMatrix._wrap(self.rows * other.rows, self.cols * oc, out)
 
     def with_extra_column(self, vec: Sequence) -> "RationalMatrix":
         if len(vec) != self.rows:
             raise ValueError("column length mismatch")
-        out = RationalMatrix(self.rows, self.cols + 1)
-        for i in range(self.rows):
-            out._e[i][: self.cols] = self._e[i]
-            out._e[i][self.cols] = as_fraction(vec[i])
-        return out
+        out = []
+        for row, x in zip(self._e, vec):
+            row = dict(row)
+            x = as_fraction(x)
+            if x:
+                row[self.cols] = x
+            out.append(row)
+        return RationalMatrix._wrap(self.rows, self.cols + 1, out)
 
     def _require_same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _row_sum(a: dict, b: dict) -> dict:
+    """Sum of two sparse rows, cancellations dropped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for j, y in b.items():
+        x = out.pop(j, None)
+        v = y if x is None else x + y
+        if v:
+            out[j] = v
+    return out
 
 
 def block_matrix(
@@ -211,23 +240,23 @@ def block_matrix(
     col_off = [0]
     for d in col_dims:
         col_off.append(col_off[-1] + d)
-    out = RationalMatrix(row_off[-1], col_off[-1])
+    out = [{} for _ in range(row_off[-1])]
     for (bi, bj), m in blocks.items():
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}, "
                              f"expected {row_dims[bi]}x{col_dims[bj]}")
         r0, c0 = row_off[bi], col_off[bj]
-        for i in range(m.rows):
-            out._e[r0 + i][c0 : c0 + m.cols] = m._e[i]
-    return out
+        for i, row in enumerate(m._e):
+            out[r0 + i].update((c0 + j, x) for j, x in row.items())
+    return RationalMatrix._wrap(row_off[-1], col_off[-1], out)
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
+def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     # Row scaling by the positive lcm of denominators preserves rank and kernel.
     out = []
     for row in m._e:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (d // x.denominator) for x in row])
+        d = lcm(*(x.denominator for x in row.values()))
+        out.append({j: x.numerator * (d // x.denominator) for j, x in row.items()})
     return out
 
 
@@ -247,7 +276,7 @@ def rank(m: RationalMatrix) -> int:
         best = -1
         best_bits = 0
         for i in range(r, nr):
-            v = a[i][c]
+            v = a[i].get(c)
             if v:
                 bits = v.bit_length() if v > 0 else (-v).bit_length()
                 if best < 0 or bits < best_bits:
@@ -256,21 +285,22 @@ def rank(m: RationalMatrix) -> int:
             continue
         if best != r:
             a[r], a[best] = a[best], a[r]
-        piv = a[r][c]
         arow = a[r]
+        piv = arow[c]
         # Every lower row is updated by the Bareiss rule; skipping rows with a
         # zero in the pivot column would break the exact-divisibility invariant.
+        # Lower rows hold no entry left of column c, so all of theirs change.
         for i in range(r + 1, nr):
             irow = a[i]
-            f = irow[c]
+            f = irow.pop(c, 0)
             if f:
-                for j in range(c + 1, nc):
-                    irow[j] = (piv * irow[j] - f * arow[j]) // prev
-            else:
-                for j in range(c + 1, nc):
-                    if irow[j]:
-                        irow[j] = piv * irow[j] // prev
-            irow[c] = 0
+                new = {j: piv * x for j, x in irow.items()}
+                for j, y in arow.items():
+                    if j != c:
+                        new[j] = new.get(j, 0) - f * y
+                a[i] = {j: x // prev for j, x in new.items() if x}
+            elif piv != prev:
+                a[i] = {j: piv * x // prev for j, x in irow.items()}
         prev = piv
         r += 1
     return r
@@ -284,24 +314,24 @@ def cokernel_dim(m: RationalMatrix) -> int:
     return m.rows - rank(m)
 
 
-def _rref(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    a = m.to_rows()
+def _rref(m: RationalMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
+    a = [dict(row) for row in m._e]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
     r = 0
     for c in range(nc):
         if r >= nr:
             break
-        p = next((i for i in range(r, nr) if a[i][c]), None)
+        p = next((i for i in range(r, nr) if c in a[i]), None)
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
         inv = _ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r] = {j: x * inv for j, x in a[r].items()}
         for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i].get(c) if i != r else None
+            if f:
+                a[i] = _row_sum(a[i], {j: -f * y for j, y in prow.items()})
         pivots.append(c)
         r += 1
     return a, pivots
@@ -318,7 +348,7 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
         v = [_ZERO] * m.cols
         v[free] = _ONE
         for row_idx, pc in enumerate(pivots):
-            v[pc] = -a[row_idx][free]
+            v[pc] = -a[row_idx].get(free, _ZERO)
         basis.append(v)
     return basis
 
@@ -329,24 +359,19 @@ def in_image(m: RationalMatrix, vec: Sequence) -> bool:
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
+    """Exact inverse of a square matrix; raises ValueError when singular.
+
+    Row-reduces [m | I]; m is invertible iff the pivots are the columns of m.
+    """
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    a = [row + ident_row for row, ident_row in
-         zip(m.to_rows(), RationalMatrix.identity(n).to_rows())]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        a[c], a[p] = a[p], a[c]
-        inv = _ONE / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return RationalMatrix(n, n, [row[n:] for row in a])
+    augmented = block_matrix([n], [n, n], {(0, 0): m, (0, 1): RationalMatrix.identity(n)})
+    a, pivots = _rref(augmented)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return RationalMatrix._wrap(n, n, [{j - n: x for j, x in row.items() if j >= n}
+                                       for row in a])
 
 
 # Fixed, well-known primes; a deterministic list keeps CLI output byte-identical.
@@ -362,20 +387,14 @@ def rank_modular(m: RationalMatrix, primes: Sequence[int] = MODULAR_PRIMES) -> i
     """
     best = None
     for p in primes:
-        ok = True
+        if any(x.denominator % p == 0 for row in m._e for x in row.values()):
+            continue
         a = []
         for row in m._e:
-            reduced = []
-            for x in row:
-                if x.denominator % p == 0:
-                    ok = False
-                    break
-                reduced.append(x.numerator * pow(x.denominator, -1, p) % p)
-            if not ok:
-                break
+            reduced = [0] * m.cols
+            for j, x in row.items():
+                reduced[j] = x.numerator * pow(x.denominator, -1, p) % p
             a.append(reduced)
-        if not ok:
-            continue
         r = _rank_mod_p(a, m.rows, m.cols, p)
         best = r if best is None else max(best, r)
     if best is None:

@@ -8,7 +8,6 @@ Koszul signs of sorting the concatenated index sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -83,14 +82,14 @@ def wedge_matrix(n: int, p: int, i: int) -> RationalMatrix:
         raise ValueError("index out of range")
     src = basis_tuples(n, p)
     tgt = {t: r for r, t in enumerate(basis_tuples(n, p + 1))}
-    m = RationalMatrix(comb(n, p + 1), comb(n, p))
+    pairs = []
     for col, idx in enumerate(src):
         merged = sort_sign((i,) + idx)
         if merged is None:
             continue
         sign, joined = merged
-        m._e[tgt[joined]][col] = Fraction(sign)
-    return m
+        pairs.append(((tgt[joined], col), sign))
+    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs)
 
 
 def alternating_binomial_sum(r: int) -> int:

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, block_matrix, kernel_basis
+from .exactlinalg import RationalMatrix, kernel_basis
 from .exterior import sort_sign
 from .liealg import LieAlgebra, bracket, bracket_basis
 
@@ -47,11 +48,8 @@ class HStructure:
 
 def addition(g: LieAlgebra) -> HStructure:
     n = g.dim
-    m = RationalMatrix(n, 2 * n)
-    for i in range(n):
-        m._e[i][i] = _ONE
-        m._e[i][n + i] = _ONE
-    return HStructure(algebra=g, matrix=m)
+    pairs = [((i, j), _ONE) for i in range(n) for j in (i, n + i)]
+    return HStructure(algebra=g, matrix=RationalMatrix.from_entries(n, 2 * n, pairs))
 
 
 def check_h_structure(h: HStructure) -> bool:
@@ -169,7 +167,7 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
     if not g.is_abelian():
         raise NotAbelianError("addition induces a coproduct only for abelian algebras")
     n = g.dim
-    betti = tuple(_comb(n, p) for p in range(n + 1))
+    betti = tuple(comb(n, p) for p in range(n + 1))
     index_of = [{c: i for i, c in enumerate(combinations(range(n), p))}
                 for p in range(n + 1)]
     labels = [list(combinations(range(n), p)) for p in range(n + 1)]
@@ -177,15 +175,16 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
     product = {}
     for p in range(n + 1):
         for q in range(n + 1 - p):
-            m = RationalMatrix(betti[p + q], betti[p] * betti[q])
+            pairs = []
             for a, lab_a in enumerate(labels[p]):
                 for b, lab_b in enumerate(labels[q]):
                     merged = sort_sign(lab_a + lab_b)
                     if merged is None:
                         continue
                     sign, joined = merged
-                    m._e[index_of[p + q][joined]][a * betti[q] + b] = Fraction(sign)
-            product[(p, q)] = m
+                    pairs.append(((index_of[p + q][joined], a * betti[q] + b), sign))
+            product[(p, q)] = RationalMatrix.from_entries(betti[p + q], betti[p] * betti[q],
+                                                          pairs)
     # coproduct: expand prod_{i in I} (w_i (x) 1 + 1 (x) w_i) with Koszul signs
     coproduct = []
     for r in range(n + 1):
@@ -193,15 +192,15 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
         offs = [0]
         for i in range(r + 1):
             offs.append(offs[-1] + betti[i] * betti[r - i])
-        m = RationalMatrix(rows, betti[r])
+        pairs = []
         for col, lab in enumerate(labels[r]):
             for term_sign, left, right in _shuffle_terms(lab):
                 i = len(left)
                 j = r - i
                 a = index_of[i][left]
                 b = index_of[j][right]
-                m._e[offs[i] + a * betti[j] + b][col] += Fraction(term_sign)
-        coproduct.append(m)
+                pairs.append(((offs[i] + a * betti[j] + b, col), term_sign))
+        coproduct.append(RationalMatrix.from_entries(rows, betti[r], pairs))
     return GradedCoalgebra(betti=betti, coproduct=tuple(coproduct), product=product)
 
 
@@ -221,12 +220,6 @@ def _shuffle_terms(lab: tuple[int, ...]):
     return terms
 
 
-def _comb(n: int, p: int) -> int:
-    from math import comb as _c
-
-    return _c(n, p)
-
-
 def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Basis of {x : D(x) = x (x) 1 + 1 (x) x}, one tuple of vectors per degree."""
     if c.betti[0] != 1:
@@ -235,10 +228,9 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
     for r in range(1, c.top + 1):
         dim_r = c.betti[r]
         offs = c.block_offsets(r)
-        expected = RationalMatrix(offs[-1], dim_r)
-        for a in range(dim_r):
-            expected._e[offs[r] + a][a] = _ONE      # x (x) 1 in block (r, 0)
-            expected._e[offs[0] + a][a] += _ONE     # 1 (x) x in block (0, r)
+        pairs = [((offs[r] + a, a), _ONE) for a in range(dim_r)]    # x (x) 1 in block (r, 0)
+        pairs += [((offs[0] + a, a), _ONE) for a in range(dim_r)]   # 1 (x) x in block (0, r)
+        expected = RationalMatrix.from_entries(offs[-1], dim_r, pairs)
         diff = c.coproduct[r] - expected
         out.append(tuple(tuple(v) for v in kernel_basis(diff)))
     return tuple(out)
@@ -343,11 +335,12 @@ def _check_algebra_morphism(c: GradedCoalgebra) -> bool:
     return True
 
 
-def _check_antipode(c: GradedCoalgebra) -> bool:
-    """Build S from connectedness, then verify both antipode identities."""
+def _build_antipode(c: GradedCoalgebra) -> list[RationalMatrix]:
+    """S degree by degree from connectedness: S(x) = -x - sum S(x') x'' over
+    the terms x' (x) x'' of D(x) with both factors in positive degree."""
     s_mats: list[RationalMatrix] = [RationalMatrix.identity(1)]
     for r in range(1, c.top + 1):
-        m = RationalMatrix(c.betti[r], c.betti[r])
+        pairs = []
         for a in range(c.betti[r]):
             acc = [-x for x in _basis_vec(c.betti[r], a)]
             terms = c.coproduct_terms(r, _basis_vec(c.betti[r], a))
@@ -357,9 +350,14 @@ def _check_antipode(c: GradedCoalgebra) -> bool:
                 sa = s_mats[i].apply(_basis_vec(c.betti[i], aa))
                 prod = c.multiply(i, j, sa, _basis_vec(c.betti[j], bb))
                 acc = [x - v * y for x, y in zip(acc, prod)]
-            for k, x in enumerate(acc):
-                m._e[k][a] = x
-        s_mats.append(m)
+            pairs += [((k, a), x) for k, x in enumerate(acc)]
+        s_mats.append(RationalMatrix.from_entries(c.betti[r], c.betti[r], pairs))
+    return s_mats
+
+
+def _check_antipode(c: GradedCoalgebra) -> bool:
+    """Build S from connectedness, then verify both antipode identities."""
+    s_mats = _build_antipode(c)
     # verify m(S (x) id) D = eps * unit = m(id (x) S) D on every basis vector
     for r in range(c.top + 1):
         for a in range(c.betti[r]):
@@ -383,22 +381,7 @@ def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
     """The degree-by-degree antipode, or None when the axioms fail."""
     if not verify_hopf(c):
         return None
-    s_mats: list[RationalMatrix] = [RationalMatrix.identity(1)]
-    for r in range(1, c.top + 1):
-        m = RationalMatrix(c.betti[r], c.betti[r])
-        for a in range(c.betti[r]):
-            acc = [-x for x in _basis_vec(c.betti[r], a)]
-            terms = c.coproduct_terms(r, _basis_vec(c.betti[r], a))
-            for (i, j, aa, bb), v in terms.items():
-                if i == 0 or i == r:
-                    continue
-                sa = s_mats[i].apply(_basis_vec(c.betti[i], aa))
-                prod = c.multiply(i, j, sa, _basis_vec(c.betti[j], bb))
-                acc = [x - v * y for x, y in zip(acc, prod)]
-            for k, x in enumerate(acc):
-                m._e[k][a] = x
-        s_mats.append(m)
-    return tuple(s_mats)
+    return tuple(_build_antipode(c))
 
 
 def _clean(d: dict) -> dict:

@@ -154,12 +154,8 @@ def trivial_representation(g: LieAlgebra, dim_e: int = 1) -> Representation:
 def adjoint_representation(g: LieAlgebra) -> Representation:
     mats = []
     for i in range(g.dim):
-        m = RationalMatrix(g.dim, g.dim)
-        for j in range(g.dim):
-            col = bracket_basis(g, i, j)
-            for k in range(g.dim):
-                m._e[k][j] = col[k]
-        mats.append(m)
+        pairs = [((k, j), c) for j in range(g.dim) for k, c in enumerate(bracket_basis(g, i, j))]
+        mats.append(RationalMatrix.from_entries(g.dim, g.dim, pairs))
     return Representation(algebra=g, dim_e=g.dim, action=tuple(mats))
 
 
@@ -188,7 +184,7 @@ def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     src = basis_tuples(n, p)
     tgt = {t: r for r, t in enumerate(basis_tuples(n, p + 1))}
-    out = RationalMatrix(comb(n, p + 1), comb(n, p))
+    pairs = []
     for col, idx in enumerate(src):
         for s, k in enumerate(idx):
             slot_sign = (-1) ** s
@@ -201,8 +197,8 @@ def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
                 if merged is None:
                     continue
                 sign, joined = merged
-                out._e[tgt[joined]][col] += -slot_sign * sign * c
-    return out
+                pairs.append(((tgt[joined], col), -slot_sign * sign * c))
+    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs)
 
 
 def ce_differential(r: Representation, p: int) -> RationalMatrix:

@@ -355,17 +355,3 @@ def test_sweep_not_stabilized_relaxed():
     sweep = stabilized_cohomology(_DriftingStub(), 1, 4, strict=False)
     assert not sweep.stabilized
     assert sweep.report.betti == (5,)
-
-
-def test_sweep_custom_mapper_preserves_order():
-    calls = []
-
-    def tracking_map(fn, items):
-        out = [fn(n) for n in items]
-        calls.extend(items)
-        return out
-
-    sweep = stabilized_cohomology(Rank1Anchor(TrigPoly.sin(1)), 3, 6,
-                                  mapper=tracking_map)
-    assert calls == [3, 4, 5, 6]
-    assert sweep.report.betti == (1, 3)

@@ -104,6 +104,36 @@ def test_circle_rejects_short_range():
     assert "validation error" in err
 
 
+def test_kunneth_rejects_short_range_like_circle(tmp_path):
+    path = tmp_path / "two_windows.json"
+    path.write_text(json.dumps({"kind": "rank1", "p": "sin(1t)", "N_range": [3, 4]}))
+    circle = run_cli("circle", "sweep", str(path))
+    kunneth = run_cli("kunneth", str(path), "r1")
+    assert circle[0] == kunneth[0] == 2
+    assert circle[1] == kunneth[1] == ""
+    assert kunneth[2] == circle[2]
+    assert "validation error: need 0 <= n_min and n_max >= n_min + 2" in kunneth[2]
+
+
+def test_kunneth_parses_each_file_once(tmp_path, monkeypatch, capsys):
+    roid = tmp_path / "roid.json"
+    roid.write_text(json.dumps({"kind": "rank1", "p": "1", "N_range": [1, 3]}))
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"dim": 1}))
+    calls = []
+    real_load = cli.io.load_json
+
+    def counting_load(path):
+        calls.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(cli.io, "load_json", counting_load)
+    assert cli.run(["kunneth", str(roid), str(alg)]) == 0
+    _, payload = split_output(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert sorted(calls) == sorted([str(roid), str(alg)])
+
+
 def test_kunneth_algebras():
     code, out, _ = run_cli("kunneth", "su2", "su2")
     assert code == 0
@@ -207,13 +237,6 @@ def test_validation_errors_exit_2(tmp_path):
     code, _, err = run_cli("lie", "cohomology", str(path))
     assert code == 2
     assert "Jacobi" in err
-
-
-def test_bad_thread_env_exits_65():
-    code, _, err = run_cli("circle", "sweep", "sin_t",
-                           env_extra={"ALGEBROID_THREADS": "many"})
-    assert code == 65
-    assert "ALGEBROID_THREADS" in err
 
 
 def test_unstabilized_sweep_exits_3(monkeypatch, capsys):

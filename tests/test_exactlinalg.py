@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, kernels, complexes."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,28 @@ def test_construction_and_entries():
     assert m.column(0) == [Fraction(1), Fraction(0)]
     assert RationalMatrix.identity(3)[2, 2] == 1
     assert RationalMatrix.zeros(2, 5).is_zero()
+    with pytest.raises(IndexError):
+        m[0, m.cols]
+    with pytest.raises(IndexError):
+        m[m.rows, 0]
+
+
+def test_from_entries_sums_drops_and_rejects():
+    m = RationalMatrix.from_entries(2, 3, [((0, 1), 2), ((0, 1), "1/2"), ((1, 2), 1),
+                                           ((1, 2), -1), ((1, 0), 0)])
+    assert m == RationalMatrix.from_rows([[0, "5/2", 0], [0, 0, 0]])
+    assert RationalMatrix.from_entries(2, 2, [((0, 0), 1), ((0, 0), -1)]) == \
+        RationalMatrix.zeros(2, 2)
+    for bad in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            RationalMatrix.from_entries(2, 3, [(bad, 1)])
+
+
+def test_only_exactlinalg_touches_storage():
+    package = Path(__file__).resolve().parent.parent / "src" / "algebroid"
+    offenders = [p.name for p in sorted(package.glob("*.py"))
+                 if p.name != "exactlinalg.py" and "._e" in p.read_text(encoding="utf-8")]
+    assert offenders == []
 
 
 def test_arithmetic():
@@ -95,6 +118,13 @@ def test_rank_golden_cases():
     assert rank(RationalMatrix.zeros(0, 3)) == 0
     assert rank(RationalMatrix.zeros(3, 0)) == 0
     assert rank(RationalMatrix.zeros(0, 0)) == 0
+
+
+@settings(max_examples=60)
+@given(matrices())
+def test_cancellation_leaves_no_stored_zeros(a):
+    assert a + (-a) == RationalMatrix.zeros(a.rows, a.cols)
+    assert (a - a).is_zero()
 
 
 @settings(max_examples=60)
