@@ -8,6 +8,10 @@ an algebroid whose anchor data has top degree d the degree-p cochains live
 on (forms) (x) V_{N + p*d}; every differential then maps exactly into the
 next window and d^2 = 0 holds on the nose, not approximately.
 
+Each harmonic rule is written once, as a window matrix: `multiplication_matrix`
+holds the product-to-sum table and `derivative_matrix` holds d/dt.
+`trig_mul` and `trig_derivative` apply those matrices to window coordinates.
+
 Zero counting is exact.  Substituting u = tan(t/2) turns a degree-d trig
 polynomial f into P(u) / (1 + u^2)^d with P rational of degree <= 2d; the
 zeros of f away from t = pi correspond bijectively to the real roots of P
@@ -136,69 +140,14 @@ class TrigPoly:
 
 
 def trig_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    """Product, rewritten into the harmonic basis by the product-to-sum rules."""
-    n = f.deg + g.deg
-    const = f.constant * g.constant
-    cos_acc = [_ZERO] * (n + 1)   # index = harmonic, slot 0 unused for cos/sin
-    sin_acc = [_ZERO] * (n + 1)
-    for k in range(1, g.deg + 1):
-        cos_acc[k] += f.constant * g.cos_coeff(k)
-        sin_acc[k] += f.constant * g.sin_coeff(k)
-    for k in range(1, f.deg + 1):
-        cos_acc[k] += g.constant * f.cos_coeff(k)
-        sin_acc[k] += g.constant * f.sin_coeff(k)
-    for a in range(1, f.deg + 1):
-        ca, sa = f.cos_coeff(a), f.sin_coeff(a)
-        if not ca and not sa:
-            continue
-        for b in range(1, g.deg + 1):
-            cb, sb = g.cos_coeff(b), g.sin_coeff(b)
-            if not cb and not sb:
-                continue
-            s, d = a + b, a - b
-            # cos a cos b = (cos(a-b) + cos(a+b)) / 2
-            if ca and cb:
-                v = _HALF * ca * cb
-                const, cos_acc, sin_acc = _add_cos(const, cos_acc, sin_acc, d, v)
-                const, cos_acc, sin_acc = _add_cos(const, cos_acc, sin_acc, s, v)
-            # sin a sin b = (cos(a-b) - cos(a+b)) / 2
-            if sa and sb:
-                v = _HALF * sa * sb
-                const, cos_acc, sin_acc = _add_cos(const, cos_acc, sin_acc, d, v)
-                const, cos_acc, sin_acc = _add_cos(const, cos_acc, sin_acc, s, -v)
-            # sin a cos b = (sin(a+b) + sin(a-b)) / 2
-            if sa and cb:
-                v = _HALF * sa * cb
-                const, cos_acc, sin_acc = _add_sin(const, cos_acc, sin_acc, s, v)
-                const, cos_acc, sin_acc = _add_sin(const, cos_acc, sin_acc, d, v)
-            # cos a sin b = (sin(a+b) - sin(a-b)) / 2
-            if ca and sb:
-                v = _HALF * ca * sb
-                const, cos_acc, sin_acc = _add_sin(const, cos_acc, sin_acc, s, v)
-                const, cos_acc, sin_acc = _add_sin(const, cos_acc, sin_acc, d, -v)
-    return TrigPoly.make(const, cos_acc[1:], sin_acc[1:])
-
-
-def _add_cos(const, cos_acc, sin_acc, k, v):
-    if k == 0:
-        const += v
-    else:
-        cos_acc[abs(k)] += v
-    return const, cos_acc, sin_acc
-
-
-def _add_sin(const, cos_acc, sin_acc, k, v):
-    if k > 0:
-        sin_acc[k] += v
-    elif k < 0:
-        sin_acc[-k] -= v
-    return const, cos_acc, sin_acc
+    """Product f g, read off the multiplication matrix of f on g's window."""
+    m = multiplication_matrix(f, g.deg, f.deg + g.deg)
+    return _from_window_coords(m.apply(window_coords(g, g.deg)))
 
 
 def trig_derivative(f: TrigPoly) -> TrigPoly:
-    cos_out = [k * f.sin_coeff(k) for k in range(1, f.deg + 1)]
-    sin_out = [-k * f.cos_coeff(k) for k in range(1, f.deg + 1)]
-    return TrigPoly.make(0, cos_out, sin_out)
+    """f', read off the d/dt matrix of f's window."""
+    return _from_window_coords(derivative_matrix(f.deg).apply(window_coords(f, f.deg)))
 
 
 def vf_bracket(u: TrigPoly, v: TrigPoly) -> TrigPoly:
@@ -266,14 +215,6 @@ def window_dim(m: int) -> int:
     return 2 * m + 1
 
 
-def window_basis(m: int) -> list[TrigPoly]:
-    out = [TrigPoly.const(1)]
-    for k in range(1, m + 1):
-        out.append(TrigPoly.cos(k))
-        out.append(TrigPoly.sin(k))
-    return out
-
-
 def window_coords(f: TrigPoly, m: int) -> list[Fraction]:
     if f.deg > m:
         raise ValueError(f"degree {f.deg} exceeds window V_{m}")
@@ -284,8 +225,39 @@ def window_coords(f: TrigPoly, m: int) -> list[Fraction]:
     return coords
 
 
+def _from_window_coords(coords) -> TrigPoly:
+    """Inverse of window_coords."""
+    return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
+
+
+_COS, _SIN = "cos", "sin"
+
+
+def _harmonic(i: int) -> tuple[str, int]:
+    """(kind, k) of window coordinate i; the constant is cos 0t."""
+    return (_SIN, i // 2) if i and i % 2 == 0 else (_COS, (i + 1) // 2)
+
+
+def _coordinate(kind: str, k: int) -> tuple[int, int]:
+    """(window coordinate, sign) of cos kt or sin kt for any integer k:
+    cos(-kt) = cos kt, sin(-kt) = -sin kt, and sin 0t = 0 has sign 0."""
+    if kind == _COS:
+        return max(2 * abs(k) - 1, 0), 1
+    return 2 * abs(k), (k > 0) - (k < 0)
+
+
+# Product-to-sum rules: (kind of a, kind of b) -> (kind of the result, sign of
+# its (a-b) term, sign of its (a+b) term), each term carrying a factor 1/2.
+_PRODUCT_TO_SUM = {
+    (_COS, _COS): (_COS, 1, 1),   # cos a cos b = (cos(a-b) + cos(a+b)) / 2
+    (_SIN, _SIN): (_COS, 1, -1),  # sin a sin b = (cos(a-b) - cos(a+b)) / 2
+    (_SIN, _COS): (_SIN, 1, 1),   # sin a cos b = (sin(a-b) + sin(a+b)) / 2
+    (_COS, _SIN): (_SIN, -1, 1),  # cos a sin b = (sin(a+b) - sin(a-b)) / 2
+}
+
+
 def derivative_matrix(m: int) -> RationalMatrix:
-    """d/dt on V_m."""
+    """d/dt on V_m: the one home of the derivative rule."""
     pairs = []
     for k in range(1, m + 1):
         pairs.append(((2 * k, 2 * k - 1), -k))  # cos kt -> -k sin kt
@@ -294,12 +266,25 @@ def derivative_matrix(m: int) -> RationalMatrix:
 
 
 def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
-    """Multiplication by f as a map V_src -> V_tgt; needs tgt >= src + deg f."""
+    """Multiplication by f as a map V_src -> V_tgt; needs tgt >= src + deg f.
+
+    Entries come straight from the product-to-sum table, one pass per nonzero
+    harmonic of f; this is the one home of the product rule.
+    """
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
-    pairs = [((i, j), x)
-             for j, b in enumerate(window_basis(src_m))
-             for i, x in enumerate(window_coords(trig_mul(f, b), tgt_m)) if x]
+    pairs = []
+    for i, x in enumerate(window_coords(f, f.deg)):
+        if not x:
+            continue
+        f_kind, a = _harmonic(i)
+        half = _HALF * x
+        for j in range(window_dim(src_m)):
+            b_kind, b = _harmonic(j)
+            kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
+            for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
+                row, k_sign = _coordinate(kind, k)
+                pairs.append(((row, j), half * (sign * k_sign)))
     return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m), pairs)
 
 

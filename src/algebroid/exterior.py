@@ -7,41 +7,10 @@ Koszul signs of sorting the concatenated index sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .exactlinalg import RationalMatrix
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing tuple of indices inside an ambient dimension."""
-
-    indices: tuple[int, ...]
-    ambient_dim: int
-
-    def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise ValueError("indices must be strictly increasing")
-            prev = i
-        if self.indices and self.indices[-1] >= self.ambient_dim:
-            raise ValueError("index out of ambient range")
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-
-def basis(n: int, p: int) -> list[MultiIndex]:
-    """Lexicographically ordered basis of the degree-p component."""
-    if n < 0 or p < 0:
-        raise ValueError("n and p must be nonnegative")
-    return [MultiIndex(c, n) for c in combinations(range(n), p)]
 
 
 def basis_tuples(n: int, p: int) -> list[tuple[int, ...]]:
@@ -63,17 +32,6 @@ def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
             return None
         arr[j + 1] = x
     return sign, tuple(arr)
-
-
-def wedge(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex] | None:
-    """Wedge of two basis forms: (sign, merged index) or None when they overlap."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    merged = sort_sign(a.indices + b.indices)
-    if merged is None:
-        return None
-    sign, idx = merged
-    return sign, MultiIndex(idx, a.ambient_dim)
 
 
 def wedge_matrix(n: int, p: int, i: int) -> RationalMatrix:

@@ -29,7 +29,7 @@ def parse_rational(s: str, where: str = "") -> Fraction:
     if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
         raise ParseError(f"expected a rational string like \"3\" or \"-1/2\", got {s!r}", where)
     s = s.strip()
-    if "/" in s and s.split("/")[1] == "0":
+    if "/" in s and not int(s.partition("/")[2]):  # "3/0" and "3/00" alike
         raise ParseError("zero denominator", where)
     return Fraction(s)
 

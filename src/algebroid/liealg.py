@@ -74,9 +74,6 @@ class LieAlgebra:
                 table.append((i, j, cleaned))
         return cls(dim=dim, brackets=tuple(table), name=name)
 
-    def bracket_map(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        return {(i, j): dict(terms) for i, j, terms in self.brackets}
-
     def is_abelian(self) -> bool:
         return not self.brackets
 

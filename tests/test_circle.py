@@ -4,9 +4,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from algebroid import catalog
+from algebroid import catalog, polyroots
 from algebroid.circle import (
     ActionAlgebroid,
     Rank1Anchor,
@@ -25,7 +26,6 @@ from algebroid.circle import (
     truncated_complex,
     vf_bracket,
     weierstrass_numerator,
-    window_basis,
     window_coords,
     window_dim,
 )
@@ -91,6 +91,29 @@ def test_derivative():
     assert trig_derivative(f) == TrigPoly.make(0, [0, 4], [-1, 0])
 
 
+small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+trig_polys = st.builds(TrigPoly.make, small_fraction,
+                       st.lists(small_fraction, max_size=3),
+                       st.lists(small_fraction, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trig_polys, trig_polys)
+def test_product_and_derivative_match_half_angle_substitution(f, g):
+    # An independent reference for the product-to-sum table and d/dt: under
+    # u = tan(t/2), W(f) = f (1+u^2)^deg f turns trig products into
+    # polynomial products, and d/dt into ((1+u^2) d/du - 2 deg f u) / 2.
+    w = weierstrass_numerator
+    assert polyroots.trim(w(trig_mul(f, g))) == polyroots.trim(polyroots.mul(w(f), w(g)))
+    d = f.deg
+    assume(d >= 1)
+    p = w(f)
+    expected = polyroots.scale(polyroots.sub(
+        polyroots.mul([F(1), F(0), F(1)], polyroots.derivative(p)),
+        polyroots.mul([F(0), F(2 * d)], p)), F(1, 2))
+    assert polyroots.trim(w(trig_derivative(f))) == polyroots.trim(expected)
+
+
 def test_vector_field_brackets():
     one, c2, s2 = TrigPoly.const(1), TrigPoly.cos(2), TrigPoly.sin(2)
     assert vf_bracket(one, c2) == TrigPoly.sin(2, -2)
@@ -146,22 +169,25 @@ def test_count_simple_zeros():
 
 # -- windows -----------------------------------------------------------------
 
+# the pinned basis order of V_2
+BASIS_2 = [TrigPoly.const(1), TrigPoly.cos(1), TrigPoly.sin(1),
+           TrigPoly.cos(2), TrigPoly.sin(2)]
+
+
 def test_window_dims_and_basis():
     assert [window_dim(m) for m in range(4)] == [1, 3, 5, 7]
-    basis = window_basis(2)
-    assert basis[0] == TrigPoly.const(1)
-    assert basis[1] == TrigPoly.cos(1)
-    assert basis[2] == TrigPoly.sin(1)
-    assert basis[4] == TrigPoly.sin(2)
+    for i, b in enumerate(BASIS_2):
+        assert window_coords(b, 2) == [F(int(i == k)) for k in range(5)]
 
 
 def test_window_coords_roundtrip():
     f = TrigPoly.make(3, [0, F(1, 2)], [-1, 0])
-    coords = window_coords(f, 3)
+    coords = window_coords(f, 2)
     rebuilt = TrigPoly.const(0)
-    for x, b in zip(coords, window_basis(3)):
+    for x, b in zip(coords, BASIS_2):
         rebuilt = rebuilt + b.scaled(x)
     assert rebuilt == f
+    assert window_coords(f, 3) == coords + [0, 0]
     with pytest.raises(ValueError):
         window_coords(f, 1)  # window too small
 
@@ -186,7 +212,7 @@ def test_multiplication_matrix_golden():
 def test_multiplication_matrix_matches_trig_mul():
     f = TrigPoly.make(1, [1, 0], [0, -2])
     m = multiplication_matrix(f, 2, 4)
-    for j, b in enumerate(window_basis(2)):
+    for j, b in enumerate(BASIS_2):
         assert m.column(j) == window_coords(trig_mul(f, b), 4)
 
 

@@ -223,6 +223,12 @@ def test_parse_errors_exit_65(tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli("lie", "cohomology", str(bad))
     assert code == 65 and "invalid JSON" in err
+    padded = tmp_path / "zero_denominator.json"
+    padded.write_text(json.dumps({
+        "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [[1, "3/00"]]}]}))
+    code, out, err = run_cli("lie", "cohomology", str(padded))
+    assert code == 65 and out == "" and "Traceback" not in err
+    assert "zero denominator" in err and "brackets[0].coeffs[0]" in err
 
 
 def test_validation_errors_exit_2(tmp_path):
