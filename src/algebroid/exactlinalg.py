@@ -198,18 +198,6 @@ class RationalMatrix:
                for arow in self._e for brow in other._e]
         return RationalMatrix._wrap(self.rows * other.rows, self.cols * oc, out)
 
-    def with_extra_column(self, vec: Sequence) -> "RationalMatrix":
-        if len(vec) != self.rows:
-            raise ValueError("column length mismatch")
-        out = []
-        for row, x in zip(self._e, vec):
-            row = dict(row)
-            x = as_fraction(x)
-            if x:
-                row[self.cols] = x
-            out.append(row)
-        return RationalMatrix._wrap(self.rows, self.cols + 1, out)
-
     def _require_same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -351,11 +339,6 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
             v[pc] = -a[row_idx].get(free, _ZERO)
         basis.append(v)
     return basis
-
-
-def in_image(m: RationalMatrix, vec: Sequence) -> bool:
-    """True iff `vec` lies in the column space of `m`."""
-    return rank(m.with_extra_column(vec)) == rank(m)
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:

@@ -8,21 +8,25 @@ coproduct
 
     D(w) = w (x) 1 + 1 (x) w          on degree-1 classes,
 
-extended multiplicatively with Koszul signs.  `GradedCoalgebra` stores the
-coproduct and product in matrix form so every Hopf axiom is a finite exact
-check; the antipode is rebuilt degree by degree from connectedness and
-then verified on both sides.
+extended multiplicatively with Koszul signs.  `GradedCoalgebra` takes the
+coproduct and product as matrices in pinned bases; that is the input
+format.  The Hopf checks read two sparse views decoded once from the
+matrices' columns, D(x) as {(y, z): coeff} and x*y as {z: coeff} over basis
+labels (degree, index), so every axiom is a comparison of two exact sparse
+linear combinations.  The antipode is rebuilt degree by degree from
+connectedness and then verified on both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, kernel_basis
+from .exactlinalg import RationalMatrix, as_fraction, kernel_basis
 from .exterior import sort_sign
 from .liealg import LieAlgebra, bracket, bracket_basis
 
@@ -62,7 +66,7 @@ def check_h_structure(h: HStructure) -> bool:
             if h.matrix[k, i] != want or h.matrix[k, n + i] != want:
                 return False
     # Morphism against the product bracket [(x,y),(x',y')] = ([x,x'],[y,y']).
-    images = [h.matrix.apply(_pair_basis(n, a)) for a in range(2 * n)]
+    images = [h.matrix.column(a) for a in range(2 * n)]
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
             lhs = h.matrix.apply(_pair_bracket(g, a, b))
@@ -70,12 +74,6 @@ def check_h_structure(h: HStructure) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def _pair_basis(n: int, a: int) -> list[Fraction]:
-    v = [_ZERO] * (2 * n)
-    v[a] = _ONE
-    return v
 
 
 def _pair_bracket(g: LieAlgebra, a: int, b: int) -> list[Fraction]:
@@ -90,14 +88,20 @@ def _pair_bracket(g: LieAlgebra, a: int, b: int) -> list[Fraction]:
 
 # -- graded coalgebras -------------------------------------------------------
 
+Label = tuple[int, int]  # a basis element: (degree, index)
+
+
 @dataclass(frozen=True)
 class GradedCoalgebra:
     """Graded vector space with product and coproduct in pinned bases.
 
-    coproduct[r] maps H^r into the direct sum of H^i (x) H^{r-i} blocks,
-    i ascending, left index major inside each block.  product[(p, q)] maps
-    H^p (x) H^q (left major) to H^{p+q}.  The counit is projection to
-    degree 0, which must be one-dimensional for the Hopf machinery.
+    The matrices are the input format.  coproduct[r] maps H^r into the
+    direct sum of H^i (x) H^{r-i} blocks, i ascending, left index major
+    inside each block.  product[(p, q)] maps H^p (x) H^q (left major) to
+    H^{p+q}.  The counit is projection to degree 0, which must be
+    one-dimensional for the Hopf machinery.  The checks do not apply the
+    matrices: they read the sparse views `_delta` and `_mu`, decoded once
+    from the matrices' columns, and the antipode `_antipode` built from them.
     """
 
     betti: tuple[int, ...]
@@ -111,6 +115,10 @@ class GradedCoalgebra:
             rows = sum(self.betti[i] * self.betti[r - i] for i in range(r + 1))
             if m.cols != self.betti[r] or m.rows != rows:
                 raise ValueError(f"coproduct matrix at degree {r} has wrong shape")
+        for (p, q), m in self.product.items():
+            if (min(p, q) < 0 or p + q > self.top or m.rows != self.betti[p + q]
+                    or m.cols != self.betti[p] * self.betti[q]):
+                raise ValueError(f"product matrix at {(p, q)} has wrong shape")
 
     @property
     def top(self) -> int:
@@ -122,40 +130,60 @@ class GradedCoalgebra:
             offs.append(offs[-1] + self.betti[i] * self.betti[r - i])
         return offs
 
+    @cached_property
+    def _delta(self) -> dict[Label, dict[tuple[Label, Label], Fraction]]:
+        """D(x) = {(y, z): coeff} for every basis label x, read off coproduct[r]."""
+        out = {}
+        for r, m in enumerate(self.coproduct):
+            pair_at = [((i, a), (r - i, b)) for i in range(r + 1)
+                       for a in range(self.betti[i]) for b in range(self.betti[r - i])]
+            for col in range(m.cols):
+                out[(r, col)] = {pair_at[k]: v for k, v in enumerate(m.column(col)) if v}
+        return out
+
+    @cached_property
+    def _mu(self) -> dict[tuple[Label, Label], dict[Label, Fraction]]:
+        """x * y = {z: coeff} for every pair of basis labels a product matrix covers."""
+        out = {}
+        for (p, q), m in self.product.items():
+            nb = self.betti[q]
+            for col in range(m.cols):
+                out[((p, col // nb), (q, col % nb))] = {
+                    (p + q, k): v for k, v in enumerate(m.column(col)) if v}
+        return out
+
+    @cached_property
+    def _antipode(self) -> dict[Label, dict[Label, Fraction]]:
+        """S degree by degree from connectedness: S(x) = -x - sum S(x') x'' over
+        the terms x' (x) x'' of D(x) with both factors in positive degree."""
+        s: dict[Label, dict[Label, Fraction]] = {(0, 0): {(0, 0): _ONE}}
+        for r in range(1, self.top + 1):
+            for a in range(self.betti[r]):
+                x = (r, a)
+                s[x] = _lincomb([(x, -_ONE)] + [
+                    (m, -v * t * u) for (y, z), v in self._delta[x].items() if 0 < y[0] < r
+                    for k, t in s[y].items() for m, u in self._mu[(k, z)].items()])
+        return s
+
     def coproduct_terms(self, r: int, coords) -> dict[tuple[int, int, int, int], Fraction]:
         """Sparse {(i, j, a, b): coeff} form of D(x) for x with given coords."""
-        image = self.coproduct[r].apply(coords)
-        offs = self.block_offsets(r)
-        out = {}
-        for i in range(r + 1):
-            j = r - i
-            nb = self.betti[j]
-            base = offs[i]
-            for a in range(self.betti[i]):
-                for b in range(nb):
-                    v = image[base + a * nb + b]
-                    if v:
-                        out[(i, j, a, b)] = v
-        return out
+        if len(coords) != self.betti[r]:
+            raise ValueError("vector length mismatch")
+        return _lincomb(((i, j, a, b), as_fraction(x) * v)
+                        for col, x in enumerate(coords) if x
+                        for ((i, a), (j, b)), v in self._delta[(r, col)].items())
 
     def multiply(self, p: int, q: int, u, v) -> list[Fraction]:
         """Product of elements of degrees p and q."""
-        m = self.product[(p, q)]
-        nb = self.betti[q]
-        coords = [_ZERO] * (self.betti[p] * nb)
-        for a, x in enumerate(u):
-            if not x:
-                continue
-            for b, y in enumerate(v):
-                if y:
-                    coords[a * nb + b] = x * y
-        return m.apply(coords)
+        return self.product[(p, q)].apply([x * y for x in u for y in v])  # left index major
 
 
-def _basis_vec(n: int, i: int) -> list[Fraction]:
-    v = [_ZERO] * n
-    v[i] = _ONE
-    return v
+def _lincomb(terms) -> dict:
+    """Sum (key, coeff) pairs into one sparse linear combination, zeros dropped."""
+    acc: dict = {}
+    for key, x in terms:
+        acc[key] = acc.get(key, _ZERO) + x
+    return {key: x for key, x in acc.items() if x}
 
 
 def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
@@ -264,116 +292,61 @@ def verify_hopf(c: GradedCoalgebra) -> bool:
 
 
 def _check_counit(c: GradedCoalgebra) -> bool:
+    # (eps (x) id) D = id = (id (x) eps) D, eps reading off the degree-0 coefficient
     if c.betti[0] != 1:
         return False
-    for r in range(c.top + 1):
-        for a in range(c.betti[r]):
-            terms = c.coproduct_terms(r, _basis_vec(c.betti[r], a))
-            left = [_ZERO] * c.betti[r]   # (eps (x) id) D
-            right = [_ZERO] * c.betti[r]  # (id (x) eps) D
-            for (i, j, aa, bb), v in terms.items():
-                if i == 0:
-                    left[bb] += v
-                if j == 0:
-                    right[aa] += v
-            want = _basis_vec(c.betti[r], a)
-            if left != want or right != want:
-                return False
+    for x, dx in c._delta.items():
+        left = _lincomb((z, v) for (y, z), v in dx.items() if y[0] == 0)
+        right = _lincomb((y, v) for (y, z), v in dx.items() if z[0] == 0)
+        if left != {x: _ONE} or right != {x: _ONE}:
+            return False
     return True
 
 
 def _check_coassociative(c: GradedCoalgebra) -> bool:
-    for r in range(c.top + 1):
-        for col in range(c.betti[r]):
-            terms = c.coproduct_terms(r, _basis_vec(c.betti[r], col))
-            lhs: dict = {}
-            rhs: dict = {}
-            for (i, j, a, b), v in terms.items():
-                for (i1, i2, a1, a2), w in c.coproduct_terms(i, _basis_vec(c.betti[i], a)).items():
-                    key = (i1, i2, j, a1, a2, b)
-                    lhs[key] = lhs.get(key, _ZERO) + v * w
-                for (j1, j2, b1, b2), w in c.coproduct_terms(j, _basis_vec(c.betti[j], b)).items():
-                    key = (i, j1, j2, a, b1, b2)
-                    rhs[key] = rhs.get(key, _ZERO) + v * w
-            if _clean(lhs) != _clean(rhs):
-                return False
+    delta = c._delta
+    for dx in delta.values():
+        lhs = _lincomb(((y1, y2, z), v * w) for (y, z), v in dx.items()
+                       for (y1, y2), w in delta[y].items())
+        rhs = _lincomb(((y, z1, z2), v * w) for (y, z), v in dx.items()
+                       for (z1, z2), w in delta[z].items())
+        if lhs != rhs:
+            return False
     return True
 
 
 def _check_algebra_morphism(c: GradedCoalgebra) -> bool:
+    delta, mu = c._delta, c._mu
     # D(1) = 1 (x) 1
-    unit_terms = _clean(c.coproduct_terms(0, [_ONE]))
-    if unit_terms != {(0, 0, 0, 0): _ONE}:
+    if c.betti[0] != 1 or delta[(0, 0)] != {((0, 0), (0, 0)): _ONE}:
         return False
-    for p in range(c.top + 1):
-        for q in range(c.top + 1 - p):
-            if (p, q) not in c.product:
-                return False
-            for a in range(c.betti[p]):
-                for b in range(c.betti[q]):
-                    xy = c.multiply(p, q, _basis_vec(c.betti[p], a), _basis_vec(c.betti[q], b))
-                    lhs = _clean(c.coproduct_terms(p + q, xy))
-                    rhs: dict = {}
-                    dx = c.coproduct_terms(p, _basis_vec(c.betti[p], a))
-                    dy = c.coproduct_terms(q, _basis_vec(c.betti[q], b))
-                    for (i1, j1, a1, b1), v in dx.items():
-                        for (i2, j2, a2, b2), w in dy.items():
-                            sign = -1 if (j1 * i2) % 2 else 1
-                            lv = c.multiply(i1, i2, _basis_vec(c.betti[i1], a1),
-                                            _basis_vec(c.betti[i2], a2))
-                            rv = c.multiply(j1, j2, _basis_vec(c.betti[j1], b1),
-                                            _basis_vec(c.betti[j2], b2))
-                            for aa, x in enumerate(lv):
-                                if not x:
-                                    continue
-                                for bb, y in enumerate(rv):
-                                    if y:
-                                        key = (i1 + i2, j1 + j2, aa, bb)
-                                        rhs[key] = rhs.get(key, _ZERO) + sign * v * w * x * y
-                    if lhs != _clean(rhs):
-                        return False
+    if any((p, q) not in c.product for p in range(c.top + 1) for q in range(c.top + 1 - p)):
+        return False
+    # D(xy) = D(x) D(y), with (x1 (x) x2)(y1 (x) y2) = (-1)^{|x2||y1|} x1 y1 (x) x2 y2
+    for (x, y), xy in mu.items():
+        lhs = _lincomb((pair, u * w) for k, u in xy.items() for pair, w in delta[k].items())
+        rhs = _lincomb(((k1, k2), (-1 if x2[0] * y1[0] % 2 else 1) * v * w * s * t)
+                       for (x1, x2), v in delta[x].items()
+                       for (y1, y2), w in delta[y].items()
+                       for k1, s in mu[(x1, y1)].items()
+                       for k2, t in mu[(x2, y2)].items())
+        if lhs != rhs:
+            return False
     return True
 
 
-def _build_antipode(c: GradedCoalgebra) -> list[RationalMatrix]:
-    """S degree by degree from connectedness: S(x) = -x - sum S(x') x'' over
-    the terms x' (x) x'' of D(x) with both factors in positive degree."""
-    s_mats: list[RationalMatrix] = [RationalMatrix.identity(1)]
-    for r in range(1, c.top + 1):
-        pairs = []
-        for a in range(c.betti[r]):
-            acc = [-x for x in _basis_vec(c.betti[r], a)]
-            terms = c.coproduct_terms(r, _basis_vec(c.betti[r], a))
-            for (i, j, aa, bb), v in terms.items():
-                if i == 0 or i == r:
-                    continue
-                sa = s_mats[i].apply(_basis_vec(c.betti[i], aa))
-                prod = c.multiply(i, j, sa, _basis_vec(c.betti[j], bb))
-                acc = [x - v * y for x, y in zip(acc, prod)]
-            pairs += [((k, a), x) for k, x in enumerate(acc)]
-        s_mats.append(RationalMatrix.from_entries(c.betti[r], c.betti[r], pairs))
-    return s_mats
-
-
 def _check_antipode(c: GradedCoalgebra) -> bool:
-    """Build S from connectedness, then verify both antipode identities."""
-    s_mats = _build_antipode(c)
+    """Verify both antipode identities for the S built from connectedness."""
+    s = c._antipode
     # verify m(S (x) id) D = eps * unit = m(id (x) S) D on every basis vector
-    for r in range(c.top + 1):
-        for a in range(c.betti[r]):
-            want = [_ONE] if r == 0 else [_ZERO] * c.betti[r]
-            terms = c.coproduct_terms(r, _basis_vec(c.betti[r], a))
-            left = [_ZERO] * c.betti[r]
-            right = [_ZERO] * c.betti[r]
-            for (i, j, aa, bb), v in terms.items():
-                sa = s_mats[i].apply(_basis_vec(c.betti[i], aa))
-                prod = c.multiply(i, j, sa, _basis_vec(c.betti[j], bb))
-                left = [x + v * y for x, y in zip(left, prod)]
-                sb = s_mats[j].apply(_basis_vec(c.betti[j], bb))
-                prod = c.multiply(i, j, _basis_vec(c.betti[i], aa), sb)
-                right = [x + v * y for x, y in zip(right, prod)]
-            if left != want or right != want:
-                return False
+    for x, dx in c._delta.items():
+        want = {(0, 0): _ONE} if x[0] == 0 else {}
+        left = _lincomb((m, v * t * u) for (y, z), v in dx.items()
+                        for k, t in s[y].items() for m, u in c._mu[(k, z)].items())
+        right = _lincomb((m, v * t * u) for (y, z), v in dx.items()
+                         for k, t in s[z].items() for m, u in c._mu[(y, k)].items())
+        if left != want or right != want:
+            return False
     return True
 
 
@@ -381,11 +354,10 @@ def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
     """The degree-by-degree antipode, or None when the axioms fail."""
     if not verify_hopf(c):
         return None
-    return tuple(_build_antipode(c))
-
-
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
+    s = c._antipode
+    return tuple(RationalMatrix.from_entries(n, n, (((k, a), t) for a in range(n)
+                                                    for (_, k), t in s[(r, a)].items()))
+                 for r, n in enumerate(c.betti))
 
 
 def exterior_structure_check(betti) -> tuple[int, ...] | None:

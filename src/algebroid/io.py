@@ -21,6 +21,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?$")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python's bool is an int subclass, so exclude it."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def format_rational(x: Fraction) -> str:
     return str(x)
 
@@ -109,7 +114,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
     dim = d.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ParseError("'dim' must be a nonnegative integer", f"{where}.dim")
     raw = d.get("brackets", [])
     if not isinstance(raw, list):
@@ -120,7 +125,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
         if not isinstance(entry, dict):
             raise ParseError("expected an object", loc)
         i, j = entry.get("i"), entry.get("j")
-        if not isinstance(i, int) or not isinstance(j, int) or not 0 <= i < j < dim:
+        if not _is_int(i) or not _is_int(j) or not 0 <= i < j < dim:
             raise ParseError("need integers 0 <= i < j < dim", loc)
         if (i, j) in table:
             raise ParseError(f"duplicate bracket pair ({i},{j})", loc)
@@ -133,7 +138,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError("expected a [k, rational] pair", c_loc)
             k, val = pair
-            if not isinstance(k, int) or not 0 <= k < dim:
+            if not _is_int(k) or not 0 <= k < dim:
                 raise ParseError("target index out of range", c_loc)
             if k in terms:
                 raise ParseError(f"duplicate target index {k}", c_loc)
@@ -161,7 +166,7 @@ def representation_from_dict(d: dict, algebra: LieAlgebra, where: str = "represe
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
     dim_e = d.get("dim_E")
-    if not isinstance(dim_e, int) or isinstance(dim_e, bool) or dim_e < 0:
+    if not _is_int(dim_e) or dim_e < 0:
         raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
     raw = d.get("action")
     if not isinstance(raw, list) or len(raw) != algebra.dim:
@@ -206,7 +211,7 @@ def algebroid_from_dict(d: dict, where: str = "algebroid"):
     kind = d.get("kind")
     n_range = d.get("N_range")
     if (not isinstance(n_range, list) or len(n_range) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in n_range)
+            or not all(_is_int(x) and x >= 0 for x in n_range)
             or n_range[1] < n_range[0]):
         raise ParseError("'N_range' must be [n_min, n_max] with 0 <= n_min <= n_max",
                          f"{where}.N_range")
@@ -241,11 +246,11 @@ def fiber_from_dict(d: dict, where: str = "fiber") -> FiberData:
     dims = {}
     for key in ("dim_A", "dim_M"):
         v = d.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not _is_int(v) or v < 0:
             raise ParseError(f"'{key}' must be a nonnegative integer", f"{where}.{key}")
         dims[key] = v
     dim_e = d.get("dim_E", 1)
-    if not isinstance(dim_e, int) or isinstance(dim_e, bool) or dim_e < 0:
+    if not _is_int(dim_e) or dim_e < 0:
         raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
     anchor = matrix_from_rows(d.get("anchor"), dims["dim_M"], dims["dim_A"], f"{where}.anchor")
     return FiberData(dim_a=dims["dim_A"], dim_m=dims["dim_M"], anchor=anchor, dim_e=dim_e)

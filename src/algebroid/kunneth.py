@@ -13,7 +13,6 @@ index is major.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError
 from .exactlinalg import (
@@ -30,8 +29,6 @@ from .liealg import (
     ce_complex,
 )
 from .circle import TruncatedComplex
-
-_ZERO = Fraction(0)
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
@@ -87,35 +84,6 @@ def tensor_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
                 blocks[(tgt_pos[p], src_i)] = m if existing is None else existing + m
         diffs.append(block_matrix(tgt_dims, src_dims, blocks))
     return CochainComplex(degrees=tuple(degrees), differentials=tuple(diffs))
-
-
-def tensor_block_offset(a: CochainComplex, b: CochainComplex, p: int, q: int) -> int:
-    """Start of the A^p (x) B^q block inside degree p+q of the product."""
-    r = p + q
-    off = 0
-    for pp in _block_range(r, a.top, b.top):
-        if pp == p:
-            return off
-        off += a.degrees[pp] * b.degrees[r - pp]
-    raise ValueError("block out of range")
-
-
-def boxtimes_vector(a: CochainComplex, b: CochainComplex, p: int, u, q: int, v) -> list[Fraction]:
-    """Coordinates of u (x) v inside degree p+q of the tensor product."""
-    if len(u) != a.degrees[p] or len(v) != b.degrees[q]:
-        raise ValueError("vector length mismatch")
-    r = p + q
-    total = sum(a.degrees[pp] * b.degrees[r - pp] for pp in _block_range(r, a.top, b.top))
-    out = [_ZERO] * total
-    off = tensor_block_offset(a, b, p, q)
-    nb = b.degrees[q]
-    for i, x in enumerate(u):
-        if not x:
-            continue
-        for j, y in enumerate(v):
-            if y:
-                out[off + i * nb + j] = x * y
-    return out
 
 
 @dataclass(frozen=True)

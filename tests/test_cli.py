@@ -14,7 +14,6 @@ from algebroid.exactlinalg import CohomologyReport
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env.pop("ALGEBROID_THREADS", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -229,6 +228,12 @@ def test_parse_errors_exit_65(tmp_path):
     code, out, err = run_cli("lie", "cohomology", str(padded))
     assert code == 65 and out == "" and "Traceback" not in err
     assert "zero denominator" in err and "brackets[0].coeffs[0]" in err
+    boolean = tmp_path / "boolean_indices.json"
+    boolean.write_text(json.dumps({
+        "dim": 2, "brackets": [{"i": False, "j": True, "coeffs": [[True, "1"]]}]}))
+    code, out, err = run_cli("lie", "cohomology", str(boolean))
+    assert code == 65 and out == "" and "Traceback" not in err
+    assert "brackets[0]" in err
 
 
 def test_validation_errors_exit_2(tmp_path):
@@ -246,7 +251,7 @@ def test_validation_errors_exit_2(tmp_path):
 
 
 def test_unstabilized_sweep_exits_3(monkeypatch, capsys):
-    def fake_sweep(a, n_min, n_max, strict=True, mapper=map):
+    def fake_sweep(a, n_min, n_max, strict=True):
         per_n = tuple((n, (1, n)) for n in range(n_min, n_max + 1))
         report = CohomologyReport(degrees=(1, n_max), betti=(1, n_max), euler=1 - n_max)
         return SweepResult(report=report, per_n=per_n, stabilized=False)

@@ -15,7 +15,6 @@ from algebroid.exactlinalg import (
     block_matrix,
     cokernel_dim,
     complex_cohomology,
-    in_image,
     inverse,
     kernel_basis,
     kernel_dim,
@@ -177,12 +176,6 @@ def test_modular_rank_skips_bad_primes():
     p = 1000000007
     m = RationalMatrix.from_rows([[Fraction(1, p)]])
     assert rank_modular(m) == 1
-
-
-def test_in_image():
-    m = RationalMatrix.from_rows([[1, 0], [0, 0]])
-    assert in_image(m, [3, 0])
-    assert not in_image(m, [0, 1])
 
 
 def test_inverse():

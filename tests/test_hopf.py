@@ -113,6 +113,45 @@ def test_broken_coproduct_fails_counit():
     assert not verify_hopf(broken)
 
 
+def _bumped(m, i, j):
+    rows = m.to_rows()
+    rows[i][j] += 1
+    return RationalMatrix.from_rows(rows)
+
+
+# (counit, coassociative, algebra_morphism, antipode) after adding 1 to one
+# entry of one matrix of the addition coproduct
+@pytest.mark.parametrize("name, which, key, entry, verdicts", [
+    ("r2", "coproduct", 2, (1, 0), (True, True, False, True)),
+    ("r1", "product", (0, 1), (0, 0), (True, True, True, False)),
+    ("r3", "coproduct", 2, (3, 0), (True, False, False, True)),
+])
+def test_broken_matrix_fails_its_axioms(name, which, key, entry, verdicts):
+    c = addition_coproduct(catalog.algebra(name))
+    if which == "coproduct":
+        coproduct = list(c.coproduct)
+        coproduct[key] = _bumped(coproduct[key], *entry)
+        broken = GradedCoalgebra(betti=c.betti, coproduct=tuple(coproduct), product=c.product)
+    else:
+        product = dict(c.product)
+        product[key] = _bumped(product[key], *entry)
+        broken = GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product=product)
+    report = hopf_axioms(broken)
+    assert (report.counit, report.coassociative,
+            report.algebra_morphism, report.antipode) == verdicts
+    assert not verify_hopf(broken)
+    assert antipode_matrices(broken) is None
+
+
+def test_product_shape_validation():
+    c = addition_coproduct(catalog.algebra("r2"))
+    for key, m in (((1, 1), RationalMatrix.zeros(2, 4)),   # H^2 is one-dimensional
+                   ((1, 1), RationalMatrix.zeros(1, 2)),   # H^1 (x) H^1 is four-dimensional
+                   ((2, 1), RationalMatrix.zeros(0, 2))):  # no degree 3
+        with pytest.raises(ValueError):
+            GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product={**c.product, key: m})
+
+
 def test_primitives_validation():
     c = addition_coproduct(catalog.algebra("r2"))
     two_units = GradedCoalgebra(

@@ -85,6 +85,15 @@ def test_algebra_parse_diagnostics():
         io.algebra_from_dict({"dim": 2, "brackets": [
             {"i": 0, "j": 1, "coeffs": [[1, "1/0"]]}]})
     assert "zero denominator" in str(err.value)
+    # JSON booleans are not indices, although Python's bool is an int
+    with pytest.raises(ParseError) as err:
+        io.algebra_from_dict({"dim": 2, "brackets": [
+            {"i": False, "j": True, "coeffs": [[True, "1"]]}]})
+    assert "brackets[0]" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        io.algebra_from_dict({"dim": 2, "brackets": [
+            {"i": 0, "j": 1, "coeffs": [[True, "1"]]}]})
+    assert "coeffs[0]" in str(err.value)
 
 
 def test_representation_round_trip():

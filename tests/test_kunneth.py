@@ -13,15 +13,12 @@ from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
     complex_cohomology,
-    in_image,
     rank,
 )
 from algebroid.kunneth import (
-    boxtimes_vector,
     direct_sum,
     kunneth_verify,
     product_with_lie_algebra,
-    tensor_block_offset,
     tensor_complex,
     tensor_rep,
 )
@@ -106,22 +103,28 @@ def test_tensor_complex_squares_to_zero():
 def test_boxtimes_cocycles():
     su2_cx = ce_complex(trivial_representation(catalog.algebra("su2")))
     t = tensor_complex(su2_cx, su2_cx)
-    top = [F(1)]  # generator of the one-dimensional degree-3 space
-    unit = [F(1)]
-    # w (x) 1 and 1 (x) w in degree 3, and w (x) w in degree 6
-    v_left = boxtimes_vector(su2_cx, su2_cx, 3, top, 0, unit)
-    v_right = boxtimes_vector(su2_cx, su2_cx, 0, unit, 3, top)
+    # Degree 3 of the product holds the blocks A^0 B^3, A^1 B^2, A^2 B^1, A^3 B^0
+    # of sizes 1, 9, 9, 1 in that order, so 1 (x) w is the first coordinate and
+    # w (x) 1 the last, w spanning the one-dimensional degree-3 space of su2.
+    assert t.degrees[3] == 20
+    v_right = [F(1)] + [F(0)] * 19
+    v_left = [F(0)] * 19 + [F(1)]
     assert all(x == 0 for x in t.differentials[3].apply(v_left))
     assert all(x == 0 for x in t.differentials[3].apply(v_right))
-    # neither is a coboundary, and they are independent modulo coboundaries
+    # neither is a coboundary (adding it to the image of d2 raises the rank),
+    # and they are independent modulo coboundaries
     d2 = t.differentials[2]
-    assert not in_image(d2, v_left)
-    assert not in_image(d2, v_right)
-    stacked = d2.transpose().to_rows() + [v_left, v_right]
+    image = d2.transpose().to_rows()
+    assert rank(RationalMatrix.from_rows(image + [v_left])) == rank(d2) + 1
+    assert rank(RationalMatrix.from_rows(image + [v_right])) == rank(d2) + 1
+    stacked = image + [v_left, v_right]
     assert rank(RationalMatrix.from_rows(stacked)) == rank(d2) + 2
-    v_both = boxtimes_vector(su2_cx, su2_cx, 3, top, 3, top)
+    # w (x) w in degree 6, whose one block A^3 B^3 starts at offset 0; it is
+    # not a coboundary either
+    v_both = [F(1)]
     assert len(v_both) == t.degrees[6]
-    assert v_both[tensor_block_offset(su2_cx, su2_cx, 3, 3)] == 1
+    d5 = t.differentials[5]
+    assert rank(RationalMatrix.from_rows(d5.transpose().to_rows() + [v_both])) == rank(d5) + 1
 
 
 def test_tensor_rep_flatness_and_betti():
