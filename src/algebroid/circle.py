@@ -35,7 +35,7 @@ from .exactlinalg import (
     complex_cohomology,
 )
 from .exterior import basis_tuples, wedge_matrix
-from .liealg import LieAlgebra, check_jacobi, trivial_ce_differential
+from .liealg import LieAlgebra, require_jacobi, trivial_ce_differential
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -356,8 +356,7 @@ class ActionAlgebroid:
         g = self.algebra
         if len(self.phi) != g.dim:
             raise ValidationError("need one vector field per basis vector")
-        if not check_jacobi(g):
-            raise ValidationError("structure constants violate the Jacobi identity")
+        require_jacobi(g)
         if not check_action(self):
             raise ValidationError("vector fields do not represent the bracket")
         d = self.anchor_degree()

@@ -98,10 +98,11 @@ class GradedCoalgebra:
     The matrices are the input format.  coproduct[r] maps H^r into the
     direct sum of H^i (x) H^{r-i} blocks, i ascending, left index major
     inside each block.  product[(p, q)] maps H^p (x) H^q (left major) to
-    H^{p+q}.  The counit is projection to degree 0, which must be
-    one-dimensional for the Hopf machinery.  The checks do not apply the
-    matrices: they read the sparse views `_delta` and `_mu`, decoded once
-    from the matrices' columns, and the antipode `_antipode` built from them.
+    H^{p+q}, and is required for every p, q >= 0 with p + q <= top.  The
+    counit is projection to degree 0, which must be one-dimensional for the
+    Hopf machinery.  The checks do not apply the matrices: they read the
+    sparse views `_delta` and `_mu`, decoded once from the matrices'
+    columns, and the antipode `_antipode` built from them.
     """
 
     betti: tuple[int, ...]
@@ -119,6 +120,10 @@ class GradedCoalgebra:
             if (min(p, q) < 0 or p + q > self.top or m.rows != self.betti[p + q]
                     or m.cols != self.betti[p] * self.betti[q]):
                 raise ValueError(f"product matrix at {(p, q)} has wrong shape")
+        for p in range(self.top + 1):
+            for q in range(self.top + 1 - p):
+                if (p, q) not in self.product:
+                    raise ValueError(f"product matrix at {(p, q)} is missing")
 
     @property
     def top(self) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .exactlinalg import (
     CochainComplex,
     CohomologyReport,
@@ -24,7 +23,7 @@ from .exactlinalg import (
 from .liealg import (
     LieAlgebra,
     Representation,
-    check_jacobi,
+    require_jacobi,
     trivial_representation,
     ce_complex,
 )
@@ -108,8 +107,7 @@ class ProductWithAlgebra:
 
 
 def product_with_lie_algebra(a, g: LieAlgebra) -> ProductWithAlgebra:
-    if not check_jacobi(g):
-        raise ValidationError("structure constants violate the Jacobi identity")
+    require_jacobi(g)
     return ProductWithAlgebra(factor=a, algebra=g)
 
 

@@ -245,9 +245,10 @@ def test_validation_errors_exit_2(tmp_path):
             {"i": 1, "j": 2, "coeffs": [[1, "1"]]},
         ],
     }))
-    code, _, err = run_cli("lie", "cohomology", str(path))
-    assert code == 2
+    code, out, err = run_cli("lie", "cohomology", str(path))
+    assert code == 2 and out == ""
     assert "Jacobi" in err
+    assert "(0, 1, 2)" in err  # the only basis triple, named
 
 
 def test_unstabilized_sweep_exits_3(monkeypatch, capsys):

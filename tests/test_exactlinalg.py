@@ -22,6 +22,8 @@ from algebroid.exactlinalg import (
     rank_modular,
 )
 
+_ZERO = Fraction(0)
+
 small_fraction = st.builds(
     Fraction,
     st.integers(min_value=-30, max_value=30),
@@ -170,6 +172,98 @@ def test_kernel_basis_annihilated(m):
 @given(matrices())
 def test_modular_rank_agrees(m):
     assert rank_modular(m) == rank(m)
+
+
+def sparse(rows, cols, max_entries):
+    """A rows x cols matrix of small fractions from at most `max_entries`
+    scattered entries."""
+    if not rows or not cols:
+        return st.just(RationalMatrix.zeros(rows, cols))
+    entry = st.tuples(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                      small_fraction)
+    return st.lists(entry, max_size=max_entries).map(
+        lambda pairs: RationalMatrix.from_entries(rows, cols, pairs))
+
+
+@st.composite
+def rank_deficient(draw):
+    """A sparse matrix of at most 24 x 24, about 15% dense, built to have
+    dependent rows: a product L R through an inner dimension k, then scaled
+    copies of its rows, then a row shuffle.  Numerators and denominators
+    go up to 10^6."""
+    rng = draw(st.randoms(use_true_random=True))
+    r, c = rng.randint(1, 18), rng.randint(1, 24)
+    k = rng.randint(1, min(r, c))
+
+    def value():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+    # one or two entries in each row of L, one plus about 5% in each row of
+    # R: the product is about 15% dense
+    left = [((i, rng.randrange(k)), value()) for i in range(r) for _ in range(rng.randint(1, 2))]
+    right = [((t, j), value()) for t in range(k) for j in range(c) if rng.random() < 0.05]
+    right += [((t, rng.randrange(c)), value()) for t in range(k)]
+    rows = (RationalMatrix.from_entries(r, k, left)
+            @ RationalMatrix.from_entries(k, c, right)).to_rows()
+    for _ in range(rng.randint(0, 24 - r)):
+        scale = value()
+        rows.append([scale * x for x in rng.choice(rows)])
+    rng.shuffle(rows)
+    return RationalMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_deficient())
+def test_sparse_rank_matches_oracle_on_dependent_rows(m):
+    want = oracle.gauss_rank(oracle.matrix_rows(m))
+    assert rank(m) == want
+    assert rank(m.transpose()) == want
+
+
+@st.composite
+def two_differentials(draw):
+    """(A, B) with B A = 0 by construction (A maps into the first k
+    coordinates of C^1, B kills them), then possibly one entry changed, and
+    then a change of basis of C^1 by elementary operations, so that B A = 0
+    holds by cancellation of fractions rather than by a block of zeros."""
+    n0, n1, n2 = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    k = draw(st.integers(min_value=0, max_value=n1))
+    a = draw(sparse(k, n0, 2 * n0)).to_rows() + [[_ZERO] * n0 for _ in range(n1 - k)]
+    b = [[_ZERO] * k + row for row in draw(sparse(n2, n1 - k, 2 * n2)).to_rows()]
+    change = draw(st.none() | st.tuples(st.booleans(), st.integers(0, 35), st.integers(0, 35),
+                                        small_fraction))
+    if change is not None:
+        in_a, i, j, x = change
+        target = a if in_a else b
+        target[i % len(target)][j % len(target[0])] += x
+    # with E = I + x e_ij: row i of E A gains x * row j of A, and column j
+    # of B E^-1 loses x * column i of B
+    ops = st.tuples(st.integers(0, n1 - 1), st.integers(0, n1 - 1), small_fraction)
+    for i, j, x in draw(st.lists(ops, max_size=2 * n1)):
+        if i != j:
+            a[i] = [y + x * z for y, z in zip(a[i], a[j])]
+            for row in b:
+                row[j] -= x * row[i]
+    return RationalMatrix.from_rows(a), RationalMatrix.from_rows(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_differentials())
+def test_chain_defect_matches_fraction_product(ab):
+    a, b = ab
+    c = CochainComplex(degrees=(a.cols, a.rows, b.rows), differentials=(a, b))
+    assert c.chain_defect() == (None if (b @ a).is_zero() else 0)
+
+
+def test_chain_defect_on_fractional_entries():
+    # B A = 2/3 * 1/2 - 1 * 1/3 = 0, although no entry is an integer
+    a = RationalMatrix.from_rows([["1/2"], ["1/3"]])
+    b = RationalMatrix.from_rows([["2/3", -1]])
+    assert CochainComplex(degrees=(1, 2, 1), differentials=(a, b)).chain_defect() is None
+    # d1 d0 = 0 as above; d2 d1 = (1/2 - 2/3, -3/4 + 1) != 0 is found at degree 1
+    d1 = RationalMatrix.from_rows([["2/3", -1], ["4/3", -2]])
+    d2 = RationalMatrix.from_rows([["3/4", "-1/2"]])
+    assert CochainComplex(degrees=(1, 2, 2, 1), differentials=(a, d1, d2)).chain_defect() == 1
 
 
 def test_modular_rank_skips_bad_primes():

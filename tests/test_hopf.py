@@ -113,18 +113,22 @@ def test_broken_coproduct_fails_counit():
     assert not verify_hopf(broken)
 
 
-def _bumped(m, i, j):
+def _bumped(m, i, j, delta=1):
     rows = m.to_rows()
-    rows[i][j] += 1
+    rows[i][j] += delta
     return RationalMatrix.from_rows(rows)
 
 
-# (counit, coassociative, algebra_morphism, antipode) after adding 1 to one
-# entry of one matrix of the addition coproduct
+# (counit, coassociative, algebra_morphism, antipode) after adding 1 (or the
+# optional third entry) to one entry of one matrix of the addition coproduct.
+# The r3 coproduct[3] cases fail only the right identity m(id (x) S) D = eps;
+# the left identity m(S (x) id) D = eps still holds there.
 @pytest.mark.parametrize("name, which, key, entry, verdicts", [
     ("r2", "coproduct", 2, (1, 0), (True, True, False, True)),
     ("r1", "product", (0, 1), (0, 0), (True, True, True, False)),
     ("r3", "coproduct", 2, (3, 0), (True, False, False, True)),
+    ("r3", "coproduct", 3, (12, 0), (True, False, False, False)),
+    ("r3", "coproduct", 3, (12, 0, -1), (True, False, False, False)),
 ])
 def test_broken_matrix_fails_its_axioms(name, which, key, entry, verdicts):
     c = addition_coproduct(catalog.algebra(name))
@@ -150,6 +154,14 @@ def test_product_shape_validation():
                    ((2, 1), RationalMatrix.zeros(0, 2))):  # no degree 3
         with pytest.raises(ValueError):
             GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product={**c.product, key: m})
+
+
+def test_missing_product_key_is_rejected():
+    c = addition_coproduct(catalog.algebra("r2"))
+    product = dict(c.product)
+    del product[(1, 1)]
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product=product)
 
 
 def test_primitives_validation():

@@ -7,8 +7,10 @@ import pytest
 
 import oracle
 from algebroid import catalog
+from algebroid.circle import ActionAlgebroid, TrigPoly, truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology, inverse
+from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import (
     LieAlgebra,
     Representation,
@@ -21,6 +23,7 @@ from algebroid.liealg import (
     check_jacobi,
     check_representation,
     euler_characteristic,
+    jacobi_violation,
     lie_cohomology,
     trivial_representation,
 )
@@ -51,6 +54,22 @@ def test_jacobi_detects_failure():
     assert not check_jacobi(bad)
     with pytest.raises(ValidationError):
         ce_complex(trivial_representation(bad))
+
+
+def test_jacobi_violation_names_first_triple():
+    for name in ("zero",) + catalog.ALGEBRA_NAMES:
+        assert jacobi_violation(catalog.algebra(name)) is None, name
+    # e0 is central; on e1, e2, e3 the brackets of test_jacobi_detects_failure
+    bad = LieAlgebra.make(4, {(1, 2): {3: 1}, (2, 3): {2: 1}})
+    assert jacobi_violation(bad) == (1, 2, 3)
+    assert not check_jacobi(bad)
+    action = ActionAlgebroid(algebra=bad, phi=(TrigPoly.const(0),) * 4)
+    for build in (lambda: ce_complex(trivial_representation(bad)),
+                  lambda: product_with_lie_algebra(catalog.algebroid("sin_t")[0], bad),
+                  lambda: truncated_complex(action, 1)):
+        with pytest.raises(ValidationError, match="Jacobi") as err:
+            build()
+        assert "(1, 2, 3)" in str(err.value)
 
 
 def test_representation_checks():
