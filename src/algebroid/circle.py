@@ -33,9 +33,10 @@ from .exactlinalg import (
     RationalMatrix,
     as_fraction,
     complex_cohomology,
+    kron_sum,
 )
-from .exterior import basis_tuples, wedge_matrix
-from .liealg import LieAlgebra, require_jacobi, trivial_ce_differential
+from .exterior import wedge_matrix
+from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differential
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -358,30 +359,28 @@ class ActionAlgebroid:
             raise ValidationError("need one vector field per basis vector")
         require_jacobi(g)
         if not check_action(self):
-            raise ValidationError("vector fields do not represent the bracket")
+            raise ValidationError("vector fields do not represent the bracket "
+                                  f"on basis pair {action_violation(self)}")
         d = self.anchor_degree()
         windows = tuple(n + p * d for p in range(g.dim + 1))
         degrees = tuple(comb(g.dim, p) * window_dim(windows[p]) for p in range(g.dim + 1))
         diffs = []
         for p in range(g.dim):
             src_w, tgt_w = windows[p], windows[p + 1]
-            total = trivial_ce_differential(g, p).kron(inclusion_matrix(src_w, tgt_w))
             deriv = derivative_matrix(src_w)
-            for i in range(g.dim):
-                act = multiplication_matrix(self.phi[i], src_w, tgt_w) @ deriv
-                total = total + wedge_matrix(g.dim, p, i).kron(act)
-            diffs.append(total)
+            terms = [(0, 0, trivial_ce_differential(g, p), inclusion_matrix(src_w, tgt_w))]
+            terms += [(0, 0, wedge_matrix(g.dim, p, i),
+                       multiplication_matrix(self.phi[i], src_w, tgt_w) @ deriv)
+                      for i in range(g.dim)]
+            diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
         cx = CochainComplex(degrees=degrees, differentials=tuple(diffs))
         return TruncatedComplex(N=n, complex=cx, windows=windows)
 
 
-def check_action(a: ActionAlgebroid) -> bool:
-    """True iff [phi_i, phi_j] = sum_k c^k_{ij} phi_k for all i < j."""
-    from .liealg import bracket_basis
-
+def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:
+    """First basis pair i < j, in lexicographic order, with [phi_i, phi_j]
+    != sum_k c^k_{ij} phi_k, or None; needs one phi per basis vector."""
     g = a.algebra
-    if len(a.phi) != g.dim:
-        return False
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             lhs = vf_bracket(a.phi[i], a.phi[j])
@@ -390,8 +389,13 @@ def check_action(a: ActionAlgebroid) -> bool:
                 if c:
                     rhs = rhs + a.phi[k].scaled(c)
             if lhs != rhs:
-                return False
-    return True
+                return (i, j)
+    return None
+
+
+def check_action(a: ActionAlgebroid) -> bool:
+    """True iff [phi_i, phi_j] = sum_k c^k_{ij} phi_k for all i < j."""
+    return len(a.phi) == a.algebra.dim and action_violation(a) is None
 
 
 def truncated_complex(a, n: int) -> TruncatedComplex:

@@ -16,7 +16,8 @@ import os
 import sys
 
 from . import catalog, io
-from .circle import Rank1Anchor, SweepResult, is_transitive, stabilized_cohomology
+from .circle import Rank1Anchor, SweepResult, count_simple_zeros, is_transitive, \
+    stabilized_cohomology
 from .errors import NotStabilizedError, ParseError, ValidationError
 from .hopf import addition, addition_coproduct, check_h_structure, \
     exterior_structure_check, hopf_axioms, primitives
@@ -108,6 +109,9 @@ def _sweep(a, n_min: int, n_max: int) -> SweepResult:
     # The one range check for every command that sweeps windows.
     if n_min < 0 or n_max < n_min + 2:
         raise ValidationError("need 0 <= n_min and n_max >= n_min + 2")
+    # Non-simple zeros of a rank-1 anchor exit 2; the anchor 0 has none to count.
+    if isinstance(a, Rank1Anchor) and not a.p.is_zero():
+        count_simple_zeros(a.p)
     return stabilized_cohomology(a, n_min, n_max, strict=False)
 
 

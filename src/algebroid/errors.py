@@ -21,7 +21,7 @@ class DegreeOutOfRangeError(AlgebroidError):
     """Requested cochain degree lies outside 0..dim."""
 
 
-class NonsimpleZeroError(AlgebroidError):
+class NonsimpleZeroError(ValidationError):
     """A trig polynomial has a zero where its derivative also vanishes."""
 
 

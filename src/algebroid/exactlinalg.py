@@ -10,10 +10,12 @@ pivot for a column is, among the rows holding it, the row with the fewest
 nonzeros, then the entry of smallest bit size, then the lowest index.  Only
 the rows that hold the pivot column are updated, and each updated row is
 divided by the gcd of its entries, which keeps every entry within the
-Hadamard bound of the cleared matrix (see `rank`).  Kernel bases and inverses come from a
-reduced row echelon form over Fraction, so the two elimination routes
-cross-check each other in the test suite.  The d^2 = 0 check multiplies
-cleared integer rows as well (`CochainComplex.chain_defect`).
+Hadamard bound of the cleared matrix (see `rank`).  Kernel bases and
+inverses come from a reduced row echelon form over Fraction, so the two
+elimination routes cross-check each other in the test suite.  The d^2 = 0
+check multiplies cleared integer rows as well (`CochainComplex.chain_defect`).
+Every matrix made of blocks or Kronecker products is one `kron_sum`, which
+states the layout rule.
 
 `rank_modular` is not a fast path: it is slower than the exact `rank` on
 the package's matrices.  It is kept as an independent certificate, which
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ChainConditionError
 
@@ -194,13 +196,6 @@ class RationalMatrix:
         v = [as_fraction(x) for x in vec]
         return [sum((x * v[j] for j, x in row.items() if v[j]), _ZERO) for row in self._e]
 
-    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Kronecker product; the left factor indexes the major blocks."""
-        oc = other.cols
-        out = [{ja * oc + jb: a * b for ja, a in arow.items() for jb, b in brow.items()}
-               for arow in self._e for brow in other._e]
-        return RationalMatrix._wrap(self.rows * other.rows, self.cols * oc, out)
-
     def _require_same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -219,27 +214,31 @@ def _row_sum(a: dict, b: dict) -> dict:
     return out
 
 
-def block_matrix(
-    row_dims: Sequence[int],
-    col_dims: Sequence[int],
-    blocks: Mapping[tuple[int, int], RationalMatrix],
-) -> RationalMatrix:
-    """Assemble a matrix from blocks; absent blocks are zero."""
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    out = [{} for _ in range(row_off[-1])]
-    for (bi, bj), m in blocks.items():
-        if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
-            raise ValueError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}, "
-                             f"expected {row_dims[bi]}x{col_dims[bj]}")
-        r0, c0 = row_off[bi], col_off[bj]
-        for i, row in enumerate(m._e):
-            out[r0 + i].update((c0 + j, x) for j, x in row.items())
-    return RationalMatrix._wrap(row_off[-1], col_off[-1], out)
+def kron_sum(rows: int, cols: int,
+             terms: Iterable[tuple[int, int, RationalMatrix, RationalMatrix]]) -> RationalMatrix:
+    """Sum of A (x) B over the terms (r0, c0, A, B), as a rows x cols matrix.
+
+    A[i, j] B[k, l] lands at (r0 + i*B.rows + k, c0 + j*B.cols + l): each
+    product has its top-left entry at (r0, c0) and the index of A is major.
+    Terms add, cancelled entries are dropped, and a term that does not fit
+    raises ValueError.  A plain block M is the term (r0, c0, identity(1), M).
+    """
+    out: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+    for r0, c0, a, b in terms:
+        br, bc = b.rows, b.cols
+        if min(r0, c0) < 0 or r0 + a.rows * br > rows or c0 + a.cols * bc > cols:
+            raise ValueError(f"a {a.rows * br}x{a.cols * bc} term at ({r0}, {c0}) "
+                             f"does not fit a {rows}x{cols} matrix")
+        brows = [(k, brow.items()) for k, brow in enumerate(b._e) if brow]
+        for i, arow in enumerate(a._e):
+            for j, x in arow.items():
+                base = c0 + j * bc
+                for k, bitems in brows:
+                    row = out[r0 + i * br + k]
+                    for l, y in bitems:
+                        old = row.get(base + l)
+                        row[base + l] = x * y if old is None else old + x * y
+    return RationalMatrix._wrap(rows, cols, [{j: x for j, x in row.items() if x} for row in out])
 
 
 def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
@@ -372,7 +371,8 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    augmented = block_matrix([n], [n, n], {(0, 0): m, (0, 1): RationalMatrix.identity(n)})
+    one = RationalMatrix.identity(1)
+    augmented = kron_sum(n, 2 * n, [(0, 0, one, m), (0, n, one, RationalMatrix.identity(n))])
     a, pivots = _rref(augmented)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -5,21 +5,16 @@ The product differential follows the usual sign rule
 
     d(w (x) v) = d_A w (x) v + (-1)^{deg w} w (x) d_B v,
 
-realized on block matrices.  Degree r of the product complex is the direct
-sum of blocks A^p (x) B^{r-p} with p ascending; inside each block the A
-index is major.
+realized as one `kron_sum` per degree.  Degree r of the product complex is
+the direct sum of blocks A^p (x) B^{r-p} with p ascending; inside each block
+the A index is major.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlinalg import (
-    CochainComplex,
-    CohomologyReport,
-    RationalMatrix,
-    block_matrix,
-)
+from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, kron_sum
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -44,45 +39,38 @@ def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
 def tensor_rep(e: Representation, f: Representation) -> Representation:
     """E (x) F over the direct sum; each summand acts on its own factor."""
     gh = direct_sum(e.algebra, f.algebra)
-    id_e = RationalMatrix.identity(e.dim_e)
-    id_f = RationalMatrix.identity(f.dim_e)
-    action = tuple(m.kron(id_f) for m in e.action) + tuple(id_e.kron(m) for m in f.action)
-    return Representation(algebra=gh, dim_e=e.dim_e * f.dim_e, action=action)
+    id_e, id_f = RationalMatrix.identity(e.dim_e), RationalMatrix.identity(f.dim_e)
+    n = e.dim_e * f.dim_e
+    action = tuple(kron_sum(n, n, [(0, 0, m, id_f)]) for m in e.action) + \
+        tuple(kron_sum(n, n, [(0, 0, id_e, m)]) for m in f.action)
+    return Representation(algebra=gh, dim_e=n, action=action)
 
 
-def _block_range(r: int, top_a: int, top_b: int) -> range:
-    return range(max(0, r - top_b), min(r, top_a) + 1)
+def _blocks(a: CochainComplex, b: CochainComplex, r: int) -> tuple[dict[int, int], int]:
+    """Offsets of the blocks A^p (x) B^{r-p} in degree r, by p, and that degree's dimension."""
+    offsets, dim = {}, 0
+    for p in range(max(0, r - b.top), min(r, a.top) + 1):
+        offsets[p] = dim
+        dim += a.degrees[p] * b.degrees[r - p]
+    return offsets, dim
 
 
 def tensor_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     """Graded tensor product of two complexes."""
-    top_a, top_b = a.top, b.top
-    top = top_a + top_b
-    degrees = []
-    for r in range(top + 1):
-        degrees.append(sum(a.degrees[p] * b.degrees[r - p] for p in _block_range(r, top_a, top_b)))
+    blocks = [_blocks(a, b, r) for r in range(a.top + b.top + 1)]
+    degrees = tuple(dim for _, dim in blocks)
     diffs = []
-    for r in range(top):
-        src_blocks = list(_block_range(r, top_a, top_b))
-        tgt_blocks = list(_block_range(r + 1, top_a, top_b))
-        src_dims = [a.degrees[p] * b.degrees[r - p] for p in src_blocks]
-        tgt_dims = [a.degrees[p] * b.degrees[r + 1 - p] for p in tgt_blocks]
-        tgt_pos = {p: i for i, p in enumerate(tgt_blocks)}
-        blocks = {}
-        for src_i, p in enumerate(src_blocks):
-            q = r - p
-            if p < top_a and (p + 1) in tgt_pos:
-                blocks[(tgt_pos[p + 1], src_i)] = a.differentials[p].kron(
-                    RationalMatrix.identity(b.degrees[q])
-                )
-            if q < top_b and p in tgt_pos:
-                m = RationalMatrix.identity(a.degrees[p]).kron(b.differentials[q])
-                if p % 2:
-                    m = -m
-                existing = blocks.get((tgt_pos[p], src_i))
-                blocks[(tgt_pos[p], src_i)] = m if existing is None else existing + m
-        diffs.append(block_matrix(tgt_dims, src_dims, blocks))
-    return CochainComplex(degrees=tuple(degrees), differentials=tuple(diffs))
+    for r, (src, _) in enumerate(blocks[:-1]):
+        tgt, terms = blocks[r + 1][0], []
+        for p, c0 in src.items():
+            if p + 1 in tgt:
+                id_b = RationalMatrix.identity(b.degrees[r - p])
+                terms.append((tgt[p + 1], c0, a.differentials[p], id_b))
+            if p in tgt:
+                sign = RationalMatrix.identity(a.degrees[p]).scaled((-1) ** p)
+                terms.append((tgt[p], c0, sign, b.differentials[r - p]))
+        diffs.append(kron_sum(degrees[r + 1], degrees[r], terms))
+    return CochainComplex(degrees=degrees, differentials=tuple(diffs))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .exactlinalg import (
     as_fraction,
     complex_cohomology,
     inverse,
+    kron_sum,
 )
 from .exterior import basis_tuples, sort_sign, wedge_matrix
 
@@ -171,8 +172,9 @@ def adjoint_representation(g: LieAlgebra) -> Representation:
     return Representation(algebra=g, dim_e=g.dim, action=tuple(mats))
 
 
-def check_representation(r: Representation) -> bool:
-    """True iff rho_[e_i, e_j] = rho_i rho_j - rho_j rho_i for all i < j."""
+def representation_violation(r: Representation) -> tuple[int, int] | None:
+    """First basis pair i < j, in lexicographic order, with
+    rho_[e_i, e_j] != rho_i rho_j - rho_j rho_i, or None when r is flat."""
     g = r.algebra
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -182,8 +184,13 @@ def check_representation(r: Representation) -> bool:
                 if c:
                     expected = expected + r.action[k].scaled(c)
             if commutator != expected:
-                return False
-    return True
+                return (i, j)
+    return None
+
+
+def check_representation(r: Representation) -> bool:
+    """True iff rho_[e_i, e_j] = rho_i rho_j - rho_j rho_i for all i < j."""
+    return representation_violation(r) is None
 
 
 def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
@@ -219,10 +226,9 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
     n = g.dim
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
-    total = RationalMatrix.identity(r.dim_e).kron(trivial_ce_differential(g, p))
-    for i in range(n):
-        total = total + r.action[i].kron(wedge_matrix(n, p, i))
-    return total
+    terms = [(0, 0, RationalMatrix.identity(r.dim_e), trivial_ce_differential(g, p))]
+    terms += [(0, 0, r.action[i], wedge_matrix(n, p, i)) for i in range(n)]
+    return kron_sum(r.dim_e * comb(n, p + 1), r.dim_e * comb(n, p), terms)
 
 
 def ce_complex(r: Representation) -> CochainComplex:
@@ -230,7 +236,8 @@ def ce_complex(r: Representation) -> CochainComplex:
     g = r.algebra
     require_jacobi(g)
     if not check_representation(r):
-        raise ValidationError("action matrices do not represent the bracket")
+        raise ValidationError("action matrices do not represent the bracket "
+                              f"on basis pair {representation_violation(r)}")
     n = g.dim
     degrees = tuple(r.dim_e * comb(n, p) for p in range(n + 1))
     diffs = tuple(ce_differential(r, p) for p in range(n))

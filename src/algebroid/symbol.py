@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactlinalg import CochainComplex, RationalMatrix, as_fraction, complex_cohomology
+from .exactlinalg import CochainComplex, RationalMatrix, as_fraction, complex_cohomology, kron_sum
 from .exterior import alternating_binomial_sum, wedge_matrix
 
 _ZERO = Fraction(0)
@@ -53,14 +53,11 @@ def symbol_complex(f: FiberData, alpha) -> CochainComplex:
     n = f.dim_a
     id_e = RationalMatrix.identity(f.dim_e)
     degrees = tuple(f.dim_e * comb(n, r) for r in range(n + 1))
-    diffs = []
-    for r in range(n):
-        w = RationalMatrix(comb(n, r + 1), comb(n, r))
-        for i, b in enumerate(beta):
-            if b:
-                w = w + wedge_matrix(n, r, i).scaled(b)
-        diffs.append(id_e.kron(w))
-    return CochainComplex(degrees=degrees, differentials=tuple(diffs))
+    diffs = tuple(kron_sum(degrees[r + 1], degrees[r],
+                           [(0, 0, id_e, wedge_matrix(n, r, i).scaled(b))
+                            for i, b in enumerate(beta) if b])
+                  for r in range(n))
+    return CochainComplex(degrees=degrees, differentials=diffs)
 
 
 @dataclass(frozen=True)

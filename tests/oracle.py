@@ -68,3 +68,20 @@ def matrix_rows(m) -> list[list[Fraction]]:
 def complex_betti(c) -> list[int]:
     """Oracle Betti numbers of a package complex object."""
     return betti_numbers(list(c.degrees), [matrix_rows(d) for d in c.differentials])
+
+
+def kron_sum_dense(rows: int, cols: int, terms) -> list[list[Fraction]]:
+    """Sum of Kronecker products A (x) B by nested loops over dense rows.
+
+    Each term is (r0, c0, A, B) with A and B given as nonempty row lists;
+    A[i][j] B[k][l] is added at (r0 + i*len(B) + k, c0 + j*len(B[0]) + l).
+    """
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for r0, c0, a, b in terms:
+        p, q = len(b), len(b[0])
+        for i, a_row in enumerate(a):
+            for j, x in enumerate(a_row):
+                for k, b_row in enumerate(b):
+                    for l, y in enumerate(b_row):
+                        out[r0 + i * p + k][c0 + j * q + l] += Fraction(x) * Fraction(y)
+    return out

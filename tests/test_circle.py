@@ -13,6 +13,7 @@ from algebroid.circle import (
     Rank1Anchor,
     TrigPoly,
     TruncatedComplex,
+    action_violation,
     check_action,
     count_simple_zeros,
     derivative_matrix,
@@ -288,6 +289,16 @@ def test_check_action():
     assert not check_action(bad)
     with pytest.raises(ValidationError):
         truncated_complex(bad, 3)
+
+
+def test_action_violation_names_the_pair():
+    # r3 is abelian, but [1 d/dt, sin t d/dt] = cos t d/dt: the pair (0, 2) fails
+    bad = ActionAlgebroid(algebra=catalog.algebra("r3"),
+                          phi=(TrigPoly.const(1), TrigPoly.const(1), TrigPoly.sin(1)))
+    assert action_violation(bad) == (0, 2)
+    assert action_violation(sl2_action()) is None
+    with pytest.raises(ValidationError, match=r"on basis pair \(0, 2\)"):
+        truncated_complex(bad, 2)
 
 
 def test_action_validates_phi_length():

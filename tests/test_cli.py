@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,10 @@ from algebroid.exactlinalg import CohomologyReport
 
 
 def run_cli(*args, env_extra=None):
+    # The subprocess imports the same package as this test process.
+    src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -249,6 +253,35 @@ def test_validation_errors_exit_2(tmp_path):
     assert code == 2 and out == ""
     assert "Jacobi" in err
     assert "(0, 1, 2)" in err  # the only basis triple, named
+    # abelian r3 on Q^2 whose rho_1 and rho_2 do not commute: not flat on (1, 2)
+    rep = tmp_path / "not_flat.json"
+    rep.write_text(json.dumps({"algebra": "r3", "dim_E": 2, "action": [
+        [["0", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}))
+    code, out, err = run_cli("lie", "cohomology", "r3", "--rep", str(rep))
+    assert code == 2 and out == ""
+    assert "on basis pair (1, 2)" in err
+    # [1 d/dt, sin t d/dt] = cos t d/dt, but r3 is abelian: the pair (0, 2) fails
+    roid = tmp_path / "bad_action.json"
+    roid.write_text(json.dumps({"kind": "action", "g": {"dim": 3},
+                                "phi": ["1", "1", "sin(1t)"], "N_range": [1, 3]}))
+    code, out, err = run_cli("circle", "sweep", str(roid))
+    assert code == 2 and out == ""
+    assert "on basis pair (0, 2)" in err
+
+
+def test_rank1_sweeps_reject_nonsimple_zeros(tmp_path):
+    # 1 - cos 2t = 2 sin^2 t has double zeros at 0 and pi
+    path = tmp_path / "double_zeros.json"
+    path.write_text(json.dumps({"kind": "rank1", "p": "1 + -1*cos(2t)", "N_range": [2, 6]}))
+    for args in (("circle", "sweep", str(path)), ("kunneth", str(path), "r1")):
+        code, out, err = run_cli(*args)
+        assert code == 2 and out == ""
+        assert "not simple" in err
+    # sin t (2 + cos t) has two simple zeros and still sweeps
+    path.write_text(json.dumps({"kind": "rank1", "p": "2*sin(1t) + 1/2*sin(2t)",
+                                "N_range": [2, 6]}))
+    code, _, err = run_cli("circle", "sweep", str(path))
+    assert code == 0 and err == ""
 
 
 def test_unstabilized_sweep_exits_3(monkeypatch, capsys):

@@ -12,12 +12,12 @@ from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
     as_fraction,
-    block_matrix,
     cokernel_dim,
     complex_cohomology,
     inverse,
     kernel_basis,
     kernel_dim,
+    kron_sum,
     rank,
     rank_modular,
 )
@@ -92,23 +92,68 @@ def test_arithmetic():
     assert a.transpose().to_rows() == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
 
 
-def test_kron_block_order():
+def test_kron_sum_block_order():
     # left factor is the coarse index: (A kron B)[i*p + k, j*q + l] = A[i,j] B[k,l]
     a = RationalMatrix.from_rows([[1, 2]])
     b = RationalMatrix.from_rows([[3], [4]])
-    k = a.kron(b)
+    k = kron_sum(2, 2, [(0, 0, a, b)])
     assert k.rows == 2 and k.cols == 2
     assert k.to_rows() == [[Fraction(3), Fraction(6)], [Fraction(4), Fraction(8)]]
 
 
-def test_block_matrix_assembly():
-    blocks = {(0, 0): RationalMatrix.identity(2), (1, 1): RationalMatrix.from_rows([[5]])}
-    m = block_matrix([2, 1], [2, 1], blocks)
+def test_kron_sum_block_assembly():
+    one = RationalMatrix.identity(1)
+    m = kron_sum(3, 3, [(0, 0, one, RationalMatrix.identity(2)),
+                        (2, 2, one, RationalMatrix.from_rows([[5]]))])
     assert m.to_rows() == [
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(5)],
     ]
+
+
+@st.composite
+def kron_terms(draw):
+    """A shape and placed terms that overlap, often with a cancelling copy."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2),
+                             Fraction(1), Fraction(3)])
+
+    def block(r, c):
+        return RationalMatrix.from_rows(draw(st.lists(
+            st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        ar, ac = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+        br, bc = draw(st.integers(1, rows // ar)), draw(st.integers(1, cols // ac))
+        r0 = draw(st.integers(0, rows - ar * br))
+        c0 = draw(st.integers(0, cols - ac * bc))
+        a, b = block(ar, ac), block(br, bc)
+        terms.append((r0, c0, a, b))
+        if draw(st.booleans()):
+            terms.append((r0, c0, -a, b))
+    return rows, cols, terms
+
+
+@settings(max_examples=80)
+@given(kron_terms())
+def test_kron_sum_matches_dense_reference(case):
+    rows, cols, terms = case
+    raw = [(r0, c0, oracle.matrix_rows(a), oracle.matrix_rows(b)) for r0, c0, a, b in terms]
+    dense = oracle.kron_sum_dense(rows, cols, raw)
+    # from_rows stores no zeros, so == also checks that cancelled entries are dropped
+    assert kron_sum(rows, cols, terms) == RationalMatrix.from_rows(dense)
+
+
+def test_kron_sum_rejects_terms_that_do_not_fit():
+    one, two = RationalMatrix.identity(1), RationalMatrix.identity(2)
+    for r0, c0 in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            kron_sum(2, 2, [(r0, c0, one, two)])
+    with pytest.raises(ValueError):
+        kron_sum(3, 4, [(0, 0, two, two)])
+    assert kron_sum(4, 4, [(0, 0, two, two)]) == RationalMatrix.identity(4)
 
 
 def test_rank_golden_cases():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from algebroid import catalog
 from algebroid.circle import ActionAlgebroid, TrigPoly, truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology, inverse
+from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import (
     LieAlgebra,
@@ -25,6 +27,8 @@ from algebroid.liealg import (
     euler_characteristic,
     jacobi_violation,
     lie_cohomology,
+    representation_violation,
+    trivial_ce_differential,
     trivial_representation,
 )
 
@@ -197,3 +201,29 @@ def test_random_semidirect_products_are_complexes():
         rep = complex_cohomology(cx)
         assert rep.euler == 0
         assert rep.betti == tuple(oracle.complex_betti(cx))
+
+
+def test_ce_differential_is_coefficient_major():
+    # d = I_E (x) d_trivial + sum_i rho_i (x) (e^i ^ -) with the coefficient
+    # index major; aff1_rep2 has dim_E = 2 and a non-scalar action.
+    r = catalog.representation("aff1_rep2")
+    g, n = r.algebra, r.algebra.dim
+    rows = oracle.matrix_rows
+    for p in range(n):
+        terms = [(0, 0, rows(RationalMatrix.identity(2)), rows(trivial_ce_differential(g, p)))]
+        terms += [(0, 0, rows(r.action[i]), rows(wedge_matrix(n, p, i))) for i in range(n)]
+        dense = oracle.kron_sum_dense(2 * comb(n, p + 1), 2 * comb(n, p), terms)
+        assert ce_differential(r, p) == RationalMatrix.from_rows(dense)
+
+
+def test_representation_violation_names_the_pair():
+    # abelian r3 on Q^2: rho_1 and rho_2 do not commute, so the pair (1, 2) fails
+    r3 = catalog.algebra("r3")
+    e12 = RationalMatrix.from_rows([[0, 1], [0, 0]])
+    rep = Representation(algebra=r3, dim_e=2,
+                         action=(RationalMatrix.zeros(2, 2), e12, e12.transpose()))
+    assert representation_violation(rep) == (1, 2)
+    assert not check_representation(rep)
+    assert representation_violation(adjoint_representation(catalog.algebra("su2"))) is None
+    with pytest.raises(ValidationError, match=r"on basis pair \(1, 2\)"):
+        ce_complex(rep)

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import oracle
 from algebroid.errors import ChainConditionError
 from algebroid.exactlinalg import CochainComplex, RationalMatrix
+from algebroid.exterior import wedge_matrix
 from algebroid.symbol import (
     FiberData,
     euler_form_factor,
@@ -98,3 +101,16 @@ def test_euler_form_factor():
         assert euler_form_factor(kernel_rank, 3) == 0
     with pytest.raises(ValueError):
         euler_form_factor(-1, 2)
+
+
+def test_symbol_complex_is_coefficient_major():
+    # dim_E = 2: d_r = I_E (x) sum_i beta_i (e^i ^ -), coefficient index major
+    f = FiberData(dim_a=3, dim_m=1, anchor=RationalMatrix.from_rows([[1, "-1/2", 2]]), dim_e=2)
+    beta = pullback_covector(f, [3])
+    cx = symbol_complex(f, [3])
+    identity = oracle.matrix_rows(RationalMatrix.identity(2))
+    for r in range(3):
+        terms = [(0, 0, identity, oracle.matrix_rows(wedge_matrix(3, r, i).scaled(b)))
+                 for i, b in enumerate(beta)]
+        dense = oracle.kron_sum_dense(2 * comb(3, r + 1), 2 * comb(3, r), terms)
+        assert cx.differentials[r] == RationalMatrix.from_rows(dense)
