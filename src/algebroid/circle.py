@@ -8,9 +8,11 @@ an algebroid whose anchor data has top degree d the degree-p cochains live
 on (forms) (x) V_{N + p*d}; every differential then maps exactly into the
 next window and d^2 = 0 holds on the nose, not approximately.
 
-Each harmonic rule is written once, as a window matrix: `multiplication_matrix`
-holds the product-to-sum table and `derivative_matrix` holds d/dt.
-`trig_mul` and `trig_derivative` apply those matrices to window coordinates.
+Both harmonic rules live in one window operator: `multiplication_matrix`
+holds the product-to-sum table and, with `derivative=True`, sends each basis
+function to its derivative before multiplying, so u -> f u' is one matrix.
+`trig_mul` and `trig_derivative` apply it to window coordinates, and every
+window differential is built from it.
 
 Zero counting is exact.  Substituting u = tan(t/2) turns a degree-d trig
 polynomial f into P(u) / (1 + u^2)^d with P rational of degree <= 2d; the
@@ -147,8 +149,9 @@ def trig_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
 
 
 def trig_derivative(f: TrigPoly) -> TrigPoly:
-    """f', read off the d/dt matrix of f's window."""
-    return _from_window_coords(derivative_matrix(f.deg).apply(window_coords(f, f.deg)))
+    """f', read off the d/dt operator on f's window."""
+    d = multiplication_matrix(TrigPoly(_ONE), f.deg, f.deg, derivative=True)
+    return _from_window_coords(d.apply(window_coords(f, f.deg)))
 
 
 def vf_bracket(u: TrigPoly, v: TrigPoly) -> TrigPoly:
@@ -257,20 +260,13 @@ _PRODUCT_TO_SUM = {
 }
 
 
-def derivative_matrix(m: int) -> RationalMatrix:
-    """d/dt on V_m: the one home of the derivative rule."""
-    pairs = []
-    for k in range(1, m + 1):
-        pairs.append(((2 * k, 2 * k - 1), -k))  # cos kt -> -k sin kt
-        pairs.append(((2 * k - 1, 2 * k), k))   # sin kt ->  k cos kt
-    return RationalMatrix.from_entries(window_dim(m), window_dim(m), pairs)
-
-
-def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
-    """Multiplication by f as a map V_src -> V_tgt; needs tgt >= src + deg f.
+def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
+                          derivative: bool = False) -> RationalMatrix:
+    """u -> f u, or u -> f u' when `derivative`, as a map V_src -> V_tgt;
+    needs tgt >= src + deg f.
 
     Entries come straight from the product-to-sum table, one pass per nonzero
-    harmonic of f; this is the one home of the product rule.
+    harmonic of f; this is the one home of the product rule and of d/dt.
     """
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
@@ -282,10 +278,14 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix
         half = _HALF * x
         for j in range(window_dim(src_m)):
             b_kind, b = _harmonic(j)
+            scale = 1
+            if derivative:  # cos bt -> -b sin bt, sin bt -> b cos bt
+                b_kind, scale = (_SIN, -b) if b_kind == _COS else (_COS, b)
             kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
             for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
-                pairs.append(((row, j), half * (sign * k_sign)))
+                if k_sign * scale:
+                    pairs.append(((row, j), half * (sign * k_sign * scale)))
     return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m), pairs)
 
 
@@ -307,30 +307,6 @@ class TruncatedComplex:
     N: int
     complex: CochainComplex
     windows: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class Rank1Anchor:
-    """Line bundle over the circle anchored by f d/dt -> p * f' d/dt."""
-
-    p: TrigPoly
-
-    def anchor_degree(self) -> int:
-        return self.p.deg
-
-    def _is_transitive(self) -> bool:
-        return not has_zero_on_circle(self.p)
-
-    def _truncated_complex(self, n: int) -> TruncatedComplex:
-        if n < 0:
-            raise ValueError("window index must be nonnegative")
-        d = self.anchor_degree()
-        diff = multiplication_matrix(self.p, n, n + d) @ derivative_matrix(n)
-        cx = CochainComplex(
-            degrees=(window_dim(n), window_dim(n + d)),
-            differentials=(diff,),
-        )
-        return TruncatedComplex(N=n, complex=cx, windows=(n, n + d))
 
 
 @dataclass(frozen=True)
@@ -367,14 +343,31 @@ class ActionAlgebroid:
         diffs = []
         for p in range(g.dim):
             src_w, tgt_w = windows[p], windows[p + 1]
-            deriv = derivative_matrix(src_w)
             terms = [(0, 0, trivial_ce_differential(g, p), inclusion_matrix(src_w, tgt_w))]
             terms += [(0, 0, wedge_matrix(g.dim, p, i),
-                       multiplication_matrix(self.phi[i], src_w, tgt_w) @ deriv)
+                       multiplication_matrix(self.phi[i], src_w, tgt_w, derivative=True))
                       for i in range(g.dim)]
             diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
         cx = CochainComplex(degrees=degrees, differentials=tuple(diffs))
         return TruncatedComplex(N=n, complex=cx, windows=windows)
+
+
+@dataclass(frozen=True, init=False)
+class Rank1Anchor(ActionAlgebroid):
+    """Line bundle over the circle anchored by f d/dt -> p * f' d/dt.
+
+    This is the action algebroid of the line acting through the one vector
+    field p d/dt, so its windows, degree and transitivity test are the
+    action algebroid's; the sum-of-squares test is exact here because p^2
+    vanishes exactly where p does.
+    """
+
+    def __init__(self, p: TrigPoly):
+        super().__init__(LieAlgebra(1), (p,))
+
+    @property
+    def p(self) -> TrigPoly:
+        return self.phi[0]
 
 
 def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:

@@ -17,8 +17,10 @@ from .exactlinalg import RationalMatrix
 from .liealg import LieAlgebra, Representation
 from .symbol import FiberData
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?$")
+# ASCII: \d would otherwise accept any Unicode digit, e.g. Arabic-Indic.
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+_TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?$",
+                      re.ASCII)
 
 
 def _is_int(x) -> bool:
@@ -267,6 +269,10 @@ def load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          path)
+    except OSError as exc:  # a directory, or no permission to read
+        raise ParseError(f"cannot read file: {exc.strerror}", path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text at byte {exc.start}", path)
 
 
 def dump_json(d: dict, path: str) -> None:

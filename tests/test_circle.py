@@ -16,7 +16,6 @@ from algebroid.circle import (
     action_violation,
     check_action,
     count_simple_zeros,
-    derivative_matrix,
     has_zero_on_circle,
     inclusion_matrix,
     is_transitive,
@@ -194,7 +193,7 @@ def test_window_coords_roundtrip():
 
 
 def test_derivative_matrix_golden():
-    m = derivative_matrix(1)
+    m = multiplication_matrix(TrigPoly.const(1), 1, 1, derivative=True)
     # basis (1, cos t, sin t): d/dt sends cos -> -sin, sin -> cos
     assert m.to_rows() == [
         [F(0), F(0), F(0)],
@@ -215,6 +214,22 @@ def test_multiplication_matrix_matches_trig_mul():
     m = multiplication_matrix(f, 2, 4)
     for j, b in enumerate(BASIS_2):
         assert m.column(j) == window_coords(trig_mul(f, b), 4)
+
+
+window_polys = st.builds(TrigPoly.make, small_fraction,
+                        st.lists(small_fraction, max_size=4),
+                        st.lists(small_fraction, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_polys, st.integers(0, 6), st.integers(0, 2))
+def test_fused_derivative_matches_composition(f, m, extra):
+    # u -> f u' in one pass equals multiplication by f after d/dt, entry for
+    # entry; `==` also fails on a stored zero.
+    t = m + f.deg + extra
+    d = multiplication_matrix(TrigPoly.const(1), m, m, derivative=True)
+    fused = multiplication_matrix(f, m, t, derivative=True)
+    assert fused == multiplication_matrix(f, m, t) @ d
 
 
 def test_inclusion_matrix():
@@ -310,13 +325,19 @@ def test_action_validates_phi_length():
 
 def test_action_matches_rank1_for_line_algebra():
     r1 = catalog.algebra("r1")
-    act = ActionAlgebroid(algebra=r1, phi=(TrigPoly.sin(1),))
-    anc = Rank1Anchor(TrigPoly.sin(1))
-    for n in range(4):
-        ca = truncated_complex(act, n).complex
-        cb = truncated_complex(anc, n).complex
-        assert ca.degrees == cb.degrees
-        assert ca.differentials == cb.differentials
+    anchors = (TrigPoly.sin(1), TrigPoly.sin(2), TrigPoly.const(1),
+               TrigPoly.make(0, [0, 0], [2, F(1, 2)]), TrigPoly.const(0))
+    for p in anchors:
+        act = ActionAlgebroid(algebra=r1, phi=(p,))
+        anc = Rank1Anchor(p)
+        assert isinstance(anc, ActionAlgebroid) and anc.p == p
+        assert is_transitive(anc) == is_transitive(act)
+        for n in range(6):
+            ca = truncated_complex(act, n)
+            cb = truncated_complex(anc, n)
+            assert ca.windows == cb.windows
+            assert ca.complex.degrees == cb.complex.degrees
+            assert ca.complex.differentials == cb.complex.differentials
 
 
 def test_sl2_action_complex():

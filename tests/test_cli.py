@@ -101,6 +101,15 @@ def test_circle_sweep_action():
     assert payload["euler"] == 0
 
 
+def test_circle_sweep_kind_of_line_algebroids():
+    # const1 (rank 1, p = 1) is the action of r1 through 1 d/dt (r_action):
+    # same windows, but each keeps its own kind in the payload.
+    _, rank1 = split_output(run_cli("circle", "sweep", "const1")[1])
+    _, action = split_output(run_cli("circle", "sweep", "r_action")[1])
+    assert rank1["per_N"] == action["per_N"]
+    assert (rank1["kind"], action["kind"]) == ("rank1", "action")
+
+
 def test_circle_rejects_short_range():
     code, _, err = run_cli("circle", "sweep", "sin_t", "--n-max", "4")
     assert code == 2
@@ -238,6 +247,13 @@ def test_parse_errors_exit_65(tmp_path):
     code, out, err = run_cli("lie", "cohomology", str(boolean))
     assert code == 65 and out == "" and "Traceback" not in err
     assert "brackets[0]" in err
+    # unreadable input: a directory, and bytes that are not UTF-8
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, not_utf8):
+        code, out, err = run_cli("lie", "cohomology", str(path))
+        assert code == 65 and out == "" and "Traceback" not in err
+        assert str(path) in err
 
 
 def test_validation_errors_exit_2(tmp_path):

@@ -21,7 +21,7 @@ def test_rational_round_trip():
 
 
 def test_rational_errors():
-    for bad in ("", "x", "1.5", "1/", "/2", "1/2/3", 5, None):
+    for bad in ("", "x", "1.5", "1/", "/2", "1/2/3", 5, None, "١/٢", "٣"):
         with pytest.raises(ParseError):
             io.parse_rational(bad, where="field")
     for zero_denominator in ("3/0", "3/00"):
@@ -53,7 +53,8 @@ def test_trig_parse_forms():
 
 
 def test_trig_parse_errors():
-    for bad in ("", "1 +", "cos(0t)", "2cos(1t)", "cos", "sin()x", "1.5"):
+    for bad in ("", "1 +", "cos(0t)", "2cos(1t)", "cos", "sin()x", "1.5", "٢*sin(١t)",
+                "sin(١t)"):
         with pytest.raises(ParseError):
             io.trig_from_string(bad, where="p")
 
