@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import polyroots
 from .errors import NonsimpleZeroError, NotStabilizedError, ValidationError
@@ -42,7 +42,6 @@ from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differ
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,18 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
 
     Entries come straight from the product-to-sum table, one pass per nonzero
     harmonic of f; this is the one home of the product rule and of d/dt.
+    Entries are integers, and the matrix is divided once by 2 lcm(f's denominators).
     """
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
+    coords = window_coords(f, f.deg)
+    den = lcm(*[x.denominator for x in coords])
     pairs = []
-    for i, x in enumerate(window_coords(f, f.deg)):
+    for i, x in enumerate(coords):
         if not x:
             continue
         f_kind, a = _harmonic(i)
-        half = _HALF * x
+        x = x.numerator * (den // x.denominator)
         for j in range(window_dim(src_m)):
             b_kind, b = _harmonic(j)
             scale = 1
@@ -285,8 +287,9 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
             for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
                 if k_sign * scale:
-                    pairs.append(((row, j), half * (sign * k_sign * scale)))
-    return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m), pairs)
+                    pairs.append(((row, j), x * sign * k_sign * scale))
+    return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m),
+                                       pairs).scaled(Fraction(1, 2 * den))
 
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
@@ -294,7 +297,7 @@ def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
     if tgt_m < src_m:
         raise ValueError("inclusion needs a larger target window")
     return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m),
-                                       (((i, i), _ONE) for i in range(window_dim(src_m))))
+                                       (((i, i), 1) for i in range(window_dim(src_m))))
 
 
 # -- algebroids --------------------------------------------------------------

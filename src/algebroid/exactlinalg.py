@@ -1,26 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Matrices carry `fractions.Fraction` entries; nothing in this module (or in
-the rest of the package) touches floating point.  How a matrix is stored is
-private to this module: callers build matrices through the constructors
-(`from_entries` for scattered entries) and read them through indexing,
-`to_rows` and `column`.  Ranks are computed by sparse elimination on
-denominator-cleared integer rows.  Columns are taken left to right; the
-pivot for a column is, among the rows holding it, the row with the fewest
-nonzeros, then the entry of smallest bit size, then the lowest index.  Only
-the rows that hold the pivot column are updated, and each updated row is
-divided by the gcd of its entries, which keeps every entry within the
-Hadamard bound of the cleared matrix (see `rank`).  Kernel bases and
-inverses come from a reduced row echelon form over Fraction, so the two
-elimination routes cross-check each other in the test suite.  The d^2 = 0
-check multiplies cleared integer rows as well (`CochainComplex.chain_defect`).
-Every matrix made of blocks or Kronecker products is one `kron_sum`, which
-states the layout rule.
+Nothing in this package touches floating point.  How a matrix is stored
+is private to this module: callers build matrices through the constructors
+(`from_entries` for scattered entries) and read reduced Fractions through
+indexing, `to_rows` and `column`.  The storage is sparse integer numerator
+rows over one common denominator (see `RationalMatrix`), so the builders,
+`kron_sum` (which states the layout rule for every matrix made of blocks or
+Kronecker products), `rank` and the d^2 = 0 check
+(`CochainComplex.chain_defect`) all work on integers.  `rank` eliminates
+the cleared rows: each stored row divided by the gcd of the denominator and
+its content, which is the row times the lcm of its entries' denominators.
+Columns are taken left to right; the pivot for a column is, among the rows
+holding it, the row with the fewest nonzeros, then the entry of smallest
+bit size, then the lowest index.  Only the rows that hold the pivot column
+are updated, and each updated row is divided by the gcd of its entries,
+which keeps every entry within the Hadamard bound of the cleared matrix.
+Kernel bases and inverses come from a reduced row echelon form over
+Fraction, so the two elimination routes cross-check each other in the
+test suite.
 
 `rank_modular` is not a fast path: it is slower than the exact `rank` on
 the package's matrices.  It is kept as an independent certificate, which
 the acceptance tests compare against the exact rank.  It reduces the
-cleared integer matrix modulo a fixed list of large primes and takes the
+integer numerator rows modulo a fixed list of large primes and takes the
 largest modular rank, a lower bound that equals the exact rank unless every
 prime is unlucky.
 
@@ -60,35 +62,30 @@ def as_fraction(x) -> Fraction:
 class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable once built.
 
-    Row i is stored as a dict {column: nonzero Fraction}; zeros are never
-    stored, so equal matrices have equal rows and every operation costs
-    time in proportion to the nonzeros it touches.
+    Row i is stored as a dict {column: nonzero int} of numerators over one
+    positive common denominator `_den`, with gcd(_den, all numerators) = 1.
+    That form is unique, so equal matrices have equal storage, and every
+    operation costs time in proportion to the nonzeros it touches.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            self._e = [{} for _ in range(rows)]
-        else:
-            if len(entries) != rows:
-                raise ValueError("row count mismatch")
-            e = []
-            for row in entries:
-                if len(row) != cols:
-                    raise ValueError("column count mismatch")
-                e.append({j: x for j, x in enumerate(map(as_fraction, row)) if x})
-            self._e = e
+        if entries is not None and len(entries) != rows:
+            raise ValueError("row count mismatch")
+        if entries is not None and any(len(row) != cols for row in entries):
+            raise ValueError("column count mismatch")
+        self.rows, self.cols = rows, cols
+        self._num, self._den = _cleared([dict(enumerate(map(as_fraction, row)))
+                                         for row in entries or [()] * rows])
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, e: list[dict[int, Fraction]]) -> "RationalMatrix":
-        # Takes ownership of rows that already hold no zeros.
+    def _wrap(cls, rows: int, cols: int, num: list[dict[int, int]], den: int) -> "RationalMatrix":
+        # Takes ownership of normalised rows that already hold no zeros.
         m = cls.__new__(cls)
-        m.rows, m.cols, m._e = rows, cols, e
+        m.rows, m.cols, m._num, m._den = rows, cols, num, den
         return m
 
     @classmethod
@@ -102,17 +99,19 @@ class RationalMatrix:
                      pairs: Iterable[tuple[tuple[int, int], object]]) -> "RationalMatrix":
         """Build from ((i, j), value) pairs: repeated positions are summed,
         zeros (given or cancelled) are dropped, and a position outside the
-        shape raises IndexError."""
-        m = cls(rows, cols)
-        e = m._e
+        shape raises IndexError.  Integer values are summed as integers."""
+        values: list[dict] = [{} for _ in range(rows)]
+        integral = True
         for (i, j), x in pairs:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            x = as_fraction(x)
-            row = e[i]
+            if not isinstance(x, int):
+                x, integral = as_fraction(x), False
+            row = values[i]
             row[j] = row[j] + x if j in row else x
-        m._e = [{j: x for j, x in row.items() if x} for row in e]
-        return m
+        if integral:
+            return cls._wrap(rows, cols, [{j: x for j, x in row.items() if x} for row in values], 1)
+        return cls._wrap(rows, cols, *_cleared(values))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -120,98 +119,107 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._wrap(n, n, [{i: _ONE} for i in range(n)])
+        return cls._wrap(n, n, [{i: 1} for i in range(n)], 1)
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        return self._e[i].get(j, _ZERO)
+        x = self._num[i].get(j)
+        return Fraction(x, self._den) if x else _ZERO
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
     def row(self, i: int) -> list[Fraction]:
-        out = [_ZERO] * self.cols
-        for j, x in self._e[i].items():
-            out[j] = x
-        return out
+        row, den = self._num[i], self._den
+        return [Fraction(row[j], den) if j in row else _ZERO for j in range(self.cols)]
 
     def column(self, j: int) -> list[Fraction]:
-        return [row.get(j, _ZERO) for row in self._e]
+        den = self._den
+        return [Fraction(row[j], den) if j in row else _ZERO for row in self._num]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._num == other._num)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return not any(self._e)
+        return not any(self._num)
 
     def transpose(self) -> "RationalMatrix":
         t = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._e):
+        for i, row in enumerate(self._num):
             for j, x in row.items():
                 t[j][i] = x
-        return RationalMatrix._wrap(self.cols, self.rows, t)
+        return RationalMatrix._wrap(self.cols, self.rows, t, self._den)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return RationalMatrix._wrap(self.rows, self.cols,
-                                    [_row_sum(a, b) for a, b in zip(self._e, other._e)])
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        one = RationalMatrix.identity(1)  # a sum is a Kronecker sum of two 1 x 1 terms
+        return kron_sum(self.rows, self.cols, [(0, 0, one, self), (0, 0, one, other)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._wrap(self.rows, self.cols,
-                                    [{j: -x for j, x in row.items()} for row in self._e])
+        return self.scaled(-1)
 
     def scaled(self, c) -> "RationalMatrix":
         c = as_fraction(c)
         if not c:
             return RationalMatrix(self.rows, self.cols)
-        return RationalMatrix._wrap(self.rows, self.cols,
-                                    [{j: c * x for j, x in row.items()} for row in self._e])
+        p = c.numerator
+        return RationalMatrix._wrap(self.rows, self.cols, *_reduced(
+            [{j: p * x for j, x in row.items()} for row in self._num], self._den * c.denominator))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = []
-        for srow in self._e:
-            acc: dict[int, Fraction] = {}
+        for srow in self._num:
+            acc: dict[int, int] = {}
             for k, s in srow.items():
-                for j, x in other._e[k].items():
-                    acc[j] = acc.get(j, _ZERO) + s * x
+                for j, x in other._num[k].items():
+                    acc[j] = acc.get(j, 0) + s * x
             out.append({j: x for j, x in acc.items() if x})
-        return RationalMatrix._wrap(self.rows, other.cols, out)
+        return RationalMatrix._wrap(self.rows, other.cols,
+                                    *_reduced(out, self._den * other._den))
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [as_fraction(x) for x in vec]
-        return [sum((x * v[j] for j, x in row.items() if v[j]), _ZERO) for row in self._e]
-
-    def _require_same_shape(self, other: "RationalMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+        (w,), den = _cleared([dict(enumerate(map(as_fraction, vec)))])
+        den *= self._den
+        return [Fraction(sum(x * w[j] for j, x in row.items() if j in w), den)
+                for row in self._num]
 
 
-def _row_sum(a: dict, b: dict) -> dict:
-    """Sum of two sparse rows, cancellations dropped."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for j, y in b.items():
-        x = out.pop(j, None)
-        v = y if x is None else x + y
-        if v:
-            out[j] = v
-    return out
+def _cleared(values: list[dict]) -> tuple[list[dict[int, int]], int]:
+    """Rows of int or Fraction values as integer rows over the lcm of their
+    denominators, zeros dropped.  This form is already normalised: a prime
+    power that divides the lcm exactly leaves some numerator prime to it."""
+    den = lcm(*[x.denominator for row in values for x in row.values()])
+    return [{j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
+            for row in values], den
+
+
+def _reduced(num: list[dict[int, int]], den: int) -> tuple[list[dict[int, int]], int]:
+    """Integer rows over `den` with gcd(den, all numerators) divided out."""
+    g = den
+    for row in num:
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g == 1:
+        return num, den
+    return [{j: x // g for j, x in row.items()} for row in num], den // g
 
 
 def kron_sum(rows: int, cols: int,
@@ -222,33 +230,39 @@ def kron_sum(rows: int, cols: int,
     product has its top-left entry at (r0, c0) and the index of A is major.
     Terms add, cancelled entries are dropped, and a term that does not fit
     raises ValueError.  A plain block M is the term (r0, c0, identity(1), M).
+    Integer rows are multiplied over the lcm of the terms' denominator products.
     """
-    out: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+    terms = list(terms)
+    den = lcm(*[a._den * b._den for _, _, a, b in terms])
+    out: list[dict[int, int]] = [{} for _ in range(rows)]
     for r0, c0, a, b in terms:
         br, bc = b.rows, b.cols
         if min(r0, c0) < 0 or r0 + a.rows * br > rows or c0 + a.cols * bc > cols:
             raise ValueError(f"a {a.rows * br}x{a.cols * bc} term at ({r0}, {c0}) "
                              f"does not fit a {rows}x{cols} matrix")
-        brows = [(k, brow.items()) for k, brow in enumerate(b._e) if brow]
-        for i, arow in enumerate(a._e):
+        scale = den // (a._den * b._den)
+        brows = [(k, brow.items()) for k, brow in enumerate(b._num) if brow]
+        for i, arow in enumerate(a._num):
             for j, x in arow.items():
+                x *= scale
                 base = c0 + j * bc
                 for k, bitems in brows:
                     row = out[r0 + i * br + k]
                     for l, y in bitems:
                         old = row.get(base + l)
                         row[base + l] = x * y if old is None else old + x * y
-    return RationalMatrix._wrap(rows, cols, [{j: x for j, x in row.items() if x} for row in out])
+    return RationalMatrix._wrap(rows, cols, *_reduced(
+        [{j: x for j, x in row.items() if x} for row in out], den))
 
 
 def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    # Row scaling by the positive lcm of denominators preserves rank and kernel.
-    # The denominators go to lcm as a list: star-unpacking a generator here
-    # left about 0.3 MB more peak RSS on a Kunneth product (CPython 3.11).
+    """Each row of m times the lcm of its denominators, which is den over
+    gcd(den, the row's content): a positive scaling, so rank is kept."""
+    den = m._den
     out = []
-    for row in m._e:
-        d = lcm(*[x.denominator for x in row.values()])
-        out.append({j: x.numerator * (d // x.denominator) for j, x in row.items()})
+    for row in m._num:
+        g = gcd(den, *row.values()) if den > 1 else 1
+        out.append({j: x // g for j, x in row.items()} if g > 1 else dict(row))
     return out
 
 
@@ -325,7 +339,8 @@ def cokernel_dim(m: RationalMatrix) -> int:
 
 
 def _rref(m: RationalMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
-    a = [dict(row) for row in m._e]
+    # Starts from the numerator rows: scaling by the denominator leaves the RREF.
+    a = [dict(row) for row in m._num]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -338,10 +353,13 @@ def _rref(m: RationalMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
         a[r], a[p] = a[p], a[r]
         inv = _ONE / a[r][c]
         prow = a[r] = {j: x * inv for j, x in a[r].items()}
-        for i in range(nr):
-            f = a[i].get(c) if i != r else None
+        for i, row in enumerate(a):
+            f = row.get(c) if i != r else None
             if f:
-                a[i] = _row_sum(a[i], {j: -f * y for j, y in prow.items()})
+                for j, y in prow.items():
+                    row[j] = row.get(j, 0) - f * y
+                    if not row[j]:
+                        del row[j]
         pivots.append(c)
         r += 1
     return a, pivots
@@ -376,8 +394,8 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     a, pivots = _rref(augmented)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix._wrap(n, n, [{j - n: x for j, x in row.items() if j >= n}
-                                       for row in a])
+    return RationalMatrix._wrap(n, n, *_cleared([{j - n: x for j, x in row.items() if j >= n}
+                                                 for row in a]))
 
 
 # Fixed, well-known primes; a deterministic list keeps CLI output byte-identical.
@@ -388,24 +406,19 @@ def rank_modular(m: RationalMatrix, primes: Sequence[int] = MODULAR_PRIMES) -> i
     """Largest rank of `m` modulo the given primes.
 
     Always a lower bound for the exact rank, and equal to it unless every
-    prime divides some unlucky minor.  Primes dividing a denominator are
-    skipped; if all are skipped the exact path is used.
+    prime divides some unlucky minor.  Primes dividing the common
+    denominator are skipped; if all are skipped the exact path is used.  The
+    numerator rows are reduced: they are `m` scaled by the denominator, a
+    unit modulo every prime that is not skipped.
     """
     best = None
     for p in primes:
-        if any(x.denominator % p == 0 for row in m._e for x in row.values()):
+        if m._den % p == 0:
             continue
-        a = []
-        for row in m._e:
-            reduced = [0] * m.cols
-            for j, x in row.items():
-                reduced[j] = x.numerator * pow(x.denominator, -1, p) % p
-            a.append(reduced)
+        a = [[row.get(j, 0) % p for j in range(m.cols)] for row in m._num]
         r = _rank_mod_p(a, m.rows, m.cols, p)
         best = r if best is None else max(best, r)
-    if best is None:
-        return rank(m)
-    return best
+    return rank(m) if best is None else best
 
 
 def _rank_mod_p(a: list[list[int]], nr: int, nc: int, p: int) -> int:
@@ -459,18 +472,13 @@ class CochainComplex:
     def chain_defect(self) -> int | None:
         """Smallest p with d_{p+1} d_p != 0, or None when d^2 = 0.
 
-        Multiplies cleared integer rows: the rows of d_{p+1} and the columns
-        of d_p, each scaled by a positive integer.  Such scalings cannot
-        make a nonzero product zero or a zero product nonzero.  Only the
-        pair being checked is cleared.
+        Multiplies the stored integer rows, which are d_{p+1} and d_p each
+        scaled by its positive common denominator.  Such scalings cannot
+        make a nonzero product zero or a zero product nonzero.
         """
         for p in range(len(self.differentials) - 1):
-            left = _integer_rows(self.differentials[p + 1])
-            right: list[dict[int, int]] = [{} for _ in range(self.degrees[p + 1])]
-            for j, col in enumerate(_integer_rows(self.differentials[p].transpose())):
-                for k, x in col.items():
-                    right[k][j] = x
-            for lrow in left:
+            right = self.differentials[p]._num
+            for lrow in self.differentials[p + 1]._num:
                 acc: dict[int, int] = {}
                 for k, x in lrow.items():
                     for j, y in right[k].items():

@@ -52,7 +52,7 @@ class HStructure:
 
 def addition(g: LieAlgebra) -> HStructure:
     n = g.dim
-    pairs = [((i, j), _ONE) for i in range(n) for j in (i, n + i)]
+    pairs = [((i, j), 1) for i in range(n) for j in (i, n + i)]
     return HStructure(algebra=g, matrix=RationalMatrix.from_entries(n, 2 * n, pairs))
 
 
@@ -60,11 +60,8 @@ def check_h_structure(h: HStructure) -> bool:
     """Unit law H(x, 0) = H(0, x) = x, plus morphism of Lie algebras."""
     g = h.algebra
     n = g.dim
-    for i in range(n):
-        for k in range(n):
-            want = _ONE if i == k else _ZERO
-            if h.matrix[k, i] != want or h.matrix[k, n + i] != want:
-                return False
+    if h.matrix != addition(g).matrix:  # H(x, 0) = H(0, x) = x for all x
+        return False
     # Morphism against the product bracket [(x,y),(x',y')] = ([x,x'],[y,y']).
     images = [h.matrix.column(a) for a in range(2 * n)]
     for a in range(2 * n):
@@ -261,8 +258,8 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
     for r in range(1, c.top + 1):
         dim_r = c.betti[r]
         offs = c.block_offsets(r)
-        pairs = [((offs[r] + a, a), _ONE) for a in range(dim_r)]    # x (x) 1 in block (r, 0)
-        pairs += [((offs[0] + a, a), _ONE) for a in range(dim_r)]   # 1 (x) x in block (0, r)
+        pairs = [((offs[r] + a, a), 1) for a in range(dim_r)]    # x (x) 1 in block (r, 0)
+        pairs += [((offs[0] + a, a), 1) for a in range(dim_r)]   # 1 (x) x in block (0, r)
         expected = RationalMatrix.from_entries(offs[-1], dim_r, pairs)
         diff = c.coproduct[r] - expected
         out.append(tuple(tuple(v) for v in kernel_basis(diff)))

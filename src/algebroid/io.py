@@ -17,9 +17,9 @@ from .exactlinalg import RationalMatrix
 from .liealg import LieAlgebra, Representation
 from .symbol import FiberData
 
-# ASCII: \d would otherwise accept any Unicode digit, e.g. Arabic-Indic.
+# ASCII: \d would otherwise accept any Unicode digit; \Z, unlike $, refuses a final newline.
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
-_TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?$",
+_TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?\Z",
                       re.ASCII)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DegreeOutOfRangeError, ValidationError
 from .exactlinalg import (
@@ -109,20 +109,14 @@ def bracket(g: LieAlgebra, v, w) -> list[Fraction]:
 def jacobi_violation(g: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple i < j < k, in lexicographic order, whose cyclic
     Jacobi sum is nonzero, or None when the identity holds."""
+    unit = [[Fraction(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             bij = bracket_basis(g, i, j)
             for k in range(j + 1, g.dim):
-                ek = [_ZERO] * g.dim
-                ek[k] = Fraction(1)
-                term1 = bracket(g, bij, ek)
-                ei = [_ZERO] * g.dim
-                ei[i] = Fraction(1)
-                term2 = bracket(g, bracket_basis(g, j, k), ei)
-                ej = [_ZERO] * g.dim
-                ej[j] = Fraction(1)
-                term3 = bracket(g, bracket_basis(g, k, i), ej)
-                if any(a + b + c for a, b, c in zip(term1, term2, term3)):
+                terms = (bracket(g, bij, unit[k]), bracket(g, bracket_basis(g, j, k), unit[i]),
+                         bracket(g, bracket_basis(g, k, i), unit[j]))
+                if any(a + b + c for a, b, c in zip(*terms)):
                     return (i, j, k)
     return None
 
@@ -175,15 +169,14 @@ def adjoint_representation(g: LieAlgebra) -> Representation:
 def representation_violation(r: Representation) -> tuple[int, int] | None:
     """First basis pair i < j, in lexicographic order, with
     rho_[e_i, e_j] != rho_i rho_j - rho_j rho_i, or None when r is flat."""
-    g = r.algebra
+    g, one = r.algebra, RationalMatrix.identity(1)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            commutator = r.action[i] @ r.action[j] - r.action[j] @ r.action[i]
-            expected = RationalMatrix.zeros(r.dim_e, r.dim_e)
-            for k, c in enumerate(bracket_basis(g, i, j)):
-                if c:
-                    expected = expected + r.action[k].scaled(c)
-            if commutator != expected:
+            # rho_i rho_j against rho_j rho_i + sum_k c^k_ij rho_k
+            expected = kron_sum(r.dim_e, r.dim_e, [(0, 0, one, r.action[j] @ r.action[i])] + [
+                (0, 0, RationalMatrix.from_rows([[c]]), rho)
+                for c, rho in zip(bracket_basis(g, i, j), r.action) if c])
+            if r.action[i] @ r.action[j] != expected:
                 return (i, j)
     return None
 
@@ -197,27 +190,30 @@ def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
     """Differential on degree-p forms with trivial coefficients.
 
     d(e^k) = - sum_{i<j} c^k_{ij} e^i ^ e^j, extended as a graded derivation.
+    Entries are integers, and the matrix is divided once by the constants' lcm denominator.
     """
     n = g.dim
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     src = basis_tuples(n, p)
     tgt = {t: r for r, t in enumerate(basis_tuples(n, p + 1))}
+    den = lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
+    by_target: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for bi, bj, terms in g.brackets:
+        for k, c in terms:
+            by_target[k].append((bi, bj, c.numerator * (den // c.denominator)))
     pairs = []
     for col, idx in enumerate(src):
         for s, k in enumerate(idx):
             slot_sign = (-1) ** s
-            for bi, bj, terms in g.brackets:
-                c = next((coeff for kk, coeff in terms if kk == k), None)
-                if c is None:
-                    continue
+            for bi, bj, c in by_target[k]:
                 # replace slot s by the 2-form e^bi ^ e^bj, then sort
                 merged = sort_sign(idx[:s] + (bi, bj) + idx[s + 1 :])
                 if merged is None:
                     continue
                 sign, joined = merged
                 pairs.append(((tgt[joined], col), -slot_sign * sign * c))
-    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs)
+    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs).scaled(Fraction(1, den))
 
 
 def ce_differential(r: Representation, p: int) -> RationalMatrix:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactlinalg import CochainComplex, RationalMatrix, as_fraction, complex_cohomology, kron_sum
+from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, kron_sum
 from .exterior import alternating_binomial_sum, wedge_matrix
 
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,7 @@ def pullback_covector(f: FiberData, alpha) -> list[Fraction]:
     """beta = alpha composed with the anchor, as a fiber covector."""
     if len(alpha) != f.dim_m:
         raise ValueError("alpha must have one entry per base dimension")
-    alpha = [as_fraction(x) for x in alpha]
-    return [
-        sum((alpha[m] * f.anchor[m, i] for m in range(f.dim_m)), _ZERO)
-        for i in range(f.dim_a)
-    ]
+    return f.anchor.transpose().apply(alpha)
 
 
 def symbol_complex(f: FiberData, alpha) -> CochainComplex:

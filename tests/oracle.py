@@ -9,6 +9,7 @@ package results against these.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -84,4 +85,29 @@ def kron_sum_dense(rows: int, cols: int, terms) -> list[list[Fraction]]:
                 for k, b_row in enumerate(b):
                     for l, y in enumerate(b_row):
                         out[r0 + i * p + k][c0 + j * q + l] += Fraction(x) * Fraction(y)
+    return out
+
+
+def dense_lincomb(s, a: list[list], t, b: list[list]) -> list[list[Fraction]]:
+    """s*a + t*b for dense row lists of one shape."""
+    return [[s * Fraction(x) + t * Fraction(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_product(a: list[list], b: list[list]) -> list[list[Fraction]]:
+    """a @ b by the textbook triple loop."""
+    return [[sum((Fraction(x) * Fraction(b[k][j]) for k, x in enumerate(row)), Fraction(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def dense_transpose(a: list[list]) -> list[list[Fraction]]:
+    return [[Fraction(row[j]) for row in a] for j in range(len(a[0]))]
+
+
+def cleared_rows(m) -> list[dict[int, int]]:
+    """Each row of a package matrix times the lcm of its entries'
+    denominators, as {column: nonzero int}."""
+    out = []
+    for row in m.to_rows():
+        d = lcm(*[x.denominator for x in row])
+        out.append({j: int(x * d) for j, x in enumerate(row) if x})
     return out

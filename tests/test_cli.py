@@ -247,6 +247,10 @@ def test_parse_errors_exit_65(tmp_path):
     code, out, err = run_cli("lie", "cohomology", str(boolean))
     assert code == 65 and out == "" and "Traceback" not in err
     assert "brackets[0]" in err
+    newline = tmp_path / "trailing_newline.json"
+    newline.write_text(json.dumps({"kind": "rank1", "p": "sin(1t)\n", "N_range": [3, 6]}))
+    code, out, err = run_cli("circle", "sweep", str(newline))
+    assert code == 65 and out == "" and "Traceback" not in err
     # unreadable input: a directory, and bytes that are not UTF-8
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe")

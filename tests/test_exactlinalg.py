@@ -1,14 +1,18 @@
 """Exact linear algebra: rank, kernels, complexes."""
 
+import re
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from algebroid import exactlinalg
 from algebroid.errors import ChainConditionError
 from algebroid.exactlinalg import (
+    MODULAR_PRIMES,
     CochainComplex,
     RationalMatrix,
     as_fraction,
@@ -20,6 +24,7 @@ from algebroid.exactlinalg import (
     kron_sum,
     rank,
     rank_modular,
+    _integer_rows,
 )
 
 _ZERO = Fraction(0)
@@ -75,10 +80,58 @@ def test_from_entries_sums_drops_and_rejects():
 
 
 def test_only_exactlinalg_touches_storage():
+    # the private slots are the integer rows and their common denominator
+    private = [name for name in RationalMatrix.__slots__ if name.startswith("_")]
+    assert len(private) == 2
+    touches = re.compile(r"\.(?:%s)\b" % "|".join(private))
     package = Path(__file__).resolve().parent.parent / "src" / "algebroid"
     offenders = [p.name for p in sorted(package.glob("*.py"))
-                 if p.name != "exactlinalg.py" and "._e" in p.read_text(encoding="utf-8")]
+                 if p.name != "exactlinalg.py" and touches.search(p.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+@st.composite
+def operands(draw):
+    """Dense A and B of one shape, C with as many rows as A has columns, a
+    scalar, and entry pairs that sum to A through split and cancelling
+    repeats."""
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def dense(rows, cols):
+        return draw(st.lists(st.lists(small_fraction, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    a, b, m = dense(r, k), dense(r, k), dense(k, c)
+    pairs = []
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            y, z = draw(small_fraction), draw(small_fraction)
+            pairs += [((i, j), y), ((i, j), z), ((i, j), x - y), ((i, j), -z)]
+    return a, b, m, draw(small_fraction), draw(st.permutations(pairs))
+
+
+@settings(max_examples=120)
+@given(operands())
+def test_storage_is_canonical_and_cleared_rows_match(case):
+    a, b, c, x, pairs = case
+    ma, mb, mc = map(RationalMatrix.from_rows, (a, b, c))
+    built = [
+        (ma, a),
+        (RationalMatrix.from_entries(len(a), len(a[0]), pairs), a),
+        (ma + mb, oracle.dense_lincomb(1, a, 1, b)),
+        (ma - mb, oracle.dense_lincomb(1, a, -1, b)),
+        (ma.scaled(x), oracle.dense_lincomb(x, a, 0, a)),
+        (ma @ mc, oracle.dense_product(a, c)),
+        (ma.transpose(), oracle.dense_transpose(a)),
+        (kron_sum(len(a) * len(c), len(a[0]) * len(c[0]), [(0, 0, ma, mc), (0, 0, mb, mc)]),
+         oracle.kron_sum_dense(len(a) * len(c), len(a[0]) * len(c[0]),
+                               [(0, 0, a, c), (0, 0, b, c)])),
+    ]
+    for m, want in built:
+        # one storage per matrix, so == compares values
+        assert m == RationalMatrix.from_rows(want)
+        assert m == RationalMatrix.from_rows(m.to_rows())
+        assert _integer_rows(m) == oracle.cleared_rows(m)
 
 
 def test_arithmetic():
@@ -311,10 +364,23 @@ def test_chain_defect_on_fractional_entries():
     assert CochainComplex(degrees=(1, 2, 2, 1), differentials=(a, d1, d2)).chain_defect() == 1
 
 
-def test_modular_rank_skips_bad_primes():
-    p = 1000000007
-    m = RationalMatrix.from_rows([[Fraction(1, p)]])
-    assert rank_modular(m) == 1
+def test_modular_rank_skips_bad_primes(monkeypatch):
+    used = []
+    mod_p = exactlinalg._rank_mod_p
+    monkeypatch.setattr(exactlinalg, "_rank_mod_p",
+                        lambda a, nr, nc, p: used.append(p) or mod_p(a, nr, nc, p))
+    p = MODULAR_PRIMES[0]
+    assert rank_modular(RationalMatrix.from_rows([[Fraction(1, p)]])) == 1
+    # the common denominator is p; the third row is the sum of the others
+    m = RationalMatrix.from_rows([[Fraction(1, p), 1, 0], [0, 2, 1], [Fraction(1, p), 3, 1]])
+    used.clear()
+    assert rank_modular(m) == rank(m) == 2
+    assert used == list(MODULAR_PRIMES[1:])
+    # every prime divides the denominator: the exact rank is used
+    every = RationalMatrix.from_rows([[Fraction(1, prod(MODULAR_PRIMES)), 1], [0, 1]])
+    used.clear()
+    assert rank_modular(every) == rank(every) == 2
+    assert used == []
 
 
 def test_inverse():

@@ -54,7 +54,7 @@ def test_trig_parse_forms():
 
 def test_trig_parse_errors():
     for bad in ("", "1 +", "cos(0t)", "2cos(1t)", "cos", "sin()x", "1.5", "٢*sin(١t)",
-                "sin(١t)"):
+                "sin(١t)", "sin(1t)\n", "2\n"):
         with pytest.raises(ParseError):
             io.trig_from_string(bad, where="p")
 
