@@ -14,6 +14,10 @@ function to its derivative before multiplying, so u -> f u' is one matrix.
 `trig_mul` and `trig_derivative` apply it to window coordinates, and every
 window differential is built from it.
 
+Window N is the subcomplex of any wider window spanned by the coordinates
+whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
+filtered complex: the widest window, checked once and eliminated once.
+
 Zero counting is exact.  Substituting u = tan(t/2) turns a degree-d trig
 polynomial f into P(u) / (1 + u^2)^d with P rational of degree <= 2d; the
 zeros of f away from t = pi correspond bijectively to the real roots of P
@@ -23,19 +27,22 @@ roots of P are counted with Sturm chains.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from . import polyroots
-from .errors import NonsimpleZeroError, NotStabilizedError, ValidationError
+from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError, ValidationError
 from .exactlinalg import (
     CochainComplex,
     CohomologyReport,
     RationalMatrix,
     as_fraction,
-    complex_cohomology,
+    cohomology_from_ranks,
     kron_sum,
+    pivot_columns,
+    require_cochain_budget,
 )
 from .exterior import wedge_matrix
 from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differential
@@ -304,12 +311,18 @@ def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class TruncatedComplex:
-    """A finite window complex; `windows` lists V-indices per degree when the
-    degrees are single windows (None for product complexes)."""
+    """A window complex; `levels[p][i]` is the first N whose window holds
+    coordinate i of degree p, and `windows` lists V-indices per degree when
+    the degrees are single windows (None for product complexes)."""
 
     N: int
     complex: CochainComplex
+    levels: tuple[tuple[int, ...], ...]
     windows: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if tuple(map(len, self.levels)) != tuple(self.complex.degrees):
+            raise ValueError("need one level per coordinate of every degree")
 
 
 @dataclass(frozen=True)
@@ -333,16 +346,16 @@ class ActionAlgebroid:
     def _truncated_complex(self, n: int) -> TruncatedComplex:
         if n < 0:
             raise ValueError("window index must be nonnegative")
-        g = self.algebra
+        g, d = self.algebra, self.anchor_degree()
+        windows = tuple(n + p * d for p in range(g.dim + 1))
+        degrees = tuple(comb(g.dim, p) * window_dim(windows[p]) for p in range(g.dim + 1))
+        require_cochain_budget(sum(degrees), f"the window-{n} complex")
         if len(self.phi) != g.dim:
             raise ValidationError("need one vector field per basis vector")
         require_jacobi(g)
         if not check_action(self):
             raise ValidationError("vector fields do not represent the bracket "
                                   f"on basis pair {action_violation(self)}")
-        d = self.anchor_degree()
-        windows = tuple(n + p * d for p in range(g.dim + 1))
-        degrees = tuple(comb(g.dim, p) * window_dim(windows[p]) for p in range(g.dim + 1))
         diffs = []
         for p in range(g.dim):
             src_w, tgt_w = windows[p], windows[p + 1]
@@ -352,7 +365,10 @@ class ActionAlgebroid:
                       for i in range(g.dim)]
             diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
         cx = CochainComplex(degrees=degrees, differentials=tuple(diffs))
-        return TruncatedComplex(N=n, complex=cx, windows=windows)
+        # Window coordinate j holds harmonic ceil(j/2); in degree p it enters at N = that - p*d.
+        levels = tuple(tuple(max(0, (j + 1) // 2 - p * d) for j in range(window_dim(w)))
+                       * comb(g.dim, p) for p, w in enumerate(windows))
+        return TruncatedComplex(N=n, complex=cx, levels=levels, windows=windows)
 
 
 @dataclass(frozen=True, init=False)
@@ -414,17 +430,37 @@ class SweepResult:
 def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> SweepResult:
     """Sweep windows N = n_min..n_max and demand three equal Betti vectors.
 
+    Only window n_max is assembled, validated and checked for d^2 = 0;
+    window N is its subcomplex of coordinates of level <= N, and a nonzero
+    entry from a column into a row of a later level raises ValidationError.
+    Each differential is eliminated once with its columns in level order,
+    and rank d_p on window N is the pivot count among columns of level <= N.
+
     With strict=True a failed sweep raises NotStabilizedError carrying the
     per-N table; with strict=False the result is returned with the flag off
     and the Betti numbers of the widest window.
     """
-    if n_max < n_min + 2:
-        raise ValueError("need at least three windows: n_max >= n_min + 2")
-    windows = range(n_min, n_max + 1)
-    reports = [complex_cohomology(a._truncated_complex(n).complex) for n in windows]
-    per_n = [(n, rep.betti) for n, rep in zip(windows, reports)]
-    tail = [b for _, b in per_n[-3:]]
-    stable = tail[0] == tail[1] == tail[2]
+    if n_min < 0 or n_max < n_min + 2:
+        raise ValueError("need three nonnegative windows: 0 <= n_min and n_max >= n_min + 2")
+    tc = a._truncated_complex(n_max)
+    defect = tc.complex.chain_defect()
+    if defect is not None:
+        raise ChainConditionError(defect)
+    pivot_levels = []
+    for p, d in enumerate(tc.complex.differentials):
+        rows, cols = tc.levels[p + 1], tc.levels[p]
+        for i, j in d.nonzero_positions():
+            if rows[i] > cols[j]:
+                raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
+                                      f"(level {cols[j]}) into row {i} (level {rows[i]})")
+        in_level_order = sorted(range(d.cols), key=cols.__getitem__)
+        pivot_levels.append([cols[j] for j in pivot_columns(d, in_level_order)])
+    levels = [sorted(lv) for lv in tc.levels]
+    reports = [cohomology_from_ranks([bisect_right(lv, n) for lv in levels],
+                                     [bisect_right(pv, n) for pv in pivot_levels])
+               for n in range(n_min, n_max + 1)]
+    per_n = [(n, rep.betti) for n, rep in zip(range(n_min, n_max + 1), reports)]
+    stable = len({b for _, b in per_n[-3:]}) == 1
     if not stable and strict:
         raise NotStabilizedError(per_n)
     return SweepResult(report=reports[-1], per_n=tuple(per_n), stabilized=stable)

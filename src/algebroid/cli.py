@@ -289,7 +289,7 @@ def _cmd_symbol(args) -> tuple[list[str], dict, int]:
         fiber = io.fiber_from_dict(io.load_json(args.fiber), where=args.fiber)
     else:
         raise ParseError("no such file", args.fiber)
-    parts = [s.strip() for s in args.alpha.split(",")]
+    parts = [s.strip() for s in args.alpha.split(",")] if args.alpha.strip() else []
     if len(parts) != fiber.dim_m:
         raise ParseError(f"expected {fiber.dim_m} comma-separated components",
                          "--alpha")

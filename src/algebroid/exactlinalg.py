@@ -10,11 +10,12 @@ Kronecker products), `rank` and the d^2 = 0 check
 (`CochainComplex.chain_defect`) all work on integers.  `rank` eliminates
 the cleared rows: each stored row divided by the gcd of the denominator and
 its content, which is the row times the lcm of its entries' denominators.
-Columns are taken left to right; the pivot for a column is, among the rows
-holding it, the row with the fewest nonzeros, then the entry of smallest
-bit size, then the lowest index.  Only the rows that hold the pivot column
-are updated, and each updated row is divided by the gcd of its entries,
-which keeps every entry within the Hadamard bound of the cleared matrix.
+Columns are taken left to right (or in an order given to `pivot_columns`);
+the pivot for a column is, among the rows holding it, the row with the
+fewest nonzeros, then the entry of smallest bit size, then the lowest
+index.  Only the rows that hold the pivot column are updated, and each
+updated row is divided by the gcd of its entries, which keeps every entry
+within the Hadamard bound of the cleared matrix.
 Kernel bases and inverses come from a reduced row echelon form over
 Fraction, so the two elimination routes cross-check each other in the
 test suite.
@@ -42,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import ChainConditionError
+from .errors import ChainConditionError, ValidationError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -150,6 +151,10 @@ class RationalMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._num)
+
+    def nonzero_positions(self) -> Iterable[tuple[int, int]]:
+        """(i, j) of every nonzero entry, row by row."""
+        return ((i, j) for i, row in enumerate(self._num) for j in row)
 
     def transpose(self) -> "RationalMatrix":
         t = [{} for _ in range(self.cols)]
@@ -266,19 +271,21 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     return out
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank by sparse integer elimination.
+def pivot_columns(m: RationalMatrix, order: Sequence[int] | None = None) -> list[int]:
+    """Columns of m that get a pivot when the distinct columns `order`
+    (default all, left to right) are eliminated in that order.  A column
+    gets one exactly when it is independent of those taken before it, so the
+    pivots among the first k columns of `order` number their rank.
 
-    Works on the denominator-cleared integer rows, with an index `at` from
-    each column to the live rows that have a nonzero there.  Columns are
-    taken in increasing order; the candidate pivots for column c are exactly
-    the rows in at[c].  The pivot is the candidate with the fewest nonzeros,
-    then the smallest bit size of its entry in column c, then the lowest row
-    index, so the choice is deterministic and the fill-in small.  The pivot
-    row leaves the index, and only the other rows that hold column c change:
-    each becomes (piv/g)*row - (f/g)*pivot_row with g = gcd(piv, f), and is
-    divided by the gcd of its entries.  A row that cancels to zero is
-    dropped.  Rank does not depend on which pivots are chosen.
+    Sparse integer elimination on the cleared integer rows, with an index
+    `at` from each column to the live rows that hold it, so the candidate
+    pivots for column c are exactly at[c].  The pivot is the candidate with
+    the fewest nonzeros, then the smallest bit size of its entry in column
+    c, then the lowest row index, so the choice is deterministic and the
+    fill-in small.  The pivot row leaves the index, and only the other rows
+    that hold column c change: each becomes (piv/g)*row - (f/g)*pivot_row
+    with g = gcd(piv, f), and is divided by the gcd of its entries.  A row
+    that cancels to zero is dropped.
 
     The content division is what bounds the entries.  After k pivots a live
     row is a nonzero multiple of its cleared input row plus a combination of
@@ -296,8 +303,9 @@ def rank(m: RationalMatrix) -> int:
     for i, row in enumerate(rows):
         for j in row:
             at[j].add(i)
-    r = 0
-    for c, holders in enumerate(at):
+    pivots = []
+    for c in range(m.cols) if order is None else order:
+        holders = at[c]
         if not holders:
             continue
         p = min(holders, key=lambda i: (len(rows[i]), abs(rows[i][c]).bit_length(), i))
@@ -326,8 +334,13 @@ def rank(m: RationalMatrix) -> int:
             if content > 1:
                 for j in row:
                     row[j] //= content
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(m: RationalMatrix) -> int:
+    """Exact rank: the pivot count with columns taken left to right."""
+    return len(pivot_columns(m))
 
 
 def kernel_dim(m: RationalMatrix) -> int:
@@ -440,6 +453,17 @@ def _rank_mod_p(a: list[list[int]], nr: int, nc: int, p: int) -> int:
     return r
 
 
+# The most cochains one complex may have (16 times the trivial CE complex of a
+# dim-14 algebra); builders check their count before they assemble anything.
+MAX_COCHAINS = 1 << 18
+
+
+def require_cochain_budget(cochains: int, what: str) -> None:
+    if cochains > MAX_COCHAINS:
+        raise ValidationError(f"{what} would have {cochains} cochains, "
+                              f"more than the budget of {MAX_COCHAINS}")
+
+
 @dataclass(frozen=True)
 class CochainComplex:
     """Finite complex 0 -> C^0 -> C^1 -> ... -> C^top -> 0.
@@ -503,12 +527,11 @@ def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     defect = c.chain_defect()
     if defect is not None:
         raise ChainConditionError(defect)
-    ranks = [rank(d) for d in c.differentials]
-    top = c.top
-    betti = []
-    for p in range(top + 1):
-        rank_out = ranks[p] if p < top else 0
-        rank_in = ranks[p - 1] if p > 0 else 0
-        betti.append(c.degrees[p] - rank_out - rank_in)
-    euler = sum((-1) ** p * b for p, b in enumerate(betti))
-    return CohomologyReport(degrees=tuple(c.degrees), betti=tuple(betti), euler=euler)
+    return cohomology_from_ranks(c.degrees, [rank(d) for d in c.differentials])
+
+
+def cohomology_from_ranks(degrees: Sequence[int], ranks: Sequence[int]) -> CohomologyReport:
+    """The report of a complex with these degree dimensions and rank d_p = ranks[p]."""
+    r = [0, *ranks, 0]
+    betti = tuple(dim - r[p] - r[p + 1] for p, dim in enumerate(degrees))
+    return CohomologyReport(tuple(degrees), betti, sum((-1) ** p * b for p, b in enumerate(betti)))

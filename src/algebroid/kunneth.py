@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, kron_sum
+from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, kron_sum, \
+    require_cochain_budget
 from .liealg import (
     LieAlgebra,
     Representation,
@@ -86,8 +87,15 @@ class ProductWithAlgebra:
 
     def _truncated_complex(self, n: int) -> TruncatedComplex:
         tc = self.factor._truncated_complex(n)
+        require_cochain_budget(sum(tc.complex.degrees) * 2 ** self.algebra.dim,
+                               f"the window-{n} product complex")
         ce = ce_complex(trivial_representation(self.algebra))
-        return TruncatedComplex(N=n, complex=tensor_complex(tc.complex, ce), windows=None)
+        cx = tensor_complex(tc.complex, ce)
+        # Each coordinate of a block A^p (x) B^{r-p} enters with its A coordinate.
+        levels = tuple(tuple(lv for p in _blocks(tc.complex, ce, r)[0] for lv in tc.levels[p]
+                             for _ in range(ce.degrees[r - p]))
+                       for r in range(cx.top + 1))
+        return TruncatedComplex(N=n, complex=cx, levels=levels, windows=None)
 
     def _is_transitive(self) -> bool:
         # The added summand anchors to zero, so surjectivity is the factor's.

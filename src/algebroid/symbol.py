@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, kron_sum
+from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, kron_sum, \
+    require_cochain_budget
 from .exterior import alternating_binomial_sum, wedge_matrix
 
 
@@ -44,6 +45,7 @@ def pullback_covector(f: FiberData, alpha) -> list[Fraction]:
 
 def symbol_complex(f: FiberData, alpha) -> CochainComplex:
     """Wedge-by-beta complex on E (x) Lambda^* of the fiber."""
+    require_cochain_budget(f.dim_e * 2 ** f.dim_a, "the symbol complex")
     beta = pullback_covector(f, alpha)
     n = f.dim_a
     id_e = RationalMatrix.identity(f.dim_e)

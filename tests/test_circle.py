@@ -29,7 +29,12 @@ from algebroid.circle import (
     window_coords,
     window_dim,
 )
-from algebroid.errors import NonsimpleZeroError, NotStabilizedError, ValidationError
+from algebroid.errors import (
+    ChainConditionError,
+    NonsimpleZeroError,
+    NotStabilizedError,
+    ValidationError,
+)
 from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
@@ -38,6 +43,7 @@ from algebroid.exactlinalg import (
     kernel_dim,
     rank,
 )
+from algebroid.kunneth import product_with_lie_algebra
 
 F = Fraction
 
@@ -385,15 +391,29 @@ def test_negative_window_rejected():
 
 @dataclass(frozen=True)
 class _DriftingStub:
-    """Fake algebroid whose Betti numbers never settle."""
+    """Fake algebroid whose Betti numbers never settle: coordinate i of its
+    one degree enters at N = i, so window N has N + 1 cochains."""
 
     def _truncated_complex(self, n: int) -> TruncatedComplex:
         cx = CochainComplex(degrees=(n + 1,),
                             differentials=())
-        return TruncatedComplex(N=n, complex=cx, windows=None)
+        return TruncatedComplex(N=n, complex=cx, levels=(tuple(range(n + 1)),))
 
     def _is_transitive(self) -> bool:
         return False
+
+
+@dataclass(frozen=True)
+class _FixedStub:
+    """Fake algebroid whose widest complex is one given differential."""
+
+    d: tuple
+    levels: tuple
+
+    def _truncated_complex(self, n: int) -> TruncatedComplex:
+        m = RationalMatrix.from_rows(self.d)
+        cx = CochainComplex(degrees=(m.cols, m.rows), differentials=(m,))
+        return TruncatedComplex(N=n, complex=cx, levels=self.levels)
 
 
 def test_sweep_requires_three_windows():
@@ -413,3 +433,48 @@ def test_sweep_not_stabilized_relaxed():
     sweep = stabilized_cohomology(_DriftingStub(), 1, 4, strict=False)
     assert not sweep.stabilized
     assert sweep.report.betti == (5,)
+
+
+def test_sweep_rejects_negative_window():
+    with pytest.raises(ValueError, match="nonnegative windows"):
+        stabilized_cohomology(Rank1Anchor(TrigPoly.sin(1)), -1, 3)
+
+
+def test_sweep_asserts_nested_windows():
+    # Column 1 enters at level 1 but maps into row 0, which enters at level 2.
+    stub = _FixedStub(d=((0, 1), (0, 0)), levels=((0, 1), (2, 0)))
+    pair = r"d_0 maps column 1 \(level 1\) into row 0 \(level 2\)"
+    with pytest.raises(ValidationError, match=pair):
+        stabilized_cohomology(stub, 0, 2)
+    nested = _FixedStub(d=((0, 1), (0, 0)), levels=((0, 2), (1, 0)))
+    assert [b for _, b in stabilized_cohomology(nested, 0, 2, strict=False).per_n] == \
+        [(1, 1), (1, 2), (1, 1)]
+
+
+def test_sweep_checks_chain_condition_on_widest_window():
+    @dataclass(frozen=True)
+    class _Curved:
+        def _truncated_complex(self, n: int) -> TruncatedComplex:
+            one = RationalMatrix.identity(1)
+            cx = CochainComplex(degrees=(1, 1, 1), differentials=(one, one))
+            return TruncatedComplex(N=n, complex=cx, levels=((n,), (n,), (n,)))
+
+    with pytest.raises(ChainConditionError) as err:
+        stabilized_cohomology(_Curved(), 0, 2)
+    assert err.value.degree == 0
+
+
+def test_truncated_complex_levels_match_degrees():
+    cx = CochainComplex(degrees=(2,), differentials=())
+    with pytest.raises(ValueError, match="one level per coordinate"):
+        TruncatedComplex(N=0, complex=cx, levels=((0,),))
+
+
+def test_window_levels_give_every_narrower_window():
+    # The coordinates of level <= N number the window-N complex's degrees.
+    anchor = Rank1Anchor(TrigPoly.make(1, [0, 2], [1, 0]))
+    for a in (sl2_action(), anchor, product_with_lie_algebra(anchor, catalog.algebra("aff1"))):
+        wide = truncated_complex(a, 6)
+        for n in range(7):
+            narrow = truncated_complex(a, n).complex
+            assert tuple(sum(lv <= n for lv in deg) for deg in wide.levels) == narrow.degrees

@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from algebroid import cli
-from algebroid.circle import SweepResult
-from algebroid.exactlinalg import CohomologyReport
+from algebroid import catalog, cli, exactlinalg
+from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, truncated_complex
+from algebroid.exactlinalg import MAX_COCHAINS, CohomologyReport
+from algebroid.kunneth import product_with_lie_algebra
+from algebroid.liealg import adjoint_representation, ce_complex
 
 
 def run_cli(*args, env_extra=None):
@@ -208,6 +211,18 @@ def test_symbol_command(tmp_path):
     code2, _, err = run_cli("symbol", str(path), "--alpha", "1,2")
     assert code2 == 65
     assert "--alpha" in err
+    code3, _, err = run_cli("symbol", str(path), "--alpha=")
+    assert code3 == 65 and "expected 1 comma-separated components" in err
+
+
+def test_symbol_empty_alpha_is_the_zero_dimensional_covector(tmp_path):
+    path = tmp_path / "point_base.json"
+    path.write_text(json.dumps({"dim_A": 2, "dim_M": 0, "anchor": []}))
+    code, out, err = run_cli("symbol", str(path), "--alpha=")
+    assert code == 0 and err == ""
+    _, payload = split_output(out)
+    assert payload["alpha"] == [] and payload["beta"] == ["0", "0"]
+    assert payload["exact"] is False
 
 
 def test_catalog_listing():
@@ -318,3 +333,62 @@ def test_unstabilized_sweep_exits_3(monkeypatch, capsys):
     human, payload = split_output(out)
     assert payload["stabilized"] is False
     assert payload["betti"] is None
+
+
+# -- size budget --------------------------------------------------------------
+# The guard compares a count made from the dimensions alone against
+# MAX_COCHAINS before anything is assembled.  It is tested through that
+# count: the count must equal the assembled size, hostile inputs must count
+# over the budget, and a budget lowered to just below a small input's count
+# must refuse it.  Nothing over the real budget is ever built here.
+
+def window_cochains(dim: int, d: int, n: int) -> int:
+    """Cochains of the window-n complex of a dim-dimensional action algebroid
+    of anchor degree d: sum_p C(dim, p) (2 (n + p d) + 1)."""
+    return sum(comb(dim, p) * (2 * (n + p * d) + 1) for p in range(dim + 1))
+
+
+def test_size_formula_counts_every_cochain():
+    sl2a, _ = catalog.algebroid("sl2_action")
+    h3_product = product_with_lie_algebra(sl2a, catalog.algebra("h3"))
+    for n in (0, 3):
+        assert window_cochains(3, 2, n) == sum(truncated_complex(sl2a, n).complex.degrees)
+        assert window_cochains(1, 2, n) == \
+            sum(truncated_complex(Rank1Anchor(TrigPoly.sin(2)), n).complex.degrees)
+        assert window_cochains(3, 2, n) * 2 ** 3 == \
+            sum(truncated_complex(h3_product, n).complex.degrees)
+    adjoint = adjoint_representation(catalog.algebra("diamond4"))
+    assert sum(ce_complex(adjoint).degrees) == 4 * 2 ** 4
+
+
+def test_size_budget_refuses_hostile_inputs_and_admits_the_ladder():
+    assert window_cochains(3, 2, 10 ** 9) > MAX_COCHAINS  # sl2_action, "N_range": [0, 1000000000]
+    assert window_cochains(1, 1, 10 ** 6) > MAX_COCHAINS  # sin(1t) out to N = 10^6
+    assert 2 ** 40 > MAX_COCHAINS                         # {"dim": 40}
+    assert window_cochains(3, 2, 100) * 2 ** 3 <= MAX_COCHAINS  # sl2_action x su2 at N = 100
+    assert 2 ** 14 <= MAX_COCHAINS                        # trivial CE of a dim-14 algebra
+    assert 7 * 2 ** 7 <= MAX_COCHAINS                     # adjoint CE of su2 + diamond4
+
+
+@pytest.mark.parametrize("argv, cochains", [
+    (["lie", "cohomology", "su2"], 8),
+    (["lie", "cohomology", "aff1", "--rep", "aff1_rep2"], 2 * 4),
+    (["circle", "sweep", "sl2_action"], window_cochains(3, 2, 10)),
+    (["kunneth", "sin_t", "su2"], window_cochains(1, 1, 8) * 8),
+])
+def test_size_budget_exits_2_over_the_count(argv, cochains, monkeypatch, capsys):
+    monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", cochains)
+    assert cli.run(argv) == 0
+    monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", cochains - 1)
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"would have {cochains} cochains, more than the budget of {cochains - 1}" in err
+
+
+def test_size_budget_covers_symbol_complexes(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({"dim_A": 3, "dim_M": 1, "dim_E": 2,
+                                "anchor": [["1", "1", "0"]]}))
+    monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 2 * 2 ** 3 - 1)
+    assert cli.run(["symbol", str(path), "--alpha", "1"]) == 2
+    assert "the symbol complex would have 16 cochains" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from algebroid.exactlinalg import (
     kernel_basis,
     kernel_dim,
     kron_sum,
+    pivot_columns,
     rank,
     rank_modular,
     _integer_rows,
@@ -230,6 +231,31 @@ def test_cancellation_leaves_no_stored_zeros(a):
 @given(matrices())
 def test_rank_matches_oracle(m):
     assert rank(m) == oracle.gauss_rank(oracle.matrix_rows(m))
+
+
+@st.composite
+def ordered_integer_matrices(draw):
+    """A small integer matrix, zeros frequent so that columns depend, and a column order."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    m = RationalMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                               min_size=r, max_size=r)))
+    return m, draw(st.permutations(range(c)))
+
+
+@settings(max_examples=80)
+@given(ordered_integer_matrices())
+def test_pivot_columns_count_the_rank_of_every_prefix(case):
+    m, order = case
+    pivots = pivot_columns(m, order)
+    assert pivots == [c for c in order if c in pivots]  # taken in order
+    rows = oracle.matrix_rows(m)
+    for k in range(m.cols + 1):
+        prefix = order[:k]
+        assert len(set(pivots) & set(prefix)) == \
+            oracle.gauss_rank([[row[j] for j in prefix] for row in rows])
+    assert pivot_columns(m) == pivot_columns(m, range(m.cols))
+    assert rank(m) == len(pivot_columns(m)) == oracle.gauss_rank(rows)
 
 
 @settings(max_examples=60)

@@ -1,0 +1,93 @@
+"""A sweep is one filtered complex: it must agree with eliminating every
+window on its own, and it must assemble only the widest window."""
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from algebroid import catalog
+from algebroid.circle import (
+    ActionAlgebroid,
+    Rank1Anchor,
+    TrigPoly,
+    stabilized_cohomology,
+    truncated_complex,
+)
+from algebroid.exactlinalg import RationalMatrix, complex_cohomology
+from algebroid.kunneth import product_with_lie_algebra
+from algebroid.liealg import change_basis
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def rank1_anchors(draw):
+    """p of trig degree <= 2 with small rational coefficients."""
+    deg = draw(st.integers(0, 2))
+    coeffs = [draw(small_rational) for _ in range(2 * deg + 1)]
+    return Rank1Anchor(TrigPoly.make(coeffs[0], coeffs[1::2], coeffs[2::2]))
+
+
+@st.composite
+def changed_catalog_algebroids(draw):
+    """A catalog algebroid in a basis e'_j = s_j e_perm[j] (a permutation times a
+    diagonal); the vector fields follow the basis, phi'_j = s_j phi_perm[j]."""
+    a, _ = catalog.algebroid(draw(st.sampled_from(catalog.ALGEBROID_NAMES)))
+    n = a.algebra.dim
+    perm = draw(st.permutations(range(n)))
+    scales = [draw(small_rational.filter(bool)) for _ in range(n)]
+    p = RationalMatrix.from_entries(n, n, [((perm[j], j), scales[j]) for j in range(n)])
+    return ActionAlgebroid(change_basis(a.algebra, p),
+                           tuple(a.phi[perm[j]].scaled(scales[j]) for j in range(n)))
+
+
+@st.composite
+def sweeps(draw):
+    a = draw(st.one_of(rank1_anchors(), changed_catalog_algebroids()))
+    h = draw(st.sampled_from([None, "su2", "aff1", "h3"]))
+    if h is not None:
+        a = product_with_lie_algebra(a, catalog.algebra(h))
+    lo = draw(st.integers(0, 3))
+    return a, lo, lo + draw(st.integers(2, 3))
+
+
+@dataclass
+class _Counted:
+    """Passes window requests through and records them."""
+
+    inner: object
+    calls: list = field(default_factory=list)
+
+    def _truncated_complex(self, n: int):
+        self.calls.append(n)
+        return self.inner._truncated_complex(n)
+
+
+def per_window_sweep(a, lo: int, hi: int):
+    """Reference: every window assembled and eliminated on its own."""
+    reports = [complex_cohomology(truncated_complex(a, n).complex) for n in range(lo, hi + 1)]
+    per_n = tuple((n, rep.betti) for n, rep in zip(range(lo, hi + 1), reports))
+    tail = [b for _, b in per_n[-3:]]
+    return per_n, reports[-1], tail[0] == tail[1] == tail[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweeps())
+def test_filtered_sweep_equals_per_window_elimination(case):
+    a, lo, hi = case
+    counted = _Counted(a)
+    sweep = stabilized_cohomology(counted, lo, hi, strict=False)
+    assert counted.calls == [hi]
+    assert (sweep.per_n, sweep.report, sweep.stabilized) == per_window_sweep(a, lo, hi)
+
+
+def test_catalog_sweeps_assemble_once():
+    for name in catalog.ALGEBROID_NAMES:
+        a, (lo, hi) = catalog.algebroid(name)
+        for x in (a, product_with_lie_algebra(a, catalog.algebra("su2"))):
+            counted = _Counted(x)
+            sweep = stabilized_cohomology(counted, lo, min(hi, lo + 3), strict=False)
+            assert counted.calls == [min(hi, lo + 3)]
+            assert (sweep.per_n, sweep.report, sweep.stabilized) == \
+                per_window_sweep(x, lo, min(hi, lo + 3))
