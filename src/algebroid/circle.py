@@ -3,10 +3,12 @@ circle.
 
 The window V_m is the span of {1, cos t, sin t, ..., cos mt, sin mt}, of
 dimension 2m + 1, with that basis order pinned.  V_m is closed under d/dt
-and multiplication by a degree-d trig polynomial lands in V_{m+d}, so for
-an algebroid whose anchor data has top degree d the degree-p cochains live
-on (forms) (x) V_{N + p*d}; every differential then maps exactly into the
-next window and d^2 = 0 holds on the nose, not approximately.
+and multiplication by a degree-d trig polynomial lands in V_{m+d}.  For an
+action algebroid whose fields have top degree d, a basis form lives on
+V_{N + d*s}, s counting its slots whose field is nonzero, or all its slots
+when the zero fields span no subalgebra.  Every differential then maps
+exactly into the next windows and d^2 = 0 holds on the nose, not
+approximately.  A product with a Lie algebra is built the same way.
 
 Both harmonic rules live in one window operator: `multiplication_matrix`
 holds the product-to-sum table and, with `derivative=True`, sends each basis
@@ -30,7 +32,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate, chain
+from math import lcm
 
 from . import polyroots
 from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError, ValidationError
@@ -44,7 +47,7 @@ from .exactlinalg import (
     pivot_columns,
     require_cochain_budget,
 )
-from .exterior import wedge_matrix
+from .exterior import basis_tuples, wedge_matrix
 from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differential
 
 _ZERO = Fraction(0)
@@ -162,6 +165,8 @@ def trig_derivative(f: TrigPoly) -> TrigPoly:
 
 def vf_bracket(u: TrigPoly, v: TrigPoly) -> TrigPoly:
     """Bracket of the vector fields u(t) d/dt and v(t) d/dt: u v' - v u'."""
+    if u.is_zero() or v.is_zero():
+        return TrigPoly()
     return trig_mul(u, trig_derivative(v)) - trig_mul(v, trig_derivative(u))
 
 
@@ -312,13 +317,11 @@ def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
 @dataclass(frozen=True)
 class TruncatedComplex:
     """A window complex; `levels[p][i]` is the first N whose window holds
-    coordinate i of degree p, and `windows` lists V-indices per degree when
-    the degrees are single windows (None for product complexes)."""
+    coordinate i of degree p."""
 
     N: int
     complex: CochainComplex
     levels: tuple[tuple[int, ...], ...]
-    windows: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if tuple(map(len, self.levels)) != tuple(self.complex.degrees):
@@ -347,28 +350,51 @@ class ActionAlgebroid:
         if n < 0:
             raise ValueError("window index must be nonnegative")
         g, d = self.algebra, self.anchor_degree()
-        windows = tuple(n + p * d for p in range(g.dim + 1))
-        degrees = tuple(comb(g.dim, p) * window_dim(windows[p]) for p in range(g.dim + 1))
-        require_cochain_budget(sum(degrees), f"the window-{n} complex")
+        # A form lives on V_{N + d * (its moving slots)}.  A zero field's slot does not
+        # move when the zero fields span a subalgebra: then no term of d(e^k), k moving,
+        # has two fixed slots, so no CE term narrows a window.  Otherwise all slots move.
+        zero = {i for i, f in enumerate(self.phi) if f.is_zero()}
+        if any(i in zero and j in zero and any(k not in zero for k, _ in terms)
+               for i, j, terms in g.brackets):
+            zero = set()
+        moving = [i not in zero for i in range(g.dim)]
+        require_cochain_budget(2 ** g.dim * (2 * n + 1 + d * sum(moving)),
+                               f"the window-{n} complex")
         if len(self.phi) != g.dim:
             raise ValidationError("need one vector field per basis vector")
         require_jacobi(g)
         if not check_action(self):
             raise ValidationError("vector fields do not represent the bracket "
                                   f"on basis pair {action_violation(self)}")
+        windows = [[n + d * sum(moving[i] for i in form) for form in basis_tuples(g.dim, p)]
+                   for p in range(g.dim + 1)]
+        offsets = [[0, *accumulate(map(window_dim, ws))] for ws in windows]
+        degrees = tuple(offs[-1] for offs in offsets)
+        scalars, blocks = {}, {}
+
+        def place(forms: RationalMatrix, field: int | None, p: int):
+            """Each nonzero x of a map of p-forms as x times its window block, built
+            once per (field, source window, target window), at the forms' offsets."""
+            for r, c in forms.nonzero_positions():
+                x, key = forms[r, c], (windows[p][c], windows[p + 1][r])
+                scalar = scalars.get(x) or scalars.setdefault(
+                    x, RationalMatrix.from_entries(1, 1, [((0, 0), x)]))
+                block = blocks.get((field, *key)) or blocks.setdefault(
+                    (field, *key), inclusion_matrix(*key) if field is None else
+                    multiplication_matrix(self.phi[field], *key, derivative=True))
+                yield offsets[p + 1][r], offsets[p][c], scalar, block
+
         diffs = []
         for p in range(g.dim):
-            src_w, tgt_w = windows[p], windows[p + 1]
-            terms = [(0, 0, trivial_ce_differential(g, p), inclusion_matrix(src_w, tgt_w))]
-            terms += [(0, 0, wedge_matrix(g.dim, p, i),
-                       multiplication_matrix(self.phi[i], src_w, tgt_w, derivative=True))
-                      for i in range(g.dim)]
+            terms = chain(place(trivial_ce_differential(g, p), None, p),
+                          *(place(wedge_matrix(g.dim, p, i), i, p)
+                            for i, f in enumerate(self.phi) if not f.is_zero()))
             diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
-        cx = CochainComplex(degrees=degrees, differentials=tuple(diffs))
-        # Window coordinate j holds harmonic ceil(j/2); in degree p it enters at N = that - p*d.
-        levels = tuple(tuple(max(0, (j + 1) // 2 - p * d) for j in range(window_dim(w)))
-                       * comb(g.dim, p) for p, w in enumerate(windows))
-        return TruncatedComplex(N=n, complex=cx, levels=levels, windows=windows)
+        # Window coordinate j holds harmonic ceil(j/2); in a form of window w it
+        # enters at N = that - (w - n).
+        levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws
+                             for j in range(window_dim(w))) for ws in windows)
+        return TruncatedComplex(N=n, complex=CochainComplex(degrees, tuple(diffs)), levels=levels)
 
 
 @dataclass(frozen=True, init=False)

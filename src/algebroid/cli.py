@@ -241,8 +241,10 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
 def _cmd_hopf(args) -> tuple[list[str], dict, int]:
     g = _load_algebra(args.algebra)
     abelian = g.is_abelian()
-    h_ok = check_h_structure(addition(g))
+    # Both size budgets come before any other work: the CE complex's, then the coproduct's.
     betti = list(lie_cohomology(trivial_representation(g)).betti)
+    c = addition_coproduct(g) if abelian else None
+    h_ok = check_h_structure(addition(g))
     generators = exterior_structure_check(betti)
     label = _algebra_label(args.algebra, g)
     lines = [
@@ -264,7 +266,6 @@ def _cmd_hopf(args) -> tuple[list[str], dict, int]:
         lines.append("coproduct: skipped (needs an abelian algebra)")
         payload["hopf"] = None
         return lines, payload, EXIT_OK
-    c = addition_coproduct(g)
     report = hopf_axioms(c)
     prim_dims = [len(p) for p in primitives(c)]
     lines.append("hopf axioms: "

@@ -411,7 +411,7 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
                                                  for row in a]))
 
 
-# Fixed, well-known primes; a deterministic list keeps CLI output byte-identical.
+# Fixed, well-known primes, so the certificate is deterministic; no CLI path calls it.
 MODULAR_PRIMES = (1000000007, 1000000009, 998244353, 754974721, 167772161)
 
 

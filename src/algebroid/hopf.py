@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, as_fraction, kernel_basis
+from .exactlinalg import RationalMatrix, as_fraction, kernel_basis, require_cochain_budget
 from .exterior import sort_sign
 from .liealg import LieAlgebra, bracket, bracket_basis
 
@@ -193,10 +193,13 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
 
     Cohomology is the exterior algebra on n degree-1 generators; basis
     p-classes are indexed lexicographically like exterior basis forms.
+    The coproduct lands in the cohomology of g + g, whose complex has 4^dim
+    cochains; that count is checked against the budget before anything is built.
     """
     if not g.is_abelian():
         raise NotAbelianError("addition induces a coproduct only for abelian algebras")
     n = g.dim
+    require_cochain_budget(4 ** n, "the addition coproduct")
     betti = tuple(comb(n, p) for p in range(n + 1))
     index_of = [{c: i for i, c in enumerate(combinations(range(n), p))}
                 for p in range(n + 1)]

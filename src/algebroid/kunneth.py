@@ -1,29 +1,21 @@
-"""Products: direct sums of Lie algebras, tensor representations, graded
-tensor products of complexes, and the Betti convolution check.
+"""Products: direct sums of Lie algebras, tensor representations,
+circle algebroids times Lie algebras, and the Betti convolution check.
 
-The product differential follows the usual sign rule
-
-    d(w (x) v) = d_A w (x) v + (-1)^{deg w} w (x) d_B v,
-
-realized as one `kron_sum` per degree.  Degree r of the product complex is
-the direct sum of blocks A^p (x) B^{r-p} with p ascending; inside each block
-the A index is major.
+An algebroid times an algebra h over a point is again an action algebroid,
+of the direct sum with h acting by zero fields, so its window complexes come
+from the one window builder in `circle` and `kunneth_verify` compares them
+with the convolution of the factors' Betti numbers.  The slots of h move no
+window when the factor's zero fields span a subalgebra (as they do when it
+has none), so the window-N product is 2^dim h times the factor's size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, kron_sum, \
-    require_cochain_budget
-from .liealg import (
-    LieAlgebra,
-    Representation,
-    require_jacobi,
-    trivial_representation,
-    ce_complex,
-)
-from .circle import TruncatedComplex
+from .circle import ActionAlgebroid, TrigPoly
+from .exactlinalg import CohomologyReport, RationalMatrix, kron_sum
+from .liealg import LieAlgebra, Representation, require_jacobi
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
@@ -47,64 +39,11 @@ def tensor_rep(e: Representation, f: Representation) -> Representation:
     return Representation(algebra=gh, dim_e=n, action=action)
 
 
-def _blocks(a: CochainComplex, b: CochainComplex, r: int) -> tuple[dict[int, int], int]:
-    """Offsets of the blocks A^p (x) B^{r-p} in degree r, by p, and that degree's dimension."""
-    offsets, dim = {}, 0
-    for p in range(max(0, r - b.top), min(r, a.top) + 1):
-        offsets[p] = dim
-        dim += a.degrees[p] * b.degrees[r - p]
-    return offsets, dim
-
-
-def tensor_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
-    """Graded tensor product of two complexes."""
-    blocks = [_blocks(a, b, r) for r in range(a.top + b.top + 1)]
-    degrees = tuple(dim for _, dim in blocks)
-    diffs = []
-    for r, (src, _) in enumerate(blocks[:-1]):
-        tgt, terms = blocks[r + 1][0], []
-        for p, c0 in src.items():
-            if p + 1 in tgt:
-                id_b = RationalMatrix.identity(b.degrees[r - p])
-                terms.append((tgt[p + 1], c0, a.differentials[p], id_b))
-            if p in tgt:
-                sign = RationalMatrix.identity(a.degrees[p]).scaled((-1) ** p)
-                terms.append((tgt[p], c0, sign, b.differentials[r - p]))
-        diffs.append(kron_sum(degrees[r + 1], degrees[r], terms))
-    return CochainComplex(degrees=degrees, differentials=tuple(diffs))
-
-
-@dataclass(frozen=True)
-class ProductWithAlgebra:
-    """A circle algebroid times a Lie algebra sitting over a point.
-
-    Its window-N complex is, by construction, the graded tensor product of
-    the factor's window-N complex with the Lie algebra's cochain complex.
-    """
-
-    factor: object
-    algebra: LieAlgebra
-
-    def _truncated_complex(self, n: int) -> TruncatedComplex:
-        tc = self.factor._truncated_complex(n)
-        require_cochain_budget(sum(tc.complex.degrees) * 2 ** self.algebra.dim,
-                               f"the window-{n} product complex")
-        ce = ce_complex(trivial_representation(self.algebra))
-        cx = tensor_complex(tc.complex, ce)
-        # Each coordinate of a block A^p (x) B^{r-p} enters with its A coordinate.
-        levels = tuple(tuple(lv for p in _blocks(tc.complex, ce, r)[0] for lv in tc.levels[p]
-                             for _ in range(ce.degrees[r - p]))
-                       for r in range(cx.top + 1))
-        return TruncatedComplex(N=n, complex=cx, levels=levels, windows=None)
-
-    def _is_transitive(self) -> bool:
-        # The added summand anchors to zero, so surjectivity is the factor's.
-        return self.factor._is_transitive()
-
-
-def product_with_lie_algebra(a, g: LieAlgebra) -> ProductWithAlgebra:
-    require_jacobi(g)
-    return ProductWithAlgebra(factor=a, algebra=g)
+def product_with_lie_algebra(a: ActionAlgebroid, h: LieAlgebra) -> ActionAlgebroid:
+    """a x h, with h sitting over a point: the direct sum a.algebra + h acting
+    through a's vector fields and the zero field on every basis vector of h."""
+    require_jacobi(h)
+    return ActionAlgebroid(direct_sum(a.algebra, h), a.phi + (TrigPoly(),) * h.dim)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from .errors import DegreeOutOfRangeError, ValidationError
@@ -110,15 +111,18 @@ def bracket(g: LieAlgebra, v, w) -> list[Fraction]:
 def jacobi_violation(g: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple i < j < k, in lexicographic order, whose cyclic
     Jacobi sum is nonzero, or None when the identity holds."""
-    unit = [[Fraction(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            bij = bracket_basis(g, i, j)
-            for k in range(j + 1, g.dim):
-                terms = (bracket(g, bij, unit[k]), bracket(g, bracket_basis(g, j, k), unit[i]),
-                         bracket(g, bracket_basis(g, k, i), unit[j]))
-                if any(a + b + c for a, b, c in zip(*terms)):
-                    return (i, j, k)
+    table = {(i, j): terms for i, j, terms in g.brackets}
+    for i, j, k in combinations(range(g.dim), 3):
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j], read off the sparse table
+        acc: dict[int, Fraction] = {}
+        for outer, c, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            for m, x in table.get(outer, ()):
+                if m != c:
+                    inner, s = ((m, c), sign * x) if m < c else ((c, m), -sign * x)
+                    for t, y in table.get(inner, ()):
+                        acc[t] = acc.get(t, 0) + s * y
+        if any(acc.values()):
+            return (i, j, k)
     return None
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from algebroid import catalog, cli, exactlinalg
+from algebroid import catalog, circle, cli, exactlinalg
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, truncated_complex
 from algebroid.exactlinalg import MAX_COCHAINS, CohomologyReport
 from algebroid.kunneth import product_with_lie_algebra
@@ -176,6 +176,132 @@ def test_kunneth_rejects_two_algebroids():
     code, _, err = run_cli("kunneth", "sin_t", "const1")
     assert code == 2
     assert "not supported" in err
+
+
+# Full stdout of three product runs, pinned byte for byte: a circle algebroid
+# with nonzero fields, the algebroid given second, and the zero algebra.
+KUNNETH_SL2_ACTION_SU2 = """\
+left: sl2_action (algebroid, windows N=4..10)
+right: su2 (algebra, dim 3)
+product: algebroid times algebra
+degree  expected  actual
+     0         1       1
+     1         2       2
+     2         1       1
+     3         1       1
+     4         2       2
+     5         1       1
+     6         0       0
+euler: 0 = 0 * 0
+kunneth check: ok
+== json ==
+{
+  "betti_product": [
+    1,
+    2,
+    1,
+    1,
+    2,
+    1,
+    0
+  ],
+  "euler_left": 0,
+  "euler_product": 0,
+  "euler_right": 0,
+  "expected": [
+    1,
+    2,
+    1,
+    1,
+    2,
+    1,
+    0
+  ],
+  "left": "sl2_action",
+  "mode": "product_with_algebra",
+  "ok": true,
+  "right": "su2"
+}
+"""
+
+KUNNETH_SU2_SIN_T = """\
+left: sin_t (algebroid, windows N=3..8)
+right: su2 (algebra, dim 3)
+product: algebroid times algebra
+degree  expected  actual
+     0         1       1
+     1         3       3
+     2         0       0
+     3         1       1
+     4         3       3
+euler: 0 = -2 * 0
+kunneth check: ok
+== json ==
+{
+  "betti_product": [
+    1,
+    3,
+    0,
+    1,
+    3
+  ],
+  "euler_left": -2,
+  "euler_product": 0,
+  "euler_right": 0,
+  "expected": [
+    1,
+    3,
+    0,
+    1,
+    3
+  ],
+  "left": "su2",
+  "mode": "product_with_algebra",
+  "ok": true,
+  "right": "sin_t"
+}
+"""
+
+KUNNETH_CONST1_ZERO = """\
+left: const1 (algebroid, windows N=3..6)
+right: zero (algebra, dim 0)
+product: algebroid times algebra
+degree  expected  actual
+     0         1       1
+     1         1       1
+euler: 0 = 0 * 1
+kunneth check: ok
+== json ==
+{
+  "betti_product": [
+    1,
+    1
+  ],
+  "euler_left": 0,
+  "euler_product": 0,
+  "euler_right": 1,
+  "expected": [
+    1,
+    1
+  ],
+  "left": "const1",
+  "mode": "product_with_algebra",
+  "ok": true,
+  "right": "zero"
+}
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["kunneth", "sl2_action", "su2"], KUNNETH_SL2_ACTION_SU2),
+    (["kunneth", "su2", "sin_t"], KUNNETH_SU2_SIN_T),
+    (["kunneth", "const1", "zero"], KUNNETH_CONST1_ZERO),
+])
+def test_kunneth_product_stdout_is_pinned(argv, stdout, capsys):
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert err == ""
 
 
 def test_hopf_abelian():
@@ -368,6 +494,7 @@ def test_size_budget_refuses_hostile_inputs_and_admits_the_ladder():
     assert window_cochains(3, 2, 100) * 2 ** 3 <= MAX_COCHAINS  # sl2_action x su2 at N = 100
     assert 2 ** 14 <= MAX_COCHAINS                        # trivial CE of a dim-14 algebra
     assert 7 * 2 ** 7 <= MAX_COCHAINS                     # adjoint CE of su2 + diamond4
+    assert 4 ** 9 <= MAX_COCHAINS < 4 ** 10  # the addition coproduct admits abelian dim <= 9
 
 
 @pytest.mark.parametrize("argv, cochains", [
@@ -375,6 +502,7 @@ def test_size_budget_refuses_hostile_inputs_and_admits_the_ladder():
     (["lie", "cohomology", "aff1", "--rep", "aff1_rep2"], 2 * 4),
     (["circle", "sweep", "sl2_action"], window_cochains(3, 2, 10)),
     (["kunneth", "sin_t", "su2"], window_cochains(1, 1, 8) * 8),
+    (["hopf", "r2"], 4 ** 2),  # the coproduct lands in H(r2 + r2)
 ])
 def test_size_budget_exits_2_over_the_count(argv, cochains, monkeypatch, capsys):
     monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", cochains)
@@ -383,6 +511,32 @@ def test_size_budget_exits_2_over_the_count(argv, cochains, monkeypatch, capsys)
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert f"would have {cochains} cochains, more than the budget of {cochains - 1}" in err
+
+
+def test_hopf_budget_comes_before_the_h_structure_check(monkeypatch, capsys):
+    def h_check(h):
+        raise AssertionError("the H-structure was checked before the budget")
+
+    monkeypatch.setattr(cli, "check_h_structure", h_check)
+    monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 4 ** 3 - 1)
+    assert cli.run(["hopf", "r3"]) == 2
+    assert "the addition coproduct would have 64 cochains" in capsys.readouterr().err
+    monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 2 ** 3 - 1)
+    assert cli.run(["hopf", "su2"]) == 2
+    assert "would have 8 cochains" in capsys.readouterr().err
+
+
+def test_size_budget_refuses_a_dim_40_action_before_any_form(tmp_path, monkeypatch, capsys):
+    def forms(n, p):
+        raise AssertionError("a form was enumerated before the budget")
+
+    monkeypatch.setattr(circle, "basis_tuples", forms)
+    path = tmp_path / "dim40.json"
+    path.write_text(json.dumps({"kind": "action", "g": {"dim": 40, "brackets": []},
+                                "phi": ["sin(1t)"] * 40, "N_range": [0, 2]}))
+    assert cli.run(["circle", "sweep", str(path)]) == 2
+    # 2^dim (2N + 1 + d * moving slots) at the widest window N = 2
+    assert f"would have {2 ** 40 * (2 * 2 + 1 + 40)} cochains" in capsys.readouterr().err
 
 
 def test_size_budget_covers_symbol_complexes(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,11 @@
 """A sweep is one filtered complex: it must agree with eliminating every
-window on its own, and it must assemble only the widest window."""
+window on its own, and it must assemble only the widest window.  A product
+with a Lie algebra is swept the same way, and Kunneth must hold at every
+window."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,17 +19,29 @@ from algebroid.circle import (
 )
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.kunneth import product_with_lie_algebra
-from algebroid.liealg import change_basis
+from algebroid.liealg import change_basis, lie_cohomology, trivial_representation
 
 small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
-def rank1_anchors(draw):
-    """p of trig degree <= 2 with small rational coefficients."""
+def trig_polys(draw):
+    """Trig degree <= 2 with small rational coefficients."""
     deg = draw(st.integers(0, 2))
     coeffs = [draw(small_rational) for _ in range(2 * deg + 1)]
-    return Rank1Anchor(TrigPoly.make(coeffs[0], coeffs[1::2], coeffs[2::2]))
+    return TrigPoly.make(coeffs[0], coeffs[1::2], coeffs[2::2])
+
+
+def rank1_anchors():
+    return trig_polys().map(Rank1Anchor)
+
+
+@st.composite
+def zero_field_algebroids(draw):
+    """aff1, h3 or r2 acting through its first basis vector alone, phi = (f, 0, ...).
+    The zero fields span a subalgebra, so only the first slot moves a window."""
+    g = catalog.algebra(draw(st.sampled_from(["aff1", "h3", "r2"])))
+    return ActionAlgebroid(g, (draw(trig_polys()),) + (TrigPoly(),) * (g.dim - 1))
 
 
 @st.composite
@@ -44,7 +59,7 @@ def changed_catalog_algebroids(draw):
 
 @st.composite
 def sweeps(draw):
-    a = draw(st.one_of(rank1_anchors(), changed_catalog_algebroids()))
+    a = draw(st.one_of(rank1_anchors(), changed_catalog_algebroids(), zero_field_algebroids()))
     h = draw(st.sampled_from([None, "su2", "aff1", "h3"]))
     if h is not None:
         a = product_with_lie_algebra(a, catalog.algebra(h))
@@ -91,3 +106,28 @@ def test_catalog_sweeps_assemble_once():
             assert counted.calls == [min(hi, lo + 3)]
             assert (sweep.per_n, sweep.report, sweep.stabilized) == \
                 per_window_sweep(x, lo, min(hi, lo + 3))
+
+
+def convolve(a, b) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rank1_anchors(), changed_catalog_algebroids(), zero_field_algebroids()),
+       st.sampled_from(["su2", "aff1", "h3", "r2", "zero"]), st.integers(0, 3))
+def test_kunneth_holds_at_every_window(a, name, lo):
+    h = catalog.algebra(name)
+    product = product_with_lie_algebra(a, h)
+    h_betti = lie_cohomology(trivial_representation(h)).betti
+    forms = tuple(comb(h.dim, q) for q in range(h.dim + 1))
+    factor_sweep = stabilized_cohomology(a, lo, lo + 2, strict=False)
+    product_sweep = stabilized_cohomology(product, lo, lo + 2, strict=False)
+    assert [n for n, _ in product_sweep.per_n] == [n for n, _ in factor_sweep.per_n]
+    for (n, betti), (_, product_betti) in zip(factor_sweep.per_n, product_sweep.per_n):
+        assert product_betti == convolve(betti, h_betti)
+        assert truncated_complex(product, n).complex.degrees == \
+            convolve(truncated_complex(a, n).complex.degrees, forms)
