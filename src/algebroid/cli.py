@@ -3,14 +3,20 @@
 Every subcommand prints a short human-readable block, then a line
 containing only `== json ==`, then a machine-readable JSON object.  Output
 is deterministic byte for byte.  Exit codes: 0 success, 2 validation
-failure, 3 unstabilized sweep, 64 usage, 65 unparseable input.
+failure or any other package error (a degree out of range, a nonabelian
+algebra where an abelian one is needed), 3 unstabilized sweep, 64 usage,
+65 unparseable input.
 
 File arguments also accept catalog names (see `algebroid catalog`).
+
+The argument parser is built once per process and reused by every `run`;
+handlers are looked up as module globals when they are called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +24,7 @@ import sys
 from . import catalog, io
 from .circle import Rank1Anchor, SweepResult, count_simple_zeros, is_transitive, \
     stabilized_cohomology
-from .errors import NotStabilizedError, ParseError, ValidationError
+from .errors import AlgebroidError, NotStabilizedError, ParseError, ValidationError
 from .hopf import addition, addition_coproduct, check_h_structure, \
     exterior_structure_check, hopf_axioms, primitives
 from .kunneth import direct_sum, kunneth_verify, product_with_lie_algebra
@@ -338,6 +344,7 @@ def _cmd_catalog(args) -> tuple[list[str], dict, int]:
 
 # -- wiring ------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="algebroid",
                      description="Exact cohomology of Lie algebras and "
@@ -399,6 +406,9 @@ def run(argv: list[str]) -> int:
         return EXIT_NOT_STABILIZED
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except AlgebroidError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     for line in lines:
         print(line)

@@ -152,6 +152,13 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not any(self._num)
 
+    def entries(self) -> Iterable[tuple[int, int, int | Fraction]]:
+        """(i, j, value) of every nonzero entry, row by row.  A value is an int
+        when it is integral and a Fraction otherwise."""
+        den = self._den
+        return ((i, j, x // den if x % den == 0 else Fraction(x, den))
+                for i, row in enumerate(self._num) for j, x in row.items())
+
     def nonzero_positions(self) -> Iterable[tuple[int, int]]:
         """(i, j) of every nonzero entry, row by row."""
         return ((i, j) for i, row in enumerate(self._num) for j in row)

@@ -13,7 +13,9 @@ coproduct and product as matrices in pinned bases; that is the input
 format.  The Hopf checks read two sparse views decoded once from the
 matrices' columns, D(x) as {(y, z): coeff} and x*y as {z: coeff} over basis
 labels (degree, index), so every axiom is a comparison of two exact sparse
-linear combinations.  The antipode is rebuilt degree by degree from
+linear combinations.  A coefficient is an exact `int` when it is
+integral and a `Fraction` otherwise, so the common case of coefficients
++-1 never builds a Fraction.  The antipode is rebuilt degree by degree from
 connectedness and then verified on both sides.
 """
 
@@ -31,7 +33,6 @@ from .exterior import sort_sign
 from .liealg import LieAlgebra, bracket, bracket_basis
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # -- H-structures ------------------------------------------------------------
@@ -133,36 +134,39 @@ class GradedCoalgebra:
         return offs
 
     @cached_property
-    def _delta(self) -> dict[Label, dict[tuple[Label, Label], Fraction]]:
+    def _delta(self) -> dict[Label, dict[tuple[Label, Label], Fraction | int]]:
         """D(x) = {(y, z): coeff} for every basis label x, read off coproduct[r]."""
         out = {}
         for r, m in enumerate(self.coproduct):
             pair_at = [((i, a), (r - i, b)) for i in range(r + 1)
                        for a in range(self.betti[i]) for b in range(self.betti[r - i])]
-            for col in range(m.cols):
-                out[(r, col)] = {pair_at[k]: v for k, v in enumerate(m.column(col)) if v}
+            cols = [{} for _ in range(m.cols)]
+            for k, col, v in m.entries():
+                cols[col][pair_at[k]] = v
+            out.update(((r, col), d) for col, d in enumerate(cols))
         return out
 
     @cached_property
-    def _mu(self) -> dict[tuple[Label, Label], dict[Label, Fraction]]:
+    def _mu(self) -> dict[tuple[Label, Label], dict[Label, Fraction | int]]:
         """x * y = {z: coeff} for every pair of basis labels a product matrix covers."""
         out = {}
         for (p, q), m in self.product.items():
             nb = self.betti[q]
-            for col in range(m.cols):
-                out[((p, col // nb), (q, col % nb))] = {
-                    (p + q, k): v for k, v in enumerate(m.column(col)) if v}
+            cols = [{} for _ in range(m.cols)]
+            for k, col, v in m.entries():
+                cols[col][(p + q, k)] = v
+            out.update((((p, col // nb), (q, col % nb)), d) for col, d in enumerate(cols))
         return out
 
     @cached_property
-    def _antipode(self) -> dict[Label, dict[Label, Fraction]]:
+    def _antipode(self) -> dict[Label, dict[Label, Fraction | int]]:
         """S degree by degree from connectedness: S(x) = -x - sum S(x') x'' over
         the terms x' (x) x'' of D(x) with both factors in positive degree."""
-        s: dict[Label, dict[Label, Fraction]] = {(0, 0): {(0, 0): _ONE}}
+        s: dict[Label, dict[Label, Fraction | int]] = {(0, 0): {(0, 0): 1}}
         for r in range(1, self.top + 1):
             for a in range(self.betti[r]):
                 x = (r, a)
-                s[x] = _lincomb([(x, -_ONE)] + [
+                s[x] = _lincomb([(x, -1)] + [
                     (m, -v * t * u) for (y, z), v in self._delta[x].items() if 0 < y[0] < r
                     for k, t in s[y].items() for m, u in self._mu[(k, z)].items()])
         return s
@@ -184,7 +188,7 @@ def _lincomb(terms) -> dict:
     """Sum (key, coeff) pairs into one sparse linear combination, zeros dropped."""
     acc: dict = {}
     for key, x in terms:
-        acc[key] = acc.get(key, _ZERO) + x
+        acc[key] = acc.get(key, 0) + x
     return {key: x for key, x in acc.items() if x}
 
 
@@ -303,7 +307,7 @@ def _check_counit(c: GradedCoalgebra) -> bool:
     for x, dx in c._delta.items():
         left = _lincomb((z, v) for (y, z), v in dx.items() if y[0] == 0)
         right = _lincomb((y, v) for (y, z), v in dx.items() if z[0] == 0)
-        if left != {x: _ONE} or right != {x: _ONE}:
+        if left != {x: 1} or right != {x: 1}:
             return False
     return True
 
@@ -323,7 +327,7 @@ def _check_coassociative(c: GradedCoalgebra) -> bool:
 def _check_algebra_morphism(c: GradedCoalgebra) -> bool:
     delta, mu = c._delta, c._mu
     # D(1) = 1 (x) 1
-    if c.betti[0] != 1 or delta[(0, 0)] != {((0, 0), (0, 0)): _ONE}:
+    if c.betti[0] != 1 or delta[(0, 0)] != {((0, 0), (0, 0)): 1}:
         return False
     if any((p, q) not in c.product for p in range(c.top + 1) for q in range(c.top + 1 - p)):
         return False
@@ -345,7 +349,7 @@ def _check_antipode(c: GradedCoalgebra) -> bool:
     s = c._antipode
     # verify m(S (x) id) D = eps * unit = m(id (x) S) D on every basis vector
     for x, dx in c._delta.items():
-        want = {(0, 0): _ONE} if x[0] == 0 else {}
+        want = {(0, 0): 1} if x[0] == 0 else {}
         left = _lincomb((m, v * t * u) for (y, z), v in dx.items()
                         for k, t in s[y].items() for m, u in c._mu[(k, z)].items())
         right = _lincomb((m, v * t * u) for (y, z), v in dx.items()

@@ -228,7 +228,9 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     terms = [(0, 0, RationalMatrix.identity(r.dim_e), trivial_ce_differential(g, p))]
-    terms += [(0, 0, r.action[i], wedge_matrix(n, p, i)) for i in range(n)]
+    # A zero action adds nothing, so its wedge matrix is not built.
+    terms += [(0, 0, rho, wedge_matrix(n, p, i))
+              for i, rho in enumerate(r.action) if not rho.is_zero()]
     return kron_sum(r.dim_e * comb(n, p + 1), r.dim_e * comb(n, p), terms)
 
 

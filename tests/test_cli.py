@@ -11,6 +11,7 @@ import pytest
 
 from algebroid import catalog, circle, cli, exactlinalg
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, truncated_complex
+from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
 from algebroid.exactlinalg import MAX_COCHAINS, CohomologyReport
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import adjoint_representation, ce_complex
@@ -546,3 +547,47 @@ def test_size_budget_covers_symbol_complexes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 2 * 2 ** 3 - 1)
     assert cli.run(["symbol", str(path), "--alpha", "1"]) == 2
     assert "the symbol complex would have 16 cochains" in capsys.readouterr().err
+
+
+# -- the parser is built once per process -------------------------------------
+
+def test_cached_parser_gives_identical_runs(tmp_path, capsys):
+    fiber = tmp_path / "fiber.json"
+    fiber.write_text(json.dumps({"dim_A": 3, "dim_M": 1, "dim_E": 2,
+                                 "anchor": [["1", "1", "0"]]}))
+    argvs = [
+        ["lie", "cohomology", "su2"],
+        ["lie", "euler", "aff1", "--rep", "aff1_char"],
+        ["circle", "sweep", "sin_t"],
+        ["kunneth", "su2", "h3"],
+        ["hopf", "r3"],
+        ["symbol", str(fiber), "--alpha", "1"],
+        ["catalog"],
+    ]
+
+    def outcome(argv):
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    first = [outcome(argv) for argv in argvs]
+    usage = outcome(["circle", "sweep", "sin_t", "--n-min", "x"])
+    parse = outcome(["lie", "cohomology", "no_such_algebra"])
+    second = [outcome(argv) for argv in argvs]
+    assert (usage[0], usage[1]) == (cli.EXIT_USAGE, "")
+    assert (parse[0], parse[1]) == (cli.EXIT_PARSE, "")
+    assert [code for code, _, _ in first] == [0] * len(argvs)
+    assert second == first
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("error", [DegreeOutOfRangeError, NotAbelianError])
+def test_every_package_error_exits_2(error, monkeypatch, capsys):
+    def failing(rep):
+        raise error("raised by a stub")
+
+    monkeypatch.setattr(cli, "lie_cohomology", failing)
+    assert cli.run(["lie", "cohomology", "su2"]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: raised by a stub\n"

@@ -210,3 +210,40 @@ def test_exterior_check_matches_cohomology_rings():
     assert exterior_structure_check(r4.betti) == (1, 1, 1, 1)
     h3 = lie_cohomology(trivial_representation(catalog.algebra("h3")))
     assert exterior_structure_check(h3.betti) is None
+
+
+def _rescaled(c, scale):
+    """The coalgebra in the basis x' = scale(p) x of each degree p.
+
+    D(x') = sum v * scale(r) / (scale(i) scale(r - i)) y' (x) z' and
+    x' y' = scale(p) scale(q) / scale(p + q) (xy)'.
+    """
+    coproduct = []
+    for r, m in enumerate(c.coproduct):
+        offs = c.block_offsets(r)
+        factor = [scale(r) / (scale(i) * scale(r - i))
+                  for i in range(r + 1) for _ in range(offs[i], offs[i + 1])]
+        coproduct.append(RationalMatrix.from_entries(
+            m.rows, m.cols, (((k, col), v * factor[k]) for k, col, v in m.entries())))
+    product = {(p, q): m.scaled(scale(p) * scale(q) / scale(p + q))
+               for (p, q), m in c.product.items()}
+    return GradedCoalgebra(betti=c.betti, coproduct=tuple(coproduct), product=product)
+
+
+@pytest.mark.parametrize("name", ["r2", "r3"])
+def test_hopf_checks_on_rational_coefficients(name):
+    # A power scale(p) = t^p cancels out of every matrix; 1/(p + 1) does not,
+    # so the rescaled coproduct and product carry denominators.
+    c = addition_coproduct(catalog.algebra(name))
+    n = c.top
+    scaled = _rescaled(c, lambda p: F(1, p + 1))
+    for mats in (scaled.coproduct, scaled.product.values()):
+        # entries() gives an int for an integral entry and a Fraction otherwise
+        assert any(isinstance(v, F) for m in mats for *_, v in m.entries())
+    report = hopf_axioms(scaled)
+    assert (report.counit, report.coassociative,
+            report.algebra_morphism, report.antipode) == (True, True, True, True)
+    # the antipode is (-1)^p on degree p in any rescaled basis
+    for r, m in enumerate(antipode_matrices(scaled)):
+        assert m == RationalMatrix.identity(c.betti[r]).scaled((-1) ** r), r
+    assert [len(p) for p in primitives(scaled)] == [0, n] + [0] * (n - 1)

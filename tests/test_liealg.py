@@ -10,7 +10,7 @@ import oracle
 from algebroid import catalog
 from algebroid.circle import ActionAlgebroid, TrigPoly, truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
-from algebroid.exactlinalg import RationalMatrix, complex_cohomology, inverse
+from algebroid.exactlinalg import RationalMatrix, complex_cohomology, inverse, kron_sum
 from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import (
@@ -227,3 +227,17 @@ def test_representation_violation_names_the_pair():
     assert representation_violation(adjoint_representation(catalog.algebra("su2"))) is None
     with pytest.raises(ValidationError, match=r"on basis pair \(1, 2\)"):
         ce_complex(rep)
+
+
+def test_ce_differential_skips_zero_actions_without_changing_it():
+    # The reference keeps a wedge term for every basis vector, zero actions included.
+    reps = [trivial_representation(catalog.algebra(name))
+            for name in ("zero",) + catalog.ALGEBRA_NAMES]
+    reps += [catalog.representation(name) for name in catalog.REPRESENTATION_NAMES]
+    for r in reps:
+        n, e = r.algebra.dim, r.dim_e
+        for p in range(n):
+            terms = [(0, 0, RationalMatrix.identity(e), trivial_ce_differential(r.algebra, p))]
+            terms += [(0, 0, r.action[i], wedge_matrix(n, p, i)) for i in range(n)]
+            reference = kron_sum(e * comb(n, p + 1), e * comb(n, p), terms)
+            assert ce_differential(r, p) == reference, (r.algebra.name, p)
