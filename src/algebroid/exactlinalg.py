@@ -6,26 +6,21 @@ is private to this module: callers build matrices through the constructors
 indexing, `to_rows` and `column`.  The storage is sparse integer numerator
 rows over one common denominator (see `RationalMatrix`), so the builders,
 `kron_sum` (which states the layout rule for every matrix made of blocks or
-Kronecker products), `rank` and the d^2 = 0 check
-(`CochainComplex.chain_defect`) all work on integers.  `rank` eliminates
-the cleared rows: each stored row divided by the gcd of the denominator and
-its content, which is the row times the lcm of its entries' denominators.
-Columns are taken left to right (or in an order given to `pivot_columns`);
-the pivot for a column is, among the rows holding it, the row with the
-fewest nonzeros, then the entry of smallest bit size, then the lowest
-index.  Only the rows that hold the pivot column are updated, and each
-updated row is divided by the gcd of its entries, which keeps every entry
-within the Hadamard bound of the cleared matrix.
-Kernel bases and inverses come from a reduced row echelon form over
-Fraction, so the two elimination routes cross-check each other in the
-test suite.
+Kronecker products), the elimination and the d^2 = 0 check
+(`CochainComplex.chain_defect`) all work on integers.
 
-`rank_modular` is not a fast path: it is slower than the exact `rank` on
-the package's matrices.  It is kept as an independent certificate, which
-the acceptance tests compare against the exact rank.  It reduces the
-integer numerator rows modulo a fixed list of large primes and takes the
-largest modular rank, a lower bound that equals the exact rank unless every
-prime is unlucky.
+There is one elimination, `_echelon`, behind `pivot_columns`, `rank` and
+`kernel_basis`.  It works on the cleared rows: each stored row divided by
+the gcd of the denominator and its content, which is the row times the lcm
+of its entries' denominators.  Columns are taken left to right (or in an
+order given to `pivot_columns`); the pivot for a column is, among the rows
+holding it, the row with the fewest nonzeros, then the entry of smallest
+bit size, then the lowest index.  Only the rows that hold the pivot column
+are updated, and each updated row is divided by the gcd of its entries,
+which keeps every entry within the Hadamard bound of the cleared matrix.
+Each pivot row is kept as it is chosen: it leaves the index then, so no
+later step changes it, and the kept rows are in echelon order.
+`kernel_basis` back-substitutes on them, last pivot first.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -278,11 +273,13 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     return out
 
 
-def pivot_columns(m: RationalMatrix, order: Sequence[int] | None = None) -> list[int]:
-    """Columns of m that get a pivot when the distinct columns `order`
-    (default all, left to right) are eliminated in that order.  A column
-    gets one exactly when it is independent of those taken before it, so the
-    pivots among the first k columns of `order` number their rank.
+def _echelon(m: RationalMatrix,
+             order: Sequence[int] | None = None) -> list[tuple[int, dict[int, int]]]:
+    """(column, row) of each pivot, in the order taken, when the distinct
+    columns `order` (default all, left to right) are eliminated in that
+    order.  A column gets a pivot exactly when it is independent of those
+    taken before it.  Each row is the integer pivot row as chosen: it
+    vanishes on every earlier pivot column, and no later step changes it.
 
     Sparse integer elimination on the cleared integer rows, with an index
     `at` from each column to the live rows that hold it, so the candidate
@@ -341,13 +338,20 @@ def pivot_columns(m: RationalMatrix, order: Sequence[int] | None = None) -> list
             if content > 1:
                 for j in row:
                     row[j] //= content
-        pivots.append(c)
+        pivots.append((c, prow))
     return pivots
+
+
+def pivot_columns(m: RationalMatrix, order: Sequence[int] | None = None) -> list[int]:
+    """Columns of m that get a pivot when the distinct columns `order`
+    (default all, left to right) are eliminated in that order, so the
+    pivots among the first k columns of `order` number their rank."""
+    return [c for c, _ in _echelon(m, order)]
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank: the pivot count with columns taken left to right."""
-    return len(pivot_columns(m))
+    return len(_echelon(m))
 
 
 def kernel_dim(m: RationalMatrix) -> int:
@@ -358,111 +362,37 @@ def cokernel_dim(m: RationalMatrix) -> int:
     return m.rows - rank(m)
 
 
-def _rref(m: RationalMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
-    # Starts from the numerator rows: scaling by the denominator leaves the RREF.
-    a = [dict(row) for row in m._num]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        p = next((i for i in range(r, nr) if c in a[i]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = _ONE / a[r][c]
-        prow = a[r] = {j: x * inv for j, x in a[r].items()}
-        for i, row in enumerate(a):
-            f = row.get(c) if i != r else None
-            if f:
-                for j, y in prow.items():
-                    row[j] = row.get(j, 0) - f * y
-                    if not row[j]:
-                        del row[j]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
-    """Basis of the null space, one vector per free column, in column order."""
-    a, pivots = _rref(m)
-    pivot_set = set(pivots)
+    """Basis of the null space, one vector per free column, in column order.
+
+    The vector of a free column has 1 there and 0 on the other free columns,
+    which fixes it.  Its pivot entries come from the pivot rows, last pivot
+    first: a pivot row vanishes on the earlier pivot columns, so its other
+    entries meet only coordinates already known.
+    """
+    echelon = _echelon(m)[::-1]
+    pivot_set = {c for c, _ in echelon}
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -a[row_idx].get(free, _ZERO)
-        basis.append(v)
+        v = {free: _ONE}
+        for c, row in echelon:
+            s = sum(x * v[j] for j, x in row.items() if j in v)
+            if s:
+                v[c] = -s / row[c]
+        basis.append([v.get(j, _ZERO) for j in range(m.cols)])
     return basis
-
-
-def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square matrix; raises ValueError when singular.
-
-    Row-reduces [m | I]; m is invertible iff the pivots are the columns of m.
-    """
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    one = RationalMatrix.identity(1)
-    augmented = kron_sum(n, 2 * n, [(0, 0, one, m), (0, n, one, RationalMatrix.identity(n))])
-    a, pivots = _rref(augmented)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return RationalMatrix._wrap(n, n, *_cleared([{j - n: x for j, x in row.items() if j >= n}
-                                                 for row in a]))
-
-
-# Fixed, well-known primes, so the certificate is deterministic; no CLI path calls it.
-MODULAR_PRIMES = (1000000007, 1000000009, 998244353, 754974721, 167772161)
-
-
-def rank_modular(m: RationalMatrix, primes: Sequence[int] = MODULAR_PRIMES) -> int:
-    """Largest rank of `m` modulo the given primes.
-
-    Always a lower bound for the exact rank, and equal to it unless every
-    prime divides some unlucky minor.  Primes dividing the common
-    denominator are skipped; if all are skipped the exact path is used.  The
-    numerator rows are reduced: they are `m` scaled by the denominator, a
-    unit modulo every prime that is not skipped.
-    """
-    best = None
-    for p in primes:
-        if m._den % p == 0:
-            continue
-        a = [[row.get(j, 0) % p for j in range(m.cols)] for row in m._num]
-        r = _rank_mod_p(a, m.rows, m.cols, p)
-        best = r if best is None else max(best, r)
-    return rank(m) if best is None else best
-
-
-def _rank_mod_p(a: list[list[int]], nr: int, nc: int, p: int) -> int:
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(r + 1, nr):
-            if a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
 
 
 # The most cochains one complex may have (16 times the trivial CE complex of a
 # dim-14 algebra); builders check their count before they assemble anything.
 MAX_COCHAINS = 1 << 18
+
+# The largest harmonic index k of a cos(kt) or sin(kt) term that the parser
+# admits.  Zero counting on an anchor of trig degree d costs about d^2.2, and
+# runs before any cochain count; the catalog and the tests use k <= 3.
+MAX_TRIG_DEGREE = 64
 
 
 def require_cochain_budget(cochains: int, what: str) -> None:

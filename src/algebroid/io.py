@@ -12,8 +12,8 @@ import re
 from fractions import Fraction
 
 from .circle import ActionAlgebroid, Rank1Anchor, TrigPoly
-from .errors import ParseError
-from .exactlinalg import RationalMatrix
+from .errors import ParseError, ValidationError
+from .exactlinalg import MAX_TRIG_DEGREE, RationalMatrix
 from .liealg import LieAlgebra, Representation
 from .symbol import FiberData
 
@@ -88,9 +88,15 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
             if not star:
                 raise ParseError(f"missing '*' in term {raw!r}", where)
             coeff = parse_rational(coeff_s, where)
-        k = int(k_s) if k_s else 1
-        if k <= 0:
+        digits = k_s.lstrip("0") if k_s else "1"
+        if not digits:
             raise ParseError(f"harmonic index must be positive in {raw!r}", where)
+        # Lengths first: int() refuses a string of more than 4300 digits.
+        if len(digits) > len(str(MAX_TRIG_DEGREE)) or int(digits) > MAX_TRIG_DEGREE:
+            raise ValidationError((f"{where}: " if where else "")
+                                  + f"harmonic index in {raw!r} is over "
+                                  f"the cap of {MAX_TRIG_DEGREE}")
+        k = int(digits)
         term = TrigPoly.cos(k, coeff) if kind == "cos" else TrigPoly.sin(k, coeff)
         out = out + term
     return out

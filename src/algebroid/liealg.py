@@ -34,7 +34,6 @@ from .exactlinalg import (
     RationalMatrix,
     as_fraction,
     complex_cohomology,
-    inverse,
     kron_sum,
     require_cochain_budget,
 )
@@ -255,21 +254,3 @@ def lie_cohomology(r: Representation) -> CohomologyReport:
 def euler_characteristic(r: Representation) -> int:
     return lie_cohomology(r).euler
 
-
-def change_basis(g: LieAlgebra, p: RationalMatrix) -> LieAlgebra:
-    """Structure constants in the basis whose vectors are the columns of `p`."""
-    if p.rows != g.dim or p.cols != g.dim:
-        raise ValueError("basis-change matrix must be dim x dim")
-    p_inv = inverse(p)  # raises ValueError when singular
-    n = g.dim
-    new_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vi = p.column(i)
-            vj = p.column(j)
-            img = bracket(g, vi, vj)
-            coords = p_inv.apply(img)
-            terms = {k: c for k, c in enumerate(coords) if c}
-            if terms:
-                new_brackets[(i, j)] = terms
-    return LieAlgebra.make(n, new_brackets, name=g.name + "~" if g.name else "")

@@ -4,12 +4,22 @@ Everything here is deliberately naive and coded separately from the
 package: textbook Gaussian elimination over Fraction with first-nonzero
 pivoting, and Betti numbers straight from the rank formula.  Tests compare
 package results against these.
+
+The dense Gauss-Jordan `rref` gives a reference `kernel_basis`, which the
+package's back-substitution must equal entry for entry, and `inverse`.
+`rank_modular` is a multi-prime modular rank certificate for the exact
+rank, and `change_basis` rewrites a Lie algebra's structure constants in
+another basis; only tests use them, so they live here and not in the
+package.  These four take and return package objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from algebroid.exactlinalg import RationalMatrix, rank
+from algebroid.liealg import LieAlgebra, bracket
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -38,6 +48,125 @@ def gauss_rank(rows: list[list[Fraction]]) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by plain fraction elimination, first nonzero
+    pivot, and its pivot columns.  The zero rows are dropped."""
+    a = [list(map(Fraction, row)) for row in rows]
+    n_rows = len(a)
+    pivots = []
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot_row = None
+        for i in range(r, n_rows):
+            if a[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][col]
+        a[r] = [x / pivot for x in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+def kernel_basis(m) -> list[list[Fraction]]:
+    """Null space basis of a package matrix read off its RREF: one vector
+    per free column in column order, 1 there and 0 on the other free
+    columns."""
+    a, pivots = rref(matrix_rows(m), m.cols)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for row, col in zip(a, pivots):
+            v[col] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def inverse(m) -> RationalMatrix:
+    """Inverse of a square package matrix from the RREF of [m | I]; raises
+    ValueError when m is singular."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    n = m.rows
+    a, pivots = rref([row + [Fraction(int(i == j)) for j in range(n)]
+                      for i, row in enumerate(matrix_rows(m))], 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return RationalMatrix.from_rows([row[n:] for row in a])
+
+
+# Fixed, well-known primes, so the certificate is deterministic.
+MODULAR_PRIMES = (1000000007, 1000000009, 998244353, 754974721, 167772161)
+
+
+def rank_modular(m, primes=MODULAR_PRIMES) -> int:
+    """Largest rank of a package matrix modulo the given primes.
+
+    Always a lower bound for the exact rank, and equal to it unless every
+    prime divides some unlucky minor.  The rows are reduced after scaling by
+    the lcm of the entry denominators; a prime dividing that lcm is skipped,
+    and if all are skipped the package's exact `rank` is used.
+    """
+    rows = m.to_rows()
+    den = lcm(*[x.denominator for row in rows for x in row])
+    best = None
+    for p in primes:
+        if den % p == 0:
+            continue
+        a = [[int(x * den) % p for x in row] for row in rows]
+        r = _rank_mod_p(a, m.rows, m.cols, p)
+        best = r if best is None else max(best, r)
+    return rank(m) if best is None else best
+
+
+def _rank_mod_p(a: list[list[int]], nr: int, nc: int, p: int) -> int:
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(r + 1, nr):
+            if a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def change_basis(g, p) -> LieAlgebra:
+    """Structure constants of a Lie algebra in the basis whose vectors are
+    the columns of the package matrix `p`; raises ValueError when p is
+    singular."""
+    if p.rows != g.dim or p.cols != g.dim:
+        raise ValueError("basis-change matrix must be dim x dim")
+    p_inv = inverse(p)
+    n = g.dim
+    new_brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = p_inv.apply(bracket(g, p.column(i), p.column(j)))
+            terms = {k: c for k, c in enumerate(coords) if c}
+            if terms:
+                new_brackets[(i, j)] = terms
+    return LieAlgebra.make(n, new_brackets, name=g.name + "~" if g.name else "")
 
 
 def betti_numbers(degrees: list[int], diffs: list[list[list[Fraction]]]) -> list[int]:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from oracle import change_basis, rank_modular
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -26,7 +27,6 @@ from algebroid.exactlinalg import (
     complex_cohomology,
     kernel_dim,
     rank,
-    rank_modular,
 )
 from algebroid.hopf import (
     addition,
@@ -48,7 +48,6 @@ from algebroid.liealg import (
     LieAlgebra,
     adjoint_representation,
     ce_complex,
-    change_basis,
     check_jacobi,
     check_representation,
     lie_cohomology,

@@ -1,0 +1,28 @@
+"""The package's public names: `__all__` lists exactly the public
+non-module attributes of `algebroid`, and test-only helpers stay out."""
+
+import types
+
+import pytest
+
+import algebroid
+from algebroid import exactlinalg, liealg
+
+
+def test_every_listed_name_resolves():
+    missing = [name for name in algebroid.__all__ if not hasattr(algebroid, name)]
+    assert missing == []
+    assert len(set(algebroid.__all__)) == len(algebroid.__all__)
+
+
+def test_every_public_attribute_is_listed():
+    public = {name for name, value in vars(algebroid).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public - set(algebroid.__all__) == set()
+
+
+@pytest.mark.parametrize("module", [algebroid, exactlinalg, liealg], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["change_basis", "rank_modular", "inverse", "_rref"])
+def test_test_only_helpers_left_the_package(module, name):
+    # they live in tests/oracle.py; the package keeps one elimination
+    assert not hasattr(module, name)

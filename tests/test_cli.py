@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from algebroid import catalog, circle, cli, exactlinalg
+from algebroid import catalog, circle, cli, exactlinalg, io
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
-from algebroid.exactlinalg import MAX_COCHAINS, CohomologyReport
+from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import adjoint_representation, ce_complex
 
@@ -591,3 +591,22 @@ def test_every_package_error_exits_2(error, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: raised by a stub\n"
+
+
+# -- the harmonic cap ----------------------------------------------------------
+
+def test_harmonic_cap_refuses_before_any_trig_coefficient(tmp_path, monkeypatch, capsys):
+    def build(cls, k, c=1):
+        raise AssertionError("a coefficient list was built before the cap")
+
+    monkeypatch.setattr(TrigPoly, "sin", classmethod(build))
+    monkeypatch.setattr(TrigPoly, "cos", classmethod(build))
+    for k in ("1000000000", "9" * 5000):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"kind": "rank1", "p": f"sin({k}t)", "N_range": [0, 2]}))
+        assert cli.run(["circle", "sweep", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"over the cap of {MAX_TRIG_DEGREE}" in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert io.trig_from_string(f"cos({MAX_TRIG_DEGREE}t)") == TrigPoly.cos(MAX_TRIG_DEGREE)

@@ -9,24 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from algebroid import exactlinalg
+from oracle import MODULAR_PRIMES, inverse, rank_modular
+from algebroid import catalog
 from algebroid.errors import ChainConditionError
 from algebroid.exactlinalg import (
-    MODULAR_PRIMES,
     CochainComplex,
     RationalMatrix,
     as_fraction,
     cokernel_dim,
     complex_cohomology,
-    inverse,
     kernel_basis,
     kernel_dim,
     kron_sum,
     pivot_columns,
     rank,
-    rank_modular,
     _integer_rows,
 )
+from algebroid.liealg import adjoint_representation, ce_complex, trivial_representation
 
 _ZERO = Fraction(0)
 
@@ -344,6 +343,44 @@ def test_sparse_rank_matches_oracle_on_dependent_rows(m):
     assert rank(m.transpose()) == want
 
 
+def empty_matrices():
+    return st.integers(0, 6).flatmap(lambda n: st.sampled_from(
+        [RationalMatrix.zeros(0, n), RationalMatrix.zeros(n, 0)]))
+
+
+def assert_kernel_is_the_rref_basis(m):
+    """The back-substituted kernel basis is the RREF one entry for entry,
+    in the same order and as Fractions, and the pivots are the RREF's."""
+    got = kernel_basis(m)
+    assert got == oracle.kernel_basis(m)
+    assert all(type(x) is Fraction for v in got for x in v)
+    assert pivot_columns(m) == oracle.rref(oracle.matrix_rows(m), m.cols)[1]
+
+
+@settings(max_examples=200)
+@given(matrices() | empty_matrices())
+def test_kernel_basis_equals_the_rref_basis(m):
+    assert_kernel_is_the_rref_basis(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank_deficient())
+def test_kernel_basis_equals_the_rref_basis_on_dependent_rows(m):
+    assert_kernel_is_the_rref_basis(m)
+
+
+def test_kernel_basis_equals_the_rref_basis_on_catalog_ce_differentials():
+    checked = 0
+    for name in ("zero",) + catalog.ALGEBRA_NAMES:
+        g = catalog.algebra(name)
+        for rep in (trivial_representation(g), adjoint_representation(g)):
+            for d in ce_complex(rep).differentials:
+                assert_kernel_is_the_rref_basis(d)
+                checked += 1
+    # every d_p of both complexes: 2 * dim g per algebra
+    assert checked == 2 * sum(catalog.algebra(n).dim for n in catalog.ALGEBRA_NAMES)
+
+
 @st.composite
 def two_differentials(draw):
     """(A, B) with B A = 0 by construction (A maps into the first k
@@ -392,8 +429,8 @@ def test_chain_defect_on_fractional_entries():
 
 def test_modular_rank_skips_bad_primes(monkeypatch):
     used = []
-    mod_p = exactlinalg._rank_mod_p
-    monkeypatch.setattr(exactlinalg, "_rank_mod_p",
+    mod_p = oracle._rank_mod_p
+    monkeypatch.setattr(oracle, "_rank_mod_p",
                         lambda a, nr, nc, p: used.append(p) or mod_p(a, nr, nc, p))
     p = MODULAR_PRIMES[0]
     assert rank_modular(RationalMatrix.from_rows([[Fraction(1, p)]])) == 1

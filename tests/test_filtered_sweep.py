@@ -9,6 +9,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+from oracle import change_basis
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -19,7 +20,7 @@ from algebroid.circle import (
 )
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.kunneth import product_with_lie_algebra
-from algebroid.liealg import change_basis, lie_cohomology, trivial_representation
+from algebroid.liealg import lie_cohomology, trivial_representation
 
 small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 

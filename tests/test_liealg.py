@@ -10,7 +10,8 @@ import oracle
 from algebroid import catalog
 from algebroid.circle import ActionAlgebroid, TrigPoly, truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
-from algebroid.exactlinalg import RationalMatrix, complex_cohomology, inverse, kron_sum
+from oracle import change_basis, inverse
+from algebroid.exactlinalg import RationalMatrix, complex_cohomology, kron_sum
 from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import (
@@ -21,7 +22,6 @@ from algebroid.liealg import (
     bracket_basis,
     ce_complex,
     ce_differential,
-    change_basis,
     check_jacobi,
     check_representation,
     euler_characteristic,
