@@ -196,13 +196,17 @@ def weierstrass_numerator(f: TrigPoly) -> list[Fraction]:
     return p
 
 
-def has_zero_on_circle(f: TrigPoly) -> bool:
-    if f.is_zero():
+def has_zero_on_circle(*fs: TrigPoly) -> bool:
+    """True iff the fs share a zero on the circle: all vanish at t = pi (zero
+    inputs included), or the gcd of their numerators has a real root."""
+    if all(f.value_at_quarter(2) == 0 for f in fs):
         return True
-    if f.value_at_quarter(2) == 0:  # t = pi
-        return True
-    p = weierstrass_numerator(f)
-    return polyroots.count_real_roots(p) > 0
+    g: list[Fraction] = []
+    for f in fs:
+        g = polyroots.poly_gcd(g, weierstrass_numerator(f))
+        if len(g) == 1:  # a constant: no shared zero
+            return False
+    return polyroots.count_real_roots(g) > 0
 
 
 def count_simple_zeros(f: TrigPoly) -> int:
@@ -339,12 +343,8 @@ class ActionAlgebroid:
         return max((f.deg for f in self.phi), default=0)
 
     def _is_transitive(self) -> bool:
-        # The anchor at t is surjective iff some phi_i(t) != 0, i.e. the sum
-        # of squares has no zero on the circle.
-        s = TrigPoly.const(0)
-        for f in self.phi:
-            s = s + trig_mul(f, f)
-        return not has_zero_on_circle(s)
+        # The anchor at t is surjective iff some phi_i(t) != 0.
+        return not has_zero_on_circle(*self.phi)
 
     def _truncated_complex(self, n: int) -> TruncatedComplex:
         if n < 0:
@@ -403,8 +403,7 @@ class Rank1Anchor(ActionAlgebroid):
 
     This is the action algebroid of the line acting through the one vector
     field p d/dt, so its windows, degree and transitivity test are the
-    action algebroid's; the sum-of-squares test is exact here because p^2
-    vanishes exactly where p does.
+    action algebroid's.
     """
 
     def __init__(self, p: TrigPoly):

@@ -8,7 +8,11 @@ coproduct
 
     D(w) = w (x) 1 + 1 (x) w          on degree-1 classes,
 
-extended multiplicatively with Koszul signs.  `GradedCoalgebra` takes the
+extended multiplicatively.  On a basis class, D(w_I) is the sum over the
+splits of I into L and R of sign * w_L (x) w_R, where w_L ^ w_R = sign * w_I,
+so block i of the degree-r coproduct is the transpose of the wedge product
+Lambda^i (x) Lambda^{r-i} -> Lambda^r.  Product and coproduct both come from
+the one sign rule `exterior.wedge`.  `GradedCoalgebra` takes the
 coproduct and product as matrices in pinned bases; that is the input
 format.  The Hopf checks read two sparse views decoded once from the
 matrices' columns, D(x) as {(y, z): coeff} and x*y as {z: coeff} over basis
@@ -24,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, as_fraction, kernel_basis, require_cochain_budget
-from .exterior import sort_sign
+from .exactlinalg import RationalMatrix, as_fraction, kernel_basis, kron_sum, require_cochain_budget
+from .exterior import wedge_product
 from .liealg import LieAlgebra, bracket, bracket_basis
 
 _ZERO = Fraction(0)
@@ -196,65 +200,25 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
     """The coproduct induced by vector addition on an abelian algebra.
 
     Cohomology is the exterior algebra on n degree-1 generators; basis
-    p-classes are indexed lexicographically like exterior basis forms.
-    The coproduct lands in the cohomology of g + g, whose complex has 4^dim
-    cochains; that count is checked against the budget before anything is built.
+    p-classes are indexed lexicographically like exterior basis forms.  The
+    product is `wedge_product`, and block i of coproduct[r] is product[(i, r-i)]
+    transposed.  The coproduct lands in the cohomology of g + g, whose complex
+    has 4^dim cochains; that count is checked against the budget before
+    anything is built.
     """
     if not g.is_abelian():
         raise NotAbelianError("addition induces a coproduct only for abelian algebras")
     n = g.dim
     require_cochain_budget(4 ** n, "the addition coproduct")
     betti = tuple(comb(n, p) for p in range(n + 1))
-    index_of = [{c: i for i, c in enumerate(combinations(range(n), p))}
-                for p in range(n + 1)]
-    labels = [list(combinations(range(n), p)) for p in range(n + 1)]
-    # product: wedge with Koszul sign
-    product = {}
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            pairs = []
-            for a, lab_a in enumerate(labels[p]):
-                for b, lab_b in enumerate(labels[q]):
-                    merged = sort_sign(lab_a + lab_b)
-                    if merged is None:
-                        continue
-                    sign, joined = merged
-                    pairs.append(((index_of[p + q][joined], a * betti[q] + b), sign))
-            product[(p, q)] = RationalMatrix.from_entries(betti[p + q], betti[p] * betti[q],
-                                                          pairs)
-    # coproduct: expand prod_{i in I} (w_i (x) 1 + 1 (x) w_i) with Koszul signs
+    product = {(p, q): wedge_product(n, p, q) for p in range(n + 1) for q in range(n + 1 - p)}
+    one = RationalMatrix.identity(1)
     coproduct = []
     for r in range(n + 1):
-        rows = sum(betti[i] * betti[r - i] for i in range(r + 1))
-        offs = [0]
-        for i in range(r + 1):
-            offs.append(offs[-1] + betti[i] * betti[r - i])
-        pairs = []
-        for col, lab in enumerate(labels[r]):
-            for term_sign, left, right in _shuffle_terms(lab):
-                i = len(left)
-                j = r - i
-                a = index_of[i][left]
-                b = index_of[j][right]
-                pairs.append(((offs[i] + a * betti[j] + b, col), term_sign))
-        coproduct.append(RationalMatrix.from_entries(rows, betti[r], pairs))
+        offs = [0, *accumulate(betti[i] * betti[r - i] for i in range(r + 1))]
+        coproduct.append(kron_sum(offs[-1], betti[r], [
+            (offs[i], 0, one, product[(i, r - i)].transpose()) for i in range(r + 1)]))
     return GradedCoalgebra(betti=betti, coproduct=tuple(coproduct), product=product)
-
-
-def _shuffle_terms(lab: tuple[int, ...]):
-    """Terms of prod_i (w_i (x) 1 + 1 (x) w_i) over increasing i in lab.
-
-    Yields (sign, left_labels, right_labels); the sign is the Koszul sign
-    picked up when a left factor crosses the right factors already placed.
-    """
-    terms = [(1, (), ())]
-    for i in lab:
-        new_terms = []
-        for sign, left, right in terms:
-            new_terms.append((sign * (-1) ** len(right), left + (i,), right))
-            new_terms.append((sign, left, right + (i,)))
-        terms = new_terms
-    return terms
 
 
 def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .circle import ActionAlgebroid, Rank1Anchor, TrigPoly
@@ -22,9 +23,16 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 _TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?\Z",
                       re.ASCII)
 
+# int() and json refuse a number of more digits than this (0: no limit).
+_MAX_DIGITS = sys.get_int_max_str_digits()
+_INT_BOUND = 10 ** _MAX_DIGITS if _MAX_DIGITS else float("inf")
 
-def _is_int(x) -> bool:
-    """A JSON integer: Python's bool is an int subclass, so exclude it."""
+
+def _is_int(x, where: str) -> bool:
+    """A JSON integer: Python's bool is an int subclass, so exclude it.  One
+    over the digit limit, which no JSON file holds, is a ParseError."""
+    if isinstance(x, int) and not isinstance(x, bool) and abs(x) >= _INT_BOUND:
+        raise _too_long(where)
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -32,13 +40,20 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def _too_long(where: str) -> ParseError:
+    return ParseError(f"a number has more than {_MAX_DIGITS} digits", where)
+
+
 def parse_rational(s: str, where: str = "") -> Fraction:
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
-        raise ParseError(f"expected a rational string like \"3\" or \"-1/2\", got {s!r}", where)
-    s = s.strip()
-    if "/" in s and not int(s.partition("/")[2]):  # "3/0" and "3/00" alike
-        raise ParseError("zero denominator", where)
-    return Fraction(s)
+    try:
+        if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
+            raise ParseError(f"expected a rational string like \"3\" or \"-1/2\", got {s!r}",
+                             where)
+        return Fraction(s.strip())
+    except ZeroDivisionError:  # "3/0" and "3/00" alike
+        raise ParseError("zero denominator", where) from None
+    except ValueError:  # int() refuses a number over the digit limit, in s or in repr(s)
+        raise _too_long(where) from None
 
 
 # -- trig polynomials --------------------------------------------------------
@@ -76,14 +91,10 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
                 raise ParseError(f"bad term {raw!r}", where)
             out = out + TrigPoly.const(parse_rational(coeff_s, where))
             continue
-        if coeff_s in ("", "+"):
-            coeff = Fraction(1)
+        if coeff_s in ("", "+", "-"):
             if star:
                 raise ParseError(f"bad term {raw!r}", where)
-        elif coeff_s == "-":
-            coeff = Fraction(-1)
-            if star:
-                raise ParseError(f"bad term {raw!r}", where)
+            coeff = Fraction(-1 if coeff_s == "-" else 1)
         else:
             if not star:
                 raise ParseError(f"missing '*' in term {raw!r}", where)
@@ -122,7 +133,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
     dim = d.get("dim")
-    if not _is_int(dim) or dim < 0:
+    if not _is_int(dim, f"{where}.dim") or dim < 0:
         raise ParseError("'dim' must be a nonnegative integer", f"{where}.dim")
     raw = d.get("brackets", [])
     if not isinstance(raw, list):
@@ -133,7 +144,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
         if not isinstance(entry, dict):
             raise ParseError("expected an object", loc)
         i, j = entry.get("i"), entry.get("j")
-        if not _is_int(i) or not _is_int(j) or not 0 <= i < j < dim:
+        if not _is_int(i, loc) or not _is_int(j, loc) or not 0 <= i < j < dim:
             raise ParseError("need integers 0 <= i < j < dim", loc)
         if (i, j) in table:
             raise ParseError(f"duplicate bracket pair ({i},{j})", loc)
@@ -146,7 +157,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError("expected a [k, rational] pair", c_loc)
             k, val = pair
-            if not _is_int(k) or not 0 <= k < dim:
+            if not _is_int(k, c_loc) or not 0 <= k < dim:
                 raise ParseError("target index out of range", c_loc)
             if k in terms:
                 raise ParseError(f"duplicate target index {k}", c_loc)
@@ -174,7 +185,7 @@ def representation_from_dict(d: dict, algebra: LieAlgebra, where: str = "represe
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
     dim_e = d.get("dim_E")
-    if not _is_int(dim_e) or dim_e < 0:
+    if not _is_int(dim_e, f"{where}.dim_E") or dim_e < 0:
         raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
     raw = d.get("action")
     if not isinstance(raw, list) or len(raw) != algebra.dim:
@@ -219,7 +230,7 @@ def algebroid_from_dict(d: dict, where: str = "algebroid"):
     kind = d.get("kind")
     n_range = d.get("N_range")
     if (not isinstance(n_range, list) or len(n_range) != 2
-            or not all(_is_int(x) and x >= 0 for x in n_range)
+            or not all(_is_int(x, f"{where}.N_range") and x >= 0 for x in n_range)
             or n_range[1] < n_range[0]):
         raise ParseError("'N_range' must be [n_min, n_max] with 0 <= n_min <= n_max",
                          f"{where}.N_range")
@@ -254,11 +265,11 @@ def fiber_from_dict(d: dict, where: str = "fiber") -> FiberData:
     dims = {}
     for key in ("dim_A", "dim_M"):
         v = d.get(key)
-        if not _is_int(v) or v < 0:
+        if not _is_int(v, f"{where}.{key}") or v < 0:
             raise ParseError(f"'{key}' must be a nonnegative integer", f"{where}.{key}")
         dims[key] = v
     dim_e = d.get("dim_E", 1)
-    if not _is_int(dim_e) or dim_e < 0:
+    if not _is_int(dim_e, f"{where}.dim_E") or dim_e < 0:
         raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
     anchor = matrix_from_rows(d.get("anchor"), dims["dim_M"], dims["dim_A"], f"{where}.anchor")
     return FiberData(dim_a=dims["dim_A"], dim_m=dims["dim_M"], anchor=anchor, dim_e=dim_e)
@@ -279,6 +290,8 @@ def load_json(path: str) -> dict:
         raise ParseError(f"cannot read file: {exc.strerror}", path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text at byte {exc.start}", path)
+    except ValueError:  # json reads integers with int()
+        raise _too_long(path) from None
 
 
 def dump_json(d: dict, path: str) -> None:

@@ -37,7 +37,7 @@ from .exactlinalg import (
     kron_sum,
     require_cochain_budget,
 )
-from .exterior import basis_tuples, sort_sign, wedge_matrix
+from .exterior import basis_index, basis_tuples, wedge, wedge_matrix
 
 _ZERO = Fraction(0)
 
@@ -199,24 +199,22 @@ def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
     n = g.dim
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
-    src = basis_tuples(n, p)
-    tgt = {t: r for r, t in enumerate(basis_tuples(n, p + 1))}
+    tgt = basis_index(n, p + 1)
     den = lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
-    by_target: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    by_target: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
     for bi, bj, terms in g.brackets:
         for k, c in terms:
-            by_target[k].append((bi, bj, c.numerator * (den // c.denominator)))
+            by_target[k].append(((bi, bj), c.numerator * (den // c.denominator)))
     pairs = []
-    for col, idx in enumerate(src):
+    for col, idx in enumerate(basis_tuples(n, p)):
         for s, k in enumerate(idx):
-            slot_sign = (-1) ** s
-            for bi, bj, c in by_target[k]:
-                # replace slot s by the 2-form e^bi ^ e^bj, then sort
-                merged = sort_sign(idx[:s] + (bi, bj) + idx[s + 1 :])
-                if merged is None:
-                    continue
-                sign, joined = merged
-                pairs.append(((tgt[joined], col), -slot_sign * sign * c))
+            # Slot s becomes the 2-form e^pair; moving it to the front past s
+            # slots costs (-1)^{2s} = 1, so its sign is wedge(pair, rest)'s.
+            rest, slot_sign = idx[:s] + idx[s + 1:], (-1) ** s
+            for pair, c in by_target[k]:
+                merged = wedge(pair, rest)
+                if merged is not None:
+                    pairs.append(((tgt[merged[1]], col), -slot_sign * merged[0] * c))
     return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs).scaled(Fraction(1, den))
 
 

@@ -26,10 +26,6 @@ def degree(p: Poly) -> int:
     return len(trim(p)) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not trim(p)
-
-
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return trim([(p[i] if i < len(p) else _ZERO) + (q[i] if i < len(q) else _ZERO)

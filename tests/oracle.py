@@ -11,12 +11,18 @@ package's back-substitution must equal entry for entry, and `inverse`.
 rank, and `change_basis` rewrites a Lie algebra's structure constants in
 another basis; only tests use them, so they live here and not in the
 package.  These four take and return package objects.
+
+`sort_sign` finds the sign of a wedge by insertion-sorting the concatenated
+indices, and `shuffle_coproduct` expands prod_i (w_i (x) 1 + 1 (x) w_i)
+with its own Koszul bookkeeping: the package's `exterior.wedge` counts the
+sign instead, and its coproduct is the transpose of its wedge product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import comb, lcm
 
 from algebroid.exactlinalg import RationalMatrix, rank
 from algebroid.liealg import LieAlgebra, bracket
@@ -239,4 +245,49 @@ def cleared_rows(m) -> list[dict[int, int]]:
     for row in m.to_rows():
         d = lcm(*[x.denominator for x in row])
         out.append({j: int(x * d) for j, x in enumerate(row) if x})
+    return out
+
+
+def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
+    """Sign of the permutation sorting `seq`, or None when it has duplicates."""
+    arr = list(seq)
+    sign = 1
+    for k in range(1, len(arr)):
+        x = arr[k]
+        j = k - 1
+        while j >= 0 and arr[j] > x:
+            arr[j + 1] = arr[j]
+            j -= 1
+            sign = -sign
+        if j >= 0 and arr[j] == x:
+            return None
+        arr[j + 1] = x
+    return sign, tuple(arr)
+
+
+def shuffle_coproduct(n: int) -> list[RationalMatrix]:
+    """Coproduct matrices of the exterior algebra on n degree-1 primitives,
+    in the layout of `GradedCoalgebra.coproduct`, from the expansion of
+    prod_{i in I} (w_i (x) 1 + 1 (x) w_i) over increasing i: a left factor
+    crossing the right factors already placed picks up their parity."""
+    betti = [comb(n, p) for p in range(n + 1)]
+    labels = [list(combinations(range(n), p)) for p in range(n + 1)]
+    index_of = [{c: i for i, c in enumerate(lab)} for lab in labels]
+    out = []
+    for r in range(n + 1):
+        offs = [0]
+        for i in range(r + 1):
+            offs.append(offs[-1] + betti[i] * betti[r - i])
+        pairs = []
+        for col, lab in enumerate(labels[r]):
+            terms = [(1, (), ())]
+            for i in lab:
+                terms = [t for sign, left, right in terms
+                         for t in ((sign * (-1) ** len(right), left + (i,), right),
+                                   (sign, left, right + (i,)))]
+            for sign, left, right in terms:
+                i, j = len(left), r - len(left)
+                pairs.append(((offs[i] + index_of[i][left] * betti[j] + index_of[j][right], col),
+                              sign))
+        out.append(RationalMatrix.from_entries(offs[-1], betti[r], pairs))
     return out

@@ -282,6 +282,39 @@ def test_rank1_sweeps():
         assert all(b == betti for _, b in sweep.per_n)
 
 
+# Factors with zeros on the circle: sin t and sin 2t (zero at pi among others),
+# cos t - 1 (a double zero at 0) and sin t + cos t (zeros only away from pi).
+shared_factors = st.sampled_from([TrigPoly.sin(1), TrigPoly.make(-1, [1], [0]),
+                                  TrigPoly.make(0, [1], [1]), TrigPoly.sin(2)]) | trig_polys
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trig_polys, min_size=1, max_size=3), shared_factors,
+       st.integers(0, 4))
+def test_shared_zero_matches_the_sum_of_squares(fs, factor, share):
+    # the fields share a zero exactly where the sum of their squares vanishes;
+    # 2 in 5 draws multiply every field by one factor
+    if share < 2:
+        fs = [trig_mul(f, factor) for f in fs]
+    squares = TrigPoly.const(0)
+    for f in fs:
+        squares = squares + trig_mul(f, f)
+    shared = has_zero_on_circle(squares)
+    assert has_zero_on_circle(*fs) == shared
+    assert is_transitive(ActionAlgebroid(LieAlgebra(len(fs)), tuple(fs))) == (not shared)
+
+
+def test_shared_zero_detection():
+    one, s1, c1 = TrigPoly.const(1), TrigPoly.sin(1), TrigPoly.cos(1)
+    assert not has_zero_on_circle(s1, c1)
+    assert has_zero_on_circle(s1, TrigPoly.sin(2))                   # 0 and pi
+    assert has_zero_on_circle(TrigPoly.make(1, [1], [0]), s1)        # 1 + cos t and sin t at pi
+    assert has_zero_on_circle(TrigPoly.const(0), TrigPoly.const(0))
+    assert has_zero_on_circle(TrigPoly.const(0), s1)
+    assert not has_zero_on_circle(TrigPoly.const(0), one)
+    assert not has_zero_on_circle(TrigPoly.make(-1, [1], [0]), TrigPoly.make(1, [1], [0]))
+
+
 def test_rank1_transitivity():
     assert is_transitive(Rank1Anchor(TrigPoly.const(1)))
     assert is_transitive(Rank1Anchor(TrigPoly.make(2, [0], [1])))

@@ -610,3 +610,23 @@ def test_harmonic_cap_refuses_before_any_trig_coefficient(tmp_path, monkeypatch,
         assert f"over the cap of {MAX_TRIG_DEGREE}" in err and "Traceback" not in err
     monkeypatch.undo()
     assert io.trig_from_string(f"cos({MAX_TRIG_DEGREE}t)") == TrigPoly.cos(MAX_TRIG_DEGREE)
+
+
+# -- over-long numbers -----------------------------------------------------------
+
+@pytest.mark.parametrize("argv, text", [
+    (["circle", "sweep"],
+     json.dumps({"kind": "rank1", "p": "1" * 5000 + "*sin(1t)", "N_range": [1, 3]})),
+    (["lie", "cohomology"],
+     json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, "1" * 5000]]}]})),
+    (["lie", "cohomology"], '{"dim": ' + "1" * 5000 + ', "brackets": []}'),
+], ids=["rank1-p", "bracket-coefficient", "json-integer"])
+def test_over_long_numbers_are_parse_errors(tmp_path, capsys, argv, text):
+    # int() refuses more than sys.get_int_max_str_digits() digits with a ValueError
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert cli.run([*argv, str(path)]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parse error: ") and str(path) in err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err

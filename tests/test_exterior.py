@@ -5,9 +5,11 @@ from math import comb
 from algebroid.exterior import (
     alternating_binomial_sum,
     basis_tuples,
-    sort_sign,
+    wedge,
     wedge_matrix,
+    wedge_product,
 )
+from oracle import sort_sign
 
 
 def test_basis_counts():
@@ -30,13 +32,12 @@ def test_sort_sign():
 
 
 def test_wedge_golden():
-    # the wedge of basis forms a and b is sort_sign(a + b)
     a, b = (0,), (1, 2)
-    sign, out = sort_sign(a + b)
+    sign, out = wedge(a, b)
     assert sign == 1 and out == (0, 1, 2)
-    sign, out = sort_sign(b + a)
+    sign, out = wedge(b, a)
     assert sign == 1 and out == (0, 1, 2)  # two transpositions
-    assert sort_sign(a + (0, 1)) is None
+    assert wedge(a, (0, 1)) is None
 
 
 def test_wedge_graded_commutativity():
@@ -45,8 +46,8 @@ def test_wedge_graded_commutativity():
         for q in range(n + 1 - p):
             for a in basis_tuples(n, p):
                 for b in basis_tuples(n, q):
-                    left = sort_sign(a + b)
-                    right = sort_sign(b + a)
+                    left = wedge(a, b)
+                    right = wedge(b, a)
                     if left is None:
                         assert right is None
                         continue
@@ -54,6 +55,31 @@ def test_wedge_graded_commutativity():
                     rs, rw = right
                     assert lw == rw
                     assert ls == (-1) ** (p * q) * rs
+
+
+def test_wedge_counts_the_sign_sort_sign_sorts():
+    # every pair of basis forms for n <= 6, shared indices included
+    for n in range(7):
+        forms = [t for p in range(n + 1) for t in basis_tuples(n, p)]
+        for a in forms:
+            for b in forms:
+                assert wedge(a, b) == sort_sign(a + b), (a, b)
+
+
+def test_wedge_product_columns_are_wedges():
+    n = 4
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            m = wedge_product(n, p, q)
+            left, right, out = basis_tuples(n, p), basis_tuples(n, q), basis_tuples(n, p + q)
+            assert (m.rows, m.cols) == (len(out), len(left) * len(right))
+            for ia, a in enumerate(left):
+                for ib, b in enumerate(right):
+                    merged = wedge(a, b)
+                    want = [0] * len(out)
+                    if merged is not None:
+                        want[out.index(merged[1])] = merged[0]
+                    assert m.column(ia * len(right) + ib) == want
 
 
 def test_wedge_matrix_golden():

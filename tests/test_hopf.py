@@ -7,6 +7,7 @@ import pytest
 from algebroid import catalog
 from algebroid.errors import NotAbelianError
 from algebroid.exactlinalg import RationalMatrix
+from algebroid.exterior import wedge_product
 from algebroid.hopf import (
     GradedCoalgebra,
     HStructure,
@@ -20,6 +21,8 @@ from algebroid.hopf import (
     ts1_coalgebra,
     verify_hopf,
 )
+from algebroid.liealg import LieAlgebra
+from oracle import shuffle_coproduct
 
 F = Fraction
 
@@ -61,6 +64,24 @@ def test_coproduct_golden_degree_two():
         (1, 1, 1, 0): F(-1),
         (2, 0, 0, 0): F(1),
     }
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_coproduct_equals_the_shuffle_expansion(n):
+    c = addition_coproduct(LieAlgebra(n))
+    assert list(c.coproduct) == shuffle_coproduct(n)
+
+
+def test_coproduct_blocks_are_transposed_products():
+    n = 4
+    c = addition_coproduct(LieAlgebra(n))
+    for (p, q), m in c.product.items():
+        assert m == wedge_product(n, p, q)
+    for r, m in enumerate(c.coproduct):
+        offs = c.block_offsets(r)
+        for i in range(r + 1):
+            block = [m.row(k) for k in range(offs[i], offs[i + 1])]
+            assert block == c.product[(i, r - i)].transpose().to_rows()
 
 
 def test_coproduct_primitive_generators():

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from algebroid import catalog, io
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
-from algebroid.errors import ParseError
+from algebroid.errors import ParseError, ValidationError
 from algebroid.exactlinalg import RationalMatrix
 from algebroid.liealg import adjoint_representation
 from algebroid.symbol import FiberData
@@ -174,3 +175,107 @@ def test_json_error_reporting(tmp_path):
     with pytest.raises(ParseError) as err:
         io.load_json(str(bad))
     assert "line 3" in str(err.value)
+
+
+# -- fuzzing the parsers ---------------------------------------------------------
+#
+# Every parser either returns or raises ParseError / ValidationError, for any
+# JSON value.  Numbers and digit strings run up to 5000 digits, past the
+# 4300 that int() reads by default.  The templates below keep most fields
+# plausible and replace the others by arbitrary values, so that the fuzz
+# reaches nested fields and not only the top-level type checks.
+
+lengths = st.sampled_from([1, 4300, 4301, 5000]) | st.integers(1, 5000)
+digit_runs = lengths.map(lambda k: "7" * k)
+integers = st.integers(-2, 4) | lengths.map(lambda k: 10 ** k - 1) | lengths.map(lambda k: -10 ** k)
+strings = (st.sampled_from(["0", "2", "-1/2", "3/0", " 1 ", "1.5", "", "x", "sin(1t)",
+                            "-2*cos(3t) + 1/2", "cos(65t)", "2sin(1t)", "1 +"])
+           | st.text(max_size=6) | digit_runs | digit_runs.map(lambda s: "1/" + s)
+           | digit_runs.map(lambda s: s + "*sin(1t)") | digit_runs.map(lambda s: f"cos({s}t)"))
+KEYS = ["dim", "brackets", "i", "j", "coeffs", "name", "dim_E", "action", "kind", "N_range",
+        "p", "g", "phi", "dim_A", "dim_M", "anchor"]
+json_values = st.recursive(
+    st.none() | st.booleans() | integers | st.floats() | strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12)
+
+
+def field(plausible):
+    """Mostly a plausible value, one draw in eight an arbitrary one."""
+    return st.integers(0, 7).flatmap(lambda r: plausible if r else json_values)
+
+
+def small(hi):
+    return field(st.integers(0, hi))
+
+
+def matrices(rows, cols):
+    return field(st.lists(st.lists(field(strings), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+
+
+algebra_dicts = st.fixed_dictionaries(
+    {"dim": field(st.integers(2, 3)),
+     "brackets": field(st.lists(st.fixed_dictionaries(
+         {"i": field(st.integers(0, 1)), "j": field(st.integers(1, 2)),
+          "coeffs": field(st.lists(st.tuples(small(2), field(strings)).map(list),
+                                   max_size=3))}), max_size=3))},
+    optional={"name": field(st.text(max_size=4))})
+
+
+def representation_dicts(g):
+    return st.integers(0, 2).flatmap(lambda e: st.fixed_dictionaries(
+        {"dim_E": field(st.just(e)),
+         "action": field(st.lists(matrices(e, e), min_size=g.dim, max_size=g.dim))}))
+
+
+N_ranges = field(st.lists(st.integers(0, 5), min_size=2, max_size=2).map(sorted))
+algebroid_dicts = st.fixed_dictionaries(
+    {"kind": field(st.just("rank1")), "p": field(strings), "N_range": N_ranges}) | \
+    st.fixed_dictionaries(
+        {"kind": field(st.just("action")), "g": field(algebra_dicts),
+         "phi": field(st.lists(field(strings), min_size=2, max_size=3)), "N_range": N_ranges})
+fiber_dicts = st.tuples(st.integers(0, 3), st.integers(0, 2)).flatmap(
+    lambda am: st.fixed_dictionaries(
+        {"dim_A": field(st.just(am[0])), "dim_M": field(st.just(am[1])),
+         "anchor": matrices(am[1], am[0])}, optional={"dim_E": small(2)}))
+
+
+def returns_or_raises_parse_errors(parse, *args):
+    try:
+        parse(*args)
+    except (ParseError, ValidationError):
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values | algebra_dicts)
+@example({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, "1" * 5000]]}]})
+@example({"dim": 10 ** 5000})
+def test_algebra_parser_fuzz(d):
+    returns_or_raises_parse_errors(io.algebra_from_dict, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["zero", "r1", "aff1", "sl2"]).map(catalog.algebra).flatmap(
+    lambda g: st.tuples(json_values | representation_dicts(g), st.just(g))))
+@example(({"dim_E": 1, "action": [[[10 ** 5000]]]}, catalog.algebra("r1")))
+@example(({"dim_E": 10 ** 5000, "action": [[]]}, catalog.algebra("r1")))
+def test_representation_parser_fuzz(d_and_g):
+    d, g = d_and_g
+    returns_or_raises_parse_errors(io.representation_from_dict, d, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values | algebroid_dicts)
+@example({"kind": "rank1", "p": "1" * 5000 + "*sin(1t)", "N_range": [1, 3]})
+def test_algebroid_parser_fuzz(d):
+    returns_or_raises_parse_errors(io.algebroid_from_dict, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values | fiber_dicts)
+@example({"dim_A": 1, "dim_M": 1, "anchor": [["1/" + "7" * 5000]]})
+def test_fiber_parser_fuzz(d):
+    returns_or_raises_parse_errors(io.fiber_from_dict, d)
