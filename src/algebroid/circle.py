@@ -21,10 +21,13 @@ whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
 filtered complex: the widest window, checked once and eliminated once.
 
 Zero counting is exact.  Substituting u = tan(t/2) turns a degree-d trig
-polynomial f into P(u) / (1 + u^2)^d with P rational of degree <= 2d; the
-zeros of f away from t = pi correspond bijectively to the real roots of P
-(with matching multiplicity), and t = pi is checked separately.  Real
-roots of P are counted with Sturm chains.
+polynomial f into P(u) / (1 + u^2)^d with P rational of degree <= 2d, built
+by angle addition in O(d^2).  The zeros of f away from t = pi correspond
+bijectively to the real roots of P, with matching multiplicity.  Under
+v = cot(t/2), f = v^(2d - deg P) times a unit near t = pi, so the
+multiplicity of the zero at t = pi is 2d - deg P, read off the degree.  Real
+roots of P are counted on its integer multiple, with one signed remainder
+sequence (`polyroots`) giving the Sturm count and the repeated roots.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain
 from math import lcm
 
@@ -51,7 +55,6 @@ from .exterior import basis_tuples, wedge_matrix
 from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differential
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def trig_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
 
 def trig_derivative(f: TrigPoly) -> TrigPoly:
     """f', read off the d/dt operator on f's window."""
-    d = multiplication_matrix(TrigPoly(_ONE), f.deg, f.deg, derivative=True)
+    d = multiplication_matrix(TrigPoly.const(1), f.deg, f.deg, derivative=True)
     return _from_window_coords(d.apply(window_coords(f, f.deg)))
 
 
@@ -171,42 +174,37 @@ def vf_bracket(u: TrigPoly, v: TrigPoly) -> TrigPoly:
 
 
 def weierstrass_numerator(f: TrigPoly) -> list[Fraction]:
-    """P with f(t) = P(u) / (1+u^2)^deg under u = tan(t/2).
+    """P with f(t) = P(u) / (1+u^2)^deg under u = tan(t/2), trimmed.
 
-    Uses cos kt = Re (1+iu)^{2k} / (1+u^2)^k and the matching Im for sin.
+    C_k = (1+u^2)^k cos kt and S_k = (1+u^2)^k sin kt come from C_0 = 1,
+    S_0 = 0 by angle addition, C_{k+1} + i S_{k+1} = (C_k + i S_k)(1 - u^2 + 2iu),
+    and P is Horner's rule in 1 + u^2 over T_k = a_k C_k + b_k S_k: O(deg^2)
+    integer operations on f's coefficients times their lcm denominator.
     """
-    d = f.deg
-    one_plus = [_ONE, _ZERO, _ONE]  # 1 + u^2
-    t_pow = [[_ONE]]
-    for _ in range(d):
-        t_pow.append(polyroots.mul(t_pow[-1], one_plus))
-    p = polyroots.scale(t_pow[d], f.constant)
-    re, im = [_ONE], []  # (1 + iu)^0
-    for k in range(1, d + 1):
-        for _ in range(2):
-            # multiply (re + i im) by (1 + iu)
-            u_im = [_ZERO] + im
-            u_re = [_ZERO] + re
-            re, im = polyroots.sub(re, u_im), polyroots.add(im, u_re)
-        term = polyroots.add(
-            polyroots.scale(re, f.cos_coeff(k)),
-            polyroots.scale(im, f.sin_coeff(k)),
-        )
-        p = polyroots.add(p, polyroots.mul(term, t_pow[d - k]))
-    return p
+    coords = window_coords(f, f.deg)
+    den = lcm(*(x.denominator for x in coords))
+    a = [x.numerator * (den // x.denominator) for x in coords]
+    c, s, p = [1], [0], [a[0]]
+    for k in range(1, f.deg + 1):
+        # Pad by two on both sides: index i + 2 is u^i, i + 1 is u^(i-1), i is u^(i-2).
+        cp, sp, pp = [0, 0, *c, 0, 0], [0, 0, *s, 0, 0], [0, 0, *p, 0, 0]
+        c = [cp[i + 2] - cp[i] - 2 * sp[i + 1] for i in range(2 * k + 1)]
+        s = [sp[i + 2] - sp[i] + 2 * cp[i + 1] for i in range(2 * k + 1)]
+        ak, bk = a[2 * k - 1], a[2 * k]
+        p = [pp[i + 2] + pp[i] + ak * c[i] + bk * s[i] for i in range(2 * k + 1)]
+    while p and not p[-1]:
+        p.pop()
+    return [Fraction(x, den) for x in p]
 
 
 def has_zero_on_circle(*fs: TrigPoly) -> bool:
     """True iff the fs share a zero on the circle: all vanish at t = pi (zero
     inputs included), or the gcd of their numerators has a real root."""
-    if all(f.value_at_quarter(2) == 0 for f in fs):
+    ps = [weierstrass_numerator(f) for f in fs]
+    if all(len(p) - 1 < 2 * f.deg for f, p in zip(fs, ps)):  # all vanish at pi
         return True
-    g: list[Fraction] = []
-    for f in fs:
-        g = polyroots.poly_gcd(g, weierstrass_numerator(f))
-        if len(g) == 1:  # a constant: no shared zero
-            return False
-    return polyroots.count_real_roots(g) > 0
+    g = reduce(polyroots.poly_gcd, ps, [])
+    return len(g) > 1 and polyroots.count_real_roots(g) > 0
 
 
 def count_simple_zeros(f: TrigPoly) -> int:
@@ -217,15 +215,14 @@ def count_simple_zeros(f: TrigPoly) -> int:
     """
     if f.is_zero():
         raise ValueError("zero trig polynomial")
-    fp = trig_derivative(f)
-    at_pi = f.value_at_quarter(2)
-    if at_pi == 0 and fp.value_at_quarter(2) == 0:
-        raise NonsimpleZeroError("zero of f at t = pi is not simple")
     p = weierstrass_numerator(f)
-    if polyroots.has_multiple_real_root(p):
+    at_pi = 2 * f.deg - (len(p) - 1)  # the multiplicity of the zero at pi
+    if at_pi > 1:
+        raise NonsimpleZeroError("zero of f at t = pi is not simple")
+    count = polyroots.simple_real_root_count(p)
+    if count is None:
         raise NonsimpleZeroError("f has a repeated zero on the circle")
-    count = polyroots.count_real_roots(p) if polyroots.degree(p) >= 1 else 0
-    return count + (1 if at_pi == 0 else 0)
+    return count + at_pi
 
 
 # -- windows -----------------------------------------------------------------
@@ -358,8 +355,7 @@ class ActionAlgebroid:
                for i, j, terms in g.brackets):
             zero = set()
         moving = [i not in zero for i in range(g.dim)]
-        require_cochain_budget(2 ** g.dim * (2 * n + 1 + d * sum(moving)),
-                               f"the window-{n} complex")
+        require_cochain_budget(2 * n + 1 + d * sum(moving), g.dim, f"the window-{n} complex")
         if len(self.phi) != g.dim:
             raise ValidationError("need one vector field per basis vector")
         require_jacobi(g)

@@ -25,6 +25,7 @@ from . import catalog, io
 from .circle import Rank1Anchor, SweepResult, count_simple_zeros, is_transitive, \
     stabilized_cohomology
 from .errors import AlgebroidError, NotStabilizedError, ParseError, ValidationError
+from .exactlinalg import CohomologyReport, require_cochain_budget
 from .hopf import addition, addition_coproduct, check_h_structure, \
     exterior_structure_check, hopf_axioms, primitives
 from .kunneth import direct_sum, kunneth_verify, product_with_lie_algebra
@@ -121,23 +122,29 @@ def _sweep(a, n_min: int, n_max: int) -> SweepResult:
     return stabilized_cohomology(a, n_min, n_max, strict=False)
 
 
+def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
+    # The budget is checked from g.dim alone, before g.dim zero matrices are built.
+    require_cochain_budget(1, g.dim, "the Chevalley-Eilenberg complex")
+    return lie_cohomology(trivial_representation(g))
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_lie(args) -> tuple[list[str], dict, int]:
     g = _load_algebra(args.algebra)
     if args.rep:
         rep = _load_representation(args.rep, g)
-        coeff_label = f"{args.rep} (dim {rep.dim_e})"
+        coeff_label, dim_e = f"{args.rep} (dim {rep.dim_e})", rep.dim_e
+        report = lie_cohomology(rep)
     else:
-        rep = trivial_representation(g)
-        coeff_label = "trivial (dim 1)"
-    report = lie_cohomology(rep)
+        coeff_label, dim_e = "trivial (dim 1)", 1
+        report = _trivial_cohomology(g)
     label = _algebra_label(args.algebra, g)
     lines = [f"algebra: {label} (dim {g.dim})", f"coefficients: {coeff_label}"]
     payload = {
         "algebra": args.algebra,
         "dim": g.dim,
-        "coefficients_dim": rep.dim_e,
+        "coefficients_dim": dim_e,
         "euler": report.euler,
     }
     if args.action == "cohomology":
@@ -194,9 +201,9 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
     if kinds == ("algebra", "algebra"):
         g = load_left()
         h = load_right()
-        left_report = lie_cohomology(trivial_representation(g))
-        right_report = lie_cohomology(trivial_representation(h))
-        total = lie_cohomology(trivial_representation(direct_sum(g, h)))
+        left_report = _trivial_cohomology(g)
+        right_report = _trivial_cohomology(h)
+        total = _trivial_cohomology(direct_sum(g, h))
         lines = [
             f"left: {args.left} (algebra, dim {g.dim})",
             f"right: {args.right} (algebra, dim {h.dim})",
@@ -214,7 +221,7 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
         if not (factor_sweep.stabilized and product_sweep.stabilized):
             raise NotStabilizedError(product_sweep.per_n)
         left_report = factor_sweep.report
-        right_report = lie_cohomology(trivial_representation(g))
+        right_report = _trivial_cohomology(g)
         total = product_sweep.report
         lines = [
             f"left: {roid_arg} (algebroid, windows N={n_min}..{n_max})",
@@ -248,7 +255,7 @@ def _cmd_hopf(args) -> tuple[list[str], dict, int]:
     g = _load_algebra(args.algebra)
     abelian = g.is_abelian()
     # Both size budgets come before any other work: the CE complex's, then the coproduct's.
-    betti = list(lie_cohomology(trivial_representation(g)).betti)
+    betti = list(_trivial_cohomology(g).betti)
     c = addition_coproduct(g) if abelian else None
     h_ok = check_h_structure(addition(g))
     generators = exterior_structure_check(betti)
@@ -301,8 +308,8 @@ def _cmd_symbol(args) -> tuple[list[str], dict, int]:
         raise ParseError(f"expected {fiber.dim_m} comma-separated components",
                          "--alpha")
     alpha = [io.parse_rational(s, where="--alpha") for s in parts]
+    cx = symbol_complex(fiber, alpha)  # checks the size budget before beta is formed
     beta = pullback_covector(fiber, alpha)
-    cx = symbol_complex(fiber, alpha)
     result = exactness_check(cx)
     lines = [
         f"fiber: dim A={fiber.dim_a}, dim M={fiber.dim_m}, dim E={fiber.dim_e}",

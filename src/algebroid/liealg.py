@@ -234,7 +234,7 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
 def ce_complex(r: Representation) -> CochainComplex:
     """Full complex E (x) Lambda^* with validated inputs."""
     g = r.algebra
-    require_cochain_budget(r.dim_e * 2 ** g.dim, "the Chevalley-Eilenberg complex")
+    require_cochain_budget(r.dim_e, g.dim, "the Chevalley-Eilenberg complex")
     require_jacobi(g)
     if not check_representation(r):
         raise ValidationError("action matrices do not represent the bracket "

@@ -1,141 +1,95 @@
-"""Univariate polynomials over Q and exact real-root counting.
+"""Exact real-root counting for univariate polynomials over Q.
 
-Polynomials are coefficient lists in ascending powers.  `count_real_roots`
-uses Sturm chains; it counts distinct real roots and is exact for any
-nonzero rational polynomial, squarefree or not.
+Polynomials are coefficient lists in ascending powers, of ints or Fractions.
+Each input is cleared once to a positive integer multiple, with the same
+roots and signs, and the rest is integer arithmetic.  `_remainders` is the
+one Euclidean loop: the signed primitive pseudo-remainder sequence, which
+has the signs and the last element, the gcd, of the remainder sequence over
+Q (Collins, J. ACM 14, 1967).  Of p and p' it is a Sturm sequence, counting
+the distinct real roots of p, squarefree or not, and its last element
+gcd(p, p') has a real root exactly where p has a repeated one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Poly = list[Fraction]
-
-_ZERO = Fraction(0)
+from math import gcd, lcm
 
 
-def trim(p) -> Poly:
-    q = [Fraction(x) if not isinstance(x, Fraction) else x for x in p]
-    while q and not q[-1]:
-        q.pop()
-    return q
+def _trimmed(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def degree(p: Poly) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(trim(p)) - 1
+def _cleared(p) -> list[int]:
+    den = lcm(*(x.denominator for x in p))
+    return _trimmed([x.numerator * (den // x.denominator) for x in p])
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else _ZERO) + (q[i] if i < len(q) else _ZERO)
-                 for i in range(n)])
+def derivative(p) -> list:
+    return _trimmed([i * c for i, c in enumerate(p)][1:])
 
 
-def neg(p: Poly) -> Poly:
-    return [-x for x in p]
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def scale(p: Poly, c: Fraction) -> Poly:
-    return trim([c * x for x in p])
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    p, q = trim(p), trim(q)
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return trim(out)
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    p, q = trim(p), trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [_ZERO] * max(len(p) - len(q) + 1, 0)
-    rem = p[:]
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and rem:
-        shift = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quot[shift] = c
-        for i in range(dq + 1):
-            rem[shift + i] -= c * q[i]
-        rem = trim(rem)
-        if not rem:
-            break
-    return trim(quot), rem
-
-
-def derivative(p: Poly) -> Poly:
-    return trim([i * c for i, c in enumerate(p)][1:])
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    a, b = trim(p), trim(q)
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, then each next element down to gcd(a, b), for trimmed integer
+    polynomials.  Pseudo-division multiplies the running remainder by lc(b)
+    once per step, so after e steps it holds lc(b)^e (a mod b); the next
+    element is that over its content, negated when lc(b)^e > 0, so it is a
+    positive multiple of -(a mod b), as a Sturm sequence needs."""
+    seq = [a]
     while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    if a:
-        a = scale(a, Fraction(1) / a[-1])
-    return a
+        seq.append(b)
+        r, steps = a, 0
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            r, steps = _trimmed(r), steps + 1
+        # lc(b)^e < 0 iff lc(b) < 0 and e is odd; an empty r has gcd 0 and stays empty
+        content = gcd(*r) if b[-1] < 0 and steps % 2 else -gcd(*r)
+        a, b = b, [x // content for x in r]
+    return seq
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [trim(p), derivative(p)]
-    if not chain[1]:
-        chain.pop()
-    while len(chain) >= 2:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(neg(r))
-    return chain
+def _sturm_count(seq: list[list[int]]) -> int:
+    """Sign changes of a Sturm sequence at -inf minus those at +inf; an
+    element of degree n has (-1)^n times its leading sign at -inf."""
+    def changes(positive):
+        return sum(s != t for s, t in zip(positive, positive[1:]))
+    return (changes([(q[-1] > 0) == (len(q) % 2 == 1) for q in seq])
+            - changes([q[-1] > 0 for q in seq]))
 
 
-def _variations(signs) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
-    return out
-
-
-def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots of a nonzero rational polynomial."""
-    p = trim(p)
-    if not p:
+def _sturm_sequence(p) -> list[list[int]]:
+    q = _cleared(p)
+    if not q:
         raise ValueError("zero polynomial has every point as a root")
-    if len(p) == 1:
-        return 0
-    chain = _sturm_chain(p)
-    at_plus = []
-    at_minus = []
-    for q in chain:
-        lead = q[-1]
-        s = 1 if lead > 0 else -1
-        at_plus.append(s)
-        at_minus.append(s if (len(q) - 1) % 2 == 0 else -s)
-    return _variations(at_minus) - _variations(at_plus)
+    return _remainders(q, derivative(q))
 
 
-def has_multiple_real_root(p: Poly) -> bool:
+def poly_gcd(p, q) -> list[Fraction]:
+    """Monic gcd, the last element of the remainder sequence."""
+    g = _remainders(_cleared(p), _cleared(q))[-1]
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def count_real_roots(p) -> int:
+    """Number of distinct real roots of a nonzero rational polynomial."""
+    return _sturm_count(_sturm_sequence(p))
+
+
+def simple_real_root_count(p) -> int | None:
+    """Number of distinct real roots of a nonzero rational polynomial, or
+    None when one of them is repeated: one remainder sequence, plus one of
+    its last element gcd(p, p') when that is not a constant."""
+    seq = _sturm_sequence(p)
+    if len(seq[-1]) > 1 and count_real_roots(seq[-1]) > 0:
+        return None
+    return _sturm_count(seq)
+
+
+def has_multiple_real_root(p) -> bool:
     """True iff p shares a real root with its derivative."""
-    g = poly_gcd(p, derivative(p))
-    return degree(g) >= 1 and count_real_roots(g) > 0
+    return any(p) and simple_real_root_count(p) is None

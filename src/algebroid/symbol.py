@@ -45,7 +45,7 @@ def pullback_covector(f: FiberData, alpha) -> list[Fraction]:
 
 def symbol_complex(f: FiberData, alpha) -> CochainComplex:
     """Wedge-by-beta complex on E (x) Lambda^* of the fiber."""
-    require_cochain_budget(f.dim_e * 2 ** f.dim_a, "the symbol complex")
+    require_cochain_budget(f.dim_e, f.dim_a, "the symbol complex")
     beta = pullback_covector(f, alpha)
     n = f.dim_a
     id_e = RationalMatrix.identity(f.dim_e)

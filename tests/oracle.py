@@ -16,6 +16,14 @@ package.  These four take and return package objects.
 indices, and `shuffle_coproduct` expands prod_i (w_i (x) 1 + 1 (x) w_i)
 with its own Koszul bookkeeping: the package's `exterior.wedge` counts the
 sign instead, and its coproduct is the transpose of its wedge product.
+
+The Fraction polynomial arithmetic, Euclid and Sturm chains, the half-angle
+numerator multiplied out from powers of 1 + iu and 1 + u^2, and zero
+counting that reads t = pi off the values of f and f' there are the
+references for `polyroots` and `circle`, which count on integer remainder
+sequences and read t = pi off the numerator's degree.  `check_h_structure`
+checks the morphism law on every pair of basis vectors, where the package
+tests abelianness.
 """
 
 from __future__ import annotations
@@ -24,8 +32,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
+from algebroid.circle import trig_derivative
+from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, rank
-from algebroid.liealg import LieAlgebra, bracket
+from algebroid.hopf import addition
+from algebroid.liealg import LieAlgebra, bracket, bracket_basis
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -290,4 +301,189 @@ def shuffle_coproduct(n: int) -> list[RationalMatrix]:
                 pairs.append(((offs[i] + index_of[i][left] * betti[j] + index_of[j][right], col),
                               sign))
         out.append(RationalMatrix.from_entries(offs[-1], betti[r], pairs))
+    return out
+
+
+# -- Fraction polynomials and half-angle zero counting -------------------------
+
+Poly = list[Fraction]
+
+
+def trim(p) -> Poly:
+    q = [Fraction(x) for x in p]
+    while q and not q[-1]:
+        q.pop()
+    return q
+
+
+def degree(p: Poly) -> int:
+    """Degree, with the zero polynomial at -1."""
+    return len(trim(p)) - 1
+
+
+def add(p: Poly, q: Poly) -> Poly:
+    n = max(len(p), len(q))
+    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                 for i in range(n)])
+
+
+def neg(p: Poly) -> Poly:
+    return [-x for x in p]
+
+
+def sub(p: Poly, q: Poly) -> Poly:
+    return add(p, neg(q))
+
+
+def scale(p: Poly, c) -> Poly:
+    return trim([c * x for x in p])
+
+
+def mul(p: Poly, q: Poly) -> Poly:
+    p, q = trim(p), trim(q)
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return trim(out)
+
+
+def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    p, q = trim(p), trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    rem = p[:]
+    while rem and len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        c = rem[-1] / q[-1]
+        quot[shift] = c
+        for i, y in enumerate(q):
+            rem[shift + i] -= c * y
+        rem = trim(rem)
+    return trim(quot), rem
+
+
+def derivative(p: Poly) -> Poly:
+    return trim([i * c for i, c in enumerate(p)][1:])
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm over Fraction."""
+    a, b = trim(p), trim(q)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return scale(a, 1 / a[-1]) if a else a
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    chain = [trim(p), derivative(p)]
+    if not chain[1]:
+        chain.pop()
+    while len(chain) >= 2:
+        r = divmod_poly(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(neg(r))
+    return chain
+
+
+def count_real_roots(p: Poly) -> int:
+    """Distinct real roots of a nonzero polynomial, from its Sturm chain."""
+    p = trim(p)
+    if not p:
+        raise ValueError("zero polynomial has every point as a root")
+
+    def variations(signs):
+        signs = [s for s in signs if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    chain = sturm_chain(p)
+    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [s * (-1) ** (len(q) - 1) for s, q in zip(at_plus, chain)]
+    return variations(at_minus) - variations(at_plus)
+
+
+def has_multiple_real_root(p: Poly) -> bool:
+    g = poly_gcd(p, derivative(p))
+    return degree(g) >= 1 and count_real_roots(g) > 0
+
+
+def weierstrass_numerator(f) -> Poly:
+    """P with f(t) = P(u) / (1+u^2)^deg under u = tan(t/2), from
+    cos kt = Re (1+iu)^{2k} / (1+u^2)^k and the matching Im for sin, with
+    every power of 1 + u^2 multiplied out."""
+    d = f.deg
+    t_pow = [[Fraction(1)]]
+    for _ in range(d):
+        t_pow.append(mul(t_pow[-1], [1, 0, 1]))
+    p = scale(t_pow[d], f.constant)
+    re, im = [Fraction(1)], []  # (1 + iu)^0
+    for k in range(1, d + 1):
+        for _ in range(2):  # multiply (re + i im) by (1 + iu)
+            re, im = sub(re, [0] + im), add(im, [0] + re)
+        term = add(scale(re, f.cos_coeff(k)), scale(im, f.sin_coeff(k)))
+        p = add(p, mul(term, t_pow[d - k]))
+    return p
+
+
+def has_zero_on_circle(*fs) -> bool:
+    """The fs share a zero: all vanish at pi, or their numerators' gcd has a real root."""
+    if all(f.value_at_quarter(2) == 0 for f in fs):
+        return True
+    g: Poly = []
+    for f in fs:
+        g = poly_gcd(g, weierstrass_numerator(f))
+    return degree(g) >= 1 and count_real_roots(g) > 0
+
+
+def count_simple_zeros(f) -> int:
+    """Zeros of f on the circle, with f(pi) and f'(pi) read off the values at pi."""
+    if f.is_zero():
+        raise ValueError("zero trig polynomial")
+    at_pi = f.value_at_quarter(2)
+    if at_pi == 0 and trig_derivative(f).value_at_quarter(2) == 0:
+        raise NonsimpleZeroError("zero of f at t = pi is not simple")
+    p = weierstrass_numerator(f)
+    if has_multiple_real_root(p):
+        raise NonsimpleZeroError("f has a repeated zero on the circle")
+    return (count_real_roots(p) if degree(p) >= 1 else 0) + (1 if at_pi == 0 else 0)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the (class, message) it raised, so that a
+    package function and its reference compare on errors too."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# -- H-structures ---------------------------------------------------------------
+
+def check_h_structure(h) -> bool:
+    """Unit law H(x, 0) = H(0, x) = x, then H a morphism of Lie algebras
+    against the product bracket [(x,y),(x',y')] = ([x,x'],[y,y']), checked on
+    every pair of basis vectors of g + g."""
+    g, n = h.algebra, h.algebra.dim
+    if h.matrix != addition(g).matrix:
+        return False
+    images = [h.matrix.column(a) for a in range(2 * n)]
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            lhs = h.matrix.apply(_pair_bracket(g, a, b))
+            if lhs != bracket(g, images[a], images[b]):
+                return False
+    return True
+
+
+def _pair_bracket(g, a: int, b: int) -> list[Fraction]:
+    n = g.dim
+    out = [Fraction(0)] * (2 * n)
+    if a < n and b < n:
+        out[:n] = bracket_basis(g, a, b)
+    elif a >= n and b >= n:
+        out[n:] = bracket_basis(g, a - n, b - n)
     return out

@@ -6,7 +6,7 @@ import types
 import pytest
 
 import algebroid
-from algebroid import exactlinalg, exterior, hopf, liealg
+from algebroid import circle, exactlinalg, exterior, hopf, liealg, polyroots
 
 
 def test_every_listed_name_resolves():
@@ -33,3 +33,15 @@ def test_test_only_helpers_left_the_package(module, name):
 def test_second_wedge_sign_rule_left_the_package(module, name):
     # exterior.wedge is the one sign rule; the references live in tests/oracle.py
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("module", [algebroid, polyroots, circle], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["trim", "degree", "add", "neg", "sub", "scale", "mul",
+                                  "divmod_poly", "_sturm_chain", "_variations"])
+def test_fraction_polynomial_arithmetic_left_the_package(module, name):
+    # polyroots counts on integer lists; the Fraction reference lives in tests/oracle.py
+    assert not hasattr(module, name)
+
+
+def test_h_structure_morphism_loop_left_the_package():
+    assert not hasattr(hopf, "_pair_bracket")

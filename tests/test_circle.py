@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from algebroid import catalog, polyroots
+from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
     Rank1Anchor,
@@ -111,14 +111,14 @@ def test_product_and_derivative_match_half_angle_substitution(f, g):
     # u = tan(t/2), W(f) = f (1+u^2)^deg f turns trig products into
     # polynomial products, and d/dt into ((1+u^2) d/du - 2 deg f u) / 2.
     w = weierstrass_numerator
-    assert polyroots.trim(w(trig_mul(f, g))) == polyroots.trim(polyroots.mul(w(f), w(g)))
+    assert oracle.trim(w(trig_mul(f, g))) == oracle.trim(oracle.mul(w(f), w(g)))
     d = f.deg
     assume(d >= 1)
     p = w(f)
-    expected = polyroots.scale(polyroots.sub(
-        polyroots.mul([F(1), F(0), F(1)], polyroots.derivative(p)),
-        polyroots.mul([F(0), F(2 * d)], p)), F(1, 2))
-    assert polyroots.trim(w(trig_derivative(f))) == polyroots.trim(expected)
+    expected = oracle.scale(oracle.sub(
+        oracle.mul([F(1), F(0), F(1)], oracle.derivative(p)),
+        oracle.mul([F(0), F(2 * d)], p)), F(1, 2))
+    assert oracle.trim(w(trig_derivative(f))) == oracle.trim(expected)
 
 
 def test_vector_field_brackets():
@@ -172,6 +172,57 @@ def test_count_simple_zeros():
         count_simple_zeros(TrigPoly.make(1, [0], [-1]))
     with pytest.raises(ValueError):
         count_simple_zeros(TrigPoly.const(0))
+
+
+numerator_polys = st.builds(TrigPoly.make, small_fraction,
+                            st.lists(small_fraction, max_size=12),
+                            st.lists(small_fraction, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(numerator_polys)
+def test_weierstrass_numerator_matches_the_binomial_expansion(f):
+    # angle addition and Horner in 1 + u^2 against powers of (1 + iu) and of 1 + u^2
+    p = weierstrass_numerator(f)
+    assert p == oracle.weierstrass_numerator(f)
+    assert all(type(x) is Fraction for x in p)
+
+
+def test_weierstrass_numerator_at_the_degree_cap():
+    for f in (TrigPoly.cos(64), TrigPoly.make(F(1, 3), [0] * 63 + [1], [0] * 62 + [2, 0])):
+        assert weierstrass_numerator(f) == oracle.weierstrass_numerator(f)
+
+
+# Multiples of 1 + cos kt put double zeros on the circle, at t = pi for odd k;
+# sin t and cos t - 1 put simple and double zeros at 0 and pi.
+zero_factors = st.sampled_from([
+    TrigPoly.make(1, [1], [0]), TrigPoly.make(1, [0, 1], [0, 0]),
+    TrigPoly.make(1, [0, 0, 1], [0, 0, 0]), TrigPoly.sin(1), TrigPoly.make(-1, [1], [0]),
+    TrigPoly.make(0, [1], [1]), TrigPoly.const(1)]) | trig_polys
+
+
+@st.composite
+def circle_polys(draw):
+    f = draw(trig_polys)
+    for _ in range(draw(st.integers(0, 2))):
+        f = trig_mul(f, draw(zero_factors))
+    return f
+
+
+@settings(max_examples=120, deadline=None)
+@given(circle_polys())
+def test_count_simple_zeros_matches_the_values_at_pi(f):
+    # the multiplicity at pi read off the numerator's degree, against f(pi) and f'(pi)
+    assert oracle.outcome(count_simple_zeros, f) == oracle.outcome(oracle.count_simple_zeros, f)
+    assert is_transitive(Rank1Anchor(f)) == (not oracle.has_zero_on_circle(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(circle_polys(), min_size=1, max_size=3), zero_factors, st.integers(0, 4))
+def test_has_zero_on_circle_matches_the_values_at_pi(fs, factor, share):
+    if share < 2:  # 2 in 5 draws share a factor
+        fs = [trig_mul(f, factor) for f in fs]
+    assert has_zero_on_circle(*fs) == oracle.has_zero_on_circle(*fs)
 
 
 # -- windows -----------------------------------------------------------------

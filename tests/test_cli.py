@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -462,6 +463,19 @@ def test_unstabilized_sweep_exits_3(monkeypatch, capsys):
     assert payload["betti"] is None
 
 
+def test_dense_rank1_anchor_sweeps_in_seconds(tmp_path, capsys):
+    # 1/3 + 2 sin 31t + cos 32t: zero counting by Euclid over Fraction, with
+    # three Sturm chains, took 47 to 50 s on a 2-CPU host
+    path = tmp_path / "dense32.json"
+    path.write_text(json.dumps({"kind": "rank1", "p": "1/3 + 2*sin(31t) + cos(32t)",
+                                "N_range": [0, 4]}))
+    start = time.perf_counter()
+    assert cli.run(["circle", "sweep", str(path)]) == 0
+    assert time.perf_counter() - start < 5
+    _, payload = split_output(capsys.readouterr().out)
+    assert payload["betti"] == [1, 65] and payload["transitive"] is False
+
+
 # -- size budget --------------------------------------------------------------
 # The guard compares a count made from the dimensions alone against
 # MAX_COCHAINS before anything is assembled.  It is tested through that
@@ -547,6 +561,12 @@ def test_size_budget_covers_symbol_complexes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 2 * 2 ** 3 - 1)
     assert cli.run(["symbol", str(path), "--alpha", "1"]) == 2
     assert "the symbol complex would have 16 cochains" in capsys.readouterr().err
+    # a zero coefficient space still enumerates the 2^3 forms: it counts as a line
+    path.write_text(json.dumps({"dim_A": 3, "dim_M": 1, "dim_E": 0,
+                                "anchor": [["1", "1", "0"]]}))
+    monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 2 ** 3 - 1)
+    assert cli.run(["symbol", str(path), "--alpha", "1"]) == 2
+    assert "the symbol complex would have 8 cochains" in capsys.readouterr().err
 
 
 # -- the parser is built once per process -------------------------------------

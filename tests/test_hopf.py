@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from algebroid import catalog
 from algebroid.errors import NotAbelianError
 from algebroid.exactlinalg import RationalMatrix
@@ -41,6 +43,33 @@ def test_scaled_addition_violates_unit_law():
     r2 = catalog.algebra("r2")
     m = RationalMatrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 2]])  # H(x,y) = x + 2y
     assert not check_h_structure(HStructure(algebra=r2, matrix=m))
+
+
+@st.composite
+def h_structures(draw):
+    """A bracket table on dim <= 4, Jacobi or not, with addition's matrix
+    bumped in one entry in half the draws."""
+    n = draw(st.integers(0, 4))
+    table = {(i, j): draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2), max_size=2))
+             for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    g = LieAlgebra.make(n, table)
+    rows = addition(g).matrix.to_rows()
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 2 * n - 1))] += \
+            draw(st.sampled_from([-1, 1, F(1, 2)]))
+    return HStructure(algebra=g, matrix=RationalMatrix(n, 2 * n, rows))
+
+
+def test_h_structure_check_matches_the_morphism_loop_on_the_catalog():
+    for name in ("zero", *catalog.ALGEBRA_NAMES):
+        h = addition(catalog.algebra(name))
+        assert check_h_structure(h) == oracle.check_h_structure(h), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(h_structures())
+def test_h_structure_check_matches_the_morphism_loop(h):
+    assert check_h_structure(h) == oracle.check_h_structure(h)
 
 
 def test_h_structure_shape_validation():
