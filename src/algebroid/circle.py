@@ -14,7 +14,10 @@ Both harmonic rules live in one window operator: `multiplication_matrix`
 holds the product-to-sum table and, with `derivative=True`, sends each basis
 function to its derivative before multiplying, so u -> f u' is one matrix.
 `trig_mul` and `trig_derivative` apply it to window coordinates, and every
-window differential is built from it.
+window differential is built from it: an inclusion of windows is
+multiplication by 1.  Sums and scalar multiples of trig polynomials are
+taken on window coordinates too, so `window_coords` alone states the
+coefficient layout.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
@@ -121,37 +124,19 @@ class TrigPoly:
         return self.sin_coeffs[k - 1] if k <= self.deg else _ZERO
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        n = max(self.deg, other.deg)
-        return TrigPoly.make(
-            self.constant + other.constant,
-            [self.cos_coeff(k) + other.cos_coeff(k) for k in range(1, n + 1)],
-            [self.sin_coeff(k) + other.sin_coeff(k) for k in range(1, n + 1)],
-        )
+        m = max(self.deg, other.deg)
+        return _from_window_coords([x + y for x, y in zip(window_coords(self, m),
+                                                          window_coords(other, m))])
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly(-self.constant, tuple(-x for x in self.cos_coeffs),
-                        tuple(-x for x in self.sin_coeffs))
+        return self.scaled(-1)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
 
     def scaled(self, c) -> "TrigPoly":
-        return TrigPoly.make(
-            as_fraction(c) * self.constant,
-            [as_fraction(c) * x for x in self.cos_coeffs],
-            [as_fraction(c) * x for x in self.sin_coeffs],
-        )
-
-    def value_at_quarter(self, q: int) -> Fraction:
-        """Exact value at t = q * pi/2 (cos and sin of multiples are 0, +-1)."""
-        cos_cycle = (1, 0, -1, 0)
-        sin_cycle = (0, 1, 0, -1)
-        total = self.constant
-        for k in range(1, self.deg + 1):
-            phase = (k * q) % 4
-            total += self.cos_coeffs[k - 1] * cos_cycle[phase]
-            total += self.sin_coeffs[k - 1] * sin_cycle[phase]
-        return total
+        c = as_fraction(c)
+        return _from_window_coords([c * x for x in window_coords(self, self.deg)])
 
 
 def trig_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
@@ -232,13 +217,11 @@ def window_dim(m: int) -> int:
 
 
 def window_coords(f: TrigPoly, m: int) -> list[Fraction]:
+    """f in the basis 1, cos t, sin t, ..., cos mt, sin mt of V_m."""
     if f.deg > m:
         raise ValueError(f"degree {f.deg} exceeds window V_{m}")
-    coords = [f.constant]
-    for k in range(1, m + 1):
-        coords.append(f.cos_coeff(k))
-        coords.append(f.sin_coeff(k))
-    return coords
+    return [f.constant, *chain.from_iterable(zip(f.cos_coeffs, f.sin_coeffs)),
+            *[_ZERO] * (2 * (m - f.deg))]
 
 
 def _from_window_coords(coords) -> TrigPoly:
@@ -285,32 +268,30 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
         raise ValueError("target window too small for the product")
     coords = window_coords(f, f.deg)
     den = lcm(*[x.denominator for x in coords])
+    # (column, kind, harmonic, factor) of each basis function, or of its nonzero derivative
+    basis = [(j, *_harmonic(j), 1) for j in range(window_dim(src_m))]
+    if derivative:  # cos bt -> -b sin bt, sin bt -> b cos bt
+        basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
+                 for j, kind, b, _ in basis if b]
     pairs = []
     for i, x in enumerate(coords):
         if not x:
             continue
         f_kind, a = _harmonic(i)
         x = x.numerator * (den // x.denominator)
-        for j in range(window_dim(src_m)):
-            b_kind, b = _harmonic(j)
-            scale = 1
-            if derivative:  # cos bt -> -b sin bt, sin bt -> b cos bt
-                b_kind, scale = (_SIN, -b) if b_kind == _COS else (_COS, b)
+        for j, b_kind, b, scale in basis:
             kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
             for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
-                if k_sign * scale:
+                if k_sign:
                     pairs.append(((row, j), x * sign * k_sign * scale))
     return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m),
                                        pairs).scaled(Fraction(1, 2 * den))
 
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
-    """V_src -> V_tgt as the identity on shared basis functions."""
-    if tgt_m < src_m:
-        raise ValueError("inclusion needs a larger target window")
-    return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m),
-                                       (((i, i), 1) for i in range(window_dim(src_m))))
+    """V_src -> V_tgt, the identity on shared basis functions: multiplication by 1."""
+    return multiplication_matrix(TrigPoly.const(1), src_m, tgt_m)
 
 
 # -- algebroids --------------------------------------------------------------
@@ -432,12 +413,14 @@ def check_action(a: ActionAlgebroid) -> bool:
 
 
 def truncated_complex(a, n: int) -> TruncatedComplex:
-    """Window-N complex of any circle algebroid (anchor, action, or product)."""
+    """Window-N complex of a circle algebroid (an action algebroid, rank-1 anchors
+    and products with Lie algebras included)."""
     return a._truncated_complex(n)
 
 
 def is_transitive(a) -> bool:
-    """Exact surjectivity test for the anchor, via Sturm-counted zeros."""
+    """Exact surjectivity test for the anchor: no zero shared by all its fields,
+    found through the gcd of their half-angle numerators."""
     return a._is_transitive()
 
 

@@ -112,14 +112,16 @@ def _algebra_label(arg: str, g: LieAlgebra) -> str:
     return g.name or arg
 
 
-def _sweep(a, n_min: int, n_max: int) -> SweepResult:
+def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
+    """The sweep, and the zero count of a nonzero rank-1 anchor (else None)."""
     # The one range check for every command that sweeps windows.
     if n_min < 0 or n_max < n_min + 2:
         raise ValidationError("need 0 <= n_min and n_max >= n_min + 2")
     # Non-simple zeros of a rank-1 anchor exit 2; the anchor 0 has none to count.
+    zeros = None
     if isinstance(a, Rank1Anchor) and not a.p.is_zero():
-        count_simple_zeros(a.p)
-    return stabilized_cohomology(a, n_min, n_max, strict=False)
+        zeros = count_simple_zeros(a.p)
+    return stabilized_cohomology(a, n_min, n_max, strict=False), zeros
 
 
 def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
@@ -168,8 +170,9 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
         kind = "action"
         head = (f"algebroid: {args.algebroid} (kind action, algebra dim "
                 f"{a.algebra.dim}, anchor degree {a.anchor_degree()})")
-    sweep = _sweep(a, n_min, n_max)
-    transitive = is_transitive(a)
+    sweep, zeros = _sweep(a, n_min, n_max)
+    # A rank-1 anchor with simple zeros is transitive iff it has none.
+    transitive = is_transitive(a) if zeros is None else zeros == 0
     lines = [head, f"transitive anchor: {'yes' if transitive else 'no'}"]
     lines += _table(["N", "betti"], [[n, list(b)] for n, b in sweep.per_n])
     payload = {
@@ -216,8 +219,8 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
             else (args.right, load_right, args.left, load_left))
         a, (n_min, n_max) = load_roid()
         g = load_alg()
-        factor_sweep = _sweep(a, n_min, n_max)
-        product_sweep = _sweep(product_with_lie_algebra(a, g), n_min, n_max)
+        factor_sweep, _ = _sweep(a, n_min, n_max)
+        product_sweep, _ = _sweep(product_with_lie_algebra(a, g), n_min, n_max)
         if not (factor_sweep.stabilized and product_sweep.stabilized):
             raise NotStabilizedError(product_sweep.per_n)
         left_report = factor_sweep.report

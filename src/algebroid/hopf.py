@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, as_fraction, kernel_basis, kron_sum, require_cochain_budget
+from .exactlinalg import RationalMatrix, kernel_basis, kron_sum, require_cochain_budget
 from .exterior import wedge_product
 from .liealg import LieAlgebra
 
@@ -157,19 +157,6 @@ class GradedCoalgebra:
                     (m, -v * t * u) for (y, z), v in self._delta[x].items() if 0 < y[0] < r
                     for k, t in s[y].items() for m, u in self._mu[(k, z)].items()])
         return s
-
-    def coproduct_terms(self, r: int, coords) -> dict[tuple[int, int, int, int], Fraction]:
-        """Sparse {(i, j, a, b): coeff} form of D(x) for x with given coords."""
-        if len(coords) != self.betti[r]:
-            raise ValueError("vector length mismatch")
-        return _lincomb(((i, j, a, b), as_fraction(x) * v)
-                        for col, x in enumerate(coords) if x
-                        for ((i, a), (j, b)), v in self._delta[(r, col)].items())
-
-    def multiply(self, p: int, q: int, u, v) -> list[Fraction]:
-        """Product of elements of degrees p and q."""
-        return self.product[(p, q)].apply([x * y for x in u for y in v])  # left index major
-
 
 def _lincomb(terms) -> dict:
     """Sum (key, coeff) pairs into one sparse linear combination, zeros dropped."""
@@ -306,16 +293,6 @@ def _check_antipode(c: GradedCoalgebra) -> bool:
     return True
 
 
-def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
-    """The degree-by-degree antipode, or None when the axioms fail."""
-    if not verify_hopf(c):
-        return None
-    s = c._antipode
-    return tuple(RationalMatrix.from_entries(n, n, (((k, a), t) for a in range(n)
-                                                    for (_, k), t in s[(r, a)].items()))
-                 for r, n in enumerate(c.betti))
-
-
 def exterior_structure_check(betti) -> tuple[int, ...] | None:
     """Factor the Poincare polynomial as a product of (1 + t^d), d odd.
 
@@ -359,13 +336,3 @@ def _int_divmod(p: list[int], q: list[int]) -> tuple[list[int] | None, bool]:
                 rem[shift + i] -= c * q[i]
     return quot, any(rem)
 
-
-def ts1_coalgebra() -> GradedCoalgebra:
-    """Cohomology coalgebra of the tangent algebroid of the circle.
-
-    The stabilized Betti numbers are (1, 1); the degree-1 class is the
-    translation-invariant form, and its coproduct is the primitive one:
-    D[w] = [w] (x) 1 + 1 (x) [w].  Kept as a pinned regression.
-    """
-    line = LieAlgebra.make(1, {}, name="line")
-    return addition_coproduct(line)

@@ -3,6 +3,8 @@ and symbol fibers, plus the textual form of trig polynomials.
 
 Rationals travel as strings "p" or "p/q" and round-trip exactly; floats are
 rejected everywhere.  Parse errors carry a `where` path into the document.
+The package only reads these forms; the writers that the round-trip tests
+use live in `tests/fixtures.py`.
 """
 
 from __future__ import annotations
@@ -58,20 +60,6 @@ def parse_rational(s: str, where: str = "") -> Fraction:
 
 # -- trig polynomials --------------------------------------------------------
 
-def trig_to_string(f: TrigPoly) -> str:
-    terms = []
-    if f.constant:
-        terms.append(format_rational(f.constant))
-    for k in range(1, f.deg + 1):
-        c = f.cos_coeff(k)
-        if c:
-            terms.append(f"{format_rational(c)}*cos({k}t)")
-        s = f.sin_coeff(k)
-        if s:
-            terms.append(f"{format_rational(s)}*sin({k}t)")
-    return " + ".join(terms) if terms else "0"
-
-
 def trig_from_string(s: str, where: str = "") -> TrigPoly:
     if not isinstance(s, str):
         raise ParseError("expected a trig polynomial string", where)
@@ -115,20 +103,6 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
 
 # -- Lie algebras ------------------------------------------------------------
 
-def algebra_to_dict(g: LieAlgebra) -> dict:
-    brackets = []
-    for i, j, terms in g.brackets:
-        brackets.append({
-            "i": i,
-            "j": j,
-            "coeffs": [[k, format_rational(c)] for k, c in terms],
-        })
-    d = {"dim": g.dim, "brackets": brackets}
-    if g.name:
-        d["name"] = g.name
-    return d
-
-
 def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
@@ -171,16 +145,6 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
 
 # -- representations ---------------------------------------------------------
 
-def representation_to_dict(r: Representation) -> dict:
-    return {
-        "dim_E": r.dim_e,
-        "action": [
-            [[format_rational(m[i, j]) for j in range(r.dim_e)] for i in range(r.dim_e)]
-            for m in r.action
-        ],
-    }
-
-
 def representation_from_dict(d: dict, algebra: LieAlgebra, where: str = "representation") -> Representation:
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
@@ -210,19 +174,6 @@ def matrix_from_rows(rows, n_rows: int, n_cols: int, where: str) -> RationalMatr
 
 # -- algebroids --------------------------------------------------------------
 
-def algebroid_to_dict(a, n_range: tuple[int, int]) -> dict:
-    if isinstance(a, Rank1Anchor):
-        return {"kind": "rank1", "p": trig_to_string(a.p), "N_range": list(n_range)}
-    if isinstance(a, ActionAlgebroid):
-        return {
-            "kind": "action",
-            "g": algebra_to_dict(a.algebra),
-            "phi": [trig_to_string(f) for f in a.phi],
-            "N_range": list(n_range),
-        }
-    raise ValueError(f"cannot serialize algebroid of type {type(a).__name__}")
-
-
 def algebroid_from_dict(d: dict, where: str = "algebroid"):
     """Returns (algebroid, (n_min, n_max))."""
     if not isinstance(d, dict):
@@ -248,16 +199,6 @@ def algebroid_from_dict(d: dict, where: str = "algebroid"):
 
 
 # -- symbol fibers -----------------------------------------------------------
-
-def fiber_to_dict(f: FiberData) -> dict:
-    return {
-        "dim_A": f.dim_a,
-        "dim_M": f.dim_m,
-        "dim_E": f.dim_e,
-        "anchor": [[format_rational(f.anchor[i, j]) for j in range(f.dim_a)]
-                   for i in range(f.dim_m)],
-    }
-
 
 def fiber_from_dict(d: dict, where: str = "fiber") -> FiberData:
     if not isinstance(d, dict):
@@ -293,8 +234,3 @@ def load_json(path: str) -> dict:
     except ValueError:  # json reads integers with int()
         raise _too_long(path) from None
 
-
-def dump_json(d: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")

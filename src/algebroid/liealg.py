@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
 
 from .errors import DegreeOutOfRangeError, ValidationError
@@ -111,7 +110,11 @@ def jacobi_violation(g: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple i < j < k, in lexicographic order, whose cyclic
     Jacobi sum is nonzero, or None when the identity holds."""
     table = {(i, j): terms for i, j, terms in g.brackets}
-    for i, j, k in combinations(range(g.dim), 3):
+    # A triple with no bracketed pair has a zero sum, so only the triples that
+    # hold a pair of the table are visited.
+    triples = sorted({(k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)
+                      for i, j in table for k in range(g.dim) if k != i and k != j})
+    for i, j, k in triples:
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j], read off the sparse table
         acc: dict[int, Fraction] = {}
         for outer, c, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
@@ -224,8 +227,10 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
     n = g.dim
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
-    terms = [(0, 0, RationalMatrix.identity(r.dim_e), trivial_ce_differential(g, p))]
-    # A zero action adds nothing, so its wedge matrix is not built.
+    # An abelian algebra and a zero action add nothing, so their matrices are not built.
+    terms = []
+    if g.brackets:
+        terms.append((0, 0, RationalMatrix.identity(r.dim_e), trivial_ce_differential(g, p)))
     terms += [(0, 0, rho, wedge_matrix(n, p, i))
               for i, rho in enumerate(r.action) if not rho.is_zero()]
     return kron_sum(r.dim_e * comb(n, p + 1), r.dim_e * comb(n, p), terms)

@@ -2,10 +2,12 @@
 
 At a point, a covector alpha on the base pulls back through the anchor to
 beta on the fiber, and the symbol complex in degree r is wedging by beta,
-tensored with the identity on the coefficient fiber.  Since beta ^ beta = 0
-the chain condition is automatic; the complex is exact in every degree
-exactly when beta != 0, which for a surjective anchor happens for every
-nonzero alpha.
+tensored with the identity on the coefficient fiber.  That is the
+Chevalley-Eilenberg complex of the abelian Lie algebra on the fiber acting
+on E by the character beta, basis vector i by beta_i times the identity, so
+`liealg.ce_differential` builds it.  Since beta ^ beta = 0 the chain
+condition is automatic; the complex is exact in every degree exactly when
+beta != 0, which for a surjective anchor happens for every nonzero alpha.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, kron_sum, \
+from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, \
     require_cochain_budget
-from .exterior import alternating_binomial_sum, wedge_matrix
-
+from .exterior import alternating_binomial_sum
+from .liealg import LieAlgebra, Representation, ce_differential
 
 
 @dataclass(frozen=True)
@@ -44,17 +46,14 @@ def pullback_covector(f: FiberData, alpha) -> list[Fraction]:
 
 
 def symbol_complex(f: FiberData, alpha) -> CochainComplex:
-    """Wedge-by-beta complex on E (x) Lambda^* of the fiber."""
+    """Wedge-by-beta complex on E (x) Lambda^* of the fiber: the CE complex of
+    the abelian fiber algebra acting on E by the character beta."""
     require_cochain_budget(f.dim_e, f.dim_a, "the symbol complex")
     beta = pullback_covector(f, alpha)
-    n = f.dim_a
-    id_e = RationalMatrix.identity(f.dim_e)
+    n, id_e = f.dim_a, RationalMatrix.identity(f.dim_e)
+    rep = Representation(LieAlgebra(n), f.dim_e, tuple(id_e.scaled(b) for b in beta))
     degrees = tuple(f.dim_e * comb(n, r) for r in range(n + 1))
-    diffs = tuple(kron_sum(degrees[r + 1], degrees[r],
-                           [(0, 0, id_e, wedge_matrix(n, r, i).scaled(b))
-                            for i, b in enumerate(beta) if b])
-                  for r in range(n))
-    return CochainComplex(degrees=degrees, differentials=diffs)
+    return CochainComplex(degrees, tuple(ce_differential(rep, r) for r in range(n)))
 
 
 @dataclass(frozen=True)

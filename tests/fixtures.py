@@ -1,0 +1,139 @@
+"""Test-side helpers that left the package because only tests called them.
+
+The JSON writers (`algebra_to_dict`, `representation_to_dict`,
+`algebroid_to_dict`, `fiber_to_dict`, `dump_json`) and `trig_to_string` are
+the inverses of the readers in `algebroid.io`; the CLI only reads files, so
+the writers serve the round-trip tests alone.  `value_at_quarter` evaluates a
+trig polynomial at t = q pi/2 for the zero-counting references in
+`oracle.py`.  `ts1_coalgebra`, `coproduct_terms`, `multiply` and
+`antipode_matrices` are Hopf fixtures and readers; the last three were
+`GradedCoalgebra` methods or read its views, and now take the coalgebra as
+their first argument.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
+from algebroid.exactlinalg import RationalMatrix
+from algebroid.hopf import GradedCoalgebra, addition_coproduct, verify_hopf
+from algebroid.io import format_rational
+from algebroid.liealg import LieAlgebra, Representation
+from algebroid.symbol import FiberData
+
+
+# -- writers -------------------------------------------------------------------
+
+def trig_to_string(f: TrigPoly) -> str:
+    terms = []
+    if f.constant:
+        terms.append(format_rational(f.constant))
+    for k in range(1, f.deg + 1):
+        c = f.cos_coeff(k)
+        if c:
+            terms.append(f"{format_rational(c)}*cos({k}t)")
+        s = f.sin_coeff(k)
+        if s:
+            terms.append(f"{format_rational(s)}*sin({k}t)")
+    return " + ".join(terms) if terms else "0"
+
+
+def algebra_to_dict(g: LieAlgebra) -> dict:
+    brackets = [{"i": i, "j": j, "coeffs": [[k, format_rational(c)] for k, c in terms]}
+                for i, j, terms in g.brackets]
+    d = {"dim": g.dim, "brackets": brackets}
+    if g.name:
+        d["name"] = g.name
+    return d
+
+
+def representation_to_dict(r: Representation) -> dict:
+    return {
+        "dim_E": r.dim_e,
+        "action": [
+            [[format_rational(m[i, j]) for j in range(r.dim_e)] for i in range(r.dim_e)]
+            for m in r.action
+        ],
+    }
+
+
+def algebroid_to_dict(a, n_range: tuple[int, int]) -> dict:
+    if isinstance(a, Rank1Anchor):
+        return {"kind": "rank1", "p": trig_to_string(a.p), "N_range": list(n_range)}
+    if isinstance(a, ActionAlgebroid):
+        return {
+            "kind": "action",
+            "g": algebra_to_dict(a.algebra),
+            "phi": [trig_to_string(f) for f in a.phi],
+            "N_range": list(n_range),
+        }
+    raise ValueError(f"cannot serialize algebroid of type {type(a).__name__}")
+
+
+def fiber_to_dict(f: FiberData) -> dict:
+    return {
+        "dim_A": f.dim_a,
+        "dim_M": f.dim_m,
+        "dim_E": f.dim_e,
+        "anchor": [[format_rational(f.anchor[i, j]) for j in range(f.dim_a)]
+                   for i in range(f.dim_m)],
+    }
+
+
+def dump_json(d: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# -- trig values -----------------------------------------------------------------
+
+def value_at_quarter(f: TrigPoly, q: int) -> Fraction:
+    """Exact value at t = q * pi/2 (cos and sin of multiples are 0, +-1)."""
+    cos_cycle = (1, 0, -1, 0)
+    sin_cycle = (0, 1, 0, -1)
+    total = f.constant
+    for k in range(1, f.deg + 1):
+        phase = (k * q) % 4
+        total += f.cos_coeffs[k - 1] * cos_cycle[phase]
+        total += f.sin_coeffs[k - 1] * sin_cycle[phase]
+    return total
+
+
+# -- Hopf fixtures -----------------------------------------------------------------
+
+def ts1_coalgebra() -> GradedCoalgebra:
+    """Cohomology coalgebra of the tangent algebroid of the circle.
+
+    The stabilized Betti numbers are (1, 1); the degree-1 class is the
+    translation-invariant form, and its coproduct is the primitive one:
+    D[w] = [w] (x) 1 + 1 (x) [w].  Kept as a pinned regression.
+    """
+    return addition_coproduct(LieAlgebra.make(1, {}, name="line"))
+
+
+def coproduct_terms(c: GradedCoalgebra, r: int, coords) -> dict[tuple[int, int, int, int], Fraction]:
+    """Sparse {(i, j, a, b): coeff} form of D(x) for x with given coords."""
+    if len(coords) != c.betti[r]:
+        raise ValueError("vector length mismatch")
+    keys = [(i, r - i, a, b) for i in range(r + 1)
+            for a in range(c.betti[i]) for b in range(c.betti[r - i])]
+    return {key: x for key, x in zip(keys, c.coproduct[r].apply(coords)) if x}
+
+
+def multiply(c: GradedCoalgebra, p: int, q: int, u, v) -> list[Fraction]:
+    """Product of elements of degrees p and q."""
+    return c.product[(p, q)].apply([x * y for x in u for y in v])  # left index major
+
+
+def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
+    """The degree-by-degree antipode the Hopf check built, or None when the
+    axioms fail."""
+    if not verify_hopf(c):
+        return None
+    s = c._antipode
+    return tuple(RationalMatrix.from_entries(n, n, (((k, a), t) for a in range(n)
+                                                    for (_, k), t in s[(r, a)].items()))
+                 for r, n in enumerate(c.betti))

@@ -16,6 +16,10 @@ package.  These four take and return package objects.
 indices, and `shuffle_coproduct` expands prod_i (w_i (x) 1 + 1 (x) w_i)
 with its own Koszul bookkeeping: the package's `exterior.wedge` counts the
 sign instead, and its coproduct is the transpose of its wedge product.
+`symbol_differential` is the symbol complex as the formula
+I_E (x) sum_i beta_i (e^i ^ -), which the package builds as a CE complex.
+`jacobi_violation` evaluates the Jacobi sum with dense brackets on every
+triple, where the package visits only triples that touch the table.
 
 The Fraction polynomial arithmetic, Euclid and Sturm chains, the half-angle
 numerator multiplied out from powers of 1 + iu and 1 + u^2, and zero
@@ -37,6 +41,7 @@ from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, rank
 from algebroid.hopf import addition
 from algebroid.liealg import LieAlgebra, bracket, bracket_basis
+from fixtures import value_at_quarter
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -186,6 +191,19 @@ def change_basis(g, p) -> LieAlgebra:
     return LieAlgebra.make(n, new_brackets, name=g.name + "~" if g.name else "")
 
 
+def jacobi_violation(g) -> tuple[int, int, int] | None:
+    """First triple i < j < k, lexicographically, with a nonzero
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]."""
+    e = [[Fraction(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
+    for i, j, k in combinations(range(g.dim), 3):
+        total = [Fraction(0)] * g.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            total = [x + y for x, y in zip(total, bracket(g, bracket(g, e[a], e[b]), e[c]))]
+        if any(total):
+            return (i, j, k)
+    return None
+
+
 def betti_numbers(degrees: list[int], diffs: list[list[list[Fraction]]]) -> list[int]:
     """Betti numbers of a complex given as raw row lists.
 
@@ -274,6 +292,23 @@ def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
             return None
         arr[j + 1] = x
     return sign, tuple(arr)
+
+
+def symbol_differential(dim_e: int, beta, r: int) -> list[list[Fraction]]:
+    """Dense I_E (x) sum_i beta_i (e^i ^ -) from degree r to r + 1, the
+    coefficient index major and forms in lexicographic order."""
+    n = len(beta)
+    src, tgt = list(combinations(range(n), r)), list(combinations(range(n), r + 1))
+    at = {form: row for row, form in enumerate(tgt)}
+    out = [[Fraction(0)] * (dim_e * len(src)) for _ in range(dim_e * len(tgt))]
+    for a in range(dim_e):
+        for col, form in enumerate(src):
+            for i, b in enumerate(beta):
+                signed = sort_sign((i,) + form)
+                if signed is not None:
+                    sign, merged = signed
+                    out[a * len(tgt) + at[merged]][a * len(src) + col] += sign * Fraction(b)
+    return out
 
 
 def shuffle_coproduct(n: int) -> list[RationalMatrix]:
@@ -431,7 +466,7 @@ def weierstrass_numerator(f) -> Poly:
 
 def has_zero_on_circle(*fs) -> bool:
     """The fs share a zero: all vanish at pi, or their numerators' gcd has a real root."""
-    if all(f.value_at_quarter(2) == 0 for f in fs):
+    if all(value_at_quarter(f, 2) == 0 for f in fs):
         return True
     g: Poly = []
     for f in fs:
@@ -443,8 +478,8 @@ def count_simple_zeros(f) -> int:
     """Zeros of f on the circle, with f(pi) and f'(pi) read off the values at pi."""
     if f.is_zero():
         raise ValueError("zero trig polynomial")
-    at_pi = f.value_at_quarter(2)
-    if at_pi == 0 and trig_derivative(f).value_at_quarter(2) == 0:
+    at_pi = value_at_quarter(f, 2)
+    if at_pi == 0 and value_at_quarter(trig_derivative(f), 2) == 0:
         raise NonsimpleZeroError("zero of f at t = pi is not simple")
     p = weierstrass_numerator(f)
     if has_multiple_real_root(p):

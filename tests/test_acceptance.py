@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from fixtures import ts1_coalgebra
 from oracle import change_basis, rank_modular
 from algebroid import catalog
 from algebroid.circle import (
@@ -35,7 +36,6 @@ from algebroid.hopf import (
     exterior_structure_check,
     hopf_axioms,
     primitives,
-    ts1_coalgebra,
     verify_hopf,
 )
 from algebroid.kunneth import (

@@ -6,7 +6,7 @@ import types
 import pytest
 
 import algebroid
-from algebroid import circle, exactlinalg, exterior, hopf, liealg, polyroots
+from algebroid import circle, exactlinalg, exterior, hopf, io, liealg, polyroots
 
 
 def test_every_listed_name_resolves():
@@ -45,3 +45,14 @@ def test_fraction_polynomial_arithmetic_left_the_package(module, name):
 
 def test_h_structure_morphism_loop_left_the_package():
     assert not hasattr(hopf, "_pair_bracket")
+
+
+@pytest.mark.parametrize("owner", [algebroid, io, circle, hopf, circle.TrigPoly, hopf.GradedCoalgebra],
+                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["algebra_to_dict", "representation_to_dict", "algebroid_to_dict",
+                                  "fiber_to_dict", "trig_to_string", "dump_json",
+                                  "value_at_quarter", "ts1_coalgebra", "antipode_matrices",
+                                  "coproduct_terms", "multiply"])
+def test_writers_and_hopf_fixtures_left_the_package(owner, name):
+    # only tests called them; they live in tests/fixtures.py
+    assert not hasattr(owner, name)

