@@ -23,14 +23,11 @@ Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
 filtered complex: the widest window, checked once and eliminated once.
 
-Zero counting is exact.  Substituting u = tan(t/2) turns a degree-d trig
-polynomial f into P(u) / (1 + u^2)^d with P rational of degree <= 2d, built
-by angle addition in O(d^2).  The zeros of f away from t = pi correspond
-bijectively to the real roots of P, with matching multiplicity.  Under
-v = cot(t/2), f = v^(2d - deg P) times a unit near t = pi, so the
-multiplicity of the zero at t = pi is 2d - deg P, read off the degree.  Real
-roots of P are counted on its integer multiple, with one signed remainder
-sequence (`polyroots`) giving the Sturm count and the repeated roots.
+Zero counting is exact.  Under u = tan(t/2) a degree-d f is P(u) / (1 + u^2)^d
+(`weierstrass_numerator`); its zeros away from t = pi are the real roots of
+P with their multiplicities, counted with one signed remainder sequence
+(`polyroots`), and since f = v^(2d - deg P) times a unit near t = pi under
+v = cot(t/2), the zero at t = pi has multiplicity 2d - deg P.
 """
 
 from __future__ import annotations
@@ -44,16 +41,8 @@ from math import lcm
 
 from . import polyroots
 from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError, ValidationError
-from .exactlinalg import (
-    CochainComplex,
-    CohomologyReport,
-    RationalMatrix,
-    as_fraction,
-    cohomology_from_ranks,
-    kron_sum,
-    pivot_columns,
-    require_cochain_budget,
-)
+from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
+    as_fraction, cohomology_from_ranks, kron_sum, pivot_columns, require_cochain_budget
 from .exterior import basis_tuples, wedge_matrix
 from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differential
 
@@ -262,7 +251,7 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
 
     Entries come straight from the product-to-sum table, one pass per nonzero
     harmonic of f; this is the one home of the product rule and of d/dt.
-    Entries are integers, and the matrix is divided once by 2 lcm(f's denominators).
+    Each term is written into the rows as an integer over 2 lcm(f's denominators).
     """
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
@@ -273,7 +262,7 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
     if derivative:  # cos bt -> -b sin bt, sin bt -> b cos bt
         basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
                  for j, kind, b, _ in basis if b]
-    pairs = []
+    rows: list[dict[int, int]] = [{} for _ in range(window_dim(tgt_m))]
     for i, x in enumerate(coords):
         if not x:
             continue
@@ -284,9 +273,9 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
             for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
                 if k_sign:
-                    pairs.append(((row, j), x * sign * k_sign * scale))
-    return RationalMatrix.from_entries(window_dim(tgt_m), window_dim(src_m),
-                                       pairs).scaled(Fraction(1, 2 * den))
+                    rows[row][j] = rows[row].get(j, 0) + x * sign * k_sign * scale
+    return RationalMatrix._wrap(window_dim(tgt_m), window_dim(src_m), *_reduced(
+        [{j: y for j, y in row.items() if y} for row in rows], 2 * den))
 
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:

@@ -1,26 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Nothing in this package touches floating point.  How a matrix is stored
-is private to this module: callers build matrices through the constructors
-(`from_entries` for scattered entries) and read reduced Fractions through
-indexing, `to_rows` and `column`.  The storage is sparse integer numerator
-rows over one common denominator (see `RationalMatrix`), so the builders,
-`kron_sum` (which states the layout rule for every matrix made of blocks or
-Kronecker products), the elimination and the d^2 = 0 check
-(`CochainComplex.chain_defect`) all work on integers.
+Nothing in this package touches floating point.  The storage is sparse
+integer numerator rows over one common denominator (see `RationalMatrix`);
+only this module reads it, and other modules read Fractions through
+indexing, `to_rows` and `column`, or integer rows through `common_rows`.
+Builders write normalised integer rows through `RationalMatrix._wrap` after
+one `_reduced`; `from_entries` stays for parsers, tests and small builders.
+So the builders, `kron_sum` (the layout rule for blocks and Kronecker
+products), the elimination and the d^2 = 0 check all work on integers.
 
 There is one elimination, `_echelon`, behind `pivot_columns`, `rank` and
-`kernel_basis`.  It works on the cleared rows: each stored row divided by
-the gcd of the denominator and its content, which is the row times the lcm
-of its entries' denominators.  Columns are taken left to right (or in an
-order given to `pivot_columns`); the pivot for a column is, among the rows
-holding it, the row with the fewest nonzeros, then the entry of smallest
-bit size, then the lowest index.  Only the rows that hold the pivot column
-are updated, and each updated row is divided by the gcd of its entries,
-which keeps every entry within the Hadamard bound of the cleared matrix.
-Each pivot row is kept as it is chosen: it leaves the index then, so no
-later step changes it, and the kept rows are in echelon order.
-`kernel_basis` back-substitutes on them, last pivot first.
+`kernel_basis`; its docstring states the pivot rule and the bound on the
+entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -228,6 +219,13 @@ def _reduced(num: list[dict[int, int]], den: int) -> tuple[list[dict[int, int]],
     if g == 1:
         return num, den
     return [{j: x // g for j, x in row.items()} for row in num], den // g
+
+
+def common_rows(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, list]:
+    """(D, each matrix times D as read-only integer rows), D = lcm(den, their denominators)."""
+    den = lcm(den, *[m._den for m in mats])
+    return den, [m._num if m._den == den else [{j: x * (den // m._den) for j, x in row.items()}
+                                               for row in m._num] for m in mats]
 
 
 def kron_sum(rows: int, cols: int,

@@ -1,16 +1,17 @@
 """Combinatorics of ordered exterior-algebra bases.
 
-A degree-p basis form is an increasing tuple of p indices drawn from
-0..n-1; bases are enumerated in lexicographic order.  There is one sign
-rule, `wedge`: e^a ^ e^b = (-1)^k e^c, where c is the increasing merge of a
-and b and k counts the pairs x in a, y in b with y < x.  Every wedge sign
-in the package, in CE differentials and in the Hopf product and coproduct,
-comes from it.
+A degree-p basis form is a bitmask with p bits set, bit i standing for e^i;
+bases are enumerated in the lexicographic order of their increasing index
+tuples.  There is one sign rule: e^i ^ e^m = (-1)^k e^(m | 1 << i) with
+k = (m & ((1 << i) - 1)).bit_count(), the number of indices of m below i.
+`wedge` applies it to each index of a, so e^a ^ e^b = (-1)^k e^(a | b) with
+k counting the pairs x in a, y in b with y < x.  Every wedge sign in the
+package, in CE differentials and in the Hopf product and coproduct, comes
+from it.  The builders write entries +-1 straight into `RationalMatrix._wrap`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
@@ -21,48 +22,46 @@ def basis_tuples(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), p))
 
 
-def basis_index(n: int, p: int) -> dict[tuple[int, ...], int]:
-    """Position of each degree-p basis form in the lex order."""
-    return {t: r for r, t in enumerate(combinations(range(n), p))}
+def basis_masks(n: int, p: int) -> list[int]:
+    """The degree-p basis forms as bitmasks, in lex order."""
+    return list(map(sum, combinations([1 << i for i in range(n)], p)))
 
 
-def wedge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """e^a ^ e^b as (sign, c) for increasing a and b, or None on a shared index."""
-    out = list(b)
-    sign = 1
-    for x in reversed(a):
-        # x passes the k entries below it, all from b: the later ones of a are larger
-        k = bisect_left(out, x)
-        if k < len(out) and out[k] == x:
-            return None
-        if k & 1:
-            sign = -sign
-        out.insert(k, x)
-    return sign, tuple(out)
+def basis_index(n: int, p: int) -> dict[int, int]:
+    """Position of each degree-p basis mask in the lex order."""
+    return {m: r for r, m in enumerate(basis_masks(n, p))}
+
+
+def wedge(a: int, b: int) -> tuple[int, int] | None:
+    """e^a ^ e^b as (sign, a | b) for bitmask forms, or None on a shared index."""
+    if a & b:
+        return None
+    k = sum((b & ((1 << i) - 1)).bit_count() for i in range(a.bit_length()) if a >> i & 1)
+    return -1 if k & 1 else 1, a | b
 
 
 def wedge_matrix(n: int, p: int, i: int) -> RationalMatrix:
     """Matrix of (e^i ^ -) from degree p to degree p+1 in the lex bases."""
     if not 0 <= i < n:
         raise ValueError("index out of range")
-    return _wedges(n, p + 1, [(i,)], basis_tuples(n, p))
+    return _wedges(n, p + 1, [1 << i], basis_masks(n, p))
 
 
 def wedge_product(n: int, p: int, q: int) -> RationalMatrix:
     """Matrix of Lambda^p (x) Lambda^q -> Lambda^{p+q}, left index major."""
-    return _wedges(n, p + q, basis_tuples(n, p), basis_tuples(n, q))
+    return _wedges(n, p + q, basis_masks(n, p), basis_masks(n, q))
 
 
-def _wedges(n: int, degree: int, left, right) -> RationalMatrix:
+def _wedges(n: int, degree: int, left: list[int], right: list[int]) -> RationalMatrix:
     """Matrix of a (x) b -> a ^ b into `degree`, a in left major, b in right minor."""
     tgt = basis_index(n, degree)
-    pairs = []
+    rows: list[dict[int, int]] = [{} for _ in tgt]
     for ia, a in enumerate(left):
         for ib, b in enumerate(right):
             merged = wedge(a, b)
             if merged is not None:
-                pairs.append(((tgt[merged[1]], ia * len(right) + ib), merged[0]))
-    return RationalMatrix.from_entries(len(tgt), len(left) * len(right), pairs)
+                rows[tgt[merged[1]]][ia * len(right) + ib] = merged[0]
+    return RationalMatrix._wrap(len(tgt), len(left) * len(right), rows, 1)
 
 
 def alternating_binomial_sum(r: int) -> int:

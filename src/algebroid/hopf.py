@@ -115,10 +115,7 @@ class GradedCoalgebra:
         return len(self.betti) - 1
 
     def block_offsets(self, r: int) -> list[int]:
-        offs = [0]
-        for i in range(r + 1):
-            offs.append(offs[-1] + self.betti[i] * self.betti[r - i])
-        return offs
+        return [0, *accumulate(self.betti[i] * self.betti[r - i] for i in range(r + 1))]
 
     @cached_property
     def _delta(self) -> dict[Label, dict[tuple[Label, Label], Fraction | int]]:

@@ -162,14 +162,20 @@ def representation_from_dict(d: dict, algebra: LieAlgebra, where: str = "represe
 
 
 def matrix_from_rows(rows, n_rows: int, n_cols: int, where: str) -> RationalMatrix:
+    """Rows of rational strings; "0" is skipped, a bad entry's path made on error."""
     if not isinstance(rows, list) or len(rows) != n_rows:
         raise ParseError(f"expected {n_rows} rows", where)
-    entries = []
+    pairs = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n_cols:
             raise ParseError(f"expected {n_cols} entries", f"{where}[{i}]")
-        entries.append([parse_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return RationalMatrix(n_rows, n_cols, entries)
+        for j, x in enumerate(row):
+            if x != "0":
+                try:
+                    pairs.append(((i, j), parse_rational(x)))
+                except ParseError as exc:
+                    raise ParseError(str(exc), f"{where}[{i}][{j}]") from None
+    return RationalMatrix.from_entries(n_rows, n_cols, pairs)
 
 
 # -- algebroids --------------------------------------------------------------

@@ -18,25 +18,21 @@ Concretely, on a coefficient vector e and a basis p-form w,
 where c^k_{ij} are the structure constants.  The degree-p component
 E (x) Lambda^p is ordered with the coefficient index major and the
 lexicographic form index minor.
+
+Both terms come from one loop over bitmask forms, on integer rows like the flatness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from .errors import DegreeOutOfRangeError, ValidationError
-from .exactlinalg import (
-    CochainComplex,
-    CohomologyReport,
-    RationalMatrix,
-    as_fraction,
-    complex_cohomology,
-    kron_sum,
-    require_cochain_budget,
-)
-from .exterior import basis_index, basis_tuples, wedge, wedge_matrix
+from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
+    as_fraction, common_rows, complex_cohomology, require_cochain_budget
+from .exterior import basis_index, basis_masks
 
 _ZERO = Fraction(0)
 
@@ -82,16 +78,11 @@ class LieAlgebra:
 def bracket_basis(g: LieAlgebra, i: int, j: int) -> list[Fraction]:
     """[e_i, e_j] as a coordinate vector."""
     out = [_ZERO] * g.dim
-    if i == j:
-        return out
-    sign = 1
-    if i > j:
-        i, j, sign = j, i, -1
+    sign, pair = (1, (i, j)) if i < j else (-1, (j, i))
     for bi, bj, terms in g.brackets:
-        if bi == i and bj == j:
+        if (bi, bj) == pair:
             for k, c in terms:
                 out[k] = sign * c
-            break
     return out
 
 
@@ -175,15 +166,24 @@ def adjoint_representation(g: LieAlgebra) -> Representation:
 
 def representation_violation(r: Representation) -> tuple[int, int] | None:
     """First basis pair i < j, in lexicographic order, with
-    rho_[e_i, e_j] != rho_i rho_j - rho_j rho_i, or None when r is flat."""
-    g, one = r.algebra, RationalMatrix.identity(1)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            # rho_i rho_j against rho_j rho_i + sum_k c^k_ij rho_k
-            expected = kron_sum(r.dim_e, r.dim_e, [(0, 0, one, r.action[j] @ r.action[i])] + [
-                (0, 0, RationalMatrix.from_rows([[c]]), rho)
-                for c, rho in zip(bracket_basis(g, i, j), r.action) if c])
-            if r.action[i] @ r.action[j] != expected:
+    rho_[e_i, e_j] != rho_i rho_j - rho_j rho_i, or None when r is flat.  On
+    N_k = D rho_k and q = lcm(c^k_ij's denominators): q [N_i, N_j] = D sum_k q c^k_ij N_k.
+    """
+    den, mats = common_rows(r.action)
+    table = {(i, j): terms for i, j, terms in r.algebra.brackets}
+    for i, j in combinations(range(r.algebra.dim), 2):
+        terms = table.get((i, j), ())
+        q = lcm(*[c.denominator for _, c in terms])
+        for a in range(r.dim_e):
+            acc: dict[int, int] = {}
+            for left, right, f in ((mats[i], mats[j], q), (mats[j], mats[i], -q)):
+                for m, x in left[a].items():
+                    for b, y in right[m].items():
+                        acc[b] = acc.get(b, 0) + f * x * y
+            for k, c in terms:
+                for b, y in mats[k][a].items():
+                    acc[b] = acc.get(b, 0) - den * c.numerator * (q // c.denominator) * y
+            if any(acc.values()):
                 return (i, j)
     return None
 
@@ -197,43 +197,54 @@ def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
     """Differential on degree-p forms with trivial coefficients.
 
     d(e^k) = - sum_{i<j} c^k_{ij} e^i ^ e^j, extended as a graded derivation.
-    Entries are integers, and the matrix is divided once by the constants' lcm denominator.
     """
-    n = g.dim
-    if not 0 <= p <= n:
-        raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
-    tgt = basis_index(n, p + 1)
-    den = lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
-    by_target: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
-    for bi, bj, terms in g.brackets:
-        for k, c in terms:
-            by_target[k].append(((bi, bj), c.numerator * (den // c.denominator)))
-    pairs = []
-    for col, idx in enumerate(basis_tuples(n, p)):
-        for s, k in enumerate(idx):
-            # Slot s becomes the 2-form e^pair; moving it to the front past s
-            # slots costs (-1)^{2s} = 1, so its sign is wedge(pair, rest)'s.
-            rest, slot_sign = idx[:s] + idx[s + 1:], (-1) ** s
-            for pair, c in by_target[k]:
-                merged = wedge(pair, rest)
-                if merged is not None:
-                    pairs.append(((tgt[merged[1]], col), -slot_sign * merged[0] * c))
-    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs).scaled(Fraction(1, den))
+    return _differential(g, p, 1, [])
 
 
 def ce_differential(r: Representation, p: int) -> RationalMatrix:
     """Matrix of d_p on E (x) Lambda^p (coefficient index major)."""
-    g = r.algebra
+    # A zero action adds nothing, so its wedge terms are not written.
+    actions = [(i, rho) for i, rho in enumerate(r.action) if not rho.is_zero()]
+    if r.dim_e == 1 and not actions:
+        return trivial_ce_differential(r.algebra, p)
+    return _differential(r.algebra, p, r.dim_e, actions)
+
+
+def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalMatrix:
+    """I (x) d_triv + sum_i rho_i (x) (e^i ^ -) for the actions (i, rho_i),
+    written column by column from one loop over the source masks."""
     n = g.dim
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
-    # An abelian algebra and a zero action add nothing, so their matrices are not built.
-    terms = []
-    if g.brackets:
-        terms.append((0, 0, RationalMatrix.identity(r.dim_e), trivial_ce_differential(g, p)))
-    terms += [(0, 0, rho, wedge_matrix(n, p, i))
-              for i, rho in enumerate(r.action) if not rho.is_zero()]
-    return kron_sum(r.dim_e * comb(n, p + 1), r.dim_e * comb(n, p), terms)
+    rows, cols = comb(n, p + 1), comb(n, p)
+    den, by_col = common_rows([rho.transpose() for _, rho in actions], lcm(
+        *[c.denominator for _, _, terms in g.brackets for _, c in terms]))
+    # Slot s of e^k becomes d(e^k); moving its 2-form e^i ^ e^j to the front
+    # costs (-1)^{2s} = 1, so the sign is (-1)^s times that of e^i ^ e^j ^ rest:
+    # the parity of rest's bits below k, i and j, or in the xor of those masks.
+    gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
+             -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
+    acts = [(1 << i, (1 << i) - 1, col) for (i, _), col in zip(actions, by_col)]
+    tgt = basis_index(n, p + 1)
+    out: list[dict[int, int]] = [{} for _ in range(dim_e * rows)]
+    for src, w in enumerate(basis_masks(n, p) if dim_e else ()):  # dim_e = 0: no cochains
+        triv: dict[int, int] = {}
+        for bit, pair, below, v in gens:
+            rest = w ^ bit
+            if w & bit and not rest & pair:
+                r = tgt[rest | pair]
+                triv[r] = triv.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
+        wedges = [(tgt[w | bit], -1 if (w & below).bit_count() & 1 else 1, col)
+                  for bit, below, col in acts if not w & bit]
+        for b in range(dim_e):
+            acc = {b * rows + r: v for r, v in triv.items()}
+            for r, sign, col in wedges:
+                for a, x in col[b].items():
+                    acc[a * rows + r] = acc.get(a * rows + r, 0) + sign * x
+            for r, v in acc.items():
+                if v:
+                    out[r][b * cols + src] = v
+    return RationalMatrix._wrap(dim_e * rows, dim_e * cols, *_reduced(out, den))
 
 
 def ce_complex(r: Representation) -> CochainComplex:

@@ -21,6 +21,13 @@ I_E (x) sum_i beta_i (e^i ^ -), which the package builds as a CE complex.
 `jacobi_violation` evaluates the Jacobi sum with dense brackets on every
 triple, where the package visits only triples that touch the table.
 
+The reference builders are the package's earlier ones: wedges of index
+tuples (`tuple_wedge`, `wedges`), the trivial CE differential through
+`from_entries` and `scaled`, the CE differential as a `kron_sum` of every
+term, the flatness check on Fraction matrices and the window product with
+one half-term per harmonic.  The package now writes integer rows from
+bitmask forms, and its stored rows must equal these.
+
 The Fraction polynomial arithmetic, Euclid and Sturm chains, the half-angle
 numerator multiplied out from powers of 1 + iu and 1 + u^2, and zero
 counting that reads t = pi off the values of f and f' there are the
@@ -32,13 +39,15 @@ tests abelianness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from algebroid.circle import trig_derivative
+from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, _coordinate, _harmonic,
+                              trig_derivative, window_coords)
 from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, rank
+from algebroid.exactlinalg import RationalMatrix, kron_sum, rank
 from algebroid.hopf import addition
 from algebroid.liealg import LieAlgebra, bracket, bracket_basis
 from fixtures import value_at_quarter
@@ -337,6 +346,113 @@ def shuffle_coproduct(n: int) -> list[RationalMatrix]:
                               sign))
         out.append(RationalMatrix.from_entries(offs[-1], betti[r], pairs))
     return out
+
+
+# -- reference builders ---------------------------------------------------------
+
+def tuple_wedge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """e^a ^ e^b as (sign, c) for increasing index tuples, or None on a shared index."""
+    out = list(b)
+    sign = 1
+    for x in reversed(a):
+        # x passes the k entries below it, all from b: the later ones of a are larger
+        k = bisect_left(out, x)
+        if k < len(out) and out[k] == x:
+            return None
+        if k & 1:
+            sign = -sign
+        out.insert(k, x)
+    return sign, tuple(out)
+
+
+def wedges(n: int, degree: int, left, right) -> RationalMatrix:
+    """Matrix of a (x) b -> a ^ b into `degree` on index tuples, a in left
+    major, b in right minor."""
+    tgt = {t: r for r, t in enumerate(combinations(range(n), degree))}
+    pairs = []
+    for ia, a in enumerate(left):
+        for ib, b in enumerate(right):
+            merged = tuple_wedge(a, b)
+            if merged is not None:
+                pairs.append(((tgt[merged[1]], ia * len(right) + ib), merged[0]))
+    return RationalMatrix.from_entries(len(tgt), len(left) * len(right), pairs)
+
+
+def wedge_matrix(n: int, p: int, i: int) -> RationalMatrix:
+    return wedges(n, p + 1, [(i,)], list(combinations(range(n), p)))
+
+
+def wedge_product(n: int, p: int, q: int) -> RationalMatrix:
+    return wedges(n, p + q, list(combinations(range(n), p)), list(combinations(range(n), q)))
+
+
+def trivial_ce_differential(g, p: int) -> RationalMatrix:
+    """d(e^k) = - sum_{i<j} c^k_{ij} e^i ^ e^j as a graded derivation, from
+    wedges of index tuples, divided once by the constants' lcm denominator."""
+    n = g.dim
+    tgt = {t: r for r, t in enumerate(combinations(range(n), p + 1))}
+    den = lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
+    by_target = [[] for _ in range(n)]
+    for bi, bj, terms in g.brackets:
+        for k, c in terms:
+            by_target[k].append(((bi, bj), c.numerator * (den // c.denominator)))
+    pairs = []
+    for col, idx in enumerate(combinations(range(n), p)):
+        for s, k in enumerate(idx):
+            rest, slot_sign = idx[:s] + idx[s + 1:], (-1) ** s
+            for pair, c in by_target[k]:
+                merged = tuple_wedge(pair, rest)
+                if merged is not None:
+                    pairs.append(((tgt[merged[1]], col), -slot_sign * merged[0] * c))
+    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs).scaled(Fraction(1, den))
+
+
+def ce_differential(r, p: int) -> RationalMatrix:
+    """I_E (x) d_trivial + sum_i rho_i (x) (e^i ^ -) summed by `kron_sum`,
+    every term kept."""
+    n, e = r.algebra.dim, r.dim_e
+    terms = [(0, 0, RationalMatrix.identity(e), trivial_ce_differential(r.algebra, p))]
+    terms += [(0, 0, rho, wedge_matrix(n, p, i)) for i, rho in enumerate(r.action)]
+    return kron_sum(e * comb(n, p + 1), e * comb(n, p), terms)
+
+
+def representation_violation(r) -> tuple[int, int] | None:
+    """First pair i < j with rho_i rho_j != rho_j rho_i + sum_k c^k_ij rho_k,
+    compared on matrices built with 1 x 1 Fraction factors."""
+    g, one = r.algebra, RationalMatrix.identity(1)
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            expected = kron_sum(r.dim_e, r.dim_e, [(0, 0, one, r.action[j] @ r.action[i])] + [
+                (0, 0, RationalMatrix.from_rows([[c]]), rho)
+                for c, rho in zip(bracket_basis(g, i, j), r.action) if c])
+            if r.action[i] @ r.action[j] != expected:
+                return (i, j)
+    return None
+
+
+def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -> RationalMatrix:
+    """u -> f u (or f u') from the product-to-sum table, one half-term per
+    (a - b) and (a + b) harmonic, through `from_entries` and `scaled`."""
+    coords = window_coords(f, f.deg)
+    den = lcm(*[x.denominator for x in coords])
+    basis = [(j, *_harmonic(j), 1) for j in range(2 * src_m + 1)]
+    if derivative:
+        basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
+                 for j, kind, b, _ in basis if b]
+    pairs = []
+    for i, x in enumerate(coords):
+        if not x:
+            continue
+        f_kind, a = _harmonic(i)
+        x = x.numerator * (den // x.denominator)
+        for j, b_kind, b, scale in basis:
+            kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
+            for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
+                row, k_sign = _coordinate(kind, k)
+                if k_sign:
+                    pairs.append(((row, j), x * sign * k_sign * scale))
+    return RationalMatrix.from_entries(2 * tgt_m + 1, 2 * src_m + 1,
+                                       pairs).scaled(Fraction(1, 2 * den))
 
 
 # -- Fraction polynomials and half-angle zero counting -------------------------

@@ -310,6 +310,27 @@ def test_fused_derivative_matches_composition(f, m, extra):
     assert fused == multiplication_matrix(f, m, t) @ d
 
 
+def stored(m):
+    return m.rows, m.cols, m._num, m._den
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_polys, st.integers(0, 6), st.integers(0, 3), st.booleans())
+def test_multiplication_matrix_stores_the_reference_rows(f, m, extra, derivative):
+    # integer terms over 2 lcm(f's denominators), against half-terms through from_entries
+    t = m + f.deg + extra
+    assert stored(multiplication_matrix(f, m, t, derivative)) == \
+        stored(oracle.multiplication_matrix(f, m, t, derivative))
+
+
+def test_inclusion_matrix_stores_the_reference_rows():
+    one = TrigPoly.const(1)
+    for s in range(8):
+        for t in range(s, 12):
+            assert stored(inclusion_matrix(s, t)) == \
+                stored(oracle.multiplication_matrix(one, s, t)), (s, t)
+
+
 def test_inclusion_matrix():
     inc = inclusion_matrix(1, 2)
     assert inc.rows == 5 and inc.cols == 3

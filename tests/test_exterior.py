@@ -2,14 +2,31 @@
 
 from math import comb
 
+import oracle
 from algebroid.exterior import (
     alternating_binomial_sum,
+    basis_index,
+    basis_masks,
     basis_tuples,
     wedge,
     wedge_matrix,
     wedge_product,
 )
 from oracle import sort_sign
+
+
+def mask(t: tuple[int, ...]) -> int:
+    return sum(1 << i for i in t)
+
+
+def indices(m: int) -> tuple[int, ...]:
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def tuple_wedge(a: tuple[int, ...], b: tuple[int, ...]):
+    """`wedge` on the masks of index tuples, read back as (sign, tuple) or None."""
+    merged = wedge(mask(a), mask(b))
+    return None if merged is None else (merged[0], indices(merged[1]))
 
 
 def test_basis_counts():
@@ -24,6 +41,13 @@ def test_basis_is_lexicographic():
     assert idx[0] == (0, 1) and idx[-1] == (2, 3)
 
 
+def test_basis_masks_are_the_lex_tuples():
+    for n in range(10):
+        for p in range(n + 2):
+            assert basis_masks(n, p) == [mask(t) for t in basis_tuples(n, p)]
+            assert basis_index(n, p) == {mask(t): r for r, t in enumerate(basis_tuples(n, p))}
+
+
 def test_sort_sign():
     assert sort_sign((0, 1, 2)) == (1, (0, 1, 2))
     assert sort_sign((1, 0, 2)) == (-1, (0, 1, 2))
@@ -32,20 +56,20 @@ def test_sort_sign():
 
 
 def test_wedge_golden():
-    a, b = (0,), (1, 2)
+    a, b = mask((0,)), mask((1, 2))
     sign, out = wedge(a, b)
-    assert sign == 1 and out == (0, 1, 2)
+    assert sign == 1 and out == mask((0, 1, 2))
     sign, out = wedge(b, a)
-    assert sign == 1 and out == (0, 1, 2)  # two transpositions
-    assert wedge(a, (0, 1)) is None
+    assert sign == 1 and out == mask((0, 1, 2))  # two transpositions
+    assert wedge(a, mask((0, 1))) is None
 
 
 def test_wedge_graded_commutativity():
     n = 5
     for p in range(n + 1):
         for q in range(n + 1 - p):
-            for a in basis_tuples(n, p):
-                for b in basis_tuples(n, q):
+            for a in basis_masks(n, p):
+                for b in basis_masks(n, q):
                     left = wedge(a, b)
                     right = wedge(b, a)
                     if left is None:
@@ -63,7 +87,7 @@ def test_wedge_counts_the_sign_sort_sign_sorts():
         forms = [t for p in range(n + 1) for t in basis_tuples(n, p)]
         for a in forms:
             for b in forms:
-                assert wedge(a, b) == sort_sign(a + b), (a, b)
+                assert tuple_wedge(a, b) == sort_sign(a + b), (a, b)
 
 
 def test_wedge_product_columns_are_wedges():
@@ -75,7 +99,7 @@ def test_wedge_product_columns_are_wedges():
             assert (m.rows, m.cols) == (len(out), len(left) * len(right))
             for ia, a in enumerate(left):
                 for ib, b in enumerate(right):
-                    merged = wedge(a, b)
+                    merged = tuple_wedge(a, b)
                     want = [0] * len(out)
                     if merged is not None:
                         want[out.index(merged[1])] = merged[0]
@@ -98,6 +122,17 @@ def test_wedge_matrix_squares_to_zero():
             for p in range(n):
                 up = wedge_matrix(n, p + 1, i) @ wedge_matrix(n, p, i)
                 assert up.is_zero()
+
+
+def test_wedge_builders_store_the_tuple_reference_rows():
+    for n in range(7):
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
+                m, ref = wedge_product(n, p, q), oracle.wedge_product(n, p, q)
+                assert (m.rows, m.cols, m._num, m._den) == (ref.rows, ref.cols, ref._num, ref._den)
+            for i in range(n):
+                m, ref = wedge_matrix(n, p, i), oracle.wedge_matrix(n, p, i)
+                assert (m.rows, m.cols, m._num, m._den) == (ref.rows, ref.cols, ref._num, ref._den)
 
 
 def test_alternating_binomial_sum():

@@ -120,6 +120,40 @@ def test_representation_diagnostics():
             {"dim_E": 1, "action": [[["1", "0"]], [["1"]]]}, g)  # bad shape
 
 
+# (bad entry, message) for an entry of an action matrix
+BAD_ENTRIES = [
+    (1.5, 'expected a rational string like "3" or "-1/2", got 1.5'),
+    (True, 'expected a rational string like "3" or "-1/2", got True'),
+    (None, 'expected a rational string like "3" or "-1/2", got None'),
+    (0, 'expected a rational string like "3" or "-1/2", got 0'),
+    ("x", "expected a rational string like \"3\" or \"-1/2\", got 'x'"),
+    ("1/0", "zero denominator"),
+    ("7" * 4301, "a number has more than 4300 digits"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_ENTRIES, ids=lambda x: repr(x)[:12])
+def test_action_entry_diagnostics(bad, message):
+    # zeros before the bad entry are skipped; the first bad entry is reported, at its own path
+    g = catalog.algebra("aff1")
+    d = {"dim_E": 2, "action": [[["1", "0"], ["0", "0"]], [["0", bad], ["0", "x"]]]}
+    with pytest.raises(ParseError) as err:
+        io.representation_from_dict(d, g)
+    assert err.value.where == "representation.action[1][0][1]"
+    assert str(err.value) == f"representation.action[1][0][1]: {message}"
+
+
+def test_action_entries_that_are_zero_store_no_entry():
+    g = catalog.algebra("aff1")
+    for zero in ("0", "-0", "+0", " 0 ", "0/7"):
+        d = {"dim_E": 2, "action": [[[zero, "1/2"], [zero, zero]], [["-2/4", zero], [zero, "3"]]]}
+        r = io.representation_from_dict(d, g)
+        expected = [RationalMatrix.from_rows([[0, F(1, 2)], [0, 0]]),
+                    RationalMatrix.from_rows([[F(-1, 2), 0], [0, 3]])]
+        for m, e in zip(r.action, expected):
+            assert (m._num, m._den) == (e._num, e._den), zero
+
+
 def test_algebroid_round_trip():
     for name in catalog.ALGEBROID_NAMES:
         a, rng = catalog.algebroid(name)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from algebroid import catalog
@@ -264,3 +264,95 @@ def test_jacobi_violation_matches_the_loop_over_every_triple(g):
     # the package skips triples without a bracketed pair; the first violation must not move
     assert jacobi_violation(g) == oracle.jacobi_violation(g)
     assert check_jacobi(g) == (oracle.jacobi_violation(g) is None)
+
+
+def stored(m):
+    return m.rows, m.cols, m._num, m._den
+
+
+def test_catalog_ce_differentials_store_the_reference_rows():
+    # the mask loop against tuple wedges summed by kron_sum, every term kept
+    algebras = [catalog.algebra(name) for name in ("zero",) + catalog.ALGEBRA_NAMES]
+    algebras += [direct_sum(catalog.algebra(a), catalog.algebra(b))
+                 for a, b in (("su2", "diamond4"), ("r2", "r3"))]
+    reps = [build(g) for g in algebras for build in (
+        trivial_representation, lambda g: trivial_representation(g, 2), adjoint_representation)]
+    reps += [catalog.representation(name) for name in catalog.REPRESENTATION_NAMES]
+    for r in reps:
+        for p in range(r.algebra.dim + 1):
+            assert stored(ce_differential(r, p)) == stored(oracle.ce_differential(r, p)), \
+                (r.algebra.name, r.dim_e, p)
+            assert stored(trivial_ce_differential(r.algebra, p)) == \
+                stored(oracle.trivial_ce_differential(r.algebra, p))
+
+
+F = Fraction
+constants = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-2, 3),
+                             F(3, 2)])
+
+
+@st.composite
+def solvable_representations(draw):
+    """R acting on Q^m (m <= 4) by a matrix A, [e0, ei] = sum_k A[k][i] ek, half
+    the time singular, with its trivial (of dim 1, 0 or 2) or adjoint
+    representation or a random character: chi(e0) anything and chi on Q^m in
+    the left kernel of A, so chi kills [g, g]."""
+    m = draw(st.integers(0, 4))
+    a = [[draw(constants) for _ in range(m)] for _ in range(m)]
+    if m and draw(st.booleans()):  # a singular A, whose left kernel carries characters
+        a[-1] = [draw(constants) * x for x in a[0]] if m > 1 else [F(0)]
+    g = LieAlgebra.make(m + 1, {(0, i + 1): {k + 1: a[k][i] for k in range(m)}
+                                for i in range(m)})
+    kind = draw(st.sampled_from(["trivial", "trivial0", "trivial2", "adjoint", "character"]))
+    if kind.startswith("trivial"):
+        return trivial_representation(g, int(kind[7:] or 1))
+    if kind == "adjoint":
+        return adjoint_representation(g)
+    left_kernel = oracle.kernel_basis(RationalMatrix.from_rows(
+        [list(col) for col in zip(*a)])) if m else []
+    coeffs = [draw(constants) for _ in left_kernel]
+    mu = [sum((c * v[k] for c, v in zip(coeffs, left_kernel)), F(0)) for k in range(m)]
+    chi = [draw(constants), *mu]
+    return Representation(g, 1, tuple(RationalMatrix.from_rows([[x]]) for x in chi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(solvable_representations())
+def test_ce_differentials_store_the_reference_rows(r):
+    assert representation_violation(r) is None
+    assert oracle.representation_violation(r) is None
+    for p in range(r.algebra.dim + 1):
+        assert stored(ce_differential(r, p)) == stored(oracle.ce_differential(r, p)), p
+        assert stored(trivial_ce_differential(r.algebra, p)) == \
+            stored(oracle.trivial_ce_differential(r.algebra, p)), p
+
+
+def bumped(r: Representation, i: int, a: int, b: int, delta: int) -> Representation:
+    """r with delta added to entry (a, b) of the action of e_i."""
+    rho = r.action[i]
+    entry = RationalMatrix.from_entries(
+        r.dim_e, r.dim_e, [*(((k, l), x) for k, l, x in rho.entries()), ((a, b), delta)])
+    return Representation(r.algebra, r.dim_e, r.action[:i] + (entry,) + r.action[i + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(solvable_representations(), st.data())
+def test_representation_violation_names_the_reference_pair(r, data):
+    assume(r.dim_e > 0)  # no entry to change
+    i = data.draw(st.integers(0, r.algebra.dim - 1))
+    a, b = (data.draw(st.integers(0, r.dim_e - 1)) for _ in range(2))
+    r = bumped(r, i, a, b, data.draw(st.sampled_from([-1, 1])))
+    assert representation_violation(r) == oracle.representation_violation(r)
+    assert check_representation(r) == (oracle.representation_violation(r) is None)
+
+
+def test_representation_violation_names_the_reference_pair_on_the_catalog():
+    reps = [adjoint_representation(catalog.algebra(name)) for name in ("su2", "aff1", "h3")]
+    reps += [catalog.representation(name) for name in catalog.REPRESENTATION_NAMES]
+    for r in reps:
+        for i in range(r.algebra.dim):
+            for a in range(r.dim_e):
+                for b in range(r.dim_e):
+                    for delta in (-1, 1):
+                        s = bumped(r, i, a, b, delta)
+                        assert representation_violation(s) == oracle.representation_violation(s)
