@@ -13,11 +13,16 @@ approximately.  A product with a Lie algebra is built the same way.
 Both harmonic rules live in one window operator: `multiplication_matrix`
 holds the product-to-sum table and, with `derivative=True`, sends each basis
 function to its derivative before multiplying, so u -> f u' is one matrix.
-`trig_mul` and `trig_derivative` apply it to window coordinates, and every
-window differential is built from it: an inclusion of windows is
-multiplication by 1.  Sums and scalar multiples of trig polynomials are
-taken on window coordinates too, so `window_coords` alone states the
-coefficient layout.
+`trig_mul` and `trig_derivative` apply it to window coordinates.  Sums and
+scalar multiples of trig polynomials are taken on window coordinates too, so
+`window_coords` alone states the coefficient layout.
+
+A window differential is written row by row from one loop over the source
+masks, as `liealg` writes a CE differential.  Each term of d(e^w), from
+`liealg.bracket_terms`, is placed on the inclusion of its windows, which is
+the identity on the source window's coordinates since V_s's basis is a
+prefix of V_t's.  Each e^i ^ e^w is placed on the integer rows of
+u -> phi_i u'.  All terms share one denominator and are reduced once.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
@@ -42,9 +47,9 @@ from math import lcm
 from . import polyroots
 from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
-    as_fraction, cohomology_from_ranks, kron_sum, pivot_columns, require_cochain_budget
-from .exterior import basis_tuples, wedge_matrix
-from .liealg import LieAlgebra, bracket_basis, require_jacobi, trivial_ce_differential
+    as_fraction, cohomology_from_ranks, common_rows, pivot_columns, require_cochain_budget
+from .exterior import basis_index, basis_masks
+from .liealg import LieAlgebra, bracket_basis, bracket_denominator, bracket_terms, require_jacobi
 
 _ZERO = Fraction(0)
 
@@ -278,11 +283,6 @@ def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
         [{j: y for j, y in row.items() if y} for row in rows], 2 * den))
 
 
-def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
-    """V_src -> V_tgt, the identity on shared basis functions: multiplication by 1."""
-    return multiplication_matrix(TrigPoly.const(1), src_m, tgt_m)
-
-
 # -- algebroids --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -324,38 +324,53 @@ class ActionAlgebroid:
         if any(i in zero and j in zero and any(k not in zero for k, _ in terms)
                for i, j, terms in g.brackets):
             zero = set()
-        moving = [i not in zero for i in range(g.dim)]
-        require_cochain_budget(2 * n + 1 + d * sum(moving), g.dim, f"the window-{n} complex")
+        moving = sum(1 << i for i in range(g.dim) if i not in zero)
+        require_cochain_budget(2 * n + 1 + d * moving.bit_count(), g.dim,
+                               f"the window-{n} complex")
         if len(self.phi) != g.dim:
             raise ValidationError("need one vector field per basis vector")
         require_jacobi(g)
         if not check_action(self):
             raise ValidationError("vector fields do not represent the bracket "
                                   f"on basis pair {action_violation(self)}")
-        windows = [[n + d * sum(moving[i] for i in form) for form in basis_tuples(g.dim, p)]
-                   for p in range(g.dim + 1)]
+        masks = [basis_masks(g.dim, p) for p in range(g.dim + 1)]
+        windows = [[n + d * (w & moving).bit_count() for w in ws] for ws in masks]
         offsets = [[0, *accumulate(map(window_dim, ws))] for ws in windows]
         degrees = tuple(offs[-1] for offs in offsets)
-        scalars, blocks = {}, {}
-
-        def place(forms: RationalMatrix, field: int | None, p: int):
-            """Each nonzero x of a map of p-forms as x times its window block, built
-            once per (field, source window, target window), at the forms' offsets."""
-            for r, c in forms.nonzero_positions():
-                x, key = forms[r, c], (windows[p][c], windows[p + 1][r])
-                scalar = scalars.get(x) or scalars.setdefault(
-                    x, RationalMatrix.from_entries(1, 1, [((0, 0), x)]))
-                block = blocks.get((field, *key)) or blocks.setdefault(
-                    (field, *key), inclusion_matrix(*key) if field is None else
-                    multiplication_matrix(self.phi[field], *key, derivative=True))
-                yield offsets[p + 1][r], offsets[p][c], scalar, block
-
+        # One denominator: the brackets' and 2 lcm(each field's), over which
+        # `multiplication_matrix` writes its terms.
+        fields = [(i, f) for i, f in enumerate(self.phi) if not f.is_zero()]
+        den = lcm(bracket_denominator(g), *[
+            2 * lcm(*[x.denominator for x in window_coords(f, f.deg)]) for _, f in fields])
+        d_triv = bracket_terms(g, den)
+        blocks = {}  # (i, ws) -> integer rows over den of u -> phi_i u', V_ws -> V_{ws+d}
         diffs = []
         for p in range(g.dim):
-            terms = chain(place(trivial_ce_differential(g, p), None, p),
-                          *(place(wedge_matrix(g.dim, p, i), i, p)
-                            for i, f in enumerate(self.phi) if not f.is_zero()))
-            diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
+            tgt, row_offsets = basis_index(g.dim, p + 1), offsets[p + 1]
+            out: list[dict[int, int]] = [{} for _ in range(degrees[p + 1])]
+            for src, w in enumerate(masks[p]):
+                ws, c0 = windows[p][src], offsets[p][src]
+                # Each term of d(e^w) times the inclusion of V_ws, the identity on its
+                # coordinates: they are a prefix of the target window's.
+                for r, v in d_triv(w, tgt).items():
+                    for c in range(window_dim(ws)):
+                        row = out[row_offsets[r] + c]
+                        row[c0 + c] = row.get(c0 + c, 0) + v
+                # e^i ^ e^w times u -> phi_i u'; the slot of a nonzero field moves.
+                for i, f in fields:
+                    if w >> i & 1:
+                        continue
+                    if (i, ws) not in blocks:
+                        blocks[i, ws] = common_rows(
+                            [multiplication_matrix(f, ws, ws + d, derivative=True)], den)[1][0]
+                    sign = -1 if (w & ((1 << i) - 1)).bit_count() & 1 else 1
+                    r0 = row_offsets[tgt[w | 1 << i]]
+                    for a, block_row in enumerate(blocks[i, ws]):
+                        row = out[r0 + a]
+                        for c, x in block_row.items():
+                            row[c0 + c] = row.get(c0 + c, 0) + sign * x
+            diffs.append(RationalMatrix._wrap(degrees[p + 1], degrees[p], *_reduced(
+                [{j: x for j, x in row.items() if x} for row in out], den)))
         # Window coordinate j holds harmonic ceil(j/2); in a form of window w it
         # enters at N = that - (w - n).
         levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws

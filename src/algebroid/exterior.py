@@ -6,20 +6,18 @@ tuples.  There is one sign rule: e^i ^ e^m = (-1)^k e^(m | 1 << i) with
 k = (m & ((1 << i) - 1)).bit_count(), the number of indices of m below i.
 `wedge` applies it to each index of a, so e^a ^ e^b = (-1)^k e^(a | b) with
 k counting the pairs x in a, y in b with y < x.  Every wedge sign in the
-package, in CE differentials and in the Hopf product and coproduct, comes
-from it.  The builders write entries +-1 straight into `RationalMatrix._wrap`.
+package, in CE and window differentials and in the Hopf product and
+coproduct, comes from it; the CE and window builders apply it to e^i inline,
+so `wedge_matrix` has no caller in the package and serves the tests and the
+bench tracer.  The builders write entries +-1 straight into
+`RationalMatrix._wrap`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .exactlinalg import RationalMatrix
-
-
-def basis_tuples(n: int, p: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(n), p))
 
 
 def basis_masks(n: int, p: int) -> list[int]:
@@ -63,9 +61,3 @@ def _wedges(n: int, degree: int, left: list[int], right: list[int]) -> RationalM
                 rows[tgt[merged[1]]][ia * len(right) + ib] = merged[0]
     return RationalMatrix._wrap(len(tgt), len(left) * len(right), rows, 1)
 
-
-def alternating_binomial_sum(r: int) -> int:
-    """Sum of (-1)^p C(r, p) over p = 0..r: 1 when r = 0, else 0."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return sum((-1) ** p * comb(r, p) for p in range(r + 1))

@@ -7,6 +7,7 @@ from the one window builder in `circle` and `kunneth_verify` compares them
 with the convolution of the factors' Betti numbers.  The slots of h move no
 window when the factor's zero fields span a subalgebra (as they do when it
 has none), so the window-N product is 2^dim h times the factor's size.
+`tensor_rep` writes A (x) I and I (x) B entry by entry, the index of E major.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circle import ActionAlgebroid, TrigPoly
-from .exactlinalg import CohomologyReport, RationalMatrix, kron_sum
+from .exactlinalg import CohomologyReport, RationalMatrix
 from .liealg import LieAlgebra, Representation, require_jacobi
 
 
@@ -32,11 +33,15 @@ def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
 def tensor_rep(e: Representation, f: Representation) -> Representation:
     """E (x) F over the direct sum; each summand acts on its own factor."""
     gh = direct_sum(e.algebra, f.algebra)
-    id_e, id_f = RationalMatrix.identity(e.dim_e), RationalMatrix.identity(f.dim_e)
-    n = e.dim_e * f.dim_e
-    action = tuple(kron_sum(n, n, [(0, 0, m, id_f)]) for m in e.action) + \
-        tuple(kron_sum(n, n, [(0, 0, id_e, m)]) for m in f.action)
-    return Representation(algebra=gh, dim_e=n, action=action)
+    de, df = e.dim_e, f.dim_e
+    n = de * df
+    left = [RationalMatrix.from_entries(n, n, (((i * df + k, j * df + k), x)
+                                              for i, j, x in m.entries() for k in range(df)))
+            for m in e.action]
+    right = [RationalMatrix.from_entries(n, n, (((k * df + i, k * df + j), x)
+                                               for i, j, x in m.entries() for k in range(de)))
+             for m in f.action]
+    return Representation(algebra=gh, dim_e=n, action=tuple(left + right))
 
 
 def product_with_lie_algebra(a: ActionAlgebroid, h: LieAlgebra) -> ActionAlgebroid:

@@ -86,17 +86,6 @@ def bracket_basis(g: LieAlgebra, i: int, j: int) -> list[Fraction]:
     return out
 
 
-def bracket(g: LieAlgebra, v, w) -> list[Fraction]:
-    """Bilinear extension of the bracket to coordinate vectors."""
-    out = [_ZERO] * g.dim
-    for i, j, terms in g.brackets:
-        coeff = v[i] * w[j] - v[j] * w[i]
-        if coeff:
-            for k, c in terms:
-                out[k] += coeff * c
-    return out
-
-
 def jacobi_violation(g: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple i < j < k, in lexicographic order, whose cyclic
     Jacobi sum is nonzero, or None when the identity holds."""
@@ -210,6 +199,33 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
     return _differential(r.algebra, p, r.dim_e, actions)
 
 
+def bracket_terms(g: LieAlgebra, den: int):
+    """The trivial differential on bitmask forms: a function of (w, tgt) that
+    gives d(e^w) as {tgt[u]: integer coefficient of e^u over den}, for a den
+    that `bracket_denominator(g)` divides.  CE and window differentials both
+    read it, so the sign rule of d(e^k) is stated here alone."""
+    # Slot s of e^k becomes d(e^k); moving its 2-form e^i ^ e^j to the front
+    # costs (-1)^{2s} = 1, so the sign is (-1)^s times that of e^i ^ e^j ^ rest:
+    # the parity of rest's bits below k, i and j, or in the xor of those masks.
+    gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
+             -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
+
+    def column(w: int, tgt: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for bit, pair, below, v in gens:
+            rest = w ^ bit
+            if w & bit and not rest & pair:
+                r = tgt[rest | pair]
+                out[r] = out.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
+        return out
+    return column
+
+
+def bracket_denominator(g: LieAlgebra) -> int:
+    """lcm of the structure constants' denominators."""
+    return lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
+
+
 def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalMatrix:
     """I (x) d_triv + sum_i rho_i (x) (e^i ^ -) for the actions (i, rho_i),
     written column by column from one loop over the source masks."""
@@ -217,23 +233,13 @@ def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalM
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     rows, cols = comb(n, p + 1), comb(n, p)
-    den, by_col = common_rows([rho.transpose() for _, rho in actions], lcm(
-        *[c.denominator for _, _, terms in g.brackets for _, c in terms]))
-    # Slot s of e^k becomes d(e^k); moving its 2-form e^i ^ e^j to the front
-    # costs (-1)^{2s} = 1, so the sign is (-1)^s times that of e^i ^ e^j ^ rest:
-    # the parity of rest's bits below k, i and j, or in the xor of those masks.
-    gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
-             -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
+    den, by_col = common_rows([rho.transpose() for _, rho in actions], bracket_denominator(g))
+    d_triv = bracket_terms(g, den)
     acts = [(1 << i, (1 << i) - 1, col) for (i, _), col in zip(actions, by_col)]
     tgt = basis_index(n, p + 1)
     out: list[dict[int, int]] = [{} for _ in range(dim_e * rows)]
     for src, w in enumerate(basis_masks(n, p) if dim_e else ()):  # dim_e = 0: no cochains
-        triv: dict[int, int] = {}
-        for bit, pair, below, v in gens:
-            rest = w ^ bit
-            if w & bit and not rest & pair:
-                r = tgt[rest | pair]
-                triv[r] = triv.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
+        triv = d_triv(w, tgt)
         wedges = [(tgt[w | bit], -1 if (w & below).bit_count() & 1 else 1, col)
                   for bit, below, col in acts if not w & bit]
         for b in range(dim_e):

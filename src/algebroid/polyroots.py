@@ -89,7 +89,3 @@ def simple_real_root_count(p) -> int | None:
         return None
     return _sturm_count(seq)
 
-
-def has_multiple_real_root(p) -> bool:
-    """True iff p shares a real root with its derivative."""
-    return any(p) and simple_real_root_count(p) is None

@@ -18,7 +18,6 @@ from math import comb
 
 from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, \
     require_cochain_budget
-from .exterior import alternating_binomial_sum
 from .liealg import LieAlgebra, Representation, ce_differential
 
 
@@ -73,10 +72,3 @@ def exactness_check(c: CochainComplex) -> ExactnessReport:
     per_degree = tuple(b == 0 for b in complex_cohomology(c).betti)
     return ExactnessReport(per_degree=per_degree, exact=all(per_degree))
 
-
-def euler_form_factor(rank_l: int, rank_e: int) -> int:
-    """Fiberwise integrand factor: the alternating binomial sum of the
-    kernel rank times the coefficient rank (rank_e when rank_l = 0, else 0)."""
-    if rank_l < 0 or rank_e < 0:
-        raise ValueError("ranks must be nonnegative")
-    return alternating_binomial_sum(rank_l) * rank_e

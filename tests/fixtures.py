@@ -8,19 +8,24 @@ trig polynomial at t = q pi/2 for the zero-counting references in
 `oracle.py`.  `ts1_coalgebra`, `coproduct_terms`, `multiply` and
 `antipode_matrices` are Hopf fixtures and readers; the last three were
 `GradedCoalgebra` methods or read its views, and now take the coalgebra as
-their first argument.
+their first argument.  `basis_tuples`, `has_multiple_real_root`,
+`alternating_binomial_sum`, `euler_form_factor` and the dense `bracket`
+had no caller in the package.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.exactlinalg import RationalMatrix
 from algebroid.hopf import GradedCoalgebra, addition_coproduct, verify_hopf
 from algebroid.io import format_rational
 from algebroid.liealg import LieAlgebra, Representation
+from algebroid.polyroots import simple_real_root_count
 from algebroid.symbol import FiberData
 
 
@@ -137,3 +142,41 @@ def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
     return tuple(RationalMatrix.from_entries(n, n, (((k, a), t) for a in range(n)
                                                     for (_, k), t in s[(r, a)].items()))
                  for r, n in enumerate(c.betti))
+
+
+# -- small helpers -----------------------------------------------------------------
+
+def basis_tuples(n: int, p: int) -> list[tuple[int, ...]]:
+    """The degree-p exterior basis as increasing index tuples, in lex order."""
+    return list(combinations(range(n), p))
+
+
+def has_multiple_real_root(p) -> bool:
+    """True iff p shares a real root with its derivative."""
+    return any(p) and simple_real_root_count(p) is None
+
+
+def alternating_binomial_sum(r: int) -> int:
+    """Sum of (-1)^p C(r, p) over p = 0..r: 1 when r = 0, else 0."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    return sum((-1) ** p * comb(r, p) for p in range(r + 1))
+
+
+def euler_form_factor(rank_l: int, rank_e: int) -> int:
+    """Fiberwise integrand factor: the alternating binomial sum of the
+    kernel rank times the coefficient rank (rank_e when rank_l = 0, else 0)."""
+    if rank_l < 0 or rank_e < 0:
+        raise ValueError("ranks must be nonnegative")
+    return alternating_binomial_sum(rank_l) * rank_e
+
+
+def bracket(g: LieAlgebra, v, w) -> list[Fraction]:
+    """Bilinear extension of the bracket to coordinate vectors."""
+    out = [Fraction(0)] * g.dim
+    for i, j, terms in g.brackets:
+        coeff = v[i] * w[j] - v[j] * w[i]
+        if coeff:
+            for k, c in terms:
+                out[k] += coeff * c
+    return out

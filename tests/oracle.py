@@ -23,10 +23,13 @@ triple, where the package visits only triples that touch the table.
 
 The reference builders are the package's earlier ones: wedges of index
 tuples (`tuple_wedge`, `wedges`), the trivial CE differential through
-`from_entries` and `scaled`, the CE differential as a `kron_sum` of every
-term, the flatness check on Fraction matrices and the window product with
-one half-term per harmonic.  The package now writes integer rows from
-bitmask forms, and its stored rows must equal these.
+`from_entries` and `scaled`, `kron_sum` (the layout rule for blocks and
+Kronecker products) and the CE differential as a `kron_sum` of every term,
+the flatness check on Fraction matrices, the window product with one
+half-term per harmonic, `inclusion_matrix` (multiplication by 1), and the
+window complex (`window_complex`) as a `kron_sum` of one term per CE entry,
+that entry as a 1 x 1 matrix times its window block.  The package now writes
+integer rows from bitmask forms, and its stored rows must equal these.
 
 The Fraction polynomial arithmetic, Euclid and Sturm chains, the half-angle
 numerator multiplied out from powers of 1 + iu and 1 + u^2, and zero
@@ -41,16 +44,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, lcm
 
-from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, _coordinate, _harmonic,
+from algebroid import circle
+from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
                               trig_derivative, window_coords)
 from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, kron_sum, rank
+from algebroid.exactlinalg import RationalMatrix, _reduced, rank
 from algebroid.hopf import addition
-from algebroid.liealg import LieAlgebra, bracket, bracket_basis
-from fixtures import value_at_quarter
+from algebroid.liealg import LieAlgebra, bracket_basis
+from fixtures import bracket, value_at_quarter
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -242,6 +246,38 @@ def matrix_rows(m) -> list[list[Fraction]]:
 def complex_betti(c) -> list[int]:
     """Oracle Betti numbers of a package complex object."""
     return betti_numbers(list(c.degrees), [matrix_rows(d) for d in c.differentials])
+
+
+def kron_sum(rows: int, cols: int, terms) -> RationalMatrix:
+    """Sum of A (x) B over the terms (r0, c0, A, B), as a rows x cols matrix.
+
+    A[i, j] B[k, l] lands at (r0 + i*B.rows + k, c0 + j*B.cols + l): each
+    product has its top-left entry at (r0, c0) and the index of A is major.
+    Terms add, cancelled entries are dropped, and a term that does not fit
+    raises ValueError.  A plain block M is the term (r0, c0, identity(1), M).
+    Integer rows are multiplied over the lcm of the terms' denominator products.
+    """
+    terms = list(terms)
+    den = lcm(*[a._den * b._den for _, _, a, b in terms])
+    out: list[dict[int, int]] = [{} for _ in range(rows)]
+    for r0, c0, a, b in terms:
+        br, bc = b.rows, b.cols
+        if min(r0, c0) < 0 or r0 + a.rows * br > rows or c0 + a.cols * bc > cols:
+            raise ValueError(f"a {a.rows * br}x{a.cols * bc} term at ({r0}, {c0}) "
+                             f"does not fit a {rows}x{cols} matrix")
+        scale = den // (a._den * b._den)
+        brows = [(k, brow.items()) for k, brow in enumerate(b._num) if brow]
+        for i, arow in enumerate(a._num):
+            for j, x in arow.items():
+                x *= scale
+                base = c0 + j * bc
+                for k, bitems in brows:
+                    row = out[r0 + i * br + k]
+                    for l, y in bitems:
+                        old = row.get(base + l)
+                        row[base + l] = x * y if old is None else old + x * y
+    return RationalMatrix._wrap(rows, cols, *_reduced(
+        [{j: x for j, x in row.items() if x} for row in out], den))
 
 
 def kron_sum_dense(rows: int, cols: int, terms) -> list[list[Fraction]]:
@@ -453,6 +489,47 @@ def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -
                     pairs.append(((row, j), x * sign * k_sign * scale))
     return RationalMatrix.from_entries(2 * tgt_m + 1, 2 * src_m + 1,
                                        pairs).scaled(Fraction(1, 2 * den))
+
+
+def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
+    """V_src -> V_tgt, the identity on shared basis functions: multiplication by 1."""
+    return circle.multiplication_matrix(TrigPoly.const(1), src_m, tgt_m)
+
+
+def window_complex(a, n: int):
+    """(degrees, levels, differentials) of the window-n complex of an action
+    algebroid: each entry x of a CE map of forms (the tuple-wedge trivial
+    differential, or e^i ^ - for a nonzero field) becomes the term
+    (x as a 1 x 1 matrix) (x) (its window block), and `kron_sum` adds them.
+    The blocks are inclusions, and u -> phi_i u' for e^i ^ -."""
+    g, d = a.algebra, a.anchor_degree()
+    zero = {i for i, f in enumerate(a.phi) if f.is_zero()}
+    if any(i in zero and j in zero and any(k not in zero for k, _ in terms)
+           for i, j, terms in g.brackets):
+        zero = set()
+    windows = [[n + d * sum(i not in zero for i in form) for form in combinations(range(g.dim), p)]
+               for p in range(g.dim + 1)]
+    offsets = [[0, *accumulate(2 * w + 1 for w in ws)] for ws in windows]
+    degrees = tuple(offs[-1] for offs in offsets)
+    blocks = {}
+
+    def block(field, s, t):
+        if (field, s, t) not in blocks:
+            blocks[field, s, t] = inclusion_matrix(s, t) if field is None else \
+                multiplication_matrix(a.phi[field], s, t, derivative=True)
+        return blocks[field, s, t]
+
+    diffs = []
+    for p in range(g.dim):
+        maps = [(None, trivial_ce_differential(g, p))]
+        maps += [(i, wedge_matrix(g.dim, p, i)) for i, f in enumerate(a.phi) if not f.is_zero()]
+        terms = [(offsets[p + 1][r], offsets[p][c], RationalMatrix.from_rows([[forms[r, c]]]),
+                  block(field, windows[p][c], windows[p + 1][r]))
+                 for field, forms in maps for r, c in forms.nonzero_positions()]
+        diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
+    levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws for j in range(2 * w + 1))
+                   for ws in windows)
+    return degrees, levels, diffs
 
 
 # -- Fraction polynomials and half-angle zero counting -------------------------

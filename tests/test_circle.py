@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
+from oracle import inclusion_matrix
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -17,7 +18,6 @@ from algebroid.circle import (
     check_action,
     count_simple_zeros,
     has_zero_on_circle,
-    inclusion_matrix,
     is_transitive,
     multiplication_matrix,
     stabilized_cohomology,

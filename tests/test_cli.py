@@ -571,10 +571,12 @@ def test_size_budget_exits_2_over_the_count(argv, cochains, monkeypatch, capsys)
 
 
 def test_hopf_budget_comes_before_the_h_structure_check(monkeypatch, capsys):
-    def h_check(h):
-        raise AssertionError("the H-structure was checked before the budget")
+    # h_structure_ok is read off abelianness, so the first check after both
+    # budgets is the exterior factorization of the Poincare polynomial
+    def structure_check(betti):
+        raise AssertionError("the cohomology was checked before the budget")
 
-    monkeypatch.setattr(cli, "check_h_structure", h_check)
+    monkeypatch.setattr(cli, "exterior_structure_check", structure_check)
     monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 4 ** 3 - 1)
     assert cli.run(["hopf", "r3"]) == 2
     assert "the addition coproduct would have 64 cochains" in capsys.readouterr().err
@@ -587,7 +589,7 @@ def test_size_budget_refuses_a_dim_40_action_before_any_form(tmp_path, monkeypat
     def forms(n, p):
         raise AssertionError("a form was enumerated before the budget")
 
-    monkeypatch.setattr(circle, "basis_tuples", forms)
+    monkeypatch.setattr(circle, "basis_masks", forms)
     path = tmp_path / "dim40.json"
     path.write_text(json.dumps({"kind": "action", "g": {"dim": 40, "brackets": []},
                                 "phi": ["sin(1t)"] * 40, "N_range": [0, 2]}))

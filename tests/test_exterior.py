@@ -3,11 +3,10 @@
 from math import comb
 
 import oracle
+from fixtures import alternating_binomial_sum, basis_tuples
 from algebroid.exterior import (
-    alternating_binomial_sum,
     basis_index,
     basis_masks,
-    basis_tuples,
     wedge,
     wedge_matrix,
     wedge_product,

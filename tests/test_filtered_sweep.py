@@ -9,6 +9,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from oracle import change_basis
 from algebroid import catalog
 from algebroid.circle import (
@@ -20,7 +21,7 @@ from algebroid.circle import (
 )
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.kunneth import product_with_lie_algebra
-from algebroid.liealg import lie_cohomology, trivial_representation
+from algebroid.liealg import LieAlgebra, lie_cohomology, trivial_representation
 
 small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -107,6 +108,36 @@ def test_catalog_sweeps_assemble_once():
             assert counted.calls == [min(hi, lo + 3)]
             assert (sweep.per_n, sweep.report, sweep.stabilized) == \
                 per_window_sweep(x, lo, min(hi, lo + 3))
+
+
+def assert_reference_windows(a, n: int):
+    # degrees, levels and stored rows of the mask builder against the kron_sum reference
+    tc = truncated_complex(a, n)
+    degrees, levels, diffs = oracle.window_complex(a, n)
+    assert (tc.complex.degrees, tc.levels) == (degrees, levels), n
+    assert [(d.rows, d.cols, d._num, d._den) for d in tc.complex.differentials] == \
+        [(d.rows, d.cols, d._num, d._den) for d in diffs], n
+
+
+def test_window_complexes_store_the_reference_rows():
+    g = LieAlgebra.make(4, {(0, 1): {2: 1, 3: -1}})  # zero fields that span no subalgebra
+    cases = [(ActionAlgebroid(g, (TrigPoly(), TrigPoly(), TrigPoly.sin(1), TrigPoly.sin(1))), 6)]
+    for name in catalog.ALGEBROID_NAMES:
+        a, (_, hi) = catalog.algebroid(name)
+        cases.append((a, hi + 1))
+        cases += [(product_with_lie_algebra(a, catalog.algebra(h)), hi + 1)
+                  for h in ("su2", "aff1", "h3", "r2", "zero")]
+    for a, top in cases:
+        for n in range(top + 1):
+            assert_reference_windows(a, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweeps())
+def test_swept_window_complexes_store_the_reference_rows(case):
+    a, lo, hi = case
+    for n in (lo, hi):
+        assert_reference_windows(a, n)
 
 
 def convolve(a, b) -> tuple[int, ...]:

@@ -8,18 +8,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
+from fixtures import bracket
 from algebroid import catalog
 from algebroid.circle import ActionAlgebroid, TrigPoly, truncated_complex
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
-from oracle import change_basis, inverse
-from algebroid.exactlinalg import RationalMatrix, complex_cohomology, kron_sum
+from oracle import change_basis, inverse, kron_sum
+from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import direct_sum, product_with_lie_algebra
 from algebroid.liealg import (
     LieAlgebra,
     Representation,
     adjoint_representation,
-    bracket,
     bracket_basis,
     ce_complex,
     ce_differential,

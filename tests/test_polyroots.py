@@ -6,10 +6,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from fixtures import has_multiple_real_root
 from algebroid.polyroots import (
     count_real_roots,
     derivative,
-    has_multiple_real_root,
     poly_gcd,
     simple_real_root_count,
 )

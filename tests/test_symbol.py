@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from fixtures import euler_form_factor
 from algebroid.errors import ChainConditionError
 from algebroid.exactlinalg import CochainComplex, RationalMatrix
 from algebroid.exterior import wedge_matrix
 from algebroid.symbol import (
     FiberData,
-    euler_form_factor,
     exactness_check,
     pullback_covector,
     symbol_complex,
