@@ -26,7 +26,9 @@ u -> phi_i u'.  All terms share one denominator and are reduced once.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
-filtered complex: the widest window, checked once and eliminated once.
+filtered complex: the widest window, checked once for d^2 = 0 and then
+eliminated once with clearing (`exactlinalg.pivot_levels`, which needs that
+check); the pivot rows of level <= N number the ranks of window N.
 
 Zero counting is exact.  Under u = tan(t/2) a degree-d f is P(u) / (1 + u^2)^d
 (`weierstrass_numerator`); its zeros away from t = pi are the real roots of
@@ -47,7 +49,7 @@ from math import lcm
 from . import polyroots
 from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
-    as_fraction, cohomology_from_ranks, common_rows, pivot_columns, require_cochain_budget
+    as_fraction, cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
 from .exterior import basis_index, basis_masks
 from .liealg import LieAlgebra, bracket_basis, bracket_denominator, bracket_terms, require_jacobi
 
@@ -397,15 +399,18 @@ class Rank1Anchor(ActionAlgebroid):
 
 def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:
     """First basis pair i < j, in lexicographic order, with [phi_i, phi_j]
-    != sum_k c^k_{ij} phi_k, or None; needs one phi per basis vector."""
-    g = a.algebra
+    != sum_k c^k_{ij} phi_k, or None; needs one phi per basis vector.  Each
+    nonzero field is derived once, and zero fields enter no term."""
+    g, phi = a.algebra, a.phi
+    fields = [(k, f) for k, f in enumerate(phi) if not f.is_zero()]
+    derivatives = {k: trig_derivative(f) for k, f in fields}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = vf_bracket(a.phi[i], a.phi[j])
-            rhs = TrigPoly.const(0)
-            for k, c in enumerate(bracket_basis(g, i, j)):
-                if c:
-                    rhs = rhs + a.phi[k].scaled(c)
+            # `vf_bracket`: phi_i phi_j' - phi_j phi_i', zero when a field is
+            lhs = trig_mul(phi[i], derivatives[j]) - trig_mul(phi[j], derivatives[i]) \
+                if i in derivatives and j in derivatives else TrigPoly()
+            c = bracket_basis(g, i, j)
+            rhs = reduce(TrigPoly.__add__, [f.scaled(c[k]) for k, f in fields if c[k]], TrigPoly())
             if lhs != rhs:
                 return (i, j)
     return None
@@ -441,8 +446,8 @@ def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> Swe
     Only window n_max is assembled, validated and checked for d^2 = 0;
     window N is its subcomplex of coordinates of level <= N, and a nonzero
     entry from a column into a row of a later level raises ValidationError.
-    Each differential is eliminated once with its columns in level order,
-    and rank d_p on window N is the pivot count among columns of level <= N.
+    The complex is then eliminated once with clearing (`pivot_levels`), and
+    rank d_p on window N is the number of its pivot rows of level <= N.
 
     With strict=True a failed sweep raises NotStabilizedError carrying the
     per-N table; with strict=False the result is returned with the flag off
@@ -454,18 +459,16 @@ def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> Swe
     defect = tc.complex.chain_defect()
     if defect is not None:
         raise ChainConditionError(defect)
-    pivot_levels = []
     for p, d in enumerate(tc.complex.differentials):
         rows, cols = tc.levels[p + 1], tc.levels[p]
         for i, j in d.nonzero_positions():
             if rows[i] > cols[j]:
                 raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
                                       f"(level {cols[j]}) into row {i} (level {rows[i]})")
-        in_level_order = sorted(range(d.cols), key=cols.__getitem__)
-        pivot_levels.append([cols[j] for j in pivot_columns(d, in_level_order)])
+    pivots = [sorted(pv) for pv in pivot_levels(tc.complex, tc.levels)]
     levels = [sorted(lv) for lv in tc.levels]
     reports = [cohomology_from_ranks([bisect_right(lv, n) for lv in levels],
-                                     [bisect_right(pv, n) for pv in pivot_levels])
+                                     [bisect_right(pv, n) for pv in pivots])
                for n in range(n_min, n_max + 1)]
     per_n = [(n, rep.betti) for n, rep in zip(range(n_min, n_max + 1), reports)]
     stable = len({b for _, b in per_n[-3:]}) == 1

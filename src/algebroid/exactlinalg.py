@@ -9,9 +9,11 @@ one `_reduced`; `from_entries` stays for parsers, tests and small builders.
 So the builders, sums, the elimination and the d^2 = 0 check all work on
 integers.
 
-There is one elimination, `_echelon`, behind `pivot_columns`, `rank` and
-`kernel_basis`; its docstring states the pivot rule and the bound on the
+There is one elimination, `_echelon`, behind `rank`, `kernel_basis` and
+`pivot_levels`; its docstring states the pivot rule and the bound on the
 entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
+`pivot_levels` eliminates a complex with d^2 = 0 in one pass with clearing,
+which gives the ranks of every subcomplex of a filtration as well.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -245,46 +247,50 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _echelon(m: RationalMatrix,
-             order: Sequence[int] | None = None) -> list[tuple[int, dict[int, int]]]:
-    """(column, row) of each pivot, in the order taken, when the distinct
-    columns `order` (default all, left to right) are eliminated in that
-    order.  A column gets a pivot exactly when it is independent of those
-    taken before it.  Each row is the integer pivot row as chosen: it
-    vanishes on every earlier pivot column, and no later step changes it.
+def _echelon(rows: list[dict[int, int]], cols: int, order: Sequence[int] | None = None,
+             level: Sequence[int] | None = None) -> list[tuple[int, int, dict[int, int]]]:
+    """(column, row index, row) of each pivot, in the order taken, when the
+    distinct columns `order` (default all, left to right) of these integer
+    rows, which are consumed, are eliminated in that order.  A column gets a
+    pivot exactly when it is independent of those taken before it.  Each row
+    is the integer pivot row as chosen: it vanishes on every column taken
+    before its own, and no later step changes it.
 
-    Sparse integer elimination on the cleared integer rows, with an index
-    `at` from each column to the live rows that hold it, so the candidate
-    pivots for column c are exactly at[c].  The pivot is the candidate with
-    the fewest nonzeros, then the smallest bit size of its entry in column
-    c, then the lowest row index, so the choice is deterministic and the
-    fill-in small.  The pivot row leaves the index, and only the other rows
-    that hold column c change: each becomes (piv/g)*row - (f/g)*pivot_row
-    with g = gcd(piv, f), and is divided by the gcd of its entries.  A row
-    that cancels to zero is dropped.
+    Sparse integer elimination with an index `at` from each column to the
+    live rows that hold it, so the candidate pivots for column c are exactly
+    at[c].  A lone candidate is the pivot; else it is the candidate of the
+    lowest `level` (if given), then the fewest nonzeros, then the smallest
+    bit size of its entry in column c, then the lowest row index, so the
+    choice is deterministic and the fill-in small.  The pivot row leaves the
+    index, and only the other rows that hold column c change: each becomes
+    (piv/g)*row - (f/g)*pivot_row with g = gcd(piv, f), and is divided by
+    the gcd of its entries.  A row that cancels to zero is dropped.
 
     The content division is what bounds the entries.  After k pivots a live
-    row is a nonzero multiple of its cleared input row plus a combination of
-    the k pivot rows, and it vanishes on the k pivot columns.  The input
-    rows of the pivots restricted to those columns form a block B with
-    det(B) != 0, so the live row is a nonzero multiple of its row of the
-    Schur complement of B, and det(B) times that Schur row is an integer
-    vector of (k+1)-minors of the cleared matrix.  After content division
-    the live row is the primitive integer vector in that direction, which
-    divides the vector of minors entry by entry.  So every stored entry is
-    at most a minor of the cleared matrix, hence at most its Hadamard bound.
+    row is a nonzero multiple of its input row plus a combination of the k
+    pivot rows, and it vanishes on the k pivot columns.  The input rows of
+    the pivots restricted to those columns form a block B with det(B) != 0,
+    so the live row is a nonzero multiple of its row of the Schur complement
+    of B, and det(B) times that Schur row is an integer vector of
+    (k+1)-minors of the input.  After content division the live row is the
+    primitive integer vector in that direction, which divides the vector of
+    minors entry by entry.  So every stored entry is at most a minor of the
+    input, hence at most its Hadamard bound.
     """
-    rows = _integer_rows(m)
-    at: list[set[int]] = [set() for _ in range(m.cols)]
+    at: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for j in row:
             at[j].add(i)
     pivots = []
-    for c in range(m.cols) if order is None else order:
+    for c in range(cols) if order is None else order:
         holders = at[c]
         if not holders:
             continue
-        p = min(holders, key=lambda i: (len(rows[i]), abs(rows[i][c]).bit_length(), i))
+        if len(holders) == 1:
+            p = holders.pop()
+        else:
+            p = min(holders, key=lambda i: (level[i] if level else 0, len(rows[i]),
+                                            abs(rows[i][c]).bit_length(), i))
         prow = rows[p]
         for j in prow:
             at[j].discard(p)
@@ -310,20 +316,13 @@ def _echelon(m: RationalMatrix,
             if content > 1:
                 for j in row:
                     row[j] //= content
-        pivots.append((c, prow))
+        pivots.append((c, p, prow))
     return pivots
-
-
-def pivot_columns(m: RationalMatrix, order: Sequence[int] | None = None) -> list[int]:
-    """Columns of m that get a pivot when the distinct columns `order`
-    (default all, left to right) are eliminated in that order, so the
-    pivots among the first k columns of `order` number their rank."""
-    return [c for c, _ in _echelon(m, order)]
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank: the pivot count with columns taken left to right."""
-    return len(_echelon(m))
+    return len(_echelon(_integer_rows(m), m.cols))
 
 
 def kernel_dim(m: RationalMatrix) -> int:
@@ -342,14 +341,14 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     first: a pivot row vanishes on the earlier pivot columns, so its other
     entries meet only coordinates already known.
     """
-    echelon = _echelon(m)[::-1]
-    pivot_set = {c for c, _ in echelon}
+    echelon = _echelon(_integer_rows(m), m.cols)[::-1]
+    pivot_set = {c for c, _, _ in echelon}
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
         v = {free: _ONE}
-        for c, row in echelon:
+        for c, _, row in echelon:
             s = sum(x * v[j] for j, x in row.items() if j in v)
             if s:
                 v[c] = -s / row[c]
@@ -437,6 +436,40 @@ class CohomologyReport:
     euler: int
 
 
+def pivot_levels(c: CochainComplex,
+                 levels: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
+    """The level of each pivot row of each d_p, from one pass with clearing
+    over a complex with d^2 = 0 (callers run `chain_defect` first).
+    levels[p][i] is the level of coordinate i of C^p, 0 without levels, and
+    rank d_p on the coordinates of level <= N is its pivot count there.
+
+    `_echelon` runs on each d_p transposed, whose rows are the images
+    d_p(e_i) of the coordinates of C^p, and whose columns, C^{p+1}, are
+    taken by descending level.  The rows of the lows (pivot columns) of
+    d_{p-1} are left out, and that keeps every rank: a pivot row v with low s
+    lies in im d_p, on s and on columns taken after s, of level <= level(s),
+    and d_{p+1} v = 0 makes column s of d_{p+1} a combination of those
+    columns; so, from the last low back, each low is a combination of
+    columns that are no lows and of no higher level.  The pivot row is the
+    candidate of the lowest level, so a row of level <= N changes only by
+    pivot rows of level <= N, and for every N the pivot rows of level <= N,
+    which are independent, span what the input rows of level <= N span.
+    """
+    out, lows = [], []
+    for p, d in enumerate(c.differentials):
+        rows = d.transpose()._num
+        for s in lows:
+            rows[s] = {}
+        order = level = None
+        if levels:
+            order = sorted(range(d.rows), key=levels[p + 1].__getitem__, reverse=True)
+            level = levels[p]
+        pivots = _echelon(rows, d.rows, order, level)
+        out.append([level[i] for _, i, _ in pivots] if level else [0] * len(pivots))
+        lows = [s for s, _, _ in pivots]
+    return out
+
+
 def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     """Betti numbers and Euler characteristic of a finite complex.
 
@@ -445,7 +478,7 @@ def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     defect = c.chain_defect()
     if defect is not None:
         raise ChainConditionError(defect)
-    return cohomology_from_ranks(c.degrees, [rank(d) for d in c.differentials])
+    return cohomology_from_ranks(c.degrees, list(map(len, pivot_levels(c))))
 
 
 def cohomology_from_ranks(degrees: Sequence[int], ranks: Sequence[int]) -> CohomologyReport:

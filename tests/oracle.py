@@ -5,6 +5,12 @@ package: textbook Gaussian elimination over Fraction with first-nonzero
 pivoting, and Betti numbers straight from the rank formula.  Tests compare
 package results against these.
 
+`pivot_columns` is the one exception: a thin wrapper over the package's
+`_echelon` that eliminates one matrix with its columns in a given order, as
+the sweep did per differential before complexes were eliminated with
+clearing.  It keeps its tests on the package loop and is the reference for
+the per-level pivot counts of `pivot_levels`.
+
 The dense Gauss-Jordan `rref` gives a reference `kernel_basis`, which the
 package's back-substitution must equal entry for entry, and `inverse`.
 `rank_modular` is a multi-prime modular rank certificate for the exact
@@ -19,7 +25,10 @@ sign instead, and its coproduct is the transpose of its wedge product.
 `symbol_differential` is the symbol complex as the formula
 I_E (x) sum_i beta_i (e^i ^ -), which the package builds as a CE complex.
 `jacobi_violation` evaluates the Jacobi sum with dense brackets on every
-triple, where the package visits only triples that touch the table.
+triple, where the package visits only triples that touch the table, and
+`action_violation` takes `vf_bracket` of every pair and every term of
+sum_k c^k_ij phi_k, where the package derives each field once and skips
+zero fields.
 
 The reference builders are the package's earlier ones: wedges of index
 tuples (`tuple_wedge`, `wedges`), the trivial CE differential through
@@ -51,7 +60,7 @@ from algebroid import circle
 from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
                               trig_derivative, window_coords)
 from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, _reduced, rank
+from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, _reduced, rank
 from algebroid.hopf import addition
 from algebroid.liealg import LieAlgebra, bracket_basis
 from fixtures import bracket, value_at_quarter
@@ -83,6 +92,13 @@ def gauss_rank(rows: list[list[Fraction]]) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def pivot_columns(m, order=None) -> list[int]:
+    """Columns of m that get a pivot when the distinct columns `order`
+    (default all, left to right) are eliminated in that order, so the
+    pivots among the first k columns of `order` number their rank."""
+    return [c for c, _, _ in _echelon(_integer_rows(m), m.cols, order)]
 
 
 def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -450,6 +466,20 @@ def ce_differential(r, p: int) -> RationalMatrix:
     terms = [(0, 0, RationalMatrix.identity(e), trivial_ce_differential(r.algebra, p))]
     terms += [(0, 0, rho, wedge_matrix(n, p, i)) for i, rho in enumerate(r.action)]
     return kron_sum(e * comb(n, p + 1), e * comb(n, p), terms)
+
+
+def action_violation(a) -> tuple[int, int] | None:
+    """First pair i < j with [phi_i, phi_j] != sum_k c^k_ij phi_k, each
+    bracket from `vf_bracket` and every term of the sum added."""
+    g = a.algebra
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            rhs = TrigPoly()
+            for k, c in enumerate(bracket_basis(g, i, j)):
+                rhs = rhs + a.phi[k].scaled(c)
+            if circle.vf_bracket(a.phi[i], a.phi[j]) != rhs:
+                return (i, j)
+    return None
 
 
 def representation_violation(r) -> tuple[int, int] | None:

@@ -453,6 +453,30 @@ def test_action_violation_names_the_pair():
         truncated_complex(bad, 2)
 
 
+@st.composite
+def perturbed_actions(draw):
+    """A catalog action algebroid, or r3 or h3 acting by zero fields, with
+    some fields replaced by zero or by a random trig polynomial."""
+    name = draw(st.sampled_from([*catalog.ALGEBROID_NAMES, "r3", "h3"]))
+    if name in ("r3", "h3"):
+        g = catalog.algebra(name)
+        phi = [TrigPoly()] * g.dim
+    else:
+        a, _ = catalog.algebroid(name)
+        g, phi = a.algebra, list(a.phi)
+    for i in range(g.dim):
+        phi[i] = draw(st.sampled_from([phi[i], phi[i], TrigPoly()]) | trig_polys)
+    return ActionAlgebroid(g, tuple(phi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_actions())
+def test_action_violation_matches_the_bracket_of_every_pair(a):
+    # derivatives taken once and zero fields skipped: the same first pair
+    assert action_violation(a) == oracle.action_violation(a)
+    assert check_action(a) == (oracle.action_violation(a) is None)
+
+
 def test_action_validates_phi_length():
     bad = ActionAlgebroid(algebra=catalog.algebra("r2"), phi=(TrigPoly.const(1),))
     with pytest.raises(ValidationError):

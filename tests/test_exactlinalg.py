@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from oracle import MODULAR_PRIMES, inverse, kron_sum, rank_modular
+from oracle import MODULAR_PRIMES, inverse, kron_sum, pivot_columns, rank_modular
 from algebroid import catalog
 from algebroid.errors import ChainConditionError
 from algebroid.exactlinalg import (
@@ -20,7 +20,6 @@ from algebroid.exactlinalg import (
     complex_cohomology,
     kernel_basis,
     kernel_dim,
-    pivot_columns,
     rank,
     _integer_rows,
 )

@@ -1,13 +1,15 @@
 """A sweep is one filtered complex: it must agree with eliminating every
 window on its own, and it must assemble only the widest window.  A product
 with a Lie algebra is swept the same way, and Kunneth must hold at every
-window."""
+window.  The one-pass elimination with clearing must give every window's
+rank, as one differential at a time in level order and dense elimination of
+each window do."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from oracle import change_basis
@@ -16,12 +18,19 @@ from algebroid.circle import (
     ActionAlgebroid,
     Rank1Anchor,
     TrigPoly,
+    TruncatedComplex,
     stabilized_cohomology,
     truncated_complex,
 )
-from algebroid.exactlinalg import RationalMatrix, complex_cohomology
+from algebroid.exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, pivot_levels
 from algebroid.kunneth import product_with_lie_algebra
-from algebroid.liealg import LieAlgebra, lie_cohomology, trivial_representation
+from algebroid.liealg import (
+    LieAlgebra,
+    adjoint_representation,
+    ce_complex,
+    lie_cohomology,
+    trivial_representation,
+)
 
 small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -163,3 +172,93 @@ def test_kunneth_holds_at_every_window(a, name, lo):
         assert product_betti == convolve(betti, h_betti)
         assert truncated_complex(product, n).complex.degrees == \
             convolve(truncated_complex(a, n).complex.degrees, forms)
+
+
+# -- one-pass elimination with clearing ---------------------------------------
+
+def assert_pivot_levels_count_every_window(c, levels=None):
+    """Per-level pivot counts of `pivot_levels` against each differential
+    eliminated on its own with its columns in level order, and against the
+    dense rank of d_p on every window."""
+    got = pivot_levels(c, levels)
+    levels = levels or [[0] * n for n in c.degrees]
+    for p, d in enumerate(c.differentials):
+        rows, cols = levels[p + 1], levels[p]
+        in_level_order = sorted(range(d.cols), key=cols.__getitem__)
+        assert sorted(got[p]) == sorted(cols[j] for j in oracle.pivot_columns(d, in_level_order)), p
+        dense = oracle.matrix_rows(d)
+        for n in sorted(set(cols)):
+            window = [[x for x, level in zip(row, cols) if level <= n]
+                      for row, row_level in zip(dense, rows) if row_level <= n]
+            assert sum(level <= n for level in got[p]) == oracle.gauss_rank(window), (p, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweeps())
+def test_pivot_levels_count_every_window_of_a_sweep(case):
+    a, _, hi = case
+    tc = truncated_complex(a, hi)
+    assume(max(tc.complex.degrees) <= 120)  # dense ranks of larger windows take seconds
+    assert_pivot_levels_count_every_window(tc.complex, tc.levels)
+
+
+def test_pivot_levels_count_every_window_of_catalog_products():
+    # window 2 keeps the dense ranks of sl2_action x su2 (degrees up to 220) quick
+    for name in catalog.ALGEBROID_NAMES:
+        a, _ = catalog.algebroid(name)
+        tc = truncated_complex(product_with_lie_algebra(a, catalog.algebra("su2")), 2)
+        assert_pivot_levels_count_every_window(tc.complex, tc.levels)
+
+
+@st.composite
+def semidirect_ce_complexes(draw):
+    """The trivial or adjoint CE complex of R acting on Q^m (m <= 4) by a
+    small integer matrix A: [e0, ei] = sum_k A[k][i] ek."""
+    m = draw(st.integers(0, 4))
+    a = [[draw(st.sampled_from([0, 0, 1, -1, 2])) for _ in range(m)] for _ in range(m)]
+    g = LieAlgebra.make(m + 1, {(0, i + 1): {k + 1: a[k][i] for k in range(m)}
+                                for i in range(m)})
+    rep = draw(st.sampled_from([trivial_representation, adjoint_representation]))
+    return ce_complex(rep(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(semidirect_ce_complexes())
+def test_pivot_levels_count_the_ranks_of_a_ce_complex(c):
+    assert_pivot_levels_count_every_window(c)
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    """A filtered complex handed to a sweep as its widest window."""
+
+    complex: CochainComplex
+    levels: tuple
+
+    def _truncated_complex(self, n: int):
+        return TruncatedComplex(n, self.complex, self.levels)
+
+
+def test_the_pivot_row_of_lowest_level_is_taken():
+    # C^0 = <e, e'> at levels 1 and 0, both mapped onto f at level 0.  The two
+    # rows of d_0 transposed are equal, so a level-blind pivot takes e (the
+    # lower index) and window 0 would lose the rank that e' gives it.
+    c = CochainComplex((2, 1), (RationalMatrix.from_rows([[1, 1]]),))
+    levels = ((1, 0), (0,))
+    assert pivot_levels(c, levels) == [[0]]
+    assert_pivot_levels_count_every_window(c, levels)
+    sweep = stabilized_cohomology(_Fixed(c, levels), 0, 2, strict=False)
+    assert sweep.per_n == ((0, (0, 0)), (1, (1, 0)), (2, (1, 0)))
+
+
+def test_columns_are_taken_by_descending_level():
+    # d_0 e = a + b with e, b at level 1 and a at level 0; d_1 sends a to c and
+    # b to -c.  Column b comes first, so the low of d_0 is b, and a stays to
+    # give d_1 its rank on window 0.  Taking a first would clear a.
+    c = CochainComplex((1, 2, 1), (RationalMatrix.from_rows([[1], [1]]),
+                                   RationalMatrix.from_rows([[1, -1]])))
+    levels = ((1,), (0, 1), (0,))
+    assert pivot_levels(c, levels) == [[1], [0]]
+    assert_pivot_levels_count_every_window(c, levels)
+    sweep = stabilized_cohomology(_Fixed(c, levels), 0, 2)
+    assert sweep.per_n == ((0, (0, 0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0)))
