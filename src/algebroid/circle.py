@@ -10,11 +10,13 @@ when the zero fields span no subalgebra.  Every differential then maps
 exactly into the next windows and d^2 = 0 holds on the nose, not
 approximately.  A product with a Lie algebra is built the same way.
 
-Both harmonic rules live in one window operator: `multiplication_matrix`
-holds the product-to-sum table and, with `derivative=True`, sends each basis
-function to its derivative before multiplying, so u -> f u' is one matrix.
-`trig_mul` and `trig_derivative` apply it to window coordinates.  Sums and
-scalar multiples of trig polynomials are taken on window coordinates too, so
+One window operator, `field_matrix`, holds the product-to-sum table and
+d/dt: u -> f u' is one matrix, the map the field f d/dt induces on windows.
+The window complexes place it as their field blocks, and `action_violation`
+applies it to the fields, comparing phi_i phi_j' - phi_j phi_i' with
+sum_k c^k_ij phi_k on integers.  `_integer_coords`, f as integer window
+coordinates over their lcm, is the one denominator rule.  Sums and scalar
+multiples of trig polynomials are taken on window coordinates, so
 `window_coords` alone states the coefficient layout.
 
 A window differential is written row by row from one loop over the source
@@ -43,7 +45,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from math import lcm
 
 from . import polyroots
@@ -51,7 +53,7 @@ from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError,
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
     as_fraction, cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
 from .exterior import basis_index, basis_masks
-from .liealg import LieAlgebra, bracket_basis, bracket_denominator, bracket_terms, require_jacobi
+from .liealg import LieAlgebra, bracket_denominator, bracket_terms, require_jacobi
 
 _ZERO = Fraction(0)
 
@@ -135,25 +137,6 @@ class TrigPoly:
         return _from_window_coords([c * x for x in window_coords(self, self.deg)])
 
 
-def trig_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    """Product f g, read off the multiplication matrix of f on g's window."""
-    m = multiplication_matrix(f, g.deg, f.deg + g.deg)
-    return _from_window_coords(m.apply(window_coords(g, g.deg)))
-
-
-def trig_derivative(f: TrigPoly) -> TrigPoly:
-    """f', read off the d/dt operator on f's window."""
-    d = multiplication_matrix(TrigPoly.const(1), f.deg, f.deg, derivative=True)
-    return _from_window_coords(d.apply(window_coords(f, f.deg)))
-
-
-def vf_bracket(u: TrigPoly, v: TrigPoly) -> TrigPoly:
-    """Bracket of the vector fields u(t) d/dt and v(t) d/dt: u v' - v u'."""
-    if u.is_zero() or v.is_zero():
-        return TrigPoly()
-    return trig_mul(u, trig_derivative(v)) - trig_mul(v, trig_derivative(u))
-
-
 def weierstrass_numerator(f: TrigPoly) -> list[Fraction]:
     """P with f(t) = P(u) / (1+u^2)^deg under u = tan(t/2), trimmed.
 
@@ -162,9 +145,7 @@ def weierstrass_numerator(f: TrigPoly) -> list[Fraction]:
     and P is Horner's rule in 1 + u^2 over T_k = a_k C_k + b_k S_k: O(deg^2)
     integer operations on f's coefficients times their lcm denominator.
     """
-    coords = window_coords(f, f.deg)
-    den = lcm(*(x.denominator for x in coords))
-    a = [x.numerator * (den // x.denominator) for x in coords]
+    a, den = _integer_coords(f)
     c, s, p = [1], [0], [a[0]]
     for k in range(1, f.deg + 1):
         # Pad by two on both sides: index i + 2 is u^i, i + 1 is u^(i-1), i is u^(i-2).
@@ -225,6 +206,14 @@ def _from_window_coords(coords) -> TrigPoly:
     return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
 
 
+def _integer_coords(f: TrigPoly) -> tuple[list[int], int]:
+    """(a, den): f's coordinates on V_{deg f} are a / den, with den the lcm of
+    their denominators."""
+    coords = window_coords(f, f.deg)
+    den = lcm(*[x.denominator for x in coords])
+    return [x.numerator * (den // x.denominator) for x in coords], den
+
+
 _COS, _SIN = "cos", "sin"
 
 
@@ -251,33 +240,29 @@ _PRODUCT_TO_SUM = {
 }
 
 
-def multiplication_matrix(f: TrigPoly, src_m: int, tgt_m: int,
-                          derivative: bool = False) -> RationalMatrix:
-    """u -> f u, or u -> f u' when `derivative`, as a map V_src -> V_tgt;
-    needs tgt >= src + deg f.
+def field_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
+    """u -> f u' as a map V_src -> V_tgt; needs tgt >= src + deg f.
 
     Entries come straight from the product-to-sum table, one pass per nonzero
-    harmonic of f; this is the one home of the product rule and of d/dt.
-    Each term is written into the rows as an integer over 2 lcm(f's denominators).
+    harmonic of f over the basis functions' nonzero derivatives: the one home
+    of the product rule and of d/dt.  Each term is an integer over 2 den, with
+    f = a / den (`_integer_coords`).
     """
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
-    coords = window_coords(f, f.deg)
-    den = lcm(*[x.denominator for x in coords])
-    # (column, kind, harmonic, factor) of each basis function, or of its nonzero derivative
-    basis = [(j, *_harmonic(j), 1) for j in range(window_dim(src_m))]
-    if derivative:  # cos bt -> -b sin bt, sin bt -> b cos bt
-        basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
-                 for j, kind, b, _ in basis if b]
+    a, den = _integer_coords(f)
+    # (column, kind, harmonic, factor) of each basis function's nonzero derivative:
+    # cos bt -> -b sin bt, sin bt -> b cos bt
+    basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
+             for j in range(1, window_dim(src_m)) for kind, b in [_harmonic(j)]]
     rows: list[dict[int, int]] = [{} for _ in range(window_dim(tgt_m))]
-    for i, x in enumerate(coords):
+    for i, x in enumerate(a):
         if not x:
             continue
-        f_kind, a = _harmonic(i)
-        x = x.numerator * (den // x.denominator)
+        f_kind, h = _harmonic(i)
         for j, b_kind, b, scale in basis:
             kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
-            for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
+            for k, sign in ((h - b, diff_sign), (h + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
                 if k_sign:
                     rows[row][j] = rows[row].get(j, 0) + x * sign * k_sign * scale
@@ -340,10 +325,9 @@ class ActionAlgebroid:
         offsets = [[0, *accumulate(map(window_dim, ws))] for ws in windows]
         degrees = tuple(offs[-1] for offs in offsets)
         # One denominator: the brackets' and 2 lcm(each field's), over which
-        # `multiplication_matrix` writes its terms.
+        # `field_matrix` writes its terms.
         fields = [(i, f) for i, f in enumerate(self.phi) if not f.is_zero()]
-        den = lcm(bracket_denominator(g), *[
-            2 * lcm(*[x.denominator for x in window_coords(f, f.deg)]) for _, f in fields])
+        den = lcm(bracket_denominator(g), *[2 * _integer_coords(f)[1] for _, f in fields])
         d_triv = bracket_terms(g, den)
         blocks = {}  # (i, ws) -> integer rows over den of u -> phi_i u', V_ws -> V_{ws+d}
         diffs = []
@@ -363,8 +347,7 @@ class ActionAlgebroid:
                     if w >> i & 1:
                         continue
                     if (i, ws) not in blocks:
-                        blocks[i, ws] = common_rows(
-                            [multiplication_matrix(f, ws, ws + d, derivative=True)], den)[1][0]
+                        blocks[i, ws] = common_rows([field_matrix(f, ws, ws + d)], den)[1][0]
                     sign = -1 if (w & ((1 << i) - 1)).bit_count() & 1 else 1
                     r0 = row_offsets[tgt[w | 1 << i]]
                     for a, block_row in enumerate(blocks[i, ws]):
@@ -399,20 +382,35 @@ class Rank1Anchor(ActionAlgebroid):
 
 def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:
     """First basis pair i < j, in lexicographic order, with [phi_i, phi_j]
-    != sum_k c^k_{ij} phi_k, or None; needs one phi per basis vector.  Each
-    nonzero field is derived once, and zero fields enter no term."""
-    g, phi = a.algebra, a.phi
-    fields = [(k, f) for k, f in enumerate(phi) if not f.is_zero()]
-    derivatives = {k: trig_derivative(f) for k, f in fields}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            # `vf_bracket`: phi_i phi_j' - phi_j phi_i', zero when a field is
-            lhs = trig_mul(phi[i], derivatives[j]) - trig_mul(phi[j], derivatives[i]) \
-                if i in derivatives and j in derivatives else TrigPoly()
-            c = bracket_basis(g, i, j)
-            rhs = reduce(TrigPoly.__add__, [f.scaled(c[k]) for k, f in fields if c[k]], TrigPoly())
-            if lhs != rhs:
-                return (i, j)
+    != sum_k c^k_{ij} phi_k, or None; needs one phi per basis vector.  With
+    phi_k = a_k / q on V_d (d the top degree), B_k / den the rows of
+    u -> phi_k u' into V_2d, built once per nonzero field, and bden the
+    brackets' lcm, it compares bden (B_i a_j - B_j a_i) with
+    den sum_k bden c^k_ij a_k on integers."""
+    g, d = a.algebra, a.anchor_degree()
+    if g.dim < 2:
+        return None
+    ints = {k: _integer_coords(f) for k, f in enumerate(a.phi) if not f.is_zero()}
+    q = lcm(*[den for _, den in ints.values()])
+    coords = {k: [x * (q // den) for x in ak] + [0] * (window_dim(d) - len(ak))
+              for k, (ak, den) in ints.items()}
+    den, blocks = common_rows([field_matrix(a.phi[k], d, 2 * d) for k in coords])
+    fields = dict(zip(coords, blocks))
+    bden = bracket_denominator(g)
+    table = {(i, j): terms for i, j, terms in g.brackets}
+    for i, j in combinations(range(g.dim), 2):
+        acc = [0] * window_dim(2 * d)
+        if i in fields and j in fields:
+            for rows, u, factor in ((fields[i], coords[j], bden), (fields[j], coords[i], -bden)):
+                for r, row in enumerate(rows):
+                    acc[r] += factor * sum(x * u[c] for c, x in row.items())
+        for k, c in table.get((i, j), ()):
+            if k in coords:
+                v = den * c.numerator * (bden // c.denominator)
+                for r, x in enumerate(coords[k]):
+                    acc[r] -= v * x
+        if any(acc):
+            return (i, j)
     return None
 
 

@@ -457,9 +457,14 @@ def pivot_levels(c: CochainComplex,
     """
     out, lows = [], []
     for p, d in enumerate(c.differentials):
-        rows = d.transpose()._num
+        # d_p transposed, written without the rows of the lows
+        rows, kept = [{} for _ in range(d.cols)], [True] * d.cols
         for s in lows:
-            rows[s] = {}
+            kept[s] = False
+        for i, row in enumerate(d._num):
+            for j, x in row.items():
+                if kept[j]:
+                    rows[j][i] = x
         order = level = None
         if levels:
             order = sorted(range(d.rows), key=levels[p + 1].__getitem__, reverse=True)

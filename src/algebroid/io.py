@@ -66,7 +66,8 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
     text = s.replace(" ", "")
     if not text:
         raise ParseError("empty trig polynomial", where)
-    out = TrigPoly.const(0)
+    # One pass: each coefficient is added into the constant or its cos or sin slot.
+    constant, coeffs = Fraction(0), {"cos": [], "sin": []}
     for raw in text.split("+"):
         if not raw:
             raise ParseError("empty term (stray '+')", where)
@@ -77,7 +78,7 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
         if kind is None:
             if not coeff_s or coeff_s in "+-":
                 raise ParseError(f"bad term {raw!r}", where)
-            out = out + TrigPoly.const(parse_rational(coeff_s, where))
+            constant += parse_rational(coeff_s, where)
             continue
         if coeff_s in ("", "+", "-"):
             if star:
@@ -96,9 +97,10 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
                                   + f"harmonic index in {raw!r} is over "
                                   f"the cap of {MAX_TRIG_DEGREE}")
         k = int(digits)
-        term = TrigPoly.cos(k, coeff) if kind == "cos" else TrigPoly.sin(k, coeff)
-        out = out + term
-    return out
+        slots = coeffs[kind]
+        slots += [0] * (k - len(slots))
+        slots[k - 1] += coeff
+    return TrigPoly.make(constant, coeffs["cos"], coeffs["sin"])
 
 
 # -- Lie algebras ------------------------------------------------------------

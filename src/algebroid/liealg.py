@@ -194,8 +194,6 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
     """Matrix of d_p on E (x) Lambda^p (coefficient index major)."""
     # A zero action adds nothing, so its wedge terms are not written.
     actions = [(i, rho) for i, rho in enumerate(r.action) if not rho.is_zero()]
-    if r.dim_e == 1 and not actions:
-        return trivial_ce_differential(r.algebra, p)
     return _differential(r.algebra, p, r.dim_e, actions)
 
 

@@ -27,8 +27,11 @@ I_E (x) sum_i beta_i (e^i ^ -), which the package builds as a CE complex.
 `jacobi_violation` evaluates the Jacobi sum with dense brackets on every
 triple, where the package visits only triples that touch the table, and
 `action_violation` takes `vf_bracket` of every pair and every term of
-sum_k c^k_ij phi_k, where the package derives each field once and skips
-zero fields.
+sum_k c^k_ij phi_k on `TrigPoly` Fractions, where the package applies one
+integer block of u -> phi_k u' per nonzero field to the fields' integer
+coordinates.  `trig_mul`, `trig_derivative` and `vf_bracket` are built on
+the flagged `multiplication_matrix` here, so the reference bracket shares
+no product code with the package's `field_matrix`.
 
 The reference builders are the package's earlier ones: wedges of index
 tuples (`tuple_wedge`, `wedges`), the trivial CE differential through
@@ -56,9 +59,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, lcm
 
-from algebroid import circle
 from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
-                              trig_derivative, window_coords)
+                              window_coords)
 from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, _reduced, rank
 from algebroid.hopf import addition
@@ -477,7 +479,7 @@ def action_violation(a) -> tuple[int, int] | None:
             rhs = TrigPoly()
             for k, c in enumerate(bracket_basis(g, i, j)):
                 rhs = rhs + a.phi[k].scaled(c)
-            if circle.vf_bracket(a.phi[i], a.phi[j]) != rhs:
+            if vf_bracket(a.phi[i], a.phi[j]) != rhs:
                 return (i, j)
     return None
 
@@ -499,6 +501,8 @@ def representation_violation(r) -> tuple[int, int] | None:
 def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -> RationalMatrix:
     """u -> f u (or f u') from the product-to-sum table, one half-term per
     (a - b) and (a + b) harmonic, through `from_entries` and `scaled`."""
+    if tgt_m < src_m + f.deg:
+        raise ValueError("target window too small for the product")
     coords = window_coords(f, f.deg)
     den = lcm(*[x.denominator for x in coords])
     basis = [(j, *_harmonic(j), 1) for j in range(2 * src_m + 1)]
@@ -523,7 +527,28 @@ def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
     """V_src -> V_tgt, the identity on shared basis functions: multiplication by 1."""
-    return circle.multiplication_matrix(TrigPoly.const(1), src_m, tgt_m)
+    return multiplication_matrix(TrigPoly.const(1), src_m, tgt_m)
+
+
+def _from_coords(coords) -> TrigPoly:
+    return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
+
+
+def trig_mul(f, g) -> TrigPoly:
+    """f g, read off the multiplication matrix of f on g's window."""
+    m = multiplication_matrix(f, g.deg, f.deg + g.deg)
+    return _from_coords(m.apply(window_coords(g, g.deg)))
+
+
+def trig_derivative(f) -> TrigPoly:
+    """f', read off the d/dt operator on f's window."""
+    d = multiplication_matrix(TrigPoly.const(1), f.deg, f.deg, derivative=True)
+    return _from_coords(d.apply(window_coords(f, f.deg)))
+
+
+def vf_bracket(u, v) -> TrigPoly:
+    """Bracket of the vector fields u(t) d/dt and v(t) d/dt: u v' - v u'."""
+    return trig_mul(u, trig_derivative(v)) - trig_mul(v, trig_derivative(u))
 
 
 def window_complex(a, n: int):

@@ -68,6 +68,15 @@ def test_window_layout_helpers_left_the_package(module, name):
     assert not hasattr(module, name)
 
 
+@pytest.mark.parametrize("module", [algebroid, circle], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["trig_mul", "trig_derivative", "vf_bracket",
+                                  "multiplication_matrix"])
+def test_second_trig_arithmetic_left_the_package(module, name):
+    # the action check applies the integer blocks of `field_matrix`; the
+    # Fraction products live in tests/oracle.py
+    assert not hasattr(module, name)
+
+
 SRC = Path(algebroid.__file__).parent
 
 # Public names that stay without a caller in the package, with the reason.
@@ -97,3 +106,12 @@ def test_every_public_def_is_exported_or_used():
                and not used.get(stmt.name, set()) - {f"{module}.{stmt.name}"}]
     assert sorted(set(orphans) - set(UNREFERENCED)) == []
     assert set(UNREFERENCED) <= set(orphans)  # an entry that gained a caller is dropped
+
+
+def test_no_package_function_takes_a_derivative_flag():
+    # u -> f u' is the one window product, so no builder is switched by a flag
+    flagged = [f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and any(arg.arg == "derivative" for arg in node.args.args + node.args.kwonlyargs)]
+    assert flagged == []

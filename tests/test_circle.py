@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from oracle import inclusion_matrix
+from oracle import inclusion_matrix, trig_mul, vf_bracket
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -17,14 +17,11 @@ from algebroid.circle import (
     action_violation,
     check_action,
     count_simple_zeros,
+    field_matrix,
     has_zero_on_circle,
     is_transitive,
-    multiplication_matrix,
     stabilized_cohomology,
-    trig_derivative,
-    trig_mul,
     truncated_complex,
-    vf_bracket,
     weierstrass_numerator,
     window_coords,
     window_dim,
@@ -51,6 +48,14 @@ F = Fraction
 
 
 # -- trig polynomial arithmetic ----------------------------------------------
+# Products and brackets of trig polynomials are the oracle's; the package's
+# one product, u -> f u', is `field_matrix`.
+
+def derivative(f: TrigPoly) -> TrigPoly:
+    """f' through the package's d/dt, u -> 1 u'."""
+    coords = field_matrix(TrigPoly.const(1), f.deg, f.deg).apply(window_coords(f, f.deg))
+    return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
+
 
 def test_normalization():
     assert TrigPoly.make(0, [0, 0], [0, 0]) == TrigPoly.const(0)
@@ -96,7 +101,7 @@ def test_multiplication_is_commutative_and_degree_additive():
 def test_derivative():
     f = TrigPoly.make(5, [1, 0], [0, 2])
     # d/dt (5 + cos t + 2 sin 2t) = -sin t + 4 cos 2t
-    assert trig_derivative(f) == TrigPoly.make(0, [0, 4], [-1, 0])
+    assert derivative(f) == TrigPoly.make(0, [0, 4], [-1, 0])
 
 
 small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -119,7 +124,7 @@ def test_product_and_derivative_match_half_angle_substitution(f, g):
     expected = oracle.scale(oracle.sub(
         oracle.mul([F(1), F(0), F(1)], oracle.derivative(p)),
         oracle.mul([F(0), F(2 * d)], p)), F(1, 2))
-    assert oracle.trim(w(trig_derivative(f))) == oracle.trim(expected)
+    assert oracle.trim(w(derivative(f))) == oracle.trim(expected)
 
 
 def coefficient_lists(f: TrigPoly, n: int) -> tuple[Fraction, list[Fraction], list[Fraction]]:
@@ -150,6 +155,10 @@ def test_vector_field_brackets():
     f = TrigPoly.make(1, [1], [0])
     g = TrigPoly.make(0, [0, 1], [2, 0])
     assert vf_bracket(f, g) == -vf_bracket(g, f)
+    # the package's bracket, through the action check: e_0, e_1, e_2 -> 1, cos 2t, sin 2t
+    sl2 = LieAlgebra.make(3, {(0, 1): {2: -2}, (0, 2): {1: 2}, (1, 2): {0: 2}})
+    assert action_violation(ActionAlgebroid(sl2, (one, c2, s2))) is None
+    assert action_violation(ActionAlgebroid(sl2, (one, c2, s2.scaled(2)))) == (0, 1)
 
 
 def test_value_at_quarter():
@@ -271,25 +280,27 @@ def test_window_coords_roundtrip():
 
 
 def test_derivative_matrix_golden():
-    m = multiplication_matrix(TrigPoly.const(1), 1, 1, derivative=True)
+    m = field_matrix(TrigPoly.const(1), 1, 1)
     # basis (1, cos t, sin t): d/dt sends cos -> -sin, sin -> cos
     assert m.to_rows() == [
         [F(0), F(0), F(0)],
         [F(0), F(0), F(1)],
         [F(0), F(-1), F(0)],
     ]
+    with pytest.raises(ValueError):
+        field_matrix(TrigPoly.sin(1), 1, 1)  # window too small for sin t u'
 
 
 def test_multiplication_matrix_golden():
-    m = multiplication_matrix(TrigPoly.sin(1), 0, 1)
+    m = oracle.multiplication_matrix(TrigPoly.sin(1), 0, 1)
     assert m.column(0) == [F(0), F(0), F(1)]
     with pytest.raises(ValueError):
-        multiplication_matrix(TrigPoly.sin(1), 1, 1)
+        oracle.multiplication_matrix(TrigPoly.sin(1), 1, 1)
 
 
 def test_multiplication_matrix_matches_trig_mul():
     f = TrigPoly.make(1, [1, 0], [0, -2])
-    m = multiplication_matrix(f, 2, 4)
+    m = oracle.multiplication_matrix(f, 2, 4)
     for j, b in enumerate(BASIS_2):
         assert m.column(j) == window_coords(trig_mul(f, b), 4)
 
@@ -302,12 +313,12 @@ window_polys = st.builds(TrigPoly.make, small_fraction,
 @settings(max_examples=100, deadline=None)
 @given(window_polys, st.integers(0, 6), st.integers(0, 2))
 def test_fused_derivative_matches_composition(f, m, extra):
-    # u -> f u' in one pass equals multiplication by f after d/dt, entry for
-    # entry; `==` also fails on a stored zero.
+    # u -> f u' in one pass equals the oracle's multiplication by f after d/dt,
+    # entry for entry; `==` also fails on a stored zero.
     t = m + f.deg + extra
-    d = multiplication_matrix(TrigPoly.const(1), m, m, derivative=True)
-    fused = multiplication_matrix(f, m, t, derivative=True)
-    assert fused == multiplication_matrix(f, m, t) @ d
+    d = field_matrix(TrigPoly.const(1), m, m)
+    fused = field_matrix(f, m, t)
+    assert fused == oracle.multiplication_matrix(f, m, t) @ d
 
 
 def stored(m):
@@ -315,20 +326,23 @@ def stored(m):
 
 
 @settings(max_examples=200, deadline=None)
-@given(window_polys, st.integers(0, 6), st.integers(0, 3), st.booleans())
-def test_multiplication_matrix_stores_the_reference_rows(f, m, extra, derivative):
-    # integer terms over 2 lcm(f's denominators), against half-terms through from_entries
+@given(window_polys, st.integers(0, 6), st.integers(0, 3))
+def test_multiplication_matrix_stores_the_reference_rows(f, m, extra):
+    # u -> f u' as integer terms over 2 lcm(f's denominators), against
+    # half-terms through from_entries
     t = m + f.deg + extra
-    assert stored(multiplication_matrix(f, m, t, derivative)) == \
-        stored(oracle.multiplication_matrix(f, m, t, derivative))
+    assert stored(field_matrix(f, m, t)) == \
+        stored(oracle.multiplication_matrix(f, m, t, derivative=True))
 
 
 def test_inclusion_matrix_stores_the_reference_rows():
-    one = TrigPoly.const(1)
+    # the window reference's inclusion stores what the package's window
+    # complexes write for it: the integer identity rows over 1, zero rows below
     for s in range(8):
         for t in range(s, 12):
-            assert stored(inclusion_matrix(s, t)) == \
-                stored(oracle.multiplication_matrix(one, s, t)), (s, t)
+            assert stored(inclusion_matrix(s, t)) == (
+                window_dim(t), window_dim(s),
+                [{i: 1} if i < window_dim(s) else {} for i in range(window_dim(t))], 1), (s, t)
 
 
 def test_inclusion_matrix():
@@ -453,26 +467,43 @@ def test_action_violation_names_the_pair():
         truncated_complex(bad, 2)
 
 
+nonzero_fraction = small_fraction.filter(bool)
+
+
 @st.composite
 def perturbed_actions(draw):
-    """A catalog action algebroid, or r3 or h3 acting by zero fields, with
-    some fields replaced by zero or by a random trig polynomial."""
-    name = draw(st.sampled_from([*catalog.ALGEBROID_NAMES, "r3", "h3"]))
+    """sl2_action in a rescaled basis (fractional structure constants) in
+    half the draws, else a catalog action algebroid or r3 or h3 acting by
+    zero fields; some fields are replaced by zero or by a random trig
+    polynomial, and in 4 of 5 draws one window coordinate of one field is
+    changed.  About 60% of the draws break the bracket."""
+    name = draw(st.sampled_from([*catalog.ALGEBROID_NAMES, "r3", "h3"]) | st.just("rescaled"))
     if name in ("r3", "h3"):
         g = catalog.algebra(name)
         phi = [TrigPoly()] * g.dim
+    elif name == "rescaled":  # e'_j = s_j e_j, phi'_j = s_j phi_j
+        a = sl2_action()
+        scales = [draw(nonzero_fraction) for _ in range(3)]
+        g = oracle.change_basis(a.algebra, RationalMatrix.from_entries(
+            3, 3, [((j, j), x) for j, x in enumerate(scales)]))
+        phi = [f.scaled(x) for f, x in zip(a.phi, scales)]
     else:
         a, _ = catalog.algebroid(name)
         g, phi = a.algebra, list(a.phi)
     for i in range(g.dim):
         phi[i] = draw(st.sampled_from([phi[i], phi[i], TrigPoly()]) | trig_polys)
+    if draw(st.integers(0, 4)):
+        i, k = draw(st.integers(0, g.dim - 1)), draw(st.integers(0, 6))
+        coords = [F(0)] * 7
+        coords[k] = draw(nonzero_fraction)
+        phi[i] = phi[i] + TrigPoly.make(coords[0], coords[1::2], coords[2::2])
     return ActionAlgebroid(g, tuple(phi))
 
 
 @settings(max_examples=80, deadline=None)
 @given(perturbed_actions())
 def test_action_violation_matches_the_bracket_of_every_pair(a):
-    # derivatives taken once and zero fields skipped: the same first pair
+    # integer field blocks against the Fraction bracket of every pair: the same first pair
     assert action_violation(a) == oracle.action_violation(a)
     assert check_action(a) == (oracle.action_violation(a) is None)
 

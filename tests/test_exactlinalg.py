@@ -454,9 +454,9 @@ def test_inverse():
 def test_sin_window_golden_rank():
     # multiplication by sin t after d/dt, window 2 into window 3: the 7x5
     # matrix has rank 4 and three-dimensional cokernel.
-    from algebroid.circle import TrigPoly, multiplication_matrix
+    from algebroid.circle import TrigPoly, field_matrix
 
-    m = multiplication_matrix(TrigPoly.sin(1), 2, 3, derivative=True)
+    m = field_matrix(TrigPoly.sin(1), 2, 3)
     assert (m.rows, m.cols) == (7, 5)
     assert rank(m) == 4
     assert cokernel_dim(m) == 3

@@ -54,6 +54,30 @@ def test_trig_parse_forms():
     assert io.trig_from_string("cos(1t) + cos(1t)") == TrigPoly.cos(1, 2)
 
 
+@st.composite
+def trig_terms(draw):
+    """(text, TrigPoly) of one term: a constant or [c*]cos|sin(kt), with k
+    spelled "k", with a leading zero, or left out when it is 1."""
+    c = draw(st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
+    if draw(st.booleans()):
+        return str(c), TrigPoly.const(c)
+    kind, k = draw(st.sampled_from(["cos", "sin"])), draw(st.integers(1, 5))
+    spelled = draw(st.sampled_from([str(k), f"0{k}"] + ([""] if k == 1 else [])))
+    prefix = "" if c == 1 else "-" if c == -1 else f"{c}*"
+    return f"{prefix}{kind}({spelled}t)", (TrigPoly.cos if kind == "cos" else TrigPoly.sin)(k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(trig_terms(), min_size=1, max_size=8))
+def test_trig_parse_sums_the_terms(terms):
+    # one pass into coefficient lists, against adding the terms as trig polynomials;
+    # harmonics repeat, since k is drawn from 1..5
+    expected = TrigPoly.const(0)
+    for _, f in terms:
+        expected = expected + f
+    assert io.trig_from_string(" + ".join(text for text, _ in terms)) == expected
+
+
 def test_trig_parse_errors():
     for bad in ("", "1 +", "cos(0t)", "2cos(1t)", "cos", "sin()x", "1.5", "٢*sin(١t)",
                 "sin(١t)", "sin(1t)\n", "2\n"):
