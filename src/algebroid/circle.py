@@ -15,9 +15,9 @@ d/dt: u -> f u' is one matrix, the map the field f d/dt induces on windows.
 The window complexes place it as their field blocks, and `action_violation`
 applies it to the fields, comparing phi_i phi_j' - phi_j phi_i' with
 sum_k c^k_ij phi_k on integers.  `_integer_coords`, f as integer window
-coordinates over their lcm, is the one denominator rule.  Sums and scalar
-multiples of trig polynomials are taken on window coordinates, so
-`window_coords` alone states the coefficient layout.
+coordinates over their lcm, is the one denominator rule.  `TrigPoly` has
+no arithmetic operators: fields are combined only on their integer window
+coordinates, so `window_coords` alone states the coefficient layout.
 
 A window differential is written row by row from one loop over the source
 masks, as `liealg` writes a CE differential.  Each term of d(e^w), from
@@ -49,7 +49,7 @@ from itertools import accumulate, chain, combinations
 from math import lcm
 
 from . import polyroots
-from .errors import ChainConditionError, NonsimpleZeroError, NotStabilizedError, ValidationError
+from .errors import ChainConditionError, NonsimpleZeroError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
     as_fraction, cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
 from .exterior import basis_index, basis_masks
@@ -121,21 +121,6 @@ class TrigPoly:
             return _ZERO
         return self.sin_coeffs[k - 1] if k <= self.deg else _ZERO
 
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        m = max(self.deg, other.deg)
-        return _from_window_coords([x + y for x, y in zip(window_coords(self, m),
-                                                          window_coords(other, m))])
-
-    def __neg__(self) -> "TrigPoly":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-other)
-
-    def scaled(self, c) -> "TrigPoly":
-        c = as_fraction(c)
-        return _from_window_coords([c * x for x in window_coords(self, self.deg)])
-
 
 def weierstrass_numerator(f: TrigPoly) -> list[Fraction]:
     """P with f(t) = P(u) / (1+u^2)^deg under u = tan(t/2), trimmed.
@@ -199,11 +184,6 @@ def window_coords(f: TrigPoly, m: int) -> list[Fraction]:
         raise ValueError(f"degree {f.deg} exceeds window V_{m}")
     return [f.constant, *chain.from_iterable(zip(f.cos_coeffs, f.sin_coeffs)),
             *[_ZERO] * (2 * (m - f.deg))]
-
-
-def _from_window_coords(coords) -> TrigPoly:
-    """Inverse of window_coords."""
-    return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
 
 
 def _integer_coords(f: TrigPoly) -> tuple[list[int], int]:
@@ -438,7 +418,7 @@ class SweepResult:
     stabilized: bool
 
 
-def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> SweepResult:
+def stabilized_cohomology(a, n_min: int, n_max: int) -> SweepResult:
     """Sweep windows N = n_min..n_max and demand three equal Betti vectors.
 
     Only window n_max is assembled, validated and checked for d^2 = 0;
@@ -447,9 +427,9 @@ def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> Swe
     The complex is then eliminated once with clearing (`pivot_levels`), and
     rank d_p on window N is the number of its pivot rows of level <= N.
 
-    With strict=True a failed sweep raises NotStabilizedError carrying the
-    per-N table; with strict=False the result is returned with the flag off
-    and the Betti numbers of the widest window.
+    A sweep whose last three windows disagree is returned with `stabilized`
+    off and the Betti numbers of the widest window; the caller decides
+    whether that is an error.
     """
     if n_min < 0 or n_max < n_min + 2:
         raise ValueError("need three nonnegative windows: 0 <= n_min and n_max >= n_min + 2")
@@ -469,7 +449,5 @@ def stabilized_cohomology(a, n_min: int, n_max: int, strict: bool = True) -> Swe
                                      [bisect_right(pv, n) for pv in pivots])
                for n in range(n_min, n_max + 1)]
     per_n = [(n, rep.betti) for n, rep in zip(range(n_min, n_max + 1), reports)]
-    stable = len({b for _, b in per_n[-3:]}) == 1
-    if not stable and strict:
-        raise NotStabilizedError(per_n)
-    return SweepResult(report=reports[-1], per_n=tuple(per_n), stabilized=stable)
+    return SweepResult(report=reports[-1], per_n=tuple(per_n),
+                       stabilized=len({b for _, b in per_n[-3:]}) == 1)

@@ -120,7 +120,7 @@ def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
     zeros = None
     if isinstance(a, Rank1Anchor) and not a.p.is_zero():
         zeros = count_simple_zeros(a.p)
-    return stabilized_cohomology(a, n_min, n_max, strict=False), zeros
+    return stabilized_cohomology(a, n_min, n_max), zeros
 
 
 def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:

@@ -5,9 +5,11 @@ integer numerator rows over one common denominator (see `RationalMatrix`);
 only this module reads it, and other modules read Fractions through
 indexing, `to_rows` and `column`, or integer rows through `common_rows`.
 Builders write normalised integer rows through `RationalMatrix._wrap` after
-one `_reduced`; `from_entries` stays for parsers, tests and small builders.
-So the builders, sums, the elimination and the d^2 = 0 check all work on
-integers.
+one `_reduced`; `from_entries` stays for parsers, tests and small builders
+(the addition map and its coproduct, the tensor factors in `kunneth`, the
+characters of `symbol`).  A matrix has no arithmetic operators: a caller
+that needs a sum or a product writes it on `common_rows`, so the builders,
+the elimination and the d^2 = 0 check all work on integers.
 
 There is one elimination, `_echelon`, behind `rank`, `kernel_basis` and
 `pivot_levels`; its docstring states the pivot rule and the bound on the
@@ -158,54 +160,6 @@ class RationalMatrix:
             for j, x in row.items():
                 t[j][i] = x
         return RationalMatrix._wrap(self.cols, self.rows, t, self._den)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        den, (a, b) = common_rows([self, other])
-        out = []
-        for arow, brow in zip(a, b):
-            row = dict(arow)
-            for j, x in brow.items():
-                row[j] = row.get(j, 0) + x
-            out.append({j: x for j, x in row.items() if x})
-        return RationalMatrix._wrap(self.rows, self.cols, *_reduced(out, den))
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalMatrix":
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "RationalMatrix":
-        c = as_fraction(c)
-        if not c:
-            return RationalMatrix(self.rows, self.cols)
-        p = c.numerator
-        return RationalMatrix._wrap(self.rows, self.cols, *_reduced(
-            [{j: p * x for j, x in row.items()} for row in self._num], self._den * c.denominator))
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for srow in self._num:
-            acc: dict[int, int] = {}
-            for k, s in srow.items():
-                for j, x in other._num[k].items():
-                    acc[j] = acc.get(j, 0) + s * x
-            out.append({j: x for j, x in acc.items() if x})
-        return RationalMatrix._wrap(self.rows, other.cols,
-                                    *_reduced(out, self._den * other._den))
-
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        (w,), den = _cleared([dict(enumerate(map(as_fraction, vec)))])
-        den *= self._den
-        return [Fraction(sum(x * w[j] for j, x in row.items() if j in w), den)
-                for row in self._num]
 
 
 def _cleared(values: list[dict]) -> tuple[list[dict[int, int]], int]:

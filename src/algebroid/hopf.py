@@ -20,7 +20,9 @@ labels (degree, index), so every axiom is a comparison of two exact sparse
 linear combinations.  A coefficient is an exact `int` when it is
 integral and a `Fraction` otherwise, so the common case of coefficients
 +-1 never builds a Fraction.  The antipode is rebuilt degree by degree from
-connectedness and then verified on both sides.
+connectedness and then verified on both sides.  `primitives` reads the
+coproduct's integer rows over their denominator, subtracts x (x) 1 + 1 (x) x
+there and hands the difference to `kernel_basis`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from itertools import accumulate
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, kernel_basis, require_cochain_budget
+from .exactlinalg import RationalMatrix, _reduced, common_rows, kernel_basis, \
+    require_cochain_budget
 from .exterior import wedge_product
 from .liealg import LieAlgebra
 
@@ -194,12 +197,15 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
         raise ValueError("primitives need a one-dimensional degree-0 part")
     out: list[tuple[tuple[Fraction, ...], ...]] = [()]  # degree 0 has none
     for r in range(1, c.top + 1):
-        dim_r = c.betti[r]
-        offs = c.block_offsets(r)
-        pairs = [((offs[r] + a, a), 1) for a in range(dim_r)]    # x (x) 1 in block (r, 0)
-        pairs += [((offs[0] + a, a), 1) for a in range(dim_r)]   # 1 (x) x in block (0, r)
-        expected = RationalMatrix.from_entries(offs[-1], dim_r, pairs)
-        diff = c.coproduct[r] - expected
+        dim_r, offs = c.betti[r], c.block_offsets(r)
+        den, (rows,) = common_rows([c.coproduct[r]])
+        rows = [dict(row) for row in rows]
+        # D - (x (x) 1 + 1 (x) x): column a loses den at row a of blocks (r, 0) and (0, r)
+        for a in range(dim_r):
+            for i in (offs[r] + a, offs[0] + a):
+                rows[i][a] = rows[i].get(a, 0) - den
+        diff = RationalMatrix._wrap(offs[-1], dim_r, *_reduced(
+            [{j: x for j, x in row.items() if x} for row in rows], den))
         out.append(tuple(tuple(v) for v in kernel_basis(diff)))
     return tuple(out)
 

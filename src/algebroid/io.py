@@ -241,4 +241,6 @@ def load_json(path: str) -> dict:
         raise ParseError(f"not UTF-8 text at byte {exc.start}", path)
     except ValueError:  # json reads integers with int()
         raise _too_long(path) from None
+    except RecursionError:  # arrays or objects nested deeper than the parser recurses
+        raise ParseError("JSON nested too deeply", path) from None
 

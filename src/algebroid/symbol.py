@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, \
+from .exactlinalg import CochainComplex, RationalMatrix, as_fraction, complex_cohomology, \
     require_cochain_budget
 from .liealg import LieAlgebra, Representation, ce_differential
 
@@ -41,7 +41,11 @@ def pullback_covector(f: FiberData, alpha) -> list[Fraction]:
     """beta = alpha composed with the anchor, as a fiber covector."""
     if len(alpha) != f.dim_m:
         raise ValueError("alpha must have one entry per base dimension")
-    return f.anchor.transpose().apply(alpha)
+    alpha = [as_fraction(x) for x in alpha]
+    beta = [Fraction(0)] * f.dim_a
+    for i, j, x in f.anchor.entries():
+        beta[j] += x * alpha[i]
+    return beta
 
 
 def symbol_complex(f: FiberData, alpha) -> CochainComplex:
@@ -49,8 +53,9 @@ def symbol_complex(f: FiberData, alpha) -> CochainComplex:
     the abelian fiber algebra acting on E by the character beta."""
     require_cochain_budget(f.dim_e, f.dim_a, "the symbol complex")
     beta = pullback_covector(f, alpha)
-    n, id_e = f.dim_a, RationalMatrix.identity(f.dim_e)
-    rep = Representation(LieAlgebra(n), f.dim_e, tuple(id_e.scaled(b) for b in beta))
+    n, e = f.dim_a, f.dim_e
+    rep = Representation(LieAlgebra(n), e, tuple(
+        RationalMatrix.from_entries(e, e, (((a, a), b) for a in range(e))) for b in beta))
     degrees = tuple(f.dim_e * comb(n, r) for r in range(n + 1))
     return CochainComplex(degrees, tuple(ce_differential(rep, r) for r in range(n)))
 

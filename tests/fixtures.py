@@ -10,7 +10,8 @@ trig polynomial at t = q pi/2 for the zero-counting references in
 `GradedCoalgebra` methods or read its views, and now take the coalgebra as
 their first argument.  `basis_tuples`, `has_multiple_real_root`,
 `alternating_binomial_sum`, `euler_form_factor` and the dense `bracket`
-had no caller in the package.
+had no caller in the package.  `dense_apply` multiplies a package matrix
+into a vector on its Fraction rows, since matrices have no arithmetic.
 """
 
 from __future__ import annotations
@@ -125,12 +126,12 @@ def coproduct_terms(c: GradedCoalgebra, r: int, coords) -> dict[tuple[int, int, 
         raise ValueError("vector length mismatch")
     keys = [(i, r - i, a, b) for i in range(r + 1)
             for a in range(c.betti[i]) for b in range(c.betti[r - i])]
-    return {key: x for key, x in zip(keys, c.coproduct[r].apply(coords)) if x}
+    return {key: x for key, x in zip(keys, dense_apply(c.coproduct[r], coords)) if x}
 
 
 def multiply(c: GradedCoalgebra, p: int, q: int, u, v) -> list[Fraction]:
     """Product of elements of degrees p and q."""
-    return c.product[(p, q)].apply([x * y for x in u for y in v])  # left index major
+    return dense_apply(c.product[(p, q)], [x * y for x in u for y in v])  # left index major
 
 
 def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
@@ -169,6 +170,14 @@ def euler_form_factor(rank_l: int, rank_e: int) -> int:
     if rank_l < 0 or rank_e < 0:
         raise ValueError("ranks must be nonnegative")
     return alternating_binomial_sum(rank_l) * rank_e
+
+
+def dense_apply(m: RationalMatrix, vec) -> list[Fraction]:
+    """m times a vector, one dot product per row of Fractions; a vector of
+    the wrong length raises ValueError."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return [sum((x * Fraction(y) for x, y in zip(row, vec)), Fraction(0)) for row in m.to_rows()]
 
 
 def bracket(g: LieAlgebra, v, w) -> list[Fraction]:

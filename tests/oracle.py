@@ -27,17 +27,21 @@ I_E (x) sum_i beta_i (e^i ^ -), which the package builds as a CE complex.
 `jacobi_violation` evaluates the Jacobi sum with dense brackets on every
 triple, where the package visits only triples that touch the table, and
 `action_violation` takes `vf_bracket` of every pair and every term of
-sum_k c^k_ij phi_k on `TrigPoly` Fractions, where the package applies one
-integer block of u -> phi_k u' per nonzero field to the fields' integer
-coordinates.  `trig_mul`, `trig_derivative` and `vf_bracket` are built on
-the flagged `multiplication_matrix` here, so the reference bracket shares
-no product code with the package's `field_matrix`.
+sum_k c^k_ij phi_k on dense Fraction window coordinates, where the package
+applies one integer block of u -> phi_k u' per nonzero field to the fields'
+integer coordinates.  `trig_mul`, `trig_derivative` and `vf_bracket` are
+built on the flagged `multiplication_matrix` here, so the reference bracket
+shares no product code with the package's `field_matrix`.  Package
+matrices and trig polynomials have no arithmetic operators: every sum,
+multiple and product here is taken on dense Fraction rows (`matrix_rows`,
+`dense_product`, `dense_lincomb`, `fixtures.dense_apply`, and
+`trig_lincomb` on window coordinates).
 
 The reference builders are the package's earlier ones: wedges of index
 tuples (`tuple_wedge`, `wedges`), the trivial CE differential through
-`from_entries` and `scaled`, `kron_sum` (the layout rule for blocks and
-Kronecker products) and the CE differential as a `kron_sum` of every term,
-the flatness check on Fraction matrices, the window product with one
+`from_entries` on Fraction entries, `kron_sum` (the layout rule for blocks
+and Kronecker products) and the CE differential as a `kron_sum` of every
+term, the flatness check on dense Fraction rows, the window product with one
 half-term per harmonic, `inclusion_matrix` (multiplication by 1), and the
 window complex (`window_complex`) as a `kron_sum` of one term per CE entry,
 that entry as a 1 x 1 matrix times its window block.  The package now writes
@@ -65,7 +69,7 @@ from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, _reduced, rank
 from algebroid.hopf import addition
 from algebroid.liealg import LieAlgebra, bracket_basis
-from fixtures import bracket, value_at_quarter
+from fixtures import bracket, dense_apply, value_at_quarter
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -215,7 +219,7 @@ def change_basis(g, p) -> LieAlgebra:
     new_brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coords = p_inv.apply(bracket(g, p.column(i), p.column(j)))
+            coords = dense_apply(p_inv, bracket(g, p.column(i), p.column(j)))
             terms = {k: c for k, c in enumerate(coords) if c}
             if terms:
                 new_brackets[(i, j)] = terms
@@ -457,8 +461,8 @@ def trivial_ce_differential(g, p: int) -> RationalMatrix:
             for pair, c in by_target[k]:
                 merged = tuple_wedge(pair, rest)
                 if merged is not None:
-                    pairs.append(((tgt[merged[1]], col), -slot_sign * merged[0] * c))
-    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs).scaled(Fraction(1, den))
+                    pairs.append(((tgt[merged[1]], col), Fraction(-slot_sign * merged[0] * c, den)))
+    return RationalMatrix.from_entries(comb(n, p + 1), comb(n, p), pairs)
 
 
 def ce_differential(r, p: int) -> RationalMatrix:
@@ -476,31 +480,28 @@ def action_violation(a) -> tuple[int, int] | None:
     g = a.algebra
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            rhs = TrigPoly()
-            for k, c in enumerate(bracket_basis(g, i, j)):
-                rhs = rhs + a.phi[k].scaled(c)
-            if vf_bracket(a.phi[i], a.phi[j]) != rhs:
+            if vf_bracket(a.phi[i], a.phi[j]) != trig_lincomb(zip(bracket_basis(g, i, j), a.phi)):
                 return (i, j)
     return None
 
 
 def representation_violation(r) -> tuple[int, int] | None:
     """First pair i < j with rho_i rho_j != rho_j rho_i + sum_k c^k_ij rho_k,
-    compared on matrices built with 1 x 1 Fraction factors."""
-    g, one = r.algebra, RationalMatrix.identity(1)
+    compared on dense Fraction rows."""
+    g, rho = r.algebra, [matrix_rows(m) for m in r.action]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            expected = kron_sum(r.dim_e, r.dim_e, [(0, 0, one, r.action[j] @ r.action[i])] + [
-                (0, 0, RationalMatrix.from_rows([[c]]), rho)
-                for c, rho in zip(bracket_basis(g, i, j), r.action) if c])
-            if r.action[i] @ r.action[j] != expected:
+            expected = dense_product(rho[j], rho[i])
+            for c, rho_k in zip(bracket_basis(g, i, j), rho):
+                expected = dense_lincomb(1, expected, c, rho_k)
+            if dense_product(rho[i], rho[j]) != expected:
                 return (i, j)
     return None
 
 
 def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -> RationalMatrix:
     """u -> f u (or f u') from the product-to-sum table, one half-term per
-    (a - b) and (a + b) harmonic, through `from_entries` and `scaled`."""
+    (a - b) and (a + b) harmonic, each a Fraction entry for `from_entries`."""
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
     coords = window_coords(f, f.deg)
@@ -520,9 +521,8 @@ def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -
             for k, sign in ((a - b, diff_sign), (a + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
                 if k_sign:
-                    pairs.append(((row, j), x * sign * k_sign * scale))
-    return RationalMatrix.from_entries(2 * tgt_m + 1, 2 * src_m + 1,
-                                       pairs).scaled(Fraction(1, 2 * den))
+                    pairs.append(((row, j), Fraction(x * sign * k_sign * scale, 2 * den)))
+    return RationalMatrix.from_entries(2 * tgt_m + 1, 2 * src_m + 1, pairs)
 
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
@@ -534,21 +534,32 @@ def _from_coords(coords) -> TrigPoly:
     return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
 
 
+def trig_lincomb(terms) -> TrigPoly:
+    """sum c f over the (c, f) terms, added on dense window coordinates."""
+    terms = list(terms)
+    m = max((f.deg for _, f in terms), default=0)
+    coords = [window_coords(TrigPoly(), m)]
+    for c, f in terms:
+        coords = dense_lincomb(1, coords, c, [window_coords(f, m)])
+    return _from_coords(coords[0])
+
+
 def trig_mul(f, g) -> TrigPoly:
     """f g, read off the multiplication matrix of f on g's window."""
     m = multiplication_matrix(f, g.deg, f.deg + g.deg)
-    return _from_coords(m.apply(window_coords(g, g.deg)))
+    return _from_coords(dense_apply(m, window_coords(g, g.deg)))
 
 
 def trig_derivative(f) -> TrigPoly:
     """f', read off the d/dt operator on f's window."""
     d = multiplication_matrix(TrigPoly.const(1), f.deg, f.deg, derivative=True)
-    return _from_coords(d.apply(window_coords(f, f.deg)))
+    return _from_coords(dense_apply(d, window_coords(f, f.deg)))
 
 
 def vf_bracket(u, v) -> TrigPoly:
     """Bracket of the vector fields u(t) d/dt and v(t) d/dt: u v' - v u'."""
-    return trig_mul(u, trig_derivative(v)) - trig_mul(v, trig_derivative(u))
+    return trig_lincomb([(1, trig_mul(u, trig_derivative(v))),
+                         (-1, trig_mul(v, trig_derivative(u)))])
 
 
 def window_complex(a, n: int):
@@ -756,7 +767,7 @@ def check_h_structure(h) -> bool:
     images = [h.matrix.column(a) for a in range(2 * n)]
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
-            lhs = h.matrix.apply(_pair_bracket(g, a, b))
+            lhs = dense_apply(h.matrix, _pair_bracket(g, a, b))
             if lhs != bracket(g, images[a], images[b]):
                 return False
     return True

@@ -77,6 +77,18 @@ def test_second_trig_arithmetic_left_the_package(module, name):
     assert not hasattr(module, name)
 
 
+@pytest.mark.parametrize("owner, name", [
+    *[(exactlinalg.RationalMatrix, name)
+      for name in ("__add__", "__sub__", "__neg__", "scaled", "__matmul__", "apply")],
+    *[(circle.TrigPoly, name) for name in ("__add__", "__sub__", "__neg__", "scaled")],
+    (circle, "_from_window_coords"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_fraction_operators_left_the_package(owner, name):
+    # primitives and symbol read integer rows and entries; sums, multiples
+    # and products for the tests are taken on dense Fraction rows in tests/oracle.py
+    assert not hasattr(owner, name)
+
+
 SRC = Path(algebroid.__file__).parent
 
 # Public names that stay without a caller in the package, with the reason.

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from oracle import inclusion_matrix, trig_mul, vf_bracket
+from fixtures import dense_apply, value_at_quarter
+from oracle import inclusion_matrix, trig_lincomb, trig_mul, vf_bracket
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -29,7 +30,6 @@ from algebroid.circle import (
 from algebroid.errors import (
     ChainConditionError,
     NonsimpleZeroError,
-    NotStabilizedError,
     ValidationError,
 )
 from algebroid.exactlinalg import (
@@ -42,7 +42,6 @@ from algebroid.exactlinalg import (
 )
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import LieAlgebra
-from fixtures import value_at_quarter
 
 F = Fraction
 
@@ -53,7 +52,7 @@ F = Fraction
 
 def derivative(f: TrigPoly) -> TrigPoly:
     """f' through the package's d/dt, u -> 1 u'."""
-    coords = field_matrix(TrigPoly.const(1), f.deg, f.deg).apply(window_coords(f, f.deg))
+    coords = dense_apply(field_matrix(TrigPoly.const(1), f.deg, f.deg), window_coords(f, f.deg))
     return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
 
 
@@ -64,13 +63,6 @@ def test_normalization():
         TrigPoly(constant=F(0), cos_coeffs=(F(0),), sin_coeffs=(F(0),))
     with pytest.raises(ValueError):
         TrigPoly.cos(0)
-
-
-def test_addition_and_scaling():
-    f = TrigPoly.cos(1) + TrigPoly.sin(2).scaled(3)
-    assert f.cos_coeff(1) == 1 and f.sin_coeff(2) == 3
-    assert (f - f).is_zero()
-    assert f.deg == 2
 
 
 def test_product_to_sum_goldens():
@@ -127,25 +119,6 @@ def test_product_and_derivative_match_half_angle_substitution(f, g):
     assert oracle.trim(w(derivative(f))) == oracle.trim(expected)
 
 
-def coefficient_lists(f: TrigPoly, n: int) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    pad = [F(0)] * (n - f.deg)
-    return f.constant, list(f.cos_coeffs) + pad, list(f.sin_coeffs) + pad
-
-
-@settings(max_examples=200, deadline=None)
-@given(trig_polys, trig_polys, small_fraction)
-def test_sums_and_multiples_are_coefficientwise(f, g, c):
-    n = max(f.deg, g.deg)
-    (a0, a_cos, a_sin), (b0, b_cos, b_sin) = coefficient_lists(f, n), coefficient_lists(g, n)
-    assert f + g == TrigPoly.make(a0 + b0, [x + y for x, y in zip(a_cos, b_cos)],
-                                  [x + y for x, y in zip(a_sin, b_sin)])
-    assert f - g == TrigPoly.make(a0 - b0, [x - y for x, y in zip(a_cos, b_cos)],
-                                  [x - y for x, y in zip(a_sin, b_sin)])
-    assert -f == TrigPoly.make(-a0, [-x for x in a_cos], [-x for x in a_sin])
-    assert f.scaled(c) == TrigPoly.make(c * a0, [c * x for x in a_cos], [c * x for x in a_sin])
-    assert all(isinstance(x, Fraction) for x in (f + g).cos_coeffs + f.scaled(c).sin_coeffs)
-
-
 def test_vector_field_brackets():
     one, c2, s2 = TrigPoly.const(1), TrigPoly.cos(2), TrigPoly.sin(2)
     assert vf_bracket(one, c2) == TrigPoly.sin(2, -2)
@@ -154,11 +127,11 @@ def test_vector_field_brackets():
     # antisymmetry on a messier pair
     f = TrigPoly.make(1, [1], [0])
     g = TrigPoly.make(0, [0, 1], [2, 0])
-    assert vf_bracket(f, g) == -vf_bracket(g, f)
+    assert vf_bracket(f, g) == trig_lincomb([(-1, vf_bracket(g, f))])
     # the package's bracket, through the action check: e_0, e_1, e_2 -> 1, cos 2t, sin 2t
     sl2 = LieAlgebra.make(3, {(0, 1): {2: -2}, (0, 2): {1: 2}, (1, 2): {0: 2}})
     assert action_violation(ActionAlgebroid(sl2, (one, c2, s2))) is None
-    assert action_violation(ActionAlgebroid(sl2, (one, c2, s2.scaled(2)))) == (0, 1)
+    assert action_violation(ActionAlgebroid(sl2, (one, c2, TrigPoly.sin(2, 2)))) == (0, 1)
 
 
 def test_value_at_quarter():
@@ -270,10 +243,7 @@ def test_window_dims_and_basis():
 def test_window_coords_roundtrip():
     f = TrigPoly.make(3, [0, F(1, 2)], [-1, 0])
     coords = window_coords(f, 2)
-    rebuilt = TrigPoly.const(0)
-    for x, b in zip(coords, BASIS_2):
-        rebuilt = rebuilt + b.scaled(x)
-    assert rebuilt == f
+    assert trig_lincomb(zip(coords, BASIS_2)) == f
     assert window_coords(f, 3) == coords + [0, 0]
     with pytest.raises(ValueError):
         window_coords(f, 1)  # window too small
@@ -318,7 +288,8 @@ def test_fused_derivative_matches_composition(f, m, extra):
     t = m + f.deg + extra
     d = field_matrix(TrigPoly.const(1), m, m)
     fused = field_matrix(f, m, t)
-    assert fused == oracle.multiplication_matrix(f, m, t) @ d
+    assert fused == RationalMatrix.from_rows(oracle.dense_product(
+        oracle.matrix_rows(oracle.multiplication_matrix(f, m, t)), oracle.matrix_rows(d)))
 
 
 def stored(m):
@@ -408,9 +379,7 @@ def test_shared_zero_matches_the_sum_of_squares(fs, factor, share):
     # 2 in 5 draws multiply every field by one factor
     if share < 2:
         fs = [trig_mul(f, factor) for f in fs]
-    squares = TrigPoly.const(0)
-    for f in fs:
-        squares = squares + trig_mul(f, f)
+    squares = trig_lincomb((1, trig_mul(f, f)) for f in fs)
     shared = has_zero_on_circle(squares)
     assert has_zero_on_circle(*fs) == shared
     assert is_transitive(ActionAlgebroid(LieAlgebra(len(fs)), tuple(fs))) == (not shared)
@@ -486,7 +455,7 @@ def perturbed_actions(draw):
         scales = [draw(nonzero_fraction) for _ in range(3)]
         g = oracle.change_basis(a.algebra, RationalMatrix.from_entries(
             3, 3, [((j, j), x) for j, x in enumerate(scales)]))
-        phi = [f.scaled(x) for f, x in zip(a.phi, scales)]
+        phi = [trig_lincomb([(x, f)]) for f, x in zip(a.phi, scales)]
     else:
         a, _ = catalog.algebroid(name)
         g, phi = a.algebra, list(a.phi)
@@ -496,7 +465,7 @@ def perturbed_actions(draw):
         i, k = draw(st.integers(0, g.dim - 1)), draw(st.integers(0, 6))
         coords = [F(0)] * 7
         coords[k] = draw(nonzero_fraction)
-        phi[i] = phi[i] + TrigPoly.make(coords[0], coords[1::2], coords[2::2])
+        phi[i] = trig_lincomb([(1, phi[i]), (1, oracle._from_coords(coords))])
     return ActionAlgebroid(g, tuple(phi))
 
 
@@ -627,15 +596,13 @@ def test_sweep_requires_three_windows():
 
 
 def test_sweep_not_stabilized_strict():
-    with pytest.raises(NotStabilizedError) as err:
-        stabilized_cohomology(_DriftingStub(), 1, 4)
-    table = err.value.per_n
+    table = stabilized_cohomology(_DriftingStub(), 1, 4).per_n
     assert [n for n, _ in table] == [1, 2, 3, 4]
     assert [b for _, b in table] == [(2,), (3,), (4,), (5,)]
 
 
 def test_sweep_not_stabilized_relaxed():
-    sweep = stabilized_cohomology(_DriftingStub(), 1, 4, strict=False)
+    sweep = stabilized_cohomology(_DriftingStub(), 1, 4)
     assert not sweep.stabilized
     assert sweep.report.betti == (5,)
 
@@ -652,7 +619,7 @@ def test_sweep_asserts_nested_windows():
     with pytest.raises(ValidationError, match=pair):
         stabilized_cohomology(stub, 0, 2)
     nested = _FixedStub(d=((0, 1), (0, 0)), levels=((0, 2), (1, 0)))
-    assert [b for _, b in stabilized_cohomology(nested, 0, 2, strict=False).per_n] == \
+    assert [b for _, b in stabilized_cohomology(nested, 0, 2).per_n] == \
         [(1, 1), (1, 2), (1, 1)]
 
 

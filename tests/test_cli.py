@@ -404,6 +404,18 @@ def test_parse_errors_exit_65(tmp_path):
         assert str(path) in err
 
 
+def test_deeply_nested_json_exits_65(tmp_path):
+    # the JSON parser recurses once per bracket and gives up long before 200 000
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for args in (("lie", "cohomology", str(deep)), ("hopf", str(deep)),
+                 ("circle", "sweep", str(deep)), ("kunneth", str(deep), "su2"),
+                 ("symbol", str(deep), "--alpha", "1")):
+        code, out, err = run_cli(*args)
+        assert code == 65 and out == "" and "Traceback" not in err, args
+        assert "nested too deeply" in err and str(deep) in err, args
+
+
 def test_validation_errors_exit_2(tmp_path):
     path = tmp_path / "bad_bracket.json"
     path.write_text(json.dumps({
@@ -449,7 +461,7 @@ def test_rank1_sweeps_reject_nonsimple_zeros(tmp_path):
 
 
 def test_unstabilized_sweep_exits_3(monkeypatch, capsys):
-    def fake_sweep(a, n_min, n_max, strict=True):
+    def fake_sweep(a, n_min, n_max):
         per_n = tuple((n, (1, n)) for n in range(n_min, n_max + 1))
         report = CohomologyReport(degrees=(1, n_max), betti=(1, n_max), euler=1 - n_max)
         return SweepResult(report=report, per_n=per_n, stabilized=False)

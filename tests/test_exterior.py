@@ -119,8 +119,9 @@ def test_wedge_matrix_squares_to_zero():
     for n in range(1, 5):
         for i in range(n):
             for p in range(n):
-                up = wedge_matrix(n, p + 1, i) @ wedge_matrix(n, p, i)
-                assert up.is_zero()
+                up = oracle.dense_product(oracle.matrix_rows(wedge_matrix(n, p + 1, i)),
+                                          oracle.matrix_rows(wedge_matrix(n, p, i)))
+                assert not any(map(any, up))
 
 
 def test_wedge_builders_store_the_tuple_reference_rows():

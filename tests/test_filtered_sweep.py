@@ -12,7 +12,7 @@ from math import comb
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from oracle import change_basis
+from oracle import change_basis, trig_lincomb
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -65,7 +65,7 @@ def changed_catalog_algebroids(draw):
     scales = [draw(small_rational.filter(bool)) for _ in range(n)]
     p = RationalMatrix.from_entries(n, n, [((perm[j], j), scales[j]) for j in range(n)])
     return ActionAlgebroid(change_basis(a.algebra, p),
-                           tuple(a.phi[perm[j]].scaled(scales[j]) for j in range(n)))
+                           tuple(trig_lincomb([(scales[j], a.phi[perm[j]])]) for j in range(n)))
 
 
 @st.composite
@@ -103,7 +103,7 @@ def per_window_sweep(a, lo: int, hi: int):
 def test_filtered_sweep_equals_per_window_elimination(case):
     a, lo, hi = case
     counted = _Counted(a)
-    sweep = stabilized_cohomology(counted, lo, hi, strict=False)
+    sweep = stabilized_cohomology(counted, lo, hi)
     assert counted.calls == [hi]
     assert (sweep.per_n, sweep.report, sweep.stabilized) == per_window_sweep(a, lo, hi)
 
@@ -113,7 +113,7 @@ def test_catalog_sweeps_assemble_once():
         a, (lo, hi) = catalog.algebroid(name)
         for x in (a, product_with_lie_algebra(a, catalog.algebra("su2"))):
             counted = _Counted(x)
-            sweep = stabilized_cohomology(counted, lo, min(hi, lo + 3), strict=False)
+            sweep = stabilized_cohomology(counted, lo, min(hi, lo + 3))
             assert counted.calls == [min(hi, lo + 3)]
             assert (sweep.per_n, sweep.report, sweep.stabilized) == \
                 per_window_sweep(x, lo, min(hi, lo + 3))
@@ -165,8 +165,8 @@ def test_kunneth_holds_at_every_window(a, name, lo):
     product = product_with_lie_algebra(a, h)
     h_betti = lie_cohomology(trivial_representation(h)).betti
     forms = tuple(comb(h.dim, q) for q in range(h.dim + 1))
-    factor_sweep = stabilized_cohomology(a, lo, lo + 2, strict=False)
-    product_sweep = stabilized_cohomology(product, lo, lo + 2, strict=False)
+    factor_sweep = stabilized_cohomology(a, lo, lo + 2)
+    product_sweep = stabilized_cohomology(product, lo, lo + 2)
     assert [n for n, _ in product_sweep.per_n] == [n for n, _ in factor_sweep.per_n]
     for (n, betti), (_, product_betti) in zip(factor_sweep.per_n, product_sweep.per_n):
         assert product_betti == convolve(betti, h_betti)
@@ -247,7 +247,7 @@ def test_the_pivot_row_of_lowest_level_is_taken():
     levels = ((1, 0), (0,))
     assert pivot_levels(c, levels) == [[0]]
     assert_pivot_levels_count_every_window(c, levels)
-    sweep = stabilized_cohomology(_Fixed(c, levels), 0, 2, strict=False)
+    sweep = stabilized_cohomology(_Fixed(c, levels), 0, 2)
     assert sweep.per_n == ((0, (0, 0)), (1, (1, 0)), (2, (1, 0)))
 
 

@@ -140,13 +140,17 @@ def test_hopf_axioms_abelian():
         assert verify_hopf(c), name
 
 
+def _parity(n: int, r: int) -> RationalMatrix:
+    """(-1)^r times the n x n identity."""
+    return RationalMatrix.from_entries(n, n, [((a, a), (-1) ** r) for a in range(n)])
+
+
 def test_antipode_is_parity():
     c = addition_coproduct(catalog.algebra("r3"))
     mats = antipode_matrices(c)
     assert mats is not None
     for r, m in enumerate(mats):
-        expected = RationalMatrix.identity(c.betti[r]).scaled((-1) ** r)
-        assert m == expected, r
+        assert m == _parity(c.betti[r], r), r
 
 
 def test_broken_coproduct_fails_counit():
@@ -274,8 +278,9 @@ def _rescaled(c, scale):
                   for i in range(r + 1) for _ in range(offs[i], offs[i + 1])]
         coproduct.append(RationalMatrix.from_entries(
             m.rows, m.cols, (((k, col), v * factor[k]) for k, col, v in m.entries())))
-    product = {(p, q): m.scaled(scale(p) * scale(q) / scale(p + q))
-               for (p, q), m in c.product.items()}
+    product = {(p, q): RationalMatrix.from_entries(m.rows, m.cols, (
+        ((k, col), v * scale(p) * scale(q) / scale(p + q)) for k, col, v in m.entries()))
+        for (p, q), m in c.product.items()}
     return GradedCoalgebra(betti=c.betti, coproduct=tuple(coproduct), product=product)
 
 
@@ -294,5 +299,49 @@ def test_hopf_checks_on_rational_coefficients(name):
             report.algebra_morphism, report.antipode) == (True, True, True, True)
     # the antipode is (-1)^p on degree p in any rescaled basis
     for r, m in enumerate(antipode_matrices(scaled)):
-        assert m == RationalMatrix.identity(c.betti[r]).scaled((-1) ** r), r
+        assert m == _parity(c.betti[r], r), r
     assert [len(p) for p in primitives(scaled)] == [0, n] + [0] * (n - 1)
+
+
+def _dense_primitives(c):
+    """Per degree r >= 1, the RREF kernel basis of the dense coproduct[r] minus
+    x (x) 1 + 1 (x) x, which is 1 at row a of blocks (r, 0) and (0, r) in column a."""
+    out = [()]
+    for r in range(1, c.top + 1):
+        dim_r, offs = c.betti[r], c.block_offsets(r)
+        rows = oracle.matrix_rows(c.coproduct[r])
+        for a in range(dim_r):
+            rows[offs[r] + a][a] -= 1
+            rows[offs[0] + a][a] -= 1
+        diff = RationalMatrix.from_entries(offs[-1], dim_r, [
+            ((i, j), x) for i, row in enumerate(rows) for j, x in enumerate(row)])
+        out.append(tuple(tuple(v) for v in oracle.kernel_basis(diff)))
+    return tuple(out)
+
+
+def _single_entry_changes(c):
+    """c with one entry of one coproduct matrix moved by +1 or -1, every way."""
+    for r, m in enumerate(c.coproduct):
+        entries = [((i, j), x) for i, j, x in m.entries()]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                for step in (1, -1):
+                    changed = RationalMatrix.from_entries(m.rows, m.cols,
+                                                          entries + [((i, j), step)])
+                    coproduct = c.coproduct[:r] + (changed,) + c.coproduct[r + 1:]
+                    yield GradedCoalgebra(betti=c.betti, coproduct=coproduct, product=c.product)
+
+
+def test_primitives_match_the_dense_kernel():
+    coalgebras = [addition_coproduct(catalog.algebra(f"r{n}")) for n in range(1, 5)]
+    coalgebras += [addition_coproduct(LieAlgebra(n)) for n in range(7)]
+    coalgebras += [ts1_coalgebra()]
+    coalgebras += [_rescaled(addition_coproduct(catalog.algebra(name)), scale)
+                   for name in ("r2", "r3") for scale in (lambda p: F(1, p + 1),
+                                                          lambda p: F(p + 2, 3))]
+    coalgebras += list(_single_entry_changes(addition_coproduct(catalog.algebra("r2"))))
+    assert len(coalgebras) == 12 + 4 + 30
+    for c in coalgebras:
+        got = primitives(c)
+        assert got == _dense_primitives(c), c.coproduct
+        assert all(isinstance(x, F) for vecs in got for v in vecs for x in v)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fixtures
+import oracle
 from algebroid import catalog, io
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.errors import ParseError, ValidationError
@@ -70,11 +71,9 @@ def trig_terms(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(trig_terms(), min_size=1, max_size=8))
 def test_trig_parse_sums_the_terms(terms):
-    # one pass into coefficient lists, against adding the terms as trig polynomials;
+    # one pass into coefficient lists, against adding the terms' window coordinates;
     # harmonics repeat, since k is drawn from 1..5
-    expected = TrigPoly.const(0)
-    for _, f in terms:
-        expected = expected + f
+    expected = oracle.trig_lincomb((1, f) for _, f in terms)
     assert io.trig_from_string(" + ".join(text for text, _ in terms)) == expected
 
 

@@ -36,6 +36,33 @@ def test_pullback_golden():
         pullback_covector(f, [1])
 
 
+@st.composite
+def anchors_and_spelled_covectors(draw):
+    """A fractional dim_M x dim_A anchor, dim_M >= 1, and a covector whose
+    entries are spelled as ints (when integral), Fractions or "p/q" strings."""
+    dim_a, dim_m = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    entry = st.sampled_from([0, 1, -2, F(1, 2), F(-3, 4), F(5, 6), F(7, 3)])
+    anchor = [[F(draw(entry)) for _ in range(dim_a)] for _ in range(dim_m)]
+    alpha = [F(draw(entry)) for _ in range(dim_m)]
+    spellings = [[x, str(x)] + ([int(x)] if x.denominator == 1 else []) for x in alpha]
+    spelled = [draw(st.sampled_from(ways)) for ways in spellings]
+    return anchor, alpha, spelled
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchors_and_spelled_covectors())
+def test_pullback_matches_the_dense_product(case):
+    # beta = alpha A, the row vector alpha times the anchor's dense rows
+    anchor, alpha, spelled = case
+    f = FiberData(len(anchor[0]), len(anchor), RationalMatrix.from_rows(anchor))
+    beta = pullback_covector(f, spelled)
+    assert beta == oracle.dense_product([alpha], anchor)[0]
+    assert all(isinstance(x, F) for x in beta)
+    # no base directions: beta is the zero covector
+    assert pullback_covector(FiberData(f.dim_a, 0, RationalMatrix.zeros(0, f.dim_a)), []) == \
+        [F(0)] * f.dim_a
+
+
 def test_symbol_complex_exact_when_beta_nonzero():
     # the fiber of the sl2 circle action at t = 0 has anchor row (1, 1, 0)
     f = FiberData(dim_a=3, dim_m=1, anchor=RationalMatrix.from_rows([[1, 1, 0]]))
@@ -111,8 +138,8 @@ def test_symbol_complex_is_coefficient_major():
     cx = symbol_complex(f, [3])
     identity = oracle.matrix_rows(RationalMatrix.identity(2))
     for r in range(3):
-        terms = [(0, 0, identity, oracle.matrix_rows(wedge_matrix(3, r, i).scaled(b)))
-                 for i, b in enumerate(beta)]
+        wedges = [oracle.matrix_rows(wedge_matrix(3, r, i)) for i in range(3)]
+        terms = [(0, 0, identity, oracle.dense_lincomb(b, w, 0, w)) for w, b in zip(wedges, beta)]
         dense = oracle.kron_sum_dense(2 * comb(3, r + 1), 2 * comb(3, r), terms)
         assert cx.differentials[r] == RationalMatrix.from_rows(dense)
 
