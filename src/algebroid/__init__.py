@@ -23,8 +23,6 @@ from .exactlinalg import (
     RationalMatrix,
     complex_cohomology,
     kernel_basis,
-    kernel_dim,
-    cokernel_dim,
     rank,
 )
 from .liealg import (
@@ -35,7 +33,6 @@ from .liealg import (
     ce_differential,
     check_jacobi,
     check_representation,
-    euler_characteristic,
     jacobi_violation,
     lie_cohomology,
     trivial_ce_differential,
@@ -50,7 +47,6 @@ from .circle import (
     count_simple_zeros,
     is_transitive,
     stabilized_cohomology,
-    truncated_complex,
 )
 from .kunneth import (
     KunnethCheck,
@@ -69,7 +65,6 @@ from .hopf import (
     exterior_structure_check,
     hopf_axioms,
     primitives,
-    verify_hopf,
 )
 from .symbol import (
     ExactnessReport,
@@ -94,8 +89,6 @@ __all__ = [
     "RationalMatrix",
     "complex_cohomology",
     "kernel_basis",
-    "kernel_dim",
-    "cokernel_dim",
     "rank",
     "LieAlgebra",
     "Representation",
@@ -104,7 +97,6 @@ __all__ = [
     "ce_differential",
     "check_jacobi",
     "check_representation",
-    "euler_characteristic",
     "jacobi_violation",
     "lie_cohomology",
     "trivial_ce_differential",
@@ -117,7 +109,6 @@ __all__ = [
     "count_simple_zeros",
     "is_transitive",
     "stabilized_cohomology",
-    "truncated_complex",
     "KunnethCheck",
     "direct_sum",
     "kunneth_verify",
@@ -132,7 +123,6 @@ __all__ = [
     "exterior_structure_check",
     "hopf_axioms",
     "primitives",
-    "verify_hopf",
     "ExactnessReport",
     "FiberData",
     "exactness_check",

@@ -24,7 +24,8 @@ masks, as `liealg` writes a CE differential.  Each term of d(e^w), from
 `liealg.bracket_terms`, is placed on the inclusion of its windows, which is
 the identity on the source window's coordinates since V_s's basis is a
 prefix of V_t's.  Each e^i ^ e^w is placed on the integer rows of
-u -> phi_i u'.  All terms share one denominator and are reduced once.
+u -> phi_i u'.  All terms share one denominator, and `from_int_rows`
+drops the cancelled entries and reduces the rows once.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
@@ -50,8 +51,8 @@ from math import lcm
 
 from . import polyroots
 from .errors import ChainConditionError, NonsimpleZeroError, ValidationError
-from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
-    as_fraction, cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
+from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
+    cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
 from .exterior import basis_index, basis_masks
 from .liealg import LieAlgebra, bracket_denominator, bracket_terms, require_jacobi
 
@@ -246,8 +247,7 @@ def field_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
                 row, k_sign = _coordinate(kind, k)
                 if k_sign:
                     rows[row][j] = rows[row].get(j, 0) + x * sign * k_sign * scale
-    return RationalMatrix._wrap(window_dim(tgt_m), window_dim(src_m), *_reduced(
-        [{j: y for j, y in row.items() if y} for row in rows], 2 * den))
+    return RationalMatrix.from_int_rows(window_dim(tgt_m), window_dim(src_m), rows, 2 * den)
 
 
 # -- algebroids --------------------------------------------------------------
@@ -334,8 +334,7 @@ class ActionAlgebroid:
                         row = out[r0 + a]
                         for c, x in block_row.items():
                             row[c0 + c] = row.get(c0 + c, 0) + sign * x
-            diffs.append(RationalMatrix._wrap(degrees[p + 1], degrees[p], *_reduced(
-                [{j: x for j, x in row.items() if x} for row in out], den)))
+            diffs.append(RationalMatrix.from_int_rows(degrees[p + 1], degrees[p], out, den))
         # Window coordinate j holds harmonic ceil(j/2); in a form of window w it
         # enters at N = that - (w - n).
         levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws
@@ -397,12 +396,6 @@ def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:
 def check_action(a: ActionAlgebroid) -> bool:
     """True iff [phi_i, phi_j] = sum_k c^k_{ij} phi_k for all i < j."""
     return len(a.phi) == a.algebra.dim and action_violation(a) is None
-
-
-def truncated_complex(a, n: int) -> TruncatedComplex:
-    """Window-N complex of a circle algebroid (an action algebroid, rank-1 anchors
-    and products with Lie algebras included)."""
-    return a._truncated_complex(n)
 
 
 def is_transitive(a) -> bool:

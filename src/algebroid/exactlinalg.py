@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Nothing in this package touches floating point.  The storage is sparse
-integer numerator rows over one common denominator (see `RationalMatrix`);
-only this module reads it, and other modules read Fractions through
-indexing, `to_rows` and `column`, or integer rows through `common_rows`.
-Builders write normalised integer rows through `RationalMatrix._wrap` after
-one `_reduced`; `from_entries` stays for parsers, tests and small builders
-(the addition map and its coproduct, the tensor factors in `kunneth`, the
-characters of `symbol`).  A matrix has no arithmetic operators: a caller
-that needs a sum or a product writes it on `common_rows`, so the builders,
-the elimination and the d^2 = 0 check all work on integers.
+integer numerator rows over one common denominator (see `RationalMatrix`),
+and only this module knows it.  Builders write integer rows through
+`RationalMatrix.from_int_rows`, which drops zeros and divides out the gcd,
+and read them back through `common_rows`, `entries` and `nonzero_positions`;
+`from_entries` stays for parsers, tests and small builders (the addition map
+and its coproduct, the tensor factors in `kunneth`, the characters of
+`symbol`), and `to_rows` reads dense Fractions.  A matrix has no arithmetic
+operators: a caller that needs a sum or a product writes it on
+`common_rows`, so the builders, the elimination and the d^2 = 0 check all
+work on integers.
 
 There is one elimination, `_echelon`, behind `rank`, `kernel_basis` and
 `pivot_levels`; its docstring states the pivot rule and the bound on the
@@ -20,7 +21,7 @@ which gives the ranks of every subcomplex of a filtration as well.
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
 
-    betti[p] = kernel_dim(d_p) - rank(d_{p-1})
+    betti[p] = dim C^p - rank(d_p) - rank(d_{p-1})
 
 with zero maps implied at both ends.  Empty matrices (zero rows or zero
 columns) are legal everywhere and have rank 0.
@@ -74,10 +75,24 @@ class RationalMatrix:
                                          for row in entries or [()] * rows])
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, num: list[dict[int, int]], den: int) -> "RationalMatrix":
-        # Takes ownership of normalised rows that already hold no zeros.
+    def from_int_rows(cls, rows: int, cols: int, num: list[dict[int, int]],
+                      den: int = 1) -> "RationalMatrix":
+        """Take over integer rows {column: int} over a positive `den`: zeros
+        are dropped and gcd(den, all numerators) is divided out.  The rows
+        are rebuilt only when that gcd exceeds 1 or some entry is zero."""
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(num) != rows:
+            raise ValueError("row count mismatch")
+        g = den
+        for row in num:
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1 or not all(map(all, map(dict.values, num))):
+            num = [{j: x // g for j, x in row.items() if x} for row in num]
         m = cls.__new__(cls)
-        m.rows, m.cols, m._num, m._den = rows, cols, num, den
+        m.rows, m.cols, m._num, m._den = rows, cols, num, den // g
         return m
 
     @classmethod
@@ -101,35 +116,19 @@ class RationalMatrix:
                 x, integral = as_fraction(x), False
             row = values[i]
             row[j] = row[j] + x if j in row else x
-        if integral:
-            return cls._wrap(rows, cols, [{j: x for j, x in row.items() if x} for row in values], 1)
-        return cls._wrap(rows, cols, *_cleared(values))
+        return cls.from_int_rows(rows, cols, *((values, 1) if integral else _cleared(values)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols)
+        return cls.from_int_rows(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._wrap(n, n, [{i: 1} for i in range(n)], 1)
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        x = self._num[i].get(j)
-        return Fraction(x, self._den) if x else _ZERO
+        return cls.from_int_rows(n, n, [{i: 1} for i in range(n)])
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def row(self, i: int) -> list[Fraction]:
-        row, den = self._num[i], self._den
-        return [Fraction(row[j], den) if j in row else _ZERO for j in range(self.cols)]
-
-    def column(self, j: int) -> list[Fraction]:
-        den = self._den
-        return [Fraction(row[j], den) if j in row else _ZERO for row in self._num]
+        den, cols = self._den, range(self.cols)
+        return [[Fraction(row[j], den) if j in row else _ZERO for j in cols] for row in self._num]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -154,13 +153,6 @@ class RationalMatrix:
         """(i, j) of every nonzero entry, row by row."""
         return ((i, j) for i, row in enumerate(self._num) for j in row)
 
-    def transpose(self) -> "RationalMatrix":
-        t = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._num):
-            for j, x in row.items():
-                t[j][i] = x
-        return RationalMatrix._wrap(self.cols, self.rows, t, self._den)
-
 
 def _cleared(values: list[dict]) -> tuple[list[dict[int, int]], int]:
     """Rows of int or Fraction values as integer rows over the lcm of their
@@ -169,18 +161,6 @@ def _cleared(values: list[dict]) -> tuple[list[dict[int, int]], int]:
     den = lcm(*[x.denominator for row in values for x in row.values()])
     return [{j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
             for row in values], den
-
-
-def _reduced(num: list[dict[int, int]], den: int) -> tuple[list[dict[int, int]], int]:
-    """Integer rows over `den` with gcd(den, all numerators) divided out."""
-    g = den
-    for row in num:
-        if g == 1:
-            break
-        g = gcd(g, *row.values())
-    if g == 1:
-        return num, den
-    return [{j: x // g for j, x in row.items()} for row in num], den // g
 
 
 def common_rows(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, list]:
@@ -277,14 +257,6 @@ def _echelon(rows: list[dict[int, int]], cols: int, order: Sequence[int] | None 
 def rank(m: RationalMatrix) -> int:
     """Exact rank: the pivot count with columns taken left to right."""
     return len(_echelon(_integer_rows(m), m.cols))
-
-
-def kernel_dim(m: RationalMatrix) -> int:
-    return m.cols - rank(m)
-
-
-def cokernel_dim(m: RationalMatrix) -> int:
-    return m.rows - rank(m)
 
 
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:

@@ -9,8 +9,8 @@ k counting the pairs x in a, y in b with y < x.  Every wedge sign in the
 package, in CE and window differentials and in the Hopf product and
 coproduct, comes from it; the CE and window builders apply it to e^i inline,
 so `wedge_matrix` has no caller in the package and serves the tests and the
-bench tracer.  The builders write entries +-1 straight into
-`RationalMatrix._wrap`.
+bench tracer.  The builders write entries +-1 as integer rows through
+`RationalMatrix.from_int_rows`.
 """
 
 from __future__ import annotations
@@ -59,5 +59,5 @@ def _wedges(n: int, degree: int, left: list[int], right: list[int]) -> RationalM
             merged = wedge(a, b)
             if merged is not None:
                 rows[tgt[merged[1]]][ia * len(right) + ib] = merged[0]
-    return RationalMatrix._wrap(len(tgt), len(left) * len(right), rows, 1)
+    return RationalMatrix.from_int_rows(len(tgt), len(left) * len(right), rows)
 

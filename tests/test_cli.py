@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from algebroid import catalog, circle, cli, exactlinalg, io
-from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive, \
-    truncated_complex
+from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive
 from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
 from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import adjoint_representation, ce_complex
+from oracle import truncated_complex
 
 
 def run_cli(*args, env_extra=None):

@@ -12,7 +12,7 @@ from math import comb
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from oracle import change_basis, trig_lincomb
+from oracle import change_basis, trig_lincomb, truncated_complex
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -20,7 +20,6 @@ from algebroid.circle import (
     TrigPoly,
     TruncatedComplex,
     stabilized_cohomology,
-    truncated_complex,
 )
 from algebroid.exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, pivot_levels
 from algebroid.kunneth import product_with_lie_algebra

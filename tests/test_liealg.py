@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 import oracle
 from fixtures import bracket
 from algebroid import catalog
-from algebroid.circle import ActionAlgebroid, TrigPoly, truncated_complex
+from algebroid.circle import ActionAlgebroid, TrigPoly
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
-from oracle import change_basis, inverse, kron_sum
+from oracle import change_basis, euler_characteristic, inverse, kron_sum, transpose, \
+    truncated_complex
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import direct_sum, product_with_lie_algebra
@@ -25,7 +26,6 @@ from algebroid.liealg import (
     ce_differential,
     check_jacobi,
     check_representation,
-    euler_characteristic,
     jacobi_violation,
     lie_cohomology,
     representation_violation,
@@ -222,7 +222,7 @@ def test_representation_violation_names_the_pair():
     r3 = catalog.algebra("r3")
     e12 = RationalMatrix.from_rows([[0, 1], [0, 0]])
     rep = Representation(algebra=r3, dim_e=2,
-                         action=(RationalMatrix.zeros(2, 2), e12, e12.transpose()))
+                         action=(RationalMatrix.zeros(2, 2), e12, transpose(e12)))
     assert representation_violation(rep) == (1, 2)
     assert not check_representation(rep)
     assert representation_violation(adjoint_representation(catalog.algebra("su2"))) is None
@@ -356,3 +356,44 @@ def test_representation_violation_names_the_reference_pair_on_the_catalog():
                     for delta in (-1, 1):
                         s = bumped(r, i, a, b, delta)
                         assert representation_violation(s) == oracle.representation_violation(s)
+
+
+@st.composite
+def codim1_representations(draw):
+    """(x, E): R e0 acting on Q^m (m <= 5) by an integer matrix A with entries
+    in -2..2, [e0, ei] = sum_k A[k][i] ek, half the time summed with r1 on
+    either side (r1 joins the ideal), with trivial coefficients or a
+    character that is lambda on e0 and zero on the ideal; x is e0's index."""
+    m = draw(st.integers(0, 5))
+    a = [[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(m)]
+    g = LieAlgebra.make(m + 1, {(0, i + 1): {k + 1: a[k][i] for k in range(m)}
+                                for i in range(m)})
+    x, side = 0, draw(st.sampled_from(["none", "left", "right"]))
+    if side == "left":
+        g, x = direct_sum(catalog.algebra("r1"), g), 1
+    elif side == "right":
+        g = direct_sum(g, catalog.algebra("r1"))
+    if draw(st.booleans()):
+        return x, trivial_representation(g)
+    lam = draw(constants)
+    return x, Representation(g, 1, tuple(RationalMatrix.from_rows([[lam if i == x else 0]])
+                                         for i in range(g.dim)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(codim1_representations())
+def test_betti_numbers_match_hochschild_serre_along_a_codim1_ideal(case):
+    x, r = case
+    assert lie_cohomology(r).betti == oracle.codim1_prediction(r.algebra, x, r)
+
+
+def test_hochschild_serre_prediction_on_the_exterior_counterexample():
+    # R acting on Q^4, whose Betti vector (1, 1, 0, 1, 1, 0) factors as
+    # (1 + t)(1 + t^3) although H is not exterior on degrees 1 and 3
+    g = LieAlgebra.make(5, {(0, 1): {3: -1, 4: -1}, (0, 2): {1: 2, 2: 1, 3: 1},
+                            (0, 3): {2: 2}, (0, 4): {1: -1, 3: -1}})
+    r = trivial_representation(g)
+    assert oracle.codim1_prediction(g, 0, r) == lie_cohomology(r).betti == (1, 1, 0, 1, 1, 0)
+    su2 = catalog.algebra("su2")
+    with pytest.raises(ValueError):  # no codimension-one ideal is abelian
+        oracle.codim1_prediction(su2, 0, trivial_representation(su2))
