@@ -19,13 +19,14 @@ coordinates over their lcm, is the one denominator rule.  `TrigPoly` has
 no arithmetic operators: fields are combined only on their integer window
 coordinates, so `window_coords` alone states the coefficient layout.
 
-A window differential is written row by row from one loop over the source
-masks, as `liealg` writes a CE differential.  Each term of d(e^w), from
-`liealg.bracket_terms`, is placed on the inclusion of its windows, which is
-the identity on the source window's coordinates since V_s's basis is a
-prefix of V_t's.  Each e^i ^ e^w is placed on the integer rows of
-u -> phi_i u'.  All terms share one denominator, and `from_int_rows`
-drops the cancelled entries and reduces the rows once.
+A window differential is written by `liealg.form_rows`, the loop over the
+source masks that writes every CE differential too; here each form carries
+its window, and the windows of a degree sit one after another.  Each term
+of d(e^w) is placed on the inclusion of its windows, which is the identity
+on the source window's coordinates since V_s's basis is a prefix of V_t's.
+Each e^i ^ e^w is placed on the integer rows of u -> phi_i u'.  All terms
+share one denominator, and `from_int_rows` drops the cancelled entries and
+reduces the rows once.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
@@ -53,8 +54,8 @@ from . import polyroots
 from .errors import ChainConditionError, NonsimpleZeroError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
     cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
-from .exterior import basis_index, basis_masks
-from .liealg import LieAlgebra, bracket_denominator, bracket_terms, require_jacobi
+from .exterior import basis_masks
+from .liealg import LieAlgebra, bracket_denominator, form_rows, require_jacobi
 
 _ZERO = Fraction(0)
 
@@ -111,16 +112,6 @@ class TrigPoly:
 
     def is_zero(self) -> bool:
         return not self.constant and not self.cos_coeffs
-
-    def cos_coeff(self, k: int) -> Fraction:
-        if k == 0:
-            return self.constant
-        return self.cos_coeffs[k - 1] if k <= self.deg else _ZERO
-
-    def sin_coeff(self, k: int) -> Fraction:
-        if k == 0:
-            return _ZERO
-        return self.sin_coeffs[k - 1] if k <= self.deg else _ZERO
 
 
 def weierstrass_numerator(f: TrigPoly) -> list[Fraction]:
@@ -276,10 +267,6 @@ class ActionAlgebroid:
     def anchor_degree(self) -> int:
         return max((f.deg for f in self.phi), default=0)
 
-    def _is_transitive(self) -> bool:
-        # The anchor at t is surjective iff some phi_i(t) != 0.
-        return not has_zero_on_circle(*self.phi)
-
     def _truncated_complex(self, n: int) -> TruncatedComplex:
         if n < 0:
             raise ValueError("window index must be nonnegative")
@@ -300,46 +287,30 @@ class ActionAlgebroid:
         if not check_action(self):
             raise ValidationError("vector fields do not represent the bracket "
                                   f"on basis pair {action_violation(self)}")
-        masks = [basis_masks(g.dim, p) for p in range(g.dim + 1)]
-        windows = [[n + d * (w & moving).bit_count() for w in ws] for ws in masks]
-        offsets = [[0, *accumulate(map(window_dim, ws))] for ws in windows]
+        windows = [[n + d * (w & moving).bit_count() for w in basis_masks(g.dim, p)]
+                   for p in range(g.dim + 1)]
+        fibers = [list(map(window_dim, ws)) for ws in windows]
+        offsets = [[0, *accumulate(fibs)] for fibs in fibers]
         degrees = tuple(offs[-1] for offs in offsets)
         # One denominator: the brackets' and 2 lcm(each field's), over which
         # `field_matrix` writes its terms.
         fields = [(i, f) for i, f in enumerate(self.phi) if not f.is_zero()]
         den = lcm(bracket_denominator(g), *[2 * _integer_coords(f)[1] for _, f in fields])
-        d_triv = bracket_terms(g, den)
-        blocks = {}  # (i, ws) -> integer rows over den of u -> phi_i u', V_ws -> V_{ws+d}
-        diffs = []
-        for p in range(g.dim):
-            tgt, row_offsets = basis_index(g.dim, p + 1), offsets[p + 1]
-            out: list[dict[int, int]] = [{} for _ in range(degrees[p + 1])]
-            for src, w in enumerate(masks[p]):
-                ws, c0 = windows[p][src], offsets[p][src]
-                # Each term of d(e^w) times the inclusion of V_ws, the identity on its
-                # coordinates: they are a prefix of the target window's.
-                for r, v in d_triv(w, tgt).items():
-                    for c in range(window_dim(ws)):
-                        row = out[row_offsets[r] + c]
-                        row[c0 + c] = row.get(c0 + c, 0) + v
-                # e^i ^ e^w times u -> phi_i u'; the slot of a nonzero field moves.
-                for i, f in fields:
-                    if w >> i & 1:
-                        continue
-                    if (i, ws) not in blocks:
-                        blocks[i, ws] = common_rows([field_matrix(f, ws, ws + d)], den)[1][0]
-                    sign = -1 if (w & ((1 << i) - 1)).bit_count() & 1 else 1
-                    r0 = row_offsets[tgt[w | 1 << i]]
-                    for a, block_row in enumerate(blocks[i, ws]):
-                        row = out[r0 + a]
-                        for c, x in block_row.items():
-                            row[c0 + c] = row.get(c0 + c, 0) + sign * x
-            diffs.append(RationalMatrix.from_int_rows(degrees[p + 1], degrees[p], out, den))
+        # e^i ^ e^w moves a nonzero field's slot: u -> phi_i u' from V_ws to V_{ws+d},
+        # built once per complex for each window of a form that lacks a moving slot.
+        blocks = [(i, {window_dim(ws): list(enumerate(
+                           common_rows([field_matrix(f, ws, ws + d)], den)[1][0]))
+                       for ws in {n + d * s for s in range(moving.bit_count())}})
+                  for i, f in fields]
+        diffs = tuple(RationalMatrix.from_int_rows(
+            degrees[p + 1], degrees[p],
+            form_rows(g, p, den, fibers[p], (offsets[p], offsets[p + 1]), (1, 1), blocks,
+                      degrees[p + 1]), den) for p in range(g.dim))
         # Window coordinate j holds harmonic ceil(j/2); in a form of window w it
         # enters at N = that - (w - n).
         levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws
                              for j in range(window_dim(w))) for ws in windows)
-        return TruncatedComplex(N=n, complex=CochainComplex(degrees, tuple(diffs)), levels=levels)
+        return TruncatedComplex(N=n, complex=CochainComplex(degrees, diffs), levels=levels)
 
 
 @dataclass(frozen=True, init=False)
@@ -398,10 +369,11 @@ def check_action(a: ActionAlgebroid) -> bool:
     return len(a.phi) == a.algebra.dim and action_violation(a) is None
 
 
-def is_transitive(a) -> bool:
-    """Exact surjectivity test for the anchor: no zero shared by all its fields,
-    found through the gcd of their half-angle numerators."""
-    return a._is_transitive()
+def is_transitive(a: ActionAlgebroid) -> bool:
+    """Exact surjectivity test for the anchor: at t it is onto iff some
+    phi_i(t) != 0, so no zero may be shared by all the fields, found through
+    the gcd of their half-angle numerators."""
+    return not has_zero_on_circle(*a.phi)
 
 
 @dataclass(frozen=True)

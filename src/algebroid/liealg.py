@@ -19,7 +19,11 @@ where c^k_{ij} are the structure constants.  The degree-p component
 E (x) Lambda^p is ordered with the coefficient index major and the
 lexicographic form index minor.
 
-Both terms come from one loop over bitmask forms, on integer rows like the flatness check.
+Both terms come from `form_rows`, one loop over bitmask forms that carry
+fibers, on integer rows like the flatness check.  It writes every
+differential of the package: a CE form carries E, placed coefficient
+major, and a window form of `circle` carries its window, placed
+contiguously.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from typing import Sequence
 
 from .errors import DegreeOutOfRangeError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
     common_rows, complex_cohomology, require_cochain_budget
-from .exterior import basis_index, basis_masks
+from .exterior import basis_masks
 
 _ZERO = Fraction(0)
 
@@ -197,61 +202,73 @@ def ce_differential(r: Representation, p: int) -> RationalMatrix:
     return _differential(r.algebra, p, r.dim_e, actions)
 
 
-def bracket_terms(g: LieAlgebra, den: int):
-    """The trivial differential on bitmask forms: a function of (w, tgt) that
-    gives d(e^w) as {tgt[u]: integer coefficient of e^u over den}, for a den
-    that `bracket_denominator(g)` divides.  CE and window differentials both
-    read it, so the sign rule of d(e^k) is stated here alone."""
-    # Slot s of e^k becomes d(e^k); moving its 2-form e^i ^ e^j to the front
-    # costs (-1)^{2s} = 1, so the sign is (-1)^s times that of e^i ^ e^j ^ rest:
-    # the parity of rest's bits below k, i and j, or in the xor of those masks.
-    gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
-             -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
-
-    def column(w: int, tgt: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for bit, pair, below, v in gens:
-            rest = w ^ bit
-            if w & bit and not rest & pair:
-                r = tgt[rest | pair]
-                out[r] = out.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
-        return out
-    return column
-
-
 def bracket_denominator(g: LieAlgebra) -> int:
     """lcm of the structure constants' denominators."""
     return lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
 
 
+def form_rows(g: LieAlgebra, p: int, den: int, fibers: Sequence[int],
+              starts: tuple[Sequence[int], Sequence[int]], strides: tuple[int, int],
+              blocks: list, height: int) -> list[dict[int, int]]:
+    """The `height` integer rows over den of d_p on degree-p forms that carry
+    fibers, written column by column from one loop over the source masks;
+    den is a multiple of `bracket_denominator(g)`.
+
+    The r-th form of degree p carries fibers[r] coordinates, and coordinate a
+    of the r-th form of degree p + s sits at starts[s][r] + a * strides[s].
+    Each term of d(e^w) maps w's fiber onto a prefix of its target's by the
+    identity.  For each (i, table) of `blocks`, e^i ^ e^w carries the block
+    table[fiber of w], integers over den from w's fiber into its target's,
+    given by rows as pairs (a * strides[1], {c * strides[0]: x}): the offsets
+    are scaled once by the caller, not once per form.
+    """
+    n, (ss, ts) = g.dim, strides
+    tgt = dict(zip(basis_masks(n, p + 1), starts[1]))
+    # Slot s of e^k becomes d(e^k); moving its 2-form e^i ^ e^j to the front
+    # costs (-1)^{2s} = 1, so the sign is (-1)^s times that of e^i ^ e^j ^ rest:
+    # the parity of rest's bits below k, i and j, or in the xor of those masks.
+    gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
+             -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
+    # e^i ^ e^w = (-1)^(bits of w below i) e^(w | 1 << i)
+    acts = [(1 << i, (1 << i) - 1, table) for i, table in blocks]
+    diagonals: dict[int, list] = {}  # fiber -> its identity, as (row, column) offsets
+    out: list[dict[int, int]] = [{} for _ in range(height)]
+    for w, c0, fib in zip(basis_masks(n, p), starts[0], fibers):
+        col: dict[int, int] = {}
+        for bit, pair, below, v in gens:
+            rest = w ^ bit
+            if w & bit and not rest & pair:
+                r = tgt[rest | pair]
+                col[r] = col.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
+        # The first entries of w's columns, so they are set, not added to.
+        if col and fib not in diagonals:
+            diagonals[fib] = [(a * ts, a * ss) for a in range(fib)]
+        for r0, v in col.items():
+            for r, c in diagonals[fib]:
+                out[r0 + r][c0 + c] = v
+        for bit, below, table in acts:
+            if w & bit:
+                continue
+            r0, neg = tgt[w | bit], (w & below).bit_count() & 1
+            for a, entries in table[fib]:
+                row = out[r0 + a]
+                for c, x in entries.items():
+                    row[c0 + c] = row.get(c0 + c, 0) + (-x if neg else x)
+    return out
+
+
 def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalMatrix:
-    """I (x) d_triv + sum_i rho_i (x) (e^i ^ -) for the actions (i, rho_i),
-    written column by column from one loop over the source masks."""
+    """I (x) d_triv + sum_i rho_i (x) (e^i ^ -) for the actions (i, rho_i):
+    every form carries E, coefficient index major."""
     n = g.dim
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     rows, cols = comb(n, p + 1), comb(n, p)
     den, mats = common_rows([rho for _, rho in actions], bracket_denominator(g))
-    d_triv = bracket_terms(g, den)
-    acts = [(1 << i, (1 << i) - 1, [(a, row.items()) for a, row in enumerate(m) if row])
-            for (i, _), m in zip(actions, mats)]
-    tgt = basis_index(n, p + 1)
-    out: list[dict[int, int]] = [{} for _ in range(dim_e * rows)]
-    for src, w in enumerate(basis_masks(n, p) if dim_e else ()):  # dim_e = 0: no cochains
-        triv = d_triv(w, tgt)
-        accs = [{b * rows + r: v for r, v in triv.items()} for b in range(dim_e)]
-        for bit, below, entries in acts:
-            if w & bit:
-                continue
-            r, sign = tgt[w | bit], -1 if (w & below).bit_count() & 1 else 1
-            # rho_i[a][b] e_a (x) e^i ^ e^w joins column b (x) w at row a (x) (e^i ^ w)
-            for a, items in entries:
-                for b, x in items:
-                    acc = accs[b]
-                    acc[a * rows + r] = acc.get(a * rows + r, 0) + sign * x
-        for b, acc in enumerate(accs):
-            for r, v in acc.items():
-                out[r][b * cols + src] = v
+    blocks = [(i, {dim_e: [(a * rows, {b * cols: x for b, x in row.items()})
+                           for a, row in enumerate(m) if row]}) for (i, _), m in zip(actions, mats)]
+    out = form_rows(g, p, den, [dim_e] * cols, (range(cols), range(rows)), (cols, rows),
+                    blocks, dim_e * rows)
     return RationalMatrix.from_int_rows(dim_e * rows, dim_e * cols, out, den)
 
 

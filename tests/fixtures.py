@@ -37,10 +37,10 @@ def trig_to_string(f: TrigPoly) -> str:
     if f.constant:
         terms.append(format_rational(f.constant))
     for k in range(1, f.deg + 1):
-        c = f.cos_coeff(k)
+        c = cos_coeff(f, k)
         if c:
             terms.append(f"{format_rational(c)}*cos({k}t)")
-        s = f.sin_coeff(k)
+        s = sin_coeff(f, k)
         if s:
             terms.append(f"{format_rational(s)}*sin({k}t)")
     return " + ".join(terms) if terms else "0"
@@ -93,6 +93,18 @@ def dump_json(d: dict, path: str) -> None:
 
 
 # -- trig values -----------------------------------------------------------------
+
+def cos_coeff(f: TrigPoly, k: int) -> Fraction:
+    """The coefficient of cos kt in f; cos 0t is the constant."""
+    if k == 0:
+        return f.constant
+    return f.cos_coeffs[k - 1] if k <= f.deg else Fraction(0)
+
+
+def sin_coeff(f: TrigPoly, k: int) -> Fraction:
+    """The coefficient of sin kt in f; sin 0t is zero."""
+    return f.sin_coeffs[k - 1] if 0 < k <= f.deg else Fraction(0)
+
 
 def value_at_quarter(f: TrigPoly, q: int) -> Fraction:
     """Exact value at t = q * pi/2 (cos and sin of multiples are 0, +-1)."""

@@ -77,7 +77,7 @@ from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, common_rows, rank
 from algebroid.hopf import addition, hopf_axioms
 from algebroid.liealg import LieAlgebra, bracket_basis, lie_cohomology
-from fixtures import bracket, dense_apply, value_at_quarter
+from fixtures import bracket, cos_coeff, dense_apply, sin_coeff, value_at_quarter
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -814,7 +814,7 @@ def weierstrass_numerator(f) -> Poly:
     for k in range(1, d + 1):
         for _ in range(2):  # multiply (re + i im) by (1 + iu)
             re, im = sub(re, [0] + im), add(im, [0] + re)
-        term = add(scale(re, f.cos_coeff(k)), scale(im, f.sin_coeff(k)))
+        term = add(scale(re, cos_coeff(f, k)), scale(im, sin_coeff(f, k)))
         p = add(p, mul(term, t_pow[d - k]))
     return p
 

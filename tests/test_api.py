@@ -74,7 +74,7 @@ def test_h_structure_morphism_loop_left_the_package():
 @pytest.mark.parametrize("name", ["algebra_to_dict", "representation_to_dict", "algebroid_to_dict",
                                   "fiber_to_dict", "trig_to_string", "dump_json",
                                   "value_at_quarter", "ts1_coalgebra", "antipode_matrices",
-                                  "coproduct_terms", "multiply"])
+                                  "coproduct_terms", "multiply", "cos_coeff", "sin_coeff"])
 def test_writers_and_hopf_fixtures_left_the_package(owner, name):
     # only tests called them; they live in tests/fixtures.py
     assert not hasattr(owner, name)
@@ -121,6 +121,17 @@ def test_fraction_operators_left_the_package(owner, name):
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_test_only_readers_and_wrappers_left_the_package(owner, name):
     # only tests called them; they live in tests/oracle.py
+    assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    *[(module, "bracket_terms") for module in (algebroid, liealg, circle)],
+    (circle, "basis_index"),
+    (circle.ActionAlgebroid, "_is_transitive"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_second_differential_loop_left_the_package(owner, name):
+    # liealg.form_rows writes CE, symbol, window and product differentials
+    # alike, and is_transitive reads the fields itself
     assert not hasattr(owner, name)
 
 
@@ -180,3 +191,20 @@ def test_no_package_function_takes_a_derivative_flag():
                if isinstance(node, ast.FunctionDef)
                and any(arg.arg == "derivative" for arg in node.args.args + node.args.kwonlyargs)]
     assert flagged == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # A name bound by an import is read somewhere in its module, or listed in
+    # its __all__ (the package's re-exports).
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read.update(*[ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and any(getattr(target, "id", None) == "__all__" for target in node.targets)])
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []

@@ -591,9 +591,6 @@ class _DriftingStub:
                             differentials=())
         return TruncatedComplex(N=n, complex=cx, levels=(tuple(range(n + 1)),))
 
-    def _is_transitive(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class _FixedStub:
