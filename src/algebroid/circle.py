@@ -12,27 +12,28 @@ approximately.  A product with a Lie algebra is built the same way.
 
 One window operator, `field_matrix`, holds the product-to-sum table and
 d/dt: u -> f u' is one matrix, the map the field f d/dt induces on windows.
-The window complexes place it as their field blocks, and `action_violation`
-applies it to the fields, comparing phi_i phi_j' - phi_j phi_i' with
-sum_k c^k_ij phi_k on integers.  `_integer_coords`, f as integer window
-coordinates over their lcm, is the one denominator rule.  `TrigPoly` has
-no arithmetic operators: fields are combined only on their integer window
-coordinates, so `window_coords` alone states the coefficient layout.
+A window complex cuts all its field blocks from one per field, on the
+widest window, and `action_violation` applies it to the fields, comparing
+phi_i phi_j' - phi_j phi_i' with sum_k c^k_ij phi_k on integers.
+`_integer_coords`, f as integer window coordinates over their lcm, is the
+one denominator rule.  `TrigPoly` has no arithmetic operators: fields are
+combined only on their integer window coordinates, so `window_coords`
+alone states the coefficient layout.
 
 A window differential is written by `liealg.form_rows`, the loop over the
 source masks that writes every CE differential too; here each form carries
 its window, and the windows of a degree sit one after another.  Each term
 of d(e^w) is placed on the inclusion of its windows, which is the identity
 on the source window's coordinates since V_s's basis is a prefix of V_t's.
-Each e^i ^ e^w is placed on the integer rows of u -> phi_i u'.  All terms
-share one denominator, and `from_int_rows` drops the cancelled entries and
-reduces the rows once.
+Each e^i ^ e^w is placed on the integer rows of u -> phi_i u', cut to w's
+window.  All terms share one denominator, and `from_int_rows` drops the
+cancelled entries and reduces the rows once.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
-filtered complex: the widest window, checked once for d^2 = 0 and then
-eliminated once with clearing (`exactlinalg.pivot_levels`, which needs that
-check); the pivot rows of level <= N number the ranks of window N.
+filtered complex: the widest window, eliminated once with clearing by
+`exactlinalg.pivot_levels`, which first checks d^2 = 0 and that the
+windows nest; the pivot rows of level <= N number the ranks of window N.
 
 Zero counting is exact.  Under u = tan(t/2) a degree-d f is P(u) / (1 + u^2)^d
 (`weierstrass_numerator`); its zeros away from t = pi are the real roots of
@@ -51,7 +52,7 @@ from itertools import accumulate, chain, combinations
 from math import lcm
 
 from . import polyroots
-from .errors import ChainConditionError, NonsimpleZeroError, ValidationError
+from .errors import NonsimpleZeroError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
     cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
 from .exterior import basis_masks
@@ -292,16 +293,18 @@ class ActionAlgebroid:
         fibers = [list(map(window_dim, ws)) for ws in windows]
         offsets = [[0, *accumulate(fibs)] for fibs in fibers]
         degrees = tuple(offs[-1] for offs in offsets)
-        # One denominator: the brackets' and 2 lcm(each field's), over which
-        # `field_matrix` writes its terms.
-        fields = [(i, f) for i, f in enumerate(self.phi) if not f.is_zero()]
-        den = lcm(bracket_denominator(g), *[2 * _integer_coords(f)[1] for _, f in fields])
         # e^i ^ e^w moves a nonzero field's slot: u -> phi_i u' from V_ws to V_{ws+d},
-        # built once per complex for each window of a form that lacks a moving slot.
-        blocks = [(i, {window_dim(ws): list(enumerate(
-                           common_rows([field_matrix(f, ws, ws + d)], den)[1][0]))
-                       for ws in {n + d * s for s in range(moving.bit_count())}})
-                  for i, f in fields]
+        # ws = n + d s for s < m moving slots.  V_ws's basis is a prefix of the widest
+        # window's and phi_i u' lies in V_{ws+d}, so the block of ws is the widest one
+        # cut to V_ws's columns.  Those blocks and the brackets set the denominator.
+        fields = [i for i, f in enumerate(self.phi) if not f.is_zero()]
+        sources = [n + d * s for s in range(moving.bit_count())]
+        den, wide = common_rows([field_matrix(self.phi[i], sources[-1], sources[-1] + d)
+                                 for i in fields], bracket_denominator(g))
+        blocks = [(i, {w: [(a, cut) for a, row in enumerate(rows)
+                           if (cut := {c: x for c, x in row.items() if c < w})]
+                       for w in map(window_dim, sources)})
+                  for i, rows in zip(fields, wide)]
         diffs = tuple(RationalMatrix.from_int_rows(
             degrees[p + 1], degrees[p],
             form_rows(g, p, den, fibers[p], (offsets[p], offsets[p + 1]), (1, 1), blocks,
@@ -386,10 +389,9 @@ class SweepResult:
 def stabilized_cohomology(a, n_min: int, n_max: int) -> SweepResult:
     """Sweep windows N = n_min..n_max and demand three equal Betti vectors.
 
-    Only window n_max is assembled, validated and checked for d^2 = 0;
-    window N is its subcomplex of coordinates of level <= N, and a nonzero
-    entry from a column into a row of a later level raises ValidationError.
-    The complex is then eliminated once with clearing (`pivot_levels`), and
+    Only window n_max is assembled and validated; window N is its
+    subcomplex of coordinates of level <= N.  `pivot_levels` checks d^2 = 0
+    and that nesting, then eliminates the complex once with clearing, and
     rank d_p on window N is the number of its pivot rows of level <= N.
 
     A sweep whose last three windows disagree is returned with `stabilized`
@@ -399,15 +401,6 @@ def stabilized_cohomology(a, n_min: int, n_max: int) -> SweepResult:
     if n_min < 0 or n_max < n_min + 2:
         raise ValueError("need three nonnegative windows: 0 <= n_min and n_max >= n_min + 2")
     tc = a._truncated_complex(n_max)
-    defect = tc.complex.chain_defect()
-    if defect is not None:
-        raise ChainConditionError(defect)
-    for p, d in enumerate(tc.complex.differentials):
-        rows, cols = tc.levels[p + 1], tc.levels[p]
-        for i, j in d.nonzero_positions():
-            if rows[i] > cols[j]:
-                raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
-                                      f"(level {cols[j]}) into row {i} (level {rows[i]})")
     pivots = [sorted(pv) for pv in pivot_levels(tc.complex, tc.levels)]
     levels = [sorted(lv) for lv in tc.levels]
     reports = [cohomology_from_ranks([bisect_right(lv, n) for lv in levels],

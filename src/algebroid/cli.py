@@ -5,7 +5,8 @@ containing only `== json ==`, then a machine-readable JSON object.  Output
 is deterministic byte for byte.  Exit codes: 0 success, 2 validation
 failure or any other package error (a degree out of range, a nonabelian
 algebra where an abelian one is needed), 3 unstabilized sweep, 64 usage,
-65 unparseable input.
+65 unparseable input, 141 (128 + SIGPIPE) stdout closed before the output
+was written, with nothing on stderr.
 
 File arguments also accept catalog names (see `algebroid catalog`).
 
@@ -36,6 +37,7 @@ EXIT_VALIDATION = 2
 EXIT_NOT_STABILIZED = 3
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_BROKEN_PIPE = 141
 
 JSON_MARKER = "== json =="
 
@@ -427,7 +429,15 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else list(argv))
+    try:
+        code = run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone.  With fd 1 on devnull the interpreter's
+        # flush at exit writes the rest of the buffer nowhere instead of failing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ Nothing in this package touches floating point.  The storage is sparse
 integer numerator rows over one common denominator (see `RationalMatrix`),
 and only this module knows it.  Builders write integer rows through
 `RationalMatrix.from_int_rows`, which drops zeros and divides out the gcd,
-and read them back through `common_rows`, `entries` and `nonzero_positions`;
-`from_entries` stays for parsers, tests and small builders (the addition map
-and its coproduct, the tensor factors in `kunneth`, the characters of
-`symbol`), and `to_rows` reads dense Fractions.  A matrix has no arithmetic
+and read them back through `common_rows` and `entries`; `from_entries`
+stays for parsers, tests and small builders (the addition map and its
+coproduct, the tensor factors in `kunneth`, the characters of `symbol`),
+and `to_rows` reads dense Fractions.  A matrix has no arithmetic
 operators: a caller that needs a sum or a product writes it on
 `common_rows`, so the builders, the elimination and the d^2 = 0 check all
 work on integers.
@@ -15,8 +15,8 @@ work on integers.
 There is one elimination, `_echelon`, behind `rank`, `kernel_basis` and
 `pivot_levels`; its docstring states the pivot rule and the bound on the
 entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
-`pivot_levels` eliminates a complex with d^2 = 0 in one pass with clearing,
-which gives the ranks of every subcomplex of a filtration as well.
+`pivot_levels` checks d^2 = 0 and eliminates a complex in one pass with
+clearing, which also gives the ranks of every subcomplex of a filtration.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -148,10 +148,6 @@ class RationalMatrix:
         den = self._den
         return ((i, j, x // den if x % den == 0 else Fraction(x, den))
                 for i, row in enumerate(self._num) for j, x in row.items())
-
-    def nonzero_positions(self) -> Iterable[tuple[int, int]]:
-        """(i, j) of every nonzero entry, row by row."""
-        return ((i, j) for i, row in enumerate(self._num) for j in row)
 
 
 def _cleared(values: list[dict]) -> tuple[list[dict[int, int]], int]:
@@ -364,10 +360,11 @@ class CohomologyReport:
 
 def pivot_levels(c: CochainComplex,
                  levels: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
-    """The level of each pivot row of each d_p, from one pass with clearing
-    over a complex with d^2 = 0 (callers run `chain_defect` first).
+    """The level of each pivot row of each d_p, from one pass with clearing.
     levels[p][i] is the level of coordinate i of C^p, 0 without levels, and
     rank d_p on the coordinates of level <= N is its pivot count there.
+    Raises ChainConditionError when d^2 != 0, and ValidationError when some
+    d_p maps a column into a row of a later level.
 
     `_echelon` runs on each d_p transposed, whose rows are the images
     d_p(e_i) of the coordinates of C^p, and whose columns, C^{p+1}, are
@@ -381,20 +378,28 @@ def pivot_levels(c: CochainComplex,
     pivot rows of level <= N, and for every N the pivot rows of level <= N,
     which are independent, span what the input rows of level <= N span.
     """
+    defect = c.chain_defect()
+    if defect is not None:
+        raise ChainConditionError(defect)
     out, lows = [], []
     for p, d in enumerate(c.differentials):
+        order = level = None
+        if levels:
+            above, level = levels[p + 1], levels[p]
+            order = sorted(range(d.rows), key=above.__getitem__, reverse=True)
         # d_p transposed, written without the rows of the lows
         rows, kept = [{} for _ in range(d.cols)], [True] * d.cols
         for s in lows:
             kept[s] = False
         for i, row in enumerate(d._num):
+            if level:
+                for j in row:
+                    if above[i] > level[j]:
+                        raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
+                                              f"(level {level[j]}) into row {i} (level {above[i]})")
             for j, x in row.items():
                 if kept[j]:
                     rows[j][i] = x
-        order = level = None
-        if levels:
-            order = sorted(range(d.rows), key=levels[p + 1].__getitem__, reverse=True)
-            level = levels[p]
         pivots = _echelon(rows, d.rows, order, level)
         out.append([level[i] for _, i, _ in pivots] if level else [0] * len(pivots))
         lows = [s for s, _, _ in pivots]
@@ -404,11 +409,8 @@ def pivot_levels(c: CochainComplex,
 def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     """Betti numbers and Euler characteristic of a finite complex.
 
-    Raises ChainConditionError when d^2 != 0.
+    Raises ChainConditionError when d^2 != 0 (from `pivot_levels`).
     """
-    defect = c.chain_defect()
-    if defect is not None:
-        raise ChainConditionError(defect)
     return cohomology_from_ranks(c.degrees, list(map(len, pivot_levels(c))))
 
 

@@ -142,7 +142,7 @@ STORAGE = {"_wrap", "_reduced", "_num", "_den"}
 
 def test_only_exactlinalg_knows_the_matrix_storage():
     # builders write through RationalMatrix.from_int_rows and read through
-    # common_rows, entries and nonzero_positions
+    # common_rows and entries
     named = {}
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

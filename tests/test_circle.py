@@ -10,7 +10,7 @@ import oracle
 from fixtures import dense_apply, value_at_quarter
 from oracle import cokernel_dim, inclusion_matrix, kernel_dim, matrix_column, trig_lincomb, \
     trig_mul, truncated_complex, vf_bracket
-from algebroid import catalog
+from algebroid import catalog, circle
 from algebroid.circle import (
     ActionAlgebroid,
     Rank1Anchor,
@@ -36,6 +36,7 @@ from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
     complex_cohomology,
+    pivot_levels,
     rank,
 )
 from algebroid.kunneth import product_with_lie_algebra
@@ -530,6 +531,23 @@ def test_sl2_action_complex():
     assert sweep.report.euler == 0
 
 
+@pytest.mark.parametrize("make, calls", [
+    (sl2_action, 6),  # three for the action check, one block per field for the complex
+    (lambda: product_with_lie_algebra(sl2_action(), catalog.algebra("su2")), 6),
+    (lambda: catalog.algebroid("sin_t")[0], 1),
+    (lambda: catalog.algebroid("const1")[0], 1),
+    (lambda: ActionAlgebroid(catalog.algebra("r2"), (TrigPoly(), TrigPoly())), 0),
+    (lambda: Rank1Anchor(TrigPoly()), 0),
+], ids=["sl2_action", "sl2_action x su2", "sin_t", "const1", "r2 by zero", "zero anchor"])
+def test_each_field_block_is_built_once_per_complex(make, calls, monkeypatch):
+    # Every narrower window's block is cut from the one on the widest window.
+    a, built = make(), []
+    real = circle.field_matrix
+    monkeypatch.setattr(circle, "field_matrix", lambda *args: built.append(args) or real(*args))
+    a._truncated_complex(5)
+    assert len(built) == calls
+
+
 def test_zero_fields_keep_their_forms_windows():
     # aff1 acting by (sin t, 0): slot 1 does not move, so at N = 2 degree 1 is
     # V_3 + V_2 and degree 2 is V_3, and d^2 = 0 still holds on the nose.
@@ -649,6 +667,24 @@ def test_sweep_checks_chain_condition_on_widest_window():
     with pytest.raises(ChainConditionError) as err:
         stabilized_cohomology(_Curved(), 0, 2)
     assert err.value.degree == 0
+
+
+def test_pivot_levels_checks_its_own_preconditions():
+    one = RationalMatrix.identity(1)
+    curved = CochainComplex(degrees=(1, 1, 1), differentials=(one, one))
+    for levels in (None, ((0,), (0,), (0,))):
+        with pytest.raises(ChainConditionError) as err:
+            pivot_levels(curved, levels)
+        assert err.value.degree == 0
+    stub = _FixedStub(d=((0, 1), (0, 0)), levels=((0, 1), (2, 0)))
+    tc = stub._truncated_complex(2)
+    with pytest.raises(ValidationError) as err:
+        pivot_levels(tc.complex, tc.levels)
+    assert str(err.value) == \
+        "windows are not nested: d_0 maps column 1 (level 1) into row 0 (level 2)"
+    # curved and not nested (d_0 maps level 0 into level 1): d^2 is checked first
+    with pytest.raises(ChainConditionError):
+        pivot_levels(curved, ((0,), (1,), (0,)))
 
 
 def test_truncated_complex_levels_match_degrees():

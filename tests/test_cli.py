@@ -19,11 +19,16 @@ from algebroid.liealg import adjoint_representation, ce_complex
 from oracle import truncated_complex
 
 
-def run_cli(*args, env_extra=None):
+def cli_env():
     # The subprocess imports the same package as this test process.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args, env_extra=None):
+    env = cli_env()
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -361,6 +366,20 @@ def test_catalog_listing():
     assert "su2" in payload["algebras"]
     assert "zero" in payload["algebras"]
     assert payload["algebroids"] == ["const1", "sin_t", "sin_2t", "r_action", "sl2_action"]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # stdout is a pipe whose reader is closed before the CLI starts, so its
+    # first write fails every time, as after `| head -1` has read its line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "algebroid.cli", "circle", "sweep",
+                               "sl2_action"], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=cli_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
 
 
 def test_usage_errors_exit_64():
