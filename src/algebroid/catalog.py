@@ -21,27 +21,23 @@ REPRESENTATION_NAMES = ("aff1_rep2", "aff1_char")
 ALGEBROID_NAMES = ("const1", "sin_t", "sin_2t", "r_action", "sl2_action")
 
 
-def _read(kind: str, name: str) -> dict:
+def entry(kind: str, name: str) -> dict:
+    """Raw JSON dict of a catalog item; kind is the data subdirectory name."""
     ref = resources.files("algebroid").joinpath("data", kind, f"{name}.json")
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def entry(kind: str, name: str) -> dict:
-    """Raw JSON dict of a catalog item; kind is the data subdirectory name."""
-    return _read(kind, name)
-
-
 def algebra(name: str) -> LieAlgebra:
     """Load a catalog algebra; `zero` is the zero algebra, also available."""
-    return algebra_from_dict(_read("algebras", name), where=f"catalog:{name}")
+    return algebra_from_dict(entry("algebras", name), where=f"catalog:{name}")
 
 
 def representation(name: str) -> Representation:
-    d = _read("representations", name)
+    d = entry("representations", name)
     g = algebra(d["algebra"])
     return representation_from_dict(d, g, where=f"catalog:{name}")
 
 
 def algebroid(name: str) -> tuple[Rank1Anchor | ActionAlgebroid, tuple[int, int]]:
-    return algebroid_from_dict(_read("algebroids", name), where=f"catalog:{name}")
+    return algebroid_from_dict(entry("algebroids", name), where=f"catalog:{name}")

@@ -8,7 +8,8 @@ algebra where an abelian one is needed), 3 unstabilized sweep, 64 usage,
 65 unparseable input, 141 (128 + SIGPIPE) stdout closed before the output
 was written, with nothing on stderr.
 
-File arguments also accept catalog names (see `algebroid catalog`).
+Every file argument but `symbol`'s fiber file also accepts a catalog name
+(see `algebroid catalog`).
 
 The argument parser is built once per process and reused by every `run`;
 handlers are looked up as module globals when they are called.
@@ -109,10 +110,6 @@ def _table(headers: list[str], rows: list[list]) -> list[str]:
             for r in cells]
 
 
-def _algebra_label(arg: str, g: LieAlgebra) -> str:
-    return g.name or arg
-
-
 def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
     """The sweep, and the zero count of a nonzero rank-1 anchor (else None)."""
     # The one range check for every command that sweeps windows.
@@ -142,8 +139,7 @@ def _cmd_lie(args) -> tuple[list[str], dict, int]:
     else:
         coeff_label, dim_e = "trivial (dim 1)", 1
         report = _trivial_cohomology(g)
-    label = _algebra_label(args.algebra, g)
-    lines = [f"algebra: {label} (dim {g.dim})", f"coefficients: {coeff_label}"]
+    lines = [f"algebra: {g.name or args.algebra} (dim {g.dim})", f"coefficients: {coeff_label}"]
     payload = {
         "algebra": args.algebra,
         "dim": g.dim,
@@ -262,9 +258,9 @@ def _cmd_hopf(args) -> tuple[list[str], dict, int]:
     betti = list(_trivial_cohomology(g).betti)
     c = addition_coproduct(g) if abelian else None
     generators = exterior_structure_check(betti)
-    label = _algebra_label(args.algebra, g)
     lines = [
-        f"algebra: {label} (dim {g.dim}, {'abelian' if abelian else 'nonabelian'})",
+        f"algebra: {g.name or args.algebra} "
+        f"(dim {g.dim}, {'abelian' if abelian else 'nonabelian'})",
         # addition is an H-structure exactly when g is abelian (`check_h_structure`)
         f"h-structure (addition map): {'ok' if abelian else 'fails'}",
         f"cohomology betti: {betti}",
@@ -317,8 +313,8 @@ def _cmd_symbol(args) -> tuple[list[str], dict, int]:
     result = exactness_check(cx)
     lines = [
         f"fiber: dim A={fiber.dim_a}, dim M={fiber.dim_m}, dim E={fiber.dim_e}",
-        "alpha: " + ", ".join(io.format_rational(x) for x in alpha),
-        "beta (anchor pullback): " + ", ".join(io.format_rational(x) for x in beta),
+        "alpha: " + ", ".join(str(x) for x in alpha),
+        "beta (anchor pullback): " + ", ".join(str(x) for x in beta),
     ]
     lines += _table(["degree", "dim", "exact"],
                     [[r, cx.degrees[r], "yes" if ok else "no"]
@@ -329,8 +325,8 @@ def _cmd_symbol(args) -> tuple[list[str], dict, int]:
         "dim_A": fiber.dim_a,
         "dim_M": fiber.dim_m,
         "dim_E": fiber.dim_e,
-        "alpha": [io.format_rational(x) for x in alpha],
-        "beta": [io.format_rational(x) for x in beta],
+        "alpha": [str(x) for x in alpha],
+        "beta": [str(x) for x in beta],
         "degrees": list(cx.degrees),
         "per_degree": list(result.per_degree),
         "exact": result.exact,

@@ -13,10 +13,13 @@ operators: a caller that needs a sum or a product writes it on
 work on integers.
 
 There is one elimination, `_echelon`, behind `rank`, `kernel_basis` and
-`pivot_levels`; its docstring states the pivot rule and the bound on the
-entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
-`pivot_levels` checks d^2 = 0 and eliminates a complex in one pass with
-clearing, which also gives the ranks of every subcomplex of a filtration.
+`pivot_levels`; all three eliminate the stored integer rows (`pivot_levels`
+transposed), the matrix times its positive denominator, which keeps the
+pivot columns and the null space.  Its docstring states the pivot rule and
+the bound on the entries, and `kernel_basis` back-substitutes on the pivot
+rows it keeps.  `pivot_levels` checks d^2 = 0 and eliminates a complex in
+one pass with clearing, which also gives the ranks of every subcomplex of a
+filtration.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -166,17 +169,6 @@ def common_rows(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, list
                                                for row in m._num] for m in mats]
 
 
-def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    """Each row of m times the lcm of its denominators, which is den over
-    gcd(den, the row's content): a positive scaling, so rank is kept."""
-    den = m._den
-    out = []
-    for row in m._num:
-        g = gcd(den, *row.values()) if den > 1 else 1
-        out.append({j: x // g for j, x in row.items()} if g > 1 else dict(row))
-    return out
-
-
 def _echelon(rows: list[dict[int, int]], cols: int, order: Sequence[int] | None = None,
              level: Sequence[int] | None = None) -> list[tuple[int, int, dict[int, int]]]:
     """(column, row index, row) of each pivot, in the order taken, when the
@@ -252,7 +244,7 @@ def _echelon(rows: list[dict[int, int]], cols: int, order: Sequence[int] | None 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank: the pivot count with columns taken left to right."""
-    return len(_echelon(_integer_rows(m), m.cols))
+    return len(_echelon([dict(row) for row in m._num], m.cols))
 
 
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
@@ -263,7 +255,7 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     first: a pivot row vanishes on the earlier pivot columns, so its other
     entries meet only coordinates already known.
     """
-    echelon = _echelon(_integer_rows(m), m.cols)[::-1]
+    echelon = _echelon([dict(row) for row in m._num], m.cols)[::-1]
     pivot_set = {c for c, _, _ in echelon}
     basis = []
     for free in range(m.cols):

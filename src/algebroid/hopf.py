@@ -23,7 +23,9 @@ integral and a `Fraction` otherwise, so the common case of coefficients
 connectedness and then verified on both sides.  `primitives` reads the
 coproduct's integer rows over their denominator, subtracts x (x) 1 + 1 (x) x
 there and hands the difference, written through `from_int_rows`, to
-`kernel_basis`.
+`kernel_basis`.  `exterior_structure_check` reads the Betti vector alone, so
+its factorization into (1 + t^d), d odd, is necessary for an exterior
+algebra but does not look at the cup product.
 """
 
 from __future__ import annotations
@@ -291,42 +293,24 @@ def exterior_structure_check(betti) -> tuple[int, ...] | None:
     """Factor the Poincare polynomial as a product of (1 + t^d), d odd.
 
     Returns the generator degrees ascending, or None when no such
-    factorization exists.
+    factorization exists.  Each step divides p by 1 + t^d, d the lowest
+    positive degree left, with q_i = p_i - q_{i-d}: on the top d degrees the
+    recurrence leaves p - t^d q, which vanishes exactly when 1 + t^d divides
+    p.  Every step is exact, so the degrees always multiply back to p and no
+    sign check is needed.
     """
-    betti = list(betti)
-    if not betti or betti[0] != 1:
+    poly = list(betti)
+    if not poly or poly[0] != 1:
         raise ValueError("need betti[0] = 1")
-    poly = betti[:]
-    while poly and poly[-1] == 0:
+    while poly[-1] == 0:
         poly.pop()
     degrees = []
-    while poly != [1]:
-        d = next((i for i in range(1, len(poly)) if poly[i]), None)
-        if d is None or d % 2 == 0:
-            return None
-        divisor = [1] + [0] * (d - 1) + [1]
-        quot, rem = _int_divmod(poly, divisor)
-        if quot is None or rem:
-            return None
-        if any(x < 0 for x in quot) or not quot or quot[0] != 1:
+    while len(poly) > 1:
+        d = next(i for i in range(1, len(poly)) if poly[i])
+        for i in range(d, len(poly)):
+            poly[i] -= poly[i - d]
+        if d % 2 == 0 or any(poly[-d:]):
             return None
         degrees.append(d)
-        poly = quot
+        del poly[-d:]
     return tuple(degrees)
-
-
-def _int_divmod(p: list[int], q: list[int]) -> tuple[list[int] | None, bool]:
-    # long division in Z[t] by a monic divisor; returns (quotient, nonzero_rem)
-    rem = p[:]
-    dq = len(q) - 1
-    if len(rem) - 1 < dq:
-        return None, True
-    quot = [0] * (len(rem) - dq)
-    for shift in range(len(rem) - dq - 1, -1, -1):
-        c = rem[shift + dq]
-        quot[shift] = c
-        if c:
-            for i in range(dq + 1):
-                rem[shift + i] -= c * q[i]
-    return quot, any(rem)
-

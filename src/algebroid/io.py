@@ -38,10 +38,6 @@ def _is_int(x, where: str) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _too_long(where: str) -> ParseError:
     return ParseError(f"a number has more than {_MAX_DIGITS} digits", where)
 

@@ -24,7 +24,6 @@ from math import comb
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.exactlinalg import RationalMatrix
 from algebroid.hopf import GradedCoalgebra, addition_coproduct, hopf_axioms
-from algebroid.io import format_rational
 from algebroid.liealg import LieAlgebra, Representation
 from algebroid.polyroots import simple_real_root_count
 from algebroid.symbol import FiberData
@@ -35,19 +34,19 @@ from algebroid.symbol import FiberData
 def trig_to_string(f: TrigPoly) -> str:
     terms = []
     if f.constant:
-        terms.append(format_rational(f.constant))
+        terms.append(str(f.constant))
     for k in range(1, f.deg + 1):
         c = cos_coeff(f, k)
         if c:
-            terms.append(f"{format_rational(c)}*cos({k}t)")
+            terms.append(f"{c}*cos({k}t)")
         s = sin_coeff(f, k)
         if s:
-            terms.append(f"{format_rational(s)}*sin({k}t)")
+            terms.append(f"{s}*sin({k}t)")
     return " + ".join(terms) if terms else "0"
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
-    brackets = [{"i": i, "j": j, "coeffs": [[k, format_rational(c)] for k, c in terms]}
+    brackets = [{"i": i, "j": j, "coeffs": [[k, str(c)] for k, c in terms]}
                 for i, j, terms in g.brackets]
     d = {"dim": g.dim, "brackets": brackets}
     if g.name:
@@ -59,7 +58,7 @@ def representation_to_dict(r: Representation) -> dict:
     return {
         "dim_E": r.dim_e,
         "action": [
-            [[format_rational(x) for x in row] for row in m.to_rows()] for m in r.action
+            [[str(x) for x in row] for row in m.to_rows()] for m in r.action
         ],
     }
 
@@ -82,7 +81,7 @@ def fiber_to_dict(f: FiberData) -> dict:
         "dim_A": f.dim_a,
         "dim_M": f.dim_m,
         "dim_E": f.dim_e,
-        "anchor": [[format_rational(x) for x in row] for row in f.anchor.to_rows()],
+        "anchor": [[str(x) for x in row] for row in f.anchor.to_rows()],
     }
 
 

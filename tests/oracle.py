@@ -30,6 +30,9 @@ action of g/h on Lambda h* (x) E, with no complex of g built.
 indices, and `shuffle_coproduct` expands prod_i (w_i (x) 1 + 1 (x) w_i)
 with its own Koszul bookkeeping: the package's `exterior.wedge` counts the
 sign instead, and its coproduct is the transpose of its wedge product.
+`exterior_factorization` looks a Betti vector up among the multiplied-out
+products of (1 + t^d), d odd, where the package divides by one factor at a
+time.
 `symbol_differential` is the symbol complex as the formula
 I_E (x) sum_i beta_i (e^i ^ -), which the package builds as a CE complex.
 `jacobi_violation` evaluates the Jacobi sum with dense brackets on every
@@ -68,13 +71,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, combinations
+from functools import cache
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb, lcm
 
 from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
                               window_coords)
 from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, _echelon, _integer_rows, common_rows, rank
+from algebroid.exactlinalg import RationalMatrix, _echelon, common_rows, rank
 from algebroid.hopf import addition, hopf_axioms
 from algebroid.liealg import LieAlgebra, bracket_basis, lie_cohomology
 from fixtures import bracket, cos_coeff, dense_apply, sin_coeff, value_at_quarter
@@ -112,7 +116,8 @@ def pivot_columns(m, order=None) -> list[int]:
     """Columns of m that get a pivot when the distinct columns `order`
     (default all, left to right) are eliminated in that order, so the
     pivots among the first k columns of `order` number their rank."""
-    return [c for c, _, _ in _echelon(_integer_rows(m), m.cols, order)]
+    _, (rows,) = common_rows([m])
+    return [c for c, _, _ in _echelon([dict(row) for row in rows], m.cols, order)]
 
 
 def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -430,16 +435,6 @@ def dense_transpose(a: list[list]) -> list[list[Fraction]]:
     return [[Fraction(row[j]) for row in a] for j in range(len(a[0]))]
 
 
-def cleared_rows(m) -> list[dict[int, int]]:
-    """Each row of a package matrix times the lcm of its entries'
-    denominators, as {column: nonzero int}."""
-    out = []
-    for row in m.to_rows():
-        d = lcm(*[x.denominator for x in row])
-        out.append({j: int(x * d) for j, x in enumerate(row) if x})
-    return out
-
-
 def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
     """Sign of the permutation sorting `seq`, or None when it has duplicates."""
     arr = list(seq)
@@ -500,6 +495,33 @@ def shuffle_coproduct(n: int) -> list[RationalMatrix]:
                               sign))
         out.append(RationalMatrix.from_entries(offs[-1], betti[r], pairs))
     return out
+
+
+def exterior_factorization(betti) -> tuple[int, ...] | None:
+    """The odd degrees d, ascending, whose product of (1 + t^d) is the
+    Poincare polynomial of betti, or None.  Since 1 + t^d is the product of
+    the cyclotomic polynomials Phi_2e over e | d, the factorization is
+    unique, so one lookup in every product of degree <= len(betti) - 1,
+    trailing zeros stripped, decides it."""
+    poly = list(betti)
+    while poly[-1] == 0:
+        poly.pop()
+    return _exterior_poincare(len(betti) - 1).get(tuple(poly))
+
+
+@cache
+def _exterior_poincare(top: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    table = {}
+    for k in range(top + 1):
+        for degrees in combinations_with_replacement(range(1, top + 1, 2), k):
+            if sum(degrees) <= top:
+                poly = [1]
+                for d in degrees:
+                    poly = [x + (poly[i - d] if i >= d else 0)
+                            for i, x in enumerate(poly + [0] * d)]
+                assert tuple(poly) not in table
+                table[tuple(poly)] = degrees
+    return table
 
 
 # -- reference builders ---------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import algebroid
-from algebroid import circle, exactlinalg, exterior, hopf, io, liealg, polyroots
+from algebroid import catalog, circle, cli, exactlinalg, exterior, hopf, io, liealg, polyroots
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -132,6 +132,20 @@ def test_test_only_readers_and_wrappers_left_the_package(owner, name):
 def test_second_differential_loop_left_the_package(owner, name):
     # liealg.form_rows writes CE, symbol, window and product differentials
     # alike, and is_transitive reads the fields itself
+    assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (hopf, "_int_divmod"),
+    (exactlinalg, "_integer_rows"),
+    (catalog, "_read"),
+    (cli, "_algebra_label"),
+    (io, "format_rational"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_one_caller_helpers_left_the_package(owner, name):
+    # exterior_structure_check divides by 1 + t^d itself, rank and
+    # kernel_basis eliminate the stored rows, and the callers of the three
+    # renaming wrappers call what they wrapped
     assert not hasattr(owner, name)
 
 

@@ -21,7 +21,6 @@ from algebroid.exactlinalg import (
     complex_cohomology,
     kernel_basis,
     rank,
-    _integer_rows,
 )
 from algebroid.liealg import adjoint_representation, ce_complex, trivial_representation
 
@@ -122,7 +121,7 @@ def operands(draw):
 
 @settings(max_examples=120)
 @given(operands())
-def test_storage_is_canonical_and_cleared_rows_match(case):
+def test_storage_is_canonical(case):
     a, b, c, x, pairs = case
     ma, mb, mc = map(RationalMatrix.from_rows, (a, b, c))
     built = [
@@ -144,7 +143,6 @@ def test_storage_is_canonical_and_cleared_rows_match(case):
         # one storage per matrix, so == compares values
         assert m == RationalMatrix.from_rows(want)
         assert m == RationalMatrix.from_rows(m.to_rows())
-        assert _integer_rows(m) == oracle.cleared_rows(m)
 
 
 def _pairs(rows, s) -> list:

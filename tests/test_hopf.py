@@ -1,6 +1,7 @@
 """H-structures, coproducts, and Hopf axioms of cohomology."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +252,14 @@ def test_exterior_structure_check():
         exterior_structure_check((2, 1))
     with pytest.raises(ValueError):
         exterior_structure_check(())
+
+
+def test_exterior_structure_check_matches_the_product_table():
+    # every (1, b_1, ..., b_k) with k <= 7 and b_i in 0..3: 21,845 vectors
+    vectors = [(1, *rest) for k in range(8) for rest in product(range(4), repeat=k)]
+    assert len(vectors) == 21845
+    for v in vectors:
+        assert exterior_structure_check(v) == oracle.exterior_factorization(v), v
 
 
 def test_exterior_check_matches_cohomology_rings():
