@@ -45,7 +45,6 @@ v = cot(t/2), the zero at t = pi has multiplicity 2d - deg P.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations
@@ -61,7 +60,6 @@ from .liealg import LieAlgebra, bracket_denominator, form_rows, require_jacobi
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class TrigPoly:
     """constant + sum_k cos_coeffs[k-1] cos(kt) + sin_coeffs[k-1] sin(kt).
 
@@ -69,15 +67,24 @@ class TrigPoly:
     both zero; use `make` to normalize raw data.
     """
 
-    constant: Fraction = _ZERO
-    cos_coeffs: tuple[Fraction, ...] = ()
-    sin_coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("constant", "cos_coeffs", "sin_coeffs")
 
-    def __post_init__(self):
-        if len(self.cos_coeffs) != len(self.sin_coeffs):
+    def __init__(self, constant: Fraction = _ZERO, cos_coeffs: tuple[Fraction, ...] = (),
+                 sin_coeffs: tuple[Fraction, ...] = ()):
+        if len(cos_coeffs) != len(sin_coeffs):
             raise ValueError("cos and sin coefficient lists must have equal length")
-        if self.cos_coeffs and not (self.cos_coeffs[-1] or self.sin_coeffs[-1]):
+        if cos_coeffs and not (cos_coeffs[-1] or sin_coeffs[-1]):
             raise ValueError("trailing zero harmonic; use TrigPoly.make")
+        self.constant, self.cos_coeffs, self.sin_coeffs = constant, cos_coeffs, sin_coeffs
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.constant, self.cos_coeffs, self.sin_coeffs) == \
+            (other.constant, other.cos_coeffs, other.sin_coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.constant, self.cos_coeffs, self.sin_coeffs))
 
     @classmethod
     def make(cls, constant=0, cos_coeffs=(), sin_coeffs=()) -> "TrigPoly":
@@ -244,26 +251,30 @@ def field_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
 
 # -- algebroids --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TruncatedComplex:
     """A window complex; `levels[p][i]` is the first N whose window holds
     coordinate i of degree p."""
 
-    N: int
-    complex: CochainComplex
-    levels: tuple[tuple[int, ...], ...]
+    __slots__ = ("N", "complex", "levels")
 
-    def __post_init__(self):
-        if tuple(map(len, self.levels)) != tuple(self.complex.degrees):
+    def __init__(self, N: int, complex: CochainComplex, levels: tuple[tuple[int, ...], ...]):
+        if tuple(map(len, levels)) != tuple(complex.degrees):
             raise ValueError("need one level per coordinate of every degree")
+        self.N, self.complex, self.levels = N, complex, levels
 
 
-@dataclass(frozen=True)
 class ActionAlgebroid:
     """A Lie algebra acting on the circle through vector fields phi_i d/dt."""
 
-    algebra: LieAlgebra
-    phi: tuple[TrigPoly, ...]
+    __slots__ = ("algebra", "phi")
+
+    def __init__(self, algebra: LieAlgebra, phi: tuple[TrigPoly, ...]):
+        self.algebra, self.phi = algebra, phi
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.algebra, self.phi) == (other.algebra, other.phi)
 
     def anchor_degree(self) -> int:
         return max((f.deg for f in self.phi), default=0)
@@ -316,7 +327,6 @@ class ActionAlgebroid:
         return TruncatedComplex(N=n, complex=CochainComplex(degrees, diffs), levels=levels)
 
 
-@dataclass(frozen=True, init=False)
 class Rank1Anchor(ActionAlgebroid):
     """Line bundle over the circle anchored by f d/dt -> p * f' d/dt.
 
@@ -324,6 +334,8 @@ class Rank1Anchor(ActionAlgebroid):
     field p d/dt, so its windows, degree and transitivity test are the
     action algebroid's.
     """
+
+    __slots__ = ()
 
     def __init__(self, p: TrigPoly):
         super().__init__(LieAlgebra(1), (p,))
@@ -379,11 +391,12 @@ def is_transitive(a: ActionAlgebroid) -> bool:
     return not has_zero_on_circle(*a.phi)
 
 
-@dataclass(frozen=True)
 class SweepResult:
-    report: CohomologyReport
-    per_n: tuple[tuple[int, tuple[int, ...]], ...]
-    stabilized: bool
+    __slots__ = ("report", "per_n", "stabilized")
+
+    def __init__(self, report: CohomologyReport, per_n: tuple[tuple[int, tuple[int, ...]], ...],
+                 stabilized: bool):
+        self.report, self.per_n, self.stabilized = report, per_n, stabilized
 
 
 def stabilized_cohomology(a, n_min: int, n_max: int) -> SweepResult:

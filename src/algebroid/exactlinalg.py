@@ -33,7 +33,6 @@ columns) are legal everywhere and have rank 0.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -295,7 +294,6 @@ def require_cochain_budget(factor: int, dim: int, what: str) -> None:
                               f"more than the budget of {MAX_COCHAINS}")
 
 
-@dataclass(frozen=True)
 class CochainComplex:
     """Finite complex 0 -> C^0 -> C^1 -> ... -> C^top -> 0.
 
@@ -303,22 +301,22 @@ class CochainComplex:
     d_p : C^p -> C^{p+1}; there are len(degrees) - 1 differentials.
     """
 
-    degrees: tuple[int, ...]
-    differentials: tuple[RationalMatrix, ...]
+    __slots__ = ("degrees", "differentials")
 
-    def __post_init__(self):
-        if not self.degrees:
+    def __init__(self, degrees: tuple[int, ...], differentials: tuple[RationalMatrix, ...]):
+        if not degrees:
             raise ValueError("a complex needs at least one degree")
-        if any(d < 0 for d in self.degrees):
+        if any(d < 0 for d in degrees):
             raise ValueError("degree dimensions must be nonnegative")
-        if len(self.differentials) != len(self.degrees) - 1:
+        if len(differentials) != len(degrees) - 1:
             raise ValueError("expected one differential per consecutive degree pair")
-        for p, d in enumerate(self.differentials):
-            if d.cols != self.degrees[p] or d.rows != self.degrees[p + 1]:
+        for p, d in enumerate(differentials):
+            if d.cols != degrees[p] or d.rows != degrees[p + 1]:
                 raise ValueError(
                     f"d_{p} has shape {d.rows}x{d.cols}, expected "
-                    f"{self.degrees[p + 1]}x{self.degrees[p]}"
+                    f"{degrees[p + 1]}x{degrees[p]}"
                 )
+        self.degrees, self.differentials = degrees, differentials
 
     @property
     def top(self) -> int:
@@ -343,11 +341,16 @@ class CochainComplex:
         return None
 
 
-@dataclass(frozen=True)
 class CohomologyReport:
-    degrees: tuple[int, ...]
-    betti: tuple[int, ...]
-    euler: int
+    __slots__ = ("degrees", "betti", "euler")
+
+    def __init__(self, degrees: tuple[int, ...], betti: tuple[int, ...], euler: int):
+        self.degrees, self.betti, self.euler = degrees, betti, euler
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.degrees, self.betti, self.euler) == (other.degrees, other.betti, other.euler)
 
 
 def pivot_levels(c: CochainComplex,

@@ -30,7 +30,6 @@ algebra but does not look at the cup product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -44,18 +43,17 @@ from .liealg import LieAlgebra
 
 # -- H-structures ------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HStructure:
     """A candidate smooth multiplication, linearized: a dim x 2dim matrix
     acting on pairs (x, y) stacked as one coordinate vector."""
 
-    algebra: LieAlgebra
-    matrix: RationalMatrix
+    __slots__ = ("algebra", "matrix")
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        if self.matrix.rows != n or self.matrix.cols != 2 * n:
+    def __init__(self, algebra: LieAlgebra, matrix: RationalMatrix):
+        n = algebra.dim
+        if matrix.rows != n or matrix.cols != 2 * n:
             raise ValueError("H must be dim x 2*dim")
+        self.algebra, self.matrix = algebra, matrix
 
 
 def addition(g: LieAlgebra) -> HStructure:
@@ -81,7 +79,6 @@ def check_h_structure(h: HStructure) -> bool:
 Label = tuple[int, int]  # a basis element: (degree, index)
 
 
-@dataclass(frozen=True)
 class GradedCoalgebra:
     """Graded vector space with product and coproduct in pinned bases.
 
@@ -92,14 +89,13 @@ class GradedCoalgebra:
     counit is projection to degree 0, which must be one-dimensional for the
     Hopf machinery.  The checks do not apply the matrices: they read the
     sparse views `_delta` and `_mu`, decoded once from the matrices'
-    columns, and the antipode `_antipode` built from them.
+    columns, and the antipode `_antipode` built from them.  The views are
+    cached on the instance, so it keeps a __dict__ and has no slots.
     """
 
-    betti: tuple[int, ...]
-    coproduct: tuple[RationalMatrix, ...]
-    product: dict[tuple[int, int], RationalMatrix]
-
-    def __post_init__(self):
+    def __init__(self, betti: tuple[int, ...], coproduct: tuple[RationalMatrix, ...],
+                 product: dict[tuple[int, int], RationalMatrix]):
+        self.betti, self.coproduct, self.product = betti, coproduct, product
         if len(self.coproduct) != len(self.betti):
             raise ValueError("one coproduct matrix per degree")
         for r, m in enumerate(self.coproduct):
@@ -211,12 +207,12 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class HopfReport:
-    counit: bool
-    coassociative: bool
-    algebra_morphism: bool
-    antipode: bool
+    __slots__ = ("counit", "coassociative", "algebra_morphism", "antipode")
+
+    def __init__(self, counit: bool, coassociative: bool, algebra_morphism: bool, antipode: bool):
+        self.counit, self.coassociative = counit, coassociative
+        self.algebra_morphism, self.antipode = algebra_morphism, antipode
 
     @property
     def ok(self) -> bool:

@@ -12,8 +12,6 @@ has none), so the window-N product is 2^dim h times the factor's size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circle import ActionAlgebroid, TrigPoly
 from .exactlinalg import CohomologyReport, RationalMatrix
 from .liealg import LieAlgebra, Representation, require_jacobi
@@ -51,10 +49,11 @@ def product_with_lie_algebra(a: ActionAlgebroid, h: LieAlgebra) -> ActionAlgebro
     return ActionAlgebroid(direct_sum(a.algebra, h), a.phi + (TrigPoly(),) * h.dim)
 
 
-@dataclass(frozen=True)
 class KunnethCheck:
-    ok: bool
-    table: tuple[tuple[int, int, int], ...]  # (degree, expected, actual)
+    __slots__ = ("ok", "table")
+
+    def __init__(self, ok: bool, table: tuple[tuple[int, int, int], ...]):
+        self.ok, self.table = ok, table  # table rows: (degree, expected, actual)
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

@@ -28,7 +28,6 @@ contiguously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -46,23 +45,29 @@ _ZERO = Fraction(0)
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    dim: int
-    brackets: BracketTable = ()
-    name: str = ""
+    __slots__ = ("dim", "brackets", "name")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int, brackets: BracketTable = (), name: str = ""):
+        if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        for i, j, terms in self.brackets:
-            if not (0 <= i < j < self.dim):
+        for i, j, terms in brackets:
+            if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
             for k, c in terms:
-                if not 0 <= k < self.dim:
+                if not 0 <= k < dim:
                     raise ValueError(f"bracket target {k} out of range")
                 if not isinstance(c, Fraction):
                     raise ValueError("structure constants must be Fractions")
+        self.dim, self.brackets, self.name = dim, brackets, name
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dim, self.brackets, self.name) == (other.dim, other.brackets, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.brackets, self.name))
 
     @classmethod
     def make(cls, dim: int, brackets=None, name: str = "") -> "LieAlgebra":
@@ -127,22 +132,26 @@ def require_jacobi(g: LieAlgebra) -> None:
                               f"on basis triple {jacobi_violation(g)}")
 
 
-@dataclass(frozen=True)
 class Representation:
     """A Lie algebra acting on Q^dim_e by one matrix per basis vector."""
 
-    algebra: LieAlgebra
-    dim_e: int
-    action: tuple[RationalMatrix, ...]
+    __slots__ = ("algebra", "dim_e", "action")
 
-    def __post_init__(self):
-        if self.dim_e < 0:
+    def __init__(self, algebra: LieAlgebra, dim_e: int, action: tuple[RationalMatrix, ...]):
+        if dim_e < 0:
             raise ValueError("representation dimension must be nonnegative")
-        if len(self.action) != self.algebra.dim:
+        if len(action) != algebra.dim:
             raise ValueError("need one action matrix per basis vector")
-        for m in self.action:
-            if m.rows != self.dim_e or m.cols != self.dim_e:
+        for m in action:
+            if m.rows != dim_e or m.cols != dim_e:
                 raise ValueError("action matrices must be dim_e x dim_e")
+        self.algebra, self.dim_e, self.action = algebra, dim_e, action
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.algebra, self.dim_e, self.action) == \
+            (other.algebra, other.dim_e, other.action)
 
 
 def trivial_representation(g: LieAlgebra, dim_e: int = 1) -> Representation:

@@ -12,7 +12,6 @@ beta != 0, which for a surjective anchor happens for every nonzero alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -21,20 +20,23 @@ from .exactlinalg import CochainComplex, RationalMatrix, as_fraction, complex_co
 from .liealg import LieAlgebra, Representation, ce_differential
 
 
-@dataclass(frozen=True)
 class FiberData:
     """One fiber of an anchored bundle: anchor is a dim_m x dim_a matrix."""
 
-    dim_a: int
-    dim_m: int
-    anchor: RationalMatrix
-    dim_e: int = 1
+    __slots__ = ("dim_a", "dim_m", "anchor", "dim_e")
 
-    def __post_init__(self):
-        if min(self.dim_a, self.dim_m, self.dim_e) < 0:
+    def __init__(self, dim_a: int, dim_m: int, anchor: RationalMatrix, dim_e: int = 1):
+        if min(dim_a, dim_m, dim_e) < 0:
             raise ValueError("dimensions must be nonnegative")
-        if self.anchor.rows != self.dim_m or self.anchor.cols != self.dim_a:
+        if anchor.rows != dim_m or anchor.cols != dim_a:
             raise ValueError("anchor must be dim_m x dim_a")
+        self.dim_a, self.dim_m, self.anchor, self.dim_e = dim_a, dim_m, anchor, dim_e
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dim_a, self.dim_m, self.anchor, self.dim_e) == \
+            (other.dim_a, other.dim_m, other.anchor, other.dim_e)
 
 
 def pullback_covector(f: FiberData, alpha) -> list[Fraction]:
@@ -60,10 +62,11 @@ def symbol_complex(f: FiberData, alpha) -> CochainComplex:
     return CochainComplex(degrees, tuple(ce_differential(rep, r) for r in range(n)))
 
 
-@dataclass(frozen=True)
 class ExactnessReport:
-    per_degree: tuple[bool, ...]
-    exact: bool
+    __slots__ = ("per_degree", "exact")
+
+    def __init__(self, per_degree: tuple[bool, ...], exact: bool):
+        self.per_degree, self.exact = per_degree, exact
 
 
 def exactness_check(c: CochainComplex) -> ExactnessReport:

@@ -25,6 +25,10 @@ wrappers over package calls.  Only tests used them, so they left the package.
 `codim1_prediction` gives the Betti numbers of g along an abelian ideal of
 codimension one from the Hochschild-Serre sequence: dense ranks of the
 action of g/h on Lambda h* (x) E, with no complex of g built.
+`twisted_dual` is the coefficient module of twisted Poincare duality,
+H^p(g; E) = H^{n-p}(g; E* (x) Lambda^n g)^*: a second complex, with
+transposed action matrices and the modular character tr ad, whose Betti
+vector must be the first one reversed.
 
 `sort_sign` finds the sign of a wedge by insertion-sorting the concatenated
 indices, and `shuffle_coproduct` expands prod_i (w_i (x) 1 + 1 (x) w_i)
@@ -80,7 +84,7 @@ from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate
 from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, _echelon, common_rows, rank
 from algebroid.hopf import addition, hopf_axioms
-from algebroid.liealg import LieAlgebra, bracket_basis, lie_cohomology
+from algebroid.liealg import LieAlgebra, Representation, bracket_basis, lie_cohomology
 from fixtures import bracket, cos_coeff, dense_apply, sin_coeff, value_at_quarter
 
 
@@ -311,6 +315,20 @@ def codim1_prediction(g, x: int, e) -> tuple[int, ...]:
     ker = [d - r for d, r in zip(dims, ranks)]  # theta_k is square: coker has ker's dimension
     return tuple((ker[n] if n < len(ker) else 0) + (ker[n - 1] if n else 0)
                  for n in range(g.dim + 1))
+
+
+def twisted_dual(r):
+    """E* (x) Lambda^n g: e_i acts by -rho_i^T + tr(ad e_i) I, the dual action
+    on E* twisted by the character through which e_i acts on the top power
+    Lambda^n g."""
+    g, n = r.algebra, r.dim_e
+    action = []
+    for i, m in enumerate(r.action):
+        trace = sum(bracket_basis(g, i, j)[j] for j in range(g.dim))
+        rows = matrix_rows(m)
+        action.append(RationalMatrix.from_entries(n, n, [
+            ((a, b), -rows[b][a] + (trace if a == b else 0)) for a in range(n) for b in range(n)]))
+    return Representation(g, n, tuple(action))
 
 
 def euler(betti: list[int]) -> int:

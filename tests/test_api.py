@@ -2,6 +2,10 @@
 non-module attributes of `algebroid`, and test-only helpers stay out."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -222,3 +226,16 @@ def test_no_module_imports_a_name_it_never_reads():
                       and any(getattr(target, "id", None) == "__all__" for target in node.targets)])
         unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
     assert unread == []
+
+
+def test_cli_import_skips_dataclasses_and_the_modules_it_pulls_in():
+    # every CLI start pays for its imports; `dataclasses` alone brings inspect,
+    # ast, dis and tokenize, 10-13 ms of a start, for nothing the package needs
+    probe = ("import json, sys; before = set(sys.modules); import algebroid.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    new = set(json.loads(proc.stdout))
+    assert "algebroid.cli" in new
+    assert sorted(new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []

@@ -397,3 +397,44 @@ def test_hochschild_serre_prediction_on_the_exterior_counterexample():
     su2 = catalog.algebra("su2")
     with pytest.raises(ValueError):  # no codimension-one ideal is abelian
         oracle.codim1_prediction(su2, 0, trivial_representation(su2))
+
+
+def assert_twisted_poincare_duality(r: Representation) -> None:
+    # H^p(g; E) = H^{n-p}(g; E* (x) Lambda^n g)^*: a second complex, whose
+    # assembly and elimination errors would not cancel with the first's
+    assert lie_cohomology(r).betti == lie_cohomology(oracle.twisted_dual(r)).betti[::-1]
+
+
+DUALITY_CASES = {
+    **{f"{name}-{kind}": (name, kind) for name in catalog.ALGEBRA_NAMES
+       for kind in ("trivial", "adjoint")},
+    **{name: (name, "catalog") for name in catalog.REPRESENTATION_NAMES},
+    "aff1+h3-adjoint": ("aff1+h3", "adjoint"),
+}
+
+
+@pytest.mark.parametrize("name, kind", DUALITY_CASES.values(), ids=DUALITY_CASES)
+def test_twisted_poincare_duality_on_the_catalog(name, kind):
+    if kind == "catalog":
+        r = catalog.representation(name)
+    else:
+        g = direct_sum(*map(catalog.algebra, name.split("+"))) if "+" in name \
+            else catalog.algebra(name)
+        r = (trivial_representation if kind == "trivial" else adjoint_representation)(g)
+    assert_twisted_poincare_duality(r)
+
+
+def test_twisted_dual_is_a_representation_with_the_modular_twist():
+    # aff1: tr ad e0 = 1, so its trivial dual is the character 1 on e0, and
+    # the asymmetric vectors (1, 1, 0) and (0, 1, 1) match only through it
+    twisted = oracle.twisted_dual(trivial_representation(catalog.algebra("aff1")))
+    assert [oracle.matrix_rows(m) for m in twisted.action] == [[[1]], [[0]]]
+    assert lie_cohomology(twisted).betti == (0, 1, 1)
+    assert check_representation(twisted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(solvable_representations())
+def test_twisted_poincare_duality_on_solvable_algebras(r):
+    assert check_representation(oracle.twisted_dual(r))
+    assert_twisted_poincare_duality(r)
