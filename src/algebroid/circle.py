@@ -20,20 +20,21 @@ one denominator rule.  `TrigPoly` has no arithmetic operators: fields are
 combined only on their integer window coordinates, so `window_coords`
 alone states the coefficient layout.
 
-A window differential is written by `liealg.form_rows`, the loop over the
-source masks that writes every CE differential too; here each form carries
-its window, and the windows of a degree sit one after another.  Each term
-of d(e^w) is placed on the inclusion of its windows, which is the identity
-on the source window's coordinates since V_s's basis is a prefix of V_t's.
-Each e^i ^ e^w is placed on the integer rows of u -> phi_i u', cut to w's
-window.  All terms share one denominator, and `from_int_rows` drops the
-cancelled entries and reduces the rows once.
+A window differential is written by `liealg.form_columns`, the loop over
+the source masks that writes every CE differential too; here each form
+carries its window, and the windows of a degree sit one after another.
+Each term of d(e^w) is placed on the inclusion of its windows, which is the
+identity on the source window's coordinates since V_s's basis is a prefix
+of V_t's.  Each e^i ^ e^w is placed on the integer columns of u -> phi_i u'
+on the widest window, the first ones, as many as w's window has.  All terms
+share one denominator, and the matrix constructor drops the cancelled
+entries and reduces the columns once.
 
 Window N is the subcomplex of any wider window spanned by the coordinates
 whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
 filtered complex: the widest window, eliminated once with clearing by
 `exactlinalg.pivot_levels`, which first checks d^2 = 0 and that the
-windows nest; the pivot rows of level <= N number the ranks of window N.
+windows nest; the pivot columns of level <= N number the ranks of window N.
 
 Zero counting is exact.  Under u = tan(t/2) a degree-d f is P(u) / (1 + u^2)^d
 (`weierstrass_numerator`); its zeros away from t = pi are the real roots of
@@ -53,9 +54,9 @@ from math import lcm
 from . import polyroots
 from .errors import NonsimpleZeroError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
-    cohomology_from_ranks, common_rows, pivot_levels, require_cochain_budget
+    cohomology_from_ranks, common_columns, pivot_levels, require_cochain_budget
 from .exterior import basis_masks
-from .liealg import LieAlgebra, bracket_denominator, form_rows, require_jacobi
+from .liealg import LieAlgebra, bracket_denominator, form_columns, require_jacobi
 
 _ZERO = Fraction(0)
 
@@ -97,10 +98,6 @@ class TrigPoly:
             cos_list.pop()
             sin_list.pop()
         return cls(as_fraction(constant), tuple(cos_list), tuple(sin_list))
-
-    @classmethod
-    def const(cls, c) -> "TrigPoly":
-        return cls.make(constant=c)
 
     @classmethod
     def cos(cls, k: int, coeff=1) -> "TrigPoly":
@@ -235,18 +232,19 @@ def field_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
     # cos bt -> -b sin bt, sin bt -> b cos bt
     basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
              for j in range(1, window_dim(src_m)) for kind, b in [_harmonic(j)]]
-    rows: list[dict[int, int]] = [{} for _ in range(window_dim(tgt_m))]
+    cols: list[dict[int, int]] = [{} for _ in range(window_dim(src_m))]
     for i, x in enumerate(a):
         if not x:
             continue
         f_kind, h = _harmonic(i)
         for j, b_kind, b, scale in basis:
             kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
+            col = cols[j]
             for k, sign in ((h - b, diff_sign), (h + b, sum_sign)):
                 row, k_sign = _coordinate(kind, k)
                 if k_sign:
-                    rows[row][j] = rows[row].get(j, 0) + x * sign * k_sign * scale
-    return RationalMatrix.from_int_rows(window_dim(tgt_m), window_dim(src_m), rows, 2 * den)
+                    col[row] = col.get(row, 0) + x * sign * k_sign * scale
+    return RationalMatrix(window_dim(tgt_m), window_dim(src_m), cols, 2 * den)
 
 
 # -- algebroids --------------------------------------------------------------
@@ -306,20 +304,19 @@ class ActionAlgebroid:
         degrees = tuple(offs[-1] for offs in offsets)
         # e^i ^ e^w moves a nonzero field's slot: u -> phi_i u' from V_ws to V_{ws+d},
         # ws = n + d s for s < m moving slots.  V_ws's basis is a prefix of the widest
-        # window's and phi_i u' lies in V_{ws+d}, so the block of ws is the widest one
-        # cut to V_ws's columns.  Those blocks and the brackets set the denominator.
+        # window's and phi_i u' lies in V_{ws+d}, so the block of ws is the widest one's
+        # first window_dim(ws) columns, which form_columns takes.  Those blocks and the
+        # brackets set the denominator.
         fields = [i for i, f in enumerate(self.phi) if not f.is_zero()]
-        sources = [n + d * s for s in range(moving.bit_count())]
-        den, wide = common_rows([field_matrix(self.phi[i], sources[-1], sources[-1] + d)
-                                 for i in fields], bracket_denominator(g))
-        blocks = [(i, {w: [(a, cut) for a, row in enumerate(rows)
-                           if (cut := {c: x for c, x in row.items() if c < w})]
-                       for w in map(window_dim, sources)})
-                  for i, rows in zip(fields, wide)]
-        diffs = tuple(RationalMatrix.from_int_rows(
+        widest = n + d * (moving.bit_count() - 1)
+        den, wide = common_columns([field_matrix(self.phi[i], widest, widest + d)
+                                    for i in fields], bracket_denominator(g))
+        blocks = [(i, [(b, col) for b, col in enumerate(cols) if col])
+                  for i, cols in zip(fields, wide)]
+        diffs = tuple(RationalMatrix(
             degrees[p + 1], degrees[p],
-            form_rows(g, p, den, fibers[p], (offsets[p], offsets[p + 1]), (1, 1), blocks,
-                      degrees[p + 1]), den) for p in range(g.dim))
+            form_columns(g, p, den, fibers[p], (offsets[p], offsets[p + 1]), (1, 1), blocks,
+                         degrees[p]), den) for p in range(g.dim))
         # Window coordinate j holds harmonic ceil(j/2); in a form of window w it
         # enters at N = that - (w - n).
         levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws
@@ -348,7 +345,7 @@ class Rank1Anchor(ActionAlgebroid):
 def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:
     """First basis pair i < j, in lexicographic order, with [phi_i, phi_j]
     != sum_k c^k_{ij} phi_k, or None; needs one phi per basis vector.  With
-    phi_k = a_k / q on V_d (d the top degree), B_k / den the rows of
+    phi_k = a_k / q on V_d (d the top degree), B_k / den the columns of
     u -> phi_k u' into V_2d, built once per nonzero field, and bden the
     brackets' lcm, it compares bden (B_i a_j - B_j a_i) with
     den sum_k bden c^k_ij a_k on integers."""
@@ -359,16 +356,17 @@ def action_violation(a: ActionAlgebroid) -> tuple[int, int] | None:
     q = lcm(*[den for _, den in ints.values()])
     coords = {k: [x * (q // den) for x in ak] + [0] * (window_dim(d) - len(ak))
               for k, (ak, den) in ints.items()}
-    den, blocks = common_rows([field_matrix(a.phi[k], d, 2 * d) for k in coords])
+    den, blocks = common_columns([field_matrix(a.phi[k], d, 2 * d) for k in coords])
     fields = dict(zip(coords, blocks))
     bden = bracket_denominator(g)
     table = {(i, j): terms for i, j, terms in g.brackets}
     for i, j in combinations(range(g.dim), 2):
         acc = [0] * window_dim(2 * d)
         if i in fields and j in fields:
-            for rows, u, factor in ((fields[i], coords[j], bden), (fields[j], coords[i], -bden)):
-                for r, row in enumerate(rows):
-                    acc[r] += factor * sum(x * u[c] for c, x in row.items())
+            for cols, u, factor in ((fields[i], coords[j], bden), (fields[j], coords[i], -bden)):
+                for col, y in zip(cols, u):
+                    for r, x in col.items():
+                        acc[r] += factor * x * y
         for k, c in table.get((i, j), ()):
             if k in coords:
                 v = den * c.numerator * (bden // c.denominator)
@@ -405,7 +403,7 @@ def stabilized_cohomology(a, n_min: int, n_max: int) -> SweepResult:
     Only window n_max is assembled and validated; window N is its
     subcomplex of coordinates of level <= N.  `pivot_levels` checks d^2 = 0
     and that nesting, then eliminates the complex once with clearing, and
-    rank d_p on window N is the number of its pivot rows of level <= N.
+    rank d_p on window N is the number of its pivot columns of level <= N.
 
     A sweep whose last three windows disagree is returned with `stabilized`
     off and the Betti numbers of the widest window; the caller decides

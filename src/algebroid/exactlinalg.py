@@ -1,25 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Nothing in this package touches floating point.  The storage is sparse
-integer numerator rows over one common denominator (see `RationalMatrix`),
-and only this module knows it.  Builders write integer rows through
-`RationalMatrix.from_int_rows`, which drops zeros and divides out the gcd,
-and read them back through `common_rows` and `entries`; `from_entries`
+integer numerator columns over one common denominator (see
+`RationalMatrix`), and only this module knows it.  Builders write integer
+columns through the constructor, which drops zeros and divides out the gcd,
+and read them back through `common_columns` and `entries`; `from_entries`
 stays for parsers, tests and small builders (the addition map and its
 coproduct, the tensor factors in `kunneth`, the characters of `symbol`),
 and `to_rows` reads dense Fractions.  A matrix has no arithmetic
 operators: a caller that needs a sum or a product writes it on
-`common_rows`, so the builders, the elimination and the d^2 = 0 check all
-work on integers.
+`common_columns`, so the builders, the elimination and the d^2 = 0 check
+all work on integers.
 
-There is one elimination, `_echelon`, behind `rank`, `kernel_basis` and
-`pivot_levels`; all three eliminate the stored integer rows (`pivot_levels`
-transposed), the matrix times its positive denominator, which keeps the
-pivot columns and the null space.  Its docstring states the pivot rule and
-the bound on the entries, and `kernel_basis` back-substitutes on the pivot
-rows it keeps.  `pivot_levels` checks d^2 = 0 and eliminates a complex in
-one pass with clearing, which also gives the ranks of every subcomplex of a
-filtration.
+Columns are what the differentials' builders write, one source coordinate
+at a time, and what a complex is eliminated by: there is one elimination,
+`_echelon`, and `rank` and `pivot_levels` hand it the stored integer
+columns, the matrix times its positive denominator.  `kernel_basis`, which
+needs pivot columns and so eliminates rows, transposes its small matrix
+first.  `_echelon`'s docstring states the pivot rule and the bound on the
+entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
+`pivot_levels` checks d^2 = 0 and eliminates a complex in one pass with
+clearing, which also gives the ranks of every subcomplex of a filtration.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -57,7 +58,7 @@ def as_fraction(x) -> Fraction:
 class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable once built.
 
-    Row i is stored as a dict {column: nonzero int} of numerators over one
+    Column j is stored as a dict {row: nonzero int} of numerators over one
     positive common denominator `_den`, with gcd(_den, all numerators) = 1.
     That form is unique, so equal matrices have equal storage, and every
     operation costs time in proportion to the nonzeros it touches.
@@ -65,43 +66,23 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "_num", "_den")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, num: list[dict[int, int]], den: int = 1):
+        """Take over integer columns {row: int} over a positive `den`: zeros
+        are dropped and gcd(den, all numerators) is divided out.  The
+        columns are rebuilt only when that gcd exceeds 1 or some entry is
+        zero."""
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if entries is not None and len(entries) != rows:
-            raise ValueError("row count mismatch")
-        if entries is not None and any(len(row) != cols for row in entries):
+        if len(num) != cols:
             raise ValueError("column count mismatch")
-        self.rows, self.cols = rows, cols
-        self._num, self._den = _cleared([dict(enumerate(map(as_fraction, row)))
-                                         for row in entries or [()] * rows])
-
-    @classmethod
-    def from_int_rows(cls, rows: int, cols: int, num: list[dict[int, int]],
-                      den: int = 1) -> "RationalMatrix":
-        """Take over integer rows {column: int} over a positive `den`: zeros
-        are dropped and gcd(den, all numerators) is divided out.  The rows
-        are rebuilt only when that gcd exceeds 1 or some entry is zero."""
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(num) != rows:
-            raise ValueError("row count mismatch")
         g = den
-        for row in num:
+        for col in num:
             if g == 1:
                 break
-            g = gcd(g, *row.values())
+            g = gcd(g, *col.values())
         if g > 1 or not all(map(all, map(dict.values, num))):
-            num = [{j: x // g for j, x in row.items() if x} for row in num]
-        m = cls.__new__(cls)
-        m.rows, m.cols, m._num, m._den = rows, cols, num, den // g
-        return m
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
+            num = [{i: x // g for i, x in col.items() if x} for col in num]
+        self.rows, self.cols, self._num, self._den = rows, cols, num, den // g
 
     @classmethod
     def from_entries(cls, rows: int, cols: int,
@@ -109,28 +90,33 @@ class RationalMatrix:
         """Build from ((i, j), value) pairs: repeated positions are summed,
         zeros (given or cancelled) are dropped, and a position outside the
         shape raises IndexError.  Integer values are summed as integers."""
-        values: list[dict] = [{} for _ in range(rows)]
-        integral = True
+        values: list[dict] = [{} for _ in range(cols)]
+        integral, den = True, 1
         for (i, j), x in pairs:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             if not isinstance(x, int):
                 x, integral = as_fraction(x), False
-            row = values[i]
-            row[j] = row[j] + x if j in row else x
-        return cls.from_int_rows(rows, cols, *((values, 1) if integral else _cleared(values)))
+            col = values[j]
+            col[i] = col[i] + x if i in col else x
+        if not integral:
+            den = lcm(*[x.denominator for col in values for x in col.values()])
+            values = [{i: x.numerator * (den // x.denominator) for i, x in col.items()}
+                      for col in values]
+        return cls(rows, cols, values, den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls.from_int_rows(rows, cols, [{} for _ in range(rows)])
+        return cls(rows, cols, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_int_rows(n, n, [{i: 1} for i in range(n)])
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     def to_rows(self) -> list[list[Fraction]]:
-        den, cols = self._den, range(self.cols)
-        return [[Fraction(row[j], den) if j in row else _ZERO for j in cols] for row in self._num]
+        den = self._den
+        return [[Fraction(col[i], den) if i in col else _ZERO for col in self._num]
+                for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -145,105 +131,97 @@ class RationalMatrix:
         return not any(self._num)
 
     def entries(self) -> Iterable[tuple[int, int, int | Fraction]]:
-        """(i, j, value) of every nonzero entry, row by row.  A value is an int
-        when it is integral and a Fraction otherwise."""
+        """(i, j, value) of every nonzero entry, column by column.  A value is
+        an int when it is integral and a Fraction otherwise."""
         den = self._den
         return ((i, j, x // den if x % den == 0 else Fraction(x, den))
-                for i, row in enumerate(self._num) for j, x in row.items())
+                for j, col in enumerate(self._num) for i, x in col.items())
 
 
-def _cleared(values: list[dict]) -> tuple[list[dict[int, int]], int]:
-    """Rows of int or Fraction values as integer rows over the lcm of their
-    denominators, zeros dropped.  This form is already normalised: a prime
-    power that divides the lcm exactly leaves some numerator prime to it."""
-    den = lcm(*[x.denominator for row in values for x in row.values()])
-    return [{j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
-            for row in values], den
-
-
-def common_rows(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, list]:
-    """(D, each matrix times D as read-only integer rows), D = lcm(den, their denominators)."""
+def common_columns(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, list]:
+    """(D, each matrix times D as read-only integer columns), D = lcm(den, their denominators)."""
     den = lcm(den, *[m._den for m in mats])
-    return den, [m._num if m._den == den else [{j: x * (den // m._den) for j, x in row.items()}
-                                               for row in m._num] for m in mats]
+    return den, [m._num if m._den == den else [{i: x * (den // m._den) for i, x in col.items()}
+                                               for col in m._num] for m in mats]
 
 
-def _echelon(rows: list[dict[int, int]], cols: int, order: Sequence[int] | None = None,
+def _echelon(cols: list[dict[int, int]], rows: int, order: Sequence[int] | None = None,
              level: Sequence[int] | None = None) -> list[tuple[int, int, dict[int, int]]]:
-    """(column, row index, row) of each pivot, in the order taken, when the
-    distinct columns `order` (default all, left to right) of these integer
-    rows, which are consumed, are eliminated in that order.  A column gets a
-    pivot exactly when it is independent of those taken before it.  Each row
-    is the integer pivot row as chosen: it vanishes on every column taken
-    before its own, and no later step changes it.
+    """(row, column index, column) of each pivot, in the order taken, when
+    the distinct rows `order` (default all, top to bottom) of these integer
+    columns, which are consumed, are eliminated in that order.  A row gets a
+    pivot exactly when it is independent of those taken before it.  Each
+    column is the integer pivot column as chosen: it vanishes on every row
+    taken before its own, and no later step changes it.
 
-    Sparse integer elimination with an index `at` from each column to the
-    live rows that hold it, so the candidate pivots for column c are exactly
-    at[c].  A lone candidate is the pivot; else it is the candidate of the
+    Sparse integer elimination with an index `at` from each row to the live
+    columns that hold it, so the candidate pivots for row r are exactly
+    at[r].  A lone candidate is the pivot; else it is the candidate of the
     lowest `level` (if given), then the fewest nonzeros, then the smallest
-    bit size of its entry in column c, then the lowest row index, so the
-    choice is deterministic and the fill-in small.  The pivot row leaves the
-    index, and only the other rows that hold column c change: each becomes
-    (piv/g)*row - (f/g)*pivot_row with g = gcd(piv, f), and is divided by
-    the gcd of its entries.  A row that cancels to zero is dropped.
+    bit size of its entry in row r, then the lowest column index, so the
+    choice is deterministic and the fill-in small.  The pivot column leaves
+    the index, and only the other columns that hold row r change: each
+    becomes (piv/g)*col - (f/g)*pivot_col with g = gcd(piv, f), and is
+    divided by the gcd of its entries.  A column that cancels to zero is
+    dropped.
 
     The content division is what bounds the entries.  After k pivots a live
-    row is a nonzero multiple of its input row plus a combination of the k
-    pivot rows, and it vanishes on the k pivot columns.  The input rows of
-    the pivots restricted to those columns form a block B with det(B) != 0,
-    so the live row is a nonzero multiple of its row of the Schur complement
-    of B, and det(B) times that Schur row is an integer vector of
-    (k+1)-minors of the input.  After content division the live row is the
-    primitive integer vector in that direction, which divides the vector of
-    minors entry by entry.  So every stored entry is at most a minor of the
-    input, hence at most its Hadamard bound.
+    column is a nonzero multiple of its input column plus a combination of
+    the k pivot columns, and it vanishes on the k pivot rows.  The input
+    columns of the pivots restricted to those rows form a block B with
+    det(B) != 0, so the live column is a nonzero multiple of its column of
+    the Schur complement of B, and det(B) times that Schur column is an
+    integer vector of (k+1)-minors of the input.  After content division the
+    live column is the primitive integer vector in that direction, which
+    divides the vector of minors entry by entry.  So every stored entry is
+    at most a minor of the input, hence at most its Hadamard bound.
     """
-    at: list[set[int]] = [set() for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            at[j].add(i)
+    at: list[set[int]] = [set() for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            at[i].add(j)
     pivots = []
-    for c in range(cols) if order is None else order:
-        holders = at[c]
+    for r in range(rows) if order is None else order:
+        holders = at[r]
         if not holders:
             continue
         if len(holders) == 1:
             p = holders.pop()
         else:
-            p = min(holders, key=lambda i: (level[i] if level else 0, len(rows[i]),
-                                            abs(rows[i][c]).bit_length(), i))
-        prow = rows[p]
-        for j in prow:
-            at[j].discard(p)
-        piv = prow[c]
-        for i in list(holders):
-            row = rows[i]
-            f = row[c]
+            p = min(holders, key=lambda j: (level[j] if level else 0, len(cols[j]),
+                                            abs(cols[j][r]).bit_length(), j))
+        pcol = cols[p]
+        for i in pcol:
+            at[i].discard(p)
+        piv = pcol[r]
+        for j in list(holders):
+            col = cols[j]
+            f = col[r]
             g = gcd(piv, f)
             a, b = piv // g, f // g
             if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, y in prow.items():
-                v = row.get(j, 0) - b * y
+                for i in col:
+                    col[i] *= a
+            for i, y in pcol.items():
+                v = col.get(i, 0) - b * y
                 if v:
-                    if j not in row:
-                        at[j].add(i)
-                    row[j] = v
-                elif j in row:
-                    del row[j]
-                    at[j].discard(i)
-            content = gcd(*row.values())
+                    if i not in col:
+                        at[i].add(j)
+                    col[i] = v
+                elif i in col:
+                    del col[i]
+                    at[i].discard(j)
+            content = gcd(*col.values())
             if content > 1:
-                for j in row:
-                    row[j] //= content
-        pivots.append((c, p, prow))
+                for i in col:
+                    col[i] //= content
+        pivots.append((r, p, pcol))
     return pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank: the pivot count with columns taken left to right."""
-    return len(_echelon([dict(row) for row in m._num], m.cols))
+    """Exact rank: the pivot count of the stored columns."""
+    return len(_echelon(list(map(dict, m._num)), m.rows))
 
 
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
@@ -252,9 +230,14 @@ def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     The vector of a free column has 1 there and 0 on the other free columns,
     which fixes it.  Its pivot entries come from the pivot rows, last pivot
     first: a pivot row vanishes on the earlier pivot columns, so its other
-    entries meet only coordinates already known.
+    entries meet only coordinates already known.  The pivot rows are the
+    pivot columns of m transposed, whose columns are m's integer rows.
     """
-    echelon = _echelon([dict(row) for row in m._num], m.cols)[::-1]
+    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m._num):
+        for i, x in col.items():
+            rows[i][j] = x
+    echelon = _echelon(rows, m.cols)[::-1]
     pivot_set = {c for c, _, _ in echelon}
     basis = []
     for free in range(m.cols):
@@ -325,17 +308,18 @@ class CochainComplex:
     def chain_defect(self) -> int | None:
         """Smallest p with d_{p+1} d_p != 0, or None when d^2 = 0.
 
-        Multiplies the stored integer rows, which are d_{p+1} and d_p each
-        scaled by its positive common denominator.  Such scalings cannot
-        make a nonzero product zero or a zero product nonzero.
+        Applies the stored integer d_{p+1} to each stored integer column of
+        d_p; both are scaled by their positive common denominators, and
+        such scalings cannot make a nonzero product zero or a zero product
+        nonzero.
         """
         for p in range(len(self.differentials) - 1):
-            right = self.differentials[p]._num
-            for lrow in self.differentials[p + 1]._num:
+            left = self.differentials[p + 1]._num
+            for col in self.differentials[p]._num:
                 acc: dict[int, int] = {}
-                for k, x in lrow.items():
-                    for j, y in right[k].items():
-                        acc[j] = acc.get(j, 0) + x * y
+                for k, y in col.items():
+                    for i, x in left[k].items():
+                        acc[i] = acc.get(i, 0) + x * y
                 if any(acc.values()):
                     return p
         return None
@@ -355,23 +339,23 @@ class CohomologyReport:
 
 def pivot_levels(c: CochainComplex,
                  levels: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
-    """The level of each pivot row of each d_p, from one pass with clearing.
-    levels[p][i] is the level of coordinate i of C^p, 0 without levels, and
-    rank d_p on the coordinates of level <= N is its pivot count there.
-    Raises ChainConditionError when d^2 != 0, and ValidationError when some
-    d_p maps a column into a row of a later level.
+    """The level of each pivot column of each d_p, from one pass with
+    clearing.  levels[p][i] is the level of coordinate i of C^p, 0 without
+    levels, and rank d_p on the coordinates of level <= N is its pivot count
+    there.  Raises ChainConditionError when d^2 != 0, and ValidationError
+    when some d_p maps a column into a row of a later level.
 
-    `_echelon` runs on each d_p transposed, whose rows are the images
-    d_p(e_i) of the coordinates of C^p, and whose columns, C^{p+1}, are
-    taken by descending level.  The rows of the lows (pivot columns) of
-    d_{p-1} are left out, and that keeps every rank: a pivot row v with low s
-    lies in im d_p, on s and on columns taken after s, of level <= level(s),
-    and d_{p+1} v = 0 makes column s of d_{p+1} a combination of those
-    columns; so, from the last low back, each low is a combination of
-    columns that are no lows and of no higher level.  The pivot row is the
-    candidate of the lowest level, so a row of level <= N changes only by
-    pivot rows of level <= N, and for every N the pivot rows of level <= N,
-    which are independent, span what the input rows of level <= N span.
+    `_echelon` runs on the stored columns of each d_p, the images d_p(e_i)
+    of the coordinates of C^p, and takes their rows, C^{p+1}, by descending
+    level.  The columns of the lows (pivot rows) of d_{p-1} are left out,
+    and that keeps every rank: a pivot column v with low s lies in im d_p,
+    on s and on rows taken after s, of level <= level(s), and d_{p+1} v = 0
+    makes column s of d_{p+1} a combination of its columns at those rows;
+    so, from the last low back, each low is a combination of columns that
+    are no lows and of no higher level.  The pivot column is the candidate of the
+    lowest level, so a column of level <= N changes only by pivot columns
+    of level <= N, and for every N the pivot columns of level <= N, which
+    are independent, span what the input columns of level <= N span.
     """
     defect = c.chain_defect()
     if defect is not None:
@@ -382,20 +366,15 @@ def pivot_levels(c: CochainComplex,
         if levels:
             above, level = levels[p + 1], levels[p]
             order = sorted(range(d.rows), key=above.__getitem__, reverse=True)
-        # d_p transposed, written without the rows of the lows
-        rows, kept = [{} for _ in range(d.cols)], [True] * d.cols
-        for s in lows:
-            kept[s] = False
-        for i, row in enumerate(d._num):
-            if level:
-                for j in row:
+            for j, col in enumerate(d._num):
+                for i in col:
                     if above[i] > level[j]:
                         raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
                                               f"(level {level[j]}) into row {i} (level {above[i]})")
-            for j, x in row.items():
-                if kept[j]:
-                    rows[j][i] = x
-        pivots = _echelon(rows, d.rows, order, level)
+        cols = list(map(dict, d._num))  # _echelon consumes its input
+        for s in lows:
+            cols[s] = {}
+        pivots = _echelon(cols, d.rows, order, level)
         out.append([level[i] for _, i, _ in pivots] if level else [0] * len(pivots))
         lows = [s for s, _, _ in pivots]
     return out

@@ -9,8 +9,8 @@ k counting the pairs x in a, y in b with y < x.  Every wedge sign in the
 package, in CE and window differentials and in the Hopf product and
 coproduct, comes from it; the CE and window builders apply it to e^i inline,
 so `wedge_matrix` has no caller in the package and serves the tests and the
-bench tracer.  The builders write entries +-1 as integer rows through
-`RationalMatrix.from_int_rows`.
+bench tracer.  The wedge builders write one entry +-1 or none per column,
+as integer columns, through the `RationalMatrix` constructor.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def wedge_product(n: int, p: int, q: int) -> RationalMatrix:
 def _wedges(n: int, degree: int, left: list[int], right: list[int]) -> RationalMatrix:
     """Matrix of a (x) b -> a ^ b into `degree`, a in left major, b in right minor."""
     tgt = basis_index(n, degree)
-    rows: list[dict[int, int]] = [{} for _ in tgt]
-    for ia, a in enumerate(left):
-        for ib, b in enumerate(right):
-            merged = wedge(a, b)
-            if merged is not None:
-                rows[tgt[merged[1]]][ia * len(right) + ib] = merged[0]
-    return RationalMatrix.from_int_rows(len(tgt), len(left) * len(right), rows)
+    cols = [{tgt[ab[1]]: ab[0]} if (ab := wedge(a, b)) else {} for a in left for b in right]
+    return RationalMatrix(len(tgt), len(cols), cols)
 

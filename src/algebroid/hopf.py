@@ -21,11 +21,11 @@ linear combinations.  A coefficient is an exact `int` when it is
 integral and a `Fraction` otherwise, so the common case of coefficients
 +-1 never builds a Fraction.  The antipode is rebuilt degree by degree from
 connectedness and then verified on both sides.  `primitives` reads the
-coproduct's integer rows over their denominator, subtracts x (x) 1 + 1 (x) x
-there and hands the difference, written through `from_int_rows`, to
-`kernel_basis`.  `exterior_structure_check` reads the Betti vector alone, so
-its factorization into (1 + t^d), d odd, is necessary for an exterior
-algebra but does not look at the cup product.
+coproduct's integer columns over their denominator, subtracts
+x (x) 1 + 1 (x) x there and hands the difference, written through the
+`RationalMatrix` constructor, to `kernel_basis`.  `exterior_structure_check`
+reads the Betti vector alone, so its factorization into (1 + t^d), d odd,
+is necessary for an exterior algebra but does not look at the cup product.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, common_rows, kernel_basis, require_cochain_budget
+from .exactlinalg import RationalMatrix, common_columns, kernel_basis, require_cochain_budget
 from .exterior import wedge_product
 from .liealg import LieAlgebra
 
@@ -196,13 +196,13 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
     out: list[tuple[tuple[Fraction, ...], ...]] = [()]  # degree 0 has none
     for r in range(1, c.top + 1):
         dim_r, offs = c.betti[r], c.block_offsets(r)
-        den, (rows,) = common_rows([c.coproduct[r]])
-        rows = [dict(row) for row in rows]
+        den, (cols,) = common_columns([c.coproduct[r]])
+        cols = list(map(dict, cols))
         # D - (x (x) 1 + 1 (x) x): column a loses den at row a of blocks (r, 0) and (0, r)
-        for a in range(dim_r):
+        for a, col in enumerate(cols):
             for i in (offs[r] + a, offs[0] + a):
-                rows[i][a] = rows[i].get(a, 0) - den
-        diff = RationalMatrix.from_int_rows(offs[-1], dim_r, rows, den)
+                col[i] = col.get(i, 0) - den
+        diff = RationalMatrix(offs[-1], dim_r, cols, den)
         out.append(tuple(tuple(v) for v in kernel_basis(diff)))
     return tuple(out)
 

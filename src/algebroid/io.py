@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from .errors import ParseError, ValidationError
-from .exactlinalg import MAX_TRIG_DEGREE, RationalMatrix
+from .exactlinalg import MAX_TRIG_DEGREE, RationalMatrix, require_cochain_budget
 from .liealg import LieAlgebra, Representation
 from .symbol import FiberData
 
@@ -216,6 +216,10 @@ def fiber_from_dict(d: dict, where: str = "fiber") -> FiberData:
     dim_e = d.get("dim_E", 1)
     if not _is_int(dim_e, f"{where}.dim_E") or dim_e < 0:
         raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
+    if dims["dim_M"] == 0 and d.get("anchor") == []:
+        # No row bounds the width of an empty anchor, and a matrix stores one
+        # entry per column, so the symbol complex's budget is checked first.
+        require_cochain_budget(dim_e, dims["dim_A"], "the symbol complex")
     anchor = matrix_from_rows(d.get("anchor"), dims["dim_M"], dims["dim_A"], f"{where}.anchor")
     return FiberData(dim_a=dims["dim_A"], dim_m=dims["dim_M"], anchor=anchor, dim_e=dim_e)
 

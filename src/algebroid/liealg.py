@@ -19,23 +19,23 @@ where c^k_{ij} are the structure constants.  The degree-p component
 E (x) Lambda^p is ordered with the coefficient index major and the
 lexicographic form index minor.
 
-Both terms come from `form_rows`, one loop over bitmask forms that carry
-fibers, on integer rows like the flatness check.  It writes every
-differential of the package: a CE form carries E, placed coefficient
-major, and a window form of `circle` carries its window, placed
-contiguously.
+Both terms come from `form_columns`, one loop over bitmask forms that
+carry fibers, on integer columns like the flatness check.  It writes every
+differential of the package, each column once, in the storage the
+elimination reads: a CE form carries E, placed coefficient major, and a
+window form of `circle` carries its window, placed contiguously.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, lcm
 from typing import Sequence
 
 from .errors import DegreeOutOfRangeError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
-    common_rows, complex_cohomology, require_cochain_budget
+    common_columns, complex_cohomology, require_cochain_budget
 from .exterior import basis_masks
 
 _ZERO = Fraction(0)
@@ -170,22 +170,23 @@ def adjoint_representation(g: LieAlgebra) -> Representation:
 def representation_violation(r: Representation) -> tuple[int, int] | None:
     """First basis pair i < j, in lexicographic order, with
     rho_[e_i, e_j] != rho_i rho_j - rho_j rho_i, or None when r is flat.  On
-    N_k = D rho_k and q = lcm(c^k_ij's denominators): q [N_i, N_j] = D sum_k q c^k_ij N_k.
+    N_k = D rho_k and q = lcm(c^k_ij's denominators): q [N_i, N_j] = D sum_k q c^k_ij N_k,
+    compared column by column.
     """
-    den, mats = common_rows(r.action)
+    den, mats = common_columns(r.action)
     table = {(i, j): terms for i, j, terms in r.algebra.brackets}
     for i, j in combinations(range(r.algebra.dim), 2):
         terms = table.get((i, j), ())
         q = lcm(*[c.denominator for _, c in terms])
-        for a in range(r.dim_e):
+        for b in range(r.dim_e):
             acc: dict[int, int] = {}
             for left, right, f in ((mats[i], mats[j], q), (mats[j], mats[i], -q)):
-                for m, x in left[a].items():
-                    for b, y in right[m].items():
-                        acc[b] = acc.get(b, 0) + f * x * y
+                for m, y in right[b].items():
+                    for a, x in left[m].items():
+                        acc[a] = acc.get(a, 0) + f * x * y
             for k, c in terms:
-                for b, y in mats[k][a].items():
-                    acc[b] = acc.get(b, 0) - den * c.numerator * (q // c.denominator) * y
+                for a, y in mats[k][b].items():
+                    acc[a] = acc.get(a, 0) - den * c.numerator * (q // c.denominator) * y
             if any(acc.values()):
                 return (i, j)
     return None
@@ -216,20 +217,21 @@ def bracket_denominator(g: LieAlgebra) -> int:
     return lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
 
 
-def form_rows(g: LieAlgebra, p: int, den: int, fibers: Sequence[int],
-              starts: tuple[Sequence[int], Sequence[int]], strides: tuple[int, int],
-              blocks: list, height: int) -> list[dict[int, int]]:
-    """The `height` integer rows over den of d_p on degree-p forms that carry
-    fibers, written column by column from one loop over the source masks;
-    den is a multiple of `bracket_denominator(g)`.
+def form_columns(g: LieAlgebra, p: int, den: int, fibers: Sequence[int],
+                 starts: tuple[Sequence[int], Sequence[int]], strides: tuple[int, int],
+                 blocks: list, width: int) -> list[dict[int, int]]:
+    """The `width` integer columns over den of d_p on degree-p forms that
+    carry fibers, written from one loop over the source masks; den is a
+    multiple of `bracket_denominator(g)`.
 
-    The r-th form of degree p carries fibers[r] coordinates, and coordinate a
-    of the r-th form of degree p + s sits at starts[s][r] + a * strides[s].
+    The r-th form of degree p carries fibers[r] > 0 coordinates, and
+    coordinate a of the r-th form of degree p + s sits at starts[s][r] +
+    a * strides[s].
     Each term of d(e^w) maps w's fiber onto a prefix of its target's by the
-    identity.  For each (i, table) of `blocks`, e^i ^ e^w carries the block
-    table[fiber of w], integers over den from w's fiber into its target's,
-    given by rows as pairs (a * strides[1], {c * strides[0]: x}): the offsets
-    are scaled once by the caller, not once per form.
+    identity.  For each (i, block) of `blocks`, block lists (b, column) for
+    the nonzero columns b of a matrix of integers over den, ascending, with
+    the rows already scaled by strides[1], and e^i ^ e^w carries its columns
+    b < fiber of w, from w's fiber into its target's.
     """
     n, (ss, ts) = g.dim, strides
     tgt = dict(zip(basis_masks(n, p + 1), starts[1]))
@@ -239,30 +241,34 @@ def form_rows(g: LieAlgebra, p: int, den: int, fibers: Sequence[int],
     gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
              -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
     # e^i ^ e^w = (-1)^(bits of w below i) e^(w | 1 << i)
-    acts = [(1 << i, (1 << i) - 1, table) for i, table in blocks]
-    diagonals: dict[int, list] = {}  # fiber -> its identity, as (row, column) offsets
-    out: list[dict[int, int]] = [{} for _ in range(height)]
+    acts = [(1 << i, (1 << i) - 1, block) for i, block in blocks]
+    out: list = [None] * width  # every column is one coordinate of one source form
     for w, c0, fib in zip(basis_masks(n, p), starts[0], fibers):
-        col: dict[int, int] = {}
+        first: dict[int, int] = {}
         for bit, pair, below, v in gens:
             rest = w ^ bit
             if w & bit and not rest & pair:
                 r = tgt[rest | pair]
-                col[r] = col.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
-        # The first entries of w's columns, so they are set, not added to.
-        if col and fib not in diagonals:
-            diagonals[fib] = [(a * ts, a * ss) for a in range(fib)]
-        for r0, v in col.items():
-            for r, c in diagonals[fib]:
-                out[r0 + r][c0 + c] = v
-        for bit, below, table in acts:
+                first[r] = first.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
+        # Coordinate a of w's fiber goes to coordinate a of each target's: the
+        # column of a = 0 is `first` itself, and the others are its shifts.
+        cols = [first]
+        if fib > 1:
+            cols += map(dict, repeat((), fib - 1))
+            for r, v in first.items():
+                for col, i in zip(cols[1:], range(r + ts, r + fib * ts, ts)):
+                    col[i] = v
+        for bit, below, block in acts:
             if w & bit:
                 continue
             r0, neg = tgt[w | bit], (w & below).bit_count() & 1
-            for a, entries in table[fib]:
-                row = out[r0 + a]
-                for c, x in entries.items():
-                    row[c0 + c] = row.get(c0 + c, 0) + (-x if neg else x)
+            for b, entries in block:
+                if b >= fib:  # a window block is the widest one's first fib columns
+                    break
+                col = cols[b]
+                for r, x in entries.items():
+                    col[r0 + r] = col.get(r0 + r, 0) + (-x if neg else x)
+        out[c0:c0 + fib * ss:ss] = cols
     return out
 
 
@@ -273,12 +279,14 @@ def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalM
     if not 0 <= p <= n:
         raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
     rows, cols = comb(n, p + 1), comb(n, p)
-    den, mats = common_rows([rho for _, rho in actions], bracket_denominator(g))
-    blocks = [(i, {dim_e: [(a * rows, {b * cols: x for b, x in row.items()})
-                           for a, row in enumerate(m) if row]}) for (i, _), m in zip(actions, mats)]
-    out = form_rows(g, p, den, [dim_e] * cols, (range(cols), range(rows)), (cols, rows),
-                    blocks, dim_e * rows)
-    return RationalMatrix.from_int_rows(dim_e * rows, dim_e * cols, out, den)
+    if not dim_e:  # no coordinates at all
+        return RationalMatrix.zeros(0, 0)
+    den, mats = common_columns([rho for _, rho in actions], bracket_denominator(g))
+    blocks = [(i, [(b, {a * rows: x for a, x in col.items()}) for b, col in enumerate(m) if col])
+              for (i, _), m in zip(actions, mats)]
+    out = form_columns(g, p, den, [dim_e] * cols, (range(cols), range(rows)), (cols, rows),
+                       blocks, dim_e * cols)
+    return RationalMatrix(dim_e * rows, dim_e * cols, out, den)
 
 
 def ce_complex(r: Representation) -> CochainComplex:

@@ -10,7 +10,8 @@ trig polynomial at t = q pi/2 for the zero-counting references in
 `GradedCoalgebra` methods or read its views, and now take the coalgebra as
 their first argument.  `basis_tuples`, `has_multiple_real_root`,
 `alternating_binomial_sum`, `euler_form_factor` and the dense `bracket`
-had no caller in the package.  `dense_apply` multiplies a package matrix
+had no caller in the package, nor had `const`, the constant trig
+polynomial.  `dense_apply` multiplies a package matrix
 into a vector on its Fraction rows, since matrices have no arithmetic.
 """
 
@@ -92,6 +93,11 @@ def dump_json(d: dict, path: str) -> None:
 
 
 # -- trig values -----------------------------------------------------------------
+
+def const(c) -> TrigPoly:
+    """The constant trig polynomial c."""
+    return TrigPoly.make(constant=c)
+
 
 def cos_coeff(f: TrigPoly, k: int) -> Fraction:
     """The coefficient of cos kt in f; cos 0t is the constant."""

@@ -18,8 +18,9 @@ rank, and `change_basis` rewrites a Lie algebra's structure constants in
 another basis; only tests use them, so they live here and not in the
 package.  These four take and return package objects.
 
-`matrix_entry`, `matrix_row`, `matrix_column` and `transpose` read package
-matrices through `to_rows` and `entries`, and `kernel_dim`, `cokernel_dim`,
+`from_rows` builds a package matrix from dense rows through `from_entries`,
+and `matrix_entry`, `matrix_row`, `matrix_column` and `transpose` read package
+matrices through `to_rows` and `entries`; these and `kernel_dim`, `cokernel_dim`,
 `truncated_complex`, `verify_hopf` and `euler_characteristic` are one-line
 wrappers over package calls.  Only tests used them, so they left the package.
 `codim1_prediction` gives the Betti numbers of g along an abelian ideal of
@@ -60,7 +61,7 @@ term, the flatness check on dense Fraction rows, the window product with one
 half-term per harmonic, `inclusion_matrix` (multiplication by 1), and the
 window complex (`window_complex`) as a `kron_sum` of one term per CE entry,
 that entry as a 1 x 1 matrix times its window block.  The package now writes
-integer rows from bitmask forms, and its stored rows must equal these.
+integer columns from bitmask forms, and its stored columns must equal these.
 
 The Fraction polynomial arithmetic, Euclid and Sturm chains, the half-angle
 numerator multiplied out from powers of 1 + iu and 1 + u^2, and zero
@@ -82,10 +83,10 @@ from math import comb, lcm
 from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
                               window_coords)
 from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, _echelon, common_rows, rank
+from algebroid.exactlinalg import RationalMatrix, _echelon, common_columns, rank
 from algebroid.hopf import addition, hopf_axioms
 from algebroid.liealg import LieAlgebra, Representation, bracket_basis, lie_cohomology
-from fixtures import bracket, cos_coeff, dense_apply, sin_coeff, value_at_quarter
+from fixtures import bracket, const, cos_coeff, dense_apply, sin_coeff, value_at_quarter
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -119,9 +120,10 @@ def gauss_rank(rows: list[list[Fraction]]) -> int:
 def pivot_columns(m, order=None) -> list[int]:
     """Columns of m that get a pivot when the distinct columns `order`
     (default all, left to right) are eliminated in that order, so the
-    pivots among the first k columns of `order` number their rank."""
-    _, (rows,) = common_rows([m])
-    return [c for c, _, _ in _echelon([dict(row) for row in rows], m.cols, order)]
+    pivots among the first k columns of `order` number their rank.  The
+    columns of m transposed are m's rows."""
+    _, (rows,) = common_columns([transpose(m)])
+    return [c for c, _, _ in _echelon(list(map(dict, rows)), m.cols, order)]
 
 
 def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -179,7 +181,7 @@ def inverse(m) -> RationalMatrix:
                       for i, row in enumerate(matrix_rows(m))], 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix.from_rows([row[n:] for row in a])
+    return from_rows([row[n:] for row in a])
 
 
 # Fixed, well-known primes, so the certificate is deterministic.
@@ -340,6 +342,18 @@ def matrix_rows(m) -> list[list[Fraction]]:
     return m.to_rows()
 
 
+def from_rows(data, rows: int | None = None, cols: int | None = None) -> RationalMatrix:
+    """A package matrix from dense rows of ints, Fractions or "p/q" strings,
+    built through `from_entries`.  The shape is read off the rows unless
+    given, as it must be when there are none, and must fit them."""
+    rows = len(data) if rows is None else rows
+    cols = (len(data[0]) if data else 0) if cols is None else cols
+    if len(data) != rows or any(len(row) != cols for row in data):
+        raise ValueError("shape mismatch")
+    return RationalMatrix.from_entries(rows, cols, (((i, j), x) for i, row in enumerate(data)
+                                                    for j, x in enumerate(row)))
+
+
 # -- readers and wrappers that only tests call -----------------------------------
 
 def matrix_entry(m, i: int, j: int) -> Fraction:
@@ -397,28 +411,29 @@ def kron_sum(rows: int, cols: int, terms) -> RationalMatrix:
     product has its top-left entry at (r0, c0) and the index of A is major.
     Terms add, cancelled entries are dropped, and a term that does not fit
     raises ValueError.  A plain block M is the term (r0, c0, identity(1), M).
-    Integer rows are multiplied over the lcm of the terms' denominator products.
+    Integer columns are multiplied over the lcm of the terms' denominator
+    products.
     """
-    terms = [(r0, c0, a, b, common_rows([a]), common_rows([b])) for r0, c0, a, b in terms]
+    terms = [(r0, c0, a, b, common_columns([a]), common_columns([b])) for r0, c0, a, b in terms]
     den = lcm(*[da * db for *_, (da, _), (db, _) in terms])
-    out: list[dict[int, int]] = [{} for _ in range(rows)]
+    out: list[dict[int, int]] = [{} for _ in range(cols)]
     for r0, c0, a, b, (da, (anum,)), (db, (bnum,)) in terms:
         br, bc = b.rows, b.cols
         if min(r0, c0) < 0 or r0 + a.rows * br > rows or c0 + a.cols * bc > cols:
             raise ValueError(f"a {a.rows * br}x{a.cols * bc} term at ({r0}, {c0}) "
                              f"does not fit a {rows}x{cols} matrix")
         scale = den // (da * db)
-        brows = [(k, brow.items()) for k, brow in enumerate(bnum) if brow]
-        for i, arow in enumerate(anum):
-            for j, x in arow.items():
+        bcols = [(l, bcol.items()) for l, bcol in enumerate(bnum) if bcol]
+        for j, acol in enumerate(anum):
+            for i, x in acol.items():
                 x *= scale
-                base = c0 + j * bc
-                for k, bitems in brows:
-                    row = out[r0 + i * br + k]
-                    for l, y in bitems:
-                        old = row.get(base + l)
-                        row[base + l] = x * y if old is None else old + x * y
-    return RationalMatrix.from_int_rows(rows, cols, out, den)
+                base = r0 + i * br
+                for l, bitems in bcols:
+                    col = out[c0 + j * bc + l]
+                    for k, y in bitems:
+                        old = col.get(base + k)
+                        col[base + k] = x * y if old is None else old + x * y
+    return RationalMatrix(rows, cols, out, den)
 
 
 def kron_sum_dense(rows: int, cols: int, terms) -> list[list[Fraction]]:
@@ -663,7 +678,7 @@ def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -
 
 def inclusion_matrix(src_m: int, tgt_m: int) -> RationalMatrix:
     """V_src -> V_tgt, the identity on shared basis functions: multiplication by 1."""
-    return multiplication_matrix(TrigPoly.const(1), src_m, tgt_m)
+    return multiplication_matrix(const(1), src_m, tgt_m)
 
 
 def _from_coords(coords) -> TrigPoly:
@@ -688,7 +703,7 @@ def trig_mul(f, g) -> TrigPoly:
 
 def trig_derivative(f) -> TrigPoly:
     """f', read off the d/dt operator on f's window."""
-    d = multiplication_matrix(TrigPoly.const(1), f.deg, f.deg, derivative=True)
+    d = multiplication_matrix(const(1), f.deg, f.deg, derivative=True)
     return _from_coords(dense_apply(d, window_coords(f, f.deg)))
 
 
@@ -725,7 +740,7 @@ def window_complex(a, n: int):
     for p in range(g.dim):
         maps = [(None, trivial_ce_differential(g, p))]
         maps += [(i, wedge_matrix(g.dim, p, i)) for i, f in enumerate(a.phi) if not f.is_zero()]
-        terms = [(offsets[p + 1][r], offsets[p][c], RationalMatrix.from_rows([[x]]),
+        terms = [(offsets[p + 1][r], offsets[p][c], from_rows([[x]]),
                   block(field, windows[p][c], windows[p + 1][r]))
                  for field, forms in maps for r, c, x in forms.entries()]
         diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from fixtures import ts1_coalgebra
-from oracle import change_basis, kernel_dim, rank_modular, truncated_complex, verify_hopf
+from fixtures import const, ts1_coalgebra
+from oracle import change_basis, from_rows, kernel_dim, rank_modular, truncated_complex, \
+    verify_hopf
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -170,9 +171,9 @@ def test_criterion_6_kunneth_products():
         assert check.ok
 
     # circle algebroid times algebra
-    prod = product_with_lie_algebra(Rank1Anchor(TrigPoly.const(1)), su2)
+    prod = product_with_lie_algebra(Rank1Anchor(const(1)), su2)
     prod_sweep = stabilized_cohomology(prod, 3, 6)
-    factor_sweep = stabilized_cohomology(Rank1Anchor(TrigPoly.const(1)), 3, 6)
+    factor_sweep = stabilized_cohomology(Rank1Anchor(const(1)), 3, 6)
     check = kunneth_verify(prod_sweep.report, factor_sweep.report,
                            lie_cohomology(trivial_representation(su2)))
     assert check.ok
@@ -225,7 +226,7 @@ def test_criterion_8_symbol_exactness_sample():
         dim_m = rng.randint(1, 3)
         dim_a = dim_m + rng.randint(0, 2)
         rows = [[F(rng.randint(-5, 5)) for _ in range(dim_a)] for _ in range(dim_m)]
-        anchor = RationalMatrix.from_rows(rows)
+        anchor = from_rows(rows)
         if rank(anchor) != dim_m:
             continue  # resample until the anchor is surjective
         fiber = FiberData(dim_a=dim_a, dim_m=dim_m, anchor=anchor,
@@ -240,7 +241,7 @@ def test_criterion_8_symbol_exactness_sample():
     fiber = FiberData(dim_a=2, dim_m=1, anchor=RationalMatrix.zeros(1, 2))
     assert not exactness_check(symbol_complex(fiber, [F(1)])).exact
     fiber = FiberData(dim_a=2, dim_m=1,
-                      anchor=RationalMatrix.from_rows([[1, 0]]))
+                      anchor=from_rows([[1, 0]]))
     assert not exactness_check(symbol_complex(fiber, [F(0)])).exact
     verdict(8, "100 random surjective fibers give exact symbol complexes; "
                "zero-anchor and zero-covector controls are inexact")
@@ -289,7 +290,7 @@ def test_criterion_9_structural_invariants():
         ce_complex(trivial_representation(bad))
     mismatched = ActionAlgebroid(
         algebra=catalog.algebra("su2"),
-        phi=(TrigPoly.const(1), TrigPoly.cos(2), TrigPoly.sin(2)))
+        phi=(const(1), TrigPoly.cos(2), TrigPoly.sin(2)))
     with pytest.raises(ValidationError):
         truncated_complex(mismatched, 3)
 
@@ -297,8 +298,8 @@ def test_criterion_9_structural_invariants():
     su2 = catalog.algebra("su2")
     h3 = catalog.algebra("h3")
     changes = [
-        (su2, RationalMatrix.from_rows([[1, 1, 0], [0, 1, 2], [0, 0, "1/3"]])),
-        (h3, RationalMatrix.from_rows([[2, 0, 1], [1, 1, 0], [0, 0, 1]])),
+        (su2, from_rows([[1, 1, 0], [0, 1, 2], [0, 0, "1/3"]])),
+        (h3, from_rows([[2, 0, 1], [1, 1, 0], [0, 0, 1]])),
     ]
     for g, p in changes:
         before = lie_cohomology(trivial_representation(g)).betti

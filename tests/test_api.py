@@ -134,7 +134,7 @@ def test_test_only_readers_and_wrappers_left_the_package(owner, name):
     (circle.ActionAlgebroid, "_is_transitive"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_second_differential_loop_left_the_package(owner, name):
-    # liealg.form_rows writes CE, symbol, window and product differentials
+    # liealg.form_columns writes CE, symbol, window and product differentials
     # alike, and is_transitive reads the fields itself
     assert not hasattr(owner, name)
 
@@ -159,8 +159,8 @@ STORAGE = {"_wrap", "_reduced", "_num", "_den"}
 
 
 def test_only_exactlinalg_knows_the_matrix_storage():
-    # builders write through RationalMatrix.from_int_rows and read through
-    # common_rows and entries
+    # builders write through the RationalMatrix constructor and read through
+    # common_columns and entries
     named = {}
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

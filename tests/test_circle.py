@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from fixtures import dense_apply, value_at_quarter
-from oracle import cokernel_dim, inclusion_matrix, kernel_dim, matrix_column, trig_lincomb, \
-    trig_mul, truncated_complex, vf_bracket
+from fixtures import const, dense_apply, value_at_quarter
+from oracle import cokernel_dim, from_rows, inclusion_matrix, kernel_dim, matrix_column, \
+    trig_lincomb, trig_mul, truncated_complex, vf_bracket
 from algebroid import catalog, circle
 from algebroid.circle import (
     ActionAlgebroid,
@@ -51,12 +51,12 @@ F = Fraction
 
 def derivative(f: TrigPoly) -> TrigPoly:
     """f' through the package's d/dt, u -> 1 u'."""
-    coords = dense_apply(field_matrix(TrigPoly.const(1), f.deg, f.deg), window_coords(f, f.deg))
+    coords = dense_apply(field_matrix(const(1), f.deg, f.deg), window_coords(f, f.deg))
     return TrigPoly.make(coords[0], coords[1::2], coords[2::2])
 
 
 def test_normalization():
-    assert TrigPoly.make(0, [0, 0], [0, 0]) == TrigPoly.const(0)
+    assert TrigPoly.make(0, [0, 0], [0, 0]) == const(0)
     assert TrigPoly.make(1, [1, 0], [0, 0]).deg == 1
     with pytest.raises(ValueError):
         TrigPoly(constant=F(0), cos_coeffs=(F(0),), sin_coeffs=(F(0),))
@@ -79,7 +79,7 @@ def test_product_to_sum_goldens():
     assert trig_mul(s1, s2) == TrigPoly.make(0, [F(1, 2), 0, F(-1, 2)], [0, 0, 0])
     # sin 2t cos t = sin t / 2 + sin 3t / 2
     assert trig_mul(s2, c1) == TrigPoly.make(0, [0, 0, 0], [F(1, 2), 0, F(1, 2)])
-    assert trig_mul(TrigPoly.const(0), c2).is_zero()
+    assert trig_mul(const(0), c2).is_zero()
 
 
 def test_multiplication_is_commutative_and_degree_additive():
@@ -119,9 +119,9 @@ def test_product_and_derivative_match_half_angle_substitution(f, g):
 
 
 def test_vector_field_brackets():
-    one, c2, s2 = TrigPoly.const(1), TrigPoly.cos(2), TrigPoly.sin(2)
+    one, c2, s2 = const(1), TrigPoly.cos(2), TrigPoly.sin(2)
     assert vf_bracket(one, c2) == TrigPoly.sin(2, -2)
-    assert vf_bracket(c2, s2) == TrigPoly.const(2)
+    assert vf_bracket(c2, s2) == const(2)
     assert vf_bracket(s2, one) == TrigPoly.cos(2, -2)
     # antisymmetry on a messier pair
     f = TrigPoly.make(1, [1], [0])
@@ -155,8 +155,8 @@ def test_zero_detection():
     assert has_zero_on_circle(TrigPoly.sin(1))
     assert has_zero_on_circle(TrigPoly.make(-1, [1], [0]))   # cos t - 1
     assert not has_zero_on_circle(TrigPoly.make(2, [0], [1]))  # 2 + sin t
-    assert not has_zero_on_circle(TrigPoly.const(1))
-    assert has_zero_on_circle(TrigPoly.const(0))
+    assert not has_zero_on_circle(const(1))
+    assert has_zero_on_circle(const(0))
 
 
 def test_count_simple_zeros():
@@ -172,7 +172,7 @@ def test_count_simple_zeros():
     with pytest.raises(NonsimpleZeroError):
         count_simple_zeros(TrigPoly.make(1, [0], [-1]))
     with pytest.raises(ValueError):
-        count_simple_zeros(TrigPoly.const(0))
+        count_simple_zeros(const(0))
 
 
 numerator_polys = st.builds(TrigPoly.make, small_fraction,
@@ -199,7 +199,7 @@ def test_weierstrass_numerator_at_the_degree_cap():
 zero_factors = st.sampled_from([
     TrigPoly.make(1, [1], [0]), TrigPoly.make(1, [0, 1], [0, 0]),
     TrigPoly.make(1, [0, 0, 1], [0, 0, 0]), TrigPoly.sin(1), TrigPoly.make(-1, [1], [0]),
-    TrigPoly.make(0, [1], [1]), TrigPoly.const(1)]) | trig_polys
+    TrigPoly.make(0, [1], [1]), const(1)]) | trig_polys
 
 
 @st.composite
@@ -229,7 +229,7 @@ def test_has_zero_on_circle_matches_the_values_at_pi(fs, factor, share):
 # -- windows -----------------------------------------------------------------
 
 # the pinned basis order of V_2
-BASIS_2 = [TrigPoly.const(1), TrigPoly.cos(1), TrigPoly.sin(1),
+BASIS_2 = [const(1), TrigPoly.cos(1), TrigPoly.sin(1),
            TrigPoly.cos(2), TrigPoly.sin(2)]
 
 
@@ -249,7 +249,7 @@ def test_window_coords_roundtrip():
 
 
 def test_derivative_matrix_golden():
-    m = field_matrix(TrigPoly.const(1), 1, 1)
+    m = field_matrix(const(1), 1, 1)
     # basis (1, cos t, sin t): d/dt sends cos -> -sin, sin -> cos
     assert m.to_rows() == [
         [F(0), F(0), F(0)],
@@ -285,9 +285,9 @@ def test_fused_derivative_matches_composition(f, m, extra):
     # u -> f u' in one pass equals the oracle's multiplication by f after d/dt,
     # entry for entry; `==` also fails on a stored zero.
     t = m + f.deg + extra
-    d = field_matrix(TrigPoly.const(1), m, m)
+    d = field_matrix(const(1), m, m)
     fused = field_matrix(f, m, t)
-    assert fused == RationalMatrix.from_rows(oracle.dense_product(
+    assert fused == from_rows(oracle.dense_product(
         oracle.matrix_rows(oracle.multiplication_matrix(f, m, t)), oracle.matrix_rows(d)))
 
 
@@ -307,12 +307,11 @@ def test_multiplication_matrix_stores_the_reference_rows(f, m, extra):
 
 def test_inclusion_matrix_stores_the_reference_rows():
     # the window reference's inclusion stores what the package's window
-    # complexes write for it: the integer identity rows over 1, zero rows below
+    # complexes write for it: the integer identity columns over 1
     for s in range(8):
         for t in range(s, 12):
             assert stored(inclusion_matrix(s, t)) == (
-                window_dim(t), window_dim(s),
-                [{i: 1} if i < window_dim(s) else {} for i in range(window_dim(t))], 1), (s, t)
+                window_dim(t), window_dim(s), [{i: 1} for i in range(window_dim(s))], 1), (s, t)
 
 
 def test_inclusion_matrix():
@@ -341,7 +340,7 @@ def test_rank1_window_complex_shape():
 
 
 def test_rank1_constant_anchor():
-    a = Rank1Anchor(TrigPoly.const(1))
+    a = Rank1Anchor(const(1))
     tc = truncated_complex(a, 3)
     d = tc.complex.differentials[0]
     assert (d.rows, d.cols) == (7, 7)
@@ -351,7 +350,7 @@ def test_rank1_constant_anchor():
 
 def test_rank1_sweeps():
     cases = [
-        (TrigPoly.const(1), (1, 1), 0),
+        (const(1), (1, 1), 0),
         (TrigPoly.sin(1), (1, 3), -2),
         (TrigPoly.sin(2), (1, 5), -4),
         (TrigPoly.cos(3), (1, 7), -6),
@@ -385,25 +384,25 @@ def test_shared_zero_matches_the_sum_of_squares(fs, factor, share):
 
 
 def test_shared_zero_detection():
-    one, s1, c1 = TrigPoly.const(1), TrigPoly.sin(1), TrigPoly.cos(1)
+    one, s1, c1 = const(1), TrigPoly.sin(1), TrigPoly.cos(1)
     assert not has_zero_on_circle(s1, c1)
     assert has_zero_on_circle(s1, TrigPoly.sin(2))                   # 0 and pi
     assert has_zero_on_circle(TrigPoly.make(1, [1], [0]), s1)        # 1 + cos t and sin t at pi
-    assert has_zero_on_circle(TrigPoly.const(0), TrigPoly.const(0))
-    assert has_zero_on_circle(TrigPoly.const(0), s1)
-    assert not has_zero_on_circle(TrigPoly.const(0), one)
+    assert has_zero_on_circle(const(0), const(0))
+    assert has_zero_on_circle(const(0), s1)
+    assert not has_zero_on_circle(const(0), one)
     assert not has_zero_on_circle(TrigPoly.make(-1, [1], [0]), TrigPoly.make(1, [1], [0]))
 
 
 def test_rank1_transitivity():
-    assert is_transitive(Rank1Anchor(TrigPoly.const(1)))
+    assert is_transitive(Rank1Anchor(const(1)))
     assert is_transitive(Rank1Anchor(TrigPoly.make(2, [0], [1])))
     assert not is_transitive(Rank1Anchor(TrigPoly.sin(1)))
-    assert not is_transitive(Rank1Anchor(TrigPoly.const(0)))
+    assert not is_transitive(Rank1Anchor(const(0)))
 
 
 def test_rank1_betti_match_oracle():
-    for p in (TrigPoly.sin(1), TrigPoly.sin(2), TrigPoly.const(1)):
+    for p in (TrigPoly.sin(1), TrigPoly.sin(2), const(1)):
         cx = truncated_complex(Rank1Anchor(p), 4).complex
         assert complex_cohomology(cx).betti == tuple(oracle.complex_betti(cx))
 
@@ -439,7 +438,7 @@ def test_check_action():
     assert check_action(sl2_action())
     su2 = catalog.algebra("su2")
     bad = ActionAlgebroid(algebra=su2,
-                          phi=(TrigPoly.const(1), TrigPoly.cos(2), TrigPoly.sin(2)))
+                          phi=(const(1), TrigPoly.cos(2), TrigPoly.sin(2)))
     assert not check_action(bad)
     with pytest.raises(ValidationError):
         truncated_complex(bad, 3)
@@ -448,7 +447,7 @@ def test_check_action():
 def test_action_violation_names_the_pair():
     # r3 is abelian, but [1 d/dt, sin t d/dt] = cos t d/dt: the pair (0, 2) fails
     bad = ActionAlgebroid(algebra=catalog.algebra("r3"),
-                          phi=(TrigPoly.const(1), TrigPoly.const(1), TrigPoly.sin(1)))
+                          phi=(const(1), const(1), TrigPoly.sin(1)))
     assert action_violation(bad) == (0, 2)
     assert action_violation(sl2_action()) is None
     with pytest.raises(ValidationError, match=r"on basis pair \(0, 2\)"):
@@ -497,7 +496,7 @@ def test_action_violation_matches_the_bracket_of_every_pair(a):
 
 
 def test_action_validates_phi_length():
-    bad = ActionAlgebroid(algebra=catalog.algebra("r2"), phi=(TrigPoly.const(1),))
+    bad = ActionAlgebroid(algebra=catalog.algebra("r2"), phi=(const(1),))
     with pytest.raises(ValidationError):
         truncated_complex(bad, 3)
     assert not check_action(bad)
@@ -505,8 +504,8 @@ def test_action_validates_phi_length():
 
 def test_action_matches_rank1_for_line_algebra():
     r1 = catalog.algebra("r1")
-    anchors = (TrigPoly.sin(1), TrigPoly.sin(2), TrigPoly.const(1),
-               TrigPoly.make(0, [0, 0], [2, F(1, 2)]), TrigPoly.const(0))
+    anchors = (TrigPoly.sin(1), TrigPoly.sin(2), const(1),
+               TrigPoly.make(0, [0, 0], [2, F(1, 2)]), const(0))
     for p in anchors:
         act = ActionAlgebroid(algebra=r1, phi=(p,))
         anc = Rank1Anchor(p)
@@ -618,7 +617,7 @@ class _FixedStub:
     levels: tuple
 
     def _truncated_complex(self, n: int) -> TruncatedComplex:
-        m = RationalMatrix.from_rows(self.d)
+        m = from_rows(self.d)
         cx = CochainComplex(degrees=(m.cols, m.rows), differentials=(m,))
         return TruncatedComplex(N=n, complex=cx, levels=self.levels)
 

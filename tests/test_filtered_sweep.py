@@ -12,7 +12,7 @@ from math import comb
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from oracle import change_basis, trig_lincomb, truncated_complex
+from oracle import change_basis, from_rows, trig_lincomb, truncated_complex
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
@@ -242,7 +242,7 @@ def test_the_pivot_row_of_lowest_level_is_taken():
     # C^0 = <e, e'> at levels 1 and 0, both mapped onto f at level 0.  The two
     # rows of d_0 transposed are equal, so a level-blind pivot takes e (the
     # lower index) and window 0 would lose the rank that e' gives it.
-    c = CochainComplex((2, 1), (RationalMatrix.from_rows([[1, 1]]),))
+    c = CochainComplex((2, 1), (from_rows([[1, 1]]),))
     levels = ((1, 0), (0,))
     assert pivot_levels(c, levels) == [[0]]
     assert_pivot_levels_count_every_window(c, levels)
@@ -254,8 +254,8 @@ def test_columns_are_taken_by_descending_level():
     # d_0 e = a + b with e, b at level 1 and a at level 0; d_1 sends a to c and
     # b to -c.  Column b comes first, so the low of d_0 is b, and a stays to
     # give d_1 its rank on window 0.  Taking a first would clear a.
-    c = CochainComplex((1, 2, 1), (RationalMatrix.from_rows([[1], [1]]),
-                                   RationalMatrix.from_rows([[1, -1]])))
+    c = CochainComplex((1, 2, 1), (from_rows([[1], [1]]),
+                                   from_rows([[1, -1]])))
     levels = ((1,), (0, 1), (0,))
     assert pivot_levels(c, levels) == [[1], [0]]
     assert_pivot_levels_count_every_window(c, levels)

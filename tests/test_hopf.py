@@ -23,7 +23,7 @@ from algebroid.hopf import (
 )
 from algebroid.liealg import LieAlgebra
 from fixtures import antipode_matrices, coproduct_terms, multiply, ts1_coalgebra
-from oracle import matrix_row, shuffle_coproduct, transpose, verify_hopf
+from oracle import from_rows, matrix_row, shuffle_coproduct, transpose, verify_hopf
 
 F = Fraction
 
@@ -40,7 +40,7 @@ def test_addition_fails_on_nonabelian():
 
 def test_scaled_addition_violates_unit_law():
     r2 = catalog.algebra("r2")
-    m = RationalMatrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 2]])  # H(x,y) = x + 2y
+    m = from_rows([[1, 0, 2, 0], [0, 1, 0, 2]])  # H(x,y) = x + 2y
     assert not check_h_structure(HStructure(algebra=r2, matrix=m))
 
 
@@ -56,7 +56,7 @@ def h_structures(draw):
     if n and draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 2 * n - 1))] += \
             draw(st.sampled_from([-1, 1, F(1, 2)]))
-    return HStructure(algebra=g, matrix=RationalMatrix(n, 2 * n, rows))
+    return HStructure(algebra=g, matrix=from_rows(rows, n, 2 * n))
 
 
 def test_h_structure_check_matches_the_morphism_loop_on_the_catalog():
@@ -156,7 +156,7 @@ def test_antipode_is_parity():
 def test_broken_coproduct_fails_counit():
     c = addition_coproduct(catalog.algebra("r1"))
     # drop the 1 (x) w term from D(w); the right counit law now fails
-    broken_top = RationalMatrix.from_rows([[0], [1]])
+    broken_top = from_rows([[0], [1]])
     broken = GradedCoalgebra(betti=c.betti,
                              coproduct=(c.coproduct[0], broken_top),
                              product=c.product)
@@ -169,7 +169,7 @@ def test_broken_coproduct_fails_counit():
 def _bumped(m, i, j, delta=1):
     rows = m.to_rows()
     rows[i][j] += delta
-    return RationalMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 # (counit, coassociative, algebra_morphism, antipode) after adding 1 (or the
@@ -221,8 +221,8 @@ def test_primitives_validation():
     c = addition_coproduct(catalog.algebra("r2"))
     two_units = GradedCoalgebra(
         betti=(2,),
-        coproduct=(RationalMatrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 1]]),),
-        product={(0, 0): RationalMatrix.from_rows(
+        coproduct=(from_rows([[1, 0], [0, 0], [0, 0], [0, 1]]),),
+        product={(0, 0): from_rows(
             [[1, 0, 0, 0], [0, 0, 0, 1]])},
     )
     with pytest.raises(ValueError):

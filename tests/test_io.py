@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import fixtures
 import oracle
+from fixtures import const
+from oracle import from_rows
 from algebroid import catalog, io
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.errors import ParseError, ValidationError
-from algebroid.exactlinalg import RationalMatrix
 from algebroid.liealg import adjoint_representation
 from algebroid.symbol import FiberData
 
@@ -35,8 +36,8 @@ def test_rational_errors():
 
 def test_trig_string_round_trip():
     cases = [
-        TrigPoly.const(0),
-        TrigPoly.const(-3),
+        const(0),
+        const(-3),
         TrigPoly.sin(1),
         TrigPoly.make(F(1, 2), [F(-2, 3), 0], [0, 1]),
         TrigPoly.make(0, [0, 0, 5], [0, 0, 0]),
@@ -46,7 +47,7 @@ def test_trig_string_round_trip():
 
 
 def test_trig_parse_forms():
-    assert io.trig_from_string("0") == TrigPoly.const(0)
+    assert io.trig_from_string("0") == const(0)
     assert io.trig_from_string("cos(2t)") == TrigPoly.cos(2)
     assert io.trig_from_string("-sin(t)") == TrigPoly.sin(1, -1)
     assert io.trig_from_string("1 + 2*cos(1t) + -1/2*sin(3t)") == TrigPoly.make(
@@ -61,7 +62,7 @@ def trig_terms(draw):
     spelled "k", with a leading zero, or left out when it is 1."""
     c = draw(st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
     if draw(st.booleans()):
-        return str(c), TrigPoly.const(c)
+        return str(c), const(c)
     kind, k = draw(st.sampled_from(["cos", "sin"])), draw(st.integers(1, 5))
     spelled = draw(st.sampled_from([str(k), f"0{k}"] + ([""] if k == 1 else [])))
     prefix = "" if c == 1 else "-" if c == -1 else f"{c}*"
@@ -171,8 +172,8 @@ def test_action_entries_that_are_zero_store_no_entry():
     for zero in ("0", "-0", "+0", " 0 ", "0/7"):
         d = {"dim_E": 2, "action": [[[zero, "1/2"], [zero, zero]], [["-2/4", zero], [zero, "3"]]]}
         r = io.representation_from_dict(d, g)
-        expected = [RationalMatrix.from_rows([[0, F(1, 2)], [0, 0]]),
-                    RationalMatrix.from_rows([[F(-1, 2), 0], [0, 3]])]
+        expected = [from_rows([[0, F(1, 2)], [0, 0]]),
+                    from_rows([[F(-1, 2), 0], [0, 3]])]
         for m, e in zip(r.action, expected):
             assert (m._num, m._den) == (e._num, e._den), zero
 
@@ -200,7 +201,7 @@ def test_algebroid_diagnostics():
 
 def test_fiber_round_trip():
     f = FiberData(dim_a=3, dim_m=2,
-                  anchor=RationalMatrix.from_rows([[1, 0, "1/2"], [0, 1, 0]]),
+                  anchor=from_rows([[1, 0, "1/2"], [0, 1, 0]]),
                   dim_e=2)
     d = fixtures.fiber_to_dict(f)
     assert io.fiber_from_dict(d) == f

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from fixtures import dense_apply
-from oracle import transpose, truncated_complex
+from fixtures import const, dense_apply
+from oracle import from_rows, transpose, truncated_complex
 from algebroid import catalog
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly, is_transitive, \
     stabilized_cohomology
 from algebroid.errors import ValidationError
-from algebroid.exactlinalg import RationalMatrix, rank
+from algebroid.exactlinalg import rank
 from algebroid.kunneth import (
     direct_sum,
     kunneth_verify,
@@ -79,15 +79,15 @@ def test_boxtimes_cocycles():
     # and they are independent modulo coboundaries
     d2 = t.differentials[2]
     image = transpose(d2).to_rows()
-    assert rank(RationalMatrix.from_rows(image + [v_left])) == rank(d2) + 1
-    assert rank(RationalMatrix.from_rows(image + [v_right])) == rank(d2) + 1
+    assert rank(from_rows(image + [v_left])) == rank(d2) + 1
+    assert rank(from_rows(image + [v_right])) == rank(d2) + 1
     stacked = image + [v_left, v_right]
-    assert rank(RationalMatrix.from_rows(stacked)) == rank(d2) + 2
+    assert rank(from_rows(stacked)) == rank(d2) + 2
     # w (x) w = e^{012345} spans degree 6; it is not a coboundary either
     v_both = [F(1)]
     assert len(v_both) == t.degrees[6]
     d5 = t.differentials[5]
-    assert rank(RationalMatrix.from_rows(transpose(d5).to_rows() + [v_both])) == rank(d5) + 1
+    assert rank(from_rows(transpose(d5).to_rows() + [v_both])) == rank(d5) + 1
 
 
 def test_tensor_rep_flatness_and_betti():
@@ -114,7 +114,7 @@ def test_kunneth_verify_rejects_wrong_product():
 
 def test_product_with_lie_algebra_complex():
     su2 = catalog.algebra("su2")
-    prod = product_with_lie_algebra(Rank1Anchor(TrigPoly.const(1)), su2)
+    prod = product_with_lie_algebra(Rank1Anchor(const(1)), su2)
     assert isinstance(prod, ActionAlgebroid)
     tc = truncated_complex(prod, 3)
     assert tc.complex.degrees == tuple(7 * b for b in (1, 4, 6, 4, 1))
@@ -125,7 +125,7 @@ def test_product_with_lie_algebra_complex():
     assert sweep.report.euler == 0
     check = kunneth_verify(
         sweep.report,
-        stabilized_cohomology(Rank1Anchor(TrigPoly.const(1)), 3, 6).report,
+        stabilized_cohomology(Rank1Anchor(const(1)), 3, 6).report,
         lie_cohomology(trivial_representation(su2)),
     )
     assert check.ok
@@ -149,4 +149,4 @@ def test_product_with_nontransitive_factor():
 def test_product_rejects_bad_algebra():
     bad = LieAlgebra.make(3, {(0, 1): {2: 1}, (1, 2): {1: 1}})
     with pytest.raises(ValidationError):
-        product_with_lie_algebra(Rank1Anchor(TrigPoly.const(1)), bad)
+        product_with_lie_algebra(Rank1Anchor(const(1)), bad)

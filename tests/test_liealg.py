@@ -2,18 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from fixtures import bracket
+from fixtures import bracket, const
 from algebroid import catalog
-from algebroid.circle import ActionAlgebroid, TrigPoly
+from algebroid.circle import ActionAlgebroid
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
-from oracle import change_basis, euler_characteristic, inverse, kron_sum, transpose, \
-    truncated_complex
+from oracle import change_basis, euler_characteristic, from_rows, inverse, kron_sum, \
+    transpose, truncated_complex
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import direct_sum, product_with_lie_algebra
@@ -68,7 +69,7 @@ def test_jacobi_violation_names_first_triple():
     bad = LieAlgebra.make(4, {(1, 2): {3: 1}, (2, 3): {2: 1}})
     assert jacobi_violation(bad) == (1, 2, 3)
     assert not check_jacobi(bad)
-    action = ActionAlgebroid(algebra=bad, phi=(TrigPoly.const(0),) * 4)
+    action = ActionAlgebroid(algebra=bad, phi=(const(0),) * 4)
     for build in (lambda: ce_complex(trivial_representation(bad)),
                   lambda: product_with_lie_algebra(catalog.algebroid("sin_t")[0], bad),
                   lambda: truncated_complex(action, 1)):
@@ -170,7 +171,7 @@ def test_zero_algebra():
 
 def test_change_basis_preserves_everything():
     su2 = catalog.algebra("su2")
-    p = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 2], [0, 0, "1/3"]])
+    p = from_rows([[1, 1, 0], [0, 1, 2], [0, 0, "1/3"]])
     g2 = change_basis(su2, p)
     assert check_jacobi(g2)
     assert g2.brackets != su2.brackets
@@ -182,7 +183,7 @@ def test_change_basis_preserves_everything():
 def test_change_basis_rejects_singular():
     with pytest.raises(ValueError):
         change_basis(catalog.algebra("su2"),
-                     RationalMatrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+                     from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
 
 
 def test_random_semidirect_products_are_complexes():
@@ -214,13 +215,13 @@ def test_ce_differential_is_coefficient_major():
         terms = [(0, 0, rows(RationalMatrix.identity(2)), rows(trivial_ce_differential(g, p)))]
         terms += [(0, 0, rows(r.action[i]), rows(wedge_matrix(n, p, i))) for i in range(n)]
         dense = oracle.kron_sum_dense(2 * comb(n, p + 1), 2 * comb(n, p), terms)
-        assert ce_differential(r, p) == RationalMatrix.from_rows(dense)
+        assert ce_differential(r, p) == from_rows(dense)
 
 
 def test_representation_violation_names_the_pair():
     # abelian r3 on Q^2: rho_1 and rho_2 do not commute, so the pair (1, 2) fails
     r3 = catalog.algebra("r3")
-    e12 = RationalMatrix.from_rows([[0, 1], [0, 0]])
+    e12 = from_rows([[0, 1], [0, 0]])
     rep = Representation(algebra=r3, dim_e=2,
                          action=(RationalMatrix.zeros(2, 2), e12, transpose(e12)))
     assert representation_violation(rep) == (1, 2)
@@ -308,12 +309,12 @@ def solvable_representations(draw):
         return trivial_representation(g, int(kind[7:] or 1))
     if kind == "adjoint":
         return adjoint_representation(g)
-    left_kernel = oracle.kernel_basis(RationalMatrix.from_rows(
+    left_kernel = oracle.kernel_basis(from_rows(
         [list(col) for col in zip(*a)])) if m else []
     coeffs = [draw(constants) for _ in left_kernel]
     mu = [sum((c * v[k] for c, v in zip(coeffs, left_kernel)), F(0)) for k in range(m)]
     chi = [draw(constants), *mu]
-    return Representation(g, 1, tuple(RationalMatrix.from_rows([[x]]) for x in chi))
+    return Representation(g, 1, tuple(from_rows([[x]]) for x in chi))
 
 
 @settings(max_examples=150, deadline=None)
@@ -376,7 +377,7 @@ def codim1_representations(draw):
     if draw(st.booleans()):
         return x, trivial_representation(g)
     lam = draw(constants)
-    return x, Representation(g, 1, tuple(RationalMatrix.from_rows([[lam if i == x else 0]])
+    return x, Representation(g, 1, tuple(from_rows([[lam if i == x else 0]])
                                          for i in range(g.dim)))
 
 
@@ -438,3 +439,28 @@ def test_twisted_dual_is_a_representation_with_the_modular_twist():
 def test_twisted_poincare_duality_on_solvable_algebras(r):
     assert check_representation(oracle.twisted_dual(r))
     assert_twisted_poincare_duality(r)
+
+
+def convolve(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_adjoint_betti_at_the_budget_edge_match_the_direct_sum_prediction():
+    # The adjoint module of g + h is ad g (x) Q plus Q (x) ad h, so by Kunneth
+    # b(g + h; ad) = b(g; ad) * b(h; triv) + b(g; triv) * b(h; ad), with * the
+    # convolution, read off the factors' small complexes.  The sum here is of
+    # dim 14, and its adjoint complex of 14 * 2^14 cochains is near MAX_COCHAINS.
+    factors = [catalog.algebra(name) for name in ("su2", "su2", "diamond4", "diamond4")]
+    ad, triv = [0], [1]  # the zero algebra
+    for h in factors:
+        h_ad = lie_cohomology(adjoint_representation(h)).betti
+        h_triv = lie_cohomology(trivial_representation(h)).betti
+        ad = [x + y for x, y in zip(convolve(ad, h_triv), convolve(triv, h_ad))]
+        triv = convolve(triv, h_triv)
+    c = ce_complex(adjoint_representation(reduce(direct_sum, factors)))
+    assert sum(c.degrees) == 229376
+    assert list(complex_cohomology(c).betti) == ad

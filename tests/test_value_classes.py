@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import from_rows
 from algebroid import (ActionAlgebroid, CochainComplex, CohomologyReport, ExactnessReport,
                        FiberData, GradedCoalgebra, HopfReport, HStructure, KunnethCheck,
                        LieAlgebra, Rank1Anchor, RationalMatrix, Representation, SweepResult,
@@ -55,7 +56,7 @@ CASES = [
      ]),
     (CohomologyReport, lambda: {"degrees": (1, 2, 1), "betti": (1, 0, 1), "euler": 2},
      None, True, []),
-    (HStructure, lambda: {"algebra": LieAlgebra(1), "matrix": RationalMatrix.from_rows([[1, 1]])},
+    (HStructure, lambda: {"algebra": LieAlgebra(1), "matrix": from_rows([[1, 1]])},
      None, False, [({"matrix": ONE}, "H must be dim x 2*dim")]),
     (GradedCoalgebra, lambda: {"betti": (1,), "coproduct": (ONE,), "product": {(0, 0): ONE}},
      None, False, [
@@ -86,9 +87,9 @@ CASES = [
          ({"action": (ONE,)}, "need one action matrix per basis vector"),
          ({"dim_e": 2}, "action matrices must be dim_e x dim_e"),
      ]),
-    (FiberData, lambda: {"dim_a": 2, "dim_m": 1, "anchor": RationalMatrix.from_rows([[1, 0]]),
+    (FiberData, lambda: {"dim_a": 2, "dim_m": 1, "anchor": from_rows([[1, 0]]),
                          "dim_e": 3},
-     ({"dim_a": 2, "dim_m": 1, "anchor": RationalMatrix.from_rows([[1, 0]])}, {"dim_e": 1}),
+     ({"dim_a": 2, "dim_m": 1, "anchor": from_rows([[1, 0]])}, {"dim_e": 1}),
      True, [
          ({"dim_e": -1}, "dimensions must be nonnegative"),
          ({"dim_m": 2}, "anchor must be dim_m x dim_a"),
