@@ -8,9 +8,8 @@ cohomology rings, and pointwise symbol complexes.
 
 The value classes (`LieAlgebra`, `CochainComplex`, `TrigPoly`, the reports
 and the rest) are plain classes, treated as immutable once built.  Each
-writes out its constructor and runs its checks there, uses `__slots__`
-unless it caches on the instance, and defines equality and hashing only
-where instances are compared.  They do not use `dataclasses`: importing it
+writes out its constructor and runs its checks there, uses `__slots__`,
+and defines equality and hashing only where instances are compared.  They do not use `dataclasses`: importing it
 loads `inspect`, `ast`, `dis` and `tokenize`, and generating the methods
 at import time cost every CLI start about 20 ms.
 """

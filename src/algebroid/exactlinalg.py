@@ -5,9 +5,9 @@ integer numerator columns over one common denominator (see
 `RationalMatrix`), and only this module knows it.  Builders write integer
 columns through the constructor, which drops zeros and divides out the gcd,
 and read them back through `common_columns` and `entries`; `from_entries`
-stays for parsers, tests and small builders (the addition map and its
-coproduct, the tensor factors in `kunneth`, the characters of `symbol`),
-and `to_rows` reads dense Fractions.  A matrix has no arithmetic
+stays for parsers, tests and small builders (the addition map, the
+coproduct difference in `primitives`, the tensor factors in `kunneth`, the
+characters of `symbol`), and `to_rows` reads dense Fractions.  A matrix has no arithmetic
 operators: a caller that needs a sum or a product writes it on
 `common_columns`, so the builders, the elimination and the d^2 = 0 check
 all work on integers.

@@ -9,8 +9,8 @@ k counting the pairs x in a, y in b with y < x.  Every wedge sign in the
 package, in CE and window differentials and in the Hopf product and
 coproduct, comes from it; the CE and window builders apply it to e^i inline,
 so `wedge_matrix` has no caller in the package and serves the tests and the
-bench tracer.  The wedge builders write one entry +-1 or none per column,
-as integer columns, through the `RationalMatrix` constructor.
+bench tracer.  It writes one entry +-1 or none per column, as integer
+columns, through the `RationalMatrix` constructor.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ def wedge_matrix(n: int, p: int, i: int) -> RationalMatrix:
     """Matrix of (e^i ^ -) from degree p to degree p+1 in the lex bases."""
     if not 0 <= i < n:
         raise ValueError("index out of range")
-    return _wedges(n, p + 1, [1 << i], basis_masks(n, p))
-
-
-def wedge_product(n: int, p: int, q: int) -> RationalMatrix:
-    """Matrix of Lambda^p (x) Lambda^q -> Lambda^{p+q}, left index major."""
-    return _wedges(n, p + q, basis_masks(n, p), basis_masks(n, q))
-
-
-def _wedges(n: int, degree: int, left: list[int], right: list[int]) -> RationalMatrix:
-    """Matrix of a (x) b -> a ^ b into `degree`, a in left major, b in right minor."""
-    tgt = basis_index(n, degree)
-    cols = [{tgt[ab[1]]: ab[0]} if (ab := wedge(a, b)) else {} for a in left for b in right]
+    tgt = basis_index(n, p + 1)
+    cols = [{tgt[ab[1]]: ab[0]} if (ab := wedge(1 << i, b)) else {} for b in basis_masks(n, p)]
     return RationalMatrix(len(tgt), len(cols), cols)
-

@@ -10,34 +10,28 @@ coproduct
 
 extended multiplicatively.  On a basis class, D(w_I) is the sum over the
 splits of I into L and R of sign * w_L (x) w_R, where w_L ^ w_R = sign * w_I,
-so block i of the degree-r coproduct is the transpose of the wedge product
-Lambda^i (x) Lambda^{r-i} -> Lambda^r.  Product and coproduct both come from
-the one sign rule `exterior.wedge`.  `GradedCoalgebra` takes the
-coproduct and product as matrices in pinned bases; that is the input
-format.  The Hopf checks read two sparse views decoded once from the
-matrices' columns, D(x) as {(y, z): coeff} and x*y as {z: coeff} over basis
-labels (degree, index), so every axiom is a comparison of two exact sparse
-linear combinations.  A coefficient is an exact `int` when it is
-integral and a `Fraction` otherwise, so the common case of coefficients
-+-1 never builds a Fraction.  The antipode is rebuilt degree by degree from
-connectedness and then verified on both sides.  `primitives` reads the
-coproduct's integer columns over their denominator, subtracts
-x (x) 1 + 1 (x) x there and hands the difference, written through the
-`RationalMatrix` constructor, to `kernel_basis`.  `exterior_structure_check`
-reads the Betti vector alone, so its factorization into (1 + t^d), d odd,
-is necessary for an exterior algebra but does not look at the cup product.
+so the coproduct is the wedge product read backwards, and both come from
+the one sign rule `exterior.wedge`.  `GradedCoalgebra` holds them as sparse
+maps over basis labels (degree, index): D(x) as {(y, z): coeff} and x*y as
+{z: coeff}, so every axiom is a comparison of two exact sparse linear
+combinations.  A coefficient is an exact `int` when it is integral and a
+`Fraction` otherwise, so the common case of coefficients +-1 never builds
+a Fraction.  The antipode is rebuilt degree by degree from connectedness
+and then verified on both sides.  `primitives` writes D(x) - x (x) 1 -
+1 (x) x for each basis class x of a degree as one column over the pairs
+(y, z) it meets, through `RationalMatrix.from_entries`, and hands the
+matrix to `kernel_basis`.  `exterior_structure_check` reads the Betti
+vector alone, so its factorization into (1 + t^d), d odd, is necessary
+for an exterior algebra but does not look at the cup product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
-from math import comb
 
 from .errors import NotAbelianError
-from .exactlinalg import RationalMatrix, common_columns, kernel_basis, require_cochain_budget
-from .exterior import wedge_product
+from .exactlinalg import RationalMatrix, kernel_basis, require_cochain_budget
+from .exterior import basis_index, wedge
 from .liealg import LieAlgebra
 
 
@@ -80,81 +74,46 @@ Label = tuple[int, int]  # a basis element: (degree, index)
 
 
 class GradedCoalgebra:
-    """Graded vector space with product and coproduct in pinned bases.
+    """Graded vector space with product and coproduct on basis labels.
 
-    The matrices are the input format.  coproduct[r] maps H^r into the
-    direct sum of H^i (x) H^{r-i} blocks, i ascending, left index major
-    inside each block.  product[(p, q)] maps H^p (x) H^q (left major) to
-    H^{p+q}, and is required for every p, q >= 0 with p + q <= top.  The
+    The basis of H^r is labelled (r, 0), ..., (r, betti[r] - 1).  `delta`
+    maps every label x to D(x) = {(y, z): c}, the terms c y (x) z with
+    |y| + |z| = |x|, and `mu` maps every pair of labels (x, y) with
+    |x| + |y| <= top to x * y = {z: c}, |z| = |x| + |y|.  A coefficient c is
+    nonzero, an exact `int` when it is integral and a `Fraction` otherwise,
+    so the common case of coefficients +-1 never builds a Fraction.  The
     counit is projection to degree 0, which must be one-dimensional for the
-    Hopf machinery.  The checks do not apply the matrices: they read the
-    sparse views `_delta` and `_mu`, decoded once from the matrices'
-    columns, and the antipode `_antipode` built from them.  The views are
-    cached on the instance, so it keeps a __dict__ and has no slots.
+    Hopf machinery.
     """
 
-    def __init__(self, betti: tuple[int, ...], coproduct: tuple[RationalMatrix, ...],
-                 product: dict[tuple[int, int], RationalMatrix]):
-        self.betti, self.coproduct, self.product = betti, coproduct, product
-        if len(self.coproduct) != len(self.betti):
-            raise ValueError("one coproduct matrix per degree")
-        for r, m in enumerate(self.coproduct):
-            rows = sum(self.betti[i] * self.betti[r - i] for i in range(r + 1))
-            if m.cols != self.betti[r] or m.rows != rows:
-                raise ValueError(f"coproduct matrix at degree {r} has wrong shape")
-        for (p, q), m in self.product.items():
-            if (min(p, q) < 0 or p + q > self.top or m.rows != self.betti[p + q]
-                    or m.cols != self.betti[p] * self.betti[q]):
-                raise ValueError(f"product matrix at {(p, q)} has wrong shape")
-        for p in range(self.top + 1):
-            for q in range(self.top + 1 - p):
-                if (p, q) not in self.product:
-                    raise ValueError(f"product matrix at {(p, q)} is missing")
+    __slots__ = ("betti", "delta", "mu")
+
+    def __init__(self, betti: tuple[int, ...],
+                 delta: dict[Label, dict[tuple[Label, Label], Fraction | int]],
+                 mu: dict[tuple[Label, Label], dict[Label, Fraction | int]]):
+        self.betti, self.delta, self.mu = betti, delta, mu
+        basis = {(r, a) for r, n in enumerate(betti) for a in range(n)}
+        for x in basis.symmetric_difference(delta):
+            raise ValueError(f"coproduct at {x}: need one entry per basis label")
+        pairs = {(x, y) for x in basis for y in basis if x[0] + y[0] <= self.top}
+        for xy in pairs.symmetric_difference(mu):
+            raise ValueError(f"product at {xy}: need one entry per pair of labels "
+                             f"of total degree <= {self.top}")
+        for x, dx in delta.items():
+            for (y, z), c in dx.items():
+                if not c or y not in basis or z not in basis or y[0] + z[0] != x[0]:
+                    raise ValueError(f"coproduct at {x}: {(y, z)} is not a nonzero term "
+                                     f"of degree {x[0]}")
+        for (x, y), xy in mu.items():
+            for z, c in xy.items():
+                if not c or z not in basis or z[0] != x[0] + y[0]:
+                    raise ValueError(f"product at {(x, y)}: {z} is not a nonzero term "
+                                     f"of degree {x[0] + y[0]}")
 
     @property
     def top(self) -> int:
         return len(self.betti) - 1
 
-    def block_offsets(self, r: int) -> list[int]:
-        return [0, *accumulate(self.betti[i] * self.betti[r - i] for i in range(r + 1))]
-
-    @cached_property
-    def _delta(self) -> dict[Label, dict[tuple[Label, Label], Fraction | int]]:
-        """D(x) = {(y, z): coeff} for every basis label x, read off coproduct[r]."""
-        out = {}
-        for r, m in enumerate(self.coproduct):
-            pair_at = [((i, a), (r - i, b)) for i in range(r + 1)
-                       for a in range(self.betti[i]) for b in range(self.betti[r - i])]
-            cols = [{} for _ in range(m.cols)]
-            for k, col, v in m.entries():
-                cols[col][pair_at[k]] = v
-            out.update(((r, col), d) for col, d in enumerate(cols))
-        return out
-
-    @cached_property
-    def _mu(self) -> dict[tuple[Label, Label], dict[Label, Fraction | int]]:
-        """x * y = {z: coeff} for every pair of basis labels a product matrix covers."""
-        out = {}
-        for (p, q), m in self.product.items():
-            nb = self.betti[q]
-            cols = [{} for _ in range(m.cols)]
-            for k, col, v in m.entries():
-                cols[col][(p + q, k)] = v
-            out.update((((p, col // nb), (q, col % nb)), d) for col, d in enumerate(cols))
-        return out
-
-    @cached_property
-    def _antipode(self) -> dict[Label, dict[Label, Fraction | int]]:
-        """S degree by degree from connectedness: S(x) = -x - sum S(x') x'' over
-        the terms x' (x) x'' of D(x) with both factors in positive degree."""
-        s: dict[Label, dict[Label, Fraction | int]] = {(0, 0): {(0, 0): 1}}
-        for r in range(1, self.top + 1):
-            for a in range(self.betti[r]):
-                x = (r, a)
-                s[x] = _lincomb([(x, -1)] + [
-                    (m, -v * t * u) for (y, z), v in self._delta[x].items() if 0 < y[0] < r
-                    for k, t in s[y].items() for m, u in self._mu[(k, z)].items()])
-        return s
 
 def _lincomb(terms) -> dict:
     """Sum (key, coeff) pairs into one sparse linear combination, zeros dropped."""
@@ -169,24 +128,29 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
 
     Cohomology is the exterior algebra on n degree-1 generators; basis
     p-classes are indexed lexicographically like exterior basis forms.  The
-    product is `wedge_product`, and block i of coproduct[r] is product[(i, r-i)]
-    transposed.  The coproduct lands in the cohomology of g + g, whose complex
-    has 4^dim cochains; that count is checked against the budget before
-    anything is built.
+    product is `exterior.wedge` on the forms' bitmasks, and the coproduct is
+    that product read backwards: e^a ^ e^b = sign e^m puts sign e^a (x) e^b
+    into D(e^m).  The coproduct lands in the cohomology of g + g, whose
+    complex has 4^dim cochains; that count is checked against the budget
+    before anything is built.
     """
     if not g.is_abelian():
         raise NotAbelianError("addition induces a coproduct only for abelian algebras")
     n = g.dim
     require_cochain_budget(1, 2 * n, "the addition coproduct")
-    betti = tuple(comb(n, p) for p in range(n + 1))
-    product = {(p, q): wedge_product(n, p, q) for p in range(n + 1) for q in range(n + 1 - p)}
-    coproduct = []
-    for r in range(n + 1):
-        offs = [0, *accumulate(betti[i] * betti[r - i] for i in range(r + 1))]
-        coproduct.append(RationalMatrix.from_entries(offs[-1], betti[r], [
-            ((offs[i] + j, k), x)
-            for i in range(r + 1) for k, j, x in product[(i, r - i)].entries()]))
-    return GradedCoalgebra(betti=betti, coproduct=tuple(coproduct), product=product)
+    index = [basis_index(n, p) for p in range(n + 1)]
+    delta: dict[Label, dict] = {(p, i): {} for p, at in enumerate(index) for i in at.values()}
+    mu: dict[tuple[Label, Label], dict] = {}
+    for p, left in enumerate(index):
+        for q in range(n + 1 - p):
+            for a, i in left.items():
+                for b, j in index[q].items():
+                    x, y = (p, i), (q, j)
+                    xy = mu[(x, y)] = {}
+                    if signed := wedge(a, b):
+                        z = (p + q, index[p + q][signed[1]])
+                        xy[z] = delta[z][(x, y)] = signed[0]
+    return GradedCoalgebra(tuple(map(len, index)), delta, mu)
 
 
 def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -194,15 +158,15 @@ def primitives(c: GradedCoalgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ..
     if c.betti[0] != 1:
         raise ValueError("primitives need a one-dimensional degree-0 part")
     out: list[tuple[tuple[Fraction, ...], ...]] = [()]  # degree 0 has none
+    one = (0, 0)
     for r in range(1, c.top + 1):
-        dim_r, offs = c.betti[r], c.block_offsets(r)
-        den, (cols,) = common_columns([c.coproduct[r]])
-        cols = list(map(dict, cols))
-        # D - (x (x) 1 + 1 (x) x): column a loses den at row a of blocks (r, 0) and (0, r)
-        for a, col in enumerate(cols):
-            for i in (offs[r] + a, offs[0] + a):
-                col[i] = col.get(i, 0) - den
-        diff = RationalMatrix(offs[-1], dim_r, cols, den)
+        # column a is D(x) - x (x) 1 - 1 (x) x for x = (r, a), one row per pair (y, z)
+        rows: dict[tuple[Label, Label], int] = {}
+        entries = [((rows.setdefault(pair, len(rows)), a), v)
+                   for a in range(c.betti[r])
+                   for pair, v in (*c.delta[(r, a)].items(), (((r, a), one), -1),
+                                   ((one, (r, a)), -1))]
+        diff = RationalMatrix.from_entries(len(rows), c.betti[r], entries)
         out.append(tuple(tuple(v) for v in kernel_basis(diff)))
     return tuple(out)
 
@@ -232,7 +196,7 @@ def _check_counit(c: GradedCoalgebra) -> bool:
     # (eps (x) id) D = id = (id (x) eps) D, eps reading off the degree-0 coefficient
     if c.betti[0] != 1:
         return False
-    for x, dx in c._delta.items():
+    for x, dx in c.delta.items():
         left = _lincomb((z, v) for (y, z), v in dx.items() if y[0] == 0)
         right = _lincomb((y, v) for (y, z), v in dx.items() if z[0] == 0)
         if left != {x: 1} or right != {x: 1}:
@@ -241,7 +205,7 @@ def _check_counit(c: GradedCoalgebra) -> bool:
 
 
 def _check_coassociative(c: GradedCoalgebra) -> bool:
-    delta = c._delta
+    delta = c.delta
     for dx in delta.values():
         lhs = _lincomb(((y1, y2, z), v * w) for (y, z), v in dx.items()
                        for (y1, y2), w in delta[y].items())
@@ -253,7 +217,7 @@ def _check_coassociative(c: GradedCoalgebra) -> bool:
 
 
 def _check_algebra_morphism(c: GradedCoalgebra) -> bool:
-    delta, mu = c._delta, c._mu
+    delta, mu = c.delta, c.mu
     # D(1) = 1 (x) 1
     if c.betti[0] != 1 or delta[(0, 0)] != {((0, 0), (0, 0)): 1}:
         return False
@@ -270,16 +234,29 @@ def _check_algebra_morphism(c: GradedCoalgebra) -> bool:
     return True
 
 
+def _antipode(c: GradedCoalgebra) -> dict[Label, dict[Label, Fraction | int]]:
+    """S degree by degree from connectedness: S(x) = -x - sum S(x') x'' over
+    the terms x' (x) x'' of D(x) with both factors in positive degree."""
+    s: dict[Label, dict[Label, Fraction | int]] = {(0, 0): {(0, 0): 1}}
+    for r in range(1, c.top + 1):
+        for a in range(c.betti[r]):
+            x = (r, a)
+            s[x] = _lincomb([(x, -1)] + [
+                (m, -v * t * u) for (y, z), v in c.delta[x].items() if 0 < y[0] < r
+                for k, t in s[y].items() for m, u in c.mu[(k, z)].items()])
+    return s
+
+
 def _check_antipode(c: GradedCoalgebra) -> bool:
     """Verify both antipode identities for the S built from connectedness."""
-    s = c._antipode
+    s = _antipode(c)
     # verify m(S (x) id) D = eps * unit = m(id (x) S) D on every basis vector
-    for x, dx in c._delta.items():
+    for x, dx in c.delta.items():
         want = {(0, 0): 1} if x[0] == 0 else {}
         left = _lincomb((m, v * t * u) for (y, z), v in dx.items()
-                        for k, t in s[y].items() for m, u in c._mu[(k, z)].items())
+                        for k, t in s[y].items() for m, u in c.mu[(k, z)].items())
         right = _lincomb((m, v * t * u) for (y, z), v in dx.items()
-                         for k, t in s[z].items() for m, u in c._mu[(y, k)].items())
+                         for k, t in s[z].items() for m, u in c.mu[(y, k)].items())
         if left != want or right != want:
             return False
     return True

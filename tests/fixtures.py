@@ -8,7 +8,11 @@ trig polynomial at t = q pi/2 for the zero-counting references in
 `oracle.py`.  `ts1_coalgebra`, `coproduct_terms`, `multiply` and
 `antipode_matrices` are Hopf fixtures and readers; the last three were
 `GradedCoalgebra` methods or read its views, and now take the coalgebra as
-their first argument.  `basis_tuples`, `has_multiple_real_root`,
+their first argument.  `coalgebra_from_matrices` and `coalgebra_matrices`
+read and write a coalgebra as coproduct and product matrices in a pinned
+block layout (`block_offsets`): the package holds the sparse coproduct and
+product, and the matrices serve the layout tests, the single-entry
+mutations and the dense oracle.  `basis_tuples`, `has_multiple_real_root`,
 `alternating_binomial_sum`, `euler_form_factor` and the dense `bracket`
 had no caller in the package, nor had `const`, the constant trig
 polynomial.  `dense_apply` multiplies a package matrix
@@ -19,12 +23,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from algebroid.exactlinalg import RationalMatrix
-from algebroid.hopf import GradedCoalgebra, addition_coproduct, hopf_axioms
+from algebroid.hopf import GradedCoalgebra, _antipode, addition_coproduct, hopf_axioms
 from algebroid.liealg import LieAlgebra, Representation
 from algebroid.polyroots import simple_real_root_count
 from algebroid.symbol import FiberData
@@ -135,18 +139,84 @@ def ts1_coalgebra() -> GradedCoalgebra:
     return addition_coproduct(LieAlgebra.make(1, {}, name="line"))
 
 
+def block_offsets(betti, r: int) -> list[int]:
+    """Row offsets of the H^i (x) H^{r-i} blocks of coproduct[r], i ascending."""
+    return [0, *accumulate(betti[i] * betti[r - i] for i in range(r + 1))]
+
+
+def coalgebra_from_matrices(betti: tuple[int, ...], coproduct: tuple[RationalMatrix, ...],
+                            product: dict[tuple[int, int], RationalMatrix]) -> GradedCoalgebra:
+    """The coalgebra whose coproduct and product are these matrices in the
+    pinned layout.
+
+    coproduct[r] maps H^r into the direct sum of the H^i (x) H^{r-i} blocks,
+    i ascending, left index major inside each block.  product[(p, q)] maps
+    H^p (x) H^q (left major) to H^{p+q}, and is required for every p, q >= 0
+    with p + q <= top.  Column x of coproduct[r] is D(x) and column
+    a * betti[q] + b of product[(p, q)] is (p, a) * (q, b).
+    """
+    if len(coproduct) != len(betti):
+        raise ValueError("one coproduct matrix per degree")
+    top = len(betti) - 1
+    for r, m in enumerate(coproduct):
+        if m.cols != betti[r] or m.rows != block_offsets(betti, r)[-1]:
+            raise ValueError(f"coproduct matrix at degree {r} has wrong shape")
+    for (p, q), m in product.items():
+        if (min(p, q) < 0 or p + q > top or m.rows != betti[p + q]
+                or m.cols != betti[p] * betti[q]):
+            raise ValueError(f"product matrix at {(p, q)} has wrong shape")
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            if (p, q) not in product:
+                raise ValueError(f"product matrix at {(p, q)} is missing")
+    delta = {(r, a): {} for r, n in enumerate(betti) for a in range(n)}
+    for r, m in enumerate(coproduct):
+        pair_at = [((i, a), (r - i, b)) for i in range(r + 1)
+                   for a in range(betti[i]) for b in range(betti[r - i])]
+        for k, col, v in m.entries():
+            delta[(r, col)][pair_at[k]] = v
+    mu = {}
+    for (p, q), m in product.items():
+        nb = betti[q]
+        cols = [{} for _ in range(m.cols)]
+        for k, col, v in m.entries():
+            cols[col][(p + q, k)] = v
+        mu.update((((p, col // nb), (q, col % nb)), d) for col, d in enumerate(cols))
+    return GradedCoalgebra(betti, delta, mu)
+
+
+def coalgebra_matrices(c: GradedCoalgebra) -> tuple[tuple[RationalMatrix, ...],
+                                                     dict[tuple[int, int], RationalMatrix]]:
+    """(coproduct, product) of c in the layout `coalgebra_from_matrices` reads."""
+    betti = c.betti
+    coproduct = []
+    for r, n in enumerate(betti):
+        offs = block_offsets(betti, r)
+        coproduct.append(RationalMatrix.from_entries(offs[-1], n, [
+            ((offs[i] + a * betti[r - i] + b, x), v)
+            for x in range(n) for ((i, a), (_, b)), v in c.delta[(r, x)].items()]))
+    entries: dict[tuple[int, int], list] = {}
+    for ((p, a), (q, b)), xy in c.mu.items():
+        entries.setdefault((p, q), []).extend(((k, a * betti[q] + b), v)
+                                              for (_, k), v in xy.items())
+    product = {(p, q): RationalMatrix.from_entries(betti[p + q], betti[p] * betti[q], pairs)
+               for (p, q), pairs in entries.items()}
+    return tuple(coproduct), product
+
+
 def coproduct_terms(c: GradedCoalgebra, r: int, coords) -> dict[tuple[int, int, int, int], Fraction]:
     """Sparse {(i, j, a, b): coeff} form of D(x) for x with given coords."""
     if len(coords) != c.betti[r]:
         raise ValueError("vector length mismatch")
     keys = [(i, r - i, a, b) for i in range(r + 1)
             for a in range(c.betti[i]) for b in range(c.betti[r - i])]
-    return {key: x for key, x in zip(keys, dense_apply(c.coproduct[r], coords)) if x}
+    return {key: x for key, x in zip(keys, dense_apply(coalgebra_matrices(c)[0][r], coords)) if x}
 
 
 def multiply(c: GradedCoalgebra, p: int, q: int, u, v) -> list[Fraction]:
     """Product of elements of degrees p and q."""
-    return dense_apply(c.product[(p, q)], [x * y for x in u for y in v])  # left index major
+    product = coalgebra_matrices(c)[1][(p, q)]
+    return dense_apply(product, [x * y for x in u for y in v])  # left index major
 
 
 def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
@@ -154,7 +224,7 @@ def antipode_matrices(c: GradedCoalgebra) -> tuple[RationalMatrix, ...] | None:
     axioms fail."""
     if not hopf_axioms(c).ok:
         return None
-    s = c._antipode
+    s = _antipode(c)
     return tuple(RationalMatrix.from_entries(n, n, (((k, a), t) for a in range(n)
                                                     for (_, k), t in s[(r, a)].items()))
                  for r, n in enumerate(c.betti))

@@ -145,11 +145,13 @@ def test_second_differential_loop_left_the_package(owner, name):
     (catalog, "_read"),
     (cli, "_algebra_label"),
     (io, "format_rational"),
+    (exterior, "wedge_product"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_one_caller_helpers_left_the_package(owner, name):
     # exterior_structure_check divides by 1 + t^d itself, rank and
-    # kernel_basis eliminate the stored rows, and the callers of the three
-    # renaming wrappers call what they wrapped
+    # kernel_basis eliminate the stored rows, the callers of the three
+    # renaming wrappers call what they wrapped, and addition_coproduct
+    # writes its products with exterior.wedge
     assert not hasattr(owner, name)
 
 

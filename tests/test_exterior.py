@@ -3,14 +3,15 @@
 from math import comb
 
 import oracle
-from fixtures import alternating_binomial_sum, basis_tuples
+from fixtures import alternating_binomial_sum, basis_tuples, coalgebra_matrices
 from algebroid.exterior import (
     basis_index,
     basis_masks,
     wedge,
     wedge_matrix,
-    wedge_product,
 )
+from algebroid.hopf import addition_coproduct
+from algebroid.liealg import LieAlgebra
 from oracle import matrix_column, sort_sign
 
 
@@ -89,11 +90,18 @@ def test_wedge_counts_the_sign_sort_sign_sorts():
                 assert tuple_wedge(a, b) == sort_sign(a + b), (a, b)
 
 
+def wedge_products(n: int) -> dict:
+    """The products of the addition coproduct on dim n, as matrices
+    Lambda^p (x) Lambda^q -> Lambda^{p+q}, left index major."""
+    return coalgebra_matrices(addition_coproduct(LieAlgebra(n)))[1]
+
+
 def test_wedge_product_columns_are_wedges():
     n = 4
+    products = wedge_products(n)
     for p in range(n + 1):
         for q in range(n + 1 - p):
-            m = wedge_product(n, p, q)
+            m = products[(p, q)]
             left, right, out = basis_tuples(n, p), basis_tuples(n, q), basis_tuples(n, p + q)
             assert (m.rows, m.cols) == (len(out), len(left) * len(right))
             for ia, a in enumerate(left):
@@ -126,9 +134,10 @@ def test_wedge_matrix_squares_to_zero():
 
 def test_wedge_builders_store_the_tuple_reference_rows():
     for n in range(7):
+        products = wedge_products(n)
         for p in range(n + 1):
             for q in range(n + 1 - p):
-                m, ref = wedge_product(n, p, q), oracle.wedge_product(n, p, q)
+                m, ref = products[(p, q)], oracle.wedge_product(n, p, q)
                 assert (m.rows, m.cols, m._num, m._den) == (ref.rows, ref.cols, ref._num, ref._den)
             for i in range(n):
                 m, ref = wedge_matrix(n, p, i), oracle.wedge_matrix(n, p, i)

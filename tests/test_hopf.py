@@ -1,5 +1,6 @@
 """H-structures, coproducts, and Hopf axioms of cohomology."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,9 +11,7 @@ import oracle
 from algebroid import catalog
 from algebroid.errors import NotAbelianError
 from algebroid.exactlinalg import RationalMatrix
-from algebroid.exterior import wedge_product
 from algebroid.hopf import (
-    GradedCoalgebra,
     HStructure,
     addition,
     addition_coproduct,
@@ -22,7 +21,8 @@ from algebroid.hopf import (
     primitives,
 )
 from algebroid.liealg import LieAlgebra
-from fixtures import antipode_matrices, coproduct_terms, multiply, ts1_coalgebra
+from fixtures import (antipode_matrices, block_offsets, coalgebra_from_matrices,
+                      coalgebra_matrices, coproduct_terms, multiply, ts1_coalgebra)
 from oracle import from_rows, matrix_row, shuffle_coproduct, transpose, verify_hopf
 
 F = Fraction
@@ -96,20 +96,28 @@ def test_coproduct_golden_degree_two():
 
 @pytest.mark.parametrize("n", range(8))
 def test_coproduct_equals_the_shuffle_expansion(n):
+    coproduct, _ = coalgebra_matrices(addition_coproduct(LieAlgebra(n)))
+    assert list(coproduct) == shuffle_coproduct(n)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_matrix_layout_round_trips(n):
     c = addition_coproduct(LieAlgebra(n))
-    assert list(c.coproduct) == shuffle_coproduct(n)
+    back = coalgebra_from_matrices(c.betti, *coalgebra_matrices(c))
+    assert (back.betti, back.delta, back.mu) == (c.betti, c.delta, c.mu)
 
 
 def test_coproduct_blocks_are_transposed_products():
     n = 4
     c = addition_coproduct(LieAlgebra(n))
-    for (p, q), m in c.product.items():
-        assert m == wedge_product(n, p, q)
-    for r, m in enumerate(c.coproduct):
-        offs = c.block_offsets(r)
+    coproduct, products = coalgebra_matrices(c)
+    for (p, q), m in products.items():
+        assert m == oracle.wedge_product(n, p, q)
+    for r, m in enumerate(coproduct):
+        offs = block_offsets(c.betti, r)
         for i in range(r + 1):
             block = [matrix_row(m, k) for k in range(offs[i], offs[i + 1])]
-            assert block == transpose(c.product[(i, r - i)]).to_rows()
+            assert block == transpose(products[(i, r - i)]).to_rows()
 
 
 def test_coproduct_primitive_generators():
@@ -155,11 +163,10 @@ def test_antipode_is_parity():
 
 def test_broken_coproduct_fails_counit():
     c = addition_coproduct(catalog.algebra("r1"))
+    coproduct, products = coalgebra_matrices(c)
     # drop the 1 (x) w term from D(w); the right counit law now fails
     broken_top = from_rows([[0], [1]])
-    broken = GradedCoalgebra(betti=c.betti,
-                             coproduct=(c.coproduct[0], broken_top),
-                             product=c.product)
+    broken = coalgebra_from_matrices(c.betti, (coproduct[0], broken_top), products)
     report = hopf_axioms(broken)
     assert not report.counit
     assert not report.antipode
@@ -185,14 +192,14 @@ def _bumped(m, i, j, delta=1):
 ])
 def test_broken_matrix_fails_its_axioms(name, which, key, entry, verdicts):
     c = addition_coproduct(catalog.algebra(name))
+    coproduct, product = coalgebra_matrices(c)
     if which == "coproduct":
-        coproduct = list(c.coproduct)
+        coproduct = list(coproduct)
         coproduct[key] = _bumped(coproduct[key], *entry)
-        broken = GradedCoalgebra(betti=c.betti, coproduct=tuple(coproduct), product=c.product)
+        broken = coalgebra_from_matrices(c.betti, tuple(coproduct), product)
     else:
-        product = dict(c.product)
         product[key] = _bumped(product[key], *entry)
-        broken = GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product=product)
+        broken = coalgebra_from_matrices(c.betti, coproduct, product)
     report = hopf_axioms(broken)
     assert (report.counit, report.coassociative,
             report.algebra_morphism, report.antipode) == verdicts
@@ -202,24 +209,40 @@ def test_broken_matrix_fails_its_axioms(name, which, key, entry, verdicts):
 
 def test_product_shape_validation():
     c = addition_coproduct(catalog.algebra("r2"))
+    coproduct, product = coalgebra_matrices(c)
     for key, m in (((1, 1), RationalMatrix.zeros(2, 4)),   # H^2 is one-dimensional
                    ((1, 1), RationalMatrix.zeros(1, 2)),   # H^1 (x) H^1 is four-dimensional
                    ((2, 1), RationalMatrix.zeros(0, 2))):  # no degree 3
         with pytest.raises(ValueError):
-            GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product={**c.product, key: m})
+            coalgebra_from_matrices(c.betti, coproduct, {**product, key: m})
+
+
+ONE = RationalMatrix.identity(1)
+
+
+@pytest.mark.parametrize("coproduct, product, message", [
+    ((), {(0, 0): ONE}, "one coproduct matrix per degree"),
+    ((RationalMatrix.zeros(2, 1),), {(0, 0): ONE}, "coproduct matrix at degree 0 has wrong shape"),
+    ((ONE,), {(0, 0): RationalMatrix.zeros(1, 2)}, "product matrix at (0, 0) has wrong shape"),
+    ((ONE,), {(0, 0): ONE, (0, 1): ONE}, "product matrix at (0, 1) has wrong shape"),
+    ((ONE,), {}, "product matrix at (0, 0) is missing"),
+])
+def test_matrix_layout_checks(coproduct, product, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coalgebra_from_matrices((1,), coproduct, product)
 
 
 def test_missing_product_key_is_rejected():
     c = addition_coproduct(catalog.algebra("r2"))
-    product = dict(c.product)
+    coproduct, product = coalgebra_matrices(c)
     del product[(1, 1)]
     with pytest.raises(ValueError, match=r"\(1, 1\)"):
-        GradedCoalgebra(betti=c.betti, coproduct=c.coproduct, product=product)
+        coalgebra_from_matrices(c.betti, coproduct, product)
 
 
 def test_primitives_validation():
     c = addition_coproduct(catalog.algebra("r2"))
-    two_units = GradedCoalgebra(
+    two_units = coalgebra_from_matrices(
         betti=(2,),
         coproduct=(from_rows([[1, 0], [0, 0], [0, 0], [0, 1]]),),
         product={(0, 0): from_rows(
@@ -233,7 +256,7 @@ def test_primitives_validation():
 def test_ts1_coalgebra_golden():
     c = ts1_coalgebra()
     assert c.betti == (1, 1)
-    assert c.coproduct[1].to_rows() == [[F(1)], [F(1)]]
+    assert coalgebra_matrices(c)[0][1].to_rows() == [[F(1)], [F(1)]]
     assert verify_hopf(c)
     assert [len(p) for p in primitives(c)] == [0, 1]
 
@@ -279,17 +302,18 @@ def _rescaled(c, scale):
     D(x') = sum v * scale(r) / (scale(i) scale(r - i)) y' (x) z' and
     x' y' = scale(p) scale(q) / scale(p + q) (xy)'.
     """
+    matrices, products = coalgebra_matrices(c)
     coproduct = []
-    for r, m in enumerate(c.coproduct):
-        offs = c.block_offsets(r)
+    for r, m in enumerate(matrices):
+        offs = block_offsets(c.betti, r)
         factor = [scale(r) / (scale(i) * scale(r - i))
                   for i in range(r + 1) for _ in range(offs[i], offs[i + 1])]
         coproduct.append(RationalMatrix.from_entries(
             m.rows, m.cols, (((k, col), v * factor[k]) for k, col, v in m.entries())))
     product = {(p, q): RationalMatrix.from_entries(m.rows, m.cols, (
         ((k, col), v * scale(p) * scale(q) / scale(p + q)) for k, col, v in m.entries()))
-        for (p, q), m in c.product.items()}
-    return GradedCoalgebra(betti=c.betti, coproduct=tuple(coproduct), product=product)
+        for (p, q), m in products.items()}
+    return coalgebra_from_matrices(c.betti, tuple(coproduct), product)
 
 
 @pytest.mark.parametrize("name", ["r2", "r3"])
@@ -299,12 +323,14 @@ def test_hopf_checks_on_rational_coefficients(name):
     c = addition_coproduct(catalog.algebra(name))
     n = c.top
     scaled = _rescaled(c, lambda p: F(1, p + 1))
-    for mats in (scaled.coproduct, scaled.product.values()):
+    coproduct, product = coalgebra_matrices(scaled)
+    for mats in (coproduct, product.values()):
         # entries() gives an int for an integral entry and a Fraction otherwise
         assert any(isinstance(v, F) for m in mats for *_, v in m.entries())
     report = hopf_axioms(scaled)
     assert (report.counit, report.coassociative,
             report.algebra_morphism, report.antipode) == (True, True, True, True)
+    assert verify_hopf(scaled)
     # the antipode is (-1)^p on degree p in any rescaled basis
     for r, m in enumerate(antipode_matrices(scaled)):
         assert m == _parity(c.betti[r], r), r
@@ -315,9 +341,10 @@ def _dense_primitives(c):
     """Per degree r >= 1, the RREF kernel basis of the dense coproduct[r] minus
     x (x) 1 + 1 (x) x, which is 1 at row a of blocks (r, 0) and (0, r) in column a."""
     out = [()]
+    coproduct, _ = coalgebra_matrices(c)
     for r in range(1, c.top + 1):
-        dim_r, offs = c.betti[r], c.block_offsets(r)
-        rows = oracle.matrix_rows(c.coproduct[r])
+        dim_r, offs = c.betti[r], block_offsets(c.betti, r)
+        rows = oracle.matrix_rows(coproduct[r])
         for a in range(dim_r):
             rows[offs[r] + a][a] -= 1
             rows[offs[0] + a][a] -= 1
@@ -327,17 +354,22 @@ def _dense_primitives(c):
     return tuple(out)
 
 
+def _bumps(m):
+    """m with one entry moved by +1 or -1, every way."""
+    entries = [((i, j), x) for i, j, x in m.entries()]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            for step in (1, -1):
+                yield RationalMatrix.from_entries(m.rows, m.cols, entries + [((i, j), step)])
+
+
 def _single_entry_changes(c):
     """c with one entry of one coproduct matrix moved by +1 or -1, every way."""
-    for r, m in enumerate(c.coproduct):
-        entries = [((i, j), x) for i, j, x in m.entries()]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                for step in (1, -1):
-                    changed = RationalMatrix.from_entries(m.rows, m.cols,
-                                                          entries + [((i, j), step)])
-                    coproduct = c.coproduct[:r] + (changed,) + c.coproduct[r + 1:]
-                    yield GradedCoalgebra(betti=c.betti, coproduct=coproduct, product=c.product)
+    matrices, product = coalgebra_matrices(c)
+    for r, m in enumerate(matrices):
+        for changed in _bumps(m):
+            coproduct = matrices[:r] + (changed,) + matrices[r + 1:]
+            yield coalgebra_from_matrices(c.betti, coproduct, product)
 
 
 def test_primitives_match_the_dense_kernel():
@@ -351,5 +383,26 @@ def test_primitives_match_the_dense_kernel():
     assert len(coalgebras) == 12 + 4 + 30
     for c in coalgebras:
         got = primitives(c)
-        assert got == _dense_primitives(c), c.coproduct
+        assert got == _dense_primitives(c), c.delta
         assert all(isinstance(x, F) for vecs in got for v in vecs for x in v)
+
+
+@pytest.mark.parametrize("name, cases", [("r1", 12), ("r2", 60), ("r3", 336)])
+def test_dense_verdicts_match_the_report_on_every_single_entry_change(name, cases):
+    # oracle.hopf_verdicts multiplies the dense blocks and shares no code with
+    # hopf; the unchanged matrices come first
+    c = addition_coproduct(catalog.algebra(name))
+    coproduct, product = coalgebra_matrices(c)
+    changes = [(coproduct[:r] + (m,) + coproduct[r + 1:], product)
+               for r, old in enumerate(coproduct) for m in _bumps(old)]
+    changes += [(coproduct, {**product, key: m}) for key, old in product.items()
+                for m in _bumps(old)]
+    assert len(changes) == cases
+    seen = set()
+    for matrices in [(coproduct, product), *changes]:
+        report = hopf_axioms(coalgebra_from_matrices(c.betti, *matrices))
+        verdicts = (report.counit, report.coassociative, report.algebra_morphism, report.antipode)
+        assert oracle.hopf_verdicts(c.betti, *matrices) == verdicts, matrices
+        seen.add(verdicts)
+    assert all(False in {v[k] for v in seen} for k in range(4))  # each check fails somewhere
+    assert (True, True, True, True) in seen

@@ -24,6 +24,18 @@ def report() -> CohomologyReport:
     return CohomologyReport((1, 1), (1, 1), 0)
 
 
+U, W = (0, 0), (1, 0)  # the unit and the degree-1 class of the line's cohomology
+
+
+def line_delta() -> dict:
+    """D(1) = 1 (x) 1 and D(w) = w (x) 1 + 1 (x) w."""
+    return {U: {(U, U): 1}, W: {(W, U): 1, (U, W): 1}}
+
+
+def line_mu() -> dict:
+    return {(U, U): {U: 1}, (U, W): {W: 1}, (W, U): {W: 1}}
+
+
 # Each case: the class; a factory of its constructor arguments, by name in
 # signature order; the defaults, as (required arguments, defaulted values);
 # whether instances compare by value; and (changed arguments, ValueError
@@ -58,15 +70,22 @@ CASES = [
      None, True, []),
     (HStructure, lambda: {"algebra": LieAlgebra(1), "matrix": from_rows([[1, 1]])},
      None, False, [({"matrix": ONE}, "H must be dim x 2*dim")]),
-    (GradedCoalgebra, lambda: {"betti": (1,), "coproduct": (ONE,), "product": {(0, 0): ONE}},
+    (GradedCoalgebra, lambda: {"betti": (1, 1), "delta": line_delta(), "mu": line_mu()},
      None, False, [
-         ({"coproduct": ()}, "one coproduct matrix per degree"),
-         ({"coproduct": (RationalMatrix.zeros(2, 1),)},
-          "coproduct matrix at degree 0 has wrong shape"),
-         ({"product": {(0, 0): RationalMatrix.zeros(1, 2)}},
-          "product matrix at (0, 0) has wrong shape"),
-         ({"product": {(0, 0): ONE, (0, 1): ONE}}, "product matrix at (0, 1) has wrong shape"),
-         ({"product": {}}, "product matrix at (0, 0) is missing"),
+         ({"delta": {(1, 0): line_delta()[(1, 0)]}},
+          "coproduct at (0, 0): need one entry per basis label"),
+         ({"delta": {**line_delta(), (2, 0): {}}},
+          "coproduct at (2, 0): need one entry per basis label"),
+         ({"mu": {**line_mu(), (W, W): {}}},
+          "product at ((1, 0), (1, 0)): need one entry per pair of labels of total degree <= 1"),
+         ({"mu": {(U, U): {U: 1}, (U, W): {W: 1}}},
+          "product at ((1, 0), (0, 0)): need one entry per pair of labels of total degree <= 1"),
+         ({"delta": {**line_delta(), W: {(W, W): 1}}},
+          "coproduct at (1, 0): ((1, 0), (1, 0)) is not a nonzero term of degree 1"),
+         ({"delta": {**line_delta(), U: {(U, U): 0}}},
+          "coproduct at (0, 0): ((0, 0), (0, 0)) is not a nonzero term of degree 0"),
+         ({"mu": {**line_mu(), (U, W): {(0, 1): 1}}},
+          "product at ((0, 0), (1, 0)): (0, 1) is not a nonzero term of degree 1"),
      ]),
     (HopfReport, lambda: {"counit": True, "coassociative": True, "algebra_morphism": False,
                           "antipode": True},
@@ -119,6 +138,12 @@ def test_value_class(cls, args, defaults, by_value, checks):
     for changed, message in checks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{**args(), **changed})
+
+
+@pytest.mark.parametrize("cls, args", [case[:2] for case in CASES], ids=IDS)
+def test_value_class_instances_have_no_dict(cls, args):
+    # every class in the hierarchy declares __slots__, and none caches on the instance
+    assert not hasattr(cls(**args()), "__dict__")
 
 
 def test_rank1_anchor_is_its_action_algebroid_but_compares_only_with_its_class():
