@@ -12,75 +12,16 @@ writes out its constructor and runs its checks there, uses `__slots__`,
 and defines equality and hashing only where instances are compared.  They do not use `dataclasses`: importing it
 loads `inspect`, `ast`, `dis` and `tokenize`, and generating the methods
 at import time cost every CLI start about 20 ms.
+
+The names of `__all__` are exported lazily (PEP 562): `import algebroid`
+loads no submodule, and a name's home module is imported the first time
+the name is read, after which the value sits in this module's globals.
+Every CLI start imports this package, and each command needs only some
+of the modules; without bytecode caches, compiling all of them from
+source cost a start about 30 ms.
 """
 
-from .errors import (
-    AlgebroidError,
-    ChainConditionError,
-    DegreeOutOfRangeError,
-    NonsimpleZeroError,
-    NotAbelianError,
-    NotStabilizedError,
-    ParseError,
-    ValidationError,
-)
-from .exactlinalg import (
-    CochainComplex,
-    CohomologyReport,
-    RationalMatrix,
-    complex_cohomology,
-    kernel_basis,
-    rank,
-)
-from .liealg import (
-    LieAlgebra,
-    Representation,
-    adjoint_representation,
-    ce_complex,
-    ce_differential,
-    check_jacobi,
-    check_representation,
-    jacobi_violation,
-    lie_cohomology,
-    trivial_ce_differential,
-    trivial_representation,
-)
-from .circle import (
-    ActionAlgebroid,
-    Rank1Anchor,
-    SweepResult,
-    TrigPoly,
-    TruncatedComplex,
-    count_simple_zeros,
-    is_transitive,
-    stabilized_cohomology,
-)
-from .kunneth import (
-    KunnethCheck,
-    direct_sum,
-    kunneth_verify,
-    product_with_lie_algebra,
-    tensor_rep,
-)
-from .hopf import (
-    GradedCoalgebra,
-    HopfReport,
-    HStructure,
-    addition,
-    addition_coproduct,
-    check_h_structure,
-    exterior_structure_check,
-    hopf_axioms,
-    primitives,
-)
-from .symbol import (
-    ExactnessReport,
-    FiberData,
-    exactness_check,
-    pullback_covector,
-    symbol_complex,
-)
-from . import catalog, io
+import importlib
 
 __all__ = [
     "AlgebroidError",
@@ -138,5 +79,34 @@ __all__ = [
     "catalog",
     "io",
 ]
+
+# The home module of every name in __all__; `catalog` and `io` are modules themselves.
+_HOME = {name: module for module, names in [
+    ("errors", "AlgebroidError ChainConditionError DegreeOutOfRangeError NonsimpleZeroError "
+               "NotAbelianError NotStabilizedError ParseError ValidationError"),
+    ("exactlinalg", "CochainComplex CohomologyReport RationalMatrix complex_cohomology "
+                    "kernel_basis rank"),
+    ("liealg", "LieAlgebra Representation adjoint_representation ce_complex ce_differential "
+               "check_jacobi check_representation jacobi_violation lie_cohomology "
+               "trivial_ce_differential trivial_representation"),
+    ("circle", "ActionAlgebroid Rank1Anchor SweepResult TrigPoly TruncatedComplex "
+               "count_simple_zeros is_transitive stabilized_cohomology"),
+    ("kunneth", "KunnethCheck direct_sum kunneth_verify product_with_lie_algebra tensor_rep"),
+    ("hopf", "GradedCoalgebra HopfReport HStructure addition addition_coproduct "
+             "check_h_structure exterior_structure_check hopf_axioms primitives"),
+    ("symbol", "ExactnessReport FiberData exactness_check pullback_covector symbol_complex"),
+    ("catalog", "catalog"),
+    ("io", "io"),
+] for name in names.split()}
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    globals()[name] = value = module if name == home else getattr(module, name)
+    return value
+
 
 __version__ = "0.1.0"

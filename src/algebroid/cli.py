@@ -12,7 +12,10 @@ Every file argument but `symbol`'s fiber file also accepts a catalog name
 (see `algebroid catalog`).
 
 The argument parser is built once per process and reused by every `run`;
-handlers are looked up as module globals when they are called.
+handlers are looked up as module globals when they are called.  Each
+handler, and each loader it calls, imports the modules it uses when it is
+called, so a start compiles and loads only what its command runs:
+`catalog` loads no module of the package but `catalog` and `errors`.
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ import json
 import os
 import sys
 
-from . import catalog, io
-from .circle import Rank1Anchor, SweepResult, count_simple_zeros, is_transitive, \
-    stabilized_cohomology
+from . import catalog
 from .errors import AlgebroidError, NotStabilizedError, ParseError, ValidationError
-from .exactlinalg import CohomologyReport, require_cochain_budget
-from .hopf import addition_coproduct, exterior_structure_check, hopf_axioms, primitives
-from .kunneth import direct_sum, kunneth_verify, product_with_lie_algebra
-from .liealg import LieAlgebra, Representation, lie_cohomology, trivial_representation
-from .symbol import exactness_check, pullback_covector, symbol_complex
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
 # -- input loading -----------------------------------------------------------
 
 def _load_algebra(arg: str) -> LieAlgebra:
+    from . import io
     if os.path.exists(arg):
         return io.algebra_from_dict(io.load_json(arg), where=arg)
     if arg == "zero" or arg in catalog.ALGEBRA_NAMES:
@@ -67,6 +64,7 @@ def _load_algebra(arg: str) -> LieAlgebra:
 
 
 def _load_representation(arg: str, g: LieAlgebra) -> Representation:
+    from . import io
     if os.path.exists(arg):
         return io.representation_from_dict(io.load_json(arg), g, where=arg)
     if arg in catalog.REPRESENTATION_NAMES:
@@ -76,6 +74,7 @@ def _load_representation(arg: str, g: LieAlgebra) -> Representation:
 
 
 def _load_algebroid(arg: str):
+    from . import io
     if os.path.exists(arg):
         return io.algebroid_from_dict(io.load_json(arg), where=arg)
     if arg in catalog.ALGEBROID_NAMES:
@@ -89,6 +88,7 @@ def _classify_factor(arg: str):
     `load()` parses the factor from the JSON already read, so a file is read
     once; parsing waits until the caller knows the pair is supported.
     """
+    from . import io
     if os.path.exists(arg):
         d = io.load_json(arg)
         if isinstance(d, dict) and "kind" in d:
@@ -112,6 +112,7 @@ def _table(headers: list[str], rows: list[list]) -> list[str]:
 
 def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
     """The sweep, and the zero count of a nonzero rank-1 anchor (else None)."""
+    from .circle import Rank1Anchor, count_simple_zeros, stabilized_cohomology
     # The one range check for every command that sweeps windows.
     if n_min < 0 or n_max < n_min + 2:
         raise ValidationError("need 0 <= n_min and n_max >= n_min + 2")
@@ -123,6 +124,8 @@ def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
 
 
 def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
+    from .exactlinalg import require_cochain_budget
+    from .liealg import lie_cohomology, trivial_representation
     # The budget is checked from g.dim alone, before g.dim zero matrices are built.
     require_cochain_budget(1, g.dim, "the Chevalley-Eilenberg complex")
     return lie_cohomology(trivial_representation(g))
@@ -131,6 +134,7 @@ def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_lie(args) -> tuple[list[str], dict, int]:
+    from .liealg import lie_cohomology
     g = _load_algebra(args.algebra)
     if args.rep:
         rep = _load_representation(args.rep, g)
@@ -157,6 +161,7 @@ def _cmd_lie(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_circle(args) -> tuple[list[str], dict, int]:
+    from .circle import Rank1Anchor, is_transitive
     a, (file_min, file_max) = _load_algebroid(args.algebroid)
     n_min = file_min if args.n_min is None else args.n_min
     n_max = file_max if args.n_max is None else args.n_max
@@ -195,6 +200,7 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
+    from .kunneth import direct_sum, kunneth_verify, product_with_lie_algebra
     (left_kind, load_left), (right_kind, load_right) = (_classify_factor(args.left),
                                                         _classify_factor(args.right))
     kinds = (left_kind, right_kind)
@@ -252,6 +258,7 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_hopf(args) -> tuple[list[str], dict, int]:
+    from .hopf import addition_coproduct, exterior_structure_check, hopf_axioms, primitives
     g = _load_algebra(args.algebra)
     abelian = g.is_abelian()
     # Both size budgets come before any other work: the CE complex's, then the coproduct's.
@@ -299,6 +306,8 @@ def _cmd_hopf(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_symbol(args) -> tuple[list[str], dict, int]:
+    from . import io
+    from .symbol import exactness_check, pullback_covector, symbol_complex
     if os.path.exists(args.fiber):
         fiber = io.fiber_from_dict(io.load_json(args.fiber), where=args.fiber)
     else:

@@ -218,8 +218,10 @@ def _check_coassociative(c: GradedCoalgebra) -> bool:
 
 def _check_algebra_morphism(c: GradedCoalgebra) -> bool:
     delta, mu = c.delta, c.mu
-    # D(1) = 1 (x) 1
-    if c.betti[0] != 1 or delta[(0, 0)] != {((0, 0), (0, 0)): 1}:
+    one = (0, 0)
+    # D(1) = 1 (x) 1, and 1 x = x = x 1: a morphism of algebras presupposes a unit
+    if c.betti[0] != 1 or delta[one] != {(one, one): 1} or any(
+            mu[(one, x)] != {x: 1} or mu[(x, one)] != {x: 1} for x in delta):
         return False
     # D(xy) = D(x) D(y), with (x1 (x) x2)(y1 (x) y2) = (-1)^{|x2||y1|} x1 y1 (x) x2 y2
     for (x, y), xy in mu.items():

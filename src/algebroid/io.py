@@ -4,7 +4,9 @@ and symbol fibers, plus the textual form of trig polynomials.
 Rationals travel as strings "p" or "p/q" and round-trip exactly; floats are
 rejected everywhere.  Parse errors carry a `where` path into the document.
 The package only reads these forms; the writers that the round-trip tests
-use live in `tests/fixtures.py`.
+use live in `tests/fixtures.py`.  `circle` and `symbol` are imported by
+the parsers that build their objects, so reading an algebra does not load
+the circle or symbol code.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .circle import ActionAlgebroid, Rank1Anchor, TrigPoly
 from .errors import ParseError, ValidationError
 from .exactlinalg import MAX_TRIG_DEGREE, RationalMatrix, require_cochain_budget
 from .liealg import LieAlgebra, Representation
-from .symbol import FiberData
 
 # ASCII: \d would otherwise accept any Unicode digit; \Z, unlike $, refuses a final newline.
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
@@ -57,6 +57,7 @@ def parse_rational(s: str, where: str = "") -> Fraction:
 # -- trig polynomials --------------------------------------------------------
 
 def trig_from_string(s: str, where: str = "") -> TrigPoly:
+    from .circle import TrigPoly
     if not isinstance(s, str):
         raise ParseError("expected a trig polynomial string", where)
     text = s.replace(" ", "")
@@ -180,6 +181,7 @@ def matrix_from_rows(rows, n_rows: int, n_cols: int, where: str) -> RationalMatr
 
 def algebroid_from_dict(d: dict, where: str = "algebroid"):
     """Returns (algebroid, (n_min, n_max))."""
+    from .circle import ActionAlgebroid, Rank1Anchor
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
     kind = d.get("kind")
@@ -205,6 +207,7 @@ def algebroid_from_dict(d: dict, where: str = "algebroid"):
 # -- symbol fibers -----------------------------------------------------------
 
 def fiber_from_dict(d: dict, where: str = "fiber") -> FiberData:
+    from .symbol import FiberData
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
     dims = {}

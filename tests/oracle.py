@@ -543,7 +543,8 @@ def hopf_verdicts(betti, coproduct, product) -> tuple[bool, bool, bool, bool]:
     product[(p, q)].  The counit holds when H^0 is a line and D_r^0 and
     D_r^r are identities.  Coassociativity compares (D_{i+j}^i (x) I) D_r^{i+j}
     with (I (x) D_{j+k}^j) D_r^i on every block (i, j, k).  The coproduct is a
-    morphism when D_0 = 1 (x) 1 and D_{p+q}^i M_pq is the sum over
+    morphism when D_0 = 1 (x) 1, the unit blocks M_0r and M_r0 are
+    identities, and D_{p+q}^i M_pq is the sum over
     i1 + j1 = i of (M (x) M) T (D_p^{i1} (x) D_q^{j1}), T the flip of the
     middle factors with the Koszul sign (-1)^{(p-i1) j1}.  The antipode is
     solved degree by degree, S_0 = 1 and S_r = -I - sum_{0<i<r}
@@ -579,6 +580,7 @@ def hopf_verdicts(betti, coproduct, product) -> tuple[bool, bool, bool, bool]:
         return got == want
 
     morphism = betti[0] == 1 and cop[0][0] == [[1]] and all(
+        mul[(0, r)] == eye[r] == mul[(r, 0)] for r in range(top + 1)) and all(
         multiplicative(p, q, i)
         for p in range(top + 1) for q in range(top + 1 - p) for i in range(p + q + 1))
 

@@ -241,3 +241,68 @@ def test_cli_import_skips_dataclasses_and_the_modules_it_pulls_in():
     new = set(json.loads(proc.stdout))
     assert "algebroid.cli" in new
     assert sorted(new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
+
+
+def _modules_after(code: str, *argv: str) -> list[str]:
+    """sys.modules of a fresh interpreter that has run `code` with these arguments."""
+    probe = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    loaded = _modules_after("import algebroid")
+    assert [m for m in loaded if m.startswith("algebroid")] == ["algebroid"]
+
+
+def test_listed_names_resolve_lazily_to_their_home_objects():
+    assert sorted(algebroid._HOME) == sorted(algebroid.__all__)
+    for name in algebroid.__all__:
+        value = getattr(algebroid, name)
+        home = sys.modules[f"algebroid.{name}"] if isinstance(value, types.ModuleType) \
+            else getattr(sys.modules[value.__module__], name)
+        assert value is home, name
+    namespace: dict = {}
+    exec("from algebroid import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(algebroid.__all__)
+    assert all(namespace[name] is getattr(algebroid, name) for name in algebroid.__all__)
+    with pytest.raises(AttributeError, match=r"^module 'algebroid' has no attribute 'hopf_axiom'$"):
+        algebroid.hopf_axiom
+
+
+# Package modules that a command does not load: a start compiles only what it runs.
+UNLOADED = {"circle", "polyroots", "symbol", "kunneth"}
+COMMANDS = {
+    "lie cohomology su2": UNLOADED,
+    "lie euler aff1 --rep aff1_rep2": UNLOADED,
+    "hopf r3": UNLOADED,
+    "hopf su2": UNLOADED,
+    "circle sweep sl2_action": {"hopf", "kunneth", "symbol"},
+    "kunneth sl2_action su2": {"hopf", "symbol"},
+    "symbol FIBER --alpha 1": {"hopf", "kunneth"},
+}
+
+
+def _loaded_by(command: str, tmp_path) -> set[str]:
+    fiber = tmp_path / "fiber.json"
+    fiber.write_text('{"dim_A": 2, "dim_M": 1, "anchor": [["1", "0"]]}', encoding="utf-8")
+    argv = [str(fiber) if a == "FIBER" else a for a in command.split()]
+    return set(_modules_after("from algebroid import cli\nassert cli.main(sys.argv[1:]) == 0",
+                              *argv))
+
+
+def test_catalog_loads_only_cli_catalog_and_errors(tmp_path):
+    # it lists names and reads no number
+    loaded = _loaded_by("catalog", tmp_path)
+    assert {m for m in loaded if m.startswith("algebroid.")} == \
+        {"algebroid.cli", "algebroid.catalog", "algebroid.errors"}
+    assert "fractions" not in loaded
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    loaded = _loaded_by(command, tmp_path)
+    assert "algebroid.cli" in loaded
+    assert {f"algebroid.{m}" for m in COMMANDS[command]} & loaded == set()

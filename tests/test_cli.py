@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from algebroid import catalog, circle, cli, exactlinalg, io
+from algebroid import catalog, circle, cli, exactlinalg, hopf, io, liealg
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive
 from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
 from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport
@@ -144,13 +144,13 @@ def test_kunneth_parses_each_file_once(tmp_path, monkeypatch, capsys):
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps({"dim": 1}))
     calls = []
-    real_load = cli.io.load_json
+    real_load = io.load_json
 
     def counting_load(path):
         calls.append(path)
         return real_load(path)
 
-    monkeypatch.setattr(cli.io, "load_json", counting_load)
+    monkeypatch.setattr(io, "load_json", counting_load)
     assert cli.run(["kunneth", str(roid), str(alg)]) == 0
     _, payload = split_output(capsys.readouterr().out)
     assert payload["ok"] is True
@@ -485,7 +485,7 @@ def test_unstabilized_sweep_exits_3(monkeypatch, capsys):
         report = CohomologyReport(degrees=(1, n_max), betti=(1, n_max), euler=1 - n_max)
         return SweepResult(report=report, per_n=per_n, stabilized=False)
 
-    monkeypatch.setattr(cli, "stabilized_cohomology", fake_sweep)
+    monkeypatch.setattr(circle, "stabilized_cohomology", fake_sweep)
     code = cli.run(["circle", "sweep", "sin_t"])
     out = capsys.readouterr().out
     assert code == 3
@@ -607,7 +607,7 @@ def test_hopf_budget_comes_before_the_h_structure_check(monkeypatch, capsys):
     def structure_check(betti):
         raise AssertionError("the cohomology was checked before the budget")
 
-    monkeypatch.setattr(cli, "exterior_structure_check", structure_check)
+    monkeypatch.setattr(hopf, "exterior_structure_check", structure_check)
     monkeypatch.setattr(exactlinalg, "MAX_COCHAINS", 4 ** 3 - 1)
     assert cli.run(["hopf", "r3"]) == 2
     assert "the addition coproduct would have 64 cochains" in capsys.readouterr().err
@@ -681,7 +681,7 @@ def test_every_package_error_exits_2(error, monkeypatch, capsys):
     def failing(rep):
         raise error("raised by a stub")
 
-    monkeypatch.setattr(cli, "lie_cohomology", failing)
+    monkeypatch.setattr(liealg, "lie_cohomology", failing)
     assert cli.run(["lie", "cohomology", "su2"]) == cli.EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == ""

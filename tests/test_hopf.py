@@ -12,6 +12,7 @@ from algebroid import catalog
 from algebroid.errors import NotAbelianError
 from algebroid.exactlinalg import RationalMatrix
 from algebroid.hopf import (
+    GradedCoalgebra,
     HStructure,
     addition,
     addition_coproduct,
@@ -185,7 +186,7 @@ def _bumped(m, i, j, delta=1):
 # the left identity m(S (x) id) D = eps still holds there.
 @pytest.mark.parametrize("name, which, key, entry, verdicts", [
     ("r2", "coproduct", 2, (1, 0), (True, True, False, True)),
-    ("r1", "product", (0, 1), (0, 0), (True, True, True, False)),
+    ("r1", "product", (0, 1), (0, 0), (True, True, False, False)),
     ("r3", "coproduct", 2, (3, 0), (True, False, False, True)),
     ("r3", "coproduct", 3, (12, 0), (True, False, False, False)),
     ("r3", "coproduct", 3, (12, 0, -1), (True, False, False, False)),
@@ -205,6 +206,19 @@ def test_broken_matrix_fails_its_axioms(name, which, key, entry, verdicts):
             report.algebra_morphism, report.antipode) == verdicts
     assert not verify_hopf(broken)
     assert antipode_matrices(broken) is None
+
+
+def test_a_product_without_unit_is_not_an_algebra_morphism():
+    # 1 w = w 1 = 2 w on r1, D unchanged: the counit, coassociativity and both
+    # antipode identities hold, so only the unit law fails
+    c = addition_coproduct(catalog.algebra("r1"))
+    one, w = (0, 0), (1, 0)
+    broken = GradedCoalgebra(c.betti, c.delta, {**c.mu, (one, w): {w: 2}, (w, one): {w: 2}})
+    report = hopf_axioms(broken)
+    verdicts = (report.counit, report.coassociative, report.algebra_morphism, report.antipode)
+    assert verdicts == (True, True, False, True)
+    assert not report.ok
+    assert oracle.hopf_verdicts(broken.betti, *coalgebra_matrices(broken)) == verdicts
 
 
 def test_product_shape_validation():
