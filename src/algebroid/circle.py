@@ -10,15 +10,15 @@ when the zero fields span no subalgebra.  Every differential then maps
 exactly into the next windows and d^2 = 0 holds on the nose, not
 approximately.  A product with a Lie algebra is built the same way.
 
-One window operator, `field_matrix`, holds the product-to-sum table and
-d/dt: u -> f u' is one matrix, the map the field f d/dt induces on windows.
-A window complex cuts all its field blocks from one per field, on the
-widest window, and `action_violation` applies it to the fields, comparing
-phi_i phi_j' - phi_j phi_i' with sum_k c^k_ij phi_k on integers.
-`_integer_coords`, f as integer window coordinates over their lcm, is the
-one denominator rule.  `TrigPoly` has no arithmetic operators: fields are
-combined only on their integer window coordinates, so `window_coords`
-alone states the coefficient layout.
+One window operator, `field_matrix`, is the map u -> f u' that the field
+f d/dt induces on windows, written from one closed product formula on
+integer coefficient pairs.  A window complex cuts all its field blocks
+from one per field, on the widest window, and `action_violation` applies
+it to the fields, comparing phi_i phi_j' - phi_j phi_i' with
+sum_k c^k_ij phi_k on integers.  `_integer_coords`, f as integer window
+coordinates over their lcm, is the one denominator rule.  `TrigPoly` has
+no arithmetic operators: fields are combined only on their integer
+window coordinates, so `window_coords` alone states the coefficient layout.
 
 A window differential is written by `liealg.form_columns`, the loop over
 the source masks that writes every CE differential too; here each form
@@ -191,59 +191,42 @@ def _integer_coords(f: TrigPoly) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in coords], den
 
 
-_COS, _SIN = "cos", "sin"
-
-
-def _harmonic(i: int) -> tuple[str, int]:
-    """(kind, k) of window coordinate i; the constant is cos 0t."""
-    return (_SIN, i // 2) if i and i % 2 == 0 else (_COS, (i + 1) // 2)
-
-
-def _coordinate(kind: str, k: int) -> tuple[int, int]:
-    """(window coordinate, sign) of cos kt or sin kt for any integer k:
-    cos(-kt) = cos kt, sin(-kt) = -sin kt, and sin 0t = 0 has sign 0."""
-    if kind == _COS:
-        return max(2 * abs(k) - 1, 0), 1
-    return 2 * abs(k), (k > 0) - (k < 0)
-
-
-# Product-to-sum rules: (kind of a, kind of b) -> (kind of the result, sign of
-# its (a-b) term, sign of its (a+b) term), each term carrying a factor 1/2.
-_PRODUCT_TO_SUM = {
-    (_COS, _COS): (_COS, 1, 1),   # cos a cos b = (cos(a-b) + cos(a+b)) / 2
-    (_SIN, _SIN): (_COS, 1, -1),  # sin a sin b = (cos(a-b) - cos(a+b)) / 2
-    (_SIN, _COS): (_SIN, 1, 1),   # sin a cos b = (sin(a-b) + sin(a+b)) / 2
-    (_COS, _SIN): (_SIN, -1, 1),  # cos a sin b = (sin(a+b) - sin(a-b)) / 2
-}
-
-
 def field_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
     """u -> f u' as a map V_src -> V_tgt; needs tgt >= src + deg f.
 
-    Entries come straight from the product-to-sum table, one pass per nonzero
-    harmonic of f over the basis functions' nonzero derivatives: the one home
-    of the product rule and of d/dt.  Each term is an integer over 2 den, with
-    f = a / den (`_integer_coords`).
+    The one home of the product rule and of d/dt.  With f = a / den
+    (`_integer_coords`), a harmonic x cos ht + y sin ht of a (the constant is
+    h = 0, y = 0) times u' = p cos bt + q sin bt, where (cos bt)' = -b sin bt
+    and (sin bt)' = b cos bt, is
+
+        ((xp + yq) cos(h-b)t + (yp - xq) sin(h-b)t
+         + (xp - yq) cos(h+b)t + (yp + xq) sin(h+b)t) / 2,
+
+    with cos(-kt) = cos kt and sin(-kt) = -sin kt.  So each entry is an
+    integer over 2 den; the constructor drops those that cancel.  The loop
+    costs per harmonic, so those with x = y = 0 are skipped: a sparse field
+    near the degree cap would otherwise cost several times as much.
     """
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
     a, den = _integer_coords(f)
-    # (column, kind, harmonic, factor) of each basis function's nonzero derivative:
-    # cos bt -> -b sin bt, sin bt -> b cos bt
-    basis = [(j, _SIN, b, -b) if kind == _COS else (j, _COS, b, b)
-             for j in range(1, window_dim(src_m)) for kind, b in [_harmonic(j)]]
-    cols: list[dict[int, int]] = [{} for _ in range(window_dim(src_m))]
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        f_kind, h = _harmonic(i)
-        for j, b_kind, b, scale in basis:
-            kind, diff_sign, sum_sign = _PRODUCT_TO_SUM[f_kind, b_kind]
-            col = cols[j]
-            for k, sign in ((h - b, diff_sign), (h + b, sum_sign)):
-                row, k_sign = _coordinate(kind, k)
-                if k_sign:
-                    col[row] = col.get(row, 0) + x * sign * k_sign * scale
+    harmonics = [(h, x, y) for h, (x, y) in enumerate(zip([a[0], *a[1::2]], [0, *a[2::2]]))
+                 if x or y]
+    cols: list[dict[int, int]] = [{}]  # the constant's derivative is zero
+    for b in range(1, src_m + 1):
+        for p, q in ((0, -b), (b, 0)):  # the columns of cos bt and sin bt
+            col: dict[int, int] = {}
+            for h, x, y in harmonics:
+                for k, c, s in ((h - b, x * p + y * q, y * p - x * q),
+                                (h + b, x * p - y * q, y * p + x * q)):
+                    if k < 0:
+                        k, s = -k, -s
+                    if c:  # cos kt is coordinate 2k - 1, and cos 0t = 1 is coordinate 0
+                        r = max(2 * k - 1, 0)
+                        col[r] = col.get(r, 0) + c
+                    if s and k:  # sin kt is coordinate 2k, and sin 0t = 0
+                        col[2 * k] = col.get(2 * k, 0) + s
+            cols.append(col)
     return RationalMatrix(window_dim(tgt_m), window_dim(src_m), cols, 2 * den)
 
 

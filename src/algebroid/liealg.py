@@ -38,8 +38,6 @@ from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fr
     common_columns, complex_cohomology, require_cochain_budget
 from .exterior import basis_masks
 
-_ZERO = Fraction(0)
-
 # Normal form for brackets: ((i, j, ((k, coeff), ...)), ...) sorted by (i, j)
 # with i < j, inner terms sorted by k, zero coefficients dropped.
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
@@ -85,25 +83,20 @@ class LieAlgebra:
         return not self.brackets
 
 
-def bracket_basis(g: LieAlgebra, i: int, j: int) -> list[Fraction]:
-    """[e_i, e_j] as a coordinate vector."""
-    out = [_ZERO] * g.dim
-    sign, pair = (1, (i, j)) if i < j else (-1, (j, i))
-    for bi, bj, terms in g.brackets:
-        if (bi, bj) == pair:
-            for k, c in terms:
-                out[k] = sign * c
-    return out
-
-
 def jacobi_violation(g: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple i < j < k, in lexicographic order, whose cyclic
-    Jacobi sum is nonzero, or None when the identity holds."""
+    Jacobi sum is nonzero, or None when the identity holds.
+
+    A triple with no bracketed pair has a zero sum, and so has one holding a
+    central e_k, an index in no pair of the table: each of the sum's three
+    terms brackets with e_k.  So only the triples of a bracketed pair and a
+    third index of some pair are visited, O(brackets^2) whatever the
+    dimension, and the first violation does not move.
+    """
     table = {(i, j): terms for i, j, terms in g.brackets}
-    # A triple with no bracketed pair has a zero sum, so only the triples that
-    # hold a pair of the table are visited.
+    support = {x for pair in table for x in pair}
     triples = sorted({(k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)
-                      for i, j in table for k in range(g.dim) if k != i and k != j})
+                      for i, j in table for k in support if k != i and k != j})
     for i, j, k in triples:
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j], read off the sparse table
         acc: dict[int, Fraction] = {}
@@ -160,11 +153,15 @@ def trivial_representation(g: LieAlgebra, dim_e: int = 1) -> Representation:
 
 
 def adjoint_representation(g: LieAlgebra) -> Representation:
-    mats = []
-    for i in range(g.dim):
-        pairs = [((k, j), c) for j in range(g.dim) for k, c in enumerate(bracket_basis(g, i, j))]
-        mats.append(RationalMatrix.from_entries(g.dim, g.dim, pairs))
-    return Representation(algebra=g, dim_e=g.dim, action=tuple(mats))
+    """ad_i e_j = [e_i, e_j]: column j of ad_i is c^._ij, written as integers
+    over `bracket_denominator(g)` straight from the bracket table."""
+    den = bracket_denominator(g)
+    cols = [[{} for _ in range(g.dim)] for _ in range(g.dim)]
+    for i, j, terms in g.brackets:
+        cols[i][j] = {k: c.numerator * (den // c.denominator) for k, c in terms}
+        cols[j][i] = {k: -x for k, x in cols[i][j].items()}
+    return Representation(algebra=g, dim_e=g.dim,
+                          action=tuple(RationalMatrix(g.dim, g.dim, c, den) for c in cols))
 
 
 def representation_violation(r: Representation) -> tuple[int, int] | None:

@@ -49,8 +49,14 @@ triple, where the package visits only triples that touch the table, and
 sum_k c^k_ij phi_k on dense Fraction window coordinates, where the package
 applies one integer block of u -> phi_k u' per nonzero field to the fields'
 integer coordinates.  `trig_mul`, `trig_derivative` and `vf_bracket` are
-built on the flagged `multiplication_matrix` here, so the reference bracket
-shares no product code with the package's `field_matrix`.  Package
+built on the flagged `multiplication_matrix` here, which reads the
+product-to-sum table `_PRODUCT_TO_SUM` and its index helpers `_harmonic`
+and `_coordinate`.  The oracle owns that table: the package's
+`field_matrix` multiplies out one closed formula on coefficient pairs, so
+the reference product shares no rule with it, and the half-angle
+substitution test checks the table on its own.  `bracket_basis`, [e_i, e_j]
+as a dense Fraction vector, reads the bracket table for the dense
+references; the package writes ad_i's integer columns from it directly.  Package
 matrices and trig polynomials have no arithmetic operators: every sum,
 multiple and product here is taken on dense Fraction rows (`matrix_rows`,
 `dense_product`, `dense_lincomb`, `fixtures.dense_apply`, and
@@ -83,12 +89,11 @@ from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb, lcm
 
-from algebroid.circle import (_COS, _PRODUCT_TO_SUM, _SIN, TrigPoly, _coordinate, _harmonic,
-                              window_coords)
+from algebroid.circle import TrigPoly, window_coords
 from algebroid.errors import NonsimpleZeroError
 from algebroid.exactlinalg import RationalMatrix, _echelon, common_columns, rank
 from algebroid.hopf import addition
-from algebroid.liealg import LieAlgebra, Representation, bracket_basis, lie_cohomology
+from algebroid.liealg import LieAlgebra, Representation, lie_cohomology
 from fixtures import (block_offsets, bracket, coalgebra_matrices, const, cos_coeff, dense_apply,
                       sin_coeff, value_at_quarter)
 
@@ -247,6 +252,17 @@ def change_basis(g, p) -> LieAlgebra:
             if terms:
                 new_brackets[(i, j)] = terms
     return LieAlgebra.make(n, new_brackets, name=g.name + "~" if g.name else "")
+
+
+def bracket_basis(g, i: int, j: int) -> list[Fraction]:
+    """[e_i, e_j] as a coordinate vector."""
+    out = [Fraction(0)] * g.dim
+    sign, pair = (1, (i, j)) if i < j else (-1, (j, i))
+    for bi, bj, terms in g.brackets:
+        if (bi, bj) == pair:
+            for k, c in terms:
+                out[k] = sign * c
+    return out
 
 
 def jacobi_violation(g) -> tuple[int, int, int] | None:
@@ -770,9 +786,37 @@ def representation_violation(r) -> tuple[int, int] | None:
     return None
 
 
+_COS, _SIN = "cos", "sin"
+
+
+def _harmonic(i: int) -> tuple[str, int]:
+    """(kind, k) of window coordinate i; the constant is cos 0t."""
+    return (_SIN, i // 2) if i and i % 2 == 0 else (_COS, (i + 1) // 2)
+
+
+def _coordinate(kind: str, k: int) -> tuple[int, int]:
+    """(window coordinate, sign) of cos kt or sin kt for any integer k:
+    cos(-kt) = cos kt, sin(-kt) = -sin kt, and sin 0t = 0 has sign 0."""
+    if kind == _COS:
+        return max(2 * abs(k) - 1, 0), 1
+    return 2 * abs(k), (k > 0) - (k < 0)
+
+
+# Product-to-sum rules: (kind of a, kind of b) -> (kind of the result, sign of
+# its (a-b) term, sign of its (a+b) term), each term carrying a factor 1/2.
+_PRODUCT_TO_SUM = {
+    (_COS, _COS): (_COS, 1, 1),   # cos a cos b = (cos(a-b) + cos(a+b)) / 2
+    (_SIN, _SIN): (_COS, 1, -1),  # sin a sin b = (cos(a-b) - cos(a+b)) / 2
+    (_SIN, _COS): (_SIN, 1, 1),   # sin a cos b = (sin(a-b) + sin(a+b)) / 2
+    (_COS, _SIN): (_SIN, -1, 1),  # cos a sin b = (sin(a+b) - sin(a-b)) / 2
+}
+
+
 def multiplication_matrix(f, src_m: int, tgt_m: int, derivative: bool = False) -> RationalMatrix:
     """u -> f u (or f u') from the product-to-sum table, one half-term per
-    (a - b) and (a + b) harmonic, each a Fraction entry for `from_entries`."""
+    (a - b) and (a + b) harmonic, each a Fraction entry for `from_entries`.
+    The table and its index helpers are the oracle's own: the package's
+    `field_matrix` multiplies out a closed formula instead."""
     if tgt_m < src_m + f.deg:
         raise ValueError("target window too small for the product")
     coords = window_coords(f, f.deg)

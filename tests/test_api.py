@@ -94,10 +94,12 @@ def test_window_layout_helpers_left_the_package(module, name):
 
 @pytest.mark.parametrize("module", [algebroid, circle], ids=lambda m: m.__name__)
 @pytest.mark.parametrize("name", ["trig_mul", "trig_derivative", "vf_bracket",
-                                  "multiplication_matrix"])
+                                  "multiplication_matrix", "_PRODUCT_TO_SUM", "_harmonic",
+                                  "_coordinate", "_COS", "_SIN"])
 def test_second_trig_arithmetic_left_the_package(module, name):
-    # the action check applies the integer blocks of `field_matrix`; the
-    # Fraction products live in tests/oracle.py
+    # the action check applies the integer blocks of `field_matrix`, one closed
+    # formula; the Fraction products and the product-to-sum table live in
+    # tests/oracle.py
     assert not hasattr(module, name)
 
 
@@ -146,12 +148,14 @@ def test_second_differential_loop_left_the_package(owner, name):
     (cli, "_algebra_label"),
     (io, "format_rational"),
     (exterior, "wedge_product"),
+    (liealg, "bracket_basis"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_one_caller_helpers_left_the_package(owner, name):
     # exterior_structure_check divides by 1 + t^d itself, rank and
     # kernel_basis eliminate the stored rows, the callers of the three
-    # renaming wrappers call what they wrapped, and addition_coproduct
-    # writes its products with exterior.wedge
+    # renaming wrappers call what they wrapped, addition_coproduct writes
+    # its products with exterior.wedge, and adjoint_representation writes
+    # ad_i from the bracket table
     assert not hasattr(owner, name)
 
 

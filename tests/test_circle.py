@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from fixtures import const, dense_apply, value_at_quarter
@@ -104,9 +104,11 @@ trig_polys = st.builds(TrigPoly.make, small_fraction,
 @settings(max_examples=150, deadline=None)
 @given(trig_polys, trig_polys)
 def test_product_and_derivative_match_half_angle_substitution(f, g):
-    # An independent reference for the product-to-sum table and d/dt: under
-    # u = tan(t/2), W(f) = f (1+u^2)^deg f turns trig products into
-    # polynomial products, and d/dt into ((1+u^2) d/du - 2 deg f u) / 2.
+    # An independent reference for the oracle's product-to-sum table, which
+    # `trig_mul` and `derivative` read, and for d/dt: under u = tan(t/2),
+    # W(f) = f (1+u^2)^deg f turns trig products into polynomial products,
+    # and d/dt into ((1+u^2) d/du - 2 deg f u) / 2.  The package's
+    # `field_matrix` is checked against that table entry for entry.
     w = weierstrass_numerator
     assert oracle.trim(w(trig_mul(f, g))) == oracle.trim(oracle.mul(w(f), w(g)))
     d = f.deg
@@ -297,9 +299,12 @@ def stored(m):
 
 @settings(max_examples=200, deadline=None)
 @given(window_polys, st.integers(0, 6), st.integers(0, 3))
+@example(f=TrigPoly.make(F(1, 3), [0] * 63 + [1], [0] * 62 + [2]), m=64, extra=0)
 def test_multiplication_matrix_stores_the_reference_rows(f, m, extra):
-    # u -> f u' as integer terms over 2 lcm(f's denominators), against
-    # half-terms through from_entries
+    # u -> f u' from the package's closed formula on coefficient pairs, as
+    # integer terms over 2 lcm(f's denominators), against the oracle's own
+    # product-to-sum table, half-terms through from_entries; the example is
+    # the degree cap, 1/3 + 2 sin 63t + cos 64t on windows (64, 128)
     t = m + f.deg + extra
     assert stored(field_matrix(f, m, t)) == \
         stored(oracle.multiplication_matrix(f, m, t, derivative=True))

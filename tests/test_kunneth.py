@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fixtures import const, dense_apply
-from oracle import from_rows, transpose, truncated_complex
+from oracle import bracket_basis, from_rows, transpose, truncated_complex
 from algebroid import catalog
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly, is_transitive, \
     stabilized_cohomology
@@ -19,7 +19,6 @@ from algebroid.kunneth import (
 )
 from algebroid.liealg import (
     LieAlgebra,
-    bracket_basis,
     ce_complex,
     check_jacobi,
     check_representation,

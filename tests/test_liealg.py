@@ -1,6 +1,7 @@
 """Lie algebra structures and their cochain complexes."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -13,8 +14,8 @@ from fixtures import bracket, const
 from algebroid import catalog
 from algebroid.circle import ActionAlgebroid
 from algebroid.errors import DegreeOutOfRangeError, ValidationError
-from oracle import change_basis, euler_characteristic, from_rows, inverse, kron_sum, \
-    transpose, truncated_complex
+from oracle import bracket_basis, change_basis, euler_characteristic, from_rows, inverse, \
+    kron_sum, transpose, truncated_complex
 from algebroid.exactlinalg import RationalMatrix, complex_cohomology
 from algebroid.exterior import wedge_matrix
 from algebroid.kunneth import direct_sum, product_with_lie_algebra
@@ -22,7 +23,6 @@ from algebroid.liealg import (
     LieAlgebra,
     Representation,
     adjoint_representation,
-    bracket_basis,
     ce_complex,
     ce_differential,
     check_jacobi,
@@ -267,6 +267,19 @@ def test_jacobi_violation_matches_the_loop_over_every_triple(g):
     assert check_jacobi(g) == (oracle.jacobi_violation(g) is None)
 
 
+def test_jacobi_skips_the_central_indices_of_a_hostile_dimension():
+    # [e0, e1] = e2 in dimension 10^6: every other e_k is central, so no triple
+    # holding one is visited and nothing is allocated per basis vector
+    g = LieAlgebra.make(1_000_000, {(0, 1): {2: 1}})
+    tracemalloc.start()
+    try:
+        assert check_jacobi(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def stored(m):
     return m.rows, m.cols, m._num, m._den
 
@@ -285,6 +298,22 @@ def test_catalog_ce_differentials_store_the_reference_rows():
                 (r.algebra.name, r.dim_e, p)
             assert stored(trivial_ce_differential(r.algebra, p)) == \
                 stored(oracle.trivial_ce_differential(r.algebra, p))
+
+
+def test_adjoint_matrices_store_the_dense_bracket_columns():
+    # ad_i is written from the bracket table as integer columns; column j of the
+    # reference is [e_i, e_j] as a dense Fraction vector through from_entries
+    algebras = [catalog.algebra(name) for name in ("zero",) + catalog.ALGEBRA_NAMES]
+    algebras += [direct_sum(catalog.algebra(a), catalog.algebra(b))
+                 for a, b in (("su2", "diamond4"), ("r2", "r3"), ("aff1", "h3"))]
+    algebras += [change_basis(catalog.algebra(name),
+                              from_rows([[F(1, 2), 1, 0], [0, F(2, 3), 0], [0, F(-1, 5), 3]]))
+                 for name in ("su2", "sl2", "h3")]
+    for g in algebras:
+        for i, ad in enumerate(adjoint_representation(g).action):
+            reference = RationalMatrix.from_entries(g.dim, g.dim, [
+                ((k, j), c) for j in range(g.dim) for k, c in enumerate(bracket_basis(g, i, j))])
+            assert stored(ad) == stored(reference), (g.name, i)
 
 
 F = Fraction
