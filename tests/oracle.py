@@ -25,7 +25,10 @@ matrices through `to_rows` and `entries`; these and `kernel_dim`, `cokernel_dim`
 package calls.  Only tests used them, so they left the package.
 `hopf_verdicts` checks the four Hopf axioms on a coalgebra's matrices by
 dense products of their blocks, sharing no code with `hopf`, and
-`verify_hopf` asks it about a package coalgebra.
+`verify_hopf` asks it about a package coalgebra.  The dense blocks need
+every Betti number positive; `hopf_label_verdicts` gives the same verdicts
+for any Betti vector by looping over every label, pair and triple of labels,
+where `hopf` loops over the degree-1 generators when they generate.
 `codim1_prediction` gives the Betti numbers of g along an abelian ideal of
 codimension one from the Hochschild-Serre sequence: dense ranks of the
 action of g/h on Lambda h* (x) E, with no complex of g built.
@@ -560,7 +563,8 @@ def hopf_verdicts(betti, coproduct, product) -> tuple[bool, bool, bool, bool]:
     D_r^r are identities.  Coassociativity compares (D_{i+j}^i (x) I) D_r^{i+j}
     with (I (x) D_{j+k}^j) D_r^i on every block (i, j, k).  The coproduct is a
     morphism when D_0 = 1 (x) 1, the unit blocks M_0r and M_r0 are
-    identities, and D_{p+q}^i M_pq is the sum over
+    identities, the product is associative, M_{p+q,r} (M_pq (x) I) =
+    M_{p,q+r} (I (x) M_qr) for p + q + r <= top, and D_{p+q}^i M_pq is the sum over
     i1 + j1 = i of (M (x) M) T (D_p^{i1} (x) D_q^{j1}), T the flip of the
     middle factors with the Koszul sign (-1)^{(p-i1) j1}.  The antipode is
     solved degree by degree, S_0 = 1 and S_r = -I - sum_{0<i<r}
@@ -595,8 +599,12 @@ def hopf_verdicts(betti, coproduct, product) -> tuple[bool, bool, bool, bool]:
             got = _add(got, _mul(_kron(mul[(i1, j1)], mul[(p - i1, q - j1)]), split))
         return got == want
 
+    associative = all(
+        _mul(mul[(p + q, r)], _kron(mul[(p, q)], eye[r]))
+        == _mul(mul[(p, q + r)], _kron(eye[p], mul[(q, r)]))
+        for p in range(top + 1) for q in range(top + 1 - p) for r in range(top + 1 - p - q))
     morphism = betti[0] == 1 and cop[0][0] == [[1]] and all(
-        mul[(0, r)] == eye[r] == mul[(r, 0)] for r in range(top + 1)) and all(
+        mul[(0, r)] == eye[r] == mul[(r, 0)] for r in range(top + 1)) and associative and all(
         multiplicative(p, q, i)
         for p in range(top + 1) for q in range(top + 1 - p) for i in range(p + q + 1))
 
@@ -617,6 +625,69 @@ def hopf_verdicts(betti, coproduct, product) -> tuple[bool, bool, bool, bool]:
         eps = [eye[0]] + [[[0] * n for _ in range(n)] for n in betti[1:]]
         antipode = all(convolution(s, r, left, range(r + 1)) == eps[r]
                        for r in range(top + 1) for left in (True, False))
+    return counit, coassociative, morphism, antipode
+
+
+def hopf_label_verdicts(c) -> tuple[bool, bool, bool, bool]:
+    """The verdicts of `hopf_verdicts` for a package coalgebra with any Betti
+    numbers, by loops over its basis labels: the counit and coassociativity on
+    every label, associativity on every triple and D(xy) = D(x) D(y) on every
+    pair of labels, with the antipode solved by the same recursion.  Linear
+    combinations are dicts over labels, or pairs and triples of labels, with
+    zeros dropped; no generator argument shortens a loop.
+    """
+    betti, delta, mu = c.betti, c.delta, c.mu
+    top, one = len(betti) - 1, (0, 0)
+    labels = sorted(delta)
+
+    def add(terms):
+        out = {}
+        for key, v in terms:
+            out[key] = out.get(key, 0) + v
+        return {key: v for key, v in out.items() if v}
+
+    def times(u, v):
+        return add((z, a * b * w) for x, a in u.items() for y, b in v.items()
+                   if x[0] + y[0] <= top for z, w in mu[(x, y)].items())
+
+    def cop(u):
+        return add((pair, a * w) for x, a in u.items() for pair, w in delta[x].items())
+
+    def tensor_times(s, t):
+        # (x1 (x) x2)(y1 (x) y2) = (-1)^{|x2||y1|} x1 y1 (x) x2 y2
+        return add(((k1, k2), (-1) ** (x2[0] * y1[0]) * a * b * u * w)
+                   for (x1, x2), a in s.items() for (y1, y2), b in t.items()
+                   for k1, u in times({x1: 1}, {y1: 1}).items()
+                   for k2, w in times({x2: 1}, {y2: 1}).items())
+
+    counit = betti[0] == 1 and all(
+        add((pair[1 - side], v) for pair, v in delta[x].items() if pair[side][0] == 0) == {x: 1}
+        for x in labels for side in (0, 1))
+    coassociative = all(
+        add(((y1, y2, z), v * w) for (y, z), v in delta[x].items()
+            for (y1, y2), w in delta[y].items())
+        == add(((y, z1, z2), v * w) for (y, z), v in delta[x].items()
+               for (z1, z2), w in delta[z].items())
+        for x in labels)
+    pairs = [(x, y) for x in labels for y in labels if x[0] + y[0] <= top]
+    morphism = (betti[0] == 1 and delta[one] == {(one, one): 1}
+                and all(times({one: 1}, {x: 1}) == {x: 1} == times({x: 1}, {one: 1})
+                        for x in labels)
+                and all(times(times({x: 1}, {y: 1}), {z: 1}) == times({x: 1}, times({y: 1}, {z: 1}))
+                        for x, y in pairs for z in labels if x[0] + y[0] + z[0] <= top)
+                and all(cop(times({x: 1}, {y: 1})) == tensor_times(delta[x], delta[y])
+                        for x, y in pairs))
+    antipode = counit
+    if counit:
+        s = {one: {one: 1}}
+        for x in labels[1:]:
+            s[x] = add([(x, -1)] + [(m, -v * t) for (y, z), v in delta[x].items()
+                                    if 0 < y[0] < x[0] for m, t in times(s[y], {z: 1}).items()])
+        antipode = all(
+            add((m, v * t) for (y, z), v in delta[x].items()
+                for m, t in (times(s[y], {z: 1}) if left else times({y: 1}, s[z])).items())
+            == ({one: 1} if x[0] == 0 else {})
+            for x in labels for left in (True, False))
     return counit, coassociative, morphism, antipode
 
 

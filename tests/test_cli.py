@@ -323,6 +323,20 @@ def test_hopf_abelian():
     assert payload["exterior_generators"] == [1, 1]
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_hopf_payload_on_a_bracket_free_algebra_is_closed_form(n, tmp_path, capsys):
+    # the exterior algebra on n degree-1 generators, primitive exactly in degree 1
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"dim": n, "brackets": []}), encoding="utf-8")
+    assert cli.run(["hopf", str(path)]) == 0
+    _, payload = split_output(capsys.readouterr().out)
+    assert payload["betti"] == [comb(n, p) for p in range(n + 1)]
+    assert payload["exterior_generators"] == [1] * n
+    assert payload["hopf"] == {"counit": True, "coassociative": True, "algebra_morphism": True,
+                               "antipode": True, "ok": True,
+                               "primitive_dims": [0, n, *[0] * (n - 1)][:n + 1]}
+
+
 def test_hopf_nonabelian_reports_without_failing():
     code, out, _ = run_cli("hopf", "su2")
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from algebroid import catalog
@@ -420,3 +420,92 @@ def test_dense_verdicts_match_the_report_on_every_single_entry_change(name, case
         seen.add(verdicts)
     assert all(False in {v[k] for v in seen} for k in range(4))  # each check fails somewhere
     assert (True, True, True, True) in seen
+
+
+def _layout(betti, coproduct_rows, product_rows):
+    """The coalgebra of dense blocks: coproduct_rows[r] the rows of coproduct[r]
+    and product_rows[(p, q)] those of a product block with p, q >= 1, zero when
+    missing; the unit blocks are identities."""
+    coproduct = tuple(from_rows(rows, block_offsets(betti, r)[-1], betti[r])
+                      for r, rows in enumerate(coproduct_rows))
+    product = {}
+    for p in range(len(betti)):
+        for q in range(len(betti) - p):
+            rows, cols = betti[p + q], betti[p] * betti[q]
+            identity = [[int(a == b) for b in range(cols)] for a in range(rows)]
+            zero = [[0] * cols for _ in range(rows)]
+            product[(p, q)] = from_rows(product_rows.get((p, q), zero) if p and q else identity,
+                                        rows, cols)
+    return coalgebra_from_matrices(betti, coproduct, product)
+
+
+# a^2 = b, ab = c, ba = -c over Betti (1, 1, 1, 1), D(b) = b (x) 1 + 1 (x) b and
+# D(c) = c (x) 1 + a (x) b + b (x) a + 1 (x) c: D is multiplicative on the
+# generator a, yet (a a) a = -c while a (a a) = c; only the morphism verdict fails
+NOT_ASSOCIATIVE = _layout((1, 1, 1, 1), [[[1]], [[1], [1]], [[1], [0], [1]],
+                                         [[1], [1], [1], [1]]],
+                          {(1, 1): [[1]], (1, 2): [[1]], (2, 1): [[-1]]})
+# the exterior algebra on two generators with a b = b a = 0: H^2 is not generated
+_e2 = coalgebra_matrices(addition_coproduct(LieAlgebra(2)))
+ZERO_MU11 = coalgebra_from_matrices((1, 2, 1), _e2[0], {**_e2[1], (1, 1): RationalMatrix.zeros(1, 4)})
+# D(w) = w (x) 1 - 1 (x) w in degree 3 with nothing below: no degree-1 generator,
+# an algebra and a morphism, yet not coassociative on w, which a check on 1 and
+# the (empty) degree-1 labels would miss
+NO_DEGREE_ONE = _layout((1, 0, 0, 1), [[[1]], [], [], [[-1], [1]]], {})
+
+
+@st.composite
+def small_coalgebras(draw):
+    """Coalgebras in the matrix layout with Betti vectors (1, ...) of length <= 4,
+    identity unit blocks of the product and every other entry in -1..1: either
+    an exterior algebra on <= 3 generators with up to two entries or product
+    blocks replaced, or random blocks, each the unit (identity or zero) or
+    filled with random entries."""
+    entry = st.integers(-1, 1)
+    if draw(st.booleans()):
+        c = addition_coproduct(LieAlgebra(draw(st.integers(0, 3))))
+        betti, (coproduct, product) = c.betti, coalgebra_matrices(c)
+        coproduct_rows = [oracle.matrix_rows(m) for m in coproduct]
+        product_rows = {key: oracle.matrix_rows(m) for key, m in product.items()}
+        blocks = [*coproduct_rows, *(product_rows[k] for k in sorted(product_rows) if min(k))]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(blocks) - 1))
+            rows = blocks[i]
+            if not rows or not rows[0]:
+                continue
+            if i >= len(coproduct_rows) and draw(st.booleans()):
+                rows[:] = [[0] * len(row) for row in rows]  # a zeroed product block
+            else:
+                row = draw(st.sampled_from(rows))
+                row[draw(st.integers(0, len(row) - 1))] = draw(entry)
+        return _layout(betti, coproduct_rows, product_rows)
+    betti = (1, *draw(st.lists(st.integers(0, 2), max_size=3)))
+    top = len(betti) - 1
+
+    def block(rows, cols, unit):
+        if draw(st.booleans()):
+            return [[int(unit and a == b) for b in range(cols)] for a in range(rows)]
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    coproduct_rows = [[row for i in range(r + 1)
+                       for row in block(betti[i] * betti[r - i], betti[r], i in (0, r))]
+                      for r in range(top + 1)]
+    product_rows = {(p, q): block(betti[p + q], betti[p] * betti[q], False)
+                    for p in range(1, top + 1) for q in range(1, top + 1 - p)}
+    return _layout(betti, coproduct_rows, product_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coalgebras())
+@example(NOT_ASSOCIATIVE)
+@example(ZERO_MU11)
+@example(NO_DEGREE_ONE)
+@example(_layout((1,), [[[1]]], {}))
+def test_generator_checks_match_the_full_loops(c):
+    # hopf checks associativity and D(xy) = D(x) D(y) from the degree-1 labels
+    # when they generate; the references loop over every pair and triple
+    report = hopf_axioms(c)
+    verdicts = (report.counit, report.coassociative, report.algebra_morphism, report.antipode)
+    assert oracle.hopf_label_verdicts(c) == verdicts
+    if all(c.betti):
+        assert oracle.hopf_verdicts(c.betti, *coalgebra_matrices(c)) == verdicts
