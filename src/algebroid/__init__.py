@@ -53,7 +53,6 @@ __all__ = [
     "Rank1Anchor",
     "SweepResult",
     "TrigPoly",
-    "TruncatedComplex",
     "count_simple_zeros",
     "is_transitive",
     "stabilized_cohomology",
@@ -89,8 +88,8 @@ _HOME = {name: module for module, names in [
     ("liealg", "LieAlgebra Representation adjoint_representation ce_complex ce_differential "
                "check_jacobi check_representation jacobi_violation lie_cohomology "
                "trivial_ce_differential trivial_representation"),
-    ("circle", "ActionAlgebroid Rank1Anchor SweepResult TrigPoly TruncatedComplex "
-               "count_simple_zeros is_transitive stabilized_cohomology"),
+    ("circle", "ActionAlgebroid Rank1Anchor SweepResult TrigPoly count_simple_zeros "
+               "is_transitive stabilized_cohomology"),
     ("kunneth", "KunnethCheck direct_sum kunneth_verify product_with_lie_algebra tensor_rep"),
     ("hopf", "GradedCoalgebra HopfReport HStructure addition addition_coproduct "
              "check_h_structure exterior_structure_check hopf_axioms primitives"),

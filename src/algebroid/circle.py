@@ -30,11 +30,27 @@ on the widest window, the first ones, as many as w's window has.  All terms
 share one denominator, and the matrix constructor drops the cancelled
 entries and reduces the columns once.
 
-Window N is the subcomplex of any wider window spanned by the coordinates
-whose harmonic fits, so `stabilized_cohomology` treats a sweep as one
-filtered complex: the widest window, eliminated once with clearing by
-`exactlinalg.pivot_levels`, which first checks d^2 = 0 and that the
-windows nest; the pivot columns of level <= N number the ranks of window N.
+A sweep over N = n_min..n_max is computed from small complexes; of window
+n_max only the cochain count is checked.  With d = 0 every form lives on V_N
+and u -> c u' keeps each harmonic, so window N is the direct sum over n <= N
+of the CE complexes of g on harmonic n: the constants, on which g acts by
+zero, and for n >= 1 the pair (cos nt, sin nt), on which e_i acts by
+n phi_i J, J cos nt = -sin nt, J sin nt = cos nt.  With d >= 1 window 0
+alone is built, because every window has its cohomology:
+
+  Window N is a subcomplex of window N + 1, and the quotient Q holds one
+  pair (cos ht, sin ht), read as a complex number, per form w, with
+  h = N + 1 + d s(w) >= 1 and s(w) the number of w's moving slots.  A term
+  of d(e^k) that adds a moving slot includes w's window into one d wider,
+  below the top of its target, and the harmonics of phi_i below d land
+  below it too, so these vanish on Q.  Filter Q by the number of fixed
+  slots: the bracket terms that survive raise it, and the E_0 differential
+  is sum_i z_i e^i ^ -, z_i = (h/2) i times the top complex coefficient of
+  phi_i, up to a sign per i.  A field of degree d has a nonzero top pair,
+  so some z_i != 0 and E_0, a Koszul complex over C with a factor h/2 per
+  degree, is exact.  So Q is acyclic: H(window N) = H(window 0) for every
+  N >= 0, under either slot rule (McCleary, "A User's Guide to Spectral
+  Sequences", on filtered complexes; Eisenbud, "Commutative Algebra", ch. 17).
 
 Zero counting is exact.  Under u = tan(t/2) a degree-d f is P(u) / (1 + u^2)^d
 (`weierstrass_numerator`); its zeros away from t = pi are the real roots of
@@ -45,18 +61,18 @@ v = cot(t/2), the zero at t = pi has multiplicity 2d - deg P.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, chain, combinations
-from math import lcm
+from math import comb, lcm
 
 from . import polyroots
 from .errors import NonsimpleZeroError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
-    cohomology_from_ranks, common_columns, pivot_levels, require_cochain_budget
+    common_columns, complex_cohomology, require_cochain_budget
 from .exterior import basis_masks
-from .liealg import LieAlgebra, bracket_denominator, form_columns, require_jacobi
+from .liealg import LieAlgebra, Representation, bracket_denominator, ce_differential, \
+    form_columns, require_jacobi
 
 _ZERO = Fraction(0)
 
@@ -232,18 +248,6 @@ def field_matrix(f: TrigPoly, src_m: int, tgt_m: int) -> RationalMatrix:
 
 # -- algebroids --------------------------------------------------------------
 
-class TruncatedComplex:
-    """A window complex; `levels[p][i]` is the first N whose window holds
-    coordinate i of degree p."""
-
-    __slots__ = ("N", "complex", "levels")
-
-    def __init__(self, N: int, complex: CochainComplex, levels: tuple[tuple[int, ...], ...]):
-        if tuple(map(len, levels)) != tuple(complex.degrees):
-            raise ValueError("need one level per coordinate of every degree")
-        self.N, self.complex, self.levels = N, complex, levels
-
-
 class ActionAlgebroid:
     """A Lie algebra acting on the circle through vector fields phi_i d/dt."""
 
@@ -260,26 +264,34 @@ class ActionAlgebroid:
     def anchor_degree(self) -> int:
         return max((f.deg for f in self.phi), default=0)
 
-    def _truncated_complex(self, n: int) -> TruncatedComplex:
-        if n < 0:
-            raise ValueError("window index must be nonnegative")
-        g, d = self.algebra, self.anchor_degree()
-        # A form lives on V_{N + d * (its moving slots)}.  A zero field's slot does not
-        # move when the zero fields span a subalgebra: then no term of d(e^k), k moving,
-        # has two fixed slots, so no CE term narrows a window.  Otherwise all slots move.
+    def _moving(self) -> int:
+        """The mask of the slots that move a form's window: all but the zero
+        fields' when those span a subalgebra (then no term of d(e^k), k moving,
+        has two fixed slots, so no CE term narrows a window), else all."""
         zero = {i for i, f in enumerate(self.phi) if f.is_zero()}
         if any(i in zero and j in zero and any(k not in zero for k, _ in terms)
-               for i, j, terms in g.brackets):
+               for i, j, terms in self.algebra.brackets):
             zero = set()
-        moving = sum(1 << i for i in range(g.dim) if i not in zero)
-        require_cochain_budget(2 * n + 1 + d * moving.bit_count(), g.dim,
-                               f"the window-{n} complex")
-        if len(self.phi) != g.dim:
+        return sum(1 << i for i in range(self.algebra.dim) if i not in zero)
+
+    def _require_fields(self) -> None:
+        """Raise ValidationError unless there is one field per basis vector, g
+        satisfies Jacobi and the fields represent its bracket."""
+        if len(self.phi) != self.algebra.dim:
             raise ValidationError("need one vector field per basis vector")
-        require_jacobi(g)
+        require_jacobi(self.algebra)
         if not check_action(self):
             raise ValidationError("vector fields do not represent the bracket "
                                   f"on basis pair {action_violation(self)}")
+
+    def _truncated_complex(self, n: int) -> CochainComplex:
+        if n < 0:
+            raise ValueError("window index must be nonnegative")
+        g, d, moving = self.algebra, self.anchor_degree(), self._moving()
+        require_cochain_budget(2 * n + 1 + d * moving.bit_count(), g.dim,
+                               f"the window-{n} complex")
+        self._require_fields()
+        # A form lives on V_{N + d * (its moving slots)}.
         windows = [[n + d * (w & moving).bit_count() for w in basis_masks(g.dim, p)]
                    for p in range(g.dim + 1)]
         fibers = [list(map(window_dim, ws)) for ws in windows]
@@ -296,15 +308,10 @@ class ActionAlgebroid:
                                     for i in fields], bracket_denominator(g))
         blocks = [(i, [(b, col) for b, col in enumerate(cols) if col])
                   for i, cols in zip(fields, wide)]
-        diffs = tuple(RationalMatrix(
+        return CochainComplex(degrees, tuple(RationalMatrix(
             degrees[p + 1], degrees[p],
             form_columns(g, p, den, fibers[p], (offsets[p], offsets[p + 1]), (1, 1), blocks,
-                         degrees[p]), den) for p in range(g.dim))
-        # Window coordinate j holds harmonic ceil(j/2); in a form of window w it
-        # enters at N = that - (w - n).
-        levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws
-                             for j in range(window_dim(w))) for ws in windows)
-        return TruncatedComplex(N=n, complex=CochainComplex(degrees, diffs), levels=levels)
+                         degrees[p]), den) for p in range(g.dim)))
 
 
 class Rank1Anchor(ActionAlgebroid):
@@ -380,26 +387,48 @@ class SweepResult:
         self.report, self.per_n, self.stabilized = report, per_n, stabilized
 
 
-def stabilized_cohomology(a, n_min: int, n_max: int) -> SweepResult:
+def _harmonic_betti(g: LieAlgebra, speeds: tuple[Fraction, ...] | None) -> tuple[int, ...]:
+    """H(g) with coefficients in one harmonic: the constants, on which g acts
+    by zero (speeds None), or the pair (cos nt, sin nt), on which e_i acts by
+    speeds[i] J.  The inputs were validated; d^2 = 0 is checked."""
+    dim_e = 1 if speeds is None else 2
+    action = (RationalMatrix.zeros(1, 1),) * g.dim if speeds is None else tuple(
+        RationalMatrix(2, 2, [{1: -x.numerator}, {0: x.numerator}], x.denominator) for x in speeds)
+    rep = Representation(g, dim_e, action)
+    return complex_cohomology(CochainComplex(
+        tuple(dim_e * comb(g.dim, p) for p in range(g.dim + 1)),
+        tuple(ce_differential(rep, p) for p in range(g.dim)))).betti
+
+
+def stabilized_cohomology(a: ActionAlgebroid, n_min: int, n_max: int) -> SweepResult:
     """Sweep windows N = n_min..n_max and demand three equal Betti vectors.
 
-    Only window n_max is assembled and validated; window N is its
-    subcomplex of coordinates of level <= N.  `pivot_levels` checks d^2 = 0
-    and that nesting, then eliminates the complex once with clearing, and
-    rank d_p on window N is the number of its pivot columns of level <= N.
-
-    A sweep whose last three windows disagree is returned with `stabilized`
-    off and the Betti numbers of the widest window; the caller decides
+    Window n_max's cochain count is checked against the budget.  The per-N
+    Betti vectors come from window 0 when d >= 1, and from one CE complex
+    per distinct harmonic action n phi when d = 0 (see the module
+    docstring).  The report is window n_max's.  A sweep whose last three
+    windows disagree is returned with `stabilized` off; the caller decides
     whether that is an error.
     """
     if n_min < 0 or n_max < n_min + 2:
         raise ValueError("need three nonnegative windows: 0 <= n_min and n_max >= n_min + 2")
-    tc = a._truncated_complex(n_max)
-    pivots = [sorted(pv) for pv in pivot_levels(tc.complex, tc.levels)]
-    levels = [sorted(lv) for lv in tc.levels]
-    reports = [cohomology_from_ranks([bisect_right(lv, n) for lv in levels],
-                                     [bisect_right(pv, n) for pv in pivots])
-               for n in range(n_min, n_max + 1)]
-    per_n = [(n, rep.betti) for n, rep in zip(range(n_min, n_max + 1), reports)]
-    return SweepResult(report=reports[-1], per_n=tuple(per_n),
+    g, d = a.algebra, a.anchor_degree()
+    m = a._moving().bit_count() if d else 0
+    require_cochain_budget(2 * n_max + 1 + d * m, g.dim, f"the window-{n_max} complex")
+    if d:
+        running = [complex_cohomology(a._truncated_complex(0)).betti] * (n_max + 1)
+    else:
+        a._require_fields()
+        summand = cache(partial(_harmonic_betti, g))  # one complex per distinct action
+        pieces = [summand(tuple(n * f.constant for f in a.phi)) for n in range(1, n_max + 1)]
+        running = list(accumulate(pieces, lambda x, y: tuple(i + j for i, j in zip(x, y)),
+                                  initial=_harmonic_betti(g, None)))
+    per_n = tuple((n, running[n]) for n in range(n_min, n_max + 1))
+    # A p-form holds 2 n_max + 1 coordinates and 2 d more per moving slot, and a
+    # slot lies in C(dim - 1, p - 1) of the p-forms.
+    degrees = tuple((2 * n_max + 1) * comb(g.dim, p)
+                    + (2 * d * m * comb(g.dim - 1, p - 1) if p else 0) for p in range(g.dim + 1))
+    betti = per_n[-1][1]
+    euler = sum((-1) ** p * b for p, b in enumerate(betti))
+    return SweepResult(CohomologyReport(degrees, betti, euler), per_n,
                        stabilized=len({b for _, b in per_n[-3:]}) == 1)

@@ -200,6 +200,7 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
+    from .exactlinalg import MAX_COCHAINS, require_cochain_budget
     from .kunneth import direct_sum, kunneth_verify, product_with_lie_algebra
     (left_kind, load_left), (right_kind, load_right) = (_classify_factor(args.left),
                                                         _classify_factor(args.right))
@@ -223,6 +224,12 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
         a, (n_min, n_max) = load_roid()
         g = load_alg()
         factor_sweep, _ = _sweep(a, n_min, n_max)
+        # A declared dim past the largest any complex admits is refused from the
+        # numbers, before the product's dim-long fields exist: a form of the
+        # product's window holds at least 2 n_max + 1 cochains.
+        if g.dim > MAX_COCHAINS.bit_length():
+            require_cochain_budget(2 * n_max + 1, a.algebra.dim + g.dim,
+                                   f"the window-{n_max} complex")
         product_sweep, _ = _sweep(product_with_lie_algebra(a, g), n_min, n_max)
         if not (factor_sweep.stabilized and product_sweep.stabilized):
             raise NotStabilizedError(product_sweep.per_n)

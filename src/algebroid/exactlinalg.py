@@ -14,13 +14,13 @@ all work on integers.
 
 Columns are what the differentials' builders write, one source coordinate
 at a time, and what a complex is eliminated by: there is one elimination,
-`_echelon`, and `rank` and `pivot_levels` hand it the stored integer
+`_echelon`, and `rank` and `complex_cohomology` hand it the stored integer
 columns, the matrix times its positive denominator.  `kernel_basis`, which
 needs pivot columns and so eliminates rows, transposes its small matrix
 first.  `_echelon`'s docstring states the pivot rule and the bound on the
 entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
-`pivot_levels` checks d^2 = 0 and eliminates a complex in one pass with
-clearing, which also gives the ranks of every subcomplex of a filtration.
+`complex_cohomology` checks d^2 = 0 and eliminates a complex in one pass
+with clearing.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -145,25 +145,22 @@ def common_columns(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, l
                                                for col in m._num] for m in mats]
 
 
-def _echelon(cols: list[dict[int, int]], rows: int, order: Sequence[int] | None = None,
-             level: Sequence[int] | None = None) -> list[tuple[int, int, dict[int, int]]]:
-    """(row, column index, column) of each pivot, in the order taken, when
-    the distinct rows `order` (default all, top to bottom) of these integer
-    columns, which are consumed, are eliminated in that order.  A row gets a
-    pivot exactly when it is independent of those taken before it.  Each
-    column is the integer pivot column as chosen: it vanishes on every row
-    taken before its own, and no later step changes it.
+def _echelon(cols: list[dict[int, int]], rows: int) -> list[tuple[int, int, dict[int, int]]]:
+    """(row, column index, column) of each pivot, in the order taken, when the
+    rows of these integer columns, which are consumed, are eliminated top to
+    bottom.  A row gets a pivot exactly when it is independent of those above
+    it.  Each column is the integer pivot column as chosen: it vanishes on
+    every row taken before its own, and no later step changes it.
 
     Sparse integer elimination with an index `at` from each row to the live
     columns that hold it, so the candidate pivots for row r are exactly
     at[r].  A lone candidate is the pivot; else it is the candidate of the
-    lowest `level` (if given), then the fewest nonzeros, then the smallest
-    bit size of its entry in row r, then the lowest column index, so the
-    choice is deterministic and the fill-in small.  The pivot column leaves
-    the index, and only the other columns that hold row r change: each
-    becomes (piv/g)*col - (f/g)*pivot_col with g = gcd(piv, f), and is
-    divided by the gcd of its entries.  A column that cancels to zero is
-    dropped.
+    fewest nonzeros, then the smallest bit size of its entry in row r, then
+    the lowest column index, so the choice is deterministic and the fill-in
+    small.  The pivot column leaves the index, and only the other columns
+    that hold row r change: each becomes (piv/g)*col - (f/g)*pivot_col with
+    g = gcd(piv, f), and is divided by the gcd of its entries.  A column
+    that cancels to zero is dropped.
 
     The content division is what bounds the entries.  After k pivots a live
     column is a nonzero multiple of its input column plus a combination of
@@ -181,15 +178,14 @@ def _echelon(cols: list[dict[int, int]], rows: int, order: Sequence[int] | None 
         for i in col:
             at[i].add(j)
     pivots = []
-    for r in range(rows) if order is None else order:
+    for r in range(rows):
         holders = at[r]
         if not holders:
             continue
         if len(holders) == 1:
             p = holders.pop()
         else:
-            p = min(holders, key=lambda j: (level[j] if level else 0, len(cols[j]),
-                                            abs(cols[j][r]).bit_length(), j))
+            p = min(holders, key=lambda j: (len(cols[j]), abs(cols[j][r]).bit_length(), j))
         pcol = cols[p]
         for i in pcol:
             at[i].discard(p)
@@ -337,55 +333,30 @@ class CohomologyReport:
         return (self.degrees, self.betti, self.euler) == (other.degrees, other.betti, other.euler)
 
 
-def pivot_levels(c: CochainComplex,
-                 levels: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
-    """The level of each pivot column of each d_p, from one pass with
-    clearing.  levels[p][i] is the level of coordinate i of C^p, 0 without
-    levels, and rank d_p on the coordinates of level <= N is its pivot count
-    there.  Raises ChainConditionError when d^2 != 0, and ValidationError
-    when some d_p maps a column into a row of a later level.
+def complex_cohomology(c: CochainComplex) -> CohomologyReport:
+    """Betti numbers and Euler characteristic of a finite complex, from one
+    pass with clearing.  Raises ChainConditionError when d^2 != 0, which is
+    checked first.
 
     `_echelon` runs on the stored columns of each d_p, the images d_p(e_i)
-    of the coordinates of C^p, and takes their rows, C^{p+1}, by descending
-    level.  The columns of the lows (pivot rows) of d_{p-1} are left out,
-    and that keeps every rank: a pivot column v with low s lies in im d_p,
-    on s and on rows taken after s, of level <= level(s), and d_{p+1} v = 0
-    makes column s of d_{p+1} a combination of its columns at those rows;
-    so, from the last low back, each low is a combination of columns that
-    are no lows and of no higher level.  The pivot column is the candidate of the
-    lowest level, so a column of level <= N changes only by pivot columns
-    of level <= N, and for every N the pivot columns of level <= N, which
-    are independent, span what the input columns of level <= N span.
+    of the coordinates of C^p, and takes their rows, C^{p+1}, top to bottom.
+    The columns of the lows (pivot rows) of d_{p-1} are left out, and that
+    keeps every rank: a pivot column v with low s lies in im d_p, on s and
+    on rows below s, and d_{p+1} v = 0 makes column s of d_{p+1} a
+    combination of its columns at those rows; so, from the last low back,
+    each low is a combination of columns that are no lows.
     """
     defect = c.chain_defect()
     if defect is not None:
         raise ChainConditionError(defect)
-    out, lows = [], []
-    for p, d in enumerate(c.differentials):
-        order = level = None
-        if levels:
-            above, level = levels[p + 1], levels[p]
-            order = sorted(range(d.rows), key=above.__getitem__, reverse=True)
-            for j, col in enumerate(d._num):
-                for i in col:
-                    if above[i] > level[j]:
-                        raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
-                                              f"(level {level[j]}) into row {i} (level {above[i]})")
+    ranks, lows = [], []
+    for d in c.differentials:
         cols = list(map(dict, d._num))  # _echelon consumes its input
         for s in lows:
             cols[s] = {}
-        pivots = _echelon(cols, d.rows, order, level)
-        out.append([level[i] for _, i, _ in pivots] if level else [0] * len(pivots))
-        lows = [s for s, _, _ in pivots]
-    return out
-
-
-def complex_cohomology(c: CochainComplex) -> CohomologyReport:
-    """Betti numbers and Euler characteristic of a finite complex.
-
-    Raises ChainConditionError when d^2 != 0 (from `pivot_levels`).
-    """
-    return cohomology_from_ranks(c.degrees, list(map(len, pivot_levels(c))))
+        lows = [s for s, _, _ in _echelon(cols, d.rows)]
+        ranks.append(len(lows))
+    return cohomology_from_ranks(c.degrees, ranks)
 
 
 def cohomology_from_ranks(degrees: Sequence[int], ranks: Sequence[int]) -> CohomologyReport:

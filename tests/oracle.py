@@ -6,10 +6,20 @@ pivoting, and Betti numbers straight from the rank formula.  Tests compare
 package results against these.
 
 `pivot_columns` is the one exception: a thin wrapper over the package's
-`_echelon` that eliminates one matrix with its columns in a given order, as
-the sweep did per differential before complexes were eliminated with
-clearing.  It keeps its tests on the package loop and is the reference for
-the per-level pivot counts of `pivot_levels`.
+`_echelon` that eliminates one matrix with its columns in a given order, by
+relabelling the rows of its transpose.  It keeps its tests on the package
+loop and is the reference for the per-level pivot counts of `pivot_levels`.
+
+`filtered_sweep` is the package's earlier sweep, kept as a cross-check
+now that the package builds a sweep from window 0 or from its harmonics
+(`circle`).  It takes the widest window alone, with each coordinate's level,
+the first N whose window holds it (`window_levels`; `truncated_complex`
+pairs a package window with its levels in a `TruncatedComplex`).
+`pivot_levels` checks d^2 = 0 and that the windows nest, then eliminates
+the complex once with clearing, rows by descending level and the pivot of
+lowest level first (`leveled_echelon`, the package's `_echelon` as it was
+with its `order` and `level` parameters), so the pivots of level <= N
+number window N's ranks.
 
 The dense Gauss-Jordan `rref` gives a reference `kernel_basis`, which the
 package's back-substitution must equal entry for entry, and `inverse`.
@@ -20,9 +30,9 @@ package.  These four take and return package objects.
 
 `from_rows` builds a package matrix from dense rows through `from_entries`,
 and `matrix_entry`, `matrix_row`, `matrix_column` and `transpose` read package
-matrices through `to_rows` and `entries`; these and `kernel_dim`, `cokernel_dim`,
-`truncated_complex` and `euler_characteristic` are one-line wrappers over
-package calls.  Only tests used them, so they left the package.
+matrices through `to_rows` and `entries`; these and `kernel_dim`, `cokernel_dim`
+and `euler_characteristic` are one-line wrappers over package calls.  Only
+tests used them, so they left the package.
 `hopf_verdicts` checks the four Hopf axioms on a coalgebra's matrices by
 dense products of their blocks, sharing no code with `hopf`, and
 `verify_hopf` asks it about a package coalgebra.  The dense blocks need
@@ -86,15 +96,16 @@ tests abelianness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
-from math import comb, lcm
+from math import comb, gcd, lcm
 
-from algebroid.circle import TrigPoly, window_coords
-from algebroid.errors import NonsimpleZeroError
-from algebroid.exactlinalg import RationalMatrix, _echelon, common_columns, rank
+from algebroid.circle import SweepResult, TrigPoly, window_coords
+from algebroid.errors import ChainConditionError, NonsimpleZeroError, ValidationError
+from algebroid.exactlinalg import RationalMatrix, _echelon, cohomology_from_ranks, \
+    common_columns, rank
 from algebroid.hopf import addition
 from algebroid.liealg import LieAlgebra, Representation, lie_cohomology
 from fixtures import (block_offsets, bracket, coalgebra_matrices, const, cos_coeff, dense_apply,
@@ -133,9 +144,135 @@ def pivot_columns(m, order=None) -> list[int]:
     """Columns of m that get a pivot when the distinct columns `order`
     (default all, left to right) are eliminated in that order, so the
     pivots among the first k columns of `order` number their rank.  The
-    columns of m transposed are m's rows."""
+    columns of m transposed are m's rows; column order[k] becomes row k."""
+    order = list(range(m.cols) if order is None else order)
+    at = {c: k for k, c in enumerate(order)}
     _, (rows,) = common_columns([transpose(m)])
-    return [c for c, _, _ in _echelon(list(map(dict, rows)), m.cols, order)]
+    relabelled = [{at[c]: x for c, x in row.items() if c in at} for row in rows]
+    return [order[k] for k, _, _ in _echelon(relabelled, len(order))]
+
+
+def leveled_echelon(cols, rows: int, order=None, level=None) -> list:
+    """The package's `_echelon` as it was with `order` and `level`: the
+    distinct rows `order` (default all, top to bottom) are eliminated in
+    that order, and among several candidates the pivot is the one of the
+    lowest `level` (if given), then the fewest nonzeros, then the smallest
+    bit size of its entry in the row, then the lowest column index.
+    Returns (row, column index, column) per pivot; consumes `cols`."""
+    at: list[set[int]] = [set() for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            at[i].add(j)
+    pivots = []
+    for r in range(rows) if order is None else order:
+        holders = at[r]
+        if not holders:
+            continue
+        if len(holders) == 1:
+            p = holders.pop()
+        else:
+            p = min(holders, key=lambda j: (level[j] if level else 0, len(cols[j]),
+                                            abs(cols[j][r]).bit_length(), j))
+        pcol = cols[p]
+        for i in pcol:
+            at[i].discard(p)
+        piv = pcol[r]
+        for j in list(holders):
+            col = cols[j]
+            f = col[r]
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            if a != 1:
+                for i in col:
+                    col[i] *= a
+            for i, y in pcol.items():
+                v = col.get(i, 0) - b * y
+                if v:
+                    if i not in col:
+                        at[i].add(j)
+                    col[i] = v
+                elif i in col:
+                    del col[i]
+                    at[i].discard(j)
+            content = gcd(*col.values())
+            if content > 1:
+                for i in col:
+                    col[i] //= content
+        pivots.append((r, p, pcol))
+    return pivots
+
+
+def pivot_levels(c, levels=None) -> list[list[int]]:
+    """The level of each pivot column of each d_p, from one pass with
+    clearing.  levels[p][i] is the level of coordinate i of C^p, 0 without
+    levels, and rank d_p on the coordinates of level <= N is its pivot count
+    there.  Raises ChainConditionError when d^2 != 0, and ValidationError
+    when some d_p maps a column into a row of a later level.
+
+    The stored columns of each d_p are eliminated with their rows, C^{p+1},
+    taken by descending level.  The columns of the lows (pivot rows) of
+    d_{p-1} are left out, and that keeps every rank: a pivot column v with
+    low s lies in im d_p, on s and on rows taken after s, of level <=
+    level(s), and d_{p+1} v = 0 makes column s of d_{p+1} a combination of
+    its columns at those rows; so, from the last low back, each low is a
+    combination of columns that are no lows and of no higher level.  The
+    pivot column is the candidate of the lowest level, so a column of level
+    <= N changes only by pivot columns of level <= N, and for every N the
+    pivot columns of level <= N, which are independent, span what the input
+    columns of level <= N span.
+    """
+    defect = c.chain_defect()
+    if defect is not None:
+        raise ChainConditionError(defect)
+    out, lows = [], []
+    for p, d in enumerate(c.differentials):
+        order = level = None
+        if levels:
+            above, level = levels[p + 1], levels[p]
+            order = sorted(range(d.rows), key=above.__getitem__, reverse=True)
+            for j, col in enumerate(d._num):
+                for i in col:
+                    if above[i] > level[j]:
+                        raise ValidationError(f"windows are not nested: d_{p} maps column {j} "
+                                              f"(level {level[j]}) into row {i} (level {above[i]})")
+        cols = list(map(dict, d._num))  # leveled_echelon consumes its input
+        for s in lows:
+            cols[s] = {}
+        pivots = leveled_echelon(cols, d.rows, order, level)
+        out.append([level[i] for _, i, _ in pivots] if level else [0] * len(pivots))
+        lows = [s for s, _, _ in pivots]
+    return out
+
+
+class TruncatedComplex:
+    """A window complex; `levels[p][i]` is the first N whose window holds
+    coordinate i of degree p."""
+
+    __slots__ = ("N", "complex", "levels")
+
+    def __init__(self, N: int, complex, levels: tuple[tuple[int, ...], ...]):
+        if tuple(map(len, levels)) != tuple(complex.degrees):
+            raise ValueError("need one level per coordinate of every degree")
+        self.N, self.complex, self.levels = N, complex, levels
+
+
+def filtered_sweep(a, n_min: int, n_max: int) -> SweepResult:
+    """The sweep of windows n_min..n_max as one filtered complex: the widest
+    window from `a._truncated_complex`, which for a stub is a
+    `TruncatedComplex` and for an action algebroid is paired with its
+    `window_levels`, eliminated once by `pivot_levels`; rank d_p on window N
+    is the number of its pivot columns of level <= N."""
+    if n_min < 0 or n_max < n_min + 2:
+        raise ValueError("need three nonnegative windows: 0 <= n_min and n_max >= n_min + 2")
+    tc = truncated_complex(a, n_max)
+    pivots = [sorted(pv) for pv in pivot_levels(tc.complex, tc.levels)]
+    levels = [sorted(lv) for lv in tc.levels]
+    reports = [cohomology_from_ranks([bisect_right(lv, n) for lv in levels],
+                                     [bisect_right(pv, n) for pv in pivots])
+               for n in range(n_min, n_max + 1)]
+    per_n = [(n, rep.betti) for n, rep in zip(range(n_min, n_max + 1), reports)]
+    return SweepResult(report=reports[-1], per_n=tuple(per_n),
+                       stabilized=len({b for _, b in per_n[-3:]}) == 1)
 
 
 def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -406,10 +543,12 @@ def cokernel_dim(m) -> int:
     return m.rows - rank(m)
 
 
-def truncated_complex(a, n: int):
+def truncated_complex(a, n: int) -> TruncatedComplex:
     """Window-N complex of a circle algebroid (an action algebroid, rank-1 anchors
-    and products with Lie algebras included)."""
-    return a._truncated_complex(n)
+    and products with Lie algebras included) with its `window_levels`; a stub's
+    `_truncated_complex` gives its levels itself."""
+    c = a._truncated_complex(n)
+    return c if isinstance(c, TruncatedComplex) else TruncatedComplex(n, c, window_levels(a, n))
 
 
 def verify_hopf(c) -> bool:
@@ -954,13 +1093,7 @@ def window_complex(a, n: int):
     differential, or e^i ^ - for a nonzero field) becomes the term
     (x as a 1 x 1 matrix) (x) (its window block), and `kron_sum` adds them.
     The blocks are inclusions, and u -> phi_i u' for e^i ^ -."""
-    g, d = a.algebra, a.anchor_degree()
-    zero = {i for i, f in enumerate(a.phi) if f.is_zero()}
-    if any(i in zero and j in zero and any(k not in zero for k, _ in terms)
-           for i, j, terms in g.brackets):
-        zero = set()
-    windows = [[n + d * sum(i not in zero for i in form) for form in combinations(range(g.dim), p)]
-               for p in range(g.dim + 1)]
+    g, windows = a.algebra, form_windows(a, n)
     offsets = [[0, *accumulate(2 * w + 1 for w in ws)] for ws in windows]
     degrees = tuple(offs[-1] for offs in offsets)
     blocks = {}
@@ -979,9 +1112,28 @@ def window_complex(a, n: int):
                   block(field, windows[p][c], windows[p + 1][r]))
                  for field, forms in maps for r, c, x in forms.entries()]
         diffs.append(kron_sum(degrees[p + 1], degrees[p], terms))
-    levels = tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws for j in range(2 * w + 1))
-                   for ws in windows)
-    return degrees, levels, diffs
+    return degrees, window_levels(a, n), diffs
+
+
+def form_windows(a, n: int) -> list[list[int]]:
+    """The window w of each basis form of each degree of window n, forms in
+    lexicographic order: n + d times the number of the form's slots whose
+    field is nonzero, or of all its slots when the zero fields span no
+    subalgebra."""
+    g, d = a.algebra, a.anchor_degree()
+    zero = {i for i, f in enumerate(a.phi) if f.is_zero()}
+    if any(i in zero and j in zero and any(k not in zero for k, _ in terms)
+           for i, j, terms in g.brackets):
+        zero = set()
+    return [[n + d * sum(i not in zero for i in form) for form in combinations(range(g.dim), p)]
+            for p in range(g.dim + 1)]
+
+
+def window_levels(a, n: int) -> tuple[tuple[int, ...], ...]:
+    """The level of each coordinate of each degree of window n: coordinate j
+    of a form on V_w holds harmonic ceil(j/2) and enters at N = that - (w - n)."""
+    return tuple(tuple(max(0, (j + 1) // 2 - (w - n)) for w in ws for j in range(2 * w + 1))
+                 for ws in form_windows(a, n))
 
 
 # -- Fraction polynomials and half-angle zero counting -------------------------

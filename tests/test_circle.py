@@ -2,20 +2,20 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from fixtures import const, dense_apply, value_at_quarter
-from oracle import cokernel_dim, from_rows, inclusion_matrix, kernel_dim, matrix_column, \
-    trig_lincomb, trig_mul, truncated_complex, vf_bracket
+from oracle import TruncatedComplex, cokernel_dim, filtered_sweep, from_rows, inclusion_matrix, \
+    kernel_dim, matrix_column, pivot_levels, trig_lincomb, trig_mul, truncated_complex, vf_bracket
 from algebroid import catalog, circle
 from algebroid.circle import (
     ActionAlgebroid,
     Rank1Anchor,
     TrigPoly,
-    TruncatedComplex,
     action_violation,
     check_action,
     count_simple_zeros,
@@ -36,7 +36,6 @@ from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
     complex_cohomology,
-    pivot_levels,
     rank,
 )
 from algebroid.kunneth import product_with_lie_algebra
@@ -428,7 +427,7 @@ def test_rank1_window_gives_the_closed_form(anchor, n):
     # trig polynomials form a domain, so p d/dt on V_N has only the constants
     # as kernel and rank 2N: window H^1 is dim V_{N+d} - 2N = 2d + 1 at every N
     d, p = anchor
-    tc = Rank1Anchor(p)._truncated_complex(n)
+    tc = truncated_complex(Rank1Anchor(p), n)
     assert complex_cohomology(tc.complex).betti == (1, 2 * d + 1)
 
 
@@ -633,13 +632,13 @@ def test_sweep_requires_three_windows():
 
 
 def test_sweep_not_stabilized_strict():
-    table = stabilized_cohomology(_DriftingStub(), 1, 4).per_n
+    table = filtered_sweep(_DriftingStub(), 1, 4).per_n
     assert [n for n, _ in table] == [1, 2, 3, 4]
     assert [b for _, b in table] == [(2,), (3,), (4,), (5,)]
 
 
 def test_sweep_not_stabilized_relaxed():
-    sweep = stabilized_cohomology(_DriftingStub(), 1, 4)
+    sweep = filtered_sweep(_DriftingStub(), 1, 4)
     assert not sweep.stabilized
     assert sweep.report.betti == (5,)
 
@@ -654,9 +653,9 @@ def test_sweep_asserts_nested_windows():
     stub = _FixedStub(d=((0, 1), (0, 0)), levels=((0, 1), (2, 0)))
     pair = r"d_0 maps column 1 \(level 1\) into row 0 \(level 2\)"
     with pytest.raises(ValidationError, match=pair):
-        stabilized_cohomology(stub, 0, 2)
+        filtered_sweep(stub, 0, 2)
     nested = _FixedStub(d=((0, 1), (0, 0)), levels=((0, 2), (1, 0)))
-    assert [b for _, b in stabilized_cohomology(nested, 0, 2).per_n] == \
+    assert [b for _, b in filtered_sweep(nested, 0, 2).per_n] == \
         [(1, 1), (1, 2), (1, 1)]
 
 
@@ -669,8 +668,37 @@ def test_sweep_checks_chain_condition_on_widest_window():
             return TruncatedComplex(N=n, complex=cx, levels=((n,), (n,), (n,)))
 
     with pytest.raises(ChainConditionError) as err:
-        stabilized_cohomology(_Curved(), 0, 2)
+        filtered_sweep(_Curved(), 0, 2)
     assert err.value.degree == 0
+
+
+def test_sweep_checks_chain_condition_on_the_complexes_it_builds(monkeypatch):
+    # d >= 1 builds window 0, d = 0 one CE complex per harmonic: each is d^2-checked
+    one = RationalMatrix.identity(1)
+    curved = CochainComplex(degrees=(1, 1, 1), differentials=(one, one))
+    with monkeypatch.context() as m:
+        m.setattr(ActionAlgebroid, "_truncated_complex", lambda self, n: curved)
+        with pytest.raises(ChainConditionError) as err:
+            stabilized_cohomology(sl2_action(), 4, 6)
+        assert err.value.degree == 0
+    # d_1 d_0 has the entry 1 at (0, 0) on every harmonic of r2 + constant fields
+    monkeypatch.setattr(circle, "ce_differential", lambda rep, p: RationalMatrix.from_entries(
+        rep.dim_e * comb(2, p + 1), rep.dim_e * comb(2, p), [((0, 0), 1)]))
+    with pytest.raises(ChainConditionError) as err:
+        stabilized_cohomology(ActionAlgebroid(catalog.algebra("r2"), (const(1), const(2))), 0, 2)
+    assert err.value.degree == 0
+
+
+def test_a_late_resonance_is_swept_from_its_harmonics():
+    # diamond4 with the constant field 1/5 on e0 and zero fields on e1..e3:
+    # harmonic 5 is resonant, so windows 0..4 agree and window 5 jumps.  The
+    # three-equal rule's verdict on N = 0..4 is not asserted here.
+    g = catalog.algebra("diamond4")
+    a = ActionAlgebroid(g, (TrigPoly.make(F(1, 5)),) + (TrigPoly(),) * 3)
+    sweep = stabilized_cohomology(a, 0, 8)
+    assert sweep.per_n == tuple((n, (1, 1, 0, 1, 1) if n <= 4 else (1, 3, 4, 3, 1))
+                                for n in range(9))
+    assert stabilized_cohomology(a, 0, 4).per_n == sweep.per_n[:5]
 
 
 def test_pivot_levels_checks_its_own_preconditions():

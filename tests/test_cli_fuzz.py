@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -180,3 +181,30 @@ def test_hostile_dimensions_are_refused_from_the_numbers():
         assert (code, out) == (cli.EXIT_VALIDATION, ""), argv
         assert err.startswith("validation error: ") and "would have 1 * 2^" in err, argv
         assert seconds < 0.5, argv
+
+
+def test_kunneth_refuses_a_hostile_factor_before_dim_sized_work():
+    # sin_t times an algebra declaring dim 10^6: the product's window is refused
+    # from the numbers, before its dim-long fields and slot sets exist.  The
+    # first run imports and caches outside the measurement.
+    wide = {"dim": 10 ** 6, "brackets": [{"i": 0, "j": 1, "coeffs": [[2, "1"]]}]}
+    argv = ["kunneth", "sin_t", wide]
+    run_in_process(argv)
+    tracemalloc.start()
+    try:
+        code, out, err, _ = run_in_process(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == ("validation error: the window-8 complex would have 17 * 2^1000001 cochains, "
+                   "more than the budget of 262144\n")
+    assert peak < (1 << 20) + len(json.dumps(wide))
+
+
+def test_kunneth_keeps_its_refusal_below_the_dim_bound():
+    # a declared dim of at most 19 is refused by the window's exact count, as before
+    argv = ["kunneth", "sin_t", {"dim": 19, "brackets": []}]
+    assert run_in_process(argv)[:3] == (cli.EXIT_VALIDATION, "", (
+        "validation error: the window-8 complex would have 18874368 cochains, "
+        "more than the budget of 262144\n"))

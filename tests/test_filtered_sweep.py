@@ -1,27 +1,33 @@
-"""A sweep is one filtered complex: it must agree with eliminating every
-window on its own, and it must assemble only the widest window.  A product
-with a Lie algebra is swept the same way, and Kunneth must hold at every
-window.  The one-pass elimination with clearing must give every window's
-rank, as one differential at a time in level order and dense elimination of
-each window do."""
+"""A sweep is computed from small complexes: window 0 when a field has
+degree d >= 1, one CE complex per harmonic when d = 0.  It must agree with
+eliminating every window on its own, both by the package and by dense rank
+on the oracle's window complexes, and it must assemble no window but window
+0.  A product with a Lie algebra is swept the same way, and Kunneth must
+hold at every window.  The oracle's filtered sweep, which eliminates the
+widest window once with clearing, must give every window's rank, as one
+differential at a time in level order and dense elimination of each window
+do."""
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from oracle import change_basis, from_rows, trig_lincomb, truncated_complex
+from oracle import TruncatedComplex, change_basis, from_rows, pivot_levels, trig_lincomb, \
+    truncated_complex
 from algebroid import catalog
 from algebroid.circle import (
     ActionAlgebroid,
     Rank1Anchor,
     TrigPoly,
-    TruncatedComplex,
     stabilized_cohomology,
 )
-from algebroid.exactlinalg import CochainComplex, RationalMatrix, complex_cohomology, pivot_levels
+from algebroid.exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, \
+    cohomology_from_ranks, complex_cohomology
 from algebroid.kunneth import product_with_lie_algebra
 from algebroid.liealg import (
     LieAlgebra,
@@ -77,16 +83,17 @@ def sweeps(draw):
     return a, lo, lo + draw(st.integers(2, 3))
 
 
-@dataclass
-class _Counted:
-    """Passes window requests through and records them."""
+@contextmanager
+def counted_windows():
+    """The list of the windows that `_truncated_complex` assembles while open."""
+    calls, real = [], ActionAlgebroid._truncated_complex
 
-    inner: object
-    calls: list = field(default_factory=list)
+    def counted(self, n: int):
+        calls.append(n)
+        return real(self, n)
 
-    def _truncated_complex(self, n: int):
-        self.calls.append(n)
-        return self.inner._truncated_complex(n)
+    with patch.object(ActionAlgebroid, "_truncated_complex", counted):
+        yield calls
 
 
 def per_window_sweep(a, lo: int, hi: int):
@@ -101,21 +108,70 @@ def per_window_sweep(a, lo: int, hi: int):
 @given(sweeps())
 def test_filtered_sweep_equals_per_window_elimination(case):
     a, lo, hi = case
-    counted = _Counted(a)
-    sweep = stabilized_cohomology(counted, lo, hi)
-    assert counted.calls == [hi]
+    with counted_windows() as calls:
+        sweep = stabilized_cohomology(a, lo, hi)
+    assert calls == ([0] if a.anchor_degree() else [])
     assert (sweep.per_n, sweep.report, sweep.stabilized) == per_window_sweep(a, lo, hi)
+    filtered = oracle.filtered_sweep(a, lo, hi)  # the widest window, eliminated by levels
+    assert (filtered.per_n, filtered.report, filtered.stabilized) == per_window_sweep(a, lo, hi)
 
 
 def test_catalog_sweeps_assemble_once():
+    # d >= 1 assembles window 0 alone; d = 0 (const1, r_action) assembles no window
     for name in catalog.ALGEBROID_NAMES:
         a, (lo, hi) = catalog.algebroid(name)
         for x in (a, product_with_lie_algebra(a, catalog.algebra("su2"))):
-            counted = _Counted(x)
-            sweep = stabilized_cohomology(counted, lo, min(hi, lo + 3))
-            assert counted.calls == [min(hi, lo + 3)]
+            with counted_windows() as calls:
+                sweep = stabilized_cohomology(x, lo, min(hi, lo + 3))
+            assert calls == ([0] if x.anchor_degree() else []), name
             assert (sweep.per_n, sweep.report, sweep.stabilized) == \
                 per_window_sweep(x, lo, min(hi, lo + 3))
+
+
+def dense_sweep(a, lo: int, hi: int):
+    """Reference: every window built by `oracle.window_complex` and ranked
+    by dense Fraction elimination."""
+    reports = []
+    for n in range(lo, hi + 1):
+        degrees, _, diffs = oracle.window_complex(a, n)
+        betti = tuple(oracle.betti_numbers(list(degrees), list(map(oracle.matrix_rows, diffs))))
+        reports.append(CohomologyReport(degrees, betti, oracle.euler(betti)))
+    per_n = tuple((n, rep.betti) for n, rep in zip(range(lo, hi + 1), reports))
+    return per_n, reports[-1], len({b for _, b in per_n[-3:]}) == 1
+
+
+@st.composite
+def rotation_characters(draw):
+    """R acting on Q^2k (k <= 2) by rotation blocks of integer speeds 1..4,
+    [e0, e_{2j+1}] = w_j e_{2j+2} and [e0, e_{2j+2}] = -w_j e_{2j+1}, through
+    the constant field c on e0 and zero fields on the ideal.  Harmonic n adds
+    cohomology exactly when n c is a signed sum of some of the speeds."""
+    speeds = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    table = {}
+    for j, w in enumerate(speeds):
+        table[(0, 2 * j + 1)], table[(0, 2 * j + 2)] = {2 * j + 2: w}, {2 * j + 1: -w}
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(1, 3)]))
+    a = ActionAlgebroid(LieAlgebra.make(1 + 2 * len(speeds), table),
+                        (TrigPoly.make(c),) + (TrigPoly(),) * (2 * len(speeds)))
+    lo = draw(st.integers(0, 2))
+    return a, lo, lo + draw(st.integers(2, 6 - lo if len(speeds) == 1 else 2))
+
+
+@st.composite
+def all_zero_fields(draw):
+    """An algebra acting by zero fields alone: window N is V_N (x) H(g)."""
+    g = catalog.algebra(draw(st.sampled_from(["r1", "r2", "aff1", "h3", "su2", "sl2"])))
+    lo = draw(st.integers(0, 3))
+    return ActionAlgebroid(g, (TrigPoly(),) * g.dim), lo, lo + draw(st.integers(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps() | rotation_characters() | all_zero_fields())
+def test_sweep_equals_dense_ranks_of_every_window(case):
+    a, lo, hi = case
+    assume(max(truncated_complex(a, hi).complex.degrees) <= 120)  # dense ranks stay quick
+    sweep = stabilized_cohomology(a, lo, hi)
+    assert (sweep.per_n, sweep.report, sweep.stabilized) == dense_sweep(a, lo, hi)
 
 
 def assert_reference_windows(a, n: int):
@@ -225,6 +281,9 @@ def semidirect_ce_complexes(draw):
 @given(semidirect_ce_complexes())
 def test_pivot_levels_count_the_ranks_of_a_ce_complex(c):
     assert_pivot_levels_count_every_window(c)
+    # the package's pass with clearing, rows top to bottom, gives the same ranks
+    ranks = list(map(len, pivot_levels(c)))
+    assert complex_cohomology(c) == cohomology_from_ranks(c.degrees, ranks)
 
 
 @dataclass(frozen=True)
@@ -246,7 +305,7 @@ def test_the_pivot_row_of_lowest_level_is_taken():
     levels = ((1, 0), (0,))
     assert pivot_levels(c, levels) == [[0]]
     assert_pivot_levels_count_every_window(c, levels)
-    sweep = stabilized_cohomology(_Fixed(c, levels), 0, 2)
+    sweep = oracle.filtered_sweep(_Fixed(c, levels), 0, 2)
     assert sweep.per_n == ((0, (0, 0)), (1, (1, 0)), (2, (1, 0)))
 
 
@@ -259,5 +318,5 @@ def test_columns_are_taken_by_descending_level():
     levels = ((1,), (0, 1), (0,))
     assert pivot_levels(c, levels) == [[1], [0]]
     assert_pivot_levels_count_every_window(c, levels)
-    sweep = stabilized_cohomology(_Fixed(c, levels), 0, 2)
+    sweep = oracle.filtered_sweep(_Fixed(c, levels), 0, 2)
     assert sweep.per_n == ((0, (0, 0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0)))

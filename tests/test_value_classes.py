@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import from_rows
+from oracle import TruncatedComplex, from_rows
 from algebroid import (ActionAlgebroid, CochainComplex, CohomologyReport, ExactnessReport,
                        FiberData, GradedCoalgebra, HopfReport, HStructure, KunnethCheck,
                        LieAlgebra, Rank1Anchor, RationalMatrix, Representation, SweepResult,
-                       TrigPoly, TruncatedComplex)
+                       TrigPoly)
 
 ONE = RationalMatrix.identity(1)
 
