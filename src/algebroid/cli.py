@@ -2,11 +2,15 @@
 
 Every subcommand prints a short human-readable block, then a line
 containing only `== json ==`, then a machine-readable JSON object.  Output
-is deterministic byte for byte.  Exit codes: 0 success, 2 validation
-failure or any other package error (a degree out of range, a nonabelian
-algebra where an abelian one is needed), 3 unstabilized sweep, 64 usage,
-65 unparseable input, 141 (128 + SIGPIPE) stdout closed before the output
-was written, with nothing on stderr.
+is deterministic byte for byte: the object's bytes are exactly those of
+`json.dumps(payload, indent=2, sort_keys=True)`.  `_json` writes them
+itself, because the standard encoder has no C path for an indent, and `run`
+writes the whole output to stdout in one write.
+
+Exit codes: 0 success, 2 validation failure or any other package error (a
+degree out of range, a nonabelian algebra where an abelian one is needed),
+3 unstabilized sweep, 64 usage, 65 unparseable input, 141 (128 + SIGPIPE)
+stdout closed before the output was written, with nothing on stderr.
 
 Every file argument but `symbol`'s fiber file also accepts a catalog name
 (see `algebroid catalog`).
@@ -22,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .errors import AlgebroidError, NotStabilizedError, ParseError, ValidationError
@@ -104,10 +108,43 @@ def _classify_factor(arg: str):
 # -- output helpers ----------------------------------------------------------
 
 def _table(headers: list[str], rows: list[list]) -> list[str]:
-    cells = [[str(h) for h in headers]] + [[str(c) for c in r] for r in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    return ["  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip()
-            for r in cells]
+    cells = [[*map(str, r)] for r in (headers, *rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return ["  ".join(map(str.rjust, r, widths)).rstrip() for r in cells]
+
+
+def _json(x, indent: str = "\n") -> str:
+    """The text of json.dumps(x, indent=2, sort_keys=True) for a payload.
+
+    A payload holds dicts with str keys, lists, ints, strs, True, False and
+    None; any other type raises TypeError.  The standard encoder has no C
+    path for an indent and yields once per token, so each container is one
+    join here, and an int in a list is written inline.
+    """
+    inner = indent + "  "
+    kind = type(x)
+    if kind is dict:
+        if not x:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(x[k], inner) for k in sorted(x)])
+            + indent + "}")
+    if kind is list:
+        if not x:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [str(v) if type(v) is int else _json(v, inner) for v in x]) + indent + "]")
+    if kind is int:
+        return str(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    raise TypeError(f"a payload holds no {kind.__name__}")
 
 
 def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
@@ -176,14 +213,15 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
     # A rank-1 anchor with simple zeros is transitive iff it has none.
     transitive = is_transitive(a) if zeros is None else zeros == 0
     lines = [head, f"transitive anchor: {'yes' if transitive else 'no'}"]
-    lines += _table(["N", "betti"], [[n, list(b)] for n, b in sweep.per_n])
+    per_n = [[n, list(b)] for n, b in sweep.per_n]
+    lines += _table(["N", "betti"], per_n)
     payload = {
         "algebroid": args.algebroid,
         "kind": kind,
         "n_min": n_min,
         "n_max": n_max,
         "transitive": transitive,
-        "per_N": [[n, list(b)] for n, b in sweep.per_n],
+        "per_N": per_n,
         "stabilized": sweep.stabilized,
     }
     if sweep.stabilized:
@@ -433,10 +471,7 @@ def run(argv: list[str]) -> int:
     except AlgebroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    for line in lines:
-        print(line)
-    print(JSON_MARKER)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write("\n".join([*lines, JSON_MARKER, _json(payload), ""]))
     return code
 
 

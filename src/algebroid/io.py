@@ -29,6 +29,13 @@ _TERM_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)(?:(\*?)(cos|sin)\((\d*)t\))?\Z
 _MAX_DIGITS = sys.get_int_max_str_digits()
 _INT_BOUND = 10 ** _MAX_DIGITS if _MAX_DIGITS else float("inf")
 
+# Every dim over MAX_COCHAINS.bit_length() (19) puts an action algebroid's
+# windows over the budget whatever phi says.  Up to this dim its phi list is
+# parsed, a matter of milliseconds, and the sweep refuses with the exact
+# count, d times the moving slots included; past it the parser refuses first,
+# by the lower bound (2 n_max + 1) 2^dim on window n_max's cochains.
+_PHI_PARSED_DIM = 1 << 10
+
 
 def _is_int(x, where: str) -> bool:
     """A JSON integer: Python's bool is an int subclass, so exclude it.  One
@@ -199,6 +206,8 @@ def algebroid_from_dict(d: dict, where: str = "algebroid"):
         raw_phi = d.get("phi")
         if not isinstance(raw_phi, list) or len(raw_phi) != g.dim:
             raise ParseError(f"'phi' must list {g.dim} trig polynomials", f"{where}.phi")
+        if g.dim > _PHI_PARSED_DIM:
+            require_cochain_budget(2 * n_range[1] + 1, g.dim, f"the window-{n_range[1]} complex")
         phi = tuple(trig_from_string(s, f"{where}.phi[{k}]") for k, s in enumerate(raw_phi))
         return ActionAlgebroid(algebra=g, phi=phi), (n_range[0], n_range[1])
     raise ParseError("'kind' must be \"rank1\" or \"action\"", f"{where}.kind")

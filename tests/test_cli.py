@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from algebroid import catalog, circle, cli, exactlinalg, hopf, io, liealg
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive
@@ -310,6 +312,247 @@ def test_kunneth_product_stdout_is_pinned(argv, stdout, capsys):
     out, err = capsys.readouterr()
     assert out == stdout
     assert err == ""
+
+
+# Full stdout of two sweeps and one cohomology with coefficients, pinned byte
+# for byte: every Betti number of `per_N` sits on its own line of the payload.
+CIRCLE_SIN_2T_2_5 = """\
+algebroid: sin_2t (kind rank1, anchor degree 2)
+transitive anchor: no
+N   betti
+2  [1, 5]
+3  [1, 5]
+4  [1, 5]
+5  [1, 5]
+stabilized: yes
+betti: [1, 5]
+euler characteristic: -4
+== json ==
+{
+  "algebroid": "sin_2t",
+  "betti": [
+    1,
+    5
+  ],
+  "euler": -4,
+  "kind": "rank1",
+  "n_max": 5,
+  "n_min": 2,
+  "per_N": [
+    [
+      2,
+      [
+        1,
+        5
+      ]
+    ],
+    [
+      3,
+      [
+        1,
+        5
+      ]
+    ],
+    [
+      4,
+      [
+        1,
+        5
+      ]
+    ],
+    [
+      5,
+      [
+        1,
+        5
+      ]
+    ]
+  ],
+  "stabilized": true,
+  "transitive": false
+}
+"""
+
+
+CIRCLE_SL2_ACTION = """\
+algebroid: sl2_action (kind action, algebra dim 3, anchor degree 2)
+transitive anchor: yes
+ N         betti
+ 4  [1, 2, 1, 0]
+ 5  [1, 2, 1, 0]
+ 6  [1, 2, 1, 0]
+ 7  [1, 2, 1, 0]
+ 8  [1, 2, 1, 0]
+ 9  [1, 2, 1, 0]
+10  [1, 2, 1, 0]
+stabilized: yes
+betti: [1, 2, 1, 0]
+euler characteristic: 0
+== json ==
+{
+  "algebroid": "sl2_action",
+  "betti": [
+    1,
+    2,
+    1,
+    0
+  ],
+  "euler": 0,
+  "kind": "action",
+  "n_max": 10,
+  "n_min": 4,
+  "per_N": [
+    [
+      4,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ],
+    [
+      5,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ],
+    [
+      6,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ],
+    [
+      7,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ],
+    [
+      8,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ],
+    [
+      9,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ],
+    [
+      10,
+      [
+        1,
+        2,
+        1,
+        0
+      ]
+    ]
+  ],
+  "stabilized": true,
+  "transitive": true
+}
+"""
+
+
+LIE_AFF1_CHAR = """\
+algebra: aff1 (dim 2)
+coefficients: aff1_char (dim 1)
+degree  dim  betti
+     0    1      0
+     1    2      1
+     2    1      1
+euler characteristic: 0
+== json ==
+{
+  "algebra": "aff1",
+  "betti": [
+    0,
+    1,
+    1
+  ],
+  "coefficients_dim": 1,
+  "degrees": [
+    1,
+    2,
+    1
+  ],
+  "dim": 2,
+  "euler": 0
+}
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["circle", "sweep", "sin_2t", "--n-min", "2", "--n-max", "5"], CIRCLE_SIN_2T_2_5),
+    (["circle", "sweep", "sl2_action"], CIRCLE_SL2_ACTION),
+    (["lie", "cohomology", "aff1", "--rep", "aff1_char"], LIE_AFF1_CHAR),
+])
+def test_sweep_and_cohomology_stdout_is_pinned(argv, stdout, capsys):
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert err == ""
+
+
+# The payload writer against the standard library, on every type a payload
+# holds: strings with quotes, backslashes, control, non-ASCII and non-BMP
+# characters, and ints of a thousand digits.
+payload_strings = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'), max_size=6)
+payload_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 1000, 10 ** 1000)
+    | payload_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(payload_strings, children, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload_values)
+@example({"": [], "a": {}, "b": [[], {}, [[-1]]], "c": [True, False, None]})
+@example([10 ** 999, -(10 ** 999), 0, "\"\\\n\t\u00e9\U0001d11e"])
+def test_payload_writer_matches_json_dumps(x):
+    assert cli._json(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+def test_payload_writer_matches_json_dumps_on_every_catalog_command(capsys):
+    algebras = ["zero", *catalog.ALGEBRA_NAMES]
+    argvs = [["catalog"]]
+    argvs += [[*command, a] for a in algebras
+              for command in (["lie", "cohomology"], ["lie", "euler"], ["hopf"])]
+    argvs += [["lie", "cohomology", "aff1", "--rep", r] for r in catalog.REPRESENTATION_NAMES]
+    argvs += [["circle", "sweep", r] for r in catalog.ALGEBROID_NAMES]
+    factors = [*algebras, *catalog.ALGEBROID_NAMES]
+    argvs += [["kunneth", x, y] for x in factors for y in factors
+              if x in algebras or y in algebras]
+    for argv in argvs:
+        assert cli.run(argv) == cli.EXIT_OK, argv
+        _, _, machine = capsys.readouterr().out.partition(cli.JSON_MARKER + "\n")
+        assert machine == json.dumps(json.loads(machine), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("x", [(1, 2), Fraction(1, 2), 0.5, [1, 0.5], {"a": (1,)}])
+def test_payload_writer_refuses_other_types(x):
+    with pytest.raises(TypeError):
+        cli._json(x)
 
 
 def test_hopf_abelian():

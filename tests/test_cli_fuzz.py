@@ -202,6 +202,32 @@ def test_kunneth_refuses_a_hostile_factor_before_dim_sized_work():
     assert peak < (1 << 20) + len(json.dumps(wide))
 
 
+def test_circle_sweep_refuses_a_hostile_action_before_parsing_phi(tmp_path):
+    # an algebra declaring dim 10^6 acting through one constant field a
+    # dimension: window 6 is refused by its lower bound 13 * 2^dim before the
+    # phi list is parsed.  The peak is compared with that of loading the file
+    # alone; the first run imports and caches outside the measurement.
+    dim = 10 ** 6
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "action", "g": {"dim": dim, "brackets": []},
+                                "phi": ["1"] * dim, "N_range": [3, 6]}))
+    argv = ["circle", "sweep", str(path)]
+    run_in_process(argv)
+    tracemalloc.start()
+    try:
+        json.loads(path.read_text())
+        loaded = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code, out, err, _ = run_in_process(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == ("validation error: the window-6 complex would have 13 * 2^1000000 cochains, "
+                   "more than the budget of 262144\n")
+    assert peak < loaded + (1 << 20)
+
+
 def test_kunneth_keeps_its_refusal_below_the_dim_bound():
     # a declared dim of at most 19 is refused by the window's exact count, as before
     argv = ["kunneth", "sin_t", {"dim": 19, "brackets": []}]
