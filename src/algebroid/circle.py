@@ -20,8 +20,8 @@ coordinates over their lcm, is the one denominator rule.  `TrigPoly` has
 no arithmetic operators: fields are combined only on their integer
 window coordinates, so `window_coords` alone states the coefficient layout.
 
-A window differential is written by `liealg.form_columns`, the loop over
-the source masks that writes every CE differential too; here each form
+A window complex is written by one call of `liealg.form_columns`, the loop
+over the source masks that writes every CE complex too; here each form
 carries its window, and the windows of a degree sit one after another.
 Each term of d(e^w) is placed on the inclusion of its windows, which is the
 identity on the source window's coordinates since V_s's basis is a prefix
@@ -71,8 +71,7 @@ from .errors import NonsimpleZeroError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
     common_columns, complex_cohomology, require_cochain_budget
 from .exterior import basis_masks
-from .liealg import LieAlgebra, Representation, bracket_denominator, ce_differential, \
-    form_columns, require_jacobi
+from .liealg import LieAlgebra, bracket_denominator, ce_layouts, form_columns, require_jacobi
 
 _ZERO = Fraction(0)
 
@@ -291,27 +290,20 @@ class ActionAlgebroid:
         require_cochain_budget(2 * n + 1 + d * moving.bit_count(), g.dim,
                                f"the window-{n} complex")
         self._require_fields()
-        # A form lives on V_{N + d * (its moving slots)}.
-        windows = [[n + d * (w & moving).bit_count() for w in basis_masks(g.dim, p)]
-                   for p in range(g.dim + 1)]
-        fibers = [list(map(window_dim, ws)) for ws in windows]
-        offsets = [[0, *accumulate(fibs)] for fibs in fibers]
-        degrees = tuple(offs[-1] for offs in offsets)
+
+        def layout(p: int) -> tuple:  # a form lives on V_{N + d * (its moving slots)}
+            masks = basis_masks(g.dim, p)
+            fibers = [window_dim(n + d * (w & moving).bit_count()) for w in masks]
+            return masks, fibers, [0, *accumulate(fibers)], 1
+
         # e^i ^ e^w moves a nonzero field's slot: u -> phi_i u' from V_ws to V_{ws+d},
         # ws = n + d s for s < m moving slots.  V_ws's basis is a prefix of the widest
         # window's and phi_i u' lies in V_{ws+d}, so the block of ws is the widest one's
-        # first window_dim(ws) columns, which form_columns takes.  Those blocks and the
-        # brackets set the denominator.
-        fields = [i for i, f in enumerate(self.phi) if not f.is_zero()]
+        # first window_dim(ws) columns, which form_columns takes.
         widest = n + d * (moving.bit_count() - 1)
-        den, wide = common_columns([field_matrix(self.phi[i], widest, widest + d)
-                                    for i in fields], bracket_denominator(g))
-        blocks = [(i, [(b, col) for b, col in enumerate(cols) if col])
-                  for i, cols in zip(fields, wide)]
-        return CochainComplex(degrees, tuple(RationalMatrix(
-            degrees[p + 1], degrees[p],
-            form_columns(g, p, den, fibers[p], (offsets[p], offsets[p + 1]), (1, 1), blocks,
-                         degrees[p]), den) for p in range(g.dim)))
+        return form_columns(g, {i: field_matrix(f, widest, widest + d)
+                                for i, f in enumerate(self.phi) if not f.is_zero()},
+                            map(layout, range(g.dim + 1)))
 
 
 class Rank1Anchor(ActionAlgebroid):
@@ -391,13 +383,10 @@ def _harmonic_betti(g: LieAlgebra, speeds: tuple[Fraction, ...] | None) -> tuple
     """H(g) with coefficients in one harmonic: the constants, on which g acts
     by zero (speeds None), or the pair (cos nt, sin nt), on which e_i acts by
     speeds[i] J.  The inputs were validated; d^2 = 0 is checked."""
-    dim_e = 1 if speeds is None else 2
-    action = (RationalMatrix.zeros(1, 1),) * g.dim if speeds is None else tuple(
-        RationalMatrix(2, 2, [{1: -x.numerator}, {0: x.numerator}], x.denominator) for x in speeds)
-    rep = Representation(g, dim_e, action)
-    return complex_cohomology(CochainComplex(
-        tuple(dim_e * comb(g.dim, p) for p in range(g.dim + 1)),
-        tuple(ce_differential(rep, p) for p in range(g.dim)))).betti
+    action = {} if speeds is None else {i: RationalMatrix(
+        2, 2, [{1: -x.numerator}, {0: x.numerator}], x.denominator) for i, x in enumerate(speeds)}
+    return complex_cohomology(form_columns(
+        g, action, ce_layouts(g.dim, 1 if speeds is None else 2, 0, g.dim))).betti
 
 
 def stabilized_cohomology(a: ActionAlgebroid, n_min: int, n_max: int) -> SweepResult:

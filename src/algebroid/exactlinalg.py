@@ -19,8 +19,9 @@ columns, the matrix times its positive denominator.  `kernel_basis`, which
 needs pivot columns and so eliminates rows, transposes its small matrix
 first.  `_echelon`'s docstring states the pivot rule and the bound on the
 entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
-`complex_cohomology` checks d^2 = 0 and eliminates a complex in one pass
-with clearing.
+`complex_cohomology` eliminates a complex in one pass with clearing, which
+checks d^2 = 0 on each degree's pivot columns; `chain_defect` checks every
+column, with the same product loop.
 
 A cochain complex is a list of degree dimensions together with the
 differentials d_p : C^p -> C^{p+1}.  Cohomology dimensions are
@@ -302,23 +303,29 @@ class CochainComplex:
         return len(self.degrees) - 1
 
     def chain_defect(self) -> int | None:
-        """Smallest p with d_{p+1} d_p != 0, or None when d^2 = 0.
+        """Smallest p with d_{p+1} d_p != 0, or None when d^2 = 0, from every
+        stored column of d_p (see `_kills`).  `complex_cohomology` finds the
+        same degree from the pivot columns alone."""
+        ds = self.differentials
+        return next((p for p in range(len(ds) - 1) if not _kills(ds[p + 1], ds[p]._num)), None)
 
-        Applies the stored integer d_{p+1} to each stored integer column of
-        d_p; both are scaled by their positive common denominators, and
-        such scalings cannot make a nonzero product zero or a zero product
-        nonzero.
-        """
-        for p in range(len(self.differentials) - 1):
-            left = self.differentials[p + 1]._num
-            for col in self.differentials[p]._num:
-                acc: dict[int, int] = {}
-                for k, y in col.items():
-                    for i, x in left[k].items():
-                        acc[i] = acc.get(i, 0) + x * y
-                if any(acc.values()):
-                    return p
-        return None
+
+def _kills(d: RationalMatrix, cols: Iterable[dict[int, int]]) -> bool:
+    """True iff the stored integer d sends every integer column of cols to zero.
+
+    d is scaled by its positive common denominator and a stored column by
+    its own, and such scalings cannot make a nonzero product zero or a zero
+    product nonzero.
+    """
+    left = d._num
+    for col in cols:
+        acc: dict[int, int] = {}
+        for k, y in col.items():
+            for i, x in left[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 class CohomologyReport:
@@ -335,8 +342,8 @@ class CohomologyReport:
 
 def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     """Betti numbers and Euler characteristic of a finite complex, from one
-    pass with clearing.  Raises ChainConditionError when d^2 != 0, which is
-    checked first.
+    pass with clearing that also checks d^2 = 0, raising ChainConditionError
+    at the degree `chain_defect` names.
 
     `_echelon` runs on the stored columns of each d_p, the images d_p(e_i)
     of the coordinates of C^p, and takes their rows, C^{p+1}, top to bottom.
@@ -345,16 +352,22 @@ def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     on rows below s, and d_{p+1} v = 0 makes column s of d_{p+1} a
     combination of its columns at those rows; so, from the last low back,
     each low is a combination of columns that are no lows.
+
+    So, once d_p d_{p-1} = 0 is known, the stored columns of d_p at its
+    pivots are a basis of im d_p, and d_{p+1} d_p = 0 is checked on them
+    alone, before d_{p+1} is cleared: the first failing degree is the
+    smallest, as in `chain_defect`.
     """
-    defect = c.chain_defect()
-    if defect is not None:
-        raise ChainConditionError(defect)
-    ranks, lows = [], []
-    for d in c.differentials:
-        cols = list(map(dict, d._num))  # _echelon consumes its input
+    ranks, lows, ds = [], (), c.differentials
+    for p, d in enumerate(ds):
+        cols = d._num[:]
         for s in lows:
             cols[s] = {}
-        lows = [s for s, _, _ in _echelon(cols, d.rows)]
+        # _echelon consumes its input, and its pivot columns are dropped at once
+        pivots = [(s, j) for s, j, _ in _echelon(list(map(dict, cols)), d.rows)]
+        if p + 1 < len(ds) and not _kills(ds[p + 1], [d._num[j] for _, j in pivots]):
+            raise ChainConditionError(p)
+        lows = [s for s, _ in pivots]
         ranks.append(len(lows))
     return cohomology_from_ranks(c.degrees, ranks)
 

@@ -22,16 +22,17 @@ lexicographic form index minor.
 Both terms come from `form_columns`, one loop over bitmask forms that
 carry fibers, on integer columns like the flatness check.  It writes every
 differential of the package, each column once, in the storage the
-elimination reads: a CE form carries E, placed coefficient major, and a
-window form of `circle` carries its window, placed contiguously.
+elimination reads, and one call builds a whole complex: a CE form carries
+E, placed coefficient major (`ce_layouts`), and a window form of `circle`
+carries its window, placed contiguously.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, lcm
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Iterator
 
 from .errors import DegreeOutOfRangeError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
@@ -199,14 +200,25 @@ def trivial_ce_differential(g: LieAlgebra, p: int) -> RationalMatrix:
 
     d(e^k) = - sum_{i<j} c^k_{ij} e^i ^ e^j, extended as a graded derivation.
     """
-    return _differential(g, p, 1, [])
+    return ce_differential(trivial_representation(g), p)
 
 
 def ce_differential(r: Representation, p: int) -> RationalMatrix:
-    """Matrix of d_p on E (x) Lambda^p (coefficient index major)."""
-    # A zero action adds nothing, so its wedge terms are not written.
-    actions = [(i, rho) for i, rho in enumerate(r.action) if not rho.is_zero()]
-    return _differential(r.algebra, p, r.dim_e, actions)
+    """Matrix of d_p on E (x) Lambda^p (coefficient index major): the one
+    differential `form_columns` writes on degrees p and p + 1."""
+    n = r.algebra.dim
+    if not 0 <= p <= n:
+        raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
+    return form_columns(r.algebra, dict(enumerate(r.action)),
+                        ce_layouts(n, r.dim_e, p, p + 1)).differentials[0]
+
+
+def ce_layouts(n: int, e: int, lo: int, hi: int) -> Iterator:
+    """The layouts of degrees lo..hi of E (x) Lambda^* for `form_columns`:
+    every form carries E = Q^e, and coordinate a of the r-th form of degree
+    p sits at r + a * C(n, p), coefficient index major."""
+    return ((masks, [e] * len(masks), range(len(masks)), len(masks))
+            for masks in map(basis_masks, repeat(n), range(lo, hi + 1)))
 
 
 def bracket_denominator(g: LieAlgebra) -> int:
@@ -214,76 +226,66 @@ def bracket_denominator(g: LieAlgebra) -> int:
     return lcm(*[c.denominator for _, _, terms in g.brackets for _, c in terms])
 
 
-def form_columns(g: LieAlgebra, p: int, den: int, fibers: Sequence[int],
-                 starts: tuple[Sequence[int], Sequence[int]], strides: tuple[int, int],
-                 blocks: list, width: int) -> list[dict[int, int]]:
-    """The `width` integer columns over den of d_p on degree-p forms that
-    carry fibers, written from one loop over the source masks; den is a
-    multiple of `bracket_denominator(g)`.
-
-    The r-th form of degree p carries fibers[r] > 0 coordinates, and
-    coordinate a of the r-th form of degree p + s sits at starts[s][r] +
-    a * strides[s].
-    Each term of d(e^w) maps w's fiber onto a prefix of its target's by the
-    identity.  For each (i, block) of `blocks`, block lists (b, column) for
-    the nonzero columns b of a matrix of integers over den, ascending, with
-    the rows already scaled by strides[1], and e^i ^ e^w carries its columns
-    b < fiber of w, from w's fiber into its target's.
+def form_columns(g: LieAlgebra, action: dict[int, RationalMatrix],
+                 layouts: Iterable) -> CochainComplex:
+    """The complex on consecutive degrees of forms that carry fibers, one
+    layout (masks, fibers, starts, stride) per degree, read once as the
+    targets of d_{p-1} and the sources of d_p: form masks[r] carries fibers[r]
+    coordinates, coordinate a at starts[r] + a * stride.  One loop over the
+    source masks writes each d_p, and the denominator of the brackets and the
+    action, the bracket terms and the action's blocks are set up once.  Each
+    term of d(e^w) maps w's fiber onto a prefix of its target's by the
+    identity, and e^i ^ e^w carries the first columns of action[i], as many
+    as w's fiber has, from w's fiber into its target's.
     """
-    n, (ss, ts) = g.dim, strides
-    tgt = dict(zip(basis_masks(n, p + 1), starts[1]))
+    den, mats = common_columns(list(action.values()), bracket_denominator(g))
     # Slot s of e^k becomes d(e^k); moving its 2-form e^i ^ e^j to the front
     # costs (-1)^{2s} = 1, so the sign is (-1)^s times that of e^i ^ e^j ^ rest:
     # the parity of rest's bits below k, i and j, or in the xor of those masks.
     gens = [(1 << k, 1 << i | 1 << j, ((1 << i) - 1) ^ ((1 << j) - 1) ^ ((1 << k) - 1),
              -c.numerator * (den // c.denominator)) for i, j, terms in g.brackets for k, c in terms]
-    # e^i ^ e^w = (-1)^(bits of w below i) e^(w | 1 << i)
-    acts = [(1 << i, (1 << i) - 1, block) for i, block in blocks]
-    out: list = [None] * width  # every column is one coordinate of one source form
-    for w, c0, fib in zip(basis_masks(n, p), starts[0], fibers):
-        first: dict[int, int] = {}
-        for bit, pair, below, v in gens:
-            rest = w ^ bit
-            if w & bit and not rest & pair:
-                r = tgt[rest | pair]
-                first[r] = first.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
-        # Coordinate a of w's fiber goes to coordinate a of each target's: the
-        # column of a = 0 is `first` itself, and the others are its shifts.
-        cols = [first]
-        if fib > 1:
-            cols += map(dict, repeat((), fib - 1))
-            for r, v in first.items():
-                for col, i in zip(cols[1:], range(r + ts, r + fib * ts, ts)):
-                    col[i] = v
-        for bit, below, block in acts:
-            if w & bit:
-                continue
-            r0, neg = tgt[w | bit], (w & below).bit_count() & 1
-            for b, entries in block:
-                if b >= fib:  # a window block is the widest one's first fib columns
-                    break
-                col = cols[b]
-                for r, x in entries.items():
-                    col[r0 + r] = col.get(r0 + r, 0) + (-x if neg else x)
-        out[c0:c0 + fib * ss:ss] = cols
-    return out
-
-
-def _differential(g: LieAlgebra, p: int, dim_e: int, actions: list) -> RationalMatrix:
-    """I (x) d_triv + sum_i rho_i (x) (e^i ^ -) for the actions (i, rho_i):
-    every form carries E, coefficient index major."""
-    n = g.dim
-    if not 0 <= p <= n:
-        raise DegreeOutOfRangeError(f"degree {p} outside 0..{n}")
-    rows, cols = comb(n, p + 1), comb(n, p)
-    if not dim_e:  # no coordinates at all
-        return RationalMatrix.zeros(0, 0)
-    den, mats = common_columns([rho for _, rho in actions], bracket_denominator(g))
-    blocks = [(i, [(b, {a * rows: x for a, x in col.items()}) for b, col in enumerate(m) if col])
-              for (i, _), m in zip(actions, mats)]
-    out = form_columns(g, p, den, [dim_e] * cols, (range(cols), range(rows)), (cols, rows),
-                       blocks, dim_e * cols)
-    return RationalMatrix(dim_e * rows, dim_e * cols, out, den)
+    # e^i ^ e^w = (-1)^(bits of w below i) e^(w | 1 << i); a zero block adds nothing.
+    blocks = [(1 << i, (1 << i) - 1, block) for i, m in zip(action, mats)
+              if (block := [(b, col) for b, col in enumerate(m) if col])]
+    layouts = iter(layouts)  # one degree's layout is read, and kept until the next one's
+    masks, fibers, starts, ss = next(layouts)
+    degrees, diffs = [sum(fibers)], []
+    for tmasks, tfibers, tstarts, ts in layouts:
+        width, rows = degrees[-1], sum(tfibers)
+        degrees.append(rows)
+        tgt = dict(zip(tmasks, tstarts))
+        acts = [(bit, below, [(b, {r * ts: x for r, x in col.items()}) for b, col in block]
+                 if ts > 1 else block) for bit, below, block in blocks]
+        out: list = [None] * width  # every column is one coordinate of one source form
+        for w, c0, fib in zip(masks, starts, fibers) if width else ():  # E = 0: no column
+            first: dict[int, int] = {}
+            for bit, pair, below, v in gens:
+                rest = w ^ bit
+                if w & bit and not rest & pair:
+                    r = tgt[rest | pair]
+                    first[r] = first.get(r, 0) + (-v if (rest & below).bit_count() & 1 else v)
+            # Coordinate a of w's fiber goes to coordinate a of each target's: the
+            # column of a = 0 is `first` itself, and the others are its shifts.
+            cols = [first]
+            if fib > 1:
+                cols += map(dict, repeat((), fib - 1))
+                for r, v in first.items():
+                    for col, i in zip(cols[1:], range(r + ts, r + fib * ts, ts)):
+                        col[i] = v
+            for bit, below, block in acts:
+                if w & bit:
+                    continue
+                r0, neg = tgt[w | bit], (w & below).bit_count() & 1
+                for b, entries in block:
+                    if b >= fib:  # a window takes the widest block's first fib columns
+                        break
+                    col = cols[b]
+                    for r, x in entries.items():
+                        col[r0 + r] = col.get(r0 + r, 0) + (-x if neg else x)
+            out[c0:c0 + fib * ss:ss] = cols
+        diffs.append(RationalMatrix(rows, width, out, den))
+        masks, fibers, starts, ss = tmasks, tfibers, tstarts, ts
+    return CochainComplex(tuple(degrees), tuple(diffs))
 
 
 def ce_complex(r: Representation) -> CochainComplex:
@@ -294,10 +296,7 @@ def ce_complex(r: Representation) -> CochainComplex:
     if not check_representation(r):
         raise ValidationError("action matrices do not represent the bracket "
                               f"on basis pair {representation_violation(r)}")
-    n = g.dim
-    degrees = tuple(r.dim_e * comb(n, p) for p in range(n + 1))
-    diffs = tuple(ce_differential(r, p) for p in range(n))
-    return CochainComplex(degrees=degrees, differentials=diffs)
+    return form_columns(g, dict(enumerate(r.action)), ce_layouts(g.dim, r.dim_e, 0, g.dim))
 
 
 def lie_cohomology(r: Representation) -> CohomologyReport:

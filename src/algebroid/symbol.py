@@ -5,7 +5,7 @@ beta on the fiber, and the symbol complex in degree r is wedging by beta,
 tensored with the identity on the coefficient fiber.  That is the
 Chevalley-Eilenberg complex of the abelian Lie algebra on the fiber acting
 on E by the character beta, basis vector i by beta_i times the identity, so
-`liealg.ce_differential` builds it.  Since beta ^ beta = 0 the chain
+one `liealg.form_columns` call builds it.  Since beta ^ beta = 0 the chain
 condition is automatic; the complex is exact in every degree exactly when
 beta != 0, which for a surjective anchor happens for every nonzero alpha.
 """
@@ -13,11 +13,10 @@ beta != 0, which for a surjective anchor happens for every nonzero alpha.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .exactlinalg import CochainComplex, RationalMatrix, as_fraction, complex_cohomology, \
     require_cochain_budget
-from .liealg import LieAlgebra, Representation, ce_differential
+from .liealg import LieAlgebra, ce_layouts, form_columns
 
 
 class FiberData:
@@ -56,10 +55,9 @@ def symbol_complex(f: FiberData, alpha) -> CochainComplex:
     require_cochain_budget(f.dim_e, f.dim_a, "the symbol complex")
     beta = pullback_covector(f, alpha)
     n, e = f.dim_a, f.dim_e
-    rep = Representation(LieAlgebra(n), e, tuple(
-        RationalMatrix.from_entries(e, e, (((a, a), b) for a in range(e))) for b in beta))
-    degrees = tuple(f.dim_e * comb(n, r) for r in range(n + 1))
-    return CochainComplex(degrees, tuple(ce_differential(rep, r) for r in range(n)))
+    action = {i: RationalMatrix.from_entries(e, e, (((a, a), b) for a in range(e)))
+              for i, b in enumerate(beta)}
+    return form_columns(LieAlgebra(n), action, ce_layouts(n, e, 0, n))
 
 
 class ExactnessReport:

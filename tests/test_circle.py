@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -682,8 +681,12 @@ def test_sweep_checks_chain_condition_on_the_complexes_it_builds(monkeypatch):
             stabilized_cohomology(sl2_action(), 4, 6)
         assert err.value.degree == 0
     # d_1 d_0 has the entry 1 at (0, 0) on every harmonic of r2 + constant fields
-    monkeypatch.setattr(circle, "ce_differential", lambda rep, p: RationalMatrix.from_entries(
-        rep.dim_e * comb(2, p + 1), rep.dim_e * comb(2, p), [((0, 0), 1)]))
+    def curved_ce(g, action, layouts):
+        dims = [sum(fibers) for _, fibers, _, _ in layouts]
+        return CochainComplex(tuple(dims), tuple(RationalMatrix.from_entries(
+            dims[p + 1], dims[p], [((0, 0), 1)]) for p in range(2)))
+
+    monkeypatch.setattr(circle, "form_columns", curved_ce)
     with pytest.raises(ChainConditionError) as err:
         stabilized_cohomology(ActionAlgebroid(catalog.algebra("r2"), (const(1), const(2))), 0, 2)
     assert err.value.degree == 0

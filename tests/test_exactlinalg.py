@@ -447,6 +447,53 @@ def test_chain_defect_on_fractional_entries():
     assert CochainComplex(degrees=(1, 2, 2, 1), differentials=(a, d1, d2)).chain_defect() == 1
 
 
+@st.composite
+def small_complexes(draw):
+    """Integer complexes of 3 to 5 degrees, dims <= 4, entries in -2..2.
+
+    A random complex draws every entry.  An exact one draws a set S_p of
+    coordinates per degree and lets d_p map only the coordinates outside S_p,
+    only into S_{p+1}, so d_{p+1} d_p = 0.  A defect one is exact but for one
+    entry of d_{q+1} in a column c of S_{q+1}, at a drawn q, and d_q has a
+    nonzero entry in row c, so its defect is at q.
+    """
+    kind = draw(st.sampled_from(["random", "exact", "defect"]))
+    dims = draw(st.lists(st.integers(kind == "defect", 4), min_size=3, max_size=5))
+    q = draw(st.integers(0, len(dims) - 3))
+    image = [{i for i in range(dim) if kind != "random" and draw(st.booleans())} for dim in dims]
+    if kind == "defect":  # so that S_{q+1} and the columns d_q may map are not empty
+        image[q].discard(0)
+        image[q + 1].add(0)
+    entry = st.integers(-2, 2)
+    diffs = [[((i, j), draw(entry)) for i in range(rows) for j in range(cols)
+              if kind == "random" or (i in image[p + 1] and j not in image[p])]
+             for p, (cols, rows) in enumerate(zip(dims, dims[1:]))]
+    if kind == "defect":
+        c, nonzero = draw(st.sampled_from(sorted(image[q + 1]))), st.sampled_from([-2, -1, 1, 2])
+        at = (c, draw(st.sampled_from([j for j in range(dims[q]) if j not in image[q]])))
+        diffs[q] = [e for e in diffs[q] if e[0] != at] + [(at, draw(nonzero))]
+        diffs[q + 1].append(((draw(st.integers(0, dims[q + 2] - 1)), c), draw(nonzero)))
+    return CochainComplex(tuple(dims), tuple(RationalMatrix.from_entries(rows, cols, pairs)
+                                             for cols, rows, pairs in zip(dims, dims[1:], diffs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_complexes())
+def test_the_elimination_pass_checks_d2_where_chain_defect_does(c):
+    # the pass checks d_{p+1} on the pivot columns of d_p only; chain_defect on all
+    ds = [(d.rows, d.cols, oracle.matrix_rows(d)) for d in c.differentials]
+    defect = next((p for p, ((_, cols, a), (rows, _, b)) in enumerate(zip(ds, ds[1:]))
+                   if any(sum(b[i][k] * a[k][j] for k in range(len(a))) for i in range(rows)
+                          for j in range(cols))), None)
+    assert c.chain_defect() == defect
+    if defect is None:
+        assert list(complex_cohomology(c).betti) == oracle.complex_betti(c)
+    else:
+        with pytest.raises(ChainConditionError) as err:
+            complex_cohomology(c)
+        assert err.value.degree == defect
+
+
 def test_modular_rank_skips_bad_primes(monkeypatch):
     used = []
     mod_p = oracle._rank_mod_p
