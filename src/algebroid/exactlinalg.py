@@ -14,11 +14,12 @@ all work on integers.
 
 Columns are what the differentials' builders write, one source coordinate
 at a time, and what a complex is eliminated by: there is one elimination,
-`_echelon`, and `rank` and `complex_cohomology` hand it the stored integer
-columns, the matrix times its positive denominator.  `kernel_basis`, which
-needs pivot columns and so eliminates rows, transposes its small matrix
-first.  `_echelon`'s docstring states the pivot rule and the bound on the
-entries, and `kernel_basis` back-substitutes on the pivot rows it keeps.
+`_reduce`, which reduces integer columns left to right, each against the
+pivot that owns its smallest row, and never writes its input.  `rank` and
+`complex_cohomology` hand it the stored integer columns, the matrix times
+its positive denominator, and `kernel_basis`, which needs pivot columns,
+hands it the matrix's integer rows and back-substitutes on the reduced
+rows.  `_reduce`'s docstring states the bound on the entries.
 `complex_cohomology` eliminates a complex in one pass with clearing, which
 checks d^2 = 0 on each degree's pivot columns; `chain_defect` checks every
 column, with the same product loop.
@@ -146,54 +147,40 @@ def common_columns(mats: Sequence[RationalMatrix], den: int = 1) -> tuple[int, l
                                                for col in m._num] for m in mats]
 
 
-def _echelon(cols: list[dict[int, int]], rows: int) -> list[tuple[int, int, dict[int, int]]]:
-    """(row, column index, column) of each pivot, in the order taken, when the
-    rows of these integer columns, which are consumed, are eliminated top to
-    bottom.  A row gets a pivot exactly when it is independent of those above
-    it.  Each column is the integer pivot column as chosen: it vanishes on
-    every row taken before its own, and no later step changes it.
+def _reduce(cols: Sequence[dict[int, int]]) -> dict[int, tuple[int, dict[int, int]]]:
+    """{low: (column index, reduced column)} of each pivot when these integer
+    columns are reduced left to right.  The low of a column is its smallest
+    row, and a column is reduced against the pivot whose low is its own until
+    its low is new or it cancels: it becomes (piv/g)*col - (f/g)*pivot with
+    piv and f the two entries at the low and g = gcd(piv, f), and is divided
+    by the gcd of its entries.  A reduced column vanishes above its low, and
+    the lows are the rows independent of the rows above them.  A column is
+    copied when it first meets a pivot, so no input or pivot is written, and
+    a column that never meets one is its own pivot.
 
-    Sparse integer elimination with an index `at` from each row to the live
-    columns that hold it, so the candidate pivots for row r are exactly
-    at[r].  A lone candidate is the pivot; else it is the candidate of the
-    fewest nonzeros, then the smallest bit size of its entry in row r, then
-    the lowest column index, so the choice is deterministic and the fill-in
-    small.  The pivot column leaves the index, and only the other columns
-    that hold row r change: each becomes (piv/g)*col - (f/g)*pivot_col with
-    g = gcd(piv, f), and is divided by the gcd of its entries.  A column
-    that cancels to zero is dropped.
-
-    The content division is what bounds the entries.  After k pivots a live
-    column is a nonzero multiple of its input column plus a combination of
-    the k pivot columns, and it vanishes on the k pivot rows.  The input
-    columns of the pivots restricted to those rows form a block B with
-    det(B) != 0, so the live column is a nonzero multiple of its column of
-    the Schur complement of B, and det(B) times that Schur column is an
-    integer vector of (k+1)-minors of the input.  After content division the
-    live column is the primitive integer vector in that direction, which
-    divides the vector of minors entry by entry.  So every stored entry is
-    at most a minor of the input, hence at most its Hadamard bound.
+    The content division is what bounds the entries.  Let L be the k lows
+    of the pivots taken before column j that lie above its low t.  The
+    column is a nonzero multiple of input column j plus a combination of the
+    pivots it met, whose lows are in L, and it vanishes on the rows L.  A
+    pivot is a nonzero multiple of its input column plus a combination of
+    pivots of smaller lows, so the pivots of lows in L span what their k
+    input columns span, and on the rows L, where those pivots are
+    triangular, the input columns form a block B with det(B) != 0.  So the
+    column is a nonzero multiple of its column of the Schur complement of B,
+    and det(B) times that Schur column is an integer vector of (k+1)-minors
+    of the input.  After content division the column is the primitive
+    integer vector in that direction, which divides the vector of minors
+    entry by entry.  So every stored entry is at most a minor of the input,
+    hence at most its Hadamard bound.
     """
-    at: list[set[int]] = [set() for _ in range(rows)]
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for j, col in enumerate(cols):
-        for i in col:
-            at[i].add(j)
-    pivots = []
-    for r in range(rows):
-        holders = at[r]
-        if not holders:
-            continue
-        if len(holders) == 1:
-            p = holders.pop()
-        else:
-            p = min(holders, key=lambda j: (len(cols[j]), abs(cols[j][r]).bit_length(), j))
-        pcol = cols[p]
-        for i in pcol:
-            at[i].discard(p)
-        piv = pcol[r]
-        for j in list(holders):
-            col = cols[j]
-            f = col[r]
+        low = min(col) if col else None
+        if low in pivots:
+            col = dict(col)
+        while low in pivots:
+            pcol = pivots[low][1]
+            piv, f = pcol[low], col[low]
             g = gcd(piv, f)
             a, b = piv // g, f // g
             if a != 1:
@@ -202,46 +189,46 @@ def _echelon(cols: list[dict[int, int]], rows: int) -> list[tuple[int, int, dict
             for i, y in pcol.items():
                 v = col.get(i, 0) - b * y
                 if v:
-                    if i not in col:
-                        at[i].add(j)
                     col[i] = v
-                elif i in col:
+                else:
                     del col[i]
-                    at[i].discard(j)
             content = gcd(*col.values())
             if content > 1:
                 for i in col:
                     col[i] //= content
-        pivots.append((r, p, pcol))
+            low = min(col) if col else None
+        if low is not None:
+            pivots[low] = (j, col)
     return pivots
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank: the pivot count of the stored columns."""
-    return len(_echelon(list(map(dict, m._num)), m.rows))
+    return len(_reduce(m._num))
 
 
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     """Basis of the null space, one vector per free column, in column order.
 
-    The vector of a free column has 1 there and 0 on the other free columns,
-    which fixes it.  Its pivot entries come from the pivot rows, last pivot
-    first: a pivot row vanishes on the earlier pivot columns, so its other
-    entries meet only coordinates already known.  The pivot rows are the
-    pivot columns of m transposed, whose columns are m's integer rows.
+    m's integer rows, written from its columns, are reduced as columns, so
+    their lows are the pivot columns and the rest are free.  The vector of a
+    free column has 1 there and 0 on the other free columns, which fixes it.
+    Its pivot entries come from the reduced rows, largest low first: a
+    reduced row vanishes on the columns before its low, so its other
+    entries meet only coordinates already known.
     """
     rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
     for j, col in enumerate(m._num):
         for i, x in col.items():
             rows[i][j] = x
-    echelon = _echelon(rows, m.cols)[::-1]
-    pivot_set = {c for c, _, _ in echelon}
+    pivots = _reduce(rows)
+    echelon = [(c, pivots[c][1]) for c in sorted(pivots, reverse=True)]
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = {free: _ONE}
-        for c, _, row in echelon:
+        for c, row in echelon:
             s = sum(x * v[j] for j, x in row.items() if j in v)
             if s:
                 v[c] = -s / row[c]
@@ -345,29 +332,29 @@ def complex_cohomology(c: CochainComplex) -> CohomologyReport:
     pass with clearing that also checks d^2 = 0, raising ChainConditionError
     at the degree `chain_defect` names.
 
-    `_echelon` runs on the stored columns of each d_p, the images d_p(e_i)
-    of the coordinates of C^p, and takes their rows, C^{p+1}, top to bottom.
-    The columns of the lows (pivot rows) of d_{p-1} are left out, and that
-    keeps every rank: a pivot column v with low s lies in im d_p, on s and
-    on rows below s, and d_{p+1} v = 0 makes column s of d_{p+1} a
-    combination of its columns at those rows; so, from the last low back,
-    each low is a combination of columns that are no lows.
+    `_reduce` runs on the stored columns of each d_p, the images d_p(e_i)
+    of the coordinates of C^p, whose rows are C^{p+1}.  The columns of the
+    lows of d_{p-1} are left out, and that keeps every rank: a pivot column
+    v with low s lies in im d_p and vanishes above s, and d_{p+1} v = 0
+    makes column s of d_{p+1} a combination of its columns at the rows
+    below s; so, from the last low back, each low is a combination of
+    columns that are no lows.
 
     So, once d_p d_{p-1} = 0 is known, the stored columns of d_p at its
-    pivots are a basis of im d_p, and d_{p+1} d_p = 0 is checked on them
-    alone, before d_{p+1} is cleared: the first failing degree is the
-    smallest, as in `chain_defect`.
+    pivots, each independent of the columns before it, are a basis of
+    im d_p, and d_{p+1} d_p = 0 is checked on them alone, before d_{p+1} is
+    cleared: the first failing degree is the smallest, as in `chain_defect`.
     """
-    ranks, lows, ds = [], (), c.differentials
+    ranks, lows, ds = [], [], c.differentials
     for p, d in enumerate(ds):
         cols = d._num[:]
         for s in lows:
             cols[s] = {}
-        # _echelon consumes its input, and its pivot columns are dropped at once
-        pivots = [(s, j) for s, j, _ in _echelon(list(map(dict, cols)), d.rows)]
-        if p + 1 < len(ds) and not _kills(ds[p + 1], [d._num[j] for _, j in pivots]):
+        pivots = _reduce(cols)
+        if p + 1 < len(ds) and not _kills(ds[p + 1], [d._num[j] for j, _ in pivots.values()]):
             raise ChainConditionError(p)
-        lows = [s for s, _ in pivots]
+        lows = list(pivots)
+        del pivots  # frees the reduced columns before the next degree is reduced
         ranks.append(len(lows))
     return cohomology_from_ranks(c.degrees, ranks)
 

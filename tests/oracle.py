@@ -5,10 +5,10 @@ package: textbook Gaussian elimination over Fraction with first-nonzero
 pivoting, and Betti numbers straight from the rank formula.  Tests compare
 package results against these.
 
-`pivot_columns` is the one exception: a thin wrapper over the package's
-`_echelon` that eliminates one matrix with its columns in a given order, by
-relabelling the rows of its transpose.  It keeps its tests on the package
-loop and is the reference for the per-level pivot counts of `pivot_levels`.
+`pivot_columns` eliminates one matrix with its columns in a given order, by
+relabelling the rows of its transpose and running `leveled_echelon` on them
+with no level, so it shares no loop with the package's column reduction.
+It is the reference for the per-level pivot counts of `pivot_levels`.
 
 `filtered_sweep` is the package's earlier sweep, kept as a cross-check
 now that the package builds a sweep from window 0 or from its harmonics
@@ -17,9 +17,9 @@ the first N whose window holds it (`window_levels`; `truncated_complex`
 pairs a package window with its levels in a `TruncatedComplex`).
 `pivot_levels` checks d^2 = 0 and that the windows nest, then eliminates
 the complex once with clearing, rows by descending level and the pivot of
-lowest level first (`leveled_echelon`, the package's `_echelon` as it was
-with its `order` and `level` parameters), so the pivots of level <= N
-number window N's ranks.
+lowest level first (`leveled_echelon`, the package's earlier row-by-row
+elimination with its `order` and `level` parameters), so the pivots of
+level <= N number window N's ranks.
 
 The dense Gauss-Jordan `rref` gives a reference `kernel_basis`, which the
 package's back-substitution must equal entry for entry, and `inverse`.
@@ -104,8 +104,7 @@ from math import comb, gcd, lcm
 
 from algebroid.circle import SweepResult, TrigPoly, window_coords
 from algebroid.errors import ChainConditionError, NonsimpleZeroError, ValidationError
-from algebroid.exactlinalg import RationalMatrix, _echelon, cohomology_from_ranks, \
-    common_columns, rank
+from algebroid.exactlinalg import RationalMatrix, cohomology_from_ranks, common_columns, rank
 from algebroid.hopf import addition
 from algebroid.liealg import LieAlgebra, Representation, lie_cohomology
 from fixtures import (block_offsets, bracket, coalgebra_matrices, const, cos_coeff, dense_apply,
@@ -149,15 +148,16 @@ def pivot_columns(m, order=None) -> list[int]:
     at = {c: k for k, c in enumerate(order)}
     _, (rows,) = common_columns([transpose(m)])
     relabelled = [{at[c]: x for c, x in row.items() if c in at} for row in rows]
-    return [order[k] for k, _, _ in _echelon(relabelled, len(order))]
+    return [order[k] for k, _, _ in leveled_echelon(relabelled, len(order))]
 
 
 def leveled_echelon(cols, rows: int, order=None, level=None) -> list:
-    """The package's `_echelon` as it was with `order` and `level`: the
-    distinct rows `order` (default all, top to bottom) are eliminated in
-    that order, and among several candidates the pivot is the one of the
-    lowest `level` (if given), then the fewest nonzeros, then the smallest
-    bit size of its entry in the row, then the lowest column index.
+    """The package's earlier row-by-row elimination with `order` and
+    `level`: the distinct rows `order` (default all, top to bottom) are
+    eliminated in that order, and among several candidates the pivot is
+    the one of the lowest `level` (if given), then the fewest nonzeros,
+    then the smallest bit size of its entry in the row, then the lowest
+    column index.
     Returns (row, column index, column) per pivot; consumes `cols`."""
     at: list[set[int]] = [set() for _ in range(rows)]
     for j, col in enumerate(cols):

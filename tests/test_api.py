@@ -159,6 +159,12 @@ def test_one_caller_helpers_left_the_package(owner, name):
     assert not hasattr(owner, name)
 
 
+def test_the_row_by_row_elimination_left_the_package():
+    # rank, kernel_basis and complex_cohomology reduce columns with _reduce;
+    # the row-by-row elimination is tests/oracle.py's leveled_echelon
+    assert not hasattr(exactlinalg, "_echelon")
+
+
 SRC = Path(algebroid.__file__).parent
 
 STORAGE = {"_wrap", "_reduced", "_num", "_den"}

@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, kernels, complexes."""
 
 import re
+from copy import deepcopy
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -17,6 +18,7 @@ from algebroid.errors import ChainConditionError
 from algebroid.exactlinalg import (
     CochainComplex,
     RationalMatrix,
+    _reduce,
     as_fraction,
     complex_cohomology,
     kernel_basis,
@@ -398,6 +400,59 @@ def test_kernel_basis_equals_the_rref_basis_on_catalog_ce_differentials():
                 checked += 1
     # every d_p of both complexes: 2 * dim g per algebra
     assert checked == 2 * sum(catalog.algebra(n).dim for n in catalog.ALGEBRA_NAMES)
+
+
+@st.composite
+def integer_columns(draw):
+    """Sparse integer columns of at most 7 rows: random ones with entries up
+    to 10^6 in size or in -3..3, duplicates, and combinations of two earlier
+    columns with multipliers in -3..3."""
+    rows = draw(st.integers(0, 7))
+    entry = draw(st.sampled_from([st.integers(-10**6, 10**6),
+                                  st.sampled_from([0, 0, 0, 1, -1, 2, -3])]))
+    cols: list[dict[int, int]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "duplicate", "dependent"])) if cols else "random"
+        if kind == "random":
+            col = {i: draw(entry) for i in range(rows)}
+        elif kind == "duplicate":
+            col = dict(draw(st.sampled_from(cols)))
+        else:
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            col = {i: s * a.get(i, 0) + t * b.get(i, 0) for i in range(rows)}
+        cols.append({i: x for i, x in col.items() if x})
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_columns())
+def test_the_column_reduction_bounds_its_entries_and_writes_no_input(case):
+    rows, cols = case
+    m = RationalMatrix(rows, len(cols), cols)
+    dense = oracle.matrix_rows(m)
+    pivots = _reduce(deepcopy(cols))
+    assert len(pivots) == oracle.gauss_rank(dense)
+    # each reduced column is nonzero at its low and vanishes above it; the
+    # lows are the rows independent of the rows above them, and the pivot
+    # indices the columns independent of the columns before them
+    assert all(min(col) == low for low, (_, col) in pivots.items())
+    assert sorted(pivots) == oracle.rref(oracle.matrix_rows(oracle.transpose(m)), rows)[1]
+    assert sorted(j for j, _ in pivots.values()) == oracle.rref(dense, len(cols))[1]
+    hadamard2 = prod(max(1, sum(x * x for x in col.values())) for col in cols)
+    assert all(x * x <= hadamard2 for _, col in pivots.values() for x in col.values())
+    # d_0 = a kernel basis of m, so m d_0 = 0 and the pass clears m at the
+    # lows of d_0
+    kernel = kernel_basis(m)
+    d0 = RationalMatrix.from_entries(len(cols), len(kernel), (
+        ((i, k), x) for k, v in enumerate(kernel) for i, x in enumerate(v)))
+    c = CochainComplex((len(kernel), len(cols), rows), (d0, m))
+    before = deepcopy((d0._num, m._num))
+    assert rank(m) == len(pivots)
+    assert len(kernel_basis(m)) == len(cols) - len(pivots)
+    assert (d0._num, m._num) == before
+    assert list(complex_cohomology(c).betti) == oracle.complex_betti(c)
+    assert (d0._num, m._num) == before
 
 
 @st.composite
