@@ -34,7 +34,11 @@ def wedge(a: int, b: int) -> tuple[int, int] | None:
     """e^a ^ e^b as (sign, a | b) for bitmask forms, or None on a shared index."""
     if a & b:
         return None
-    k = sum((b & ((1 << i) - 1)).bit_count() for i in range(a.bit_length()) if a >> i & 1)
+    k, m = 0, a
+    while m:  # one step per set bit of a, lowest first
+        low = m & -m
+        k += (b & (low - 1)).bit_count()
+        m ^= low
     return -1 if k & 1 else 1, a | b
 
 

@@ -13,8 +13,10 @@ splits of I into L and R of sign * w_L (x) w_R, where w_L ^ w_R = sign * w_I,
 so the coproduct is the wedge product read backwards, and both come from
 the one sign rule `exterior.wedge`.  `GradedCoalgebra` holds them as sparse
 maps over basis labels (degree, index): D(x) as {(y, z): coeff} and x*y as
-{z: coeff}.  A check adds lhs - rhs into one exact sparse sum, which must
-vanish; a coefficient is an `int` when integral and a `Fraction`
+{z: coeff}.  A check takes one label, or one (generator, label) pair, at a
+time and adds lhs - rhs into a small exact sum keyed by the terms' labels,
+which must vanish before the next one starts; the first that does not
+decides.  A coefficient is an `int` when integral and a `Fraction`
 otherwise, so the common case of coefficients +-1 never builds a Fraction.
 
 The algebra-morphism verdict needs the unit law, associativity and
@@ -24,7 +26,11 @@ of H^1 (x) H^{r-1} -> H^r), G is the degree-1 labels: by induction on |x|
 (Milnor and Moore), (ay)z = a(yz) and D(ay) = D(a) D(y) for a in G and all
 y, z give (xy)z = x(yz) and D(xy) = D(x) D(y), about 2n 3^n terms on n
 exterior generators against 9^n over every pair.  Otherwise G is every
-label and the loops check every triple and pair.  Once D is multiplicative
+label and the loops check every triple and pair.  Both loops take the pair
+(a, x) as one group and visit only nonzero products, read from the index
+{y: x y} of each x: (a x) y from a x and then k y, a (x y) from x y, keyed
+by (y, z), and D(a) D(x) keyed by (k1, k2), a term dropped as soon as one
+of its two products is empty.  Once D is multiplicative
 both sides of coassociativity are algebra maps, compared on 1 and G alone.
 The antipode is rebuilt degree by degree from connectedness and verified on
 both sides.  `primitives` hands the columns D(x) - x (x) 1 - 1 (x) x of a
@@ -36,7 +42,6 @@ algebra but does not look at the cup product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .errors import NotAbelianError
 from .exactlinalg import RationalMatrix, kernel_basis, rank, require_cochain_budget
@@ -122,14 +127,6 @@ class GradedCoalgebra:
     @property
     def top(self) -> int:
         return len(self.betti) - 1
-
-
-def _lincomb(terms) -> dict:
-    """Sum (key, coeff) pairs into one sparse linear combination, zeros dropped."""
-    acc: dict = {}
-    for key, x in terms:
-        acc[key] = acc.get(key, 0) + x
-    return {key: x for key, x in acc.items() if x}
 
 
 def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
@@ -219,45 +216,67 @@ def _generators(c: GradedCoalgebra) -> list[Label]:
 
 def _check_counit(c: GradedCoalgebra) -> bool:
     # (eps (x) id) D = id = (id (x) eps) D, eps reading off the degree-0 coefficient;
-    # side 0 applies eps to the left factor
-    return c.betti[0] == 1 and not _lincomb(chain(
-        (((side, x, x), -1) for x in c.delta for side in (0, 1)),
-        (((side, x, pair[1 - side]), v) for x, dx in c.delta.items()
-         for pair, v in dx.items() for side in (0, 1) if pair[side][0] == 0)))
+    # H^0 is spanned by 1, so the terms each side keeps carry distinct labels
+    return c.betti[0] == 1 and all(
+        {z: v for (y, z), v in dx.items() if not y[0]} == {x: 1} ==
+        {y: v for (y, z), v in dx.items() if not z[0]} for x, dx in c.delta.items())
 
 
 def _check_coassociative(c: GradedCoalgebra, labels) -> bool:
     delta = c.delta
-    return not _lincomb(chain(
-        (((x, y1, y2, z), v * w) for x in labels for (y, z), v in delta[x].items()
-         for (y1, y2), w in delta[y].items()),
-        (((x, y, z1, z2), -v * w) for x in labels for (y, z), v in delta[x].items()
-         for (z1, z2), w in delta[z].items())))
+    for x in labels:
+        acc: dict = {}
+        for (y, z), v in delta[x].items():
+            for (y1, y2), w in delta[y].items():
+                acc[y1, y2, z] = acc.get((y1, y2, z), 0) + v * w
+            for (z1, z2), w in delta[z].items():
+                acc[y, z1, z2] = acc.get((y, z1, z2), 0) - v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _check_algebra_morphism(c: GradedCoalgebra, gens: list[Label]) -> bool:
-    delta, mu, top = c.delta, c.mu, c.top
-    one = (0, 0)
+    delta, mu, top, one = c.delta, c.mu, c.top, (0, 0)
     # D(1) = 1 (x) 1, and 1 x = x = x 1: a morphism of algebras presupposes a unit
     if c.betti[0] != 1 or delta[one] != {(one, one): 1} or any(
             mu[(one, x)] != {x: 1} or mu[(x, one)] != {x: 1} for x in delta):
         return False
-    # (a x) y = a (x y) for a in gens: with the unit law, the product is associative
-    if _lincomb(chain(
-            (((a, x, y, z), u * w) for x, y in mu for a in gens if a[0] + x[0] + y[0] <= top
-             for k, u in mu[(a, x)].items() for z, w in mu[(k, y)].items()),
-            (((a, x, y, z), -u * w) for (x, y), xy in mu.items()
-             for a in gens if a[0] + x[0] + y[0] <= top
-             for k, u in xy.items() for z, w in mu[(a, k)].items()))):
-        return False
-    # D(a y) = D(a) D(y), with (x1 (x) x2)(y1 (x) y2) = (-1)^{|x2||y1|} x1 y1 (x) x2 y2
-    pairs = [(a, y) for a in gens for y in delta if a[0] + y[0] <= top]
-    return not _lincomb(chain(
-        (((a, y, pair), u * w) for a, y in pairs
-         for k, u in mu[(a, y)].items() for pair, w in delta[k].items()),
-        (((a, y, (k1, k2)), (1 if x2[0] * y1[0] % 2 else -1) * v * w * s * t)
-         for a, y in pairs for (x1, x2), v in delta[a].items() for (y1, y2), w in delta[y].items()
-         for k1, s in mu[(x1, y1)].items() for k2, t in mu[(x2, y2)].items())))
+    right: dict[Label, dict] = {x: {} for x in delta}  # {y: x y} over the nonzero x y
+    for (x, y), xy in mu.items():
+        if xy:
+            right[x][y] = xy
+    for a in gens:
+        for x, dx in delta.items():
+            if a[0] + x[0] > top:
+                continue
+            # (a x) y = a (x y) by (y, z): with the unit law, the product is associative
+            assoc: dict = {}
+            for k, u in mu[(a, x)].items():
+                for y, ky in right[k].items():
+                    for z, w in ky.items():
+                        assoc[y, z] = assoc.get((y, z), 0) + u * w
+            for y, xy in right[x].items():
+                for k, u in xy.items():
+                    if ak := right[a].get(k):
+                        for z, w in ak.items():
+                            assoc[y, z] = assoc.get((y, z), 0) - u * w
+            # D(a x) = D(a) D(x) by (k1, k2): (a1 (x) a2)(x1 (x) x2) = (-1)^{|a2||x1|} a1x1 (x) a2x2
+            mult: dict = {}
+            for k, u in mu[(a, x)].items():
+                for pair, w in delta[k].items():
+                    mult[pair] = mult.get(pair, 0) + u * w
+            for (a1, a2), v in delta[a].items():
+                right1, right2 = right[a1], right[a2]
+                for (x1, x2), w in dx.items():
+                    if (p1 := right1.get(x1)) and (p2 := right2.get(x2)):
+                        f = v * w if a2[0] * x1[0] % 2 else -v * w
+                        for k1, s in p1.items():
+                            for k2, t in p2.items():
+                                mult[k1, k2] = mult.get((k1, k2), 0) + f * s * t
+            if any(assoc.values()) or any(mult.values()):
+                return False
+    return True
 
 
 def _antipode(c: GradedCoalgebra) -> dict[Label, dict[Label, Fraction | int]]:
@@ -267,22 +286,32 @@ def _antipode(c: GradedCoalgebra) -> dict[Label, dict[Label, Fraction | int]]:
     for r in range(1, c.top + 1):
         for a in range(c.betti[r]):
             x = (r, a)
-            s[x] = _lincomb([(x, -1)] + [
-                (m, -v * t * u) for (y, z), v in c.delta[x].items() if 0 < y[0] < r
-                for k, t in s[y].items() for m, u in c.mu[(k, z)].items()])
+            acc: dict = {x: -1}
+            for (y, z), v in c.delta[x].items():
+                if 0 < y[0] < r:
+                    for k, t in s[y].items():
+                        for m, u in c.mu[(k, z)].items():
+                            acc[m] = acc.get(m, 0) - v * t * u
+            s[x] = {m: v for m, v in acc.items() if v}
     return s
 
 
 def _check_antipode(c: GradedCoalgebra) -> bool:
     """Verify both antipode identities for the S built from connectedness."""
-    s, mu = _antipode(c), c.mu
-    # m(S (x) id) D = eps * unit = m(id (x) S) D on every basis vector, side 0 the left
-    return not _lincomb(chain(
-        (((side, (0, 0), (0, 0)), -1) for side in (0, 1)),
-        (((0, x, m), v * t * u) for x, dx in c.delta.items() for (y, z), v in dx.items()
-         for k, t in s[y].items() for m, u in mu[(k, z)].items()),
-        (((1, x, m), v * t * u) for x, dx in c.delta.items() for (y, z), v in dx.items()
-         for k, t in s[z].items() for m, u in mu[(y, k)].items())))
+    s, mu, one = _antipode(c), c.mu, (0, 0)
+    # m(S (x) id) D = eps * unit = m(id (x) S) D on every basis vector x
+    for x, dx in c.delta.items():
+        left, right = ({one: -1}, {one: -1}) if x == one else ({}, {})
+        for (y, z), v in dx.items():
+            for k, t in s[y].items():
+                for m, u in mu[(k, z)].items():
+                    left[m] = left.get(m, 0) + v * t * u
+            for k, t in s[z].items():
+                for m, u in mu[(y, k)].items():
+                    right[m] = right.get(m, 0) + v * t * u
+        if any(left.values()) or any(right.values()):
+            return False
+    return True
 
 
 def exterior_structure_check(betti) -> tuple[int, ...] | None:

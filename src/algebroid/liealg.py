@@ -88,16 +88,20 @@ def jacobi_violation(g: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple i < j < k, in lexicographic order, whose cyclic
     Jacobi sum is nonzero, or None when the identity holds.
 
-    A triple with no bracketed pair has a zero sum, and so has one holding a
-    central e_k, an index in no pair of the table: each of the sum's three
-    terms brackets with e_k.  So only the triples of a bracketed pair and a
-    third index of some pair are visited, O(brackets^2) whatever the
-    dimension, and the first violation does not move.
+    A term [[e_a, e_b], e_c] of the sum is nonzero only if (a, b) is a
+    bracketed pair and c a bracket partner of one of its targets.  So only
+    the triples of a bracketed pair (i, j) and such a partner k are visited,
+    O(brackets^2) whatever the dimension, and the first violation does not
+    move.
     """
     table = {(i, j): terms for i, j, terms in g.brackets}
-    support = {x for pair in table for x in pair}
+    partners: dict[int, set[int]] = {}
+    for i, j in table:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
     triples = sorted({(k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)
-                      for i, j in table for k in support if k != i and k != j})
+                      for (i, j), terms in table.items() for m, _ in terms
+                      for k in partners.get(m, ()) if k != i and k != j})
     for i, j, k in triples:
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j], read off the sparse table
         acc: dict[int, Fraction] = {}
@@ -173,10 +177,12 @@ def representation_violation(r: Representation) -> tuple[int, int] | None:
     """
     den, mats = common_columns(r.action)
     table = {(i, j): terms for i, j, terms in r.algebra.brackets}
+    support = [{b for b, col in enumerate(m) if col} for m in mats]  # the nonzero columns
     for i, j in combinations(range(r.algebra.dim), 2):
         terms = table.get((i, j), ())
         q = lcm(*[c.denominator for _, c in terms])
-        for b in range(r.dim_e):
+        # a column b with no term in N_i, N_j or any N_k of the bracket compares 0 = 0
+        for b in support[i].union(support[j], *[support[k] for k, _ in terms]):
             acc: dict[int, int] = {}
             for left, right, f in ((mats[i], mats[j], q), (mats[j], mats[i], -q)):
                 for m, y in right[b].items():

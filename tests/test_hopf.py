@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -422,6 +422,31 @@ def test_dense_verdicts_match_the_report_on_every_single_entry_change(name, case
     assert (True, True, True, True) in seen
 
 
+_R4 = addition_coproduct(catalog.algebra("r4"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_entry_changes_of_r4_match_both_references(data):
+    # r4 has the most (generator, label) groups of the catalog, each summed on its
+    # own; one entry of one coproduct matrix or product block moves by +1 or -1
+    coproduct, product = coalgebra_matrices(_R4)
+    blocks = [*range(len(coproduct)), *sorted(product)]
+    key = data.draw(st.sampled_from(blocks))
+    old = product[key] if isinstance(key, tuple) else coproduct[key]
+    changed = next(islice(_bumps(old), data.draw(st.integers(0, 2 * old.rows * old.cols - 1)),
+                          None))
+    if isinstance(key, tuple):
+        product[key] = changed
+    else:
+        coproduct = coproduct[:key] + (changed,) + coproduct[key + 1:]
+    c = coalgebra_from_matrices(_R4.betti, coproduct, product)
+    report = hopf_axioms(c)
+    verdicts = (report.counit, report.coassociative, report.algebra_morphism, report.antipode)
+    assert oracle.hopf_label_verdicts(c) == verdicts
+    assert oracle.hopf_verdicts(c.betti, coproduct, product) == verdicts
+
+
 def _layout(betti, coproduct_rows, product_rows):
     """The coalgebra of dense blocks: coproduct_rows[r] the rows of coproduct[r]
     and product_rows[(p, q)] those of a product block with p, q >= 1, zero when
@@ -445,6 +470,13 @@ def _layout(betti, coproduct_rows, product_rows):
 NOT_ASSOCIATIVE = _layout((1, 1, 1, 1), [[[1]], [[1], [1]], [[1], [0], [1]],
                                          [[1], [1], [1], [1]]],
                           {(1, 1): [[1]], (1, 2): [[1]], (2, 1): [[-1]]})
+# a a' = u, a u = t and every other product of positive degrees 0, over Betti
+# (1, 2, 1, 1), with D(a) = a (x) 1 + 1 (x) a and D zero on a', u and t: D is
+# multiplicative on a and a', and (a x) y = a (x y) on every x with a x != 0 or
+# a' x != 0, yet (a a) a' = 0 while a (a a') = t; only the morphism verdict
+# separates a check that skips x when a x = 0
+VANISHING_AX = _layout((1, 2, 1, 1), [[[1]], [[1, 0], [0, 0], [1, 0], [0, 0]], [[0]] * 6,
+                                      [[0]] * 6], {(1, 1): [[0, 1, 0, 0]], (1, 2): [[1, 0]]})
 # the exterior algebra on two generators with a b = b a = 0: H^2 is not generated
 _e2 = coalgebra_matrices(addition_coproduct(LieAlgebra(2)))
 ZERO_MU11 = coalgebra_from_matrices((1, 2, 1), _e2[0], {**_e2[1], (1, 1): RationalMatrix.zeros(1, 4)})
@@ -498,6 +530,7 @@ def small_coalgebras(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_coalgebras())
 @example(NOT_ASSOCIATIVE)
+@example(VANISHING_AX)
 @example(ZERO_MU11)
 @example(NO_DEGREE_ONE)
 @example(_layout((1,), [[[1]]], {}))

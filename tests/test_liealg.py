@@ -7,7 +7,7 @@ from functools import reduce
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from fixtures import bracket, const
@@ -259,10 +259,20 @@ def bracket_tables(draw):
     return LieAlgebra.make(n, table)
 
 
+def _solvable4(c: int) -> LieAlgebra:
+    # [e0, e1] = e1, [e0, e2] = e2, [e1, e2] = e3, [e0, e3] = c e3: a Lie algebra for c = 2;
+    # the Jacobi sum on (0, 1, 2) is (2 - c) e3, and each of its terms has a bracket partner
+    return LieAlgebra.make(4, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}, (0, 3): {3: c}})
+
+
 @settings(max_examples=300, deadline=None)
 @given(bracket_tables())
+@example(direct_sum(catalog.algebra("su2"), catalog.algebra("diamond4")))
+@example(direct_sum(catalog.algebra("su2"), _solvable4(2)))
+@example(direct_sum(catalog.algebra("su2"), _solvable4(3)))  # violated on (3, 4, 5)
 def test_jacobi_violation_matches_the_loop_over_every_triple(g):
-    # the package skips triples without a bracketed pair; the first violation must not move
+    # the package visits only a bracketed pair with a bracket partner of one of its
+    # targets; the first violation must not move
     assert jacobi_violation(g) == oracle.jacobi_violation(g)
     assert check_jacobi(g) == (oracle.jacobi_violation(g) is None)
 
