@@ -12,8 +12,10 @@ degree out of range, a nonabelian algebra where an abelian one is needed),
 3 unstabilized sweep, 64 usage, 65 unparseable input, 141 (128 + SIGPIPE)
 stdout closed before the output was written, with nothing on stderr.
 
-Every file argument but `symbol`'s fiber file also accepts a catalog name
-(see `algebroid catalog`).
+Every input argument but `symbol`'s fiber is a JSON file when one exists at
+that path, else a catalog name (see `algebroid catalog`); `_read` holds
+that rule.  A `kunneth` factor is an algebroid exactly when its JSON has a
+"kind", whether it comes from a file or from the catalog.
 
 The argument parser is built once per process and reused by every `run`;
 handlers are looked up as module globals when they are called.  Each
@@ -58,51 +60,43 @@ class _Parser(argparse.ArgumentParser):
 
 # -- input loading -----------------------------------------------------------
 
+# Each catalog shelf's names in listing order; `zero` is a catalog algebra.
+_SHELVES = {
+    "algebras": ("zero", *catalog.ALGEBRA_NAMES),
+    "representations": catalog.REPRESENTATION_NAMES,
+    "algebroids": catalog.ALGEBROID_NAMES,
+}
+
+
+def _read(arg: str, what: str, *shelves: str) -> tuple[dict, str]:
+    """(JSON, where) of the file arg, else of the entry arg on the first
+    listed shelf that names it."""
+    from . import io
+    if os.path.exists(arg):
+        return io.load_json(arg), arg
+    for shelf in shelves:
+        if arg in _SHELVES[shelf]:
+            return catalog.entry(shelf, arg), f"catalog:{arg}"
+    raise ParseError(f"no such file or catalog {what}", arg)
+
+
 def _load_algebra(arg: str) -> LieAlgebra:
     from . import io
-    if os.path.exists(arg):
-        return io.algebra_from_dict(io.load_json(arg), where=arg)
-    if arg == "zero" or arg in catalog.ALGEBRA_NAMES:
-        return catalog.algebra(arg)
-    raise ParseError("no such file or catalog algebra", arg)
-
-
-def _load_representation(arg: str, g: LieAlgebra) -> Representation:
-    from . import io
-    if os.path.exists(arg):
-        return io.representation_from_dict(io.load_json(arg), g, where=arg)
-    if arg in catalog.REPRESENTATION_NAMES:
-        return io.representation_from_dict(catalog.entry("representations", arg),
-                                           g, where=f"catalog:{arg}")
-    raise ParseError("no such file or catalog representation", arg)
-
-
-def _load_algebroid(arg: str):
-    from . import io
-    if os.path.exists(arg):
-        return io.algebroid_from_dict(io.load_json(arg), where=arg)
-    if arg in catalog.ALGEBROID_NAMES:
-        return catalog.algebroid(arg)
-    raise ParseError("no such file or catalog algebroid", arg)
+    return io.algebra_from_dict(*_read(arg, "algebra", "algebras"))
 
 
 def _classify_factor(arg: str):
-    """('algebra' or 'algebroid', load), judged by file shape or catalog shelf.
+    """('algebra' or 'algebroid', load): an algebroid exactly when the JSON
+    has a "kind", from a file or from the catalog alike.
 
     `load()` parses the factor from the JSON already read, so a file is read
     once; parsing waits until the caller knows the pair is supported.
     """
     from . import io
-    if os.path.exists(arg):
-        d = io.load_json(arg)
-        if isinstance(d, dict) and "kind" in d:
-            return "algebroid", lambda: io.algebroid_from_dict(d, where=arg)
-        return "algebra", lambda: io.algebra_from_dict(d, where=arg)
-    if arg in catalog.ALGEBROID_NAMES:
-        return "algebroid", lambda: catalog.algebroid(arg)
-    if arg == "zero" or arg in catalog.ALGEBRA_NAMES:
-        return "algebra", lambda: catalog.algebra(arg)
-    raise ParseError("no such file or catalog entry", arg)
+    d, where = _read(arg, "entry", "algebroids", "algebras")
+    if isinstance(d, dict) and "kind" in d:
+        return "algebroid", lambda: io.algebroid_from_dict(d, where)
+    return "algebra", lambda: io.algebra_from_dict(d, where)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -171,10 +165,12 @@ def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_lie(args) -> tuple[list[str], dict, int]:
+    from . import io
     from .liealg import lie_cohomology
     g = _load_algebra(args.algebra)
     if args.rep:
-        rep = _load_representation(args.rep, g)
+        d, where = _read(args.rep, "representation", "representations")
+        rep = io.representation_from_dict(d, g, where)
         coeff_label, dim_e = f"{args.rep} (dim {rep.dim_e})", rep.dim_e
         report = lie_cohomology(rep)
     else:
@@ -198,8 +194,10 @@ def _cmd_lie(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_circle(args) -> tuple[list[str], dict, int]:
+    from . import io
     from .circle import Rank1Anchor, is_transitive
-    a, (file_min, file_max) = _load_algebroid(args.algebroid)
+    d, where = _read(args.algebroid, "algebroid", "algebroids")
+    a, (file_min, file_max) = io.algebroid_from_dict(d, where)
     n_min = file_min if args.n_min is None else args.n_min
     n_max = file_max if args.n_max is None else args.n_max
     if isinstance(a, Rank1Anchor):
@@ -389,18 +387,8 @@ def _cmd_symbol(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_catalog(args) -> tuple[list[str], dict, int]:
-    algebras = ["zero"] + list(catalog.ALGEBRA_NAMES)
-    lines = [
-        "algebras: " + ", ".join(algebras),
-        "representations: " + ", ".join(catalog.REPRESENTATION_NAMES),
-        "algebroids: " + ", ".join(catalog.ALGEBROID_NAMES),
-    ]
-    payload = {
-        "algebras": algebras,
-        "representations": list(catalog.REPRESENTATION_NAMES),
-        "algebroids": list(catalog.ALGEBROID_NAMES),
-    }
-    return lines, payload, EXIT_OK
+    lines = [f"{shelf}: " + ", ".join(names) for shelf, names in _SHELVES.items()]
+    return lines, {shelf: list(names) for shelf, names in _SHELVES.items()}, EXIT_OK
 
 
 # -- wiring ------------------------------------------------------------------

@@ -285,10 +285,6 @@ class CochainComplex:
                 )
         self.degrees, self.differentials = degrees, differentials
 
-    @property
-    def top(self) -> int:
-        return len(self.degrees) - 1
-
     def chain_defect(self) -> int | None:
         """Smallest p with d_{p+1} d_p != 0, or None when d^2 = 0, from every
         stored column of d_p (see `_kills`).  `complex_cohomology` finds the

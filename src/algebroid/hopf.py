@@ -106,13 +106,21 @@ class GradedCoalgebra:
                  delta: dict[Label, dict[tuple[Label, Label], Fraction | int]],
                  mu: dict[tuple[Label, Label], dict[Label, Fraction | int]]):
         self.betti, self.delta, self.mu = betti, delta, mu
-        basis = {(r, a) for r, n in enumerate(betti) for a in range(n)}
+        labels = [(r, a) for r, n in enumerate(betti) for a in range(n)]
+        basis, top = set(labels), self.top
         for x in basis.symmetric_difference(delta):
             raise ValueError(f"coproduct at {x}: need one entry per basis label")
-        pairs = {(x, y) for x in basis for y in basis if x[0] + y[0] <= self.top}
-        for xy in pairs.symmetric_difference(mu):
+        # Every key a pair of labels of total degree <= top, and as many keys as
+        # such pairs: then no pair lacks its entry, and no set of the pairs is built.
+        xy = next((k for k in mu if type(k) is not tuple or len(k) != 2 or k[0] not in basis
+                   or k[1] not in basis or k[0][0] + k[1][0] > top), None)
+        pairs = sum(n * sum(betti[:top + 1 - r]) for r, n in enumerate(betti))
+        if xy is None and len(mu) != pairs:
+            xy = next((x, y) for x in labels for y in labels
+                      if x[0] + y[0] <= top and (x, y) not in mu)
+        if xy is not None:
             raise ValueError(f"product at {xy}: need one entry per pair of labels "
-                             f"of total degree <= {self.top}")
+                             f"of total degree <= {top}")
         for x, dx in delta.items():
             for (y, z), c in dx.items():
                 if not c or y not in basis or z not in basis or y[0] + z[0] != x[0]:
@@ -136,26 +144,26 @@ def addition_coproduct(g: LieAlgebra) -> GradedCoalgebra:
     p-classes are indexed lexicographically like exterior basis forms.  The
     product is `exterior.wedge` on the forms' bitmasks, and the coproduct is
     that product read backwards: e^a ^ e^b = sign e^m puts sign e^a (x) e^b
-    into D(e^m).  The coproduct lands in the cohomology of g + g, whose
-    complex has 4^dim cochains; that count is checked against the budget
-    before anything is built.
+    into D(e^m).  Both are written from the splits (a, m ^ a) of each form m,
+    3^dim wedges in all; every other product is zero.  The coproduct lands in
+    the cohomology of g + g, whose complex has 4^dim cochains; that count is
+    checked against the budget before anything is built.
     """
     if not g.is_abelian():
         raise NotAbelianError("addition induces a coproduct only for abelian algebras")
     n = g.dim
     require_cochain_budget(1, 2 * n, "the addition coproduct")
     index = [basis_index(n, p) for p in range(n + 1)]
-    delta: dict[Label, dict] = {(p, i): {} for p, at in enumerate(index) for i in at.values()}
-    mu: dict[tuple[Label, Label], dict] = {}
-    for p, left in enumerate(index):
-        for q in range(n + 1 - p):
-            for a, i in left.items():
-                for b, j in index[q].items():
-                    x, y = (p, i), (q, j)
-                    xy = mu[(x, y)] = {}
-                    if signed := wedge(a, b):
-                        z = (p + q, index[p + q][signed[1]])
-                        xy[z] = delta[z][(x, y)] = signed[0]
+    label = {m: (p, i) for p, at in enumerate(index) for m, i in at.items()}
+    mu: dict[tuple[Label, Label], dict] = {
+        (x, y): {} for x in label.values() for y in label.values() if x[0] + y[0] <= n}
+    delta: dict[Label, dict] = {z: {} for z in label.values()}
+    for m, z in label.items():
+        dz, a = delta[z], 0
+        for _ in range(1 << m.bit_count()):  # a runs over the submasks of m, upwards
+            xy = label[a], label[m ^ a]
+            mu[xy][z] = dz[xy] = wedge(a, m ^ a)[0]
+            a = (a - m) & m
     return GradedCoalgebra(tuple(map(len, index)), delta, mu)
 
 

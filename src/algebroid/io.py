@@ -49,6 +49,14 @@ def _too_long(where: str) -> ParseError:
     return ParseError(f"a number has more than {_MAX_DIGITS} digits", where)
 
 
+def _size(d: dict, key: str, where: str, default=None) -> int:
+    """d[key], or default when it is absent, which must be a nonnegative integer."""
+    v = d.get(key, default)
+    if not _is_int(v, f"{where}.{key}") or v < 0:
+        raise ParseError(f"'{key}' must be a nonnegative integer", f"{where}.{key}")
+    return v
+
+
 def parse_rational(s: str, where: str = "") -> Fraction:
     try:
         if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
@@ -112,9 +120,7 @@ def trig_from_string(s: str, where: str = "") -> TrigPoly:
 def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
-    dim = d.get("dim")
-    if not _is_int(dim, f"{where}.dim") or dim < 0:
-        raise ParseError("'dim' must be a nonnegative integer", f"{where}.dim")
+    dim = _size(d, "dim", where)
     raw = d.get("brackets", [])
     if not isinstance(raw, list):
         raise ParseError("'brackets' must be a list", f"{where}.brackets")
@@ -154,9 +160,7 @@ def algebra_from_dict(d: dict, where: str = "algebra") -> LieAlgebra:
 def representation_from_dict(d: dict, algebra: LieAlgebra, where: str = "representation") -> Representation:
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
-    dim_e = d.get("dim_E")
-    if not _is_int(dim_e, f"{where}.dim_E") or dim_e < 0:
-        raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
+    dim_e = _size(d, "dim_E", where)
     raw = d.get("action")
     if not isinstance(raw, list) or len(raw) != algebra.dim:
         raise ParseError(f"'action' must list {algebra.dim} matrices", f"{where}.action")
@@ -219,21 +223,14 @@ def fiber_from_dict(d: dict, where: str = "fiber") -> FiberData:
     from .symbol import FiberData
     if not isinstance(d, dict):
         raise ParseError("expected an object", where)
-    dims = {}
-    for key in ("dim_A", "dim_M"):
-        v = d.get(key)
-        if not _is_int(v, f"{where}.{key}") or v < 0:
-            raise ParseError(f"'{key}' must be a nonnegative integer", f"{where}.{key}")
-        dims[key] = v
-    dim_e = d.get("dim_E", 1)
-    if not _is_int(dim_e, f"{where}.dim_E") or dim_e < 0:
-        raise ParseError("'dim_E' must be a nonnegative integer", f"{where}.dim_E")
-    if dims["dim_M"] == 0 and d.get("anchor") == []:
+    dim_a, dim_m, dim_e = (_size(d, "dim_A", where), _size(d, "dim_M", where),
+                           _size(d, "dim_E", where, 1))
+    if dim_m == 0 and d.get("anchor") == []:
         # No row bounds the width of an empty anchor, and a matrix stores one
         # entry per column, so the symbol complex's budget is checked first.
-        require_cochain_budget(dim_e, dims["dim_A"], "the symbol complex")
-    anchor = matrix_from_rows(d.get("anchor"), dims["dim_M"], dims["dim_A"], f"{where}.anchor")
-    return FiberData(dim_a=dims["dim_A"], dim_m=dims["dim_M"], anchor=anchor, dim_e=dim_e)
+        require_cochain_budget(dim_e, dim_a, "the symbol complex")
+    anchor = matrix_from_rows(d.get("anchor"), dim_m, dim_a, f"{where}.anchor")
+    return FiberData(dim_a=dim_a, dim_m=dim_m, anchor=anchor, dim_e=dim_e)
 
 
 # -- files -------------------------------------------------------------------

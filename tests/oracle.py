@@ -42,6 +42,9 @@ where `hopf` loops over the degree-1 generators when they generate.
 `codim1_prediction` gives the Betti numbers of g along an abelian ideal of
 codimension one from the Hochschild-Serre sequence: dense ranks of the
 action of g/h on Lambda h* (x) E, with no complex of g built.
+`heisenberg_betti` and `diagonal_betti` predict the Betti numbers of two
+indecomposable families, h_{2n+1} and R x_L Q^m with L diagonal, by
+counting subsets alone.
 `twisted_dual` is the coefficient module of twisted Poincare duality,
 H^p(g; E) = H^{n-p}(g; E* (x) Lambda^n g)^*: a second complex, with
 transposed action matrices and the modular character tr ad, whose Betti
@@ -477,6 +480,25 @@ def codim1_prediction(g, x: int, e) -> tuple[int, ...]:
     ker = [d - r for d, r in zip(dims, ranks)]  # theta_k is square: coker has ker's dimension
     return tuple((ker[n] if n < len(ker) else 0) + (ker[n - 1] if n else 0)
                  for n in range(g.dim + 1))
+
+
+def heisenberg_betti(n: int) -> tuple[int, ...]:
+    """Betti numbers of the Heisenberg algebra h_{2n+1}, [x_i, y_i] = z, by
+    counting alone (Santharoubane, Proc. AMS 87, 1983):
+    b_p = C(2n, p) - C(2n, p - 2) for p <= n, and b_{2n+1-p} = b_p."""
+    low = [comb(2 * n, p) - (comb(2 * n, p - 2) if p >= 2 else 0) for p in range(n + 1)]
+    return (*low, *reversed(low))
+
+
+def diagonal_betti(weights) -> tuple[int, ...]:
+    """Betti numbers of R x_L Q^m, e_0 acting on e_i by the nonzero integer
+    weights[i - 1], by counting alone: b_p = N_p + N_{p-1}, with N_p the
+    number of p-subsets of the weights that sum to zero (the invariants and
+    coinvariants of e_0 on Lambda^p of the ideal's dual)."""
+    m = len(weights)
+    zero_sums = [sum(1 for s in combinations(weights, p) if not sum(s)) for p in range(m + 1)]
+    return tuple((zero_sums[p] if p <= m else 0) + (zero_sums[p - 1] if p else 0)
+                 for p in range(m + 2))
 
 
 def twisted_dual(r):

@@ -2,10 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from math import comb
 from pathlib import Path
 
@@ -15,10 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from algebroid import catalog, circle, cli, exactlinalg, hopf, io, liealg
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive
 from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
-from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport
+from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport, RationalMatrix
 from algebroid.kunneth import product_with_lie_algebra
-from algebroid.liealg import adjoint_representation, ce_complex
-from oracle import truncated_complex
+from algebroid.liealg import LieAlgebra, adjoint_representation, ce_complex
+from fixtures import algebra_to_dict
+from oracle import change_basis, diagonal_betti, heisenberg_betti, truncated_complex
 
 
 def cli_env():
@@ -85,6 +90,46 @@ def test_lie_accepts_files(tmp_path):
     assert code == 0
     _, payload = split_output(out)
     assert payload["betti"] == [1, 1, 0]
+
+
+SCALES = [Fraction(s) for s in ("1", "-1", "2", "-1/2", "3/2", "-3", "2/3")]
+
+
+def cli_betti(g: LieAlgebra, perm, scales) -> list[int]:
+    """`lie cohomology` on g in the basis e'_j = scales[j] e_{perm[j]}, through `cli.run`."""
+    p = RationalMatrix.from_entries(g.dim, g.dim, [((i, j), scales[j])
+                                                   for j, i in enumerate(perm)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(algebra_to_dict(change_basis(g, p)), fh)
+        out = StringIO()
+        with redirect_stdout(out):
+            assert cli.run(["lie", "cohomology", path]) == 0
+    return split_output(out.getvalue())[1]["betti"]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_heisenberg_betti_numbers_are_closed_form(n):
+    # h_{2n+1}: [x_i, y_i] = z with x_i = e_i, y_i = e_{n+i}, z = e_{2n}
+    g = LieAlgebra.make(2 * n + 1, {(i, n + i): {2 * n: Fraction(1)} for i in range(n)})
+    rng = random.Random(n)
+    perm = rng.sample(range(g.dim), g.dim)
+    scales = [rng.choice(SCALES) for _ in range(g.dim)]
+    assert cli_betti(g, perm, scales) == list(heisenberg_betti(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-3, 3).filter(bool), max_size=10).flatmap(
+    lambda w: st.tuples(st.just(w), st.permutations(range(len(w) + 1)),
+                        st.lists(st.sampled_from(SCALES), min_size=len(w) + 1,
+                                 max_size=len(w) + 1))))
+def test_diagonal_semidirect_betti_numbers_are_closed_form(case):
+    # R x_L Q^m, [e_0, e_i] = weights[i - 1] e_i
+    weights, perm, scales = case
+    g = LieAlgebra.make(len(weights) + 1, {(0, i): {i: Fraction(x)}
+                                           for i, x in enumerate(weights, 1)})
+    assert cli_betti(g, perm, scales) == list(diagonal_betti(weights))
 
 
 def test_output_is_byte_identical():
@@ -690,6 +735,33 @@ def test_deeply_nested_json_exits_65(tmp_path):
         code, out, err = run_cli(*args)
         assert code == 65 and out == "" and "Traceback" not in err, args
         assert "nested too deeply" in err and str(deep) in err, args
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["lie", "cohomology", "nosuch"], "algebra"),
+    (["lie", "cohomology", "su2", "--rep", "nosuch"], "representation"),
+    (["circle", "sweep", "nosuch"], "algebroid"),
+    (["kunneth", "nosuch", "su2"], "entry"),
+    (["kunneth", "const1", "nosuch"], "entry"),
+    (["hopf", "nosuch"], "algebra"),
+])
+def test_unknown_names_exit_65_naming_the_slot(argv, what, capsys):
+    assert cli.run(argv) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: nosuch: no such file or catalog {what}\n"
+
+
+def test_kunneth_factor_that_never_stabilizes_exits_3(tmp_path, capsys):
+    # the anchor 0: the product's window N has Betti vector (2N + 1) (1, 2, 1)
+    path = tmp_path / "zero_anchor.json"
+    path.write_text(json.dumps({"kind": "rank1", "p": "0", "N_range": [0, 4]}))
+    assert cli.run(["kunneth", str(path), "r1"]) == cli.EXIT_NOT_STABILIZED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("not stabilized: Betti numbers did not stabilize over the sweep "
+                   "(N=0: [1, 2, 1], N=1: [3, 6, 3], N=2: [5, 10, 5], N=3: [7, 14, 7], "
+                   "N=4: [9, 18, 9])\n")
 
 
 def test_validation_errors_exit_2(tmp_path):
