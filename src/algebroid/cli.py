@@ -154,12 +154,14 @@ def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
     return stabilized_cohomology(a, n_min, n_max), zeros
 
 
-def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
-    from .exactlinalg import require_cochain_budget
-    from .liealg import lie_cohomology, trivial_representation
+def _trivial_cohomology(g: LieAlgebra, full: bool = False) -> CohomologyReport:
+    """H(g), split into the summands of g unless `full` asks for the whole complex."""
+    from .exactlinalg import complex_cohomology, require_cochain_budget
+    from .liealg import ce_complex, lie_cohomology, trivial_representation
     # The budget is checked from g.dim alone, before g.dim zero matrices are built.
     require_cochain_budget(1, g.dim, "the Chevalley-Eilenberg complex")
-    return lie_cohomology(trivial_representation(g))
+    r = trivial_representation(g)
+    return complex_cohomology(ce_complex(r)) if full else lie_cohomology(r)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -246,7 +248,8 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
         h = load_right()
         left_report = _trivial_cohomology(g)
         right_report = _trivial_cohomology(h)
-        total = _trivial_cohomology(direct_sum(g, h))
+        # the product is assembled in full: checking Kunneth on it is the point
+        total = _trivial_cohomology(direct_sum(g, h), full=True)
         lines = [
             f"left: {args.left} (algebra, dim {g.dim})",
             f"right: {args.right} (algebra, dim {h.dim})",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .circle import ActionAlgebroid, TrigPoly
 from .exactlinalg import CohomologyReport, RationalMatrix
-from .liealg import LieAlgebra, Representation, require_jacobi
+from .liealg import LieAlgebra, Representation, convolve, require_jacobi
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
@@ -56,21 +56,13 @@ class KunnethCheck:
         self.ok, self.table = ok, table  # table rows: (degree, expected, actual)
 
 
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def kunneth_verify(product: CohomologyReport, a: CohomologyReport,
                    b: CohomologyReport) -> KunnethCheck:
     """Compare product Betti numbers against the convolution of the factors.
 
     Also checks multiplicativity of the Euler characteristic.
     """
-    expected = _convolve(a.betti, b.betti)
+    expected = convolve(a.betti, b.betti)
     actual = list(product.betti)
     width = max(len(expected), len(actual))
     expected += [0] * (width - len(expected))

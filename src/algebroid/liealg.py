@@ -25,14 +25,27 @@ differential of the package, each column once, in the storage the
 elimination reads, and one call builds a whole complex: a CE form carries
 E, placed coefficient major (`ce_layouts`), and a window form of `circle`
 carries its window, placed contiguously.
+
+`ce_complex` and `complex_cohomology` are the full path, one complex of
+dim E * 2^n cochains.  `lie_cohomology` takes it when the bracket-support
+graph of g, with e_i, e_j and e_k joined for every term [e_i, e_j] ∋ e_k, is
+connected.  Otherwise g is the direct sum of the ideals on its components.
+The whole input is checked as `ce_complex` checks it, E splits into the
+components of its coordinates joined by the action matrices' entries, and
+the ideals acting on one such component merge into one factor.  Basis
+vectors with no bracket term and no action form an abelian factor r_m,
+whose H is the binomial row C(m, .).  By Kunneth, a factor g_a and the part
+E_a of E it acts on give H(g_a; E_a) (x) (x)_{b != a} H(g_b), and the part
+no factor acts on gives its dimension times (x)_b H(g_b): Betti vectors
+convolved, each factor's complex built and reduced alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import lcm
-from typing import Iterable, Iterator
+from math import comb, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeOutOfRangeError, ValidationError
 from .exactlinalg import CochainComplex, CohomologyReport, RationalMatrix, as_fraction, \
@@ -294,16 +307,97 @@ def form_columns(g: LieAlgebra, action: dict[int, RationalMatrix],
     return CochainComplex(tuple(degrees), tuple(diffs))
 
 
-def ce_complex(r: Representation) -> CochainComplex:
-    """Full complex E (x) Lambda^* with validated inputs."""
+def _require_ce_inputs(r: Representation) -> None:
+    """The checks of every CE computation, on the whole input and in this
+    order: the budget on dim_e * 2^dim, Jacobi, then flatness."""
     g = r.algebra
     require_cochain_budget(r.dim_e, g.dim, "the Chevalley-Eilenberg complex")
     require_jacobi(g)
     if not check_representation(r):
         raise ValidationError("action matrices do not represent the bracket "
                               f"on basis pair {representation_violation(r)}")
+
+
+def ce_complex(r: Representation) -> CochainComplex:
+    """Full complex E (x) Lambda^* with validated inputs."""
+    _require_ce_inputs(r)
+    g = r.algebra
     return form_columns(g, dict(enumerate(r.action)), ce_layouts(g.dim, r.dim_e, 0, g.dim))
 
 
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The Betti vector of a tensor product of two complexes from theirs."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _factor_betti(g: LieAlgebra, basis: list[int], den: int, action: dict[int, list],
+                  coords: list[int]) -> tuple[int, ...]:
+    """H(g_a; E_a) for the ideal g_a on the sorted `basis`, whose vectors i act
+    by the integer columns action[i] over den, which preserve the sorted
+    `coords` of E: its complex, built in its own basis and reduced."""
+    at = {i: p for p, i in enumerate(basis)}
+    h = LieAlgebra(len(basis), tuple((at[i], at[j], tuple((at[k], c) for k, c in terms))
+                                     for i, j, terms in g.brackets if i in at))
+    pos = {a: p for p, a in enumerate(coords)}
+    rho = {at[i]: RationalMatrix(len(pos), len(pos), [{pos[a]: x for a, x in m[b].items()}
+                                                      for b in coords], den)
+           for i, m in action.items()}
+    return complex_cohomology(form_columns(h, rho, ce_layouts(h.dim, len(pos), 0, h.dim))).betti
+
+
 def lie_cohomology(r: Representation) -> CohomologyReport:
-    return complex_cohomology(ce_complex(r))
+    """H(g; E).  A connected bracket-support graph takes the full path,
+    `complex_cohomology(ce_complex(r))`.  Otherwise, once the whole input is
+    checked, its components and those of E's coordinates split g into
+    factors, merged where they act on one coefficient component, and the
+    factors' Betti vectors are convolved (see the module docstring)."""
+    g, e, n = r.algebra, r.dim_e, r.algebra.dim
+    part = list(range(n))  # union-find over the basis
+    for i, j, terms in g.brackets:
+        root = _root(part, i)
+        part[_root(part, j)] = root
+        for k, _ in terms:
+            part[_root(part, k)] = root
+    if sum(map(int.__eq__, part, range(n))) < 2:  # one component, or none
+        return complex_cohomology(ce_complex(r))
+    _require_ce_inputs(r)
+    den, mats = common_columns(r.action)
+    coords = list(range(e))
+    for m in mats:
+        for b, col in enumerate(m):
+            for a in col:
+                coords[_root(coords, a)] = _root(coords, b)
+    first: dict[int, int] = {}  # a basis vector acting on each coefficient component
+    for i, m in enumerate(mats):
+        for b, col in enumerate(m):
+            if col:  # i joins the factor of the first vector acting on b's component
+                part[_root(part, i)] = _root(part, first.setdefault(_root(coords, b), i))
+    factors: dict[int, list[int]] = {}
+    for i in range(n):
+        factors.setdefault(_root(part, i), []).append(i)
+    abelian = [factors.pop(f) for f in list(factors) if factors[f] == [f] and not any(mats[f])]
+    carried: dict = {}  # the factor acting on each coordinate of E, or None
+    for a in range(e):
+        c = _root(coords, a)
+        carried.setdefault(_root(part, first[c]) if c in first else None, []).append(a)
+    trivial = {f: _factor_betti(g, basis, 1, {}, [0]) for f, basis in factors.items()}
+    betti = [0] * (n + 1)
+    for f, members in carried.items():
+        b = [len(members)] if f is None else _factor_betti(
+            g, factors[f], den, {i: mats[i] for i in factors[f]}, members)
+        for t in [[comb(len(abelian), p) for p in range(len(abelian) + 1)],
+                  *[t for other, t in trivial.items() if other != f]]:
+            b = convolve(b, t)
+        betti = [x + y for x, y in zip(betti, b)]
+    return CohomologyReport(tuple(e * comb(n, p) for p in range(n + 1)), tuple(betti),
+                            sum(b if p % 2 == 0 else -b for p, b in enumerate(betti)))

@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from algebroid import catalog, circle, cli, exactlinalg, hopf, io, liealg
 from algebroid.circle import Rank1Anchor, SweepResult, TrigPoly, is_transitive
-from algebroid.errors import DegreeOutOfRangeError, NotAbelianError
+from algebroid.errors import DegreeOutOfRangeError, NotAbelianError, ValidationError
 from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyReport, RationalMatrix
-from algebroid.kunneth import product_with_lie_algebra
+from algebroid.kunneth import direct_sum, product_with_lie_algebra
 from algebroid.liealg import LieAlgebra, adjoint_representation, ce_complex
 from fixtures import algebra_to_dict
 from oracle import change_basis, diagonal_betti, heisenberg_betti, truncated_complex
@@ -791,6 +791,50 @@ def test_validation_errors_exit_2(tmp_path):
     code, out, err = run_cli("circle", "sweep", str(roid))
     assert code == 2 and out == ""
     assert "on basis pair (0, 2)" in err
+
+
+# -- refusals of inputs that lie cohomology splits ------------------------------
+# The checks run once, on the whole input, before any summand is built, so a
+# direct sum is refused as the whole complex would be, naming whole-input indices.
+
+def test_a_bracket_free_dim_19_algebra_is_refused_from_the_budget(tmp_path, capsys):
+    path = tmp_path / "abelian19.json"
+    path.write_text(json.dumps({"dim": 19, "brackets": []}))
+    rep = tmp_path / "trivial19.json"
+    rep.write_text(json.dumps({"dim_E": 1, "action": [[["0"]]] * 19}))
+    message = ("validation error: the Chevalley-Eilenberg complex would have 524288 cochains, "
+               "more than the budget of 262144\n")
+    for argv in (["lie", "cohomology", str(path)], ["hopf", str(path)],
+                 ["lie", "cohomology", str(path), "--rep", str(rep)]):
+        assert cli.run(argv) == cli.EXIT_VALIDATION, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
+def test_a_direct_sum_breaking_jacobi_names_the_whole_input_triple(tmp_path, capsys):
+    # su2 + a dim-4 table violating Jacobi on its (1, 2, 3): (4, 5, 6) in the sum
+    bad = LieAlgebra.make(4, {(1, 2): {3: 1}, (2, 3): {2: 1}})
+    g = direct_sum(catalog.algebra("su2"), bad)
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(algebra_to_dict(g)))
+    assert cli.run(["lie", "cohomology", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "validation error: structure constants violate the "
+                                       "Jacobi identity on basis triple (4, 5, 6)\n")
+    for compute in (liealg.lie_cohomology, liealg.ce_complex):
+        with pytest.raises(ValidationError, match=r"basis triple \(4, 5, 6\)$"):
+            compute(liealg.trivial_representation(g))
+
+
+def test_a_direct_sum_with_a_curved_block_names_the_whole_pair(tmp_path, capsys):
+    # aff1 + h3 on Q^2: a character of aff1 on the first coordinate, and on the
+    # second e4 = [e2, e3] acting by 1 while e2 and e3 act by 0
+    g = direct_sum(catalog.algebra("aff1"), catalog.algebra("h3"))
+    action = [[["1", "0"], ["0", "0"]]] + [[["0", "0"], ["0", "0"]]] * 3 + [[["0", "0"], ["0", "1"]]]
+    (tmp_path / "sum.json").write_text(json.dumps(algebra_to_dict(g)))
+    (tmp_path / "rep.json").write_text(json.dumps({"dim_E": 2, "action": action}))
+    argv = ["lie", "cohomology", str(tmp_path / "sum.json"), "--rep", str(tmp_path / "rep.json")]
+    assert cli.run(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "validation error: action matrices do not represent "
+                                       "the bracket on basis pair (2, 3)\n")
 
 
 def test_rank1_sweeps_reject_nonsimple_zeros(tmp_path):

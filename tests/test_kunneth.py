@@ -1,16 +1,17 @@
 """Direct sums, algebroid x algebra products, and the Kunneth comparison."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from fixtures import const, dense_apply
+from fixtures import algebra_to_dict, const, dense_apply, representation_to_dict
 from oracle import bracket_basis, from_rows, transpose, truncated_complex
-from algebroid import catalog
+from algebroid import catalog, cli, liealg
 from algebroid.circle import ActionAlgebroid, Rank1Anchor, TrigPoly, is_transitive, \
     stabilized_cohomology
 from algebroid.errors import ValidationError
-from algebroid.exactlinalg import rank
+from algebroid.exactlinalg import complex_cohomology, rank
 from algebroid.kunneth import (
     direct_sum,
     kunneth_verify,
@@ -19,6 +20,7 @@ from algebroid.kunneth import (
 )
 from algebroid.liealg import (
     LieAlgebra,
+    adjoint_representation,
     ce_complex,
     check_jacobi,
     check_representation,
@@ -45,7 +47,7 @@ def test_direct_sum_structure():
 
 def test_direct_sum_betti_golden():
     su2 = catalog.algebra("su2")
-    rep = lie_cohomology(trivial_representation(direct_sum(su2, su2)))
+    rep = complex_cohomology(ce_complex(trivial_representation(direct_sum(su2, su2))))
     assert rep.betti == (1, 0, 0, 2, 0, 0, 1)
     assert rep.euler == 0
 
@@ -53,13 +55,46 @@ def test_direct_sum_betti_golden():
 def test_direct_sum_h3_aff1():
     h3 = catalog.algebra("h3")
     aff1 = catalog.algebra("aff1")
-    total = lie_cohomology(trivial_representation(direct_sum(h3, aff1)))
+    total = complex_cohomology(ce_complex(trivial_representation(direct_sum(h3, aff1))))
     check = kunneth_verify(total,
                            lie_cohomology(trivial_representation(h3)),
                            lie_cohomology(trivial_representation(aff1)))
     assert check.ok
     # conv((1,2,2,1), (1,1,0)) = (1,3,4,3,1,0)
     assert total.betti == (1, 3, 4, 3, 1, 0)
+
+
+def assembled_cochains(monkeypatch, argv) -> list[int]:
+    """The size of every complex `liealg.form_columns` assembles while the CLI runs argv."""
+    sizes, build = [], liealg.form_columns
+
+    def counted(*args):
+        c = build(*args)
+        sizes.append(sum(c.degrees))
+        return c
+
+    monkeypatch.setattr(liealg, "form_columns", counted)
+    assert cli.run(argv) == 0
+    return sorted(sizes)
+
+
+def test_kunneth_assembles_its_product_in_full(monkeypatch, capsys):
+    # the command checks Kunneth on the product, so h3 + aff1 is built as one
+    # complex of 2^5 cochains, next to its factors' 2^3 and 2^2
+    assert assembled_cochains(monkeypatch, ["kunneth", "h3", "aff1"]) == [4, 8, 32]
+    assert '"ok": true' in capsys.readouterr().out
+
+
+def test_lie_cohomology_of_a_direct_sum_assembles_only_its_factors(monkeypatch, tmp_path, capsys):
+    # the adjoint CE of su2 + diamond4: the trivial complexes of su2 and
+    # diamond4 and their adjoint ones, never the 7 * 2^7 cochains of the sum
+    g = direct_sum(catalog.algebra("su2"), catalog.algebra("diamond4"))
+    (tmp_path / "g.json").write_text(json.dumps(algebra_to_dict(g)))
+    (tmp_path / "ad.json").write_text(json.dumps(representation_to_dict(adjoint_representation(g))))
+    argv = ["lie", "cohomology", str(tmp_path / "g.json"), "--rep", str(tmp_path / "ad.json")]
+    assert assembled_cochains(monkeypatch, argv) == [8, 16, 3 * 8, 4 * 16]
+    payload = json.loads(capsys.readouterr().out.split(cli.JSON_MARKER + "\n", 1)[1])
+    assert payload["betti"] == list(complex_cohomology(ce_complex(adjoint_representation(g))).betti)
 
 
 def test_boxtimes_cocycles():

@@ -334,6 +334,13 @@ constants = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(-2), F(1, 2)
                              F(3, 2)])
 
 
+def semidirect(a) -> LieAlgebra:
+    """R x_A Q^m: [e0, ei] = sum_k A[k][i] ek."""
+    m = len(a)
+    return LieAlgebra.make(m + 1, {(0, i + 1): {k + 1: a[k][i] for k in range(m)}
+                                   for i in range(m)})
+
+
 @st.composite
 def solvable_representations(draw):
     """R acting on Q^m (m <= 4) by a matrix A, [e0, ei] = sum_k A[k][i] ek, half
@@ -344,8 +351,7 @@ def solvable_representations(draw):
     a = [[draw(constants) for _ in range(m)] for _ in range(m)]
     if m and draw(st.booleans()):  # a singular A, whose left kernel carries characters
         a[-1] = [draw(constants) * x for x in a[0]] if m > 1 else [F(0)]
-    g = LieAlgebra.make(m + 1, {(0, i + 1): {k + 1: a[k][i] for k in range(m)}
-                                for i in range(m)})
+    g = semidirect(a)
     kind = draw(st.sampled_from(["trivial", "trivial0", "trivial2", "adjoint", "character"]))
     if kind.startswith("trivial"):
         return trivial_representation(g, int(kind[7:] or 1))
@@ -412,9 +418,7 @@ def codim1_representations(draw):
     either side (r1 joins the ideal), with trivial coefficients or a
     character that is lambda on e0 and zero on the ideal; x is e0's index."""
     m = draw(st.integers(0, 5))
-    a = [[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(m)]
-    g = LieAlgebra.make(m + 1, {(0, i + 1): {k + 1: a[k][i] for k in range(m)}
-                                for i in range(m)})
+    g = semidirect([[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(m)])
     x, side = 0, draw(st.sampled_from(["none", "left", "right"]))
     if side == "left":
         g, x = direct_sum(catalog.algebra("r1"), g), 1
@@ -510,3 +514,97 @@ def test_adjoint_betti_at_the_budget_edge_match_the_direct_sum_prediction():
     c = ce_complex(adjoint_representation(reduce(direct_sum, factors)))
     assert sum(c.degrees) == 229376
     assert list(complex_cohomology(c).betti) == ad
+
+
+# -- the split into summands ---------------------------------------------------
+
+def eye(d: int) -> list[list[Fraction]]:
+    return [[F(int(i == j)) for j in range(d)] for i in range(d)]
+
+
+def summand_module(draw, h: LieAlgebra, kind: str) -> list[list[list[Fraction]]]:
+    """One dense matrix per basis vector of h: its adjoint module, or a
+    character that is zero on every bracket target, so it kills [h, h]."""
+    if kind == "adjoint":
+        return [oracle.matrix_rows(m) for m in adjoint_representation(h).action]
+    targets = {k for _, _, terms in h.brackets for k, _ in terms}
+    return [[[F(0) if x in targets else draw(constants)]] for x in range(h.dim)]
+
+
+@st.composite
+def direct_sum_representations(draw):
+    """A sum of two or three catalog algebras and R x_A Q^m (m <= 3), with
+    trivial, adjoint or block coefficients, in a basis e'_j = s_j e_perm[j]
+    and with E's coordinates permuted.  A block is a character or the
+    adjoint module of one summand, tensored with characters of up to one
+    other summand, which couples the two summands' factors."""
+    parts = []
+    for _ in range(draw(st.integers(2, 3))):
+        if draw(st.booleans()):
+            parts.append(catalog.algebra(draw(st.sampled_from(
+                ["su2", "sl2", "h3", "aff1", "diamond4", "r1", "r2"]))))
+        else:
+            m = draw(st.integers(0, 3))
+            parts.append(semidirect([[draw(st.integers(-2, 2)) for _ in range(m)]
+                                     for _ in range(m)]))
+    g = reduce(direct_sum, parts)
+    n = g.dim
+    assume(n <= 8)
+    kind = draw(st.sampled_from(["trivial", "adjoint", "blocks"]))
+    if kind == "trivial":
+        e = draw(st.integers(0, 2))
+        rho = [[[F(0)] * e for _ in range(e)] for _ in range(n)]
+    elif kind == "adjoint":
+        e, rho = n, [oracle.matrix_rows(m) for m in adjoint_representation(g).action]
+    else:
+        blocks = []
+        for _ in range(draw(st.integers(1, 3))):
+            d, action = 1, [None] * n  # None acts by zero
+            chosen = draw(st.lists(st.integers(0, len(parts) - 1), min_size=1, max_size=2,
+                                   unique=True))
+            for t, s in enumerate(chosen):
+                module = summand_module(draw, parts[s], draw(st.sampled_from(
+                    ["adjoint", "character"])) if t == 0 else "character")
+                k, lo = len(module[0]), sum(h.dim for h in parts[:s])
+                action = [oracle._kron(eye(d), module[x - lo]) if lo <= x < lo + parts[s].dim
+                          else a and oracle._kron(a, eye(k)) for x, a in enumerate(action)]
+                d *= k
+            blocks.append((d, action))
+        e = sum(d for d, _ in blocks)
+        rho = [[[F(0)] * e for _ in range(e)] for _ in range(n)]
+        at = 0
+        for d, action in blocks:
+            for x, a in enumerate(action):
+                for i, row in enumerate(a or ()):
+                    rho[x][at + i][at:at + d] = row
+            at += d
+    assume(e << n <= 1024)
+    perm = draw(st.permutations(range(n)))
+    scales = draw(st.lists(st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3, 2), F(-2, 3)]),
+                           min_size=n, max_size=n))
+    sigma = draw(st.permutations(range(e)))
+    p = RationalMatrix.from_entries(n, n, [((i, j), scales[j]) for j, i in enumerate(perm)])
+    action = []
+    for j in range(n):
+        m = [[F(0)] * e for _ in range(e)]
+        for a in range(e):
+            for b in range(e):
+                m[sigma[a]][sigma[b]] = scales[j] * rho[perm[j]][a][b]
+        action.append(from_rows(m, e, e))
+    return Representation(change_basis(g, p), e, tuple(action))
+
+
+def character(g: LieAlgebra, values) -> Representation:
+    return Representation(g, 1, tuple(from_rows([[x]]) for x in values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(direct_sum_representations())
+# a character nonzero on both summands joins aff1 and h3 into one factor
+@example(character(direct_sum(catalog.algebra("aff1"), catalog.algebra("h3")), [1, 0, 2, -1, 0]))
+@example(trivial_representation(direct_sum(catalog.algebra("su2"), catalog.algebra("aff1")), 0))
+@example(trivial_representation(catalog.algebra("r4")))  # bracket-free: the binomial row alone
+@example(trivial_representation(catalog.algebra("zero")))
+def test_split_equals_the_full_path(r):
+    assert check_representation(r)
+    assert lie_cohomology(r) == complex_cohomology(ce_complex(r))
