@@ -17,19 +17,28 @@ that path, else a catalog name (see `algebroid catalog`); `_read` holds
 that rule.  A `kunneth` factor is an algebroid exactly when its JSON has a
 "kind", whether it comes from a file or from the catalog.
 
-The argument parser is built once per process and reused by every `run`;
-handlers are looked up as module globals when they are called.  Each
-handler, and each loader it calls, imports the modules it uses when it is
-called, so a start compiles and loads only what its command runs:
+One table, `_COMMANDS`, holds each command's handler, positionals, options
+and help line; the usage lines, the help and README's synopsis come from it.
+`_parse` reads argv against it by argparse's rules, so it accepts, refuses
+and answers `-h`/`--help` exactly where argparse did: `--` ends the options;
+a word is an option when it starts with `-`, is longer than that, does not
+look like a negative number (`-1`, `-.5`) and holds no space; `--opt=value`
+and unique prefixes are read, an ambiguous prefix is refused as it is read,
+and an option's value may not be an option; an unknown option or an extra
+positional is refused only after the scan, so a later `-h` still wins.  A
+`--` given as a value is that word, where argparse left an empty list.
+
+Each handler, and each loader it calls, imports the modules it uses when it
+is called, so a start compiles and loads only what its command runs:
 `catalog` loads no module of the package but `catalog` and `errors`.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
+import types
 from json.encoder import encode_basestring_ascii
 
 from . import catalog
@@ -43,19 +52,6 @@ EXIT_PARSE = 65
 EXIT_BROKEN_PIPE = 141
 
 JSON_MARKER = "== json =="
-
-
-class _UsageError(Exception):
-    def __init__(self, message: str, usage: str):
-        super().__init__(message)
-        self.usage = usage
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; we reserve 2 for validation
-    # failures, so route usage problems through an exception instead.
-    def error(self, message):
-        raise _UsageError(message, self.format_usage())
 
 
 # -- input loading -----------------------------------------------------------
@@ -394,62 +390,156 @@ def _cmd_catalog(args) -> tuple[list[str], dict, int]:
     return lines, {shelf: list(names) for shelf, names in _SHELVES.items()}, EXIT_OK
 
 
-# -- wiring ------------------------------------------------------------------
+# -- command line ------------------------------------------------------------
 
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="algebroid",
-                     description="Exact cohomology of Lie algebras and "
-                                 "circle algebroids.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+_DESCRIPTION = "Exact cohomology of Lie algebras and circle algebroids."
 
-    lie = sub.add_parser("lie", help="Lie algebra cohomology")
-    lie_sub = lie.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    for action in ("cohomology", "euler"):
-        p = lie_sub.add_parser(action)
-        p.add_argument("algebra", help="algebra JSON file or catalog name")
-        p.add_argument("--rep", help="representation JSON file or catalog name")
-        p.set_defaults(handler=_cmd_lie)
+# Command path: (handler, positionals, options, help line).  An option is
+# (dest, type, required), spelled "--" + dest with "-" for "_".
+_COMMANDS = {
+    ("lie", "cohomology"): (_cmd_lie, ("algebra",), (("rep", str, False),),
+                           "Betti numbers of H(g; E); E is trivial without --rep"),
+    ("lie", "euler"): (_cmd_lie, ("algebra",), (("rep", str, False),),
+                      "Euler characteristic of H(g; E); E is trivial without --rep"),
+    ("circle", "sweep"): (_cmd_circle, ("algebroid",),
+                          (("n_min", int, False), ("n_max", int, False)),
+                          "Betti numbers of the windows N_MIN..N_MAX, and their limit"),
+    ("kunneth",): (_cmd_kunneth, ("left", "right"), (),
+                   "the Kunneth formula for two algebras, or an algebroid and an algebra"),
+    ("hopf",): (_cmd_hopf, ("algebra",), (), "the H-structure and Hopf axioms of an algebra"),
+    ("symbol",): (_cmd_symbol, ("fiber",), (("alpha", str, True),),
+                  "exactness of the symbol complex at the covector ALPHA = a1,a2,..."),
+    ("catalog",): (_cmd_catalog, (), (), "list the built-in examples"),
+}
+# Each level that chooses the next word: its choices, in table order.
+_CHOICES = {p[:k]: [*dict.fromkeys(q[k] for q in _COMMANDS if q[:k] == p[:k])]
+            for p in _COMMANDS for k in range(len(p))}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a word argparse takes for a negative number
 
-    circle = sub.add_parser("circle", help="truncated algebroid cohomology")
-    circle_sub = circle.add_subparsers(dest="action", required=True,
-                                       parser_class=_Parser)
-    p = circle_sub.add_parser("sweep")
-    p.add_argument("algebroid", help="algebroid JSON file or catalog name")
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.set_defaults(handler=_cmd_circle)
 
-    p = sub.add_parser("kunneth", help="verify a product against the factors")
-    p.add_argument("left", help="algebra or algebroid (file or catalog name)")
-    p.add_argument("right", help="algebra or algebroid (file or catalog name)")
-    p.set_defaults(handler=_cmd_kunneth)
+class _UsageError(Exception):
+    """A refusal at the level `path`: a command path, or a prefix of one."""
 
-    p = sub.add_parser("hopf", help="H-structure and Hopf axioms")
-    p.add_argument("algebra", help="algebra JSON file or catalog name")
-    p.set_defaults(handler=_cmd_hopf)
+    def __init__(self, message: str, path: tuple = ()):
+        super().__init__(message)
+        self.path = path
 
-    p = sub.add_parser("symbol", help="pointwise symbol complex exactness")
-    p.add_argument("fiber", help="fiber-data JSON file")
-    p.add_argument("--alpha", required=True,
-                   help="comma-separated rational covector components")
-    p.set_defaults(handler=_cmd_symbol)
 
-    p = sub.add_parser("catalog", help="list built-in examples")
-    p.set_defaults(handler=_cmd_catalog)
-    return parser
+class _Help(_UsageError):
+    """A request for the help of the level `path`."""
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _synopsis(path: tuple) -> str:
+    """The usage line of a level, without "usage: "."""
+    if path not in _COMMANDS:
+        return " ".join(["algebroid", *path, "[-h] {" + ",".join(_CHOICES[path]) + "} ..."])
+    _, positionals, options, _ = _COMMANDS[path]
+    return " ".join(["algebroid", *path, "[-h]",
+                     *(f"{_flag(d)} {d.upper()}" if required else f"[{_flag(d)} {d.upper()}]"
+                       for d, _, required in options), *positionals])
+
+
+def _help_text(path: tuple) -> str:
+    """The usage line, then each command under the level with its help line."""
+    lines = [f"usage: {_synopsis(path)}", "", *([] if path else [_DESCRIPTION, ""])]
+    for p, entry in _COMMANDS.items():
+        if p[:len(path)] == path:
+            lines += [entry[3]] if p == path else [_synopsis(p), "    " + entry[3]]
+    return "\n".join(lines) + "\n"
+
+
+def _option(word: str, flags: tuple, path: tuple):
+    """(flag, explicit value or None) when `word` is an option at this level,
+    flag None for an unknown one; None when it is a positional."""
+    if word[:1] != "-" or word == "-":
+        return None
+    head, eq, value = word.partition("=")
+    if head in flags:
+        matches = [head]
+    elif word[1] == "-":  # a long option, or a unique prefix of one
+        matches = [f for f in flags if f.startswith(head)]
+    else:  # -h, then its explicit value
+        matches, value, eq = ["-h"] if word[1] == "h" else [], word[2:], "="
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {word} could match {', '.join(matches)}", path)
+    if not matches:
+        return None if _NEGATIVE.match(word) or " " in word else (None, None)
+    if matches[0] == "-h" and value:
+        value = value.lstrip("h") or None  # -hh is -h given twice
+    return matches[0], value if eq else None
+
+
+def _parse(argv: list[str]):
+    """(handler, args) of argv.  A level that chooses the next word has one
+    positional, its dest; the word that fills it starts the next level."""
+    path, words, values, extras = (), argv, {}, []
+    while True:
+        entry = _COMMANDS.get(path)
+        handler, pending, options, _ = entry or (None, ("action" if path else "command",), (), "")
+        flags = {_flag(d): (d, kind) for d, kind, _ in options}
+        values.update(dict.fromkeys(d for d, _, _ in options))
+        end = words.index("--") if "--" in words else len(words)
+        # every word is read before any is acted on, so an ambiguous prefix comes first
+        opts = [_option(w, ("-h", "--help", *flags), path) for w in words[:end]]
+        opts += [None] * (len(words) - end)
+        pending, last, i = list(pending), -2, 0  # last: the word that last filled a positional
+        while i < len(words):
+            opt = opts[i]
+            if opt and opt[0] in flags:
+                (dest, kind), value = flags[opt[0]], opt[1]
+                if value is None:
+                    if i + 1 >= end or opts[i + 1]:
+                        raise _UsageError(f"argument {opt[0]}: expected one argument", path)
+                    i, value = i + 1, words[i + 1]
+                try:
+                    values[dest] = kind(value)
+                except ValueError:
+                    raise _UsageError(f"argument {opt[0]}: invalid {kind.__name__} value: "
+                                      f"{value!r}", path) from None
+            elif opt and opt[0]:
+                if opt[1] is not None:
+                    raise _UsageError(f"argument -h/--help: ignored explicit argument "
+                                      f"{opt[1]!r}", path)
+                raise _Help("", path)
+            elif i == end and entry and (pending or last == i - 1):
+                pass  # argparse drops "--" next to a positional
+            elif pending and not opt and (i != end or not entry and i + 1 < len(words)):
+                if entry:
+                    values[pending.pop(0)], last = words[i], i
+                elif words[i] not in (choices := _CHOICES[path]):
+                    raise _UsageError(f"argument {pending[0]}: invalid choice: {words[i]!r} "
+                                      f"(choose from {', '.join(map(repr, choices))})", path)
+                else:
+                    values[pending[0]], path, words = words[i], (*path, words[i]), words[i + 1:]
+                    break
+            else:
+                extras.append(words[i])
+            i += 1
+        else:
+            missing = [*pending, *(_flag(d) for d, _, req in options if req and values[d] is None)]
+            if missing:
+                raise _UsageError(f"the following arguments are required: {', '.join(missing)}",
+                                  path)
+            if extras:
+                raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+            return handler, types.SimpleNamespace(**values)
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        handler, args = _parse(argv)
+    except _Help as request:
+        sys.stdout.write(_help_text(request.path))
+        return EXIT_OK
     except _UsageError as exc:
-        sys.stderr.write(exc.usage)
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"usage: {_synopsis(exc.path)}\nerror: {exc}\n")
         return EXIT_USAGE
     try:
-        lines, payload, code = args.handler(args)
+        lines, payload, code = handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -95,16 +95,23 @@ references for `polyroots` and `circle`, which count on integer remainder
 sequences and read t = pi off the numerator's degree.  `check_h_structure`
 checks the morphism law on every pair of basis vectors, where the package
 tests abelianness.
+
+`reference_parser` is the argparse parser that `cli` used before it read
+argv against its own command table; `test_cli` requires the same outcome of
+both on generated argv.  A usage problem raises `UsageError` with argparse's
+usage text, and a help request prints the help and raises `SystemExit(0)`.
 """
 
 from __future__ import annotations
 
+import argparse
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
+from algebroid import cli
 from algebroid.circle import SweepResult, TrigPoly, window_coords
 from algebroid.errors import ChainConditionError, NonsimpleZeroError, ValidationError
 from algebroid.exactlinalg import RationalMatrix, cohomology_from_ranks, common_columns, rank
@@ -1341,3 +1348,62 @@ def _pair_bracket(g, a: int, b: int) -> list[Fraction]:
     elif a >= n and b >= n:
         out[n:] = bracket_basis(g, a - n, b - n)
     return out
+
+
+# -- the command line as argparse read it --------------------------------------------
+
+class UsageError(Exception):
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad usage; we reserve 2 for validation
+    # failures, so route usage problems through an exception instead.
+    def error(self, message):
+        raise UsageError(message, self.format_usage())
+
+
+@cache
+def reference_parser() -> _Parser:
+    parser = _Parser(prog="algebroid",
+                     description="Exact cohomology of Lie algebras and "
+                                 "circle algebroids.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    lie = sub.add_parser("lie", help="Lie algebra cohomology")
+    lie_sub = lie.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    for action in ("cohomology", "euler"):
+        p = lie_sub.add_parser(action)
+        p.add_argument("algebra", help="algebra JSON file or catalog name")
+        p.add_argument("--rep", help="representation JSON file or catalog name")
+        p.set_defaults(handler=cli._cmd_lie)
+
+    circle = sub.add_parser("circle", help="truncated algebroid cohomology")
+    circle_sub = circle.add_subparsers(dest="action", required=True,
+                                       parser_class=_Parser)
+    p = circle_sub.add_parser("sweep")
+    p.add_argument("algebroid", help="algebroid JSON file or catalog name")
+    p.add_argument("--n-min", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None)
+    p.set_defaults(handler=cli._cmd_circle)
+
+    p = sub.add_parser("kunneth", help="verify a product against the factors")
+    p.add_argument("left", help="algebra or algebroid (file or catalog name)")
+    p.add_argument("right", help="algebra or algebroid (file or catalog name)")
+    p.set_defaults(handler=cli._cmd_kunneth)
+
+    p = sub.add_parser("hopf", help="H-structure and Hopf axioms")
+    p.add_argument("algebra", help="algebra JSON file or catalog name")
+    p.set_defaults(handler=cli._cmd_hopf)
+
+    p = sub.add_parser("symbol", help="pointwise symbol complex exactness")
+    p.add_argument("fiber", help="fiber-data JSON file")
+    p.add_argument("--alpha", required=True,
+                   help="comma-separated rational covector components")
+    p.set_defaults(handler=cli._cmd_symbol)
+
+    p = sub.add_parser("catalog", help="list built-in examples")
+    p.set_defaults(handler=cli._cmd_catalog)
+    return parser

@@ -309,6 +309,7 @@ def test_catalog_loads_only_cli_catalog_and_errors(tmp_path):
     assert {m for m in loaded if m.startswith("algebroid.")} == \
         {"algebroid.cli", "algebroid.catalog", "algebroid.errors"}
     assert "fractions" not in loaded
+    assert {"argparse", "gettext"} & loaded == set()
 
 
 @pytest.mark.parametrize("command", COMMANDS)

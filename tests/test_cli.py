@@ -23,7 +23,8 @@ from algebroid.exactlinalg import MAX_COCHAINS, MAX_TRIG_DEGREE, CohomologyRepor
 from algebroid.kunneth import direct_sum, product_with_lie_algebra
 from algebroid.liealg import LieAlgebra, adjoint_representation, ce_complex
 from fixtures import algebra_to_dict
-from oracle import change_basis, diagonal_betti, heisenberg_betti, truncated_complex
+from oracle import (UsageError, change_basis, diagonal_betti, heisenberg_betti, reference_parser,
+                    truncated_complex)
 
 
 def cli_env():
@@ -684,13 +685,129 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
 
 
-def test_usage_errors_exit_64():
+def test_usage_errors_exit_64(monkeypatch):
     for args in ((), ("bogus",), ("lie",), ("circle", "sweep"),
                  ("symbol", "whatever")):
         code, out, err = run_cli(*args)
         assert code == 64, args
         assert out == ""
         assert "usage" in err
+    # one usage line for the level reached, whatever the terminal's width
+    monkeypatch.setenv("COLUMNS", "30")
+    assert run_cli("lie", "cohomology") == (64, "", (
+        "usage: algebroid lie cohomology [-h] [--rep REP] algebra\n"
+        "error: the following arguments are required: algebra\n"))
+    assert run_cli("circle", "sweep", "sin_t", "--n") == (64, "", (
+        "usage: algebroid circle sweep [-h] [--n-min N_MIN] [--n-max N_MAX] algebroid\n"
+        "error: ambiguous option: --n could match --n-min, --n-max\n"))
+    assert run_cli("kunneth", "su2", "h3", "-x") == (64, "", (
+        "usage: algebroid [-h] {lie,circle,kunneth,hopf,symbol,catalog} ...\n"
+        "error: unrecognized arguments: -x\n"))
+
+
+# -- the command table: help, and argv read as argparse read it ------------------
+
+HELP_LEVELS = [*cli._CHOICES, *cli._COMMANDS]
+
+
+@pytest.mark.parametrize("path", HELP_LEVELS, ids=lambda path: " ".join(path) or "top")
+def test_help_returns_0_with_one_stdout_write(path, monkeypatch, capsys):
+    writes = []
+    monkeypatch.setattr(sys.stdout, "write", writes.append)
+    for flag in ("-h", "--help", "--he"):
+        assert cli.run([*path, flag]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert len(writes) == 3 and writes[0] == writes[1] == writes[2]
+    assert writes[0].startswith(f"usage: {' '.join(['algebroid', *path])} [-h]")
+
+
+def test_help_exits_0_from_main():
+    assert run_cli("--help")[:2] == (0, cli._help_text(()))
+    code, out, err = run_cli("lie", "cohomology", "su2", "-h", "--bogus")
+    assert (code, err) == (0, "") and out.startswith("usage: algebroid lie cohomology ")
+
+
+def test_readme_synopsis_is_the_help_listing():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    synopsis = section.split("```\n", 2)[1]
+    listing = cli._help_text(()).split(cli._DESCRIPTION + "\n\n", 1)[1]
+    assert synopsis == listing
+
+
+# Words of the differential test: commands, catalog names, every option and its
+# prefixes, values given with "=", negative numbers, words with spaces, and an
+# int of more than 4300 digits, which int() refuses.
+ARGV_WORDS = [
+    "lie", "cohomology", "euler", "circle", "sweep", "kunneth", "hopf", "symbol", "catalog",
+    "bogus", "su2", "3", "", "-", "--", "-h", "--help", "--he", "-hh", "-hx", "-h=", "-h=h",
+    "--help=x", "--=", "--rep", "--re", "--rep=", "--rep=x", "--rep=--", "--n-min", "--n-max",
+    "--n", "--n-mi=3", "--n-max=5", "--alpha", "--al=1,2", "--alpha=-1,2", "-1", "-.5", "-1,2",
+    "-x", "--bogus", "--x=1", "a b", "-a b", "--re=a b", "-1\n", "x=1", "1" * 4301,
+]
+ARGV_PREFIXES = [list(path) for path in HELP_LEVELS]
+
+
+def reference_outcome(argv):
+    """argparse's outcome: ("run", handler, values), ("help", prog) or
+    ("usage", prog, message); prog names the level whose usage is printed."""
+    def prog(usage):  # "usage: algebroid lie", however argparse wrapped the line
+        return " ".join(usage.split("[-h]")[0].split())
+
+    out = StringIO()
+    try:
+        with redirect_stdout(out):
+            namespace = reference_parser().parse_args(argv)
+    except UsageError as exc:
+        return "usage", prog(exc.usage), str(exc)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", prog(out.getvalue())
+    values = vars(namespace).copy()
+    handler = values.pop("handler")
+    # argparse removes a "--" from a value twice over, the second time leaving
+    # an empty list; the scan keeps the word
+    return "run", handler, {k: "--" if v == [] else v for k, v in values.items()}
+
+
+def scan_outcome(argv):
+    try:
+        handler, args = cli._parse(argv)
+    except cli._Help as request:
+        return "help", "usage: " + " ".join(["algebroid", *request.path])
+    except cli._UsageError as exc:
+        return "usage", "usage: " + " ".join(["algebroid", *exc.path]), str(exc)
+    return "run", handler, vars(args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ARGV_PREFIXES), st.lists(st.sampled_from(ARGV_WORDS), max_size=6))
+@example(["lie", "cohomology"], ["su2", "--re", "x"])
+@example(["circle", "sweep"], ["sin_t", "--n", "3"])
+@example(["lie", "euler"], ["su2", "--rep="])
+@example(["symbol"], ["fiber.json", "--alpha=-1,2"])
+@example(["symbol"], ["fiber.json", "--alpha", "-1,2"])
+@example(["circle", "sweep"], ["sin_t", "--n-min", "-1"])
+@example(["kunneth"], ["-1", "-2"])
+@example(["lie"], ["-h", "cohomology"])
+@example(["catalog"], ["--"])
+@example(["hopf"], ["su2", "--bogus", "-h"])
+@example([], ["--bogus", "-h"])
+@example(["circle", "sweep"], ["sin_t", "--n-max", "1" * 4301])
+def test_the_scan_reads_argv_as_argparse_did(prefix, words):
+    argv = prefix + words
+    assert scan_outcome(argv) == reference_outcome(argv)
+
+
+def test_a_double_dash_value_is_the_word(capsys):
+    # argparse gave these an empty list: a TypeError out of the sweep's range
+    # check, of os.path.exists, and trivial coefficients
+    assert cli.run(["circle", "sweep", "sin_t", "--n-min=--"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: argument --n-min: invalid int value: '--'\n")
+    assert cli.run(["kunneth", "su2", "--", "--"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: --: no such file or catalog entry\n"
+    assert cli.run(["lie", "cohomology", "su2", "--rep=--"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: --: no such file or catalog representation\n"
 
 
 def test_parse_errors_exit_65(tmp_path):
@@ -1046,7 +1163,6 @@ def test_cached_parser_gives_identical_runs(tmp_path, capsys):
     assert (parse[0], parse[1]) == (cli.EXIT_PARSE, "")
     assert [code for code, _, _ in first] == [0] * len(argvs)
     assert second == first
-    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("error", [DegreeOutOfRangeError, NotAbelianError])
