@@ -9,7 +9,7 @@ loads no other module of the package.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 #: Algebras with a nonzero underlying space; every one has Euler characteristic 0.
 ALGEBRA_NAMES = ("r1", "r2", "r3", "r4", "h3", "aff1", "su2", "sl2", "diamond4")
@@ -21,8 +21,8 @@ ALGEBROID_NAMES = ("const1", "sin_t", "sin_2t", "r_action", "sl2_action")
 
 def entry(kind: str, name: str) -> dict:
     """Raw JSON dict of a catalog item; kind is the data subdirectory name."""
-    ref = resources.files("algebroid").joinpath("data", kind, f"{name}.json")
-    with ref.open("r", encoding="utf-8") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "data", kind, f"{name}.json"),
+              encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -81,20 +81,6 @@ def _load_algebra(arg: str) -> LieAlgebra:
     return io.algebra_from_dict(*_read(arg, "algebra", "algebras"))
 
 
-def _classify_factor(arg: str):
-    """('algebra' or 'algebroid', load): an algebroid exactly when the JSON
-    has a "kind", from a file or from the catalog alike.
-
-    `load()` parses the factor from the JSON already read, so a file is read
-    once; parsing waits until the caller knows the pair is supported.
-    """
-    from . import io
-    d, where = _read(arg, "entry", "algebroids", "algebras")
-    if isinstance(d, dict) and "kind" in d:
-        return "algebroid", lambda: io.algebroid_from_dict(d, where)
-    return "algebra", lambda: io.algebra_from_dict(d, where)
-
-
 # -- output helpers ----------------------------------------------------------
 
 def _table(headers: list[str], rows: list[list]) -> list[str]:
@@ -150,14 +136,13 @@ def _sweep(a, n_min: int, n_max: int) -> tuple[SweepResult, int | None]:
     return stabilized_cohomology(a, n_min, n_max), zeros
 
 
-def _trivial_cohomology(g: LieAlgebra, full: bool = False) -> CohomologyReport:
-    """H(g), split into the summands of g unless `full` asks for the whole complex."""
-    from .exactlinalg import complex_cohomology, require_cochain_budget
-    from .liealg import ce_complex, lie_cohomology, trivial_representation
+def _trivial_cohomology(g: LieAlgebra) -> CohomologyReport:
+    """H(g), split into the summands of g."""
+    from .exactlinalg import require_cochain_budget
+    from .liealg import lie_cohomology, trivial_representation
     # The budget is checked from g.dim alone, before g.dim zero matrices are built.
     require_cochain_budget(1, g.dim, "the Chevalley-Eilenberg complex")
-    r = trivial_representation(g)
-    return complex_cohomology(ce_complex(r)) if full else lie_cohomology(r)
+    return lie_cohomology(trivial_representation(g))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -234,30 +219,33 @@ def _cmd_circle(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
-    from .exactlinalg import MAX_COCHAINS, require_cochain_budget
+    from . import io
+    from .exactlinalg import MAX_COCHAINS, complex_cohomology, require_cochain_budget
     from .kunneth import direct_sum, kunneth_verify, product_with_lie_algebra
-    (left_kind, load_left), (right_kind, load_right) = (_classify_factor(args.left),
-                                                        _classify_factor(args.right))
-    kinds = (left_kind, right_kind)
-    if kinds == ("algebra", "algebra"):
-        g = load_left()
-        h = load_right()
+    from .liealg import ce_complex, trivial_representation
+    factors = [(arg, *_read(arg, "entry", "algebroids", "algebras"))
+               for arg in (args.left, args.right)]
+    roids = [isinstance(d, dict) and "kind" in d for _, d, _ in factors]
+    if all(roids):  # refused before either factor is parsed
+        raise ValidationError("the product of two circle algebroids is not supported; "
+                              "pass two algebras, or one algebroid and one algebra")
+    if not any(roids):
+        g, h = (io.algebra_from_dict(d, where) for _, d, where in factors)
         left_report = _trivial_cohomology(g)
         right_report = _trivial_cohomology(h)
         # the product is assembled in full: checking Kunneth on it is the point
-        total = _trivial_cohomology(direct_sum(g, h), full=True)
+        total = complex_cohomology(ce_complex(trivial_representation(direct_sum(g, h))))
         lines = [
             f"left: {args.left} (algebra, dim {g.dim})",
             f"right: {args.right} (algebra, dim {h.dim})",
             f"product: direct sum (dim {g.dim + h.dim})",
         ]
         mode = "direct_sum"
-    elif "algebroid" in kinds and "algebra" in kinds:
-        roid_arg, load_roid, alg_arg, load_alg = (
-            (args.left, load_left, args.right, load_right) if left_kind == "algebroid"
-            else (args.right, load_right, args.left, load_left))
-        a, (n_min, n_max) = load_roid()
-        g = load_alg()
+    else:  # the algebroid is parsed first
+        k = roids.index(True)
+        (roid_arg, d, where), (alg_arg, alg_d, alg_where) = factors[k], factors[1 - k]
+        a, (n_min, n_max) = io.algebroid_from_dict(d, where)
+        g = io.algebra_from_dict(alg_d, alg_where)
         factor_sweep, _ = _sweep(a, n_min, n_max)
         # A declared dim past the largest any complex admits is refused from the
         # numbers, before the product's dim-long fields exist: a form of the
@@ -277,9 +265,6 @@ def _cmd_kunneth(args) -> tuple[list[str], dict, int]:
             "product: algebroid times algebra",
         ]
         mode = "product_with_algebra"
-    else:
-        raise ValidationError("the product of two circle algebroids is not supported; "
-                              "pass two algebras, or one algebroid and one algebra")
     check = kunneth_verify(total, left_report, right_report)
     lines += _table(["degree", "expected", "actual"],
                     [[r, e, got] for r, e, got in check.table])

@@ -18,14 +18,13 @@ from .liealg import LieAlgebra, Representation, convolve, require_jacobi
 
 
 def direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
-    """g + h with g occupying the first g.dim basis slots."""
-    table = {}
-    for i, j, terms in g.brackets:
-        table[(i, j)] = dict(terms)
-    for i, j, terms in h.brackets:
-        table[(i + g.dim, j + g.dim)] = {k + g.dim: c for k, c in terms}
+    """g + h with g occupying the first g.dim basis slots.  Both tables are
+    normal, and every pair of h sorts after every pair of g once shifted."""
+    s = g.dim
+    shifted = tuple((i + s, j + s, tuple((k + s, c) for k, c in terms))
+                    for i, j, terms in h.brackets)
     name = f"{g.name}+{h.name}" if g.name and h.name else ""
-    return LieAlgebra.make(g.dim + h.dim, table, name=name)
+    return LieAlgebra(g.dim + h.dim, g.brackets + shifted, name=name)
 
 
 def tensor_rep(e: Representation, f: Representation) -> Representation:

@@ -30,14 +30,14 @@ carries its window, placed contiguously.
 dim E * 2^n cochains.  `lie_cohomology` takes it when the bracket-support
 graph of g, with e_i, e_j and e_k joined for every term [e_i, e_j] ∋ e_k, is
 connected.  Otherwise g is the direct sum of the ideals on its components.
-The whole input is checked as `ce_complex` checks it, E splits into the
-components of its coordinates joined by the action matrices' entries, and
-the ideals acting on one such component merge into one factor.  Basis
-vectors with no bracket term and no action form an abelian factor r_m,
-whose H is the binomial row C(m, .).  By Kunneth, a factor g_a and the part
-E_a of E it acts on give H(g_a; E_a) (x) (x)_{b != a} H(g_b), and the part
-no factor acts on gives its dimension times (x)_b H(g_b): Betti vectors
-convolved, each factor's complex built and reduced alone.
+The whole input is checked as `ce_complex` checks it, and one graph, the
+basis and then E's coordinates, takes the action's entries too: an entry
+(a, b) of rho_i joins e_i to coordinates a and b.  Each component is then
+one factor g_a and the part E_a of E it acts on, or a block that nothing
+acts on; a one-dimensional factor's trivial H is (1, 1), without a complex.
+By Kunneth, a factor gives H(g_a; E_a) (x) (x)_{b != a} H(g_b), and a block
+gives its dimension times (x)_b H(g_b): Betti vectors convolved, each
+factor's complex built and reduced alone.
 """
 
 from __future__ import annotations
@@ -358,11 +358,11 @@ def _factor_betti(g: LieAlgebra, basis: list[int], den: int, action: dict[int, l
 def lie_cohomology(r: Representation) -> CohomologyReport:
     """H(g; E).  A connected bracket-support graph takes the full path,
     `complex_cohomology(ce_complex(r))`.  Otherwise, once the whole input is
-    checked, its components and those of E's coordinates split g into
-    factors, merged where they act on one coefficient component, and the
-    factors' Betti vectors are convolved (see the module docstring)."""
+    checked, the action's entries join E's coordinates to that graph, each
+    component is one factor and the coordinates it acts on, and the factors'
+    Betti vectors are convolved (see the module docstring)."""
     g, e, n = r.algebra, r.dim_e, r.algebra.dim
-    part = list(range(n))  # union-find over the basis
+    part = list(range(n + e))  # union-find over the basis, then E's coordinates at n + a
     for i, j, terms in g.brackets:
         root = _root(part, i)
         part[_root(part, j)] = root
@@ -372,31 +372,25 @@ def lie_cohomology(r: Representation) -> CohomologyReport:
         return complex_cohomology(ce_complex(r))
     _require_ce_inputs(r)
     den, mats = common_columns(r.action)
-    coords = list(range(e))
-    for m in mats:
-        for b, col in enumerate(m):
-            for a in col:
-                coords[_root(coords, a)] = _root(coords, b)
-    first: dict[int, int] = {}  # a basis vector acting on each coefficient component
     for i, m in enumerate(mats):
+        root = _root(part, i)
         for b, col in enumerate(m):
-            if col:  # i joins the factor of the first vector acting on b's component
-                part[_root(part, i)] = _root(part, first.setdefault(_root(coords, b), i))
-    factors: dict[int, list[int]] = {}
-    for i in range(n):
-        factors.setdefault(_root(part, i), []).append(i)
-    abelian = [factors.pop(f) for f in list(factors) if factors[f] == [f] and not any(mats[f])]
-    carried: dict = {}  # the factor acting on each coordinate of E, or None
-    for a in range(e):
-        c = _root(coords, a)
-        carried.setdefault(_root(part, first[c]) if c in first else None, []).append(a)
-    trivial = {f: _factor_betti(g, basis, 1, {}, [0]) for f, basis in factors.items()}
+            for a in col:  # the entry (a, b) of rho_i joins i, n + b and n + a
+                part[_root(part, n + b)] = part[_root(part, n + a)] = root
+    factors: dict[int, tuple[list[int], list[int]]] = {}  # root: (basis, coordinates)
+    for x in range(n + e):
+        factors.setdefault(_root(part, x), ([], []))[x >= n].append(x - n if x >= n else x)
+    # a one-dimensional factor's trivial H is (1, 1): no complex is built for it
+    trivial = {f: (1, 1) if len(basis) == 1 else _factor_betti(g, basis, 1, {}, [0])
+               for f, (basis, _) in factors.items() if basis}
     betti = [0] * (n + 1)
-    for f, members in carried.items():
-        b = [len(members)] if f is None else _factor_betti(
-            g, factors[f], den, {i: mats[i] for i in factors[f]}, members)
-        for t in [[comb(len(abelian), p) for p in range(len(abelian) + 1)],
-                  *[t for other, t in trivial.items() if other != f]]:
+    for f, (basis, coords) in factors.items():
+        if not coords:
+            continue
+        # a block that nothing acts on counts its dimension
+        b = [len(coords)] if not basis else _factor_betti(
+            g, basis, den, {i: mats[i] for i in basis}, coords)
+        for t in [t for other, t in trivial.items() if other != f]:
             b = convolve(b, t)
         betti = [x + y for x, y in zip(betti, b)]
     return CohomologyReport(tuple(e * comb(n, p) for p in range(n + 1)), tuple(betti),

@@ -20,6 +20,7 @@ from algebroid.kunneth import (
 )
 from algebroid.liealg import (
     LieAlgebra,
+    Representation,
     adjoint_representation,
     ce_complex,
     check_jacobi,
@@ -64,8 +65,9 @@ def test_direct_sum_h3_aff1():
     assert total.betti == (1, 3, 4, 3, 1, 0)
 
 
-def assembled_cochains(monkeypatch, argv) -> list[int]:
-    """The size of every complex `liealg.form_columns` assembles while the CLI runs argv."""
+def counted_assembly(monkeypatch) -> list[int]:
+    """A list that gathers the size of every complex `liealg.form_columns`
+    assembles from now on."""
     sizes, build = [], liealg.form_columns
 
     def counted(*args):
@@ -74,6 +76,12 @@ def assembled_cochains(monkeypatch, argv) -> list[int]:
         return c
 
     monkeypatch.setattr(liealg, "form_columns", counted)
+    return sizes
+
+
+def assembled_cochains(monkeypatch, argv) -> list[int]:
+    """The size of every complex `liealg.form_columns` assembles while the CLI runs argv."""
+    sizes = counted_assembly(monkeypatch)
     assert cli.run(argv) == 0
     return sorted(sizes)
 
@@ -95,6 +103,18 @@ def test_lie_cohomology_of_a_direct_sum_assembles_only_its_factors(monkeypatch, 
     assert assembled_cochains(monkeypatch, argv) == [8, 16, 3 * 8, 4 * 16]
     payload = json.loads(capsys.readouterr().out.split(cli.JSON_MARKER + "\n", 1)[1])
     assert payload["betti"] == list(complex_cohomology(ce_complex(adjoint_representation(g))).betti)
+
+
+def test_a_one_dimensional_factor_builds_no_trivial_complex(monkeypatch):
+    # r1 + su2 with the character 1 on r1 and 0 on su2: r1's complex with
+    # coefficients and su2's trivial one; r1's trivial H is (1, 1), read
+    # without a complex of 2 cochains
+    g = direct_sum(catalog.algebra("r1"), catalog.algebra("su2"))
+    r = Representation(g, 1, tuple(from_rows([[x]]) for x in (1, 0, 0, 0)))
+    sizes = counted_assembly(monkeypatch)
+    report = lie_cohomology(r)
+    assert sorted(sizes) == [2, 8]
+    assert report == complex_cohomology(ce_complex(r))
 
 
 def test_boxtimes_cocycles():

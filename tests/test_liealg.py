@@ -602,6 +602,16 @@ def character(g: LieAlgebra, values) -> Representation:
 @given(direct_sum_representations())
 # a character nonzero on both summands joins aff1 and h3 into one factor
 @example(character(direct_sum(catalog.algebra("aff1"), catalog.algebra("h3")), [1, 0, 2, -1, 0]))
+# coordinate 1 is a block that nothing acts on, beside aff1 acting on coordinate 0
+@example(Representation(direct_sum(catalog.algebra("aff1"), catalog.algebra("r1")), 2,
+                        (from_rows([[1, 0], [0, 0]]), from_rows([[0, 0], [0, 0]]),
+                         from_rows([[0, 0], [0, 0]]))))
+# the one-dimensional factor r1 acts on E, beside su2
+@example(Representation(direct_sum(catalog.algebra("su2"), catalog.algebra("r1")), 2,
+                        (*[from_rows([[0, 0], [0, 0]])] * 3, from_rows([[0, 1], [0, 0]]))))
+# aff1 and h3 merge through their shared coordinate, with the singleton r1 beside them
+@example(character(direct_sum(direct_sum(catalog.algebra("aff1"), catalog.algebra("h3")),
+                              catalog.algebra("r1")), [1, 0, 2, -1, 0, 0]))
 @example(trivial_representation(direct_sum(catalog.algebra("su2"), catalog.algebra("aff1")), 0))
 @example(trivial_representation(catalog.algebra("r4")))  # bracket-free: the binomial row alone
 @example(trivial_representation(catalog.algebra("zero")))
