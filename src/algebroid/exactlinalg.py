@@ -17,9 +17,9 @@ at a time, and what a complex is eliminated by: there is one elimination,
 `_reduce`, which reduces integer columns left to right, each against the
 pivot that owns its smallest row, and never writes its input.  `rank` and
 `complex_cohomology` hand it the stored integer columns, the matrix times
-its positive denominator, and `kernel_basis`, which needs pivot columns,
-hands it the matrix's integer rows and back-substitutes on the reduced
-rows.  `_reduce`'s docstring states the bound on the entries.
+its positive denominator; `kernel_basis` gives each column a marker row
+of its own and reads a kernel vector off the markers of each column that
+cancels.  `_reduce`'s docstring states the bound on the entries.
 `complex_cohomology` eliminates a complex in one pass with clearing, which
 checks d^2 = 0 on each degree's pivot columns; `chain_defect` checks every
 column, with the same product loop.
@@ -43,7 +43,6 @@ from typing import Iterable, Sequence
 from .errors import ChainConditionError, ValidationError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -210,30 +209,18 @@ def rank(m: RationalMatrix) -> int:
 def kernel_basis(m: RationalMatrix) -> list[list[Fraction]]:
     """Basis of the null space, one vector per free column, in column order.
 
-    m's integer rows, written from its columns, are reduced as columns, so
-    their lows are the pivot columns and the rest are free.  The vector of a
-    free column has 1 there and 0 on the other free columns, which fixes it.
-    Its pivot entries come from the reduced rows, largest low first: a
-    reduced row vanishes on the columns before its low, so its other
-    entries meet only coordinates already known.
+    Each stored column j gains a marker entry 1 at row m.rows + m.cols - 1 - j,
+    below m's rows, and one `_reduce` call takes them.  A free column is a
+    combination of the columns before it, so it cancels on m's rows and keeps
+    its own marker and those of the pivot columns before it: its low is its
+    own marker row, which no other column has.  Its marker entries are then
+    a null vector with 0 on every other free column, and divided by the
+    entry at j they are the reduced row echelon basis vector.
     """
-    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
-    for j, col in enumerate(m._num):
-        for i, x in col.items():
-            rows[i][j] = x
-    pivots = _reduce(rows)
-    echelon = [(c, pivots[c][1]) for c in sorted(pivots, reverse=True)]
-    basis = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = {free: _ONE}
-        for c, row in echelon:
-            s = sum(x * v[j] for j, x in row.items() if j in v)
-            if s:
-                v[c] = -s / row[c]
-        basis.append([v.get(j, _ZERO) for j in range(m.cols)])
-    return basis
+    top = m.rows + m.cols - 1
+    pivots = _reduce([{**col, top - j: 1} for j, col in enumerate(m._num)])
+    return [[Fraction(col[top - k], col[low]) if top - k in col else _ZERO for k in range(m.cols)]
+            for low, (_, col) in sorted(pivots.items(), reverse=True) if low >= m.rows]
 
 
 # The most cochains one complex may have (16 times the trivial CE complex of a

@@ -37,7 +37,8 @@ one factor g_a and the part E_a of E it acts on, or a block that nothing
 acts on; a one-dimensional factor's trivial H is (1, 1), without a complex.
 By Kunneth, a factor gives H(g_a; E_a) (x) (x)_{b != a} H(g_b), and a block
 gives its dimension times (x)_b H(g_b): Betti vectors convolved, each
-factor's complex built and reduced alone.
+factor's complex built and reduced alone, and a trivial H(g_b) only when a
+component with coordinates first convolves it.
 """
 
 from __future__ import annotations
@@ -380,9 +381,7 @@ def lie_cohomology(r: Representation) -> CohomologyReport:
     factors: dict[int, tuple[list[int], list[int]]] = {}  # root: (basis, coordinates)
     for x in range(n + e):
         factors.setdefault(_root(part, x), ([], []))[x >= n].append(x - n if x >= n else x)
-    # a one-dimensional factor's trivial H is (1, 1): no complex is built for it
-    trivial = {f: (1, 1) if len(basis) == 1 else _factor_betti(g, basis, 1, {}, [0])
-               for f, (basis, _) in factors.items() if basis}
+    trivial: dict[int, Sequence[int]] = {}  # a factor's trivial H, built when first convolved
     betti = [0] * (n + 1)
     for f, (basis, coords) in factors.items():
         if not coords:
@@ -390,8 +389,11 @@ def lie_cohomology(r: Representation) -> CohomologyReport:
         # a block that nothing acts on counts its dimension
         b = [len(coords)] if not basis else _factor_betti(
             g, basis, den, {i: mats[i] for i in basis}, coords)
-        for t in [t for other, t in trivial.items() if other != f]:
-            b = convolve(b, t)
+        for other, (ob, _) in factors.items():
+            if ob and other != f:
+                if other not in trivial:  # (1, 1) for one basis vector, without a complex
+                    trivial[other] = (1, 1) if len(ob) == 1 else _factor_betti(g, ob, 1, {}, [0])
+                b = convolve(b, trivial[other])
         betti = [x + y for x, y in zip(betti, b)]
     return CohomologyReport(tuple(e * comb(n, p) for p in range(n + 1)), tuple(betti),
                             sum(b if p % 2 == 0 else -b for p, b in enumerate(betti)))

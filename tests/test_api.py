@@ -152,7 +152,7 @@ def test_second_differential_loop_left_the_package(owner, name):
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_one_caller_helpers_left_the_package(owner, name):
     # exterior_structure_check divides by 1 + t^d itself, rank and
-    # kernel_basis eliminate the stored rows, the callers of the three
+    # kernel_basis reduce the stored columns, the callers of the three
     # renaming wrappers call what they wrapped, addition_coproduct writes
     # its products with exterior.wedge, and adjoint_representation writes
     # ad_i from the bracket table

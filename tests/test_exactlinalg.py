@@ -7,7 +7,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from fixtures import dense_apply
@@ -380,6 +380,11 @@ def assert_kernel_is_the_rref_basis(m):
 
 @settings(max_examples=200)
 @given(matrices() | empty_matrices())
+@example(from_rows([[0, 1, 2], [0, 3, 4]]))  # a zero first column, free before any pivot
+@example(from_rows([[1, 2, 3, 0], [0, 0, 0, 1]]))  # two adjacent free columns
+# c2 = c0 + c1, met through c1 after c1 was reduced against c0 and its markers filled in
+@example(from_rows([[1, 1, 2], [1, 0, 1], [0, 1, 1]]))
+@example(from_rows([[Fraction(1, 2), Fraction(-2, 3), 1]]))  # a stored denominator of 6
 def test_kernel_basis_equals_the_rref_basis(m):
     assert_kernel_is_the_rref_basis(m)
 

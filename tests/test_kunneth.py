@@ -117,6 +117,22 @@ def test_a_one_dimensional_factor_builds_no_trivial_complex(monkeypatch):
     assert report == complex_cohomology(ce_complex(r))
 
 
+@pytest.mark.parametrize("left, right, character, sizes", [
+    # the character joins aff1 and h3 into one factor: nothing convolves its trivial H
+    ("aff1", "h3", (1, 0, 2, -1, 0), [32]),
+    # diamond4's e0 acts alone: su2's trivial H is convolved, diamond4's is never built
+    ("su2", "diamond4", (0, 0, 0, 1, 0, 0, 0), [8, 16]),
+])
+def test_a_trivial_complex_is_built_only_when_convolved(monkeypatch, left, right, character,
+                                                        sizes):
+    g = direct_sum(catalog.algebra(left), catalog.algebra(right))
+    r = Representation(g, 1, tuple(from_rows([[x]]) for x in character))
+    assembled = counted_assembly(monkeypatch)
+    report = lie_cohomology(r)
+    assert sorted(assembled) == sizes
+    assert report == complex_cohomology(ce_complex(r))
+
+
 def test_boxtimes_cocycles():
     t = ce_complex(trivial_representation(direct_sum(catalog.algebra("su2"),
                                                      catalog.algebra("su2"))))
